@@ -265,19 +265,20 @@ def cmd_effective(cfg, num, out: Path) -> dict:
     mode = cfg.get("mode", "bloch")
     window = _window(cfg, num, sym, lattice)
     merge_tol = num["merge_tol"]
+    cloud = effective.bloch_eigenvalue_cloud(
+        hops, flux, int(cfg.get("k_resolution", 32)))
     if mode == "box":
         op = effective.assemble_effective(
             hops, "box", flux, box_size=int(cfg.get("box_size", 16)))
+        spec_set = effective.effective_spectrum(op, window, merge_tol)
     elif mode == "bloch":
-        op = effective.assemble_effective(hops, "magnetic_bloch", flux)
+        spec_set = spectra.SpectrumSet(
+            points=cloud, window=window, merge_tol=merge_tol)
     else:
         raise ConfigError(f"unknown effective mode {mode!r}")
-    spec_set = effective.effective_spectrum(
-        op, window, merge_tol, k_resolution=int(cfg.get("k_resolution", 32)))
     lam_grid = np.linspace(window[0], window[1],
                            int(cfg.get("lambda_points", 400)))
-    margins = effective.lambda_scan(
-        hops, flux, lam_grid, k_resolution=int(cfg.get("k_resolution", 32)))
+    margins = effective.cloud_margins(cloud, lam_grid)
     _write_csv(out / "margin.csv", ["lambda", "margin"],
                zip(lam_grid, margins))
     _write_json(out / "spectrum.json", {
@@ -301,12 +302,39 @@ def cmd_scan(cfg, num, out: Path) -> dict:
     return {"lambda_points": int(lam_grid.size)}
 
 
+def _magnetic_bloch_field(
+    field, flux: Fraction, lattice: Lattice
+) -> MagneticField:
+    """The constant field whose unit-cell flux is 2 pi * flux.
+
+    A configured field must be that field: the finite-difference link
+    phases follow the field and the magnetic-cell wrap follows the flux.
+    """
+    consistent = effective.field_for_flux(flux, lattice)
+    if field is None:
+        return consistent
+    if field.kind != "constant":
+        raise ConfigError(
+            "magnetic_bloch mode needs a constant field, got "
+            f"{field.kind!r}"
+        )
+    b, b_flux = field.strength, consistent.b12
+    if abs(b - b_flux) > 1e-9 * max(1.0, abs(b_flux)):
+        raise ConfigError(
+            f"field epsilon * b12 = {b!r} does not match flux {flux}: the "
+            f"consistent field is b12 = {b_flux!r}"
+        )
+    return field
+
+
 def cmd_direct(cfg, num, out: Path) -> dict:
     lattice = build_lattice(cfg)
     sym = build_symbol(cfg, lattice)
     field = build_field(cfg)
     mode = cfg.get("mode", "zero_field_bloch")
     flux = _parse_flux(cfg.get("flux", "0"))
+    if mode == "magnetic_bloch":
+        field = _magnetic_bloch_field(field, flux, lattice)
     window = _window(cfg, num, sym, lattice)
     disc = direct.assemble_direct(
         sym, field, mode, flux=flux,

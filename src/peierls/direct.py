@@ -10,8 +10,14 @@ magnetic-Bloch boundary conditions
     u(y + a) = exp(i k_a) exp(i <A(a), y>) u(y)
 
 for the magnetic-cell vectors a; the ordinary Bloch case is the same with
-A = 0.  Lattices must be rectangular (diagonal basis) in the
-finite-difference modes.
+A = 0.  The field must be the one whose unit-cell flux is 2 pi p/q, or the
+link phases and the cell wrap describe different operators.  Lattices must
+be rectangular (diagonal basis) in the finite-difference modes.
+
+Window eigenvalues of matrices above 600 unknowns come from shift-invert
+Lanczos at the window centre, with a coverage certificate: the farthest
+returned eigenvalue must lie outside the window, else the batch grows.  A
+window the certificate cannot cover raises WindowCoverageError.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bloch import compute_bands
-from .lattice import Lattice, bz_grid, dual_shell
+from .lattice import Lattice, bz_grid, dual_shell, momentum_grid
 from .magnetic import MagneticField, hermitian_sqrt
 from .spectra import SpectrumSet
 from .symbols import Nonrelativistic, PeriodicSymbol, Relativistic
@@ -279,24 +285,54 @@ def _fd_box(
     ).tocsr()
 
 
+class WindowCoverageError(RuntimeError):
+    """The eigensolver could not certify that it found the whole window."""
+
+
 def _window_eigs(M: sp.csr_matrix, window, n_eigs: int) -> np.ndarray:
-    """Eigenvalues of the sparse Hermitian matrix intersected with window."""
+    """Eigenvalues of the sparse Hermitian matrix intersected with window.
+
+    Up to 600 unknowns the matrix is diagonalized densely.  Larger
+    matrices use shift-invert Lanczos at the window centre sigma, which
+    returns the k eigenvalues nearest sigma.  Once the farthest of them
+    lies beyond the window radius max(hi - sigma, sigma - lo), every
+    eigenvalue in the window is among them; until then k doubles from
+    n_eigs.  WindowCoverageError is raised when the certificate still
+    fails at k = size // 8: past that Lanczos costs more than a dense
+    solve, and the window holds far more than the few bands a reference
+    solve resolves.
+    """
     lo, hi = window
     size = M.shape[0]
     if size <= 600:
         vals = np.linalg.eigvalsh(M.toarray())
-    else:
-        k = min(n_eigs, size - 2)
-        vals = spla.eigsh(M, k=k, which="SA", return_eigenvectors=False)
-        vals = np.sort(vals)
-        if vals[-1] < hi:
-            # window may extend past the computed batch; grow once
-            k2 = min(2 * k, size - 2)
-            if k2 > k:
-                vals = spla.eigsh(
-                    M, k=k2, which="SA", return_eigenvectors=False
-                )
-                vals = np.sort(vals)
+        return vals[(vals >= lo) & (vals <= hi)]
+    k_max = size // 8
+    k = min(n_eigs, k_max)
+    sigma, moved = 0.5 * (lo + hi), False
+    # a fixed generic start vector makes reruns bit-identical
+    v0 = np.random.default_rng(0).standard_normal(size) + 0j
+    while True:
+        try:
+            vals = spla.eigsh(M, k=k, sigma=sigma, which="LM", v0=v0,
+                              return_eigenvectors=False)
+        except RuntimeError as exc:
+            if isinstance(exc, spla.ArpackError) or moved:
+                raise
+            # sigma is an eigenvalue, so M - sigma has no LU factors: move
+            # sigma once, staying inside the window
+            sigma, moved = lo + 0.5 * (hi - lo) * (1.0 + 1.0 / np.pi), True
+            continue
+        if np.max(np.abs(vals - sigma)) > max(hi - sigma, sigma - lo):
+            break
+        if k >= k_max:
+            raise WindowCoverageError(
+                f"window [{lo}, {hi}] holds at least {k} of the {size} "
+                "eigenvalues, more than the sparse eigensolver certifies; "
+                "narrow the window"
+            )
+        k = min(2 * k, k_max)
+    vals = np.sort(vals)
     return vals[(vals >= lo) & (vals <= hi)]
 
 
@@ -326,15 +362,10 @@ def direct_spectrum(
         vals = _window_eigs(disc.box_matrix(), window, n_eigs=64)
         return SpectrumSet(points=vals, window=window, merge_tol=merge_tol)
 
-    d = disc.symbol.lattice.dim
-    q = disc.flux.denominator
-    axis = 2.0 * np.pi * np.arange(k_resolution) / k_resolution
-    if d == 1:
-        kpts = axis[:, None]
-    else:
-        m1, m2 = np.meshgrid(axis, axis, indexing="ij")
-        kpts = np.stack([m1.ravel(), m2.ravel()], axis=-1)
-    n_eigs = max(8, q * n_bands)
+    kpts = momentum_grid(disc.symbol.lattice.dim, k_resolution)
+    # a simple band in the window splits into q subbands: room for their q
+    # eigenvalues per fiber and the ones beyond the window that certify it
+    n_eigs = max(8, 2 * disc.flux.denominator)
     clouds = []
     for k in kpts:
         M = disc.bloch_matrix(k)

@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .lattice import BZGrid, Lattice
+from .lattice import BZGrid, Lattice, momentum_grid
 from .magnetic import MagneticField
 from .spectra import SpectrumSet
 
@@ -228,6 +228,62 @@ def _box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
     return M
 
 
+def _bloch_coefficients(hops: HoppingSet, flux: Fraction):
+    """k-independent blocks of the magnetic-Bloch fiber.
+
+    Returns (shifts, coeffs) with shifts of shape (J, d) and coeffs of
+    shape (J, qN, qN) such that
+
+        H(k) = sum_j coeffs[j] exp(i <k, shifts[j]>).
+
+    The blocks are read off the fiber formula of _bloch_matrix: the hop
+    beta = (b1, b2) adds q_hat_beta exp(i (Phi/2) [s b2 + q n m - s' n])
+    to block (s, s') of C_(m, n).  H(k) is Hermitian for every k exactly
+    when C_(m, n) = C_(-m, -n)^*; this is checked once here, and the
+    blocks are returned symmetrized.  In d=1 the flux is ignored (q = 1).
+    """
+    d = hops.dim
+    n = hops.n
+    q = flux.denominator if d == 2 else 1
+    phi = 2.0 * np.pi * float(flux) if d == 2 else 0.0
+    blocks: dict = {}
+    for alpha, blk in hops.hoppings.items():
+        b1, b2 = (tuple(alpha) + (0,))[:2]
+        nn = -b2
+        for s in range(q):
+            sp = (s - b1) % q
+            m = (s - b1 - sp) // q
+            key = (m, nn)[:d]
+            C = blocks.setdefault(key, np.zeros((q * n, q * n), dtype=complex))
+            phase = np.exp(0.5j * phi * (s * b2 + q * nn * m - sp * nn))
+            C[s * n:(s + 1) * n, sp * n:(sp + 1) * n] += blk * phase
+    for key in list(blocks):
+        blocks.setdefault(tuple(-x for x in key), np.zeros_like(blocks[key]))
+    index = {key: j for j, key in enumerate(blocks)}
+    coeffs = np.stack(list(blocks.values()))
+    partner = [index[tuple(-x for x in key)] for key in index]
+    adjoint = np.conj(np.swapaxes(coeffs[partner], 1, 2))
+    # sup_k ||H(k) - H(k)^*||_2 <= sum_j ||C_j - C_-j^*||_F
+    herm = float(np.linalg.norm(coeffs - adjoint, axis=(1, 2)).sum())
+    scale = float(np.linalg.norm(coeffs, axis=(1, 2)).sum())
+    if herm > 1e-10 * max(1.0, scale):
+        raise InconsistentSymbolError("magnetic-Bloch fiber not Hermitian")
+    return np.asarray(list(index), dtype=float), 0.5 * (coeffs + adjoint)
+
+
+def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
+    """Magnetic-Bloch fibers H(k) at the rows of kpts, shape (K, qN, qN)."""
+    shifts, coeffs = _bloch_coefficients(hops, flux)
+    kpts = np.asarray(kpts, dtype=float).reshape(-1, hops.dim)
+    phases = np.exp(1j * (kpts @ shifts.T))
+    # one term per shift in hopping order: at zero flux these are the
+    # additions of a direct resummation of the symbol, bit for bit
+    fibers = np.zeros((kpts.shape[0],) + coeffs.shape[1:], dtype=complex)
+    for j, C in enumerate(coeffs):
+        fibers += phases[:, j, None, None] * C
+    return fibers
+
+
 def _bloch_matrix(hops: HoppingSet, flux: Fraction, k) -> np.ndarray:
     """Magnetic-Bloch fiber over the magnetic cell of q unit cells.
 
@@ -243,49 +299,22 @@ def _bloch_matrix(hops: HoppingSet, flux: Fraction, k) -> np.ndarray:
     with s' = (s - b1) mod q, m = (s - b1 - s') / q, n = -b2.  In d=1 the
     flux is zero and this is the symbol evaluated on the momentum grid.
     """
-    q = flux.denominator
-    n = hops.n
-    d = hops.dim
-    k = np.asarray(k, dtype=float).reshape(-1)
-    phi = 2.0 * np.pi * float(flux)
-    if d == 1:
-        H = np.zeros((n, n), dtype=complex)
-        for alpha, blk in hops.hoppings.items():
-            H += blk * np.exp(-1j * k[0] * alpha[0])
-        return H
-    H = np.zeros((q * n, q * n), dtype=complex)
-    for (b1, b2), blk in hops.hoppings.items():
-        nn = -b2
-        for s in range(q):
-            sp = (s - b1) % q
-            m = (s - b1 - sp) // q
-            arg = (
-                0.5 * phi * s * b2
-                + k[0] * m
-                + 0.5 * phi * q * nn * m
-                + k[1] * nn
-                - 0.5 * phi * sp * nn
-            )
-            H[s * n:(s + 1) * n, sp * n:(sp + 1) * n] += blk * np.exp(1j * arg)
-    herm = np.linalg.norm(H - np.conj(H.T), ord=2)
-    if herm > 1e-10 * max(1.0, np.linalg.norm(H, ord=2)):
-        raise InconsistentSymbolError("magnetic-Bloch fiber not Hermitian")
-    return 0.5 * (H + np.conj(H.T))
+    return _bloch_fibers(hops, flux, k)[0]
+
+
+def _bloch_branches(
+    hops: HoppingSet, flux: Fraction, k_resolution: int
+) -> np.ndarray:
+    """Ascending fiber eigenvalues per momentum, shape (K, qN)."""
+    kpts = momentum_grid(hops.dim, k_resolution)
+    return np.linalg.eigvalsh(_bloch_fibers(hops, flux, kpts))
 
 
 def bloch_eigenvalue_cloud(
     hops: HoppingSet, flux: Fraction, k_resolution: int
 ) -> np.ndarray:
     """All magnetic-Bloch eigenvalues over a uniform momentum grid."""
-    d = hops.dim
-    axis = 2.0 * np.pi * np.arange(k_resolution) / k_resolution
-    if d == 1:
-        kpts = axis[:, None]
-    else:
-        m1, m2 = np.meshgrid(axis, axis, indexing="ij")
-        kpts = np.stack([m1.ravel(), m2.ravel()], axis=-1)
-    vals = [np.linalg.eigvalsh(_bloch_matrix(hops, flux, k)) for k in kpts]
-    return np.sort(np.concatenate(vals))
+    return np.sort(_bloch_branches(hops, flux, k_resolution), axis=None)
 
 
 def subband_groups(
@@ -299,16 +328,7 @@ def subband_groups(
     isolated points (the central pair at even denominators) still count
     separately.
     """
-    d = hops.dim
-    axis = 2.0 * np.pi * np.arange(k_resolution) / k_resolution
-    if d == 1:
-        kpts = axis[:, None]
-    else:
-        m1, m2 = np.meshgrid(axis, axis, indexing="ij")
-        kpts = np.stack([m1.ravel(), m2.ravel()], axis=-1)
-    branches = np.stack(
-        [np.linalg.eigvalsh(_bloch_matrix(hops, flux, k)) for k in kpts]
-    )
+    branches = _bloch_branches(hops, flux, k_resolution)
     lo = branches.min(axis=0)
     hi = branches.max(axis=0)
     groups = 1
@@ -347,7 +367,13 @@ def lambda_scan(
     lambda to the band-operator spectrum; the eigenvalue cloud is computed
     once.
     """
-    cloud = bloch_eigenvalue_cloud(band_hoppings, flux, k_resolution)
+    return cloud_margins(
+        bloch_eigenvalue_cloud(band_hoppings, flux, k_resolution), lam_grid
+    )
+
+
+def cloud_margins(cloud: np.ndarray, lam_grid: np.ndarray) -> np.ndarray:
+    """Distance from each lambda to the sorted eigenvalue cloud."""
     lam = np.asarray(lam_grid, dtype=float)
     idx = np.searchsorted(cloud, lam)
     idx_lo = np.clip(idx - 1, 0, cloud.size - 1)

@@ -129,6 +129,16 @@ def bz_grid(lattice: Lattice, resolution: int) -> BZGrid:
     return BZGrid(lattice, resolution)
 
 
+def momentum_grid(dim: int, resolution: int) -> np.ndarray:
+    """Uniform momenta 2 pi (j_1, ..., j_d) / resolution, j in 0..resolution-1.
+
+    Shape (resolution^d, d), rows in C order of (j_1, ..., j_d).
+    """
+    axis = 2.0 * np.pi * np.arange(resolution) / resolution
+    mesh = np.meshgrid(*[axis] * dim, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 @dataclass(frozen=True)
 class DualShell:
     """Dual-lattice points with |gamma*| <= cutoff (Euclidean radius).

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -101,6 +102,45 @@ def test_config_error_antisymmetry(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert _run("direct", str(path), tmp_path) == 2
     assert "H.1" in capsys.readouterr().err
+
+
+D2_CONFIG = {
+    "lattice": {"basis": [[6.283185307179586, 0.0], [0.0, 6.283185307179586]]},
+    "symbol": {
+        "kind": "nonrelativistic",
+        "potential": {"name": "separable_cosine_2d", "amplitude": 0.5},
+    },
+    "numerics": {"cutoff": 4.0, "resolution": 8, "n_bands": 2},
+    "mode": "magnetic_bloch",
+    "flux": "1/4",
+    "window": [-0.83, -0.29],
+    "k_resolution": 1,
+}
+
+
+def test_direct_field_must_match_flux(tmp_path, capsys):
+    consistent = 1.0 / (8.0 * math.pi)  # unit-cell flux 2 pi / 4
+    cfg = dict(D2_CONFIG, field={"b12": 0.1})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path / "bad") == 2
+    err = capsys.readouterr().err
+    assert "0.1" in err and f"{consistent:.12f}"[:13] in err
+    cfg["field"] = {"b12": consistent}
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path / "given") == 0
+    given = _read_values(tmp_path / "given" / "eigenvalues.csv")
+    assert len(given) == 4  # q subbands of band 0
+    # without a field the consistent one is derived from the flux
+    del cfg["field"]
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path / "derived") == 0
+    derived = _read_values(tmp_path / "derived" / "eigenvalues.csv")
+    assert max(abs(a - b) for a, b in zip(given, derived)) < 1e-9
+
+
+def _read_values(path):
+    return [float(v) for v in path.read_text().splitlines()[1:]]
 
 
 def test_config_error_unknown_potential(tmp_path, capsys):

@@ -7,6 +7,8 @@ import scipy.sparse as sp
 from peierls.direct import (
     GridTooCoarseError,
     NonRectangularLatticeError,
+    WindowCoverageError,
+    _window_eigs,
     assemble_direct,
     direct_spectrum,
 )
@@ -121,3 +123,33 @@ def test_relativistic_fd_runs(lat1):
     disc = assemble_direct(sym, None, "magnetic_bloch", points_per_cell=16)
     vals = np.linalg.eigvalsh(disc.bloch_matrix([0.0]).toarray())
     assert vals[0] > 0.0  # sqrt(1 + |eta|^2) + V >= 1 - 0.6
+
+
+def test_window_eigs_covers_window_above_initial_batch(separable):
+    from peierls.effective import field_for_flux
+
+    flux = Fraction(1, 4)
+    disc = assemble_direct(separable, field_for_flux(flux, separable.lattice),
+                           "magnetic_bloch", flux=flux, points_per_cell=16)
+    M = disc.bloch_matrix(np.array([0.3, -0.7]))
+    assert M.shape[0] > 600  # the sparse path
+    dense = np.linalg.eigvalsh(M.toarray())
+    n_eigs = max(8, flux.denominator * 4)
+    # window edges mid-gap, above the lowest n_eigs eigenvalues and past
+    # the 2 * n_eigs that a grow-once batch from the bottom would reach
+    window = (0.5 * (dense[19] + dense[20]), 0.5 * (dense[39] + dense[40]))
+    got = _window_eigs(M, window, n_eigs=n_eigs)
+    expected = dense[(dense >= window[0]) & (dense <= window[1])]
+    assert expected.size == 20
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) < 1e-9
+    # a window holding more than an eighth of the spectrum is not certified
+    with pytest.raises(WindowCoverageError):
+        _window_eigs(M, (-1.0, 20.0), n_eigs=n_eigs)
+
+
+def test_window_eigs_moves_shift_off_an_eigenvalue():
+    # the window centre 11 is an eigenvalue: M - 11 has no LU factors
+    M = sp.diags(np.arange(700.0) + 0j).tocsr()
+    got = _window_eigs(M, (9.5, 12.5), n_eigs=8)
+    assert np.allclose(got, [10.0, 11.0, 12.0], atol=1e-10)

@@ -2,10 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peierls.bloch import compute_bands
 from peierls.effective import (
     AliasingError,
+    HoppingSet,
+    InconsistentSymbolError,
     IrrationalFluxError,
     assemble_effective,
     bloch_eigenvalue_cloud,
@@ -112,3 +116,65 @@ def test_lambda_scan_margin_matches_band_distance(mathieu, lat1):
     iv = rec.merged_intervals
     assert iv.shape[0] == 1
     assert abs(iv[0, 0] - lo) < 1e-2 and abs(iv[0, 1] - hi) < 1e-2
+
+
+def _hermitian_hoppings(seed: int, n: int = 2, radius: int = 2) -> HoppingSet:
+    """Random hoppings with q_hat_{-alpha} = q_hat_alpha^*."""
+    rng = np.random.default_rng(seed)
+    hops = {}
+    for a in range(-radius, radius + 1):
+        for b in range(-radius, radius + 1):
+            if (a, b) in hops:
+                continue
+            blk = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            if (a, b) == (0, 0):
+                blk = blk + np.conj(blk.T)
+            hops[(a, b)] = blk
+            hops[(-a, -b)] = np.conj(blk.T)
+    return HoppingSet(n=n, dim=2, hoppings=hops, source_tag="random")
+
+
+def _reference_fiber(hops: HoppingSet, flux: Fraction, k) -> np.ndarray:
+    """The fiber formula of the _bloch_matrix docstring, entry by entry."""
+    q, n = flux.denominator, hops.n
+    phi = 2.0 * np.pi * float(flux)
+    H = np.zeros((q * n, q * n), dtype=complex)
+    for (b1, b2), blk in hops.hoppings.items():
+        nn = -b2
+        for s in range(q):
+            sp = (s - b1) % q
+            m = (s - b1 - sp) // q
+            arg = (0.5 * phi * s * b2 + k[0] * m + 0.5 * phi * q * nn * m
+                   + k[1] * nn - 0.5 * phi * sp * nn)
+            H[s * n:(s + 1) * n, sp * n:(sp + 1) * n] += blk * np.exp(1j * arg)
+    return H
+
+
+FLUXES = st.integers(1, 16).flatmap(
+    lambda q: st.integers(-q, q).map(lambda p: Fraction(p, q)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(flux=FLUXES, seed=st.integers(0, 2**16))
+def test_batched_cloud_matches_per_k_fiber_formula(flux, seed):
+    hops = _hermitian_hoppings(seed)
+    k_res = 3
+    axis = 2.0 * np.pi * np.arange(k_res) / k_res
+    ref = np.sort(np.concatenate([
+        np.linalg.eigvalsh(_reference_fiber(hops, flux, (k1, k2)))
+        for k1 in axis for k2 in axis
+    ]))
+    cloud = bloch_eigenvalue_cloud(hops, flux, k_resolution=k_res)
+    assert cloud.shape == ref.shape
+    assert np.max(np.abs(cloud - ref)) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(flux=FLUXES)
+def test_non_hermitian_hoppings_raise(flux):
+    one = np.array([[1.0 + 0j]])
+    hops = HoppingSet(n=1, dim=2, source_tag="broken", hoppings={
+        (1, 0): -one, (-1, 0): -2.0 * one, (0, 1): -one, (0, -1): -one,
+    })
+    with pytest.raises(InconsistentSymbolError):
+        bloch_eigenvalue_cloud(hops, flux, k_resolution=2)
