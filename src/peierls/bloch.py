@@ -7,6 +7,11 @@ u = sum_{gamma*} c_{gamma*} exp(i<gamma*, y>):
 
 For polynomial kinds the monomials are Weyl-symmetrized at the midpoint,
 H(xi)[g, b] += a_alpha_hat(g - b) * (xi + (g + b)/2)^alpha.
+
+When every Fourier coefficient is real (for a real potential, one that is
+even about the origin, as in the cosine fixtures) H(xi) is real symmetric:
+FiberAssembler then builds float64 fibers, and compute_bands solves them with
+the real-symmetric LAPACK driver instead of the complex Hermitian one.
 """
 
 from __future__ import annotations
@@ -37,49 +42,78 @@ class FiberMatrix:
         return self.entries.shape[0]
 
 
+class FiberAssembler:
+    """H(xi) for one (symbol, shell), built from parts computed once.
+
+    The stripe of each Fourier coefficient (the index pairs (g, b) with
+    g - b equal to its key) is found once.  For kinetic kinds the V_hat block
+    does not depend on xi and is built once too, so each fiber is a copy of
+    it plus kinetic(xi + gamma*) on the diagonal.  Polynomial kinds evaluate
+    their Weyl-midpoint monomials on the stored stripes at every xi.
+
+    When every Fourier coefficient is exactly real, H(xi) is real symmetric
+    and the fibers are float64; otherwise they are complex Hermitian.
+    """
+
+    def __init__(self, symbol: PeriodicSymbol, shell: DualShell):
+        if shell.size == 0:
+            raise ValueError("empty dual shell")
+        self.symbol = symbol
+        self.shell = shell
+        self._gammas = shell.members @ symbol.lattice.dual  # gamma* rows
+        kind = symbol.kind
+        if isinstance(kind, Polynomial):
+            coeffs = [(alpha, key, val) for alpha, c in kind.terms.items()
+                      for key, val in c.coeffs.items()]
+        else:
+            coeffs = [(None, key, val)
+                      for key, val in symbol.potential.coeffs.items()]
+        real = all(val.imag == 0 for _, _, val in coeffs)
+        self.dtype = np.dtype(float if real else complex)
+        stripes = [(alpha, val.real if real else val, *self._stripe(key))
+                   for alpha, key, val in coeffs]
+        if isinstance(kind, Polynomial):
+            self._terms = stripes
+            self._block = None
+        else:
+            M = shell.size
+            self._block = np.zeros((M, M), dtype=self.dtype)
+            for _, val, rows, cols in stripes:
+                self._block[rows, cols] += val
+
+    def _stripe(self, key) -> tuple:
+        """Row and column indices with member[row] - member[col] == key."""
+        members = self.shell.members
+        cols = self.shell.index_of(members - np.asarray(key, dtype=int))
+        rows = np.flatnonzero(cols >= 0)
+        return rows, cols[rows]
+
+    def __call__(self, xi) -> np.ndarray:
+        xi = np.asarray(xi, dtype=float).reshape(-1)
+        momenta = xi[None, :] + self._gammas  # xi + gamma*
+        if self._block is not None:
+            H = self._block.copy()
+            H[np.diag_indices_from(H)] += self.symbol.kinetic(momenta)
+            return H
+        H = np.zeros((self.shell.size,) * 2, dtype=self.dtype)
+        for alpha, val, rows, cols in self._terms:
+            # Weyl midpoint rule: monomial evaluated at (xi_g + xi_b)/2
+            mids = 0.5 * (momenta[rows] + momenta[cols])
+            mono = np.ones(rows.size)
+            for ax, power in enumerate(alpha):
+                if power:
+                    mono = mono * mids[:, ax] ** power
+            H[rows, cols] += val * mono
+        return H
+
+
 def assemble_fiber_matrix(
     symbol: PeriodicSymbol, xi, shell: DualShell
 ) -> FiberMatrix:
-    if shell.size == 0:
-        raise ValueError("empty dual shell")
+    """One complex fiber H(xi); loops over many xi use FiberAssembler."""
     xi = np.asarray(xi, dtype=float).reshape(-1)
-    lat = symbol.lattice
-    members = shell.members  # (M, d) int
-    M = members.shape[0]
-    momenta = xi[None, :] + members @ lat.dual  # xi + gamma*
-    H = np.zeros((M, M), dtype=complex)
-
-    index = shell.index_map()
-
-    def stripe(key):
-        # row/column indices with member[row] - member[col] == key
-        rows, cols = [], []
-        karr = np.asarray(key, dtype=int)
-        for g, m in enumerate(members):
-            j = index.get(tuple(m - karr))
-            if j is not None:
-                rows.append(g)
-                cols.append(j)
-        return np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
-
-    if isinstance(symbol.kind, Polynomial):
-        for alpha, coeff in symbol.kind.terms.items():
-            for key, val in coeff.coeffs.items():
-                rows, cols = stripe(key)
-                # Weyl midpoint rule: monomial evaluated at (xi_g + xi_b)/2
-                mids = 0.5 * (momenta[rows] + momenta[cols])
-                mono = np.ones(rows.size)
-                for ax, power in enumerate(alpha):
-                    if power:
-                        mono = mono * mids[:, ax] ** power
-                H[rows, cols] += val * mono
-    else:
-        H[np.diag_indices(M)] = symbol.kinetic(momenta)
-        for key, val in symbol.potential.coeffs.items():
-            rows, cols = stripe(key)
-            H[rows, cols] += val
-
-    return FiberMatrix(xi=xi, shell=shell, entries=H)
+    entries = FiberAssembler(symbol, shell)(xi).astype(complex, copy=False)
+    return FiberMatrix(xi=xi, shell=shell, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -110,17 +144,21 @@ def compute_bands(
         if keep_vectors
         else None
     )
+    assemble = FiberAssembler(symbol, shell)
     for i, xi in enumerate(points):
-        H = assemble_fiber_matrix(symbol, xi, shell).entries
+        # H is a fresh array, so eigh may overwrite it; a float64 H takes
+        # the real-symmetric LAPACK driver
+        H = assemble(xi)
         try:
             if keep_vectors:
                 vals, vecs = scipy.linalg.eigh(
-                    H, subset_by_index=[0, n_bands - 1]
+                    H, subset_by_index=[0, n_bands - 1], overwrite_a=True
                 )
                 vectors[i] = vecs
             else:
                 vals = scipy.linalg.eigh(
-                    H, eigvals_only=True, subset_by_index=[0, n_bands - 1]
+                    H, eigvals_only=True, subset_by_index=[0, n_bands - 1],
+                    overwrite_a=True,
                 )
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
             raise EigensolverError(xi) from exc
@@ -166,8 +204,3 @@ def band_intervals(bands: BandStructure, gap_tol: float = 1e-6) -> BandIntervals
         intervals=np.stack([lo, hi], axis=-1), simple_flags=flags, gap_tol=gap_tol
     )
 
-
-def garding_check(matrix: FiberMatrix, lam: float) -> float:
-    """Smallest eigenvalue of H(xi) - lam (numerical lower-bound check)."""
-    vals = np.linalg.eigvalsh(matrix.entries - lam * np.eye(matrix.size))
-    return float(vals[0])

@@ -80,11 +80,13 @@ def build_field(cfg: dict):
         b12 = float(fc.get("b12", 0.0))
     if not np.isfinite(b12):
         raise ConfigError("hypothesis H.2 violated: field must be finite")
-    return MagneticField(
-        b12=b12,
-        epsilon=float(fc.get("epsilon", 1.0)),
-        kind=fc.get("kind", "constant"),
-    )
+    kind = fc.get("kind", "constant")
+    if kind != "constant":
+        raise ConfigError(
+            "hypothesis H.6 violated: the solvers need a constant field, "
+            f"got field.kind {kind!r}"
+        )
+    return MagneticField(b12=b12, epsilon=float(fc.get("epsilon", 1.0)))
 
 
 def build_symbol(cfg: dict, lattice: Lattice) -> symbols.PeriodicSymbol:
@@ -133,21 +135,31 @@ def _numerics(cfg: dict) -> dict:
     return num
 
 
-def _parse_flux(text) -> Fraction:
+def _parse_flux(text, lattice: Lattice) -> Fraction:
     try:
-        return Fraction(str(text))
+        flux = Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"flux must be a rational p/q: {text!r}") from exc
+    if flux != 0 and lattice.dim < 2:
+        raise ConfigError(
+            f"hypothesis H.5 violated: flux {flux} needs a d=2 lattice; a "
+            "magnetic field is a 2-form, so in d=1 the flux must be 0"
+        )
+    return flux
 
 
-def _window(cfg: dict, num: dict, sym, lattice) -> tuple:
+def _bands(lattice: Lattice, sym, num: dict, keep_vectors=False):
+    grid = bz_grid(lattice, num["resolution"])
+    shell = dual_shell(lattice, num["cutoff"])
+    return bloch.compute_bands(sym, grid, shell, num["n_bands"],
+                               keep_vectors=keep_vectors)
+
+
+def _window(cfg: dict, num: dict, bands) -> tuple:
+    """The configured window, else a margin around the selected band."""
     win = cfg.get("window")
     if win is not None:
         return float(win[0]), float(win[1])
-    # default: a margin around the selected band
-    grid = bz_grid(lattice, num["resolution"])
-    shell = dual_shell(lattice, num["cutoff"])
-    bands = bloch.compute_bands(sym, grid, shell, num["n_bands"])
     iv = bloch.band_intervals(bands, num["gap_tol"]).intervals
     k = num["band_index"]
     pad = 0.1 * (iv[k, 1] - iv[k, 0] + 1e-6)
@@ -168,11 +180,9 @@ def _require_simple_band(bands, num) -> None:
 def cmd_bands(cfg, num, out: Path) -> dict:
     lattice = build_lattice(cfg)
     sym = build_symbol(cfg, lattice)
-    grid = bz_grid(lattice, num["resolution"])
-    shell = dual_shell(lattice, num["cutoff"])
-    bands = bloch.compute_bands(sym, grid, shell, num["n_bands"])
+    bands = _bands(lattice, sym, num)
     rows = []
-    for i, frac in enumerate(grid.coords()):
+    for i, frac in enumerate(bands.grid.coords()):
         for j in range(bands.n_bands):
             rows.append(list(frac) + [j, bands.bands[i, j]])
     dim = lattice.dim
@@ -190,16 +200,15 @@ def cmd_bands(cfg, num, out: Path) -> dict:
 def cmd_section(cfg, num, out: Path) -> dict:
     lattice = build_lattice(cfg)
     sym = build_symbol(cfg, lattice)
-    grid = bz_grid(lattice, num["resolution"])
-    shell = dual_shell(lattice, num["cutoff"])
-    bands = bloch.compute_bands(sym, grid, shell, num["n_bands"],
-                                keep_vectors=True)
+    bands = _bands(lattice, sym, num, keep_vectors=True)
     _require_simple_band(bands, num)
     sec = section.transport_section(bands, num["band_index"])
+    assemble = bloch.FiberAssembler(sym, bands.shell)
+    points = bands.grid.points()
     rows = []
-    for i, frac in enumerate(grid.coords()):
+    for i, frac in enumerate(bands.grid.coords()):
         v = sec.vectors[i]
-        H = bloch.assemble_fiber_matrix(sym, grid.points()[i], shell).entries
+        H = assemble(points[i])
         lam = bands.bands[i, num["band_index"]]
         resid = float(np.linalg.norm(H @ v - lam * v))
         rows.append(list(frac) + [np.linalg.norm(v), resid,
@@ -215,24 +224,23 @@ def cmd_section(cfg, num, out: Path) -> dict:
 def cmd_grushin(cfg, num, out: Path) -> dict:
     lattice = build_lattice(cfg)
     sym = build_symbol(cfg, lattice)
-    grid = bz_grid(lattice, num["resolution"])
-    shell = dual_shell(lattice, num["cutoff"])
-    bands = bloch.compute_bands(sym, grid, shell, num["n_bands"],
-                                keep_vectors=True)
+    bands = _bands(lattice, sym, num, keep_vectors=True)
     _require_simple_band(bands, num)
     sec = section.transport_section(bands, num["band_index"])
     family = grushin.trial_from_section(sec)
     k = num["band_index"]
     rng = np.random.default_rng(cfg.get("seed", 0))
     n_samples = int(cfg.get("samples", 20))
-    pts = grid.points()
+    assemble = bloch.FiberAssembler(sym, bands.shell)
+    pts = bands.grid.points()
     worst_resid = 0.0
     worst_dev = 0.0
     for _ in range(n_samples):
         i = int(rng.integers(0, pts.shape[0]))
         lam = float(rng.uniform(bands.bands[:, k].min() - 0.5,
                                 bands.bands[:, k].max() + 0.5))
-        fm = bloch.assemble_fiber_matrix(sym, pts[i], shell)
+        fm = bloch.FiberMatrix(xi=pts[i], shell=bands.shell,
+                               entries=assemble(pts[i]))
         gm = grushin.assemble_grushin(fm, lam, family, i)
         inv = grushin.invert_grushin(gm)
         worst_resid = max(worst_resid, inv.residual)
@@ -248,22 +256,20 @@ def cmd_grushin(cfg, num, out: Path) -> dict:
 def _band_hoppings(cfg, num):
     lattice = build_lattice(cfg)
     sym = build_symbol(cfg, lattice)
-    grid = bz_grid(lattice, num["resolution"])
-    shell = dual_shell(lattice, num["cutoff"])
-    bands = bloch.compute_bands(sym, grid, shell, num["n_bands"])
+    bands = _bands(lattice, sym, num)
     _require_simple_band(bands, num)
     k = num["band_index"]
     hops = effective.fourier_hoppings(
-        bands.bands[:, k], grid, num["radius"], source_tag=f"band{k}"
+        bands.bands[:, k], bands.grid, num["radius"], source_tag=f"band{k}"
     )
     return lattice, sym, bands, hops
 
 
 def cmd_effective(cfg, num, out: Path) -> dict:
     lattice, sym, bands, hops = _band_hoppings(cfg, num)
-    flux = _parse_flux(cfg.get("flux", "0"))
+    flux = _parse_flux(cfg.get("flux", "0"), lattice)
     mode = cfg.get("mode", "bloch")
-    window = _window(cfg, num, sym, lattice)
+    window = _window(cfg, num, bands)
     merge_tol = num["merge_tol"]
     cloud = effective.bloch_eigenvalue_cloud(
         hops, flux, int(cfg.get("k_resolution", 32)))
@@ -292,8 +298,8 @@ def cmd_effective(cfg, num, out: Path) -> dict:
 
 def cmd_scan(cfg, num, out: Path) -> dict:
     lattice, sym, bands, hops = _band_hoppings(cfg, num)
-    flux = _parse_flux(cfg.get("flux", "0"))
-    window = _window(cfg, num, sym, lattice)
+    flux = _parse_flux(cfg.get("flux", "0"), lattice)
+    window = _window(cfg, num, bands)
     lam_grid = np.linspace(window[0], window[1],
                            int(cfg.get("lambda_points", 400)))
     margins = effective.lambda_scan(
@@ -313,11 +319,6 @@ def _magnetic_bloch_field(
     consistent = effective.field_for_flux(flux, lattice)
     if field is None:
         return consistent
-    if field.kind != "constant":
-        raise ConfigError(
-            "magnetic_bloch mode needs a constant field, got "
-            f"{field.kind!r}"
-        )
     b, b_flux = field.strength, consistent.b12
     if abs(b - b_flux) > 1e-9 * max(1.0, abs(b_flux)):
         raise ConfigError(
@@ -332,10 +333,12 @@ def cmd_direct(cfg, num, out: Path) -> dict:
     sym = build_symbol(cfg, lattice)
     field = build_field(cfg)
     mode = cfg.get("mode", "zero_field_bloch")
-    flux = _parse_flux(cfg.get("flux", "0"))
+    flux = _parse_flux(cfg.get("flux", "0"), lattice)
     if mode == "magnetic_bloch":
         field = _magnetic_bloch_field(field, flux, lattice)
-    window = _window(cfg, num, sym, lattice)
+    bands = None if cfg.get("window") is not None else _bands(
+        lattice, sym, num)
+    window = _window(cfg, num, bands)
     disc = direct.assemble_direct(
         sym, field, mode, flux=flux,
         points_per_cell=int(cfg.get("points_per_cell", 16)),
@@ -359,18 +362,18 @@ def cmd_direct(cfg, num, out: Path) -> dict:
 
 def cmd_compare(cfg, num, out: Path) -> dict:
     lattice, sym, bands, hops = _band_hoppings(cfg, num)
-    window = _window(cfg, num, sym, lattice)
+    window = _window(cfg, num, bands)
     merge_tol = num["merge_tol"]
     eps_flux = cfg.get("epsilons")  # list of [epsilon, "p/q"]
     if not eps_flux:
         raise ConfigError("compare needs an 'epsilons' list of [eps, flux]")
+    eps_flux = [(eps, _parse_flux(text, lattice)) for eps, text in eps_flux]
     k_res_eff = int(cfg.get("k_resolution", 32))
     k_res_dir = int(cfg.get("direct_k_resolution", 4))
     ppc = int(cfg.get("points_per_cell", 16))
     pairs = []
     detail = []
-    for eps, flux_text in eps_flux:
-        flux = _parse_flux(flux_text)
+    for eps, flux in eps_flux:
         field = effective.field_for_flux(flux, lattice)
         op = effective.assemble_effective(hops, "magnetic_bloch", flux)
         eff_set = effective.effective_spectrum(

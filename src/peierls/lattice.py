@@ -165,6 +165,12 @@ class DualShell:
         # deterministic order: lexicographic on coefficients
         order = np.lexsort(members.T[::-1])
         object.__setattr__(self, "members", members[order])
+        # shell index of every candidate box point, -1 outside the shell;
+        # axis j runs over the coefficients -nmax_j..nmax_j
+        table = np.full(cand.shape[0], -1)
+        table[np.flatnonzero(keep)[order]] = np.arange(order.size)
+        object.__setattr__(self, "_box", nmax)
+        object.__setattr__(self, "_table", table.reshape(tuple(2 * nmax + 1)))
 
     @property
     def size(self) -> int:
@@ -173,8 +179,16 @@ class DualShell:
     def points(self) -> np.ndarray:
         return self.members @ self.lattice.dual
 
-    def index_map(self) -> dict:
-        return {tuple(m): i for i, m in enumerate(self.members)}
+    def index_of(self, coeffs) -> np.ndarray:
+        """Shell index of each row of integer dual coefficients, -1 outside.
+
+        coeffs has shape (..., d); the result has shape (...).
+        """
+        box = np.asarray(coeffs, dtype=int) + self._box
+        inside = np.all((box >= 0) & (box < self._table.shape), axis=-1)
+        out = np.full(box.shape[:-1], -1)
+        out[inside] = self._table[tuple(box[inside].T)]
+        return out
 
 
 def dual_shell(lattice: Lattice, cutoff: float) -> DualShell:

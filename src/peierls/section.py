@@ -36,23 +36,12 @@ class NearDegeneracyError(RuntimeError):
 
 def negation_permutation(shell: DualShell) -> np.ndarray:
     """perm with member[perm[i]] == -member[i] (shells are negation-closed)."""
-    index = shell.index_map()
-    perm = np.empty(shell.size, dtype=int)
-    for i, m in enumerate(shell.members):
-        perm[i] = index[tuple(-m)]
-    return perm
+    return shell.index_of(-shell.members)
 
 
 def shift_permutation(shell: DualShell, n) -> np.ndarray:
     """perm with result[i] = source index of member[i] + n, or -1 if outside."""
-    index = shell.index_map()
-    n = np.asarray(n, dtype=int)
-    perm = np.full(shell.size, -1, dtype=int)
-    for i, m in enumerate(shell.members):
-        j = index.get(tuple(m + n))
-        if j is not None:
-            perm[i] = j
-    return perm
+    return shell.index_of(shell.members + np.asarray(n, dtype=int))
 
 
 def apply_permutation(vec: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peierls.bloch import (
+    FiberAssembler,
     assemble_fiber_matrix,
     band_intervals,
     compute_bands,
-    garding_check,
 )
 from peierls.lattice import bz_grid, dual_shell
 from peierls.symbols import (
@@ -13,6 +15,9 @@ from peierls.symbols import (
     PeriodicPotential,
     PeriodicSymbol,
     Polynomial,
+    Relativistic,
+    cosine_potential,
+    separable_cosine_2d,
     zero_potential,
 )
 
@@ -83,9 +88,99 @@ def test_band_intervals_simplicity_flags(mathieu_bands):
     assert np.all(iv.intervals[:, 0] <= iv.intervals[:, 1])
 
 
-def test_garding_lower_bound(mathieu, lat1):
-    shell = dual_shell(lat1, 6.0)
-    fm = assemble_fiber_matrix(mathieu, [0.1], shell)
-    lam0 = np.linalg.eigvalsh(fm.entries)[0]
-    assert garding_check(fm, lam0 - 1.0) > 0.0
-    assert garding_check(fm, lam0 + 1.0) < 0.0
+
+def _shifted_cosine(lattice, amplitude, shift):
+    """V(y) = 2 a cos(<e*_1, y> - shift): real V with complex V_hat."""
+    d = lattice.dim
+    plus = (1,) + (0,) * (d - 1)
+    minus = (-1,) + (0,) * (d - 1)
+    phase = np.exp(-1j * shift)
+    return PeriodicPotential(
+        lattice, {plus: amplitude * phase, minus: amplitude * np.conj(phase)}
+    )
+
+
+def _fiber_symbols(lat1, lat2):
+    const1 = PeriodicPotential(lat1, {(0,): 1.0})
+    const2 = PeriodicPotential(lat2, {(0, 0): 1.0})
+    return {
+        "nonrelativistic": PeriodicSymbol(
+            Nonrelativistic(), separable_cosine_2d(lat2, 0.5)),
+        "nonrelativistic-complex": PeriodicSymbol(
+            Nonrelativistic(), _shifted_cosine(lat2, 0.5, 0.7)),
+        "relativistic": PeriodicSymbol(Relativistic(), cosine_potential(lat1, 0.3)),
+        "relativistic-complex": PeriodicSymbol(
+            Relativistic(), _shifted_cosine(lat1, 0.3, 1.1)),
+        "polynomial": PeriodicSymbol(Polynomial(terms={
+            (2,): const1, (1,): cosine_potential(lat1, 0.2),
+            (0,): cosine_potential(lat1, 0.5)}, order=2), zero_potential(lat1)),
+        "polynomial-complex": PeriodicSymbol(Polynomial(terms={
+            (2, 0): const2, (0, 2): const2,
+            (1, 1): separable_cosine_2d(lat2, 0.1),
+            (1, 0): _shifted_cosine(lat2, 0.2, 0.4),
+            (0, 0): _shifted_cosine(lat2, 0.5, -0.9)}, order=2),
+            zero_potential(lat2)),
+    }
+
+
+def _entrywise_fiber(symbol, xi, shell):
+    """H(xi)[g, b] entry by entry from the bloch module-docstring formula."""
+    members = shell.members
+    gammas = shell.points()
+    M = shell.size
+    H = np.zeros((M, M), dtype=complex)
+    for g in range(M):
+        for b in range(M):
+            key = tuple(int(k) for k in members[g] - members[b])
+            if isinstance(symbol.kind, Polynomial):
+                mid = xi + 0.5 * (gammas[g] + gammas[b])
+                for alpha, coeff in symbol.kind.terms.items():
+                    mono = np.prod(mid ** np.asarray(alpha))
+                    H[g, b] += coeff.coeffs.get(key, 0.0) * mono
+            else:
+                H[g, b] = symbol.potential.coeffs.get(key, 0.0)
+                if g == b:
+                    H[g, b] += symbol.kinetic(xi + gammas[g])[0]
+    return H
+
+
+def _coefficients(symbol):
+    if isinstance(symbol.kind, Polynomial):
+        return [v for c in symbol.kind.terms.values() for v in c.coeffs.values()]
+    return list(symbol.potential.coeffs.values())
+
+
+FIBER_KINDS = ("nonrelativistic", "nonrelativistic-complex", "relativistic",
+               "relativistic-complex", "polynomial", "polynomial-complex")
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(FIBER_KINDS),
+       frac=st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2))
+def test_assembler_matches_entrywise_formula(lat1, lat2, name, frac):
+    symbol = _fiber_symbols(lat1, lat2)[name]
+    lat = symbol.lattice
+    shell = dual_shell(lat, 3.0 if lat.dim == 2 else 5.0)
+    xi = np.asarray(frac[:lat.dim]) @ lat.dual
+    H = FiberAssembler(symbol, shell)(xi)
+    real = all(v.imag == 0 for v in _coefficients(symbol))
+    assert real != name.endswith("-complex")
+    assert H.dtype == (np.float64 if real else np.complex128)
+    assert np.max(np.abs(H - _entrywise_fiber(symbol, xi, shell))) < 1e-13
+    # the single-point wrapper returns the same fiber as a complex matrix
+    single = assemble_fiber_matrix(symbol, xi, shell).entries
+    assert single.dtype == np.complex128 and np.array_equal(single, H)
+
+
+def test_real_and_complex_fibers_give_the_same_bands(lat2):
+    """A shifted cosine is a translate of the cosine: the same spectrum,
+    once through the real-symmetric and once through the complex solver."""
+    grid = bz_grid(lat2, 4)
+    shell = dual_shell(lat2, 4.0)
+    real = PeriodicSymbol(Nonrelativistic(), _shifted_cosine(lat2, 0.5, 0.0))
+    cplx = PeriodicSymbol(Nonrelativistic(), _shifted_cosine(lat2, 0.5, 0.7))
+    assert FiberAssembler(real, shell).dtype == np.float64
+    assert FiberAssembler(cplx, shell).dtype == np.complex128
+    a = compute_bands(real, grid, shell, 4).bands
+    b = compute_bands(cplx, grid, shell, 4).bands
+    assert np.max(np.abs(a - b)) < 1e-12

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from peierls import bloch
 from peierls.cli import main
 
 BASE_CONFIG = {
@@ -180,3 +181,37 @@ def test_numeric_error_exit_code(config_path, tmp_path, capsys):
 def test_missing_config_is_config_error(tmp_path, capsys):
     assert _run("bands", str(tmp_path / "nope.json"), tmp_path) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["effective", "scan", "direct", "compare"])
+def test_config_error_flux_in_d1(command, tmp_path, capsys):
+    cfg = dict(BASE_CONFIG, flux="1/8", window=[-0.48, -0.25],
+               epsilons=[[0.1, "1/8"]])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(command, str(path), tmp_path) == 2
+    assert "H.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["box", "magnetic_bloch"])
+def test_config_error_non_constant_field(mode, tmp_path, capsys):
+    cfg = dict(D2_CONFIG, mode=mode, box_size=8.0, box_points=32,
+               field={"b12": 0.1, "kind": "gaussian"})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "H.6" in err and "gaussian" in err
+
+
+def test_effective_solves_the_bands_once(config_path, tmp_path, monkeypatch):
+    calls = []
+    solve = bloch.compute_bands
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bloch, "compute_bands", counted)
+    assert _run("effective", config_path, tmp_path) == 0  # no window
+    assert len(calls) == 1

@@ -86,3 +86,16 @@ def test_dual_shell_deterministic_order(lat1):
 def test_dual_shell_rejects_nonpositive_cutoff(lat1):
     with pytest.raises(ValueError):
         dual_shell(lat1, 0.0)
+
+
+
+def test_shell_index_of_matches_members():
+    lat = Lattice(basis=np.array([[1.0, 0.3], [0.2, 1.4]]))
+    shell = dual_shell(lat, 20.0)
+    where = {tuple(m): i for i, m in enumerate(shell.members)}
+    # a coefficient square well beyond the shell's candidate box
+    span = np.arange(-12, 13)
+    coeffs = np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1)
+    expected = [[where.get(tuple(c), -1) for c in row] for row in coeffs]
+    assert np.array_equal(shell.index_of(coeffs), expected)
+    assert 0 < shell.size < coeffs.size // 2
