@@ -336,6 +336,14 @@ def cmd_direct(cfg, num, out: Path) -> dict:
     flux = _parse_flux(cfg.get("flux", "0"), lattice)
     if mode == "magnetic_bloch":
         field = _magnetic_bloch_field(field, flux, lattice)
+    elif mode == "zero_field_bloch":
+        b = field.strength if field is not None else 0.0
+        if flux != 0 or b != 0.0:
+            raise ConfigError(
+                "mode zero_field_bloch solves at zero field, but the config "
+                f"sets flux {flux} and field strength {b!r}; use mode "
+                "'magnetic_bloch'"
+            )
     bands = None if cfg.get("window") is not None else _bands(
         lattice, sym, num)
     window = _window(cfg, num, bands)
@@ -360,6 +368,28 @@ def cmd_direct(cfg, num, out: Path) -> dict:
     }
 
 
+def _check_flux_per_epsilon(eps_flux) -> None:
+    """epsilon scales the field, so all pairs share one flux / epsilon."""
+    def show(pairs):
+        return ", ".join(f"[{eps}, {str(flux)!r}]" for eps, flux in pairs)
+
+    try:
+        eps = [float(e) for e, _ in eps_flux]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"epsilon must be a number: {exc}") from exc
+    bad = [pair for pair, e in zip(eps_flux, eps) if not e > 0.0]
+    if bad:
+        raise ConfigError(f"epsilon must be positive: {show(bad)}")
+    ratios = [float(flux) / e for (_, flux), e in zip(eps_flux, eps)]
+    bad = [pair for pair, r in zip(eps_flux, ratios)
+           if abs(r - ratios[0]) > 1e-9 * max(abs(r), abs(ratios[0]))]
+    if bad:
+        raise ConfigError(
+            "flux / epsilon must be the same for every pair: "
+            f"{show(eps_flux[:1])} gives {ratios[0]!r}, unlike {show(bad)}"
+        )
+
+
 def cmd_compare(cfg, num, out: Path) -> dict:
     lattice, sym, bands, hops = _band_hoppings(cfg, num)
     window = _window(cfg, num, bands)
@@ -368,6 +398,7 @@ def cmd_compare(cfg, num, out: Path) -> dict:
     if not eps_flux:
         raise ConfigError("compare needs an 'epsilons' list of [eps, flux]")
     eps_flux = [(eps, _parse_flux(text, lattice)) for eps, text in eps_flux]
+    _check_flux_per_epsilon(eps_flux)
     k_res_eff = int(cfg.get("k_resolution", 32))
     k_res_dir = int(cfg.get("direct_k_resolution", 4))
     ppc = int(cfg.get("points_per_cell", 16))

@@ -1,18 +1,26 @@
 """Reference solver for the full magnetic Hamiltonian.
 
-Finite differences with Peierls link phases: each nearest-neighbor hop of
-the second-order Laplacian stencil carries the exact line-integral phase
-omega_A(x, x') of the link, which keeps the discrete operator exactly
-gauge covariant.  For a constant field at rational unit-cell flux p/q the
-operator is diagonalized over a magnetic cell of q unit cells with
-magnetic-Bloch boundary conditions
+Finite differences with Peierls link phases (the gauge-invariant
+discretization of Governale and Ungarelli, PRB 58, 7816 (1998)): each
+nearest-neighbor hop of the second-order Laplacian stencil carries the
+exact line-integral phase omega_A(x, x') of the link, which keeps the
+discrete operator exactly gauge covariant.  One stencil builds both
+operators; for the relativistic kind it takes the Hermitian square root of
+the kinetic part plus one.  Only the boundary differs:
 
-    u(y + a) = exp(i k_a) exp(i <A(a), y>) u(y)
+  * box mode drops the links that leave the grid on
+    [-length/2, length/2)^d (Dirichlet);
+  * magnetic_bloch mode closes them over a magnetic cell of q unit cells
+    (rational unit-cell flux p/q) with the magnetic-Bloch condition
 
-for the magnetic-cell vectors a; the ordinary Bloch case is the same with
-A = 0.  The field must be the one whose unit-cell flux is 2 pi p/q, or the
-link phases and the cell wrap describe different operators.  Lattices must
-be rectangular (diagonal basis) in the finite-difference modes.
+        u(y + a) = exp(i k_a) exp(i <A(a), y>) u(y)
+
+    for the magnetic-cell vectors a; the ordinary Bloch case is the same
+    with A = 0.
+
+The field must be the one whose unit-cell flux is 2 pi p/q, or the link
+phases and the cell wrap describe different operators.  Lattices must be
+rectangular (diagonal basis) in the finite-difference modes.
 
 Window eigenvalues of matrices above 600 unknowns come from shift-invert
 Lanczos at the window centre, with a coverage certificate: the farthest
@@ -62,26 +70,33 @@ class DirectDiscretization:
     points_per_cell: int = 16
     box_size: float = 0.0
     box_points: int = 0
-    basis: str = "fd"  # "fd" | "spectral" (spectral only at zero flux)
-    gauge_chi: object = None  # optional magnetic-cell-periodic gauge function
+    gauge_chi: object = None  # optional gauge function (see _fd_stencil)
 
     def bloch_matrix(self, k) -> sp.csr_matrix:
+        """FD matrix over q unit cells (stacked along axis 1) at momentum k."""
         if self.mode != "magnetic_bloch":
             raise ValueError("bloch_matrix is defined in magnetic_bloch mode")
-        if self.basis == "spectral":
-            return sp.csr_matrix(_spectral_cell(
-                self.symbol, self.points_per_cell, np.asarray(k, dtype=float)
-            ))
-        return _fd_magnetic_cell(
-            self.symbol, self.field, self.flux.denominator,
-            self.points_per_cell, np.asarray(k, dtype=float),
-            gauge_chi=self.gauge_chi,
-        )
+        lengths = _cell_lengths(self.symbol.lattice)
+        n = self.points_per_cell
+        reps = np.ones(lengths.size, dtype=int)
+        reps[0] = self.flux.denominator
+        wrap = (np.asarray(k, dtype=float), np.diag(lengths * reps))
+        return _fd_stencil(self.symbol, self.field, lengths / n,
+                           tuple(reps * n), wrap=wrap,
+                           gauge_chi=self.gauge_chi)
 
     def box_matrix(self) -> sp.csr_matrix:
+        """Dirichlet FD matrix on [-box_size/2, box_size/2)^d."""
         if self.mode != "box":
             raise ValueError("box_matrix is defined in box mode")
-        return _fd_box(self.symbol, self.field, self.box_size, self.box_points)
+        n = self.box_points
+        if n < 16:
+            raise GridTooCoarseError("need at least 16 points per direction")
+        d = self.symbol.lattice.dim
+        return _fd_stencil(self.symbol, self.field,
+                           np.full(d, self.box_size / n), (n,) * d,
+                           origin=-0.5 * self.box_size,
+                           gauge_chi=self.gauge_chi)
 
 
 def assemble_direct(
@@ -92,15 +107,10 @@ def assemble_direct(
     points_per_cell: int = 16,
     box_size: float = 0.0,
     box_points: int = 0,
-    basis: str = "fd",
     gauge_chi=None,
 ) -> DirectDiscretization:
     if mode not in ("zero_field_bloch", "magnetic_bloch", "box"):
         raise ValueError(f"unknown mode {mode!r}")
-    if basis not in ("fd", "spectral"):
-        raise ValueError(f"unknown basis {basis!r}")
-    if basis == "spectral" and flux != 0:
-        raise ValueError("the spectral basis is available at zero flux only")
     if mode != "zero_field_bloch":
         if not isinstance(flux, Fraction):
             raise ValueError("flux must be an exact Fraction")
@@ -112,98 +122,66 @@ def assemble_direct(
     return DirectDiscretization(
         symbol=symbol, field=field, mode=mode, flux=flux,
         points_per_cell=points_per_cell, box_size=box_size,
-        box_points=box_points, basis=basis, gauge_chi=gauge_chi,
+        box_points=box_points, gauge_chi=gauge_chi,
     )
 
 
-def _spectral_cell(symbol: PeriodicSymbol, n: int, k: np.ndarray) -> np.ndarray:
-    """Fourier-multiplier matrix of the zero-field Bloch fiber at momentum k.
-
-    M = F^* diag(g(xi + eta)) F + V(x) on the n^d position grid over the
-    unit cell, with xi the fractional momentum k / (2 pi) mapped through the
-    dual basis; exact for band-limited potentials.
-    """
-    lat = symbol.lattice
-    lengths = _cell_lengths(lat)
-    d = lat.dim
-    xi = (k / (2.0 * np.pi)) @ lat.dual
-    axes_freq = [2.0 * np.pi * np.fft.fftfreq(n, d=lengths[ax] / n)
-                 for ax in range(d)]
-    mesh = np.meshgrid(*axes_freq, indexing="ij")
-    freqs = np.stack([m.ravel() for m in mesh], axis=-1)
-    gvals = symbol.kinetic(xi[None, :] + freqs)
-    total = n**d
-    shape = (n,) * d
-    # columns of F^* diag(g) F: apply the multiplier to each basis vector
-    eye = np.eye(total)
-    transformed = np.fft.fftn(eye.reshape(shape * 1 + (total,)),
-                              axes=tuple(range(d)))
-    transformed = transformed.reshape(total, total) * gvals[:, None]
-    M = np.fft.ifftn(transformed.reshape(shape + (total,)),
-                     axes=tuple(range(d))).reshape(total, total)
-    axes_pos = [lengths[ax] / n * np.arange(n) for ax in range(d)]
-    mesh = np.meshgrid(*axes_pos, indexing="ij")
-    pos = np.stack([m.ravel() for m in mesh], axis=-1)
-    M = M + np.diag(np.atleast_1d(symbol.potential.value(pos)))
-    return M
-
-
-def _fd_magnetic_cell(
+def _fd_stencil(
     symbol: PeriodicSymbol,
     field: MagneticField | None,
-    q: int,
-    n: int,
-    k: np.ndarray,
+    h: np.ndarray,
+    shape: tuple,
+    origin: float = 0.0,
+    wrap=None,
     gauge_chi=None,
 ) -> sp.csr_matrix:
-    """Sparse FD matrix over q unit cells (stacked along axis 1) at momentum k."""
-    lat = symbol.lattice
-    lengths = _cell_lengths(lat)
-    d = lat.dim
-    b = field.strength if field is not None else 0.0
-    reps = np.ones(d, dtype=int)
-    reps[0] = q
-    npts = reps * n
-    h = lengths / n
-    cell_vecs = np.diag(lengths * reps) if d == 2 else np.array([[lengths[0] * q]])
+    """Sparse FD matrix on the grid origin + h * i, 0 <= i_ax < shape[ax].
 
-    shape = tuple(npts)
+    wrap=None drops the links that leave the grid (Dirichlet).
+    wrap=(k, cell_vecs) closes each of them with the magnetic-Bloch phase
+    of the cell vector cell_vecs[ax] at momentum k.  gauge_chi(x) changes
+    the gauge, A -> A + grad(chi); with a wrap, chi must be periodic over
+    the cell.
+    """
+    d = len(shape)
+    b = field.strength if field is not None else 0.0
     total = int(np.prod(shape))
     idx = np.arange(total).reshape(shape)
     coords = np.stack(
         np.meshgrid(*[np.arange(m) for m in shape], indexing="ij"), axis=-1
     ).reshape(total, d)
-    pos = coords * h[None, :]
+    pos = origin + coords * h[None, :]
 
-    diag = np.full(total, float(np.sum(2.0 / h**2)), dtype=complex)
-    vvals = symbol.potential.value(pos)
-    diag = diag + np.atleast_1d(vvals)
+    vvals = np.atleast_1d(symbol.potential.value(pos))
+    diag = np.full(total, float(np.sum(2.0 / h**2)), dtype=complex) + vvals
 
     rows, cols, vals = [], [], []
     for ax in range(d):
         nb = coords.copy()
         nb[:, ax] += 1
         wrapped = nb[:, ax] == shape[ax]
-        nb_mod = nb.copy()
-        nb_mod[wrapped, ax] = 0
-        target = idx[tuple(nb_mod.T)]
+        if wrap is None:
+            src = np.flatnonzero(~wrapped)
+        else:
+            src = np.arange(total)
+        nb[wrapped, ax] = 0
+        target = idx[tuple(nb[src].T)]
         # exact line phase on the link [x, x + h_ax e_ax]
         if d == 2 and b != 0.0:
             if ax == 0:
-                link = np.exp(0.5j * b * pos[:, 1] * h[0])
+                link = np.exp(0.5j * b * pos[src, 1] * h[0])
             else:
-                link = np.exp(-0.5j * b * pos[:, 0] * h[1])
+                link = np.exp(-0.5j * b * pos[src, 0] * h[1])
         else:
-            link = np.ones(total, dtype=complex)
+            link = np.ones(src.size, dtype=complex)
         hop = -link / h[ax] ** 2
         if gauge_chi is not None:
-            # A -> A + grad(chi), chi periodic over the magnetic cell:
             # each link gains exp(-i (chi(x') - chi(x)))
-            chi_src = np.asarray([gauge_chi(p) for p in pos])
-            tgt_pos = pos[target]
-            chi_tgt = np.asarray([gauge_chi(p) for p in tgt_pos])
+            chi_src = np.asarray([gauge_chi(p) for p in pos[src]])
+            chi_tgt = np.asarray([gauge_chi(p) for p in pos[target]])
             hop = hop * np.exp(1j * (chi_src - chi_tgt))
-        if np.any(wrapped):
+        if wrap is not None and np.any(wrapped):
+            k, cell_vecs = wrap
             a = cell_vecs[ax]
             y = pos[wrapped].copy()
             y[:, ax] = 0.0
@@ -213,9 +191,8 @@ def _fd_magnetic_cell(
                 chi = y @ aa
             else:
                 chi = np.zeros(y.shape[0])
-            hop = hop.astype(complex)
             hop[wrapped] *= np.exp(1j * (k[ax] + chi))
-        rows.append(np.arange(total))
+        rows.append(src)
         cols.append(target)
         vals.append(hop)
     rows = np.concatenate(rows)
@@ -228,61 +205,10 @@ def _fd_magnetic_cell(
         shape=(total, total),
     ).tocsr()
     if isinstance(symbol.kind, Relativistic):
-        dense = M.toarray() - np.diag(np.atleast_1d(vvals))
+        dense = M.toarray() - np.diag(vvals)
         root = hermitian_sqrt(dense + np.eye(total))
-        M = sp.csr_matrix(root + np.diag(np.atleast_1d(vvals)))
+        M = sp.csr_matrix(root + np.diag(vvals))
     return M
-
-
-def _fd_box(
-    symbol: PeriodicSymbol,
-    field: MagneticField | None,
-    length: float,
-    n: int,
-) -> sp.csr_matrix:
-    """Dirichlet FD matrix on [-length/2, length/2)^d."""
-    lat = symbol.lattice
-    d = lat.dim
-    if n < 16:
-        raise GridTooCoarseError("need at least 16 points per direction")
-    b = field.strength if field is not None else 0.0
-    h = length / n
-    shape = (n,) * d
-    total = n**d
-    idx = np.arange(total).reshape(shape)
-    coords = np.stack(
-        np.meshgrid(*[np.arange(n)] * d, indexing="ij"), axis=-1
-    ).reshape(total, d)
-    pos = -0.5 * length + coords * h
-
-    diag = np.full(total, 2.0 * d / h**2, dtype=complex)
-    diag = diag + np.atleast_1d(symbol.potential.value(pos))
-    rows, cols, vals = [], [], []
-    for ax in range(d):
-        keep = coords[:, ax] + 1 < n
-        src = idx.reshape(-1)[keep]
-        nb = coords[keep].copy()
-        nb[:, ax] += 1
-        tgt = idx[tuple(nb.T)]
-        if d == 2 and b != 0.0:
-            if ax == 0:
-                link = np.exp(0.5j * b * pos[keep, 1] * h)
-            else:
-                link = np.exp(-0.5j * b * pos[keep, 0] * h)
-        else:
-            link = np.ones(src.size, dtype=complex)
-        rows.append(src)
-        cols.append(tgt)
-        vals.append(-link / h**2)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.coo_matrix(
-        (np.concatenate([vals, np.conj(vals), diag]),
-         (np.concatenate([rows, cols, np.arange(total)]),
-          np.concatenate([cols, rows, np.arange(total)]))),
-        shape=(total, total),
-    ).tocsr()
 
 
 class WindowCoverageError(RuntimeError):

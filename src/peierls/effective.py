@@ -46,13 +46,6 @@ class HoppingSet:
     source_tag: str
     asymmetry: float = 0.0
 
-    def block(self, alpha) -> np.ndarray:
-        key = tuple(int(a) for a in alpha)
-        blk = self.hoppings.get(key)
-        if blk is None:
-            return np.zeros((self.n, self.n), dtype=complex)
-        return blk
-
     def resum(self, frac_coords: np.ndarray) -> np.ndarray:
         """q(xi) at fractional momenta (rows), inverting the Fourier series."""
         frac = np.atleast_2d(np.asarray(frac_coords, dtype=float))
@@ -139,12 +132,6 @@ def gauge_shifted_hoppings(
         n=hops.n, dim=hops.dim, hoppings=out,
         source_tag=hops.source_tag + "+shift", asymmetry=hops.asymmetry,
     )
-
-
-def lattice_flux_ratio(field: MagneticField, lattice: Lattice) -> float:
-    """Signed flux through the unit cell divided by 2 pi."""
-    signed_area = float(np.linalg.det(lattice.basis))
-    return field.strength * signed_area / (2.0 * np.pi)
 
 
 def field_for_flux(flux: Fraction, lattice: Lattice) -> MagneticField:

@@ -16,19 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BandStructure, FiberMatrix, assemble_fiber_matrix
+from .bloch import FiberMatrix
 from .lattice import BZGrid, DualShell
 from .section import BlochSection
-from .symbols import PeriodicSymbol
-
-
-class EmptyFamilyError(ValueError):
-    pass
-
-
-class CoverageError(RuntimeError):
-    """Trial family loses rank somewhere; add reference points or raise
-    the energy ceiling."""
 
 
 class NearSingularError(RuntimeError):
@@ -40,7 +30,6 @@ class TrialFamily:
     grid: BZGrid
     shell: DualShell
     vectors: np.ndarray  # (n_points, M, N), orthonormal columns per point
-    construction_tag: str
 
     @property
     def n(self) -> int:
@@ -53,155 +42,7 @@ def trial_from_section(section: BlochSection) -> TrialFamily:
         grid=section.grid,
         shell=section.shell,
         vectors=section.vectors[:, :, None],
-        construction_tag="simple_band",
     )
-
-
-def raised_cosine_bump(fraction: float = 0.8):
-    """Squared raised cosine supported on the central `fraction` of the cell.
-
-    Returns a callable of fractional coordinates in [0, 1)^d (vectorized).
-    """
-
-    def bump(frac_coords: np.ndarray) -> np.ndarray:
-        t = np.asarray(frac_coords, dtype=float)
-        centered = t - 0.5
-        half = fraction / 2.0
-        out = np.ones(t.shape[:-1])
-        for ax in range(t.shape[-1]):
-            u = centered[..., ax]
-            inside = np.abs(u) < half
-            w = np.zeros_like(u)
-            w[inside] = np.cos(np.pi * u[inside] / fraction) ** 2
-            out = out * w
-        return out
-
-    return bump
-
-
-def build_trial_family(
-    symbol: PeriodicSymbol,
-    bands: BandStructure,
-    lam_max: float,
-    bump=None,
-    reference_resolution: int = 4,
-    fine_samples: int = 128,
-    rank_tol: float = 1e-6,
-) -> TrialFamily:
-    """Spectral-window trial family: bump-localized eigenfunctions at a
-    coarse set of reference momenta, periodized and orthonormalized.
-
-    The coefficients of each trial function at momentum xi are samples of
-    the continuous Fourier transform of the bump-windowed Bloch function at
-    the shifted frequencies xi + gamma* - the periodization with phases
-    exp(i<xi, gamma>) is exactly this resampling.
-    """
-    lat = symbol.lattice
-    grid = bands.grid
-    shell = bands.shell
-    d = lat.dim
-    if bump is None:
-        bump = raised_cosine_bump()
-
-    # fine position grid over the cell (fractional coordinates)
-    axes = [np.arange(fine_samples) / fine_samples] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    frac = np.stack([m.ravel() for m in mesh], axis=-1)
-    pos = frac @ lat.basis
-    window = bump(frac)
-    cell_weight = lat.cell_volume / fine_samples**d
-
-    # reference momenta: coarse uniform grid over the dual cell
-    ref_coords = -0.5 + np.arange(reference_resolution) / reference_resolution
-    if d == 1:
-        ref_frac = ref_coords[:, None]
-    else:
-        mm = np.meshgrid(ref_coords, ref_coords, indexing="ij")
-        ref_frac = np.stack([m.ravel() for m in mm], axis=-1)
-    ref_points = ref_frac @ lat.dual
-
-    shell_pts = shell.points()
-    windowed = []  # bump * Bloch function sampled on the fine grid
-    for xi0 in ref_points:
-        H = assemble_fiber_matrix(symbol, xi0, shell).entries
-        vals, vecs = np.linalg.eigh(H)
-        sel = np.nonzero(vals <= lam_max)[0]
-        phases = np.exp(1j * (pos @ (xi0[None, :] + shell_pts).T))  # (P, M)
-        for j in sel:
-            bloch = phases @ vecs[:, j]
-            windowed.append(window * bloch)
-    if not windowed:
-        raise EmptyFamilyError("no eigenvalue below lam_max at any reference point")
-    windowed = np.stack(windowed, axis=-1)  # (P, R)
-
-    points = grid.points()
-    n_pts = points.shape[0]
-    raw = np.empty((n_pts, shell.size, windowed.shape[1]), dtype=complex)
-    for i, xi in enumerate(points):
-        freqs = xi[None, :] + shell_pts  # (M, d)
-        kernel = np.exp(-1j * (freqs @ pos.T))  # (M, P)
-        raw[i] = kernel @ windowed * cell_weight
-
-    # fixed column order from a pivoted decomposition of the stacked Gram
-    gram = np.einsum("imr,ims->rs", np.conj(raw), raw) / n_pts
-    order = _pivot_order(gram)
-    raw = raw[:, :, order]
-
-    # rank cut from the worst-point raw Gram spectrum
-    keep = raw.shape[2]
-    for i in range(n_pts):
-        g = np.conj(raw[i].T) @ raw[i]
-        svals = np.linalg.svd(g, compute_uv=False)
-        r = int(np.sum(svals > rank_tol * svals[0]))
-        keep = min(keep, r)
-    if keep == 0:
-        raise CoverageError("trial family has no usable rank")
-    raw = raw[:, :, :keep]
-
-    vectors = np.empty_like(raw)
-    for i in range(n_pts):
-        q = _gram_schmidt(raw[i])
-        if q is None:
-            raise CoverageError(
-                f"rank loss at grid point {i}: add reference momenta or "
-                "raise lam_max"
-            )
-        vectors[i] = q
-    return TrialFamily(
-        grid=grid, shell=shell, vectors=vectors, construction_tag="spectral_bump"
-    )
-
-
-def _pivot_order(gram: np.ndarray) -> np.ndarray:
-    """Greedy column pivoting on the averaged Gram matrix."""
-    g = gram.copy()
-    n = g.shape[0]
-    order = []
-    remaining = list(range(n))
-    for _ in range(n):
-        diag = np.real(np.diag(g))
-        best = max(remaining, key=lambda j: diag[j])
-        order.append(best)
-        remaining.remove(best)
-        col = g[:, best].copy()
-        piv = diag[best]
-        if piv > 1e-30:
-            g = g - np.outer(col, np.conj(col)) / piv
-    return np.asarray(order)
-
-
-def _gram_schmidt(cols: np.ndarray, tol: float = 1e-8):
-    """Modified Gram-Schmidt in fixed column order; None on rank loss."""
-    q = cols.astype(complex).copy()
-    n = q.shape[1]
-    for j in range(n):
-        for i in range(j):
-            q[:, j] -= q[:, i] * np.vdot(q[:, i], q[:, j])
-        norm = np.linalg.norm(q[:, j])
-        if norm < tol:
-            return None
-        q[:, j] /= norm
-    return q
 
 
 @dataclass(frozen=True)
@@ -266,10 +107,3 @@ def invert_grushin(g: GrushinMatrix, cond_max: float = 1e12) -> GrushinInverse:
         condition_number=float(cond),
         residual=residual,
     )
-
-
-def effective_symbol_zero_field(
-    bands: BandStructure, band_index: int, lam: float
-) -> np.ndarray:
-    """lambda - lambda_k(xi) per grid point (simple-band shortcut)."""
-    return lam - bands.bands[:, band_index]

@@ -50,35 +50,9 @@ class Lattice:
     def cell_volume(self) -> float:
         return abs(np.linalg.det(self.basis))
 
-    @property
-    def dual_cell_volume(self) -> float:
-        return abs(np.linalg.det(self.dual))
-
     def dual_point(self, coeffs) -> np.ndarray:
         """Cartesian dual-lattice point for integer coefficients."""
         return np.asarray(coeffs, dtype=float) @ self.dual
-
-    def lattice_point(self, coeffs) -> np.ndarray:
-        """Cartesian lattice point for integer coefficients."""
-        return np.asarray(coeffs, dtype=float) @ self.basis
-
-    def fractional(self, xi) -> np.ndarray:
-        """Coordinates t with xi = sum_j t_j e*_j."""
-        return np.linalg.solve(self.dual.T, np.asarray(xi, dtype=float))
-
-
-def reduce_to_cell(xi, lattice: Lattice):
-    """Split xi = xi0 + gamma* with xi0 in the centered dual cell.
-
-    Returns (xi0, gamma*, n) where n are the integer dual coefficients of
-    gamma*.  The fractional coordinates of xi0 lie in [-1/2, 1/2).
-    """
-    xi = np.asarray(xi, dtype=float)
-    t = lattice.fractional(xi)
-    n = np.floor(t + 0.5).astype(int)
-    gamma_star = lattice.dual_point(n)
-    return xi - gamma_star, gamma_star, n
-
 
 @dataclass(frozen=True)
 class BZGrid:

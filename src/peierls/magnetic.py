@@ -10,7 +10,7 @@ Conventions (d = 2 throughout unless noted):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,11 +55,6 @@ class MagneticField:
         if self.kind == "constant":
             return self.epsilon * self.b12 * np.ones(np.shape(x)[:-1])
         return self.epsilon * FIELD_CATALOG[self.kind](np.asarray(x), self.b12)
-
-    def matrix(self) -> np.ndarray:
-        b = self.strength
-        return np.array([[0.0, b], [-b, 0.0]])
-
 
 # gauge functions chi for covariance experiments; value and gradient
 CHI_CATALOG: dict = {
@@ -169,17 +164,6 @@ def triangle_flux(field: MagneticField, x, y, z) -> float:
     return float(total * jac2)
 
 
-def magnetic_translation_phase(A: VectorPotential, a, x) -> complex:
-    """Multiplier exp(i<A(a), x>) of the magnetic translation by a."""
-    if not A.is_linear:
-        raise UnsupportedGaugeError(
-            "magnetic translations require a constant field in transversal gauge"
-        )
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.exp(1j * np.einsum("...i,...i->...", A.value(a), x))
-
-
 @dataclass(frozen=True)
 class BoxGrid:
     """Uniform position grid on [-length/2, length/2)^dim."""
@@ -271,7 +255,7 @@ def quantize_on_grid(
     return QuantizedOperator(grid=grid, matrix=M)
 
 
-def hermitian_sqrt(matrix: np.ndarray, shift_report: list | None = None) -> np.ndarray:
+def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(matrix)
     if vals[0] < 0:
         if vals[0] < -1e-10:
@@ -279,8 +263,6 @@ def hermitian_sqrt(matrix: np.ndarray, shift_report: list | None = None) -> np.n
                 f"matrix not positive semidefinite (min eig {vals[0]:.3e})"
             )
         vals = np.clip(vals, 0.0, None)
-        if shift_report is not None:
-            shift_report.append(float(vals[0]))
     return (vecs * np.sqrt(vals)) @ np.conj(vecs.T)
 
 

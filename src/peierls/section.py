@@ -2,7 +2,7 @@
 
 The section is built by stepwise parallel transport of a conjugation-
 symmetric seed at xi = 0, followed by a holonomy phase correction that is
-distributed linearly across the zone, and an optional mollification.
+distributed linearly across the zone.
 
 Coefficient-space conventions (plane-wave basis indexed by the dual shell):
   * multiplication by exp(-i<gamma*, y>) is the index shift
@@ -18,20 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BandStructure, FiberMatrix
+from .bloch import BandStructure
 from .lattice import DualShell
 
 
 class TransportStepError(RuntimeError):
     """Projection norm dropped below 1/2; the grid is too coarse."""
-
-
-class NearDegeneracyError(RuntimeError):
-    def __init__(self, xi, gap):
-        super().__init__(
-            f"band gap {gap:.3e} too small at xi={np.asarray(xi)}; "
-            "the band is not resolvably simple here"
-        )
 
 
 def negation_permutation(shell: DualShell) -> np.ndarray:
@@ -57,66 +49,12 @@ def conj_reflect(vec: np.ndarray, neg_perm: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RieszProjector:
-    xi: np.ndarray
-    matrix: np.ndarray
-    band_index: int
-
-
-def riesz_projection(
-    matrix: FiberMatrix,
-    band_index: int,
-    eigvals: np.ndarray | None = None,
-    eigvecs: np.ndarray | None = None,
-    gap_tol: float = 1e-6,
-    contour: bool = False,
-    contour_points: int = 32,
-) -> RieszProjector:
-    """Rank-1 projector onto the band_index eigenspace of a fiber matrix.
-
-    Default: eigenvector outer product.  With contour=True the projector is
-    computed by trapezoid quadrature of the resolvent around a circle
-    separating the eigenvalue (validation mode).
-    """
-    k = band_index
-    if eigvals is None or eigvecs is None:
-        eigvals, eigvecs = np.linalg.eigh(matrix.entries)
-    gaps = []
-    if k > 0:
-        gaps.append(eigvals[k] - eigvals[k - 1])
-    if k + 1 < len(eigvals):
-        gaps.append(eigvals[k + 1] - eigvals[k])
-    gap = min(gaps) if gaps else np.inf
-    if gap <= gap_tol:
-        raise NearDegeneracyError(matrix.xi, gap)
-    if not contour:
-        v = eigvecs[:, k]
-        proj = np.outer(v, np.conj(v))
-    else:
-        center = eigvals[k]
-        radius = 0.5 * gap
-        thetas = 2.0 * np.pi * np.arange(contour_points) / contour_points
-        proj = np.zeros_like(matrix.entries)
-        eye = np.eye(matrix.size)
-        for th in thetas:
-            z = center + radius * np.exp(1j * th)
-            dz = 1j * radius * np.exp(1j * th) * (2.0 * np.pi / contour_points)
-            proj += np.linalg.solve(matrix.entries - z * eye, eye) * dz
-        proj *= 1j / (2.0 * np.pi)
-    return RieszProjector(xi=matrix.xi, matrix=proj, band_index=k)
-
-
-@dataclass(frozen=True)
 class BlochSection:
     grid: object  # BZGrid
     shell: DualShell
     band_index: int
     vectors: np.ndarray  # (n_points, M) unit coefficient vectors
     phase_log: dict  # holonomy angles used during transport
-
-    def vector_at(self, flat_index: int) -> np.ndarray:
-        return self.vectors[flat_index]
-
 
 def _project_step(target_vec: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Project prev onto the span of target_vec and renormalize."""
@@ -290,101 +228,3 @@ def _transport_axis(vec_at, res, i0, coords, neg, shift1, unshift1):
     for i in range(1, i0):
         phi[i] = conj_reflect(phi[2 * i0 - i], neg)
     return phi, kappa
-
-
-def raised_cosine_weights(half_width: int) -> np.ndarray:
-    """Even, nonnegative, normalized bump over offsets [-w, w]."""
-    if half_width < 1:
-        raise ValueError("half_width must be >= 1")
-    offsets = np.arange(-half_width, half_width + 1)
-    w = np.cos(np.pi * offsets / (2.0 * (half_width + 1))) ** 2
-    return w / w.sum()
-
-
-def smooth_section(
-    section: BlochSection,
-    bands: BandStructure,
-    half_width: int = 1,
-) -> BlochSection:
-    """Equivariant circular mollification followed by re-projection.
-
-    half_width is the mollifier radius in grid cells; the zone-edge wrap
-    multiplies by the coefficient shift so the convolution respects the
-    equivariance of the section.
-    """
-    grid = section.grid
-    res = grid.resolution
-    if 2 * half_width + 1 > res:
-        raise ValueError("mollifier wider than the zone")
-    d = grid.dim
-    shell = section.shell
-    weights = raised_cosine_weights(half_width)
-    shifts = {}
-    for ax in range(d):
-        n = np.zeros(d, dtype=int)
-        n[ax] = 1
-        shifts[ax] = (
-            shift_permutation(shell, n),
-            shift_permutation(shell, -n),
-        )
-
-    vecs = section.vectors.reshape((res,) * d + (shell.size,))
-
-    def wrapped(idx, ax, offset):
-        j = idx + offset
-        out_shift = 0
-        if j >= res:
-            j -= res
-            out_shift = 1
-        elif j < 0:
-            j += res
-            out_shift = -1
-        return j, out_shift
-
-    for ax in range(d):
-        fwd, bwd = shifts[ax]
-        new = np.zeros_like(vecs)
-        for idx in range(res):
-            acc = None
-            for off, w in zip(range(-half_width, half_width + 1), weights):
-                j, s = wrapped(idx, ax, off)
-                block = np.take(vecs, j, axis=ax)
-                if s == 1:
-                    block = _apply_perm_last(block, fwd)
-                elif s == -1:
-                    block = _apply_perm_last(block, bwd)
-                acc = w * block if acc is None else acc + w * block
-            _set_along_axis(new, ax, idx, acc)
-        vecs = new
-
-    flatvecs = vecs.reshape(-1, shell.size)
-    out = np.zeros_like(flatvecs)
-    for i in range(flatvecs.shape[0]):
-        target = bands.vectors[i][:, section.band_index]
-        amp = np.vdot(target, flatvecs[i])
-        if abs(amp) < 0.5:
-            raise TransportStepError(
-                "mollifier too wide: projection norm fell below 1/2"
-            )
-        v = target * amp
-        out[i] = v / np.linalg.norm(v)
-    return BlochSection(
-        grid=grid,
-        shell=shell,
-        band_index=section.band_index,
-        vectors=out,
-        phase_log=dict(section.phase_log),
-    )
-
-
-def _apply_perm_last(block: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(block)
-    ok = perm >= 0
-    out[..., ok] = block[..., perm[ok]]
-    return out
-
-
-def _set_along_axis(arr: np.ndarray, ax: int, idx: int, value: np.ndarray):
-    sl = [slice(None)] * arr.ndim
-    sl[ax] = idx
-    arr[tuple(sl)] = value

@@ -110,20 +110,6 @@ def hausdorff_distance(a: SpectrumSet, b: SpectrumSet):
     return float(max(_directed(ia, ib), _directed(ib, ia))), False
 
 
-def detect_gaps(s: SpectrumSet) -> list:
-    """Open complement intervals within the window, wider than merge_tol."""
-    lo, hi = s.window
-    gaps = []
-    cursor = lo
-    for a, b in s.merged_intervals:
-        if a - cursor > s.merge_tol:
-            gaps.append((float(cursor), float(a)))
-        cursor = max(cursor, b)
-    if hi - cursor > s.merge_tol:
-        gaps.append((float(cursor), float(hi)))
-    return gaps
-
-
 @dataclass(frozen=True)
 class HausdorffReport:
     pairs: list  # [(epsilon, d_H), ...]

@@ -7,16 +7,11 @@ V_hat(-gamma*) = conj(V_hat(gamma*)) checked at construction (real V).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DualShell, Lattice
-
-
-class AliasingError(ValueError):
-    """Sample grid too coarse for the requested coefficient shell."""
+from .lattice import Lattice
 
 
 @dataclass(frozen=True)
@@ -51,12 +46,6 @@ class PeriodicPotential:
             total += val * np.exp(1j * (y @ gs))
         out = total.real
         return out[0] if out.size == 1 else out
-
-    def scaled(self, factor: float) -> "PeriodicPotential":
-        return PeriodicPotential(
-            self.lattice, {k: factor * v for k, v in self.coeffs.items()}
-        )
-
 
 def zero_potential(lattice: Lattice) -> PeriodicPotential:
     return PeriodicPotential(lattice, {})
@@ -164,47 +153,6 @@ def evaluate_symbol(symbol: PeriodicSymbol, y, eta) -> float:
             total += coeff.value(y) * np.prod(eta ** np.asarray(alpha))
         return float(total)
     return float(symbol.kinetic(eta)[0] + symbol.potential.value(y))
-
-
-def potential_fourier_coeffs(
-    samples: np.ndarray, lattice: Lattice, shell: DualShell
-) -> PeriodicPotential:
-    """Fourier coefficients of V from uniform samples over the cell.
-
-    samples[i1, ..., id] = V(sum_j (i_j / n_j) e_j).  The DFT normalization
-    matches V_hat(gamma*) = |E|^{-1} <V, exp(i<gamma*, .>)> on the grid.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != lattice.dim:
-        raise ValueError("sample array dimension must match lattice dimension")
-    max_coeff = np.abs(shell.members).max(axis=0) if shell.size else np.zeros(
-        lattice.dim, dtype=int
-    )
-    for ax, n in enumerate(samples.shape):
-        if n < 2 * max_coeff[ax] + 1:
-            raise AliasingError(
-                f"axis {ax}: {n} samples cannot resolve coefficient "
-                f"{max_coeff[ax]}"
-            )
-    spectrum = np.fft.fftn(samples) / samples.size
-    coeffs = {}
-    for member in shell.members:
-        idx = tuple(int(m) % samples.shape[ax] for ax, m in enumerate(member))
-        val = spectrum[idx]
-        if abs(val) > 1e-14:
-            coeffs[tuple(int(m) for m in member)] = complex(val)
-    return PeriodicPotential(lattice, coeffs)
-
-
-def sample_on_cell(func: Callable, lattice: Lattice, n: int) -> np.ndarray:
-    """Sample func on the uniform n^d grid over the elementary cell."""
-    d = lattice.dim
-    axes = [np.arange(n) / n] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    frac = np.stack([m.ravel() for m in mesh], axis=-1)
-    pos = frac @ lattice.basis
-    vals = np.asarray([func(p) for p in pos], dtype=float)
-    return vals.reshape((n,) * d)
 
 
 def symbol_ellipticity_check(

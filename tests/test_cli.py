@@ -215,3 +215,32 @@ def test_effective_solves_the_bands_once(config_path, tmp_path, monkeypatch):
     monkeypatch.setattr(bloch, "compute_bands", counted)
     assert _run("effective", config_path, tmp_path) == 0  # no window
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("extra", [{"field": {"b12": 0.5}}, {"flux": "1/4"}],
+                         ids=["field", "flux"])
+def test_zero_field_bloch_rejects_field_and_flux(extra, tmp_path, capsys):
+    cfg = dict(D2_CONFIG, mode="zero_field_bloch", flux="0", k_resolution=2)
+    cfg.update(extra)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path) == 2
+    assert "magnetic_bloch" in capsys.readouterr().err
+    # a field of zero strength is the zero field
+    cfg["field"], cfg["flux"] = {"b12": 0.5, "epsilon": 0.0}, "0"
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path) == 0
+
+
+@pytest.mark.parametrize("epsilons, named", [
+    ([[0.08, "1/4"], [0.5, "1/8"]], "[0.5, '1/8']"),
+    ([[0.08, "1/4"], [0.0, "0"]], "[0.0, '0']"),
+], ids=["flux_mismatch", "epsilon_zero"])
+def test_compare_needs_one_flux_per_epsilon(epsilons, named, tmp_path, capsys):
+    cfg = json.loads(json.dumps(D2_CONFIG))
+    cfg["numerics"]["radius"] = 3
+    cfg["epsilons"] = epsilons
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("compare", str(path), tmp_path) == 2
+    assert named in capsys.readouterr().err

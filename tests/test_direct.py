@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peierls.direct import (
     GridTooCoarseError,
@@ -12,14 +15,15 @@ from peierls.direct import (
     assemble_direct,
     direct_spectrum,
 )
-from peierls.lattice import Lattice, bz_grid, dual_shell
-from peierls.bloch import compute_bands
+from peierls.effective import field_for_flux
+from peierls.lattice import Lattice
 from peierls.magnetic import MagneticField
 from peierls.symbols import (
     Nonrelativistic,
     PeriodicSymbol,
     Relativistic,
     cosine_potential,
+    separable_cosine_2d,
     zero_potential,
 )
 
@@ -27,32 +31,12 @@ from peierls.symbols import (
 def test_assemble_direct_validation(mathieu, separable):
     with pytest.raises(ValueError, match="unknown mode"):
         assemble_direct(mathieu, None, "bogus")
-    with pytest.raises(ValueError, match="spectral"):
-        assemble_direct(separable, MagneticField(1.0), "magnetic_bloch",
-                        flux=Fraction(1, 2), basis="spectral")
     with pytest.raises(GridTooCoarseError):
         assemble_direct(mathieu, None, "magnetic_bloch", points_per_cell=8)
     skew = Lattice(basis=np.array([[2.0 * np.pi, 1.0], [0.0, 2.0 * np.pi]]))
     skew_sym = PeriodicSymbol(Nonrelativistic(), zero_potential(skew))
     with pytest.raises(NonRectangularLatticeError):
         assemble_direct(skew_sym, None, "magnetic_bloch")
-
-
-def test_spectral_basis_matches_plane_waves_d1(mathieu, lat1):
-    disc = assemble_direct(mathieu, None, "magnetic_bloch",
-                           points_per_cell=32, basis="spectral")
-    shell = dual_shell(lat1, 8.0)
-    for t in (0.0, 0.25, -0.4):
-        k = 2.0 * np.pi * t
-        vals = np.linalg.eigvalsh(disc.bloch_matrix([k]).toarray())[:3]
-        bands = compute_bands(mathieu, bz_grid(lat1, 2), shell, 3)
-        # recompute the reference fiber at the matching momentum
-        from peierls.bloch import assemble_fiber_matrix
-
-        ref = np.linalg.eigvalsh(
-            assemble_fiber_matrix(mathieu, [t], shell).entries
-        )[:3]
-        assert np.max(np.abs(vals - ref)) < 1e-10
 
 
 def test_fd_matrix_hermitian_and_gauge_covariant(separable):
@@ -72,6 +56,29 @@ def test_fd_matrix_hermitian_and_gauge_covariant(separable):
     v0 = np.linalg.eigvalsh(M.toarray())[:6]
     v1 = np.linalg.eigvalsh(disc_chi.bloch_matrix(k).toarray())[:6]
     assert np.max(np.abs(v0 - v1)) < 1e-9
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    p=st.integers(1, 4),
+    q=st.integers(1, 4),
+    k1=st.floats(-np.pi, np.pi),
+    k2=st.floats(-np.pi, np.pi),
+)
+def test_fd_fiber_hermitian_and_periodic_in_k2(separable, p, q, k1, k2):
+    # the magnetic translation by one unit cell along axis 1 commutes with
+    # the operator and shifts k2 by 2 pi p/q, so the fiber spectrum has
+    # period 2 pi/q in k2; the wrap phase of the stencil must respect it
+    flux = Fraction(p, q)
+    disc = assemble_direct(separable, field_for_flux(flux, separable.lattice),
+                           "magnetic_bloch", flux=flux, points_per_cell=16)
+    lowest = []
+    for k in ([k1, k2], [k1, k2 + 2.0 * np.pi / flux.denominator]):
+        M = disc.bloch_matrix(np.array(k))
+        assert abs(M - M.conj().T).max() == 0.0
+        lowest.append(scipy.linalg.eigh(M.toarray(), eigvals_only=True,
+                                        subset_by_index=[0, 11]))
+    assert np.max(np.abs(lowest[0] - lowest[1])) < 1e-10
 
 
 def test_fd_converges_second_order_d1(mathieu):
@@ -109,6 +116,24 @@ def test_box_mode_spectrum(mathieu):
     # Dirichlet eigenvalues fill the first band up to boundary effects
     assert s.points.size > 3
     assert s.points.min() > -0.385
+
+
+@pytest.mark.parametrize("dim, b12", [(1, 0.0), (2, 0.3)])
+def test_relativistic_box_squares_to_the_nonrelativistic_box(dim, b12):
+    lat = Lattice(basis=2.0 * np.pi * np.eye(dim))
+    pot = (cosine_potential if dim == 1 else separable_cosine_2d)(lat, 0.3)
+    field = MagneticField(b12) if b12 else None
+
+    def box(kind, potential):
+        disc = assemble_direct(PeriodicSymbol(kind, potential), field, "box",
+                               box_size=6.0, box_points=16)
+        return disc.box_matrix().toarray()
+
+    kinetic = box(Nonrelativistic(), zero_potential(lat))
+    v = box(Nonrelativistic(), pot) - kinetic
+    root = box(Relativistic(), pot) - v  # potential diagonal removed
+    eye = np.eye(kinetic.shape[0])
+    assert np.max(np.abs(root @ root - (kinetic + eye))) < 1e-9
 
 
 def test_zero_field_bloch_mode_uses_band_solver(mathieu):

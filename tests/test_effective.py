@@ -19,7 +19,6 @@ from peierls.effective import (
     gauge_shifted_hoppings,
     hopping_decay_fit,
     lambda_scan,
-    lattice_flux_ratio,
     reconstruct_spectrum,
     subband_groups,
 )
@@ -49,7 +48,9 @@ def test_hopping_decay_fit_positive(mathieu_bands):
 def test_flux_ratio_and_field_round_trip(lat2):
     flux = Fraction(3, 7)
     field = field_for_flux(flux, lat2)
-    assert abs(lattice_flux_ratio(field, lat2) - float(flux)) < 1e-14
+    signed_area = float(np.linalg.det(lat2.basis))
+    ratio = field.strength * signed_area / (2.0 * np.pi)
+    assert abs(ratio - float(flux)) < 1e-14
 
 
 def test_irrational_flux_rejected(nn_hoppings):

@@ -3,13 +3,9 @@ import pytest
 
 from peierls.bloch import assemble_fiber_matrix
 from peierls.grushin import (
-    EmptyFamilyError,
     NearSingularError,
     assemble_grushin,
-    build_trial_family,
-    effective_symbol_zero_field,
     invert_grushin,
-    raised_cosine_bump,
     trial_from_section,
 )
 from peierls.section import transport_section
@@ -70,41 +66,3 @@ def test_invert_grushin_near_singular_guard(mathieu, mathieu_bands, mathieu_fami
     gm = assemble_grushin(fm, 0.0, mathieu_family, 0)
     with pytest.raises(NearSingularError):
         invert_grushin(gm, cond_max=1.0)
-
-
-def test_effective_symbol_zero_field(mathieu_bands):
-    vals = effective_symbol_zero_field(mathieu_bands, 0, 0.25)
-    assert np.allclose(vals, 0.25 - mathieu_bands.bands[:, 0])
-
-
-def test_build_trial_family_covers_low_bands(mathieu, mathieu_bands):
-    fam = build_trial_family(
-        mathieu, mathieu_bands, lam_max=1.0, reference_resolution=4,
-        fine_samples=96,
-    )
-    assert fam.n >= 1
-    # orthonormal columns at every grid point
-    for i in range(0, fam.vectors.shape[0], 9):
-        g = np.conj(fam.vectors[i].T) @ fam.vectors[i]
-        assert np.allclose(g, np.eye(fam.n), atol=1e-10)
-    # the bordered problem stays invertible across the zone and the window
-    for i in range(0, mathieu_bands.grid.n_points, 16):
-        fm = assemble_fiber_matrix(mathieu, mathieu_bands.grid.points()[i],
-                                   mathieu_bands.shell)
-        gm = assemble_grushin(fm, -0.36, fam, i)
-        inv = invert_grushin(gm)
-        assert inv.residual < 1e-8
-
-
-def test_build_trial_family_empty_window(mathieu, mathieu_bands):
-    with pytest.raises(EmptyFamilyError):
-        build_trial_family(mathieu, mathieu_bands, lam_max=-10.0)
-
-
-def test_raised_cosine_bump_support():
-    bump = raised_cosine_bump(0.8)
-    t = np.array([[0.5], [0.5 + 0.41], [0.05]])
-    w = bump(t)
-    assert w[0] == 1.0
-    assert w[1] == 0.0
-    assert w[2] == 0.0

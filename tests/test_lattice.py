@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from peierls.lattice import (
     BZGrid,
@@ -10,7 +8,6 @@ from peierls.lattice import (
     bz_grid,
     dual_basis,
     dual_shell,
-    reduce_to_cell,
 )
 
 
@@ -27,27 +24,13 @@ def test_dual_basis_rejects_singular():
 
 def test_cell_volumes_are_reciprocal(lat2):
     assert np.isclose(
-        lat2.cell_volume * lat2.dual_cell_volume, (2.0 * np.pi) ** 2
+        lat2.cell_volume * abs(np.linalg.det(lat2.dual)), (2.0 * np.pi) ** 2
     )
 
 
 def test_lattice_rejects_high_dimension():
     with pytest.raises(ValueError):
         Lattice(basis=np.eye(3))
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    x=st.floats(-50.0, 50.0, allow_nan=False),
-    y=st.floats(-50.0, 50.0, allow_nan=False),
-)
-def test_reduce_to_cell_lands_in_centered_cell(x, y):
-    lat = Lattice(basis=np.array([[2.0, 0.0], [0.5, 1.5]]))
-    xi0, gamma, n = reduce_to_cell(np.array([x, y]), lat)
-    t = lat.fractional(xi0)
-    assert np.all(t >= -0.5 - 1e-12) and np.all(t < 0.5 + 1e-12)
-    assert np.allclose(xi0 + gamma, [x, y], atol=1e-10)
-    assert np.allclose(gamma, lat.dual_point(n))
 
 
 def test_bz_grid_points_and_zero_index(lat2):

@@ -8,7 +8,6 @@ from peierls.magnetic import (
     VectorPotential,
     hermitian_sqrt,
     line_phase,
-    magnetic_translation_phase,
     quantize_on_grid,
     relativistic_sqrt_compare,
     transversal_gauge,
@@ -61,12 +60,6 @@ def test_gauge_catalog_validation():
     with pytest.raises(UnsupportedGaugeError):
         VectorPotential(
             MagneticField(1.0), gauge="transversal_plus_gradient", chi="nope"
-        )
-    with pytest.raises(UnsupportedGaugeError):
-        magnetic_translation_phase(
-            VectorPotential(MagneticField(1.0, kind="gaussian")),
-            [1.0, 0.0],
-            [0.0, 0.0],
         )
 
 

@@ -4,14 +4,10 @@ import pytest
 from peierls.bloch import assemble_fiber_matrix, compute_bands
 from peierls.lattice import bz_grid, dual_shell
 from peierls.section import (
-    NearDegeneracyError,
     apply_permutation,
     conj_reflect,
     negation_permutation,
-    raised_cosine_weights,
-    riesz_projection,
     shift_permutation,
-    smooth_section,
     transport_section,
 )
 
@@ -34,22 +30,6 @@ def test_permutation_algebra(lat1):
     lhs = conj_reflect(apply_permutation(v, s1), neg)
     rhs = apply_permutation(conj_reflect(v, neg), sm1)
     assert np.allclose(lhs, rhs, atol=1e-14)
-
-
-def test_riesz_projection_contour_matches_outer_product(mathieu, lat1):
-    shell = dual_shell(lat1, 6.0)
-    fm = assemble_fiber_matrix(mathieu, [0.21], shell)
-    p_outer = riesz_projection(fm, 0).matrix
-    p_contour = riesz_projection(fm, 0, contour=True, contour_points=64).matrix
-    assert np.linalg.norm(p_outer - p_contour, ord=2) < 1e-6
-    assert np.linalg.norm(p_outer @ p_outer - p_outer, ord=2) < 1e-12
-
-
-def test_riesz_projection_flags_near_degeneracy(mathieu, lat1):
-    shell = dual_shell(lat1, 6.0)
-    fm = assemble_fiber_matrix(mathieu, [0.21], shell)
-    with pytest.raises(NearDegeneracyError):
-        riesz_projection(fm, 0, gap_tol=1e6)
 
 
 def test_transport_section_requires_vectors_and_even_grid(mathieu, lat1):
@@ -133,23 +113,3 @@ def test_section_d2_continuity_in_both_axes(separable_bands):
     for axis in (0, 1):
         steps = np.linalg.norm(np.diff(vecs, axis=axis), axis=-1)
         assert steps.max() < 0.5  # no branch flips between neighbors
-
-
-def test_smooth_section_preserves_properties(mathieu, mathieu_bands):
-    sec = transport_section(mathieu_bands, 0)
-    sm = smooth_section(sec, mathieu_bands, half_width=2)
-    pts = sec.grid.points()
-    res = sec.grid.resolution
-    for i in range(0, res, 5):
-        assert _eigen_residual(mathieu, pts[i], sec.shell, sm.vectors[i]) < 1e-8
-    # mollification must not move the section far
-    dev = np.max(np.linalg.norm(sm.vectors - sec.vectors, axis=1))
-    assert dev < 0.1
-
-
-def test_raised_cosine_weights_normalized():
-    w = raised_cosine_weights(3)
-    assert np.isclose(w.sum(), 1.0)
-    assert np.allclose(w, w[::-1])
-    with pytest.raises(ValueError):
-        raised_cosine_weights(0)

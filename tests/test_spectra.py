@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from peierls.spectra import (
     EmptySpectraError,
     SpectrumSet,
-    detect_gaps,
     from_intervals,
     hausdorff_distance,
     lipschitz_fit,
@@ -75,12 +74,6 @@ def test_hausdorff_metric_axioms(xs, ys, zs):
     assert daa <= 1e-12
     assert abs(dab - dba) <= 1e-12
     assert dab <= dac + dcb + 1e-12
-
-
-def test_detect_gaps():
-    s = from_intervals([(1.0, 2.0), (4.0, 6.0)], WIN, 0.05)
-    gaps = detect_gaps(s)
-    assert np.allclose(gaps, [(0.0, 1.0), (2.0, 4.0), (6.0, 10.0)])
 
 
 def test_lipschitz_fit_recovers_linear_law():

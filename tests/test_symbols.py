@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from peierls.lattice import Lattice, dual_shell
 from peierls.symbols import (
-    AliasingError,
     Nonrelativistic,
     PeriodicPotential,
     PeriodicSymbol,
@@ -11,8 +9,6 @@ from peierls.symbols import (
     Relativistic,
     cosine_potential,
     evaluate_symbol,
-    potential_fourier_coeffs,
-    sample_on_cell,
     separable_cosine_2d,
     symbol_ellipticity_check,
     zero_potential,
@@ -34,21 +30,6 @@ def test_separable_cosine_pointwise(lat2):
     pot = separable_cosine_2d(lat2, 0.5)
     y = np.array([0.3, 1.1])
     assert np.isclose(pot.value(y), np.cos(0.3) + np.cos(1.1))
-
-
-def test_fourier_coeffs_round_trip(lat2):
-    pot = separable_cosine_2d(lat2, 0.7)
-    samples = sample_on_cell(lambda y: pot.value(y), lat2, 16)
-    shell = dual_shell(lat2, 2.5)
-    back = potential_fourier_coeffs(samples, lat2, shell)
-    for key, val in pot.coeffs.items():
-        assert abs(back.coeffs[key] - val) < 1e-12
-
-
-def test_fourier_coeffs_aliasing_guard(lat1):
-    shell = dual_shell(lat1, 6.0)
-    with pytest.raises(AliasingError):
-        potential_fourier_coeffs(np.zeros(8), lat1, shell)
 
 
 def test_kinetic_kinds(lat1):
