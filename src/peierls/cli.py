@@ -333,6 +333,8 @@ def cmd_direct(cfg, num, out: Path) -> dict:
     sym = build_symbol(cfg, lattice)
     field = build_field(cfg)
     mode = cfg.get("mode", "zero_field_bloch")
+    if mode not in direct.MODES:
+        raise ConfigError(f"unknown direct mode {mode!r}, not in {direct.MODES}")
     flux = _parse_flux(cfg.get("flux", "0"), lattice)
     if mode == "magnetic_bloch":
         field = _magnetic_bloch_field(field, flux, lattice)
@@ -344,6 +346,11 @@ def cmd_direct(cfg, num, out: Path) -> dict:
                 f"sets flux {flux} and field strength {b!r}; use mode "
                 "'magnetic_bloch'"
             )
+    elif flux != 0:
+        raise ConfigError(
+            f"mode box takes its field from 'field' alone, but the config "
+            f"sets flux {flux}; set flux 0 and give the field in 'field'"
+        )
     bands = None if cfg.get("window") is not None else _bands(
         lattice, sym, num)
     window = _window(cfg, num, bands)
@@ -469,9 +476,9 @@ def main(argv=None) -> int:
             cfg["mode"] = args.mode
         if args.window is not None:
             cfg["window"] = list(args.window)
-        num = _numerics(cfg)
         if args.radius is not None:
-            num["radius"] = args.radius
+            cfg.setdefault("numerics", {})["radius"] = args.radius
+        num = _numerics(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         summary = COMMANDS[args.command](cfg, num, out)

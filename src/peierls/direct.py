@@ -3,10 +3,11 @@
 Finite differences with Peierls link phases (the gauge-invariant
 discretization of Governale and Ungarelli, PRB 58, 7816 (1998)): each
 nearest-neighbor hop of the second-order Laplacian stencil carries the
-exact line-integral phase omega_A(x, x') of the link, which keeps the
-discrete operator exactly gauge covariant.  One stencil builds both
-operators; for the relativistic kind it takes the Hermitian square root of
-the kinetic part plus one.  Only the boundary differs:
+line phase omega_A(x, x') of magnetic.line_phase, which keeps the discrete
+operator exactly gauge covariant; A is the transversal gauge of the
+constant field, plus grad(chi) for a CHI_CATALOG key chi.  One stencil
+builds both operators; for the relativistic kind it takes the Hermitian
+square root of the kinetic part plus one.  Only the boundary differs:
 
   * box mode drops the links that leave the grid on
     [-length/2, length/2)^d (Dirichlet);
@@ -15,12 +16,13 @@ the kinetic part plus one.  Only the boundary differs:
 
         u(y + a) = exp(i k_a) exp(i <A(a), y>) u(y)
 
-    for the magnetic-cell vectors a; the ordinary Bloch case is the same
-    with A = 0.
+    for the magnetic-cell vectors a, A(a) in the transversal gauge (chi
+    must be periodic over the cell).
 
-The field must be the one whose unit-cell flux is 2 pi p/q, or the link
-phases and the cell wrap describe different operators.  Lattices must be
-rectangular (diagonal basis) in the finite-difference modes.
+The field must be constant, and in magnetic_bloch mode the one whose
+unit-cell flux is 2 pi p/q, or the link phases and the cell wrap describe
+different operators.  Lattices must be rectangular (diagonal basis) in the
+finite-difference modes.
 
 Window eigenvalues of matrices above 600 unknowns come from shift-invert
 Lanczos at the window centre, with a coverage certificate: the farthest
@@ -38,10 +40,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bloch import compute_bands
-from .lattice import Lattice, bz_grid, dual_shell, momentum_grid
-from .magnetic import MagneticField, hermitian_sqrt
+from .lattice import Lattice, bz_grid, dual_shell, momentum_grid, tensor_grid
+from .magnetic import (MagneticField, VectorPotential, hermitian_sqrt,
+                       line_phase, transversal_gauge)
 from .spectra import SpectrumSet
 from .symbols import Nonrelativistic, PeriodicSymbol, Relativistic
+
+
+MODES = ("zero_field_bloch", "magnetic_bloch", "box")
 
 
 class NonRectangularLatticeError(ValueError):
@@ -70,7 +76,12 @@ class DirectDiscretization:
     points_per_cell: int = 16
     box_size: float = 0.0
     box_points: int = 0
-    gauge_chi: object = None  # optional gauge function (see _fd_stencil)
+    chi: str | None = None  # CHI_CATALOG gauge function, A -> A + grad(chi)
+
+    def _vector_potential(self) -> VectorPotential:
+        field = self.field if self.field is not None else MagneticField(0.0)
+        gauge = "transversal" if self.chi is None else "transversal_plus_gradient"
+        return VectorPotential(field, gauge, self.chi)
 
     def bloch_matrix(self, k) -> sp.csr_matrix:
         """FD matrix over q unit cells (stacked along axis 1) at momentum k."""
@@ -81,9 +92,8 @@ class DirectDiscretization:
         reps = np.ones(lengths.size, dtype=int)
         reps[0] = self.flux.denominator
         wrap = (np.asarray(k, dtype=float), np.diag(lengths * reps))
-        return _fd_stencil(self.symbol, self.field, lengths / n,
-                           tuple(reps * n), wrap=wrap,
-                           gauge_chi=self.gauge_chi)
+        return _fd_stencil(self.symbol, self._vector_potential(), lengths / n,
+                           tuple(reps * n), wrap=wrap)
 
     def box_matrix(self) -> sp.csr_matrix:
         """Dirichlet FD matrix on [-box_size/2, box_size/2)^d."""
@@ -93,10 +103,9 @@ class DirectDiscretization:
         if n < 16:
             raise GridTooCoarseError("need at least 16 points per direction")
         d = self.symbol.lattice.dim
-        return _fd_stencil(self.symbol, self.field,
+        return _fd_stencil(self.symbol, self._vector_potential(),
                            np.full(d, self.box_size / n), (n,) * d,
-                           origin=-0.5 * self.box_size,
-                           gauge_chi=self.gauge_chi)
+                           origin=-0.5 * self.box_size)
 
 
 def assemble_direct(
@@ -107,10 +116,12 @@ def assemble_direct(
     points_per_cell: int = 16,
     box_size: float = 0.0,
     box_points: int = 0,
-    gauge_chi=None,
+    chi: str | None = None,
 ) -> DirectDiscretization:
-    if mode not in ("zero_field_bloch", "magnetic_bloch", "box"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if field is not None and field.kind != "constant":
+        raise ValueError("finite differences support constant fields only")
     if mode != "zero_field_bloch":
         if not isinstance(flux, Fraction):
             raise ValueError("flux must be an exact Fraction")
@@ -122,37 +133,34 @@ def assemble_direct(
     return DirectDiscretization(
         symbol=symbol, field=field, mode=mode, flux=flux,
         points_per_cell=points_per_cell, box_size=box_size,
-        box_points=box_points, gauge_chi=gauge_chi,
+        box_points=box_points, chi=chi,
     )
 
 
 def _fd_stencil(
     symbol: PeriodicSymbol,
-    field: MagneticField | None,
+    A: VectorPotential,
     h: np.ndarray,
     shape: tuple,
     origin: float = 0.0,
     wrap=None,
-    gauge_chi=None,
 ) -> sp.csr_matrix:
     """Sparse FD matrix on the grid origin + h * i, 0 <= i_ax < shape[ax].
 
-    wrap=None drops the links that leave the grid (Dirichlet).
-    wrap=(k, cell_vecs) closes each of them with the magnetic-Bloch phase
-    of the cell vector cell_vecs[ax] at momentum k.  gauge_chi(x) changes
-    the gauge, A -> A + grad(chi); with a wrap, chi must be periodic over
-    the cell.
+    In d=2 the link [x, x + h_ax e_ax] carries the line phase
+    omega_A(x, x + h_ax e_ax); in d=1 there is no field.  wrap=None drops
+    the links that leave the grid (Dirichlet).  wrap=(k, cell_vecs) closes
+    each of them with the magnetic-Bloch phase of the cell vector
+    cell_vecs[ax] at momentum k; a gradient gauge chi of A must then be
+    periodic over the cell.
     """
     d = len(shape)
-    b = field.strength if field is not None else 0.0
     total = int(np.prod(shape))
     idx = np.arange(total).reshape(shape)
-    coords = np.stack(
-        np.meshgrid(*[np.arange(m) for m in shape], indexing="ij"), axis=-1
-    ).reshape(total, d)
+    coords = tensor_grid([np.arange(m) for m in shape])
     pos = origin + coords * h[None, :]
 
-    vvals = np.atleast_1d(symbol.potential.value(pos))
+    vvals = symbol.potential.value(pos)
     diag = np.full(total, float(np.sum(2.0 / h**2)), dtype=complex) + vvals
 
     rows, cols, vals = [], [], []
@@ -166,32 +174,18 @@ def _fd_stencil(
             src = np.arange(total)
         nb[wrapped, ax] = 0
         target = idx[tuple(nb[src].T)]
-        # exact line phase on the link [x, x + h_ax e_ax]
-        if d == 2 and b != 0.0:
-            if ax == 0:
-                link = np.exp(0.5j * b * pos[src, 1] * h[0])
-            else:
-                link = np.exp(-0.5j * b * pos[src, 0] * h[1])
-        else:
-            link = np.ones(src.size, dtype=complex)
+        x = pos[src]
+        link = (line_phase(A, x, x + h[ax] * np.eye(d)[ax]) if d == 2
+                else np.ones(src.size, dtype=complex))
         hop = -link / h[ax] ** 2
-        if gauge_chi is not None:
-            # each link gains exp(-i (chi(x') - chi(x)))
-            chi_src = np.asarray([gauge_chi(p) for p in pos[src]])
-            chi_tgt = np.asarray([gauge_chi(p) for p in pos[target]])
-            hop = hop * np.exp(1j * (chi_src - chi_tgt))
         if wrap is not None and np.any(wrapped):
             k, cell_vecs = wrap
-            a = cell_vecs[ax]
             y = pos[wrapped].copy()
             y[:, ax] = 0.0
             # magnetic-Bloch wrap: u(y + a) = e^{ik_a} e^{i<A(a), y>} u(y)
-            if d == 2 and b != 0.0:
-                aa = np.array([-0.5 * b * a[1], 0.5 * b * a[0]])
-                chi = y @ aa
-            else:
-                chi = np.zeros(y.shape[0])
-            hop[wrapped] *= np.exp(1j * (k[ax] + chi))
+            shift = (y @ transversal_gauge(A.field, cell_vecs[ax]) if d == 2
+                     else 0.0)
+            hop[wrapped] *= np.exp(1j * (k[ax] + shift))
         rows.append(src)
         cols.append(target)
         vals.append(hop)

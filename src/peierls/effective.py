@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .lattice import BZGrid, Lattice, momentum_grid
-from .magnetic import MagneticField
+from .magnetic import MagneticField, VectorPotential, line_phase
 from .spectra import SpectrumSet
 
 
@@ -152,14 +152,6 @@ class EffectiveLatticeOperator:
         return _bloch_matrix(self.hoppings, self.flux, k)
 
 
-def _wedge_phase(flux_angle: float, gamma: np.ndarray, alpha: np.ndarray):
-    """omega_A(-gamma, -alpha) = exp(-i (Phi_s/2) (gamma ^ alpha)) in d=2."""
-    wedge = gamma[:, 0][:, None] * alpha[:, 1][None, :] - gamma[:, 1][
-        :, None
-    ] * alpha[:, 0][None, :]
-    return np.exp(-0.5j * flux_angle * wedge)
-
-
 def assemble_effective(
     hops: HoppingSet,
     mode: str,
@@ -198,9 +190,10 @@ def _box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
     )
     n_sites = sites.shape[0]
     M = np.zeros((n_sites * n, n_sites * n), dtype=complex)
-    flux_angle = 2.0 * np.pi * float(flux)
-    if d == 2 and flux != 0:
-        omega = _wedge_phase(flux_angle, sites.astype(float), sites.astype(float))
+    if d == 2:
+        # omega_A(-gamma, -alpha) for the field of unit-cell flux 2 pi flux
+        A = VectorPotential(MagneticField(b12=2.0 * np.pi * float(flux)))
+        omega = line_phase(A, -sites[:, None], -sites[None, :])
     else:
         omega = np.ones((n_sites, n_sites))
     diff = sites[:, None, :] - sites[None, :, :]

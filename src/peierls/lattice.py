@@ -16,6 +16,12 @@ class DegenerateLatticeError(ValueError):
     """Basis vectors are linearly dependent (or numerically singular)."""
 
 
+def tensor_grid(axes) -> np.ndarray:
+    """Points of the tensor product of 1-d axes, in C order, shape (n, d)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def dual_basis(basis: np.ndarray) -> np.ndarray:
     """Return the dual generators, rows e*_j with <e*_j, e_k> = 2*pi*delta_jk."""
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
@@ -80,9 +86,7 @@ class BZGrid:
 
     def coords(self) -> np.ndarray:
         """Fractional coordinates of every grid point, shape (n_points, d)."""
-        axes = [self.axis_coords] * self.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return tensor_grid([self.axis_coords] * self.dim)
 
     def points(self) -> np.ndarray:
         """Cartesian momenta, shape (n_points, d)."""
@@ -109,8 +113,7 @@ def momentum_grid(dim: int, resolution: int) -> np.ndarray:
     Shape (resolution^d, d), rows in C order of (j_1, ..., j_d).
     """
     axis = 2.0 * np.pi * np.arange(resolution) / resolution
-    mesh = np.meshgrid(*[axis] * dim, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return tensor_grid([axis] * dim)
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,7 @@ class DualShell:
         # bound on coefficients: |n| <= cutoff / (shortest dual height)
         heights = 2.0 * np.pi / np.linalg.norm(lat.basis, axis=1)
         nmax = np.ceil(self.cutoff / heights).astype(int)
-        ranges = [np.arange(-m, m + 1) for m in nmax]
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        cand = np.stack([m.ravel() for m in mesh], axis=-1)
+        cand = tensor_grid([np.arange(-m, m + 1) for m in nmax])
         pts = cand @ lat.dual
         keep = np.linalg.norm(pts, axis=1) <= self.cutoff + 1e-12
         members = cand[keep]

@@ -1,11 +1,13 @@
 """Magnetic geometry: transversal gauge, line phases, fluxes, quantization.
 
+Every magnetic phase of the package is computed here: line_phase for
+links and kernels, transversal_gauge for magnetic-Bloch wraps.
+
 Conventions (d = 2 throughout unless noted):
-  * constant field B12 = b, B21 = -b; transversal gauge
-    A_j(x) = -(1/2) sum_k B_jk x_k, so A(x) = (b/2) * (-x2, x1) ... explicitly
-    A1 = -(b/2) x2 * sign: A1(x) = -(1/2) * b * x2, A2(x) = +(1/2) * b * x1;
+  * constant field B12 = b, B21 = -b; transversal gauge A(x) = (b/2)(-x2, x1);
   * line phase omega_A(x, y) = exp(-i * integral of A over [x, y]); for the
-    constant field this is exp(-i (b/2) (x1 y2 - x2 y1)).
+    constant field this is exp(-i (b/2) (x1 y2 - x2 y1));
+  * a gauge change A -> A + grad(chi) takes chi from CHI_CATALOG.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .lattice import tensor_grid
 
 
 class UnsupportedGaugeError(ValueError):
@@ -89,9 +93,6 @@ class VectorPotential:
     def is_linear(self) -> bool:
         return self.field.kind == "constant" and self.gauge == "transversal"
 
-    def __call__(self, x) -> np.ndarray:
-        return self.value(x)
-
     def value(self, x) -> np.ndarray:
         a = transversal_gauge(self.field, x)
         if self.gauge == "transversal_plus_gradient":
@@ -121,8 +122,11 @@ def transversal_gauge(field: MagneticField, x) -> np.ndarray:
     return np.stack([a1, a2], axis=-1)
 
 
-def line_phase(A: VectorPotential, x, y) -> complex:
-    """omega_A(x, y) = exp(-i * integral of A along the segment [x, y])."""
+def line_phase(A: VectorPotential, x, y) -> np.ndarray:
+    """omega_A(x, y) = exp(-i * integral of A along the segment [x, y]).
+
+    Points lie along the last axis; x and y broadcast over the others.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if A.is_linear:
@@ -136,7 +140,7 @@ def line_phase(A: VectorPotential, x, y) -> complex:
             -1j * (A.chi_value(y) - A.chi_value(x))
         )
     diff = y - x
-    integral = np.zeros(np.shape(x))
+    integral = 0.0
     for s, w in zip(_GL01_NODES, _GL01_WEIGHTS):
         integral = integral + w * A.value(x + s * diff)
     arg = -np.einsum("...i,...i->...", diff, integral)
@@ -182,17 +186,11 @@ class BoxGrid:
 
     def positions(self) -> np.ndarray:
         axis = -0.5 * self.length + self.spacing * np.arange(self.n)
-        if self.dim == 1:
-            return axis[:, None]
-        mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return tensor_grid([axis] * self.dim)
 
     def momenta(self) -> np.ndarray:
         freqs = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
-        if self.dim == 1:
-            return freqs[:, None]
-        mesh = np.meshgrid(*([freqs] * self.dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return tensor_grid([freqs] * self.dim)
 
 
 @dataclass(frozen=True)
@@ -220,36 +218,17 @@ def quantize_on_grid(
     pvals = np.asarray(
         [momentum_function(eta) for eta in momenta], dtype=float
     )
-    npts = grid.n**grid.dim
     shape = (grid.n,) * grid.dim
     kernel = np.fft.ifftn(pvals.reshape(shape))  # K(m) over offsets mod n
     positions = grid.positions()
-    idx = np.arange(npts)
-    coords = np.unravel_index(idx, shape)
-    if A is None:
-        A = VectorPotential(MagneticField(0.0, 0.0))
-    # pairwise phases
-    if grid.dim == 1:
-        omega = np.ones((npts, npts), dtype=complex)
-    else:
-        x1 = positions[:, 0][:, None]
-        x2 = positions[:, 1][:, None]
-        y1 = positions[:, 0][None, :]
-        y2 = positions[:, 1][None, :]
-        if A.is_linear:
-            b = A.field.strength
-            omega = np.exp(-0.5j * b * (x1 * y2 - x2 * y1))
-        else:
-            omega = np.empty((npts, npts), dtype=complex)
-            for i in range(npts):
-                omega[i] = line_phase(
-                    A, np.broadcast_to(positions[i], positions.shape), positions
-                )
+    coords = tensor_grid([np.arange(grid.n)] * grid.dim)
     diff_idx = tuple(
-        (coords[ax][:, None] - coords[ax][None, :]) % grid.n
+        (coords[:, ax][:, None] - coords[:, ax][None, :]) % grid.n
         for ax in range(grid.dim)
     )
-    M = kernel[diff_idx] * omega
+    M = kernel[diff_idx]
+    if A is not None and grid.dim == 2:  # else no field: every phase is 1
+        M *= line_phase(A, positions[:, None], positions[None, :])
     if potential_function is not None:
         M = M + np.diag([potential_function(p) for p in positions])
     return QuantizedOperator(grid=grid, matrix=M)

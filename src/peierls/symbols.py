@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice
+from .lattice import Lattice, tensor_grid
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,14 @@ class PeriodicPotential:
                 )
         object.__setattr__(self, "coeffs", clean)
 
-    def value(self, y) -> float:
-        """Pointwise V(y) by Fourier resummation (vectorized over rows of y)."""
+    def value(self, y) -> np.ndarray:
+        """Pointwise V(y) by Fourier resummation, one value per row of y."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
         total = np.zeros(y.shape[0], dtype=complex)
         for key, val in self.coeffs.items():
             gs = self.lattice.dual_point(key)
             total += val * np.exp(1j * (y @ gs))
-        out = total.real
-        return out[0] if out.size == 1 else out
+        return total.real
 
 def zero_potential(lattice: Lattice) -> PeriodicPotential:
     return PeriodicPotential(lattice, {})
@@ -142,17 +141,19 @@ class PeriodicSymbol:
         raise TypeError("polynomial kinds have no pure kinetic diagonal")
 
 
-def evaluate_symbol(symbol: PeriodicSymbol, y, eta) -> float:
-    """p0(y, eta) for a single position/momentum pair."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    eta = np.asarray(eta, dtype=float).reshape(-1)
+def evaluate_symbol(symbol: PeriodicSymbol, y, eta) -> np.ndarray:
+    """p0(y, eta) over the rows of y and eta, shape (positions, momenta)."""
+    d = symbol.lattice.dim
+    y = np.asarray(y, dtype=float).reshape(-1, d)
+    eta = np.asarray(eta, dtype=float).reshape(-1, d)
     kind = symbol.kind
     if isinstance(kind, Polynomial):
-        total = 0.0
+        total = np.zeros((y.shape[0], eta.shape[0]))
         for alpha, coeff in kind.terms.items():
-            total += coeff.value(y) * np.prod(eta ** np.asarray(alpha))
-        return float(total)
-    return float(symbol.kinetic(eta)[0] + symbol.potential.value(y))
+            total += coeff.value(y)[:, None] * np.prod(
+                eta ** np.asarray(alpha), axis=1)
+        return total
+    return symbol.potential.value(y)[:, None] + symbol.kinetic(eta)[None, :]
 
 
 def symbol_ellipticity_check(
@@ -168,20 +169,14 @@ def symbol_ellipticity_check(
     d = lat.dim
     m = symbol.order
     frac = np.linspace(0.0, 1.0, samples, endpoint=False)
+    ys = tensor_grid([frac] * d) @ lat.basis
     if d == 1:
-        ys = frac[:, None] * lat.basis[0]
         dirs = np.array([[1.0], [-1.0]])
     else:
-        mesh = np.meshgrid(frac, frac, indexing="ij")
-        ys = np.stack([m_.ravel() for m_ in mesh], axis=-1) @ lat.basis
         angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     radii = radius * np.array([1.0, 1.5, 2.0, 4.0, 8.0])
-    best = np.inf
-    for y in ys:
-        for u in dirs:
-            for r in radii:
-                eta = r * u
-                ratio = evaluate_symbol(symbol, y, eta) / r**m
-                best = min(best, ratio)
-    return bool(best > 0.0), float(best)
+    etas = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+    ratios = evaluate_symbol(symbol, ys, etas) / np.repeat(radii**m, len(dirs))
+    best = float(ratios.min())
+    return bool(best > 0.0), best

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from peierls import bloch
+from peierls import bloch, effective
 from peierls.cli import main
 
 BASE_CONFIG = {
@@ -244,3 +244,40 @@ def test_compare_needs_one_flux_per_epsilon(epsilons, named, tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert _run("compare", str(path), tmp_path) == 2
     assert named in capsys.readouterr().err
+
+
+def test_direct_rejects_unknown_mode(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(D2_CONFIG, mode="bloch")))
+    assert _run("direct", str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "'bloch'" in err and "magnetic_bloch" in err
+
+
+def test_direct_box_rejects_flux(tmp_path, capsys):
+    # the box takes its phases from the field; a flux would be ignored
+    cfg = dict(D2_CONFIG, mode="box", box_size=8.0, box_points=16,
+               field={"b12": 0.1})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "flux 1/4" in err and "'field'" in err
+    cfg["flux"] = "0"
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path) == 0
+
+
+def test_radius_override_is_recorded(config_path, tmp_path, monkeypatch):
+    radii = []
+    hoppings = effective.fourier_hoppings
+
+    def recorded(values, grid, radius, **kwargs):
+        radii.append(radius)
+        return hoppings(values, grid, radius, **kwargs)
+
+    monkeypatch.setattr(effective, "fourier_hoppings", recorded)
+    assert _run("effective", config_path, tmp_path, ["--radius", "5"]) == 0
+    meta = json.loads((tmp_path / "effective_meta.json").read_text())
+    assert radii == [5]
+    assert meta["config"]["numerics"]["radius"] == 5

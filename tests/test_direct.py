@@ -17,7 +17,7 @@ from peierls.direct import (
 )
 from peierls.effective import field_for_flux
 from peierls.lattice import Lattice
-from peierls.magnetic import MagneticField
+from peierls.magnetic import CHI_CATALOG, MagneticField
 from peierls.symbols import (
     Nonrelativistic,
     PeriodicSymbol,
@@ -49,13 +49,40 @@ def test_fd_matrix_hermitian_and_gauge_covariant(separable):
     dev = abs(M - M.getH()).max()
     assert dev < 1e-12
     # periodic gauge function: spectra must be unchanged
-    chi = lambda p: 0.2 * np.sin(p[0]) + 0.1 * np.cos(p[1])  # noqa: E731
     disc_chi = assemble_direct(separable, field, "magnetic_bloch",
                                flux=Fraction(1), points_per_cell=16,
-                               gauge_chi=chi)
+                               chi="harmonic")
     v0 = np.linalg.eigvalsh(M.toarray())[:6]
     v1 = np.linalg.eigvalsh(disc_chi.bloch_matrix(k).toarray())[:6]
     assert np.max(np.abs(v0 - v1)) < 1e-9
+    # A -> A + grad(chi) conjugates the matrix by D = diag(exp(i chi(x))):
+    # on the magnetic cell (chi periodic over it) and in a box
+    cell_axis = 2.0 * np.pi / 16 * np.arange(16)
+    box_axis = -3.0 + 6.0 / 16 * np.arange(16)
+    cases = [
+        ("harmonic", field, dict(mode="magnetic_bloch", flux=Fraction(1),
+                                 points_per_cell=16), cell_axis),
+        ("quadratic", MagneticField(0.3), dict(mode="box", box_size=6.0,
+                                               box_points=16), box_axis),
+    ]
+    for chi, fld, kw, axis in cases:
+        mats = []
+        for gauge in (None, chi):
+            d = assemble_direct(separable, fld, chi=gauge, **kw)
+            mats.append((d.bloch_matrix(k) if d.mode == "magnetic_bloch"
+                         else d.box_matrix()).toarray())
+        base, gauged = mats
+        x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+        D = np.exp(1j * CHI_CATALOG[chi][0](x.reshape(-1, 2)))
+        expected = D[:, None] * base * np.conj(D)[None, :]
+        assert np.max(np.abs(gauged - expected)) < 1e-12
+        assert np.max(np.abs(gauged - base)) > 0.1
+
+
+def test_fd_rejects_non_constant_field(separable):
+    with pytest.raises(ValueError, match="constant fields only"):
+        assemble_direct(separable, MagneticField(0.1, kind="gaussian"), "box",
+                        box_size=6.0, box_points=16)
 
 
 @settings(max_examples=8, deadline=None)

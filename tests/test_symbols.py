@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from peierls.lattice import Lattice
 from peierls.symbols import (
     Nonrelativistic,
     PeriodicPotential,
@@ -72,3 +73,42 @@ def test_ellipticity_check_flags_sign_changing_polynomial(lat1):
     sym = PeriodicSymbol(poly, zero_potential(lat1))
     ok, c = symbol_ellipticity_check(sym, radius=4.0, samples=8)
     assert not ok and c < 0.0
+
+
+def _pinned_symbols(lat1, lat2):
+    skew = Lattice(basis=np.array([[2.0 * np.pi, 1.0], [0.0, 2.0 * np.pi]]))
+    one = PeriodicPotential(lat2, {(0, 0): 1.0})
+    poly2 = Polynomial(terms={
+        (2, 0): one, (0, 2): one, (1, 1): separable_cosine_2d(lat2, 0.25),
+        (0, 0): separable_cosine_2d(lat2, 1.0)}, order=2)
+    return {
+        "relativistic_skew": PeriodicSymbol(Relativistic(),
+                                            separable_cosine_2d(skew, 0.2)),
+        "polynomial_d1": PeriodicSymbol(
+            Polynomial(terms={(2,): cosine_potential(lat1, 0.5)}, order=2),
+            zero_potential(lat1)),
+        "polynomial_d2": PeriodicSymbol(poly2, zero_potential(lat2)),
+    }
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("mathieu", (True, 0.9375)),
+    ("separable", (True, 0.875)),
+    ("relativistic_skew", (True, 0.8307764064044152)),
+    ("polynomial_d1", (False, -1.0)),
+    ("polynomial_d2", (True, 0.2499999999999999)),
+])
+def test_ellipticity_constant_is_pinned(name, expected, request, lat1, lat2):
+    # C as the per-sample scalar loop computed it, at the CLI's settings
+    symbols = _pinned_symbols(lat1, lat2)
+    sym = symbols[name] if name in symbols else request.getfixturevalue(name)
+    ok, c = symbol_ellipticity_check(sym, radius=4.0, samples=8)
+    assert ok == expected[0]
+    assert abs(c - expected[1]) <= 1e-12
+    # the table holds p0 at every (position, momentum) pair
+    ys = np.arange(6.0).reshape(-1, 1) * np.ones(sym.lattice.dim)
+    etas = np.linspace(-3.0, 3.0, 4 * sym.lattice.dim).reshape(4, -1)
+    table = evaluate_symbol(sym, ys, etas)
+    pairs = [[evaluate_symbol(sym, y, eta)[0, 0] for eta in etas] for y in ys]
+    assert table.shape == (6, 4)
+    assert np.max(np.abs(table - np.array(pairs))) < 1e-13
