@@ -351,18 +351,19 @@ def cmd_direct(cfg, num, out: Path) -> dict:
             f"mode box takes its field from 'field' alone, but the config "
             f"sets flux {flux}; set flux 0 and give the field in 'field'"
         )
-    bands = None if cfg.get("window") is not None else _bands(
-        lattice, sym, num)
-    window = _window(cfg, num, bands)
     disc = direct.assemble_direct(
         sym, field, mode, flux=flux,
         points_per_cell=int(cfg.get("points_per_cell", 16)),
         box_size=float(cfg.get("box_size", 0.0)),
         box_points=int(cfg.get("box_points", 0)),
     )
+    bands = None if cfg.get("window") is not None else _bands(
+        lattice, sym, num)
+    window = _window(cfg, num, bands)
+    k_res = int(cfg.get("k_resolution", 8))
     spec_set = direct.direct_spectrum(
         disc, window, num["merge_tol"],
-        k_resolution=int(cfg.get("k_resolution", 8)),
+        k_resolution=k_res,
         n_bands=num["n_bands"],
         shell_radius=num["cutoff"],
     )
@@ -371,6 +372,7 @@ def cmd_direct(cfg, num, out: Path) -> dict:
     return {
         "mode": mode,
         "count": int(spec_set.points.size),
+        "direct_fibers": direct.distinct_fibers(disc, k_res),
         "intervals": spec_set.merged_intervals.tolist(),
     }
 
@@ -425,6 +427,7 @@ def cmd_compare(cfg, num, out: Path) -> dict:
         detail.append({
             "epsilon": float(eps), "flux": str(flux), "d_H": d_h,
             "flagged": flagged,
+            "direct_fibers": direct.distinct_fibers(disc, k_res_dir),
             "effective_intervals": eff_set.merged_intervals.tolist(),
             "direct_intervals": dir_set.merged_intervals.tolist(),
         })
@@ -482,7 +485,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         summary = COMMANDS[args.command](cfg, num, out)
-    except ConfigError as exc:
+    except (ConfigError, direct.GridTooLargeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -7,7 +7,9 @@ line phase omega_A(x, x') of magnetic.line_phase, which keeps the discrete
 operator exactly gauge covariant; A is the transversal gauge of the
 constant field, plus grad(chi) for a CHI_CATALOG key chi.  One stencil
 builds both operators; for the relativistic kind it takes the Hermitian
-square root of the kinetic part plus one.  Only the boundary differs:
+square root of the kinetic part plus one, a dense matrix, so the
+relativistic kind is limited to RELATIVISTIC_MAX_UNKNOWNS unknowns.  Only
+the boundary differs:
 
   * box mode drops the links that leave the grid on
     [-length/2, length/2)^d (Dirichlet);
@@ -24,23 +26,33 @@ unit-cell flux is 2 pi p/q, or the link phases and the cell wrap describe
 different operators.  Lattices must be rectangular (diagonal basis) in the
 finite-difference modes.
 
-Window eigenvalues of matrices above 600 unknowns come from shift-invert
-Lanczos at the window centre, with a coverage certificate: the farthest
-returned eigenvalue must lie outside the window, else the batch grows.  A
-window the certificate cannot cover raises WindowCoverageError.
+The magnetic translation by one unit cell along axis 1 commutes with the
+operator and shifts k2 by 2 pi p/q, so in d=2 the fibers at k and
+k + (0, 2 pi/q) are unitarily equivalent (Zak, Phys. Rev. 134, A1602
+(1964)).  direct_spectrum therefore solves one fiber per class of the
+momentum grid under that shift and uses its eigenvalues for every point
+of the class.
+
+Window eigenvalues of matrices above DENSE_MAX_UNKNOWNS unknowns come
+from shift-invert Lanczos at the window centre, with M - sigma factored
+once by SuperLU in a symmetric fill-reducing ordering and a coverage
+certificate: the farthest returned eigenvalue must lie outside the
+window, else the batch grows.  A window the certificate cannot cover
+raises WindowCoverageError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bloch import compute_bands
-from .lattice import Lattice, bz_grid, dual_shell, momentum_grid, tensor_grid
+from .lattice import Lattice, bz_grid, dual_shell, tensor_grid
 from .magnetic import (MagneticField, VectorPotential, hermitian_sqrt,
                        line_phase, transversal_gauge)
 from .spectra import SpectrumSet
@@ -49,6 +61,19 @@ from .symbols import Nonrelativistic, PeriodicSymbol, Relativistic
 
 MODES = ("zero_field_bloch", "magnetic_bloch", "box")
 
+# The relativistic root is a dense complex matrix.  A 45^2 box (2,025
+# unknowns) takes 21 s and 0.38 GB peak (its eigh alone 19 s at 2,048;
+# 2 CPUs, OpenBLAS with 1 thread); the limit admits a magnetic cell of
+# q = 8 unit cells at 16 points per cell.
+RELATIVISTIC_MAX_UNKNOWNS = 2048
+
+# Up to this size a dense eigvalsh is cheaper than the certified
+# shift-invert solve.  Both on d=2 stencils of the separable fixture with
+# the band-0 window (2 CPUs, OpenBLAS with 1 thread): 6.8 against 7.1 ms
+# at 196 unknowns, 9.9 against 7.0 ms at 225, 14 against 7.6 ms at 256,
+# 66 against 6.7 ms at 512 (a flux-1/2 fiber), 555 against 17 ms at 1,024.
+DENSE_MAX_UNKNOWNS = 200
+
 
 class NonRectangularLatticeError(ValueError):
     pass
@@ -56,6 +81,10 @@ class NonRectangularLatticeError(ValueError):
 
 class GridTooCoarseError(ValueError):
     pass
+
+
+class GridTooLargeError(ValueError):
+    """The finite-difference operator would not fit the size limit."""
 
 
 def _cell_lengths(lattice: Lattice) -> np.ndarray:
@@ -83,7 +112,7 @@ class DirectDiscretization:
         gauge = "transversal" if self.chi is None else "transversal_plus_gradient"
         return VectorPotential(field, gauge, self.chi)
 
-    def bloch_matrix(self, k) -> sp.csr_matrix:
+    def bloch_matrix(self, k) -> sp.spmatrix:
         """FD matrix over q unit cells (stacked along axis 1) at momentum k."""
         if self.mode != "magnetic_bloch":
             raise ValueError("bloch_matrix is defined in magnetic_bloch mode")
@@ -95,7 +124,7 @@ class DirectDiscretization:
         return _fd_stencil(self.symbol, self._vector_potential(), lengths / n,
                            tuple(reps * n), wrap=wrap)
 
-    def box_matrix(self) -> sp.csr_matrix:
+    def box_matrix(self) -> sp.spmatrix:
         """Dirichlet FD matrix on [-box_size/2, box_size/2)^d."""
         if self.mode != "box":
             raise ValueError("box_matrix is defined in box mode")
@@ -130,6 +159,16 @@ def assemble_direct(
         if not isinstance(symbol.kind, (Nonrelativistic, Relativistic)):
             raise ValueError("finite differences support kinetic kinds only")
         _cell_lengths(symbol.lattice)
+        d = symbol.lattice.dim
+        unknowns = (box_points**d if mode == "box"
+                    else flux.denominator * points_per_cell**d)
+        if (isinstance(symbol.kind, Relativistic)
+                and unknowns > RELATIVISTIC_MAX_UNKNOWNS):
+            raise GridTooLargeError(
+                f"the relativistic finite-difference operator is a dense "
+                f"{unknowns} x {unknowns} matrix; {unknowns} unknowns exceed "
+                f"the limit of {RELATIVISTIC_MAX_UNKNOWNS}"
+            )
     return DirectDiscretization(
         symbol=symbol, field=field, mode=mode, flux=flux,
         points_per_cell=points_per_cell, box_size=box_size,
@@ -144,8 +183,11 @@ def _fd_stencil(
     shape: tuple,
     origin: float = 0.0,
     wrap=None,
-) -> sp.csr_matrix:
-    """Sparse FD matrix on the grid origin + h * i, 0 <= i_ax < shape[ax].
+) -> sp.spmatrix:
+    """FD matrix on the grid origin + h * i, 0 <= i_ax < shape[ax].
+
+    CSR for the nonrelativistic kind; the relativistic root is dense and
+    comes as a BSR matrix of one block.
 
     In d=2 the link [x, x + h_ax e_ax] carries the line phase
     omega_A(x, x + h_ax e_ax); in d=1 there is no field.  wrap=None drops
@@ -199,9 +241,14 @@ def _fd_stencil(
         shape=(total, total),
     ).tocsr()
     if isinstance(symbol.kind, Relativistic):
-        dense = M.toarray() - np.diag(vvals)
-        root = hermitian_sqrt(dense + np.eye(total))
-        M = sp.csr_matrix(root + np.diag(vvals))
+        dense = M.toarray()
+        on_diag = np.diag_indices(total)
+        dense[on_diag] -= vvals
+        dense[on_diag] += 1.0
+        root = hermitian_sqrt(dense)
+        root[on_diag] += vvals
+        # dense: one block, which _window_eigs hands to eigvalsh as is
+        return sp.bsr_matrix((root[None], [0], [0, 1]), shape=(total, total))
     return M
 
 
@@ -209,40 +256,58 @@ class WindowCoverageError(RuntimeError):
     """The eigensolver could not certify that it found the whole window."""
 
 
-def _window_eigs(M: sp.csr_matrix, window, n_eigs: int) -> np.ndarray:
-    """Eigenvalues of the sparse Hermitian matrix intersected with window.
+def _shift_factors(M: sp.spmatrix, sigma: float):
+    """SuperLU factors of M - sigma in a symmetric fill-reducing ordering.
 
-    Up to 600 unknowns the matrix is diagonalized densely.  Larger
-    matrices use shift-invert Lanczos at the window centre sigma, which
-    returns the k eigenvalues nearest sigma.  Once the farthest of them
-    lies beyond the window radius max(hi - sigma, sigma - lo), every
-    eigenvalue in the window is among them; until then k doubles from
-    n_eigs.  WindowCoverageError is raised when the certificate still
-    fails at k = size // 8: past that Lanczos costs more than a dense
-    solve, and the window holds far more than the few bands a reference
-    solve resolves.
+    M - sigma is Hermitian, so a minimum-degree ordering of its pattern
+    (MMD_AT_PLUS_A) with diagonal pivots preferred (SymmetricMode) keeps
+    the factors sparse: on the separable fixture's fibers the fill falls
+    from 48k to 31k entries at 1,024 unknowns and from 99k to 72k at
+    2,048, against the default column ordering.
+    """
+    shifted = (M - sigma * sp.identity(M.shape[0], format="csr")).tocsc()
+    return spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                     options={"SymmetricMode": True})
+
+
+def _window_eigs(M: sp.spmatrix, window, n_eigs: int) -> np.ndarray:
+    """Eigenvalues of the Hermitian matrix intersected with window.
+
+    A matrix of up to DENSE_MAX_UNKNOWNS unknowns, or one stored dense
+    (the relativistic root, one BSR block), is diagonalized densely.
+    Larger sparse matrices use shift-invert Lanczos at the window centre
+    sigma, with M - sigma factored once (_shift_factors); it returns the
+    k eigenvalues nearest sigma.  Once the farthest of them lies beyond
+    the window radius max(hi - sigma, sigma - lo), every eigenvalue in the
+    window is among them; until then k doubles from n_eigs.
+    WindowCoverageError is raised when the certificate still fails at
+    k = size // 8: past that Lanczos costs more than a dense solve, and
+    the window holds far more than the few bands a reference solve
+    resolves.
     """
     lo, hi = window
     size = M.shape[0]
-    if size <= 600:
-        vals = np.linalg.eigvalsh(M.toarray())
+    if M.format == "bsr" or size <= DENSE_MAX_UNKNOWNS:
+        vals = np.linalg.eigvalsh(M.data[0] if M.format == "bsr"
+                                  else M.toarray())
         return vals[(vals >= lo) & (vals <= hi)]
     k_max = size // 8
     k = min(n_eigs, k_max)
-    sigma, moved = 0.5 * (lo + hi), False
+    sigma = 0.5 * (lo + hi)
+    try:
+        factors = _shift_factors(M, sigma)
+    except RuntimeError:
+        # sigma is an eigenvalue, so M - sigma has no LU factors: move
+        # sigma once, staying inside the window
+        sigma = lo + 0.5 * (hi - lo) * (1.0 + 1.0 / np.pi)
+        factors = _shift_factors(M, sigma)
+    inverse = spla.LinearOperator(M.shape, matvec=factors.solve,
+                                  dtype=M.dtype)
     # a fixed generic start vector makes reruns bit-identical
     v0 = np.random.default_rng(0).standard_normal(size) + 0j
     while True:
-        try:
-            vals = spla.eigsh(M, k=k, sigma=sigma, which="LM", v0=v0,
-                              return_eigenvectors=False)
-        except RuntimeError as exc:
-            if isinstance(exc, spla.ArpackError) or moved:
-                raise
-            # sigma is an eigenvalue, so M - sigma has no LU factors: move
-            # sigma once, staying inside the window
-            sigma, moved = lo + 0.5 * (hi - lo) * (1.0 + 1.0 / np.pi), True
-            continue
+        vals = spla.eigsh(M, k=k, sigma=sigma, which="LM", v0=v0,
+                          OPinv=inverse, return_eigenvectors=False)
         if np.max(np.abs(vals - sigma)) > max(hi - sigma, sigma - lo):
             break
         if k >= k_max:
@@ -256,6 +321,34 @@ def _window_eigs(M: sp.csr_matrix, window, n_eigs: int) -> np.ndarray:
     return vals[(vals >= lo) & (vals <= hi)]
 
 
+def _fiber_classes(disc: DirectDiscretization, k_resolution: int):
+    """Representative momenta of the fiber classes, and each point's class.
+
+    Fibers of one class have equal spectra.  The grid is k = 2 pi j / r,
+    j in 0..r-1 per axis, in C order of (j_1, ..., j_d), with
+    r = k_resolution.  In d=2 the fibers at k2 and k2 + 2 pi/q are
+    unitarily equivalent, which on the grid identifies j2 with j2'
+    exactly when r / gcd(r, q) divides j2 - j2'.  The representatives
+    j2 < r / gcd(r, q) are grid points.  In d=1, and at q = 1, every grid
+    point is its own class.
+    """
+    d = disc.symbol.lattice.dim
+    j = tensor_grid([np.arange(k_resolution)] * d)
+    if d == 2:
+        j[:, 1] %= k_resolution // gcd(k_resolution, disc.flux.denominator)
+    reps, classes = np.unique(j, axis=0, return_inverse=True)
+    return 2.0 * np.pi * reps / k_resolution, classes.ravel()
+
+
+def distinct_fibers(disc: DirectDiscretization, k_resolution: int) -> int:
+    """Matrices direct_spectrum diagonalizes at this k_resolution."""
+    if disc.mode == "box":
+        return 1
+    if disc.mode == "zero_field_bloch":
+        return k_resolution ** disc.symbol.lattice.dim
+    return len(_fiber_classes(disc, k_resolution)[0])
+
+
 def direct_spectrum(
     disc: DirectDiscretization,
     window,
@@ -267,7 +360,10 @@ def direct_spectrum(
     """sigma(P_eps) within the window.
 
     magnetic_bloch mode unions finite-difference eigenvalues over a
-    uniform magnetic-momentum grid; zero_field_bloch reuses the
+    uniform magnetic-momentum grid, solving one fiber per class of
+    _fiber_classes (r * r / gcd(r, q) fibers in d=2 for r = k_resolution)
+    and counting its eigenvalues once for every point of the class, so
+    the cloud keeps the size of the full grid; zero_field_bloch reuses the
     plane-wave band solver; box mode takes the Dirichlet matrix as is.
     """
     if disc.mode == "zero_field_bloch":
@@ -282,13 +378,12 @@ def direct_spectrum(
         vals = _window_eigs(disc.box_matrix(), window, n_eigs=64)
         return SpectrumSet(points=vals, window=window, merge_tol=merge_tol)
 
-    kpts = momentum_grid(disc.symbol.lattice.dim, k_resolution)
+    momenta, classes = _fiber_classes(disc, k_resolution)
     # a simple band in the window splits into q subbands: room for their q
     # eigenvalues per fiber and the ones beyond the window that certify it
     n_eigs = max(8, 2 * disc.flux.denominator)
-    clouds = []
-    for k in kpts:
-        M = disc.bloch_matrix(k)
-        clouds.append(_window_eigs(M, window, n_eigs=n_eigs))
-    pts = np.concatenate(clouds) if clouds else np.empty(0)
+    solved = [_window_eigs(disc.bloch_matrix(k), window, n_eigs=n_eigs)
+              for k in momenta]
+    pts = (np.concatenate([solved[c] for c in classes]) if classes.size
+           else np.empty(0))
     return SpectrumSet(points=pts, window=window, merge_tol=merge_tol)

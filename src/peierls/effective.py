@@ -196,12 +196,22 @@ def _box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
         omega = line_phase(A, -sites[:, None], -sites[None, :])
     else:
         omega = np.ones((n_sites, n_sites))
-    diff = sites[:, None, :] - sites[None, :, :]
-    for alpha, blk in hops.hoppings.items():
-        mask = np.all(diff == np.asarray(alpha), axis=-1)
-        rows, cols = np.nonzero(mask)
-        for r, c in zip(rows, cols):
-            M[r * n:(r + 1) * n, c * n:(c + 1) * n] = omega[r, c] * blk
+    # site difference gamma - alpha -> index of its hop, -1 for none; the
+    # differences lie in [-2 box_size, 2 box_size]^d
+    span = (4 * box_size + 1,) * d
+    keys = np.asarray(list(hops.hoppings), dtype=int).reshape(-1, d)
+    inside = np.all(np.abs(keys) <= 2 * box_size, axis=1)
+    table = np.full(np.prod(span), -1)
+    table[np.ravel_multi_index(tuple((keys[inside] + 2 * box_size).T),
+                               span)] = np.flatnonzero(inside)
+    diff = sites[:, None, :] - sites[None, :, :] + 2 * box_size
+    hop = table[np.ravel_multi_index(tuple(np.moveaxis(diff, -1, 0)), span)]
+    rows, cols = np.nonzero(hop >= 0)
+    blocks = np.stack(list(hops.hoppings.values()))
+    M = M.reshape(n_sites, n, n_sites, n)
+    phased = omega[rows, cols, None, None] * blocks[hop[rows, cols]]
+    M[rows, :, cols, :] = phased
+    M = M.reshape(n_sites * n, n_sites * n)
     herm = np.linalg.norm(M - np.conj(M.T), ord="fro")
     if herm > 1e-10 * max(1.0, np.linalg.norm(M, ord="fro")):
         raise InconsistentSymbolError("box operator not Hermitian")

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from peierls import bloch, effective
+from peierls import bloch, direct, effective
 from peierls.cli import main
 
 BASE_CONFIG = {
@@ -281,3 +281,38 @@ def test_radius_override_is_recorded(config_path, tmp_path, monkeypatch):
     meta = json.loads((tmp_path / "effective_meta.json").read_text())
     assert radii == [5]
     assert meta["config"]["numerics"]["radius"] == 5
+
+
+def test_relativistic_fd_size_limit_is_a_config_error(tmp_path, capsys,
+                                                      monkeypatch):
+    def stencil(*args, **kwargs):
+        raise AssertionError("the operator must not be built")
+
+    monkeypatch.setattr(direct, "_fd_stencil", stencil)
+    cfg = json.loads(json.dumps(D2_CONFIG))
+    cfg["symbol"]["kind"] = "relativistic"
+    cfg.update(mode="box", flux="0", box_size=6.0, box_points=128,
+               field={"b12": 0.3})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "16384" in err
+
+
+def test_direct_fibers_are_recorded(tmp_path):
+    # k_resolution 2 at flux 1/4: k2 = 0 and pi are 2 pi/4 apart twice
+    cfg = json.loads(json.dumps(D2_CONFIG))
+    cfg.update(k_resolution=2, direct_k_resolution=2,
+               epsilons=[[0.08, "1/4"]])
+    cfg["numerics"]["radius"] = 3
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path) == 0
+    meta = json.loads((tmp_path / "direct_meta.json").read_text())
+    summary = meta["summary"]
+    assert summary["direct_fibers"] == 2
+    assert summary["count"] == 2 * 2 * 4  # every grid point, q subbands
+    assert _run("compare", str(path), tmp_path) == 0
+    report = json.loads((tmp_path / "compare.json").read_text())
+    assert [run["direct_fibers"] for run in report["runs"]] == [2]

@@ -8,16 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peierls.direct import (
+    DirectDiscretization,
     GridTooCoarseError,
+    GridTooLargeError,
     NonRectangularLatticeError,
     WindowCoverageError,
     _window_eigs,
     assemble_direct,
     direct_spectrum,
+    distinct_fibers,
 )
 from peierls.effective import field_for_flux
-from peierls.lattice import Lattice
+from peierls.lattice import Lattice, momentum_grid
 from peierls.magnetic import CHI_CATALOG, MagneticField
+from peierls.spectra import SpectrumSet
 from peierls.symbols import (
     Nonrelativistic,
     PeriodicSymbol,
@@ -205,3 +209,67 @@ def test_window_eigs_moves_shift_off_an_eigenvalue():
     M = sp.diags(np.arange(700.0) + 0j).tocsr()
     got = _window_eigs(M, (9.5, 12.5), n_eigs=8)
     assert np.allclose(got, [10.0, 11.0, 12.0], atol=1e-10)
+
+
+@pytest.mark.parametrize("flux, r, kind, chi, window", [
+    ("1/2", 2, Nonrelativistic, None, (-0.83, -0.29)),
+    ("2/3", 3, Nonrelativistic, None, (-0.83, -0.29)),
+    ("1/4", 6, Nonrelativistic, None, (-0.83, -0.29)),
+    ("3/8", 4, Nonrelativistic, None, (-0.83, -0.29)),
+    ("2/3", 2, Nonrelativistic, None, (-0.83, -0.29)),  # gcd(r, q) = 1
+    ("1/4", 2, Nonrelativistic, "harmonic", (-0.83, -0.29)),
+    ("1/2", 2, Relativistic, None, (-0.3, 0.0)),
+])
+def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
+                                    window):
+    # fibers 2 pi/q apart in k2 have equal spectra, so one fiber per class
+    # j2 mod r / gcd(r, q) stands for the whole class, for every k1
+    flux = Fraction(flux)
+    sym = PeriodicSymbol(kind(), separable_cosine_2d(lat2, 0.5))
+    disc = assemble_direct(sym, field_for_flux(flux, lat2), "magnetic_bloch",
+                           flux=flux, points_per_cell=16, chi=chi)
+    n_eigs = max(8, 2 * flux.denominator)
+    full = SpectrumSet(
+        points=np.concatenate([
+            _window_eigs(disc.bloch_matrix(k), window, n_eigs=n_eigs)
+            for k in momentum_grid(2, r)]),
+        window=window, merge_tol=1e-3)
+
+    calls = []
+    matrix = DirectDiscretization.bloch_matrix
+
+    def counted(self, k):
+        calls.append(k)
+        return matrix(self, k)
+
+    monkeypatch.setattr(DirectDiscretization, "bloch_matrix", counted)
+    folded = direct_spectrum(disc, window, merge_tol=1e-3, k_resolution=r)
+    fibers = r * (r // np.gcd(r, flux.denominator))
+    assert len(calls) == fibers == distinct_fibers(disc, r)
+    assert folded.points.shape == full.points.shape
+    assert folded.points.size == r * r * flux.denominator  # q subbands
+    assert np.max(np.abs(folded.points - full.points)) < 1e-12
+    assert folded.merged_intervals.shape == full.merged_intervals.shape
+    assert np.max(np.abs(folded.merged_intervals
+                         - full.merged_intervals)) < 1e-12
+
+
+def test_no_fold_in_d1_or_at_integer_flux(mathieu, separable):
+    d1 = assemble_direct(mathieu, None, "magnetic_bloch")
+    field = field_for_flux(Fraction(1), separable.lattice)
+    d2 = assemble_direct(separable, field, "magnetic_bloch", flux=Fraction(1))
+    assert distinct_fibers(d1, 6) == 6
+    assert distinct_fibers(d2, 6) == 36
+
+
+def test_relativistic_fd_size_is_bounded(separable):
+    sym = PeriodicSymbol(Relativistic(), separable.potential)
+    with pytest.raises(GridTooLargeError, match="16384"):
+        assemble_direct(sym, MagneticField(0.3), "box", box_size=6.0,
+                        box_points=128)
+    with pytest.raises(GridTooLargeError, match="4096"):
+        assemble_direct(sym, field_for_flux(Fraction(1, 16), sym.lattice),
+                        "magnetic_bloch", flux=Fraction(1, 16))
+    # the nonrelativistic stencil stays sparse at any size
+    assemble_direct(separable, MagneticField(0.3), "box", box_size=6.0,
+                    box_points=128)
