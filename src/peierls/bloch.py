@@ -5,9 +5,6 @@ u = sum_{gamma*} c_{gamma*} exp(i<gamma*, y>):
 
     H(xi)[g, b] = kinetic(xi + g) * delta_{gb} + V_hat(g - b)
 
-For polynomial kinds the monomials are Weyl-symmetrized at the midpoint,
-H(xi)[g, b] += a_alpha_hat(g - b) * (xi + (g + b)/2)^alpha.
-
 When every Fourier coefficient is real (for a real potential, one that is
 even about the origin, as in the cosine fixtures) H(xi) is real symmetric:
 FiberAssembler then builds float64 fibers, and compute_bands solves them with
@@ -22,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .lattice import BZGrid, DualShell
-from .symbols import PeriodicSymbol, Polynomial
+from .symbols import PeriodicSymbol
 
 
 class EigensolverError(RuntimeError):
@@ -45,65 +42,32 @@ class FiberMatrix:
 class FiberAssembler:
     """H(xi) for one (symbol, shell), built from parts computed once.
 
-    The stripe of each Fourier coefficient (the index pairs (g, b) with
-    g - b equal to its key) is found once.  For kinetic kinds the V_hat block
-    does not depend on xi and is built once too, so each fiber is a copy of
-    it plus kinetic(xi + gamma*) on the diagonal.  Polynomial kinds evaluate
-    their Weyl-midpoint monomials on the stored stripes at every xi.
-
-    When every Fourier coefficient is exactly real, H(xi) is real symmetric
-    and the fibers are float64; otherwise they are complex Hermitian.
+    The V_hat block does not depend on xi and is built once, so each fiber
+    is a copy of it plus kinetic(xi + gamma*) on the diagonal.  When every
+    Fourier coefficient is exactly real, H(xi) is real symmetric and the
+    fibers are float64; otherwise they are complex Hermitian.
     """
 
     def __init__(self, symbol: PeriodicSymbol, shell: DualShell):
         if shell.size == 0:
             raise ValueError("empty dual shell")
         self.symbol = symbol
-        self.shell = shell
         self._gammas = shell.members @ symbol.lattice.dual  # gamma* rows
-        kind = symbol.kind
-        if isinstance(kind, Polynomial):
-            coeffs = [(alpha, key, val) for alpha, c in kind.terms.items()
-                      for key, val in c.coeffs.items()]
-        else:
-            coeffs = [(None, key, val)
-                      for key, val in symbol.potential.coeffs.items()]
-        real = all(val.imag == 0 for _, _, val in coeffs)
+        coeffs = symbol.potential.coeffs
+        real = all(val.imag == 0 for val in coeffs.values())
         self.dtype = np.dtype(float if real else complex)
-        stripes = [(alpha, val.real if real else val, *self._stripe(key))
-                   for alpha, key, val in coeffs]
-        if isinstance(kind, Polynomial):
-            self._terms = stripes
-            self._block = None
-        else:
-            M = shell.size
-            self._block = np.zeros((M, M), dtype=self.dtype)
-            for _, val, rows, cols in stripes:
-                self._block[rows, cols] += val
-
-    def _stripe(self, key) -> tuple:
-        """Row and column indices with member[row] - member[col] == key."""
-        members = self.shell.members
-        cols = self.shell.index_of(members - np.asarray(key, dtype=int))
-        rows = np.flatnonzero(cols >= 0)
-        return rows, cols[rows]
+        self._block = np.zeros((shell.size,) * 2, dtype=self.dtype)
+        for key, val in coeffs.items():
+            # the index pairs (g, b) with g - b == key
+            cols = shell.index_of(shell.members - np.asarray(key, dtype=int))
+            rows = np.flatnonzero(cols >= 0)
+            self._block[rows, cols[rows]] += val.real if real else val
 
     def __call__(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float).reshape(-1)
-        momenta = xi[None, :] + self._gammas  # xi + gamma*
-        if self._block is not None:
-            H = self._block.copy()
-            H[np.diag_indices_from(H)] += self.symbol.kinetic(momenta)
-            return H
-        H = np.zeros((self.shell.size,) * 2, dtype=self.dtype)
-        for alpha, val, rows, cols in self._terms:
-            # Weyl midpoint rule: monomial evaluated at (xi_g + xi_b)/2
-            mids = 0.5 * (momenta[rows] + momenta[cols])
-            mono = np.ones(rows.size)
-            for ax, power in enumerate(alpha):
-                if power:
-                    mono = mono * mids[:, ax] ** power
-            H[rows, cols] += val * mono
+        H = self._block.copy()
+        H[np.diag_indices_from(H)] += self.symbol.kinetic(
+            xi[None, :] + self._gammas)
         return H
 
 

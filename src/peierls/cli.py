@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bloch, direct, effective, grushin, section, spectra, symbols
-from .lattice import Lattice, bz_grid, dual_shell
+from .lattice import GridTooLargeError, Lattice, bz_grid, dual_shell
 from .magnetic import MagneticField
 
 
@@ -55,21 +55,46 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
 
 
+def _number(section: dict, name: str, key: str, default,
+            ok=lambda value: True, need: str = "a number"):
+    """section[key] (default when absent) as default's type, else a
+    ConfigError naming name.key: no strings, booleans, non-integers for an
+    integer key, or values that fail ok."""
+    value = section.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(default, int) and not float(value).is_integer()
+            or not ok(value)):
+        raise ConfigError(f"{name}.{key} must be {need}, got {value!r}")
+    return type(default)(value)
+
+
 def build_lattice(cfg: dict) -> Lattice:
     lc = cfg.get("lattice")
     if not lc:
         raise ConfigError("missing 'lattice' section")
-    basis = np.asarray(lc["basis"], dtype=float)
-    return Lattice(basis=basis)
+    if not isinstance(lc, dict) or "basis" not in lc:
+        raise ConfigError("missing 'lattice.basis'")
+    try:
+        return Lattice(basis=np.asarray(lc["basis"], dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"lattice.basis {lc['basis']!r}: {exc}") from exc
 
 
 def build_field(cfg: dict):
     fc = cfg.get("field")
     if fc is None:
         return None
+    if not isinstance(fc, dict):
+        raise ConfigError(f"'field' must be an object, got {fc!r}")
     matrix = fc.get("matrix")
     if matrix is not None:
-        m = np.asarray(matrix, dtype=float)
+        try:
+            m = np.asarray(matrix, dtype=float)
+        except (TypeError, ValueError):
+            m = None
+        if m is None or m.shape != (2, 2):
+            raise ConfigError("field.matrix must be a 2 x 2 matrix of "
+                              f"numbers, got {matrix!r}")
         if not np.allclose(m, -m.T, atol=1e-12):
             raise ConfigError(
                 "hypothesis H.1 violated: magnetic field matrix must be "
@@ -77,8 +102,9 @@ def build_field(cfg: dict):
             )
         b12 = float(m[0, 1])
     else:
-        b12 = float(fc.get("b12", 0.0))
-    if not np.isfinite(b12):
+        b12 = _number(fc, "field", "b12", 0.0)
+    epsilon = _number(fc, "field", "epsilon", 1.0)
+    if not (np.isfinite(b12) and np.isfinite(epsilon)):
         raise ConfigError("hypothesis H.2 violated: field must be finite")
     kind = fc.get("kind", "constant")
     if kind != "constant":
@@ -86,7 +112,7 @@ def build_field(cfg: dict):
             "hypothesis H.6 violated: the solvers need a constant field, "
             f"got field.kind {kind!r}"
         )
-    return MagneticField(b12=b12, epsilon=float(fc.get("epsilon", 1.0)))
+    return MagneticField(b12=b12, epsilon=epsilon)
 
 
 def build_symbol(cfg: dict, lattice: Lattice) -> symbols.PeriodicSymbol:
@@ -94,11 +120,9 @@ def build_symbol(cfg: dict, lattice: Lattice) -> symbols.PeriodicSymbol:
     if not sc:
         raise ConfigError("missing 'symbol' section")
     kind_name = sc.get("kind", "nonrelativistic")
-    if kind_name == "nonrelativistic":
-        kind = symbols.Nonrelativistic()
-    elif kind_name == "relativistic":
-        kind = symbols.Relativistic()
-    else:
+    kind = {"nonrelativistic": symbols.Nonrelativistic,
+            "relativistic": symbols.Relativistic}.get(kind_name)
+    if kind is None:
         raise ConfigError(f"unknown symbol kind {kind_name!r}")
     pc = sc.get("potential", {"name": "zero"})
     name = pc.get("name", "zero")
@@ -114,7 +138,7 @@ def build_symbol(cfg: dict, lattice: Lattice) -> symbols.PeriodicSymbol:
         raise ConfigError(
             f"hypothesis H.3 violated: potential not admissible ({exc})"
         ) from exc
-    sym = symbols.PeriodicSymbol(kind=kind, potential=pot)
+    sym = symbols.PeriodicSymbol(kind=kind(), potential=pot)
     ok, _ = symbols.symbol_ellipticity_check(sym, radius=4.0, samples=8)
     if not ok:
         raise ConfigError(
@@ -123,15 +147,27 @@ def build_symbol(cfg: dict, lattice: Lattice) -> symbols.PeriodicSymbol:
     return sym
 
 
+# numerics key: (default, test of the value, the test in words)
+NUMERICS = {
+    "cutoff": (6.0, lambda v: 0 < v < np.inf, "a positive number"),
+    "resolution": (64, lambda v: v >= 2, "an integer >= 2"),
+    "n_bands": (4, lambda v: v >= 1, "a positive integer"),
+    "radius": (8, lambda v: v >= 0, "an integer >= 0"),
+    "gap_tol": (1e-6, lambda v: 0 <= v < np.inf, "a number >= 0"),
+    "merge_tol": (1e-3, lambda v: 0 <= v < np.inf, "a number >= 0"),
+    "band_index": (0, lambda v: v >= 0, "an integer >= 0"),
+}
+
+
 def _numerics(cfg: dict) -> dict:
-    num = dict(cfg.get("numerics", {}))
-    num.setdefault("cutoff", 6.0)
-    num.setdefault("resolution", 64)
-    num.setdefault("n_bands", 4)
-    num.setdefault("radius", 8)
-    num.setdefault("gap_tol", 1e-6)
-    num.setdefault("merge_tol", 1e-3)
-    num.setdefault("band_index", 0)
+    section = cfg.get("numerics", {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'numerics' must be an object, got {section!r}")
+    num = {key: _number(section, "numerics", key, default, ok, need)
+           for key, (default, ok, need) in NUMERICS.items()}
+    if num["band_index"] >= num["n_bands"]:
+        raise ConfigError(f"numerics.band_index {num['band_index']} must be "
+                          f"below numerics.n_bands {num['n_bands']}")
     return num
 
 
@@ -485,7 +521,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         summary = COMMANDS[args.command](cfg, num, out)
-    except (ConfigError, direct.GridTooLargeError) as exc:
+    except (ConfigError, GridTooLargeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

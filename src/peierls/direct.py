@@ -8,8 +8,8 @@ operator exactly gauge covariant; A is the transversal gauge of the
 constant field, plus grad(chi) for a CHI_CATALOG key chi.  One stencil
 builds both operators; for the relativistic kind it takes the Hermitian
 square root of the kinetic part plus one, a dense matrix, so the
-relativistic kind is limited to RELATIVISTIC_MAX_UNKNOWNS unknowns.  Only
-the boundary differs:
+relativistic kind is limited to RELATIVISTIC_MAX_UNKNOWNS unknowns (the
+sparse one to MAX_UNKNOWNS).  Only the boundary differs:
 
   * box mode drops the links that leave the grid on
     [-length/2, length/2)^d (Dirichlet);
@@ -21,9 +21,9 @@ the boundary differs:
     for the magnetic-cell vectors a, A(a) in the transversal gauge (chi
     must be periodic over the cell).
 
-The field must be constant, and in magnetic_bloch mode the one whose
-unit-cell flux is 2 pi p/q, or the link phases and the cell wrap describe
-different operators.  Lattices must be rectangular (diagonal basis) in the
+In magnetic_bloch mode the field must be the one whose unit-cell flux is
+2 pi p/q, or the link phases and the cell wrap describe different
+operators.  Lattices must be rectangular (diagonal basis) in the
 finite-difference modes.
 
 The magnetic translation by one unit cell along axis 1 commutes with the
@@ -52,11 +52,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bloch import compute_bands
-from .lattice import Lattice, bz_grid, dual_shell, tensor_grid
+from .lattice import (GridTooLargeError, Lattice, bz_grid, dual_shell,
+                      tensor_grid)
 from .magnetic import (MagneticField, VectorPotential, hermitian_sqrt,
                        line_phase, transversal_gauge)
 from .spectra import SpectrumSet
-from .symbols import Nonrelativistic, PeriodicSymbol, Relativistic
+from .symbols import PeriodicSymbol, Relativistic
 
 
 MODES = ("zero_field_bloch", "magnetic_bloch", "box")
@@ -66,6 +67,11 @@ MODES = ("zero_field_bloch", "magnetic_bloch", "box")
 # 2 CPUs, OpenBLAS with 1 thread); the limit admits a magnetic cell of
 # q = 8 unit cells at 16 points per cell.
 RELATIVISTIC_MAX_UNKNOWNS = 2048
+
+# A sparse separable-fixture fiber and its window solve, as above: 4,096
+# unknowns (q = 16) 0.14 s; 16,384 (q = 64) 3.3 s, 0.15 GB; 32,768
+# (q = 128) 30 s, 0.37 GB, as the window's q eigenvalues grow the basis.
+MAX_UNKNOWNS = 2**15
 
 # Up to this size a dense eigvalsh is cheaper than the certified
 # shift-invert solve.  Both on d=2 stencils of the separable fixture with
@@ -81,10 +87,6 @@ class NonRectangularLatticeError(ValueError):
 
 class GridTooCoarseError(ValueError):
     pass
-
-
-class GridTooLargeError(ValueError):
-    """The finite-difference operator would not fit the size limit."""
 
 
 def _cell_lengths(lattice: Lattice) -> np.ndarray:
@@ -149,26 +151,21 @@ def assemble_direct(
 ) -> DirectDiscretization:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if field is not None and field.kind != "constant":
-        raise ValueError("finite differences support constant fields only")
     if mode != "zero_field_bloch":
         if not isinstance(flux, Fraction):
             raise ValueError("flux must be an exact Fraction")
         if points_per_cell < 16 and mode == "magnetic_bloch":
             raise GridTooCoarseError("need at least 16 points per cell")
-        if not isinstance(symbol.kind, (Nonrelativistic, Relativistic)):
-            raise ValueError("finite differences support kinetic kinds only")
         _cell_lengths(symbol.lattice)
         d = symbol.lattice.dim
         unknowns = (box_points**d if mode == "box"
                     else flux.denominator * points_per_cell**d)
-        if (isinstance(symbol.kind, Relativistic)
-                and unknowns > RELATIVISTIC_MAX_UNKNOWNS):
+        limit = (RELATIVISTIC_MAX_UNKNOWNS
+                 if isinstance(symbol.kind, Relativistic) else MAX_UNKNOWNS)
+        if unknowns > limit:
             raise GridTooLargeError(
-                f"the relativistic finite-difference operator is a dense "
-                f"{unknowns} x {unknowns} matrix; {unknowns} unknowns exceed "
-                f"the limit of {RELATIVISTIC_MAX_UNKNOWNS}"
-            )
+                f"the finite-difference operator has {unknowns} unknowns, "
+                f"more than the {type(symbol.kind).__name__} limit {limit}")
     return DirectDiscretization(
         symbol=symbol, field=field, mode=mode, flux=flux,
         points_per_cell=points_per_cell, box_size=box_size,

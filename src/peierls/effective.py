@@ -21,9 +21,15 @@ from itertools import product
 
 import numpy as np
 
-from .lattice import BZGrid, Lattice, momentum_grid
+from .lattice import BZGrid, GridTooLargeError, Lattice, momentum_grid
 from .magnetic import MagneticField, VectorPotential, line_phase
 from .spectra import SpectrumSet
+
+
+# Complex entries (16 bytes: 512 MB) that the fibers of one momentum grid
+# and their k-independent blocks may take: at the CLI default k_resolution
+# 32, flux denominators up to q = 124 for one band at hopping radius 8.
+MAX_FIBER_ENTRIES = 2**25
 
 
 class AliasingError(ValueError):
@@ -72,33 +78,30 @@ def fourier_hoppings(
     if vals.ndim == 1:
         vals = vals[:, None, None]
     d = grid.dim
-    if grid.resolution < 2 * radius + 1:
+    res = grid.resolution
+    if res < 2 * radius + 1:
         raise AliasingError(
-            f"grid resolution {grid.resolution} cannot resolve hopping "
-            f"radius {radius}"
+            f"grid resolution {res} cannot resolve hopping radius {radius}"
         )
-    frac = grid.coords()
-    n_pts = frac.shape[0]
-    hoppings = {}
-    for alpha in product(range(-radius, radius + 1), repeat=d):
-        a = np.asarray(alpha, dtype=float)
-        phase = np.exp(-2j * np.pi * (frac @ a))
-        blk = np.tensordot(phase, vals, axes=(0, 0)) / n_pts
-        hoppings[alpha] = blk
+    # at the centred grid point xi_j = j/res - 1/2 the phase exp(-2 pi i
+    # <xi_j, alpha>) is (-1)^(sum alpha) exp(-2 pi i <j, alpha>/res), so one
+    # FFT over the grid axes gives every hopping
+    spectrum = np.fft.fftn(vals.reshape((res,) * d + vals.shape[1:]),
+                           axes=tuple(range(d))) / vals.shape[0]
+    keys = list(product(range(-radius, radius + 1), repeat=d))
+    alphas = np.asarray(keys, dtype=int).reshape(-1, d)
+    signs = np.where(alphas.sum(axis=1) % 2, -1.0, 1.0)
+    blocks = signs[:, None, None] * spectrum[tuple((alphas % res).T)]
 
-    # Hermitian-transport symmetrization q_hat_{-alpha} = q_hat_alpha^*
-    asym = 0.0
-    fixed = {}
-    for alpha, blk in hoppings.items():
-        neg = tuple(-a for a in alpha)
-        other = hoppings.get(neg)
-        target = np.conj(other.T) if other is not None else blk
-        asym = max(asym, float(np.linalg.norm(blk - target, ord=2)))
-        fixed[alpha] = 0.5 * (blk + target)
+    # Hermitian-transport symmetrization q_hat_{-alpha} = q_hat_alpha^*; in
+    # the lexicographic box of keys, -alpha sits at the mirrored position
+    adjoint = np.conj(np.swapaxes(blocks[::-1], 1, 2))
+    asym = float(np.linalg.norm(blocks - adjoint, ord=2, axis=(1, 2)).max())
     if asym > asym_tol:
         raise InconsistentSymbolError(
             f"Fourier hoppings break Hermitian transport by {asym:.3e}"
         )
+    fixed = dict(zip(keys, 0.5 * (blocks + adjoint)))
     return HoppingSet(
         n=vals.shape[1], dim=d, hoppings=fixed, source_tag=source_tag,
         asymmetry=asym,
@@ -263,8 +266,16 @@ def _bloch_coefficients(hops: HoppingSet, flux: Fraction):
 
 def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
     """Magnetic-Bloch fibers H(k) at the rows of kpts, shape (K, qN, qN)."""
-    shifts, coeffs = _bloch_coefficients(hops, flux)
     kpts = np.asarray(kpts, dtype=float).reshape(-1, hops.dim)
+    dim = (flux.denominator if hops.dim == 2 else 1) * hops.n
+    # a hop adds blocks at two shifts at most, doubled at most by partners
+    entries = (kpts.shape[0] + 4 * len(hops.hoppings)) * dim**2
+    if entries > MAX_FIBER_ENTRIES:
+        raise GridTooLargeError(
+            f"the magnetic-Bloch fibers at flux {flux} ({kpts.shape[0]} of "
+            f"{dim} x {dim}) take {entries} complex entries, more than the "
+            f"limit of {MAX_FIBER_ENTRIES}")
+    shifts, coeffs = _bloch_coefficients(hops, flux)
     phases = np.exp(1j * (kpts @ shifts.T))
     # one term per shift in hopping order: at zero flux these are the
     # additions of a direct resummation of the symbol, bit for bit

@@ -16,6 +16,10 @@ class DegenerateLatticeError(ValueError):
     """Basis vectors are linearly dependent (or numerically singular)."""
 
 
+class GridTooLargeError(ValueError):
+    """An operator or a stack of fibers would exceed its size limit."""
+
+
 def tensor_grid(axes) -> np.ndarray:
     """Points of the tensor product of 1-d axes, in C order, shape (n, d)."""
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -36,7 +40,7 @@ def dual_basis(basis: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Lattice:
-    """A Bravais lattice Gamma with its dual Gamma* and cell volumes."""
+    """A Bravais lattice Gamma with its dual Gamma*."""
 
     basis: np.ndarray  # rows e_j
     dual: np.ndarray = field(init=False)
@@ -51,10 +55,6 @@ class Lattice:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def cell_volume(self) -> float:
-        return abs(np.linalg.det(self.basis))
 
     def dual_point(self, coeffs) -> np.ndarray:
         """Cartesian dual-lattice point for integer coefficients."""
@@ -79,10 +79,6 @@ class BZGrid:
     def axis_coords(self) -> np.ndarray:
         res = self.resolution
         return -0.5 + np.arange(res) / res
-
-    @property
-    def n_points(self) -> int:
-        return self.resolution ** self.dim
 
     def coords(self) -> np.ndarray:
         """Fractional coordinates of every grid point, shape (n_points, d)."""

@@ -1,12 +1,12 @@
-"""Magnetic geometry: transversal gauge, line phases, fluxes, quantization.
+"""Magnetic geometry: transversal gauge, line phases, quantization.
 
 Every magnetic phase of the package is computed here: line_phase for
 links and kernels, transversal_gauge for magnetic-Bloch wraps.
 
 Conventions (d = 2 throughout unless noted):
   * constant field B12 = b, B21 = -b; transversal gauge A(x) = (b/2)(-x2, x1);
-  * line phase omega_A(x, y) = exp(-i * integral of A over [x, y]); for the
-    constant field this is exp(-i (b/2) (x1 y2 - x2 y1));
+  * line phase omega_A(x, y) = exp(-i * integral of A over [x, y]), which
+    for the constant field is exp(-i (b/2) (x1 y2 - x2 y1));
   * a gauge change A -> A + grad(chi) takes chi from CHI_CATALOG.
 """
 
@@ -24,56 +24,23 @@ class UnsupportedGaugeError(ValueError):
     pass
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL01_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
-
-
-FIELD_CATALOG: dict = {
-    # smooth B12(x) profiles, keyed by name; each maps (x, b) -> B12(x)
-    "cos_x1": lambda x, b: b * np.cos(x[..., 0]),
-    "gaussian": lambda x, b: b * np.exp(-0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2)),
-}
-
-
 @dataclass(frozen=True)
 class MagneticField:
-    """Constant or smooth magnetic 2-form in d = 2, scaled by epsilon."""
+    """Constant magnetic 2-form B12 = epsilon * b12 in d = 2."""
 
     b12: float
     epsilon: float = 1.0
-    kind: str = "constant"  # "constant" or a FIELD_CATALOG key
-
-    def __post_init__(self):
-        if self.kind != "constant" and self.kind not in FIELD_CATALOG:
-            raise ValueError(f"unknown field profile {self.kind!r}")
 
     @property
     def strength(self) -> float:
         """Total constant-field strength epsilon * b12."""
-        if self.kind != "constant":
-            raise ValueError("strength is defined for constant fields only")
         return self.epsilon * self.b12
 
-    def b12_at(self, x) -> np.ndarray:
-        if self.kind == "constant":
-            return self.epsilon * self.b12 * np.ones(np.shape(x)[:-1])
-        return self.epsilon * FIELD_CATALOG[self.kind](np.asarray(x), self.b12)
 
-# gauge functions chi for covariance experiments; value and gradient
+# gauge functions chi for covariance experiments
 CHI_CATALOG: dict = {
-    "quadratic": (
-        lambda x: 0.3 * x[..., 0] * x[..., 1],
-        lambda x: np.stack(
-            [0.3 * x[..., 1], 0.3 * x[..., 0]], axis=-1
-        ),
-    ),
-    "harmonic": (
-        lambda x: np.sin(x[..., 0]) + 0.5 * np.cos(x[..., 1]),
-        lambda x: np.stack(
-            [np.cos(x[..., 0]), -0.5 * np.sin(x[..., 1])], axis=-1
-        ),
-    ),
+    "quadratic": lambda x: 0.3 * x[..., 0] * x[..., 1],
+    "harmonic": lambda x: np.sin(x[..., 0]) + 0.5 * np.cos(x[..., 1]),
 }
 
 
@@ -89,83 +56,29 @@ class VectorPotential:
         if self.gauge == "transversal_plus_gradient" and self.chi not in CHI_CATALOG:
             raise UnsupportedGaugeError("gauge function must come from the catalog")
 
-    @property
-    def is_linear(self) -> bool:
-        return self.field.kind == "constant" and self.gauge == "transversal"
-
-    def value(self, x) -> np.ndarray:
-        a = transversal_gauge(self.field, x)
-        if self.gauge == "transversal_plus_gradient":
-            a = a + CHI_CATALOG[self.chi][1](np.asarray(x, dtype=float))
-        return a
-
-    def chi_value(self, x) -> np.ndarray:
-        if self.gauge != "transversal_plus_gradient":
-            return np.zeros(np.shape(x)[:-1])
-        return CHI_CATALOG[self.chi][0](np.asarray(x, dtype=float))
-
 
 def transversal_gauge(field: MagneticField, x) -> np.ndarray:
-    """A_j(x) = -sum_k x_k * int_0^1 B_jk(s x) s ds (vectorized over rows)."""
+    """A(x) = (b/2)(-x2, x1) for the constant field b, over rows of x."""
     x = np.asarray(x, dtype=float)
-    if field.kind == "constant":
-        b = field.strength
-        a1 = -0.5 * b * x[..., 1]
-        a2 = 0.5 * b * x[..., 0]
-        return np.stack([a1, a2], axis=-1)
-    # smooth field: Gauss quadrature of int_0^1 B12(s x) s ds
-    integral = np.zeros(np.shape(x)[:-1])
-    for s, w in zip(_GL01_NODES, _GL01_WEIGHTS):
-        integral = integral + w * s * field.b12_at(s * x)
-    a1 = -x[..., 1] * integral
-    a2 = x[..., 0] * integral
-    return np.stack([a1, a2], axis=-1)
+    b = field.strength
+    return np.stack([-0.5 * b * x[..., 1], 0.5 * b * x[..., 0]], axis=-1)
 
 
 def line_phase(A: VectorPotential, x, y) -> np.ndarray:
     """omega_A(x, y) = exp(-i * integral of A along the segment [x, y]).
 
-    Points lie along the last axis; x and y broadcast over the others.
+    Points lie along the last axis; x and y broadcast over the others.  The
+    gradient part of A integrates exactly to the endpoint difference of chi.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if A.is_linear:
-        b = A.field.strength
-        arg = -0.5 * b * (x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0])
-        return np.exp(1j * arg)
+    b = A.field.strength
+    arg = -0.5 * b * (x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0])
+    phase = np.exp(1j * arg)
     if A.gauge == "transversal_plus_gradient":
-        # gradient part integrates exactly to the endpoint difference
-        base = VectorPotential(A.field, "transversal")
-        return line_phase(base, x, y) * np.exp(
-            -1j * (A.chi_value(y) - A.chi_value(x))
-        )
-    diff = y - x
-    integral = 0.0
-    for s, w in zip(_GL01_NODES, _GL01_WEIGHTS):
-        integral = integral + w * A.value(x + s * diff)
-    arg = -np.einsum("...i,...i->...", diff, integral)
-    return np.exp(1j * arg)
-
-
-def triangle_flux(field: MagneticField, x, y, z) -> float:
-    """Flux of the field through the oriented triangle with vertices x, y, z."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if field.kind == "constant":
-        area = 0.5 * (
-            (y[0] - x[0]) * (z[1] - x[1]) - (y[1] - x[1]) * (z[0] - x[0])
-        )
-        return float(field.strength * area)
-    # tensor Gauss quadrature over the reference triangle (Duffy collapse)
-    total = 0.0
-    jac2 = (y[0] - x[0]) * (z[1] - x[1]) - (y[1] - x[1]) * (z[0] - x[0])
-    for u, wu in zip(_GL01_NODES, _GL01_WEIGHTS):
-        for v, wv in zip(_GL01_NODES, _GL01_WEIGHTS):
-            # map square -> triangle: p = x + u(y-x) + u*v(z-y)
-            p = x + u * (y - x) + u * v * (z - y)
-            total += wu * wv * u * field.b12_at(p[None, :])[0]
-    return float(total * jac2)
+        chi = CHI_CATALOG[A.chi]
+        phase *= np.exp(-1j * (chi(y) - chi(x)))
+    return phase
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ V_hat(-gamma*) = conj(V_hat(gamma*)) checked at construction (real V).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -79,56 +80,31 @@ POTENTIAL_CATALOG: dict = {
 class Nonrelativistic:
     """p0(y, eta) = |eta|^2 + V(y)."""
 
-    order: int = 2
+    order: ClassVar[int] = 2
 
 
 @dataclass(frozen=True)
 class Relativistic:
     """p0(y, eta) = sqrt(1 + |eta|^2) + V(y)."""
 
-    order: int = 1
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """p0(y, eta) = sum_{|alpha| <= m} a_alpha(y) eta^alpha.
-
-    terms maps multi-index tuples alpha to PeriodicPotential coefficients.
-    """
-
-    terms: dict  # {tuple(int): PeriodicPotential}
-    order: int
-
-    def __post_init__(self):
-        if self.order <= 0:
-            raise ValueError("polynomial order must be positive")
-        for alpha in self.terms:
-            if sum(alpha) > self.order:
-                raise ValueError(f"term {alpha} exceeds declared order")
+    order: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
 class PeriodicSymbol:
-    kind: object  # Nonrelativistic | Relativistic | Polynomial
+    kind: Nonrelativistic | Relativistic
     potential: PeriodicPotential
 
     def __post_init__(self):
-        if self.order <= 0:
-            raise ValueError("symbol order must be positive")
+        if not isinstance(self.kind, (Nonrelativistic, Relativistic)):
+            raise TypeError(
+                "symbol kind must be Nonrelativistic or Relativistic, got "
+                f"{type(self.kind).__name__}"
+            )
 
     @property
     def lattice(self) -> Lattice:
         return self.potential.lattice
-
-    @property
-    def order(self) -> int:
-        return self.kind.order
-
-    @property
-    def even_in_momentum(self) -> bool:
-        if isinstance(self.kind, (Nonrelativistic, Relativistic)):
-            return True
-        return all(sum(a) % 2 == 0 for a in self.kind.terms)
 
     def kinetic(self, eta) -> np.ndarray:
         """Kinetic part at momenta eta (rows), potential excluded."""
@@ -136,9 +112,7 @@ class PeriodicSymbol:
         n2 = np.einsum("ij,ij->i", eta, eta)
         if isinstance(self.kind, Nonrelativistic):
             return n2
-        if isinstance(self.kind, Relativistic):
-            return np.sqrt(1.0 + n2)
-        raise TypeError("polynomial kinds have no pure kinetic diagonal")
+        return np.sqrt(1.0 + n2)
 
 
 def evaluate_symbol(symbol: PeriodicSymbol, y, eta) -> np.ndarray:
@@ -146,13 +120,6 @@ def evaluate_symbol(symbol: PeriodicSymbol, y, eta) -> np.ndarray:
     d = symbol.lattice.dim
     y = np.asarray(y, dtype=float).reshape(-1, d)
     eta = np.asarray(eta, dtype=float).reshape(-1, d)
-    kind = symbol.kind
-    if isinstance(kind, Polynomial):
-        total = np.zeros((y.shape[0], eta.shape[0]))
-        for alpha, coeff in kind.terms.items():
-            total += coeff.value(y)[:, None] * np.prod(
-                eta ** np.asarray(alpha), axis=1)
-        return total
     return symbol.potential.value(y)[:, None] + symbol.kinetic(eta)[None, :]
 
 
@@ -167,7 +134,7 @@ def symbol_ellipticity_check(
         raise ValueError("radius must be positive")
     lat = symbol.lattice
     d = lat.dim
-    m = symbol.order
+    m = symbol.kind.order
     frac = np.linspace(0.0, 1.0, samples, endpoint=False)
     ys = tensor_grid([frac] * d) @ lat.basis
     if d == 1:

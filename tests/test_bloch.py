@@ -14,7 +14,6 @@ from peierls.symbols import (
     Nonrelativistic,
     PeriodicPotential,
     PeriodicSymbol,
-    Polynomial,
     Relativistic,
     cosine_potential,
     separable_cosine_2d,
@@ -44,22 +43,6 @@ def test_free_fiber_diagonal(lat1):
     fm = assemble_fiber_matrix(free, [0.2], shell)
     expected = (0.2 + shell.points()[:, 0]) ** 2
     assert np.allclose(fm.entries, np.diag(expected), atol=1e-14)
-
-
-def test_polynomial_weyl_midpoint_reduces_to_kinetic(lat1):
-    """eta^2 with constant coefficient must match the nonrelativistic fiber."""
-    const = PeriodicPotential(lat1, {(0,): 1.0})
-    cos_part = PeriodicPotential(lat1, {(1,): 0.5, (-1,): 0.5})
-    poly = Polynomial(terms={(2,): const, (0,): cos_part}, order=2)
-    sym_poly = PeriodicSymbol(poly, zero_potential(lat1))
-    sym_nr = PeriodicSymbol(Nonrelativistic(), cos_part)
-    shell = dual_shell(lat1, 5.0)
-    a = assemble_fiber_matrix(sym_poly, [0.17], shell).entries
-    b = assemble_fiber_matrix(sym_nr, [0.17], shell).entries
-    # the Weyl midpoint correction to the diagonal eta^2 term vanishes for
-    # a constant coefficient, but off-diagonal kinetic terms would differ
-    assert np.allclose(np.diag(a), np.diag(b), atol=1e-13)
-    assert np.allclose(a, b, atol=1e-13)
 
 
 def test_compute_bands_sorted_and_periodic(mathieu_bands):
@@ -101,8 +84,6 @@ def _shifted_cosine(lattice, amplitude, shift):
 
 
 def _fiber_symbols(lat1, lat2):
-    const1 = PeriodicPotential(lat1, {(0,): 1.0})
-    const2 = PeriodicPotential(lat2, {(0, 0): 1.0})
     return {
         "nonrelativistic": PeriodicSymbol(
             Nonrelativistic(), separable_cosine_2d(lat2, 0.5)),
@@ -111,15 +92,6 @@ def _fiber_symbols(lat1, lat2):
         "relativistic": PeriodicSymbol(Relativistic(), cosine_potential(lat1, 0.3)),
         "relativistic-complex": PeriodicSymbol(
             Relativistic(), _shifted_cosine(lat1, 0.3, 1.1)),
-        "polynomial": PeriodicSymbol(Polynomial(terms={
-            (2,): const1, (1,): cosine_potential(lat1, 0.2),
-            (0,): cosine_potential(lat1, 0.5)}, order=2), zero_potential(lat1)),
-        "polynomial-complex": PeriodicSymbol(Polynomial(terms={
-            (2, 0): const2, (0, 2): const2,
-            (1, 1): separable_cosine_2d(lat2, 0.1),
-            (1, 0): _shifted_cosine(lat2, 0.2, 0.4),
-            (0, 0): _shifted_cosine(lat2, 0.5, -0.9)}, order=2),
-            zero_potential(lat2)),
     }
 
 
@@ -132,26 +104,14 @@ def _entrywise_fiber(symbol, xi, shell):
     for g in range(M):
         for b in range(M):
             key = tuple(int(k) for k in members[g] - members[b])
-            if isinstance(symbol.kind, Polynomial):
-                mid = xi + 0.5 * (gammas[g] + gammas[b])
-                for alpha, coeff in symbol.kind.terms.items():
-                    mono = np.prod(mid ** np.asarray(alpha))
-                    H[g, b] += coeff.coeffs.get(key, 0.0) * mono
-            else:
-                H[g, b] = symbol.potential.coeffs.get(key, 0.0)
-                if g == b:
-                    H[g, b] += symbol.kinetic(xi + gammas[g])[0]
+            H[g, b] = symbol.potential.coeffs.get(key, 0.0)
+            if g == b:
+                H[g, b] += symbol.kinetic(xi + gammas[g])[0]
     return H
 
 
-def _coefficients(symbol):
-    if isinstance(symbol.kind, Polynomial):
-        return [v for c in symbol.kind.terms.values() for v in c.coeffs.values()]
-    return list(symbol.potential.coeffs.values())
-
-
 FIBER_KINDS = ("nonrelativistic", "nonrelativistic-complex", "relativistic",
-               "relativistic-complex", "polynomial", "polynomial-complex")
+               "relativistic-complex")
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,7 +123,7 @@ def test_assembler_matches_entrywise_formula(lat1, lat2, name, frac):
     shell = dual_shell(lat, 3.0 if lat.dim == 2 else 5.0)
     xi = np.asarray(frac[:lat.dim]) @ lat.dual
     H = FiberAssembler(symbol, shell)(xi)
-    real = all(v.imag == 0 for v in _coefficients(symbol))
+    real = all(v.imag == 0 for v in symbol.potential.coeffs.values())
     assert real != name.endswith("-complex")
     assert H.dtype == (np.float64 if real else np.complex128)
     assert np.max(np.abs(H - _entrywise_fiber(symbol, xi, shell))) < 1e-13

@@ -316,3 +316,65 @@ def test_direct_fibers_are_recorded(tmp_path):
     assert _run("compare", str(path), tmp_path) == 0
     report = json.loads((tmp_path / "compare.json").read_text())
     assert [run["direct_fibers"] for run in report["runs"]] == [2]
+
+
+def _edited(base, keys, value):
+    """A deep copy of base with the value at the nested keys replaced."""
+    cfg = json.loads(json.dumps(base))
+    *parents, key = keys
+    section = cfg
+    for name in parents:
+        section = section.setdefault(name, {})
+    section[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command, base, keys, value, named", [
+    ("bands", BASE_CONFIG, ("lattice",), {"vectors": [[6.28]]},
+     "lattice.basis"),
+    ("bands", BASE_CONFIG, ("lattice", "basis"), [[6.28, 0.0]],
+     "lattice.basis"),
+    ("bands", BASE_CONFIG, ("numerics", "resolution"), "x",
+     "numerics.resolution"),
+    ("bands", BASE_CONFIG, ("numerics", "resolution"), 16.5,
+     "numerics.resolution"),
+    ("bands", BASE_CONFIG, ("numerics", "n_bands"), 0, "numerics.n_bands"),
+    ("bands", BASE_CONFIG, ("numerics", "cutoff"), -1.0, "numerics.cutoff"),
+    ("effective", BASE_CONFIG, ("numerics", "band_index"), 3,
+     "numerics.band_index"),
+    ("direct", D2_CONFIG, ("field", "matrix"), [[0.0]], "field.matrix"),
+    ("direct", D2_CONFIG, ("field", "b12"), "abc", "field.b12"),
+    ("direct", D2_CONFIG, ("field", "epsilon"), True, "field.epsilon"),
+], ids=["no_basis", "non_square_basis", "resolution_text",
+        "resolution_fraction", "no_bands", "negative_cutoff",
+        "band_index_too_large", "field_matrix_1x1", "b12_text",
+        "epsilon_bool"])
+def test_malformed_config_is_config_error(command, base, keys, value, named,
+                                          tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_edited(base, keys, value)))
+    assert _run(command, str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+
+
+def test_non_elliptic_symbol_is_config_error(tmp_path, capsys):
+    # V = 18 cos(y) outweighs |eta|^2 = 16 at the sampled radius 4
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_edited(
+        BASE_CONFIG, ("symbol", "potential", "amplitude"), 9.0)))
+    assert _run("bands", str(path), tmp_path) == 2
+    assert "H.4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["effective", "scan", "compare", "direct"])
+def test_huge_flux_denominator_is_config_error(command, tmp_path, capsys):
+    # without the size limit the first allocation would fail at once
+    cfg = json.loads(json.dumps(D2_CONFIG))
+    cfg["numerics"]["radius"] = 3
+    cfg.update(flux="1/1000000007", epsilons=[[1.0, "1/1000000007"]])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(command, str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "limit" in err

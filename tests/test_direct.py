@@ -77,16 +77,10 @@ def test_fd_matrix_hermitian_and_gauge_covariant(separable):
                          else d.box_matrix()).toarray())
         base, gauged = mats
         x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
-        D = np.exp(1j * CHI_CATALOG[chi][0](x.reshape(-1, 2)))
+        D = np.exp(1j * CHI_CATALOG[chi](x.reshape(-1, 2)))
         expected = D[:, None] * base * np.conj(D)[None, :]
         assert np.max(np.abs(gauged - expected)) < 1e-12
         assert np.max(np.abs(gauged - base)) > 0.1
-
-
-def test_fd_rejects_non_constant_field(separable):
-    with pytest.raises(ValueError, match="constant fields only"):
-        assemble_direct(separable, MagneticField(0.1, kind="gaussian"), "box",
-                        box_size=6.0, box_points=16)
 
 
 @settings(max_examples=8, deadline=None)

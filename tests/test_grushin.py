@@ -21,7 +21,7 @@ def test_trial_from_section_shape(mathieu_family, mathieu_bands):
     fam = mathieu_family
     assert fam.n == 1
     assert fam.vectors.shape == (
-        mathieu_bands.grid.n_points,
+        mathieu_bands.grid.resolution ** mathieu_bands.grid.dim,
         mathieu_bands.shell.size,
         1,
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from peierls.magnetic import (
+    CHI_CATALOG,
     BoxGrid,
     MagneticField,
     UnsupportedGaugeError,
@@ -11,7 +12,6 @@ from peierls.magnetic import (
     quantize_on_grid,
     relativistic_sqrt_compare,
     transversal_gauge,
-    triangle_flux,
 )
 
 
@@ -20,29 +20,15 @@ def test_transversal_gauge_constant_field():
     assert np.allclose(A, [[-0.5 * 0.7 * 3.0, 0.5 * 0.7 * 2.0]])
 
 
-def test_field_profile_validation():
-    with pytest.raises(ValueError):
-        MagneticField(1.0, kind="no_such_profile")
-    with pytest.raises(ValueError):
-        MagneticField(1.0, kind="cos_x1").strength
-
-
 def test_line_phase_cocycle_constant_field():
-    field = MagneticField(0.9)
-    A = VectorPotential(field)
+    b = 0.9
+    A = VectorPotential(MagneticField(b))
     x, y, z = np.array([0.2, -1.0]), np.array([1.4, 0.3]), np.array([-0.5, 2.0])
     prod = line_phase(A, x, y) * line_phase(A, y, z) * line_phase(A, z, x)
-    expected = np.exp(-1j * triangle_flux(field, x, y, z))
-    assert abs(prod - expected) < 1e-13
-
-
-def test_line_phase_cocycle_smooth_field():
-    field = MagneticField(0.9, kind="cos_x1")
-    A = VectorPotential(field)
-    x, y, z = np.array([0.2, -1.0]), np.array([1.4, 0.3]), np.array([-0.5, 2.0])
-    prod = line_phase(A, x, y) * line_phase(A, y, z) * line_phase(A, z, x)
-    expected = np.exp(-1j * triangle_flux(field, x, y, z))
-    assert abs(prod - expected) < 1e-12
+    # the flux through the oriented triangle is b times its signed area
+    u, v = y - x, z - x
+    area = 0.5 * (u[0] * v[1] - u[1] * v[0])
+    assert abs(prod - np.exp(-1j * b * area)) < 1e-13
 
 
 def test_line_phase_gradient_gauge_factorizes():
@@ -50,7 +36,8 @@ def test_line_phase_gradient_gauge_factorizes():
     base = VectorPotential(field)
     shifted = VectorPotential(field, "transversal_plus_gradient", chi="harmonic")
     x, y = np.array([0.3, 0.7]), np.array([-1.1, 0.4])
-    extra = np.exp(-1j * (shifted.chi_value(y) - shifted.chi_value(x)))
+    chi = CHI_CATALOG["harmonic"]
+    extra = np.exp(-1j * (chi(y) - chi(x)))
     assert abs(line_phase(shifted, x, y) - line_phase(base, x, y) * extra) < 1e-12
 
 

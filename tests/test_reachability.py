@@ -1,8 +1,11 @@
-"""Every public top-level function and class of the package is reached.
+"""Every public top-level function and class of the package is reached,
+and so is every public method and property of a public class.
 
 A name counts as reached when another module of the package, another
-top-level statement of its own module, or the acceptance suite mentions it.
-Code that only its own unit tests call is not part of the pipeline.
+statement of its own module, or the acceptance suite mentions it.  A
+member counts as mentioned wherever its name is read as an attribute,
+whatever the object.  Code that only its own unit tests call is not part
+of the pipeline.
 """
 
 import ast
@@ -12,28 +15,35 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "peierls"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 # names kept although nothing above mentions them, with the reason
-ALLOWED = {
-    # the exact flux reference that test_line_phase_cocycle_* compare the
-    # line phases against
-    ("magnetic", "triangle_flux"),
-}
+ALLOWED: set = set()
 
 
-def _mentions(nodes) -> set:
-    """Identifiers read, attributes accessed and names imported in nodes."""
+def _mentions(nodes, skip=None) -> set:
+    """Identifiers read, attributes accessed and names imported in nodes,
+    outside the subtree of the node skip."""
     out = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
-            elif isinstance(sub, ast.alias):
-                out.add(sub.name)
+    stack = list(nodes)
+    while stack:
+        sub = stack.pop()
+        if sub is skip:
+            continue
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+        stack.extend(ast.iter_child_nodes(sub))
     return out
 
 
+def _public(nodes, kinds) -> list:
+    return [node for node in nodes
+            if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
 def unreached_names() -> list:
+    """(module, name) and (module, "class.member") pairs nothing reaches."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     whole = {name: _mentions([tree]) for name, tree in trees.items()}
@@ -42,13 +52,13 @@ def unreached_names() -> list:
     for module, tree in trees.items():
         outside = acceptance.union(*(m for name, m in whole.items()
                                      if name != module))
-        for node in tree.body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_")):
-                continue
-            own = _mentions([n for n in tree.body if n is not node])
-            if node.name not in outside | own:
-                unreached.append((module, node.name))
+        for node in _public(tree.body, (ast.FunctionDef, ast.ClassDef)):
+            members = (_public(node.body, ast.FunctionDef)
+                       if isinstance(node, ast.ClassDef) else [])
+            for item in [node, *members]:
+                if item.name not in outside | _mentions(tree.body, skip=item):
+                    unreached.append((module, item.name if item is node
+                                      else f"{node.name}.{item.name}"))
     return unreached
 
 

@@ -6,7 +6,6 @@ from peierls.symbols import (
     Nonrelativistic,
     PeriodicPotential,
     PeriodicSymbol,
-    Polynomial,
     Relativistic,
     cosine_potential,
     evaluate_symbol,
@@ -40,17 +39,14 @@ def test_kinetic_kinds(lat1):
     rel = PeriodicSymbol(Relativistic(), pot)
     assert np.isclose(nr.kinetic(eta)[0], 9.0)
     assert np.isclose(rel.kinetic(eta)[0], np.sqrt(10.0))
-    assert nr.order == 2 and rel.order == 1
-    assert nr.even_in_momentum and rel.even_in_momentum
-
-
-def test_polynomial_kind_evaluates_and_validates(lat1):
-    const = PeriodicPotential(lat1, {(0,): 1.0})
-    poly = Polynomial(terms={(2,): const}, order=2)
-    sym = PeriodicSymbol(poly, zero_potential(lat1))
-    assert np.isclose(evaluate_symbol(sym, [0.1], [2.0]), 4.0)
-    with pytest.raises(ValueError, match="exceeds declared order"):
-        Polynomial(terms={(3,): const}, order=2)
+    assert nr.kind.order == 2 and rel.kind.order == 1
+    # both kinds are even in the momentum
+    etas = np.array([[-2.5], [-0.3], [0.0], [0.3], [2.5]])
+    for sym in (nr, rel):
+        assert np.array_equal(sym.kinetic(etas), sym.kinetic(-etas))
+    # any other kind is refused at construction, never taken as relativistic
+    with pytest.raises(TypeError, match="Nonrelativistic or Relativistic"):
+        PeriodicSymbol(object(), pot)
 
 
 def test_evaluate_symbol_matches_parts(mathieu):
@@ -67,27 +63,14 @@ def test_ellipticity_check_accepts_kinetic_kinds(mathieu, separable):
     assert ok2 and c2 > 0.5
 
 
-def test_ellipticity_check_flags_sign_changing_polynomial(lat1):
-    # a_2(y) = cos(y) changes sign, so eta^2 cos(y) is not elliptic
-    poly = Polynomial(terms={(2,): cosine_potential(lat1, 0.5)}, order=2)
-    sym = PeriodicSymbol(poly, zero_potential(lat1))
-    ok, c = symbol_ellipticity_check(sym, radius=4.0, samples=8)
-    assert not ok and c < 0.0
-
-
 def _pinned_symbols(lat1, lat2):
     skew = Lattice(basis=np.array([[2.0 * np.pi, 1.0], [0.0, 2.0 * np.pi]]))
-    one = PeriodicPotential(lat2, {(0, 0): 1.0})
-    poly2 = Polynomial(terms={
-        (2, 0): one, (0, 2): one, (1, 1): separable_cosine_2d(lat2, 0.25),
-        (0, 0): separable_cosine_2d(lat2, 1.0)}, order=2)
     return {
         "relativistic_skew": PeriodicSymbol(Relativistic(),
                                             separable_cosine_2d(skew, 0.2)),
-        "polynomial_d1": PeriodicSymbol(
-            Polynomial(terms={(2,): cosine_potential(lat1, 0.5)}, order=2),
-            zero_potential(lat1)),
-        "polynomial_d2": PeriodicSymbol(poly2, zero_potential(lat2)),
+        # V = 18 cos(y) outweighs |eta|^2 = 16 at the sampled radius 4
+        "deep_cosine": PeriodicSymbol(Nonrelativistic(),
+                                      cosine_potential(lat1, 9.0)),
     }
 
 
@@ -95,8 +78,7 @@ def _pinned_symbols(lat1, lat2):
     ("mathieu", (True, 0.9375)),
     ("separable", (True, 0.875)),
     ("relativistic_skew", (True, 0.8307764064044152)),
-    ("polynomial_d1", (False, -1.0)),
-    ("polynomial_d2", (True, 0.2499999999999999)),
+    ("deep_cosine", (False, -0.125)),
 ])
 def test_ellipticity_constant_is_pinned(name, expected, request, lat1, lat2):
     # C as the per-sample scalar loop computed it, at the CLI's settings
