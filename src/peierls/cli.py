@@ -58,14 +58,22 @@ def load_config(path: str) -> dict:
 def _number(section: dict, name: str, key: str, default,
             ok=lambda value: True, need: str = "a number"):
     """section[key] (default when absent) as default's type, else a
-    ConfigError naming name.key: no strings, booleans, non-integers for an
-    integer key, or values that fail ok."""
+    ConfigError naming name.key (key alone for the top level, name ""):
+    no strings, booleans, non-integers for an integer key, or values that
+    fail ok."""
     value = section.get(key, default)
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or isinstance(default, int) and not float(value).is_integer()
             or not ok(value)):
-        raise ConfigError(f"{name}.{key} must be {need}, got {value!r}")
+        label = f"{name}.{key}" if name else key
+        raise ConfigError(f"{label} must be {need}, got {value!r}")
     return type(default)(value)
+
+
+def _positive_int(cfg: dict, key: str, default: int) -> int:
+    """A top-level integer setting >= 1."""
+    return _number(cfg, "", key, default, lambda v: v >= 1,
+                   "a positive integer")
 
 
 def build_lattice(cfg: dict) -> Lattice:
@@ -195,6 +203,12 @@ def _window(cfg: dict, num: dict, bands) -> tuple:
     """The configured window, else a margin around the selected band."""
     win = cfg.get("window")
     if win is not None:
+        if (not isinstance(win, (list, tuple)) or len(win) != 2
+                or not all(isinstance(v, (int, float))
+                           and not isinstance(v, bool) for v in win)
+                or not (np.all(np.isfinite(win)) and win[0] < win[1])):
+            raise ConfigError("window must be a pair [lo, hi] of finite "
+                              f"numbers with lo < hi, got {win!r}")
         return float(win[0]), float(win[1])
     iv = bloch.band_intervals(bands, num["gap_tol"]).intervals
     k = num["band_index"]
@@ -266,7 +280,7 @@ def cmd_grushin(cfg, num, out: Path) -> dict:
     family = grushin.trial_from_section(sec)
     k = num["band_index"]
     rng = np.random.default_rng(cfg.get("seed", 0))
-    n_samples = int(cfg.get("samples", 20))
+    n_samples = _positive_int(cfg, "samples", 20)
     assemble = bloch.FiberAssembler(sym, bands.shell)
     pts = bands.grid.points()
     worst_resid = 0.0
@@ -308,10 +322,10 @@ def cmd_effective(cfg, num, out: Path) -> dict:
     window = _window(cfg, num, bands)
     merge_tol = num["merge_tol"]
     cloud = effective.bloch_eigenvalue_cloud(
-        hops, flux, int(cfg.get("k_resolution", 32)))
+        hops, flux, _positive_int(cfg, "k_resolution", 32))
     if mode == "box":
         op = effective.assemble_effective(
-            hops, "box", flux, box_size=int(cfg.get("box_size", 16)))
+            hops, "box", flux, box_size=_positive_int(cfg, "box_size", 16))
         spec_set = effective.effective_spectrum(op, window, merge_tol)
     elif mode == "bloch":
         spec_set = spectra.SpectrumSet(
@@ -319,7 +333,7 @@ def cmd_effective(cfg, num, out: Path) -> dict:
     else:
         raise ConfigError(f"unknown effective mode {mode!r}")
     lam_grid = np.linspace(window[0], window[1],
-                           int(cfg.get("lambda_points", 400)))
+                           _positive_int(cfg, "lambda_points", 400))
     margins = effective.cloud_margins(cloud, lam_grid)
     _write_csv(out / "margin.csv", ["lambda", "margin"],
                zip(lam_grid, margins))
@@ -337,9 +351,10 @@ def cmd_scan(cfg, num, out: Path) -> dict:
     flux = _parse_flux(cfg.get("flux", "0"), lattice)
     window = _window(cfg, num, bands)
     lam_grid = np.linspace(window[0], window[1],
-                           int(cfg.get("lambda_points", 400)))
+                           _positive_int(cfg, "lambda_points", 400))
     margins = effective.lambda_scan(
-        hops, flux, lam_grid, k_resolution=int(cfg.get("k_resolution", 64)))
+        hops, flux, lam_grid,
+        k_resolution=_positive_int(cfg, "k_resolution", 64))
     _write_csv(out / "scan.csv", ["lambda", "margin"], zip(lam_grid, margins))
     return {"lambda_points": int(lam_grid.size)}
 
@@ -389,14 +404,19 @@ def cmd_direct(cfg, num, out: Path) -> dict:
         )
     disc = direct.assemble_direct(
         sym, field, mode, flux=flux,
-        points_per_cell=int(cfg.get("points_per_cell", 16)),
-        box_size=float(cfg.get("box_size", 0.0)),
-        box_points=int(cfg.get("box_points", 0)),
+        points_per_cell=_positive_int(cfg, "points_per_cell", 16),
+        box_size=_number(cfg, "", "box_size", 0.0,
+                         lambda v: 0 <= v < np.inf, "a finite number >= 0"),
+        box_points=_number(cfg, "", "box_points", 0, lambda v: v >= 0,
+                           "an integer >= 0"),
     )
     bands = None if cfg.get("window") is not None else _bands(
         lattice, sym, num)
     window = _window(cfg, num, bands)
-    k_res = int(cfg.get("k_resolution", 8))
+    # a zero-field band grid needs two points per axis
+    least = 2 if mode == "zero_field_bloch" else 1
+    k_res = _number(cfg, "", "k_resolution", 8, lambda v: v >= least,
+                    f"an integer >= {least}")
     spec_set = direct.direct_spectrum(
         disc, window, num["merge_tol"],
         k_resolution=k_res,
@@ -444,9 +464,9 @@ def cmd_compare(cfg, num, out: Path) -> dict:
         raise ConfigError("compare needs an 'epsilons' list of [eps, flux]")
     eps_flux = [(eps, _parse_flux(text, lattice)) for eps, text in eps_flux]
     _check_flux_per_epsilon(eps_flux)
-    k_res_eff = int(cfg.get("k_resolution", 32))
-    k_res_dir = int(cfg.get("direct_k_resolution", 4))
-    ppc = int(cfg.get("points_per_cell", 16))
+    k_res_eff = _positive_int(cfg, "k_resolution", 32)
+    k_res_dir = _positive_int(cfg, "direct_k_resolution", 4)
+    ppc = _positive_int(cfg, "points_per_cell", 16)
     pairs = []
     detail = []
     for eps, flux in eps_flux:
@@ -521,7 +541,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         summary = COMMANDS[args.command](cfg, num, out)
-    except (ConfigError, GridTooLargeError) as exc:
+    except (ConfigError, GridTooLargeError, direct.GridTooCoarseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -132,7 +132,7 @@ class DirectDiscretization:
             raise ValueError("box_matrix is defined in box mode")
         n = self.box_points
         if n < 16:
-            raise GridTooCoarseError("need at least 16 points per direction")
+            raise GridTooCoarseError(f"box_points {n}: need at least 16")
         d = self.symbol.lattice.dim
         return _fd_stencil(self.symbol, self._vector_potential(),
                            np.full(d, self.box_size / n), (n,) * d,
@@ -155,7 +155,8 @@ def assemble_direct(
         if not isinstance(flux, Fraction):
             raise ValueError("flux must be an exact Fraction")
         if points_per_cell < 16 and mode == "magnetic_bloch":
-            raise GridTooCoarseError("need at least 16 points per cell")
+            raise GridTooCoarseError(
+                f"points_per_cell {points_per_cell}: need at least 16")
         _cell_lengths(symbol.lattice)
         d = symbol.lattice.dim
         unknowns = (box_points**d if mode == "box"
@@ -342,7 +343,8 @@ def distinct_fibers(disc: DirectDiscretization, k_resolution: int) -> int:
     if disc.mode == "box":
         return 1
     if disc.mode == "zero_field_bloch":
-        return k_resolution ** disc.symbol.lattice.dim
+        grid = bz_grid(disc.symbol.lattice, k_resolution)
+        return int(np.count_nonzero(grid.mirror_sources() < 0))
     return len(_fiber_classes(disc, k_resolution)[0])
 
 
@@ -361,7 +363,8 @@ def direct_spectrum(
     _fiber_classes (r * r / gcd(r, q) fibers in d=2 for r = k_resolution)
     and counting its eigenvalues once for every point of the class, so
     the cloud keeps the size of the full grid; zero_field_bloch reuses the
-    plane-wave band solver; box mode takes the Dirichlet matrix as is.
+    plane-wave band solver, which solves one point of each pair {k, -k};
+    box mode takes the Dirichlet matrix as is.
     """
     if disc.mode == "zero_field_bloch":
         lat = disc.symbol.lattice

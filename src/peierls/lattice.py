@@ -32,6 +32,8 @@ def dual_basis(basis: np.ndarray) -> np.ndarray:
     d = basis.shape[0]
     if basis.shape != (d, d):
         raise ValueError(f"basis must be square, got shape {basis.shape}")
+    if not np.all(np.isfinite(basis)):
+        raise DegenerateLatticeError("lattice basis must be finite")
     det = np.linalg.det(basis)
     if abs(det) < 1e-14 * max(1.0, np.abs(basis).max() ** d):
         raise DegenerateLatticeError("lattice basis is singular")
@@ -97,6 +99,23 @@ class BZGrid:
         for _ in range(self.dim):
             idx = idx * self.resolution + half
         return idx
+
+    def mirror_sources(self) -> np.ndarray:
+        """For every point, the flat index of the earlier point at -xi, or -1.
+
+        Axis index j >= 1 (coordinate -1/2 + j/r) mirrors to r - j.  The
+        index j = 0, the -1/2 edge, mirrors to +1/2, which the half-open
+        grid leaves out.  So -1 marks the points that have no mirror on the
+        grid, xi = 0 (its own mirror) and the earlier point of each pair in
+        C order: one point of each pair {xi, -xi}.
+        """
+        res = self.resolution
+        shape = (res,) * self.dim
+        j = tensor_grid([np.arange(res)] * self.dim)
+        mirror = np.ravel_multi_index(tuple(((res - j) % res).T), shape)
+        later = mirror >= np.arange(mirror.size)
+        mirror[np.any(j == 0, axis=1) | later] = -1
+        return mirror
 
 
 def bz_grid(lattice: Lattice, resolution: int) -> BZGrid:

@@ -18,17 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BandStructure
+from .bloch import BandStructure, conj_reflect, negation_permutation
 from .lattice import DualShell
 
 
 class TransportStepError(RuntimeError):
     """Projection norm dropped below 1/2; the grid is too coarse."""
-
-
-def negation_permutation(shell: DualShell) -> np.ndarray:
-    """perm with member[perm[i]] == -member[i] (shells are negation-closed)."""
-    return shell.index_of(-shell.members)
 
 
 def shift_permutation(shell: DualShell, n) -> np.ndarray:
@@ -41,11 +36,6 @@ def apply_permutation(vec: np.ndarray, perm: np.ndarray) -> np.ndarray:
     ok = perm >= 0
     out[ok] = vec[perm[ok]]
     return out
-
-
-def conj_reflect(vec: np.ndarray, neg_perm: np.ndarray) -> np.ndarray:
-    """(C v)[b] = conj(v[-b])."""
-    return np.conj(vec[neg_perm])
 
 
 @dataclass(frozen=True)

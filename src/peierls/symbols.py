@@ -1,8 +1,10 @@
 """Periodic symbols: potentials in Fourier form and kinetic kinds.
 
 A potential is stored by its Fourier coefficients V_hat(gamma*) indexed by
-integer dual coefficients, with the Hermitian symmetry
-V_hat(-gamma*) = conj(V_hat(gamma*)) checked at construction (real V).
+integer dual coefficients.  A real V has the Hermitian symmetry
+V_hat(-gamma*) = conj(V_hat(gamma*)): construction checks it to 1e-10 and
+stores each pair symmetrized, (V_hat(gamma*) + conj(V_hat(-gamma*))) / 2
+and its conjugate, so that the symmetry holds exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ from typing import ClassVar
 import numpy as np
 
 from .lattice import Lattice, tensor_grid
+
+
+def _negated(key: tuple) -> tuple:
+    return tuple(-k for k in key)
 
 
 @dataclass(frozen=True)
@@ -28,15 +34,19 @@ class PeriodicPotential:
                 raise ValueError(f"coefficient index {key} has wrong dimension")
             if abs(val) > 0:
                 clean[key] = complex(val)
+        pairs = {}
         for key, val in clean.items():
-            neg = tuple(-k for k in key)
-            other = clean.get(neg, 0.0)
+            other = clean.get(_negated(key), 0.0)
             if abs(np.conj(val) - other) > 1e-10 * max(1.0, abs(val)):
                 raise ValueError(
                     f"potential is not real: coefficient at {key} breaks "
                     "Hermitian symmetry"
                 )
-        object.__setattr__(self, "coeffs", clean)
+            pairs[key] = (val + np.conj(other)) / 2
+        for key, val in list(pairs.items()):
+            pairs.setdefault(_negated(key), np.conj(val))
+        object.__setattr__(self, "coeffs", {
+            key: complex(val) for key, val in pairs.items() if abs(val) > 0})
 
     def value(self, y) -> np.ndarray:
         """Pointwise V(y) by Fourier resummation, one value per row of y."""

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peierls import bloch
 from peierls.bloch import (
+    MAX_BAND_ENTRIES,
     FiberAssembler,
     assemble_fiber_matrix,
     band_intervals,
     compute_bands,
 )
-from peierls.lattice import bz_grid, dual_shell
+from peierls.direct import assemble_direct, distinct_fibers
+from peierls.lattice import GridTooLargeError, bz_grid, dual_shell
 from peierls.symbols import (
     Nonrelativistic,
     PeriodicPotential,
@@ -144,3 +148,87 @@ def test_real_and_complex_fibers_give_the_same_bands(lat2):
     a = compute_bands(real, grid, shell, 4).bands
     b = compute_bands(cplx, grid, shell, 4).bands
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+def _lopsided_potential(lattice, shift):
+    """A real V with no symmetry beyond reality: V_hat is complex for a
+    nonzero shift, and in d=2 the potential is not separable."""
+    phase = np.exp(-1j * shift)
+    if lattice.dim == 1:
+        coeffs = {(1,): 0.4 * phase, (-1,): 0.4 * np.conj(phase),
+                  (2,): 0.15 * phase**3, (-2,): 0.15 * np.conj(phase**3)}
+    else:
+        coeffs = {(1, 0): 0.4 * phase, (-1, 0): 0.4 * np.conj(phase),
+                  (0, 1): 0.3, (0, -1): 0.3,
+                  (1, 1): 0.2 * phase**2, (-1, -1): 0.2 * np.conj(phase**2)}
+    return PeriodicPotential(lattice, coeffs)
+
+
+def _plain_bands(symbol, grid, shell, n_bands):
+    """Every grid point diagonalized on its own."""
+    assemble = FiberAssembler(symbol, shell)
+    return np.stack([np.linalg.eigvalsh(assemble(xi))[:n_bands]
+                     for xi in grid.points()])
+
+
+FOLD_CASES = [(kind, dim, shift, res)
+              for kind in (Nonrelativistic, Relativistic)
+              for dim, sizes in ((1, (12, 13)), (2, (6, 7)))
+              for shift in (0.0, 0.7)
+              for res in sizes]
+
+
+@pytest.mark.parametrize("kind, dim, shift, res", FOLD_CASES)
+def test_folded_bands_match_every_point_solved(lat1, lat2, kind, dim, shift,
+                                               res):
+    lat = lat1 if dim == 1 else lat2
+    symbol = PeriodicSymbol(kind(), _lopsided_potential(lat, shift))
+    assert (FiberAssembler(symbol, dual_shell(lat, 1.0)).dtype
+            == (np.float64 if shift == 0.0 else np.complex128))
+    grid = bz_grid(lat, res)
+    shell = dual_shell(lat, 5.0 if dim == 1 else 3.0)
+    bands = compute_bands(symbol, grid, shell, 3, keep_vectors=True)
+    plain = _plain_bands(symbol, grid, shell, 3)
+    assert np.max(np.abs(bands.bands - plain)) < 1e-12
+    assemble = FiberAssembler(symbol, shell)
+    for xi, vals, vecs in zip(grid.points(), bands.bands, bands.vectors):
+        assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-12)
+        resid = assemble(xi) @ vecs - vecs * vals
+        assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-10
+
+
+@pytest.mark.parametrize("dim, res, solved", [(2, 16, 144), (1, 64, 33)])
+def test_fold_solves_one_point_per_pair(lat1, lat2, monkeypatch, dim, res,
+                                        solved):
+    lat = lat1 if dim == 1 else lat2
+    symbol = PeriodicSymbol(Nonrelativistic(), _lopsided_potential(lat, 0.7))
+    grid = bz_grid(lat, res)
+    assert np.count_nonzero(grid.mirror_sources() < 0) == solved
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(bloch.scipy.linalg, "eigh", counting)
+    compute_bands(symbol, grid, dual_shell(lat, 2.0), 2)
+    assert len(calls) == solved
+    disc = assemble_direct(symbol, None, "zero_field_bloch")
+    assert distinct_fibers(disc, res) == solved
+
+
+def test_band_grid_size_is_bounded(separable, lat2, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigh called on an oversized grid")
+
+    monkeypatch.setattr(bloch.scipy.linalg, "eigh", no_solve)
+    shell = dual_shell(lat2, 8.0)
+    assert shell.size == 197
+    # the largest band grid of the acceptance suite fits
+    assert 48**2 * 4 * (1 + shell.size) <= MAX_BAND_ENTRIES
+    with pytest.raises(GridTooLargeError, match="limit"):
+        compute_bands(separable, bz_grid(lat2, 4096), shell, 2)
+    with pytest.raises(GridTooLargeError, match="limit"):
+        compute_bands(separable, bz_grid(lat2, 256), shell, 2,
+                      keep_vectors=True)

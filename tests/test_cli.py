@@ -378,3 +378,47 @@ def test_huge_flux_denominator_is_config_error(command, tmp_path, capsys):
     assert _run(command, str(path), tmp_path) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "limit" in err
+
+
+COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
+                      numerics={**D2_CONFIG["numerics"], "radius": 3})
+
+
+@pytest.mark.parametrize("command, base, key, value", [
+    ("effective", BASE_CONFIG, "k_resolution", "x"),
+    ("effective", BASE_CONFIG, "k_resolution", 8.7),
+    ("effective", BASE_CONFIG, "window", [0.5, -0.5]),
+    ("effective", BASE_CONFIG, "window", [float("nan"), 0.5]),
+    ("effective", dict(BASE_CONFIG, mode="box"), "box_size", 0),
+    ("effective", BASE_CONFIG, "lambda_points", "many"),
+    ("scan", BASE_CONFIG, "k_resolution", 0),
+    ("grushin", BASE_CONFIG, "samples", "many"),
+    ("direct", D2_CONFIG, "points_per_cell", 16.5),
+    ("direct", D2_CONFIG, "points_per_cell", 8),
+    ("direct", dict(BASE_CONFIG, mode="zero_field_bloch"), "k_resolution", 1),
+    ("direct", dict(D2_CONFIG, mode="box", flux="0"), "box_size", "big"),
+    ("direct", dict(D2_CONFIG, mode="box", flux="0"), "box_points", -16),
+    ("compare", COMPARE_CONFIG, "direct_k_resolution", "x"),
+    ("compare", COMPARE_CONFIG, "k_resolution", 2.5),
+], ids=["k_resolution_text", "k_resolution_fraction", "window_reversed",
+        "window_nan", "effective_box_size_zero", "lambda_points_text",
+        "scan_k_resolution_zero", "samples_text", "points_per_cell_fraction",
+        "points_per_cell_too_coarse", "zero_field_k_resolution_one",
+        "direct_box_size_text", "box_points_negative",
+        "direct_k_resolution_text", "compare_k_resolution_fraction"])
+def test_malformed_top_level_key_is_config_error(command, base, key, value,
+                                                 tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_edited(base, (key,), value)))
+    assert _run(command, str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_nan_lattice_basis_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_edited(BASE_CONFIG, ("lattice", "basis"),
+                                       [[float("nan")]])))
+    assert _run("bands", str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "lattice.basis" in err

@@ -22,6 +22,28 @@ def test_dual_basis_rejects_singular():
         dual_basis(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dual_basis_rejects_non_finite(bad):
+    with pytest.raises(DegenerateLatticeError, match="finite"):
+        dual_basis(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+@pytest.mark.parametrize("dim, res", [(1, 8), (1, 9), (2, 6), (2, 7)])
+def test_mirror_sources_pair_each_point_with_its_negative(lat1, lat2, dim,
+                                                           res):
+    grid = bz_grid(lat1 if dim == 1 else lat2, res)
+    frac = grid.coords()
+    source = grid.mirror_sources()
+    for i, point in enumerate(frac):
+        mirrored = np.flatnonzero(np.all(np.isclose(frac, -point), axis=1))
+        # a copied point mirrors an earlier solved one
+        if source[i] >= 0:
+            assert list(mirrored) == [source[i]] and source[i] < i
+            assert source[source[i]] == -1
+        else:
+            assert mirrored.size == 0 or mirrored[0] >= i
+
+
 def test_cell_volumes_are_reciprocal(lat2):
     assert np.isclose(
         abs(np.linalg.det(lat2.basis)) * abs(np.linalg.det(lat2.dual)),

@@ -20,6 +20,22 @@ def test_potential_rejects_complex_valued(lat1):
         PeriodicPotential(lat1, {(1,): 1.0, (-1,): 0.5j})
 
 
+def test_potential_stores_exact_hermitian_pairs(lat1, lat2):
+    # pairs off by 1e-12 are accepted and stored symmetrized
+    pot = PeriodicPotential(lat1, {
+        (1,): 1.0, (-1,): 1.0 + 1e-12,
+        (2,): 0.5 + 0.3j, (-2,): 0.5 - 0.3j + 1e-12j,
+        (0,): 0.2 + 1e-13j})
+    for key, val in pot.coeffs.items():
+        assert pot.coeffs[tuple(-k for k in key)] == np.conj(val)
+    assert pot.coeffs[(1,)] == 1.0 + 0.5e-12
+    assert pot.coeffs[(0,)] == 0.2
+    # the catalog's pairs are exact already and stay bit-identical
+    assert cosine_potential(lat1, 0.37).coeffs == {(1,): 0.37, (-1,): 0.37}
+    assert all(v == 0.37 for v in separable_cosine_2d(lat2, 0.37)
+               .coeffs.values())
+
+
 def test_cosine_potential_pointwise(lat1):
     pot = cosine_potential(lat1, 0.5)
     ys = np.linspace(0.0, 2.0 * np.pi, 7)[:, None]
