@@ -402,13 +402,16 @@ def cmd_direct(cfg, num, out: Path) -> dict:
             f"mode box takes its field from 'field' alone, but the config "
             f"sets flux {flux}; set flux 0 and give the field in 'field'"
         )
+    # only a box has a side length; the other modes ignore box_size
+    box = mode == "box"
     disc = direct.assemble_direct(
         sym, field, mode, flux=flux,
         points_per_cell=_positive_int(cfg, "points_per_cell", 16),
-        box_size=_number(cfg, "", "box_size", 0.0,
-                         lambda v: 0 <= v < np.inf, "a finite number >= 0"),
         box_points=_number(cfg, "", "box_points", 0, lambda v: v >= 0,
                            "an integer >= 0"),
+        box_size=_number(cfg, "", "box_size", 0.0,
+                         lambda v: (v > 0 if box else v >= 0) and v < np.inf,
+                         "a finite number " + ("> 0" if box else ">= 0")),
     )
     bands = None if cfg.get("window") is not None else _bands(
         lattice, sym, num)

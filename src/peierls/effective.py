@@ -151,9 +151,6 @@ class EffectiveLatticeOperator:
     box_size: int | None = None
     box_matrix: np.ndarray | None = None
 
-    def bloch_matrix(self, k) -> np.ndarray:
-        return _bloch_matrix(self.hoppings, self.flux, k)
-
 
 def assemble_effective(
     hops: HoppingSet,
@@ -229,7 +226,7 @@ def _bloch_coefficients(hops: HoppingSet, flux: Fraction):
 
         H(k) = sum_j coeffs[j] exp(i <k, shifts[j]>).
 
-    The blocks are read off the fiber formula of _bloch_matrix: the hop
+    The blocks are read off the fiber formula of _bloch_fibers: the hop
     beta = (b1, b2) adds q_hat_beta exp(i (Phi/2) [s b2 + q n m - s' n])
     to block (s, s') of C_(m, n).  H(k) is Hermitian for every k exactly
     when C_(m, n) = C_(-m, -n)^*; this is checked once here, and the
@@ -265,7 +262,21 @@ def _bloch_coefficients(hops: HoppingSet, flux: Fraction):
 
 
 def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
-    """Magnetic-Bloch fibers H(k) at the rows of kpts, shape (K, qN, qN)."""
+    """Magnetic-Bloch fibers H(k) at the rows of kpts, shape (K, qN, qN).
+
+    H(k) is the fiber over the magnetic cell of q unit cells.  With
+    (T_a f)_gamma = exp(-i (Phi/2) (gamma ^ a)) f_{gamma - a}
+    commuting with the operator for every a, the joint Bloch condition for
+    a in {(q, 0), (0, 1)} reduces f to the values u_s = f_{(s, 0)},
+    s = 0..q-1, and the operator acts by
+
+        (H(k) u)_s = sum_beta q_hat_beta
+            exp(i [ (Phi/2) s b2 + k1 m + (Phi/2) q n m + k2 n
+                    - (Phi/2) s' n ]) u_{s'}
+
+    with s' = (s - b1) mod q, m = (s - b1 - s') / q, n = -b2.  In d=1 the
+    flux is zero and this is the symbol evaluated on the momentum grid.
+    """
     kpts = np.asarray(kpts, dtype=float).reshape(-1, hops.dim)
     dim = (flux.denominator if hops.dim == 2 else 1) * hops.n
     # a hop adds blocks at two shifts at most, doubled at most by partners
@@ -283,24 +294,6 @@ def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
     for j, C in enumerate(coeffs):
         fibers += phases[:, j, None, None] * C
     return fibers
-
-
-def _bloch_matrix(hops: HoppingSet, flux: Fraction, k) -> np.ndarray:
-    """Magnetic-Bloch fiber over the magnetic cell of q unit cells.
-
-    With (T_a f)_gamma = exp(-i (Phi/2) (gamma ^ a)) f_{gamma - a}
-    commuting with the operator for every a, the joint Bloch condition for
-    a in {(q, 0), (0, 1)} reduces f to the values u_s = f_{(s, 0)},
-    s = 0..q-1, and the operator acts by
-
-        (H(k) u)_s = sum_beta q_hat_beta
-            exp(i [ (Phi/2) s b2 + k1 m + (Phi/2) q n m + k2 n
-                    - (Phi/2) s' n ]) u_{s'}
-
-    with s' = (s - b1) mod q, m = (s - b1 - s') / q, n = -b2.  In d=1 the
-    flux is zero and this is the symbol evaluated on the momentum grid.
-    """
-    return _bloch_fibers(hops, flux, k)[0]
 
 
 def _bloch_branches(

@@ -64,9 +64,6 @@ class GrushinMatrix:
 
 @dataclass(frozen=True)
 class GrushinInverse:
-    e: np.ndarray  # (M, M)
-    e_plus: np.ndarray  # (M, N)
-    e_minus: np.ndarray  # (N, M)
     e_minus_plus: np.ndarray  # (N, N)
     condition_number: float
     residual: float
@@ -100,9 +97,6 @@ def invert_grushin(g: GrushinMatrix, cond_max: float = 1e12) -> GrushinInverse:
         np.linalg.norm(full @ inv - np.eye(full.shape[0]), ord=2)
     )
     return GrushinInverse(
-        e=inv[:m, :m],
-        e_plus=inv[:m, m:],
-        e_minus=inv[m:, :m],
         e_minus_plus=inv[m:, m:],
         condition_number=float(cond),
         residual=residual,

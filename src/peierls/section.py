@@ -1,8 +1,23 @@
 """Smooth, equivariant eigenvector sections of a simple band.
 
-The section is built by stepwise parallel transport of a conjugation-
-symmetric seed at xi = 0, followed by a holonomy phase correction that is
-distributed linearly across the zone.
+The section is built by one parallel-transport sweep, used for every line
+of the grid.  The sweep takes a batch of lines through the zone, each with
+its value at t = 0, and projects all lines onto the next grid point
+together, stepping up to t = +1/2: the virtual value there is projected
+from the equivariant image S_n v(-1/2) of the eigenvector at the -1/2 edge.
+The holonomy angle kappa of each line compares that value with the
+conjugate of the +1/2 value of its mirror line; the `reflect` map names the
+mirror of every line.  The t >= 0 half is multiplied by exp(i kappa t),
+the -1/2 edge is the shifted +1/2 value, and t < 0 is filled by
+conjugation from the mirror line.
+
+In d=1 the zone is one line, seeded with the conjugation-fixed eigenvector
+at xi = 0, and it is its own mirror.  In d=2 the same sweep runs twice:
+for the axis (t1, 0), which gives kappa, and then for the columns in t2,
+seeded from the axis, which gives kappa'(t1).  Column t1 mirrors to -t1,
+and the -1/2 column to its own S_e1 image.  The angles kappa' are aligned
+across columns from the middle column (t1 = 0) outward: an alignment
+anchored elsewhere would change exp(i kappa' t2), not only its branch.
 
 Coefficient-space conventions (plane-wave basis indexed by the dual shell):
   * multiplication by exp(-i<gamma*, y>) is the index shift
@@ -32,9 +47,10 @@ def shift_permutation(shell: DualShell, n) -> np.ndarray:
 
 
 def apply_permutation(vec: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The permutation applied along the last axis of vec."""
     out = np.zeros_like(vec)
     ok = perm >= 0
-    out[ok] = vec[perm[ok]]
+    out[..., ok] = vec[..., perm[ok]]
     return out
 
 
@@ -46,29 +62,6 @@ class BlochSection:
     vectors: np.ndarray  # (n_points, M) unit coefficient vectors
     phase_log: dict  # holonomy angles used during transport
 
-def _project_step(target_vec: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """Project prev onto the span of target_vec and renormalize."""
-    amp = np.vdot(target_vec, prev)
-    if abs(amp) < 0.5:
-        raise TransportStepError(
-            f"projection norm {abs(amp):.3f} < 1/2; refine the momentum grid"
-        )
-    out = target_vec * amp
-    return out / np.linalg.norm(out)
-
-
-def _symmetrize_seed(vec: np.ndarray, neg_perm: np.ndarray) -> np.ndarray:
-    """Phase-rotate a unit vector so that C v = v (conjugation-fixed seed)."""
-    cv = conj_reflect(vec, neg_perm)
-    inner = np.vdot(vec, cv)  # = exp(i f) for an eigenvector of C^2 = 1
-    f = np.angle(inner)
-    w = np.exp(1j * f / 2.0) * vec
-    return w
-
-
-def _band_vector(bands: BandStructure, flat: int, k: int) -> np.ndarray:
-    return bands.vectors[flat][:, k]
-
 
 def transport_section(bands: BandStructure, band_index: int) -> BlochSection:
     """Inductive parallel-transport construction of the section over the grid.
@@ -78,143 +71,66 @@ def transport_section(bands: BandStructure, band_index: int) -> BlochSection:
     """
     if bands.vectors is None:
         raise ValueError("transport_section needs stored eigenvectors")
-    grid = bands.grid
-    res = grid.resolution
+    grid, shell = bands.grid, bands.shell
+    res, d = grid.resolution, grid.dim
     if res % 2:
         raise ValueError("grid resolution must be even")
-    d = grid.dim
-    k = band_index
-    shell = bands.shell
-    neg = negation_permutation(shell)
-    coords = grid.axis_coords
     i0 = res // 2  # index of coordinate 0
-
-    if d == 1:
-        shift1 = shift_permutation(shell, np.array([1]))
-        unshift1 = shift_permutation(shell, np.array([-1]))
-        phi, kappa = _transport_axis(
-            lambda i: _band_vector(bands, i, k),
-            res,
-            i0,
-            coords,
-            neg,
-            shift1,
-            unshift1,
-        )
-        vectors = np.stack(phi)
-        return BlochSection(
-            grid=grid,
-            shell=shell,
-            band_index=k,
-            vectors=vectors,
-            phase_log={"kappa": float(kappa)},
-        )
-
-    # d == 2: build the axis (t1, 0) first, then sweep each column in t2.
-    shift1 = shift_permutation(shell, np.array([1, 0]))
-    unshift1 = shift_permutation(shell, np.array([-1, 0]))
-    shift2 = shift_permutation(shell, np.array([0, 1]))
-    unshift2 = shift_permutation(shell, np.array([0, -1]))
-
-    def flat(i1, i2):
-        return i1 * res + i2
-
-    base, kappa1 = _transport_axis(
-        lambda i1: _band_vector(bands, flat(i1, i0), k),
-        res,
-        i0,
-        coords,
-        neg,
-        shift1,
-        unshift1,
-    )
-
-    psi = np.zeros((res, res, shell.size), dtype=complex)
-    psi_half = np.zeros((res, shell.size), dtype=complex)
-    for i1 in range(res):
-        psi[i1, i0] = base[i1]
-        for i2 in range(i0 + 1, res):
-            psi[i1, i2] = _project_step(
-                _band_vector(bands, flat(i1, i2), k), psi[i1, i2 - 1]
-            )
-        # virtual value at t2 = +1/2 from the equivariant image of the
-        # eigenvector at t2 = -1/2
-        edge_vec = apply_permutation(_band_vector(bands, flat(i1, 0), k), shift2)
-        psi_half[i1] = _project_step(edge_vec, psi[i1, res - 1])
-
-    # holonomy angle kappa'(t1) from the conjugated edge value
-    kappa_prime = np.zeros(res)
-    for i1 in range(res):
-        if i1 == 0:
-            mirror_half = apply_permutation(psi_half[0], shift1)
-        else:
-            mirror_half = psi_half[2 * i0 - i1]
-        psi_bottom = conj_reflect(mirror_half, neg)  # psi~(t1, -1/2)
-        val = np.vdot(psi_half[i1], apply_permutation(psi_bottom, shift2))
-        kappa_prime[i1] = np.angle(val)
-
-    # the angles are defined mod 2*pi; align branches across columns so the
-    # phase correction exp(i kappa'(t1) t2) is continuous in t1
-    def _wrap(x):
-        return (x + np.pi) % (2.0 * np.pi) - np.pi
-
-    for i1 in range(i0 + 1, res):
-        kappa_prime[i1] = kappa_prime[i1 - 1] + _wrap(
-            kappa_prime[i1] - kappa_prime[i1 - 1]
-        )
-    for i1 in range(i0 - 1, -1, -1):
-        kappa_prime[i1] = kappa_prime[i1 + 1] + _wrap(
-            kappa_prime[i1] - kappa_prime[i1 + 1]
-        )
-
-    vectors = np.zeros((res * res, shell.size), dtype=complex)
-    for i1 in range(res):
-        for i2 in range(i0, res):
-            vectors[flat(i1, i2)] = (
-                np.exp(1j * kappa_prime[i1] * coords[i2]) * psi[i1, i2]
-            )
-    phi_half = np.exp(1j * kappa_prime * 0.5)[:, None] * psi_half
-    for i1 in range(res):
-        # t2 = -1/2 row via equivariance
-        vectors[flat(i1, 0)] = apply_permutation(phi_half[i1], unshift2)
-        for i2 in range(1, i0):
-            if i1 == 0:
-                src = apply_permutation(vectors[flat(0, 2 * i0 - i2)], shift1)
-            else:
-                src = vectors[flat(2 * i0 - i1, 2 * i0 - i2)]
-            vectors[flat(i1, i2)] = conj_reflect(src, neg)
-
-    return BlochSection(
-        grid=grid,
-        shell=shell,
-        band_index=k,
-        vectors=vectors,
-        phase_log={
-            "kappa": float(kappa1),
-            "kappa_prime": kappa_prime.tolist(),
-        },
-    )
+    # a view of the band's vectors, (res,) * d + (M,)
+    lines = bands.vectors[:, :, band_index].reshape((res,) * d + (-1,))
+    neg = negation_permutation(shell)
+    # the conjugation-fixed seed exp(i f / 2) v, with <v, C v> = exp(i f)
+    v = lines[(i0,) * d]
+    seed = np.exp(0.5j * np.angle(np.vdot(v, conj_reflect(v, neg)))) * v
+    e = np.eye(d, dtype=int)
+    axis = lines[(slice(None),) + (i0,) * (d - 1)]
+    vectors, kappa = _sweep(axis[None], seed[None], grid.axis_coords, shell,
+                            e[0], lambda x: x)
+    log = {"kappa": float(kappa[0])}
+    if d == 2:
+        shift1 = shift_permutation(shell, e[0])
+        vectors, kappa_prime = _sweep(
+            lines, vectors[0], grid.axis_coords, shell, e[1],
+            lambda x: np.concatenate([apply_permutation(x[:1], shift1),
+                                      x[:0:-1]]))
+        log["kappa_prime"] = kappa_prime.tolist()
+    return BlochSection(grid=grid, shell=shell, band_index=band_index,
+                        vectors=vectors.reshape(res**d, -1), phase_log=log)
 
 
-def _transport_axis(vec_at, res, i0, coords, neg, shift1, unshift1):
-    """One-dimensional sweep: seed at 0, transport up, correct holonomy."""
-    psi = [None] * res
-    seed = _symmetrize_seed(vec_at(i0), neg)
-    psi[i0] = seed
-    for i in range(i0 + 1, res):
-        psi[i] = _project_step(vec_at(i), psi[i - 1])
-    # virtual psi(+1/2): equivariant image of the eigenvector at -1/2
-    edge_vec = apply_permutation(vec_at(0), shift1)
-    psi_half = _project_step(edge_vec, psi[res - 1])
-    psi_minus_half = conj_reflect(psi_half, neg)
-    hol = np.vdot(psi_half, apply_permutation(psi_minus_half, shift1))
-    kappa = np.angle(hol)
+def _sweep(lines, seeds, coords, shell, n, reflect):
+    """Transport the lines (C, res, M) from their seeds (C, M) at t = 0.
 
-    phi = [None] * res
-    for i in range(i0, res):
-        phi[i] = np.exp(1j * kappa * coords[i]) * psi[i]
-    phi_half = np.exp(1j * kappa * 0.5) * psi_half
-    phi[0] = apply_permutation(phi_half, unshift1)  # t = -1/2 by equivariance
-    for i in range(1, i0):
-        phi[i] = conj_reflect(phi[2 * i0 - i], neg)
-    return phi, kappa
+    Returns the section on the lines, (C, res, M), and the holonomy angle of
+    each line, aligned from the middle line outward.  reflect maps an array
+    (C, ..., M) of values on the lines to the values on their mirrors.
+    """
+    res = lines.shape[1]
+    i0 = res // 2
+    neg = negation_permutation(shell)
+    shift = shift_permutation(shell, n)
+    out = np.empty(lines.shape, dtype=complex)
+    half = np.empty_like(seeds, dtype=complex)  # the value at t = +1/2
+    out[:, i0] = seeds
+    edge = apply_permutation(lines[:, 0], shift)  # S_n v(-1/2), at +1/2
+    for i in range(i0 + 1, res + 1):
+        target, step = (lines[:, i], out[:, i]) if i < res else (edge, half)
+        amp = np.vecdot(target, out[:, i - 1])
+        low = np.abs(amp).min()
+        if low < 0.5:
+            raise TransportStepError(
+                f"projection norm {low:.3f} < 1/2; refine the momentum grid")
+        np.multiply(target, amp[:, None], out=step)
+        step /= np.sqrt(np.vecdot(step, step).real)[:, None]
+    # C of the mirror's +1/2 value is the line's value at -1/2
+    bottom = apply_permutation(np.conj(reflect(half)[..., neg]), shift)
+    kappa = np.angle(np.vecdot(half, bottom))
+    mid = kappa.size // 2
+    kappa[mid:] = np.unwrap(kappa[mid:])
+    kappa[mid::-1] = np.unwrap(kappa[mid::-1])
+    out[:, i0:] *= np.exp(1j * kappa[:, None] * coords[i0:])[..., None]
+    out[:, 0] = apply_permutation(np.exp(0.5j * kappa)[:, None] * half,
+                                  shift_permutation(shell, -n))
+    # t = -i / res takes C of the mirror line's value at +i / res
+    np.conj(reflect(out[:, :i0:-1])[..., neg], out=out[:, 1:i0])
+    return out, kappa

@@ -397,6 +397,8 @@ COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
     ("direct", D2_CONFIG, "points_per_cell", 8),
     ("direct", dict(BASE_CONFIG, mode="zero_field_bloch"), "k_resolution", 1),
     ("direct", dict(D2_CONFIG, mode="box", flux="0"), "box_size", "big"),
+    ("direct", dict(D2_CONFIG, mode="box", flux="0", box_points=32),
+     "box_size", 0),
     ("direct", dict(D2_CONFIG, mode="box", flux="0"), "box_points", -16),
     ("compare", COMPARE_CONFIG, "direct_k_resolution", "x"),
     ("compare", COMPARE_CONFIG, "k_resolution", 2.5),
@@ -404,7 +406,7 @@ COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
         "window_nan", "effective_box_size_zero", "lambda_points_text",
         "scan_k_resolution_zero", "samples_text", "points_per_cell_fraction",
         "points_per_cell_too_coarse", "zero_field_k_resolution_one",
-        "direct_box_size_text", "box_points_negative",
+        "direct_box_size_text", "direct_box_size_zero", "box_points_negative",
         "direct_k_resolution_text", "compare_k_resolution_fraction"])
 def test_malformed_top_level_key_is_config_error(command, base, key, value,
                                                  tmp_path, capsys):

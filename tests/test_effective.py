@@ -11,6 +11,7 @@ from peierls.effective import (
     HoppingSet,
     InconsistentSymbolError,
     IrrationalFluxError,
+    _bloch_fibers,
     assemble_effective,
     bloch_eigenvalue_cloud,
     effective_spectrum,
@@ -24,6 +25,9 @@ from peierls.effective import (
 )
 from peierls.lattice import bz_grid, dual_shell
 from peierls.spectra import hausdorff_distance
+
+FLUXES = st.integers(1, 16).flatmap(
+    lambda q: st.integers(-q, q).map(lambda p: Fraction(p, q)))
 
 
 def test_fourier_hoppings_round_trip(mathieu_bands):
@@ -64,9 +68,8 @@ def test_box_size_guard(nn_hoppings):
 
 
 def test_zero_flux_bloch_matrix_is_symbol(nn_hoppings):
-    op = assemble_effective(nn_hoppings, "magnetic_bloch", Fraction(0))
     k = np.array([0.7, -1.2])
-    val = op.bloch_matrix(k)[0, 0]
+    val = _bloch_fibers(nn_hoppings, Fraction(0), k)[0][0, 0]
     assert abs(val - (-2 * np.cos(0.7) - 2 * np.cos(1.2))) < 1e-12
 
 
@@ -91,10 +94,13 @@ def test_box_and_bloch_spectra_agree_at_zero_flux(nn_hoppings):
     assert not flagged and d < 0.3
 
 
-def test_constant_gauge_shift_preserves_box_spectrum(nn_hoppings, lat2):
-    shifted = gauge_shifted_hoppings(nn_hoppings, [0.3, -0.8], lat2)
-    a = assemble_effective(nn_hoppings, "box", Fraction(1, 3), box_size=6)
-    b = assemble_effective(shifted, "box", Fraction(1, 3), box_size=6)
+@settings(max_examples=30, deadline=None)
+@given(flux=FLUXES, shift=st.tuples(*[st.floats(-np.pi, np.pi)] * 2))
+def test_constant_gauge_shift_preserves_box_spectrum(flux, shift, nn_hoppings,
+                                                     lat2):
+    shifted = gauge_shifted_hoppings(nn_hoppings, shift, lat2)
+    a = assemble_effective(nn_hoppings, "box", flux, box_size=6)
+    b = assemble_effective(shifted, "box", flux, box_size=6)
     va = np.sort(np.linalg.eigvalsh(a.box_matrix))
     vb = np.sort(np.linalg.eigvalsh(b.box_matrix))
     assert np.max(np.abs(va - vb)) < 1e-9
@@ -136,7 +142,7 @@ def _hermitian_hoppings(seed: int, n: int = 2, radius: int = 2) -> HoppingSet:
 
 
 def _reference_fiber(hops: HoppingSet, flux: Fraction, k) -> np.ndarray:
-    """The fiber formula of the _bloch_matrix docstring, entry by entry."""
+    """The fiber formula of the _bloch_fibers docstring, entry by entry."""
     q, n = flux.denominator, hops.n
     phi = 2.0 * np.pi * float(flux)
     H = np.zeros((q * n, q * n), dtype=complex)
@@ -149,10 +155,6 @@ def _reference_fiber(hops: HoppingSet, flux: Fraction, k) -> np.ndarray:
                    + k[1] * nn - 0.5 * phi * sp * nn)
             H[s * n:(s + 1) * n, sp * n:(sp + 1) * n] += blk * np.exp(1j * arg)
     return H
-
-
-FLUXES = st.integers(1, 16).flatmap(
-    lambda q: st.integers(-q, q).map(lambda p: Fraction(p, q)))
 
 
 @settings(max_examples=30, deadline=None)
