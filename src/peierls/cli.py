@@ -253,16 +253,17 @@ def cmd_section(cfg, num, out: Path) -> dict:
     bands = _bands(lattice, sym, num, keep_vectors=True)
     _require_simple_band(bands, num)
     sec = section.transport_section(bands, num["band_index"])
+    # each vector against its own fiber H(xi) v = V_hat v + kinetic(xi + g) v,
+    # 32 points at a time to bound the temporaries
     assemble = bloch.FiberAssembler(sym, bands.shell)
+    vecs, lam = sec.vectors, bands.bands[:, num["band_index"], None]
     points = bands.grid.points()
-    rows = []
-    for i, frac in enumerate(bands.grid.coords()):
-        v = sec.vectors[i]
-        H = assemble(points[i])
-        lam = bands.bands[i, num["band_index"]]
-        resid = float(np.linalg.norm(H @ v - lam * v))
-        rows.append(list(frac) + [np.linalg.norm(v), resid,
-                                  v[0].real, v[0].imag])
+    chunks = [slice(i, i + 32) for i in range(0, len(vecs), 32)]
+    resid = np.concatenate([np.linalg.norm(
+        assemble.apply(points[s], vecs[s]) - lam[s] * vecs[s], axis=1)
+        for s in chunks])
+    rows = [list(frac) + [np.linalg.norm(v), r, v[0].real, v[0].imag]
+            for frac, v, r in zip(bands.grid.coords(), vecs, resid)]
     dim = lattice.dim
     header = [f"frac{ax + 1}" for ax in range(dim)] + [
         "norm", "residual", "c0_re", "c0_im"]
@@ -431,7 +432,7 @@ def cmd_direct(cfg, num, out: Path) -> dict:
     return {
         "mode": mode,
         "count": int(spec_set.points.size),
-        "direct_fibers": direct.distinct_fibers(disc, k_res),
+        "direct_fibers": direct.distinct_fibers(disc, k_res, num["cutoff"]),
         "intervals": spec_set.merged_intervals.tolist(),
     }
 

@@ -51,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bloch import compute_bands
+from .bloch import compute_bands, point_group
 from .lattice import (GridTooLargeError, Lattice, bz_grid, dual_shell,
                       tensor_grid)
 from .magnetic import (MagneticField, VectorPotential, hermitian_sqrt,
@@ -338,13 +338,15 @@ def _fiber_classes(disc: DirectDiscretization, k_resolution: int):
     return 2.0 * np.pi * reps / k_resolution, classes.ravel()
 
 
-def distinct_fibers(disc: DirectDiscretization, k_resolution: int) -> int:
+def distinct_fibers(disc: DirectDiscretization, k_resolution: int,
+                    shell_radius: float = 6.0) -> int:
     """Matrices direct_spectrum diagonalizes at this k_resolution."""
     if disc.mode == "box":
         return 1
     if disc.mode == "zero_field_bloch":
-        grid = bz_grid(disc.symbol.lattice, k_resolution)
-        return int(np.count_nonzero(grid.mirror_sources() < 0))
+        lat = disc.symbol.lattice
+        maps = point_group(disc.symbol, dual_shell(lat, shell_radius))[0]
+        return np.unique(bz_grid(lat, k_resolution).orbits(maps)[0]).size
     return len(_fiber_classes(disc, k_resolution)[0])
 
 
@@ -363,7 +365,8 @@ def direct_spectrum(
     _fiber_classes (r * r / gcd(r, q) fibers in d=2 for r = k_resolution)
     and counting its eigenvalues once for every point of the class, so
     the cloud keeps the size of the full grid; zero_field_bloch reuses the
-    plane-wave band solver, which solves one point of each pair {k, -k};
+    plane-wave band solver, which solves one point of each orbit of the
+    symbol's point group and time reversal;
     box mode takes the Dirichlet matrix as is.
     """
     if disc.mode == "zero_field_bloch":

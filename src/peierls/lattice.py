@@ -2,7 +2,9 @@
 
 The dual basis satisfies <e*_j, e_k> = 2*pi*delta_jk, so the fundamental
 dual cell has volume (2*pi)^d / |E|.  The dual cell is centered: fractional
-coordinates live in [-1/2, 1/2).
+coordinates live in [-1/2, 1/2).  A point group acts on fractional momenta
+and dual coefficients alike, as integer maps f -> f M: BZGrid.orbits folds
+the grid by it, and DualShell.permutation permutes the shell.
 """
 
 from __future__ import annotations
@@ -100,22 +102,21 @@ class BZGrid:
             idx = idx * self.resolution + half
         return idx
 
-    def mirror_sources(self) -> np.ndarray:
-        """For every point, the flat index of the earlier point at -xi, or -1.
+    def orbits(self, maps) -> tuple[np.ndarray, np.ndarray]:
+        """Orbits of the grid under a group of integer maps f -> f M.
 
-        Axis index j >= 1 (coordinate -1/2 + j/r) mirrors to r - j.  The
-        index j = 0, the -1/2 edge, mirrors to +1/2, which the half-open
-        grid leaves out.  So -1 marks the points that have no mirror on the
-        grid, xi = 0 (its own mirror) and the earlier point of each pair in
-        C order: one point of each pair {xi, -xi}.
+        Returns source, the lowest flat index in each point's orbit, and
+        element, the first map with point == source @ M.  Images are taken
+        on the doubled integer coordinates 2j - r; one outside the half-open
+        cell (the -1/2 edge under -I) is not used, so no shift enters.
         """
-        res = self.resolution
-        shape = (res,) * self.dim
-        j = tensor_grid([np.arange(res)] * self.dim)
-        mirror = np.ravel_multi_index(tuple(((res - j) % res).T), shape)
-        later = mirror >= np.arange(mirror.size)
-        mirror[np.any(j == 0, axis=1) | later] = -1
-        return mirror
+        res, d = self.resolution, self.dim
+        twice = 2 * np.indices((res,) * d).reshape(d, -1).T - res
+        img = twice @ np.asarray(maps, dtype=int) + res  # 2j' per map, point
+        inside = np.all((img >= 0) & (img < 2 * res) & (img % 2 == 0), -1)
+        flat = np.where(inside, img // 2 @ res ** np.arange(d)[::-1], res**d)
+        source = flat.min(axis=0)
+        return source, np.argmax(flat[:, source] == np.arange(res**d), axis=0)
 
 
 def bz_grid(lattice: Lattice, resolution: int) -> BZGrid:
@@ -161,6 +162,7 @@ class DualShell:
         table[np.flatnonzero(keep)[order]] = np.arange(order.size)
         object.__setattr__(self, "_box", nmax)
         object.__setattr__(self, "_table", table.reshape(tuple(2 * nmax + 1)))
+        object.__setattr__(self, "_perms", {})
 
     @property
     def size(self) -> int:
@@ -179,6 +181,17 @@ class DualShell:
         out = np.full(box.shape[:-1], -1)
         out[inside] = self._table[tuple(box[inside].T)]
         return out
+
+    def permutation(self, matrix, shift=0) -> np.ndarray:
+        """perm with members[perm[i]] == members[i] @ matrix + shift, or -1;
+        matrix may be a stack (n, d, d).  Built once per shell, read-only."""
+        matrix, shift = np.asarray(matrix, int), np.asarray(shift, int)
+        key = (matrix.shape, matrix.tobytes(), shift.tobytes())
+        if key not in self._perms:
+            perm = self.index_of(self.members @ matrix + shift)
+            perm.flags.writeable = False
+            self._perms[key] = perm
+        return self._perms[key]
 
 
 def dual_shell(lattice: Lattice, cutoff: float) -> DualShell:

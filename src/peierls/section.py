@@ -43,7 +43,7 @@ class TransportStepError(RuntimeError):
 
 def shift_permutation(shell: DualShell, n) -> np.ndarray:
     """perm with result[i] = source index of member[i] + n, or -1 if outside."""
-    return shell.index_of(shell.members + np.asarray(n, dtype=int))
+    return shell.permutation(np.eye(shell.lattice.dim, dtype=int), n)
 
 
 def apply_permutation(vec: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -11,9 +11,10 @@ from peierls.bloch import (
     assemble_fiber_matrix,
     band_intervals,
     compute_bands,
+    point_group,
 )
 from peierls.direct import assemble_direct, distinct_fibers
-from peierls.lattice import GridTooLargeError, bz_grid, dual_shell
+from peierls.lattice import GridTooLargeError, Lattice, bz_grid, dual_shell
 from peierls.symbols import (
     Nonrelativistic,
     PeriodicPotential,
@@ -185,8 +186,12 @@ def test_folded_bands_match_every_point_solved(lat1, lat2, kind, dim, shift,
     symbol = PeriodicSymbol(kind(), _lopsided_potential(lat, shift))
     assert (FiberAssembler(symbol, dual_shell(lat, 1.0)).dtype
             == (np.float64 if shift == 0.0 else np.complex128))
-    grid = bz_grid(lat, res)
-    shell = dual_shell(lat, 5.0 if dim == 1 else 3.0)
+    _check_folded_bands(symbol, bz_grid(lat, res),
+                        dual_shell(lat, 5.0 if dim == 1 else 3.0))
+
+
+def _check_folded_bands(symbol, grid, shell):
+    """Every folded point matches its own fiber solved on its own."""
     bands = compute_bands(symbol, grid, shell, 3, keep_vectors=True)
     plain = _plain_bands(symbol, grid, shell, 3)
     assert np.max(np.abs(bands.bands - plain)) < 1e-12
@@ -203,7 +208,16 @@ def test_fold_solves_one_point_per_pair(lat1, lat2, monkeypatch, dim, res,
     lat = lat1 if dim == 1 else lat2
     symbol = PeriodicSymbol(Nonrelativistic(), _lopsided_potential(lat, 0.7))
     grid = bz_grid(lat, res)
-    assert np.count_nonzero(grid.mirror_sources() < 0) == solved
+    shell = dual_shell(lat, 2.0)
+    maps = point_group(symbol, shell)[0]
+    assert np.unique(grid.orbits(maps)[0]).size == solved
+    assert len(_counted_solves(monkeypatch, symbol, grid, shell)) == solved
+    disc = assemble_direct(symbol, None, "zero_field_bloch")
+    assert distinct_fibers(disc, res) == solved
+
+
+def _counted_solves(monkeypatch, symbol, grid, shell):
+    """The eigh calls of one compute_bands."""
     calls = []
     eigh = scipy.linalg.eigh
 
@@ -212,10 +226,70 @@ def test_fold_solves_one_point_per_pair(lat1, lat2, monkeypatch, dim, res,
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(bloch.scipy.linalg, "eigh", counting)
-    compute_bands(symbol, grid, dual_shell(lat, 2.0), 2)
-    assert len(calls) == solved
-    disc = assemble_direct(symbol, None, "zero_field_bloch")
-    assert distinct_fibers(disc, res) == solved
+    compute_bands(symbol, grid, shell, 2)
+    return calls
+
+
+def test_group_fold_solves_one_point_per_orbit(separable, lat2, monkeypatch):
+    grid = bz_grid(lat2, 16)
+    assert len(_counted_solves(monkeypatch, separable, grid,
+                               dual_shell(lat2, 6.0))) == 45
+    disc = assemble_direct(separable, None, "zero_field_bloch")
+    assert distinct_fibers(disc, 16) == 45
+
+
+def _group_case(name):
+    """(lattice, potential, group order, solves on a 12^2 grid or None)."""
+    if name == "hexagonal":
+        lat = Lattice(2.0 * np.pi * np.array([[1.0, 0.0],
+                                              [0.5, np.sqrt(3.0) / 2.0]]))
+        keys = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+        return lat, PeriodicPotential(lat, dict.fromkeys(keys, 0.3)), 12, None
+    if name == "rectangular":
+        # equal amplitudes, but the swap of the axes is not orthogonal
+        lat = Lattice(np.diag([2.0 * np.pi, 3.0 * np.pi]))
+        return lat, separable_cosine_2d(lat, 0.4), 4, 49
+    lat = Lattice(2.0 * np.pi * np.eye(2))
+    if name == "square":
+        return lat, separable_cosine_2d(lat, 0.5), 8, 28
+    # complex V_hat whose only symmetry besides reality swaps the axes
+    a = 0.4 * np.exp(0.6j)
+    coeffs = {(1, 0): a, (0, 1): a, (-1, 0): np.conj(a), (0, -1): np.conj(a)}
+    return lat, PeriodicPotential(lat, coeffs), 4, None
+
+
+GROUP_CASES = [(name, kind, res)
+               for name in ("square", "hexagonal", "rectangular", "swap")
+               for kind in (Nonrelativistic, Relativistic)
+               for res in (12, 7)]
+
+
+@pytest.mark.parametrize("name, kind, res", GROUP_CASES)
+def test_group_fold_matches_every_point_solved(name, kind, res):
+    lat, potential, order, solves = _group_case(name)
+    symbol = PeriodicSymbol(kind(), potential)
+    grid = bz_grid(lat, res)
+    shell = dual_shell(lat, 3.0)
+    maps = point_group(symbol, shell)[0]
+    assert len(maps) == order
+    # on the shortest dual vectors only orthogonality rejects the swap
+    assert len(point_group(symbol, dual_shell(lat, 1.2))[0]) == order
+    if solves is not None and res == 12:
+        assert np.unique(grid.orbits(maps)[0]).size == solves
+    _check_folded_bands(symbol, grid, shell)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.7])
+def test_apply_matches_the_assembled_fibers(lat2, shift):
+    symbol = PeriodicSymbol(Relativistic(), _lopsided_potential(lat2, shift))
+    shell = dual_shell(lat2, 3.0)
+    assemble = FiberAssembler(symbol, shell)
+    rng = np.random.default_rng(3)
+    xi = rng.normal(size=(5, 2))
+    vecs = rng.normal(size=(5, shell.size)) + 1j * rng.normal(
+        size=(5, shell.size))
+    expected = np.stack([assemble(x) @ v for x, v in zip(xi, vecs)])
+    assert np.max(np.abs(assemble.apply(xi, vecs) - expected)) < 1e-12
 
 
 def test_band_grid_size_is_bounded(separable, lat2, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from peierls.bloch import point_group
 from peierls.lattice import (
     BZGrid,
     DegenerateLatticeError,
@@ -8,7 +9,9 @@ from peierls.lattice import (
     bz_grid,
     dual_basis,
     dual_shell,
+    tensor_grid,
 )
+from peierls.symbols import Nonrelativistic, PeriodicPotential, PeriodicSymbol
 
 
 def test_dual_basis_pairing():
@@ -28,12 +31,35 @@ def test_dual_basis_rejects_non_finite(bad):
         dual_basis(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
+def _time_reversal_maps(lat):
+    """The fold maps of a symbol whose only symmetry is time reversal."""
+    keys = [(1,), (2,)] if lat.dim == 1 else [(1, 0), (1, 1)]
+    coeffs = {}
+    for key, val in zip(keys, (0.4 * np.exp(0.7j), 0.2 * np.exp(1.4j))):
+        coeffs[key] = val
+        coeffs[tuple(-k for k in key)] = np.conj(val)
+    symbol = PeriodicSymbol(Nonrelativistic(), PeriodicPotential(lat, coeffs))
+    return point_group(symbol, dual_shell(lat, 3.0))[0]
+
+
 @pytest.mark.parametrize("dim, res", [(1, 8), (1, 9), (2, 6), (2, 7)])
 def test_mirror_sources_pair_each_point_with_its_negative(lat1, lat2, dim,
                                                            res):
-    grid = bz_grid(lat1 if dim == 1 else lat2, res)
+    lat = lat1 if dim == 1 else lat2
+    maps = _time_reversal_maps(lat)
+    assert sorted(map(tuple, maps.reshape(2, -1))) == [
+        tuple(-np.eye(dim, dtype=int).ravel()),
+        tuple(np.eye(dim, dtype=int).ravel())]
+    grid = bz_grid(lat, res)
     frac = grid.coords()
-    source = grid.mirror_sources()
+    orbit = grid.orbits(maps)[0]
+    source = np.where(orbit == np.arange(orbit.size), -1, orbit)
+    # the mirror sources of the time-reversal fold: j >= 1 mirrors to r - j,
+    # and the -1/2 edge, xi = 0 and the earlier point of each pair are solved
+    j = tensor_grid([np.arange(res)] * dim)
+    mirror = np.ravel_multi_index(tuple(((res - j) % res).T), (res,) * dim)
+    mirror[np.any(j == 0, axis=1) | (mirror >= np.arange(mirror.size))] = -1
+    assert np.array_equal(source, mirror)
     for i, point in enumerate(frac):
         mirrored = np.flatnonzero(np.all(np.isclose(frac, -point), axis=1))
         # a copied point mirrors an earlier solved one

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from peierls.bloch import BandStructure, assemble_fiber_matrix, compute_bands
-from peierls.lattice import bz_grid, dual_shell
+from peierls.lattice import DualShell, bz_grid, dual_shell
 from peierls.section import (
     TransportStepError,
     apply_permutation,
@@ -31,6 +31,24 @@ def test_permutation_algebra(lat1):
     lhs = conj_reflect(apply_permutation(v, s1), neg)
     rhs = apply_permutation(conj_reflect(v, neg), sm1)
     assert np.allclose(lhs, rhs, atol=1e-14)
+
+
+def test_transport_builds_its_permutations_once_per_shell(separable, lat2,
+                                                          monkeypatch):
+    bands = compute_bands(separable, bz_grid(lat2, 8), dual_shell(lat2, 4.0),
+                          1, keep_vectors=True)
+    first = transport_section(bands, 0)
+    calls = []
+    index_of = DualShell.index_of
+
+    def counting(self, coeffs):
+        calls.append(1)
+        return index_of(self, coeffs)
+
+    monkeypatch.setattr(DualShell, "index_of", counting)
+    again = transport_section(bands, 0)
+    assert calls == []
+    assert np.array_equal(again.vectors, first.vectors)
 
 
 def test_transport_section_requires_vectors_and_even_grid(mathieu, lat1):
