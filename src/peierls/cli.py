@@ -545,7 +545,8 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         summary = COMMANDS[args.command](cfg, num, out)
-    except (ConfigError, GridTooLargeError, direct.GridTooCoarseError) as exc:
+    except (ConfigError, GridTooLargeError, direct.GridTooCoarseError,
+            direct.WindowTooWideError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -33,12 +33,15 @@ k + (0, 2 pi/q) are unitarily equivalent (Zak, Phys. Rev. 134, A1602
 momentum grid under that shift and uses its eigenvalues for every point
 of the class.
 
-Window eigenvalues of matrices above DENSE_MAX_UNKNOWNS unknowns come
-from shift-invert Lanczos at the window centre, with M - sigma factored
-once by SuperLU in a symmetric fill-reducing ordering and a coverage
-certificate: the farthest returned eigenvalue must lie outside the
-window, else the batch grows.  A window the certificate cannot cover
-raises WindowCoverageError.
+Window eigenvalues of matrices above DENSE_MAX_UNKNOWNS unknowns are
+counted before they are computed.  SuperLU factors M - lo and M - hi with
+diagonal pivots only, an LDL^H factorization, and by Sylvester's law of
+inertia the negative pivots count the eigenvalues below each edge; their
+difference is the exact number in the window.  One shift-invert Arnoldi
+run at lo then asks for exactly that many.  A window holding more than an
+eighth of the spectrum raises WindowTooWideError before any iteration;
+factors that are not LDL^H, or a run that misses part of the count, raise
+WindowCoverageError.
 """
 
 from __future__ import annotations
@@ -73,12 +76,14 @@ RELATIVISTIC_MAX_UNKNOWNS = 2048
 # (q = 128) 30 s, 0.37 GB, as the window's q eigenvalues grow the basis.
 MAX_UNKNOWNS = 2**15
 
-# Up to this size a dense eigvalsh is cheaper than the certified
-# shift-invert solve.  Both on d=2 stencils of the separable fixture with
-# the band-0 window (2 CPUs, OpenBLAS with 1 thread): 6.8 against 7.1 ms
-# at 196 unknowns, 9.9 against 7.0 ms at 225, 14 against 7.6 ms at 256,
-# 66 against 6.7 ms at 512 (a flux-1/2 fiber), 555 against 17 ms at 1,024.
-DENSE_MAX_UNKNOWNS = 200
+# Up to this size a dense eigvalsh is cheaper than the inertia-certified
+# shift-invert solve.  Dense against sparse with the band-0 window (2 CPUs,
+# OpenBLAS with 1 thread): on d=2 stencils of the separable fixture 3.2
+# against 4.1 ms at 144 unknowns, 4.1 against 3.3 ms at 169, 8.2 against
+# 5.0 ms at 196, 17 against 6.6 ms at 256, 74 against 7.3 ms at 512 (a
+# flux-1/2 fiber); on d=1 Mathieu boxes 2.1 against 2.6 ms at 128 and 2.1
+# against 1.7 ms at 144.
+DENSE_MAX_UNKNOWNS = 144
 
 
 class NonRectangularLatticeError(ValueError):
@@ -254,34 +259,72 @@ class WindowCoverageError(RuntimeError):
     """The eigensolver could not certify that it found the whole window."""
 
 
+class WindowTooWideError(ValueError):
+    """The window holds more eigenvalues than a sparse solve is for."""
+
+
 def _shift_factors(M: sp.spmatrix, sigma: float):
-    """SuperLU factors of M - sigma in a symmetric fill-reducing ordering.
+    """SuperLU factors of M - sigma with diagonal pivots only.
 
     M - sigma is Hermitian, so a minimum-degree ordering of its pattern
-    (MMD_AT_PLUS_A) with diagonal pivots preferred (SymmetricMode) keeps
-    the factors sparse: on the separable fixture's fibers the fill falls
-    from 48k to 31k entries at 1,024 unknowns and from 99k to 72k at
-    2,048, against the default column ordering.
+    (MMD_AT_PLUS_A) with diagonal pivots (SymmetricMode, threshold 0)
+    keeps the factors sparse: on the separable fixture's fibers L and U
+    hold 30k entries at 1,024 unknowns and 62k at 2,048, against 48k and
+    99k in the default column ordering.  A positive threshold pivots off
+    the diagonal for many shifts: 52% of 240 band-window shifts on those
+    fibers at 0.1 and 86% at 1.0, none at 0, where the inertia equalled
+    the dense count for all 240 (80 of them within 1e-8 of an eigenvalue).
     """
     shifted = (M - sigma * sp.identity(M.shape[0], format="csr")).tocsc()
     return spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                     options={"SymmetricMode": True})
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def _window_eigs(M: sp.spmatrix, window, n_eigs: int) -> np.ndarray:
+def _edge_factors(M: sp.spmatrix, edge: float, outward: float):
+    """Factors of M - s and the number of eigenvalues of M below s.
+
+    s is edge, or edge + outward when edge is an eigenvalue of M (then
+    M - edge is singular and SuperLU raises).  With every pivot on the
+    diagonal, P (M - s) P^T = L U with U = D L^H, so by Sylvester's law of
+    inertia M - s has as many negative eigenvalues as the real diagonal D
+    has negative entries.  Off-diagonal pivots, or a D that is not real,
+    break that reading and raise WindowCoverageError.
+
+    Returns (factors, s, count).
+    """
+    s = edge
+    try:
+        factors = _shift_factors(M, s)
+    except RuntimeError:
+        s = edge + outward
+        factors = _shift_factors(M, s)
+    pivots = factors.U.diagonal()
+    # the imaginary parts of D are roundoff: below 1e-9 of the largest
+    # pivot on the separable fixture's fibers, shifts on eigenvalues included
+    if (not np.array_equal(factors.perm_r, factors.perm_c)
+            or np.max(np.abs(pivots.imag)) > 1e-6 * np.max(np.abs(pivots))):
+        raise WindowCoverageError(
+            f"the factors of M - {s} are not an LDL^H factorization, so "
+            "they do not count the eigenvalues below the shift")
+    return factors, s, int(np.count_nonzero(pivots.real < 0))
+
+
+def _window_eigs(M: sp.spmatrix, window) -> np.ndarray:
     """Eigenvalues of the Hermitian matrix intersected with window.
 
     A matrix of up to DENSE_MAX_UNKNOWNS unknowns, or one stored dense
-    (the relativistic root, one BSR block), is diagonalized densely.
-    Larger sparse matrices use shift-invert Lanczos at the window centre
-    sigma, with M - sigma factored once (_shift_factors); it returns the
-    k eigenvalues nearest sigma.  Once the farthest of them lies beyond
-    the window radius max(hi - sigma, sigma - lo), every eigenvalue in the
-    window is among them; until then k doubles from n_eigs.
-    WindowCoverageError is raised when the certificate still fails at
-    k = size // 8: past that Lanczos costs more than a dense solve, and
-    the window holds far more than the few bands a reference solve
-    resolves.
+    (the relativistic root, one BSR block), is diagonalized densely.  A
+    larger sparse one is counted first: count = nu(hi) - nu(lo) of its
+    eigenvalues lie in [lo, hi), with nu the inertia count of
+    _edge_factors; an edge that is an eigenvalue moves outward by 1e-9 of
+    the window width.  They are the count largest eigenvalues of
+    (M - lo)^-1, which one shift-invert Arnoldi run computes from the
+    factors of M - lo.  A run that returns fewer than count of them in the
+    window raises WindowCoverageError.  More than size // 8 raise
+    WindowTooWideError before any iteration: such a window holds far more
+    than the few bands a reference solve resolves, and Arnoldi then costs
+    more than a dense solve (128 eigenvalues of a 1,024-unknown fiber of
+    the separable fixture: 0.69 s against 0.42 s).
     """
     lo, hi = window
     size = M.shape[0]
@@ -289,33 +332,30 @@ def _window_eigs(M: sp.spmatrix, window, n_eigs: int) -> np.ndarray:
         vals = np.linalg.eigvalsh(M.data[0] if M.format == "bsr"
                                   else M.toarray())
         return vals[(vals >= lo) & (vals <= hi)]
-    k_max = size // 8
-    k = min(n_eigs, k_max)
-    sigma = 0.5 * (lo + hi)
-    try:
-        factors = _shift_factors(M, sigma)
-    except RuntimeError:
-        # sigma is an eigenvalue, so M - sigma has no LU factors: move
-        # sigma once, staying inside the window
-        sigma = lo + 0.5 * (hi - lo) * (1.0 + 1.0 / np.pi)
-        factors = _shift_factors(M, sigma)
-    inverse = spla.LinearOperator(M.shape, matvec=factors.solve,
-                                  dtype=M.dtype)
+    nudge = 1e-9 * (hi - lo)
+    # one factorization alive at a time: the upper edge only counts
+    upper, hi_shift, below_hi = _edge_factors(M, hi, nudge)
+    del upper
+    lower, lo_shift, below_lo = _edge_factors(M, lo, -nudge)
+    count = below_hi - below_lo
+    if count > size // 8:
+        raise WindowTooWideError(
+            f"window [{lo}, {hi}] holds {count} of the {size} eigenvalues, "
+            f"more than the {size // 8} a sparse solve certifies; narrow "
+            "the window")
+    if count == 0:
+        return np.empty(0)
+    inverse = spla.LinearOperator(M.shape, matvec=lower.solve, dtype=M.dtype)
     # a fixed generic start vector makes reruns bit-identical
     v0 = np.random.default_rng(0).standard_normal(size) + 0j
-    while True:
-        vals = spla.eigsh(M, k=k, sigma=sigma, which="LM", v0=v0,
-                          OPinv=inverse, return_eigenvectors=False)
-        if np.max(np.abs(vals - sigma)) > max(hi - sigma, sigma - lo):
-            break
-        if k >= k_max:
-            raise WindowCoverageError(
-                f"window [{lo}, {hi}] holds at least {k} of the {size} "
-                "eigenvalues, more than the sparse eigensolver certifies; "
-                "narrow the window"
-            )
-        k = min(2 * k, k_max)
-    vals = np.sort(vals)
+    vals = np.sort(spla.eigsh(M, k=count, sigma=lo_shift, which="LA", v0=v0,
+                              OPinv=inverse, return_eigenvectors=False))
+    found = np.count_nonzero((vals >= lo_shift - nudge)
+                             & (vals <= hi_shift + nudge))
+    if found < count:
+        raise WindowCoverageError(
+            f"window [{lo}, {hi}] holds {count} eigenvalues, but the "
+            f"shift-invert solve returned {found} of them")
     return vals[(vals >= lo) & (vals <= hi)]
 
 
@@ -378,15 +418,11 @@ def direct_spectrum(
             points=bands.bands.ravel(), window=window, merge_tol=merge_tol
         )
     if disc.mode == "box":
-        vals = _window_eigs(disc.box_matrix(), window, n_eigs=64)
+        vals = _window_eigs(disc.box_matrix(), window)
         return SpectrumSet(points=vals, window=window, merge_tol=merge_tol)
 
     momenta, classes = _fiber_classes(disc, k_resolution)
-    # a simple band in the window splits into q subbands: room for their q
-    # eigenvalues per fiber and the ones beyond the window that certify it
-    n_eigs = max(8, 2 * disc.flux.denominator)
-    solved = [_window_eigs(disc.bloch_matrix(k), window, n_eigs=n_eigs)
-              for k in momenta]
+    solved = [_window_eigs(disc.bloch_matrix(k), window) for k in momenta]
     pts = (np.concatenate([solved[c] for c in classes]) if classes.size
            else np.empty(0))
     return SpectrumSet(points=pts, window=window, merge_tol=merge_tol)

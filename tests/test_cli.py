@@ -300,6 +300,16 @@ def test_relativistic_fd_size_limit_is_a_config_error(tmp_path, capsys,
     assert "config error" in err and "16384" in err
 
 
+def test_too_wide_direct_window_is_a_config_error(tmp_path, capsys):
+    # the window's eigenvalue count is known before any iteration
+    cfg = dict(D2_CONFIG, window=[-1, 20])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "window [-1.0, 20.0] holds" in err
+
+
 def test_direct_fibers_are_recorded(tmp_path):
     # k_resolution 2 at flux 1/4: k2 = 0 and pi are 2 pi/4 apart twice
     cfg = json.loads(json.dumps(D2_CONFIG))

@@ -13,6 +13,8 @@ from peierls.direct import (
     GridTooLargeError,
     NonRectangularLatticeError,
     WindowCoverageError,
+    WindowTooWideError,
+    _edge_factors,
     _window_eigs,
     assemble_direct,
     direct_spectrum,
@@ -106,6 +108,24 @@ def test_fd_fiber_hermitian_and_periodic_in_k2(separable, p, q, k1, k2):
     assert np.max(np.abs(lowest[0] - lowest[1])) < 1e-10
 
 
+@settings(max_examples=10, deadline=None)
+@given(k1=st.floats(-np.pi, np.pi), k2=st.floats(-np.pi, np.pi))
+def test_fd_fiber_window_is_even_in_k(separable, k1, k2):
+    # the separable potential is even in each coordinate, and the
+    # reflections k -> -k and k1 -> -k1 survive the field
+    flux = Fraction(1, 4)
+    disc = assemble_direct(separable, field_for_flux(flux, separable.lattice),
+                           "magnetic_bloch", flux=flux, points_per_cell=16)
+    window = (-0.83, -0.29)  # band 0 with margins in its gaps
+    base, negated, mirrored = (
+        _window_eigs(disc.bloch_matrix(np.array(k)), window)
+        for k in ([k1, k2], [-k1, -k2], [-k1, k2]))
+    assert base.size == flux.denominator  # q subbands
+    assert negated.shape == mirrored.shape == base.shape
+    assert np.max(np.abs(negated - base)) < 1e-10
+    assert np.max(np.abs(mirrored - base)) < 1e-10
+
+
 def test_fd_converges_second_order_d1(mathieu):
     # ground eigenvalue error at k = 0 shrinks ~4x per grid doubling
     ref = -0.37848922126213247  # dense plane-wave value
@@ -184,25 +204,90 @@ def test_window_eigs_covers_window_above_initial_batch(separable):
     M = disc.bloch_matrix(np.array([0.3, -0.7]))
     assert M.shape[0] > 600  # the sparse path
     dense = np.linalg.eigvalsh(M.toarray())
-    n_eigs = max(8, flux.denominator * 4)
-    # window edges mid-gap, above the lowest n_eigs eigenvalues and past
-    # the 2 * n_eigs that a grow-once batch from the bottom would reach
+    # window edges mid-gap, around the 21st to the 40th eigenvalue
     window = (0.5 * (dense[19] + dense[20]), 0.5 * (dense[39] + dense[40]))
-    got = _window_eigs(M, window, n_eigs=n_eigs)
+    got = _window_eigs(M, window)
     expected = dense[(dense >= window[0]) & (dense <= window[1])]
     assert expected.size == 20
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) < 1e-9
-    # a window holding more than an eighth of the spectrum is not certified
-    with pytest.raises(WindowCoverageError):
-        _window_eigs(M, (-1.0, 20.0), n_eigs=n_eigs)
+    # a window holding more than an eighth of the spectrum is refused
+    with pytest.raises(WindowTooWideError, match="window"):
+        _window_eigs(M, (-1.0, 20.0))
 
 
 def test_window_eigs_moves_shift_off_an_eigenvalue():
-    # the window centre 11 is an eigenvalue: M - 11 has no LU factors
+    # both edges of the second window are eigenvalues: M - 10 and M - 12
+    # have no LU factors, and the edges move outward
     M = sp.diags(np.arange(700.0) + 0j).tocsr()
-    got = _window_eigs(M, (9.5, 12.5), n_eigs=8)
-    assert np.allclose(got, [10.0, 11.0, 12.0], atol=1e-10)
+    for window in ((9.5, 12.5), (10.0, 12.0)):
+        got = _window_eigs(M, window)
+        assert np.allclose(got, [10.0, 11.0, 12.0], atol=1e-10)
+
+
+def test_window_eigs_refuses_off_diagonal_pivots():
+    # M - 0 has a zero diagonal, so SuperLU must pivot off it, and its
+    # factors no longer count the eigenvalues below the shift
+    M = sp.kron(sp.identity(150), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                format="csr").astype(complex)
+    with pytest.raises(WindowCoverageError, match="LDL"):
+        _window_eigs(M, (0.0, 2.0))
+
+
+def _check_window(M, dense, window):
+    """_window_eigs and the edge inertias against a dense solve.
+
+    An eigenvalue within 1e-9 of an edge may fall on either side of it in
+    floating point; every other one must be found, and counted, exactly.
+    """
+    lo, hi = window
+    got = _window_eigs(M, window)
+    assert np.all((got >= lo) & (got <= hi))
+    inner = dense[(dense > lo + 1e-9) & (dense < hi - 1e-9)]
+    outer = dense[(dense >= lo - 1e-9) & (dense <= hi + 1e-9)]
+    assert inner.size <= got.size <= outer.size
+    # each found value matches a dense eigenvalue, and none is missed
+    assert np.all(np.min(np.abs(got[:, None] - outer[None, :]), axis=1,
+                         initial=np.inf) < 1e-9)
+    assert np.all(np.min(np.abs(inner[:, None] - got[None, :]), axis=1,
+                         initial=np.inf) < 1e-9)
+    for edge in (lo, hi):
+        count = _edge_factors(M, edge, 1e-9)[2]
+        assert (np.count_nonzero(dense < edge - 1e-9) <= count
+                <= np.count_nonzero(dense < edge + 1e-9))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    p=st.integers(1, 8),
+    q=st.integers(1, 8),
+    k1=st.floats(-np.pi, np.pi),
+    k2=st.floats(-np.pi, np.pi),
+    data=st.data(),
+)
+def test_window_eigs_matches_dense_at_random_flux(separable, p, q, k1, k2,
+                                                  data):
+    flux = Fraction(p, q)
+    disc = assemble_direct(separable, field_for_flux(flux, separable.lattice),
+                           "magnetic_bloch", flux=flux, points_per_cell=16)
+    M = disc.bloch_matrix(np.array([k1, k2]))
+    assert M.shape[0] > 200  # the sparse path
+    dense = np.linalg.eigvalsh(M.toarray())
+    m = min(M.shape[0] // 8, 24)  # up to 24 of the size // 8 admitted
+    i = data.draw(st.integers(0, m - 2), label="i")
+    j = data.draw(st.integers(i + 1, m - 1), label="j")
+    # a random window below the middle of the gap above dense[m - 1]
+    bottom, top = dense[0] - 0.2, 0.5 * (dense[m - 1] + dense[m])
+    lo = bottom + data.draw(st.floats(0.0, 0.95), label="u") * (top - bottom)
+    hi = lo + data.draw(st.floats(0.01, 1.0), label="v") * (top - lo)
+    gap = dense[i + 1] - dense[i]
+    for window in [
+        (lo, hi),
+        (dense[i] + 0.25 * gap, dense[i] + 0.75 * gap),  # empty: in a gap
+        (dense[i], dense[j]),  # edges on eigenvalues
+        (dense[i] + 1e-7, dense[j] + 1e-7),  # lower edge just above one
+    ]:
+        _check_window(M, dense, window)
 
 
 @pytest.mark.parametrize("flux, r, kind, chi, window", [
@@ -222,10 +307,9 @@ def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
     sym = PeriodicSymbol(kind(), separable_cosine_2d(lat2, 0.5))
     disc = assemble_direct(sym, field_for_flux(flux, lat2), "magnetic_bloch",
                            flux=flux, points_per_cell=16, chi=chi)
-    n_eigs = max(8, 2 * flux.denominator)
     full = SpectrumSet(
         points=np.concatenate([
-            _window_eigs(disc.bloch_matrix(k), window, n_eigs=n_eigs)
+            _window_eigs(disc.bloch_matrix(k), window)
             for k in momentum_grid(2, r)]),
         window=window, merge_tol=1e-3)
 
