@@ -8,7 +8,11 @@ u = sum_{gamma*} c_{gamma*} exp(i<gamma*, y>):
 When every Fourier coefficient is real (for a real potential, one that is
 even about the origin, as in the cosine fixtures) H(xi) is real symmetric:
 FiberAssembler then builds float64 fibers, and compute_bands solves them with
-the real-symmetric LAPACK driver instead of the complex Hermitian one.
+LAPACK's real-symmetric MRRR routine ?syevr instead of the complex Hermitian
+?heevr (Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)).  It calls the
+routine itself, with one handle and one workspace query per call and the
+lower triangle, as eigh(subset_by_index=...) does: the bands and vectors
+equal eigh's bit for bit, without its per-call checks and copies.
 
 At zero field the fibers share the symbol's point group: the integer maps
 R of dual coefficients, c -> c R (|det R| = 1, entries in {-1, 0, 1}), whose
@@ -83,21 +87,24 @@ class FiberAssembler:
             self._block[rows, cols[rows]] += val.real if real else val
 
     def __call__(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float).reshape(-1)
         H = self._block.copy()
-        H[np.diag_indices_from(H)] += self.symbol.kinetic(
-            xi[None, :] + self._gammas)
+        H[np.diag_indices_from(H)] += self.diagonals(xi)[0]
         return H
+
+    def diagonals(self, xi) -> np.ndarray:
+        """kinetic(xi_i + gamma*) for the rows xi_i of xi (n, d): (n, M)."""
+        d = self._gammas.shape[1]
+        eta = np.asarray(xi, dtype=float).reshape(-1, 1, d) + self._gammas
+        return self.symbol.kinetic(eta.reshape(-1, d)).reshape(eta.shape[:2])
 
     def apply(self, xi, vecs) -> np.ndarray:
         """H(xi_i) v_i for the rows xi_i of xi (n, d) and v_i of vecs (n, M)."""
-        eta = np.asarray(xi, dtype=float).reshape(len(vecs), 1, -1) + self._gammas
-        kinetic = self.symbol.kinetic(eta.reshape(-1, eta.shape[-1]))
+        kinetic = self.diagonals(xi)
         # a real block takes two real products: the complex product of a
         # complex v with the real block raised a d=2 run's peak RSS by 0.5 MB
         hv = (vecs.real @ self._block.T + 1j * (vecs.imag @ self._block.T)
               if self.dtype == float else vecs @ self._block.T)
-        return hv + kinetic.reshape(vecs.shape) * vecs
+        return hv + kinetic * vecs
 
 
 # the integer maps with entries in {-1, 0, 1}; an orthogonal one has |det| = 1
@@ -171,6 +178,10 @@ def compute_bands(
     One point of each orbit of the point group is solved, the lowest in
     flat order (grid.orbits); the others get its eigenvalues and, with
     keep_vectors, its vectors mapped by one gather per group element.
+    The kinetic diagonals of the solved points are evaluated at once, and
+    each fiber is filled into one reused Fortran-ordered buffer that ?syevr
+    or ?heevr (range "I", lower triangle) overwrites.  A non-finite fiber
+    or a LAPACK failure raises EigensolverError naming its xi.
     """
     if n_bands > shell.size:
         raise ValueError("n_bands exceeds the plane-wave basis size")
@@ -181,30 +192,42 @@ def compute_bands(
             f"the band grid stores {entries} values and vector entries "
             f"({n_points} points, {n_bands} bands, basis size {shell.size}), "
             f"more than the limit {MAX_BAND_ENTRIES}")
+    assemble = FiberAssembler(symbol, shell)
+    # the MRRR routine and its workspace, which eigh(subset_by_index=...)
+    # would query again at every fiber
+    name = "syevr" if assemble.dtype == float else "heevr"
+    evr, query = scipy.linalg.get_lapack_funcs((name, name + "_lwork"),
+                                               dtype=assemble.dtype)
+    sizes = [int(size.real) for size in query(shell.size, lower=1)[:-1]]
+    work = dict(zip(("lwork", "liwork") if name == "syevr"
+                    else ("lwork", "lrwork", "liwork"), sizes))
     points = grid.points()
     maps, perms, conj = point_group(symbol, shell)
     source, element = grid.orbits(maps)
     copied = source != np.arange(n_points)
+    solved = np.flatnonzero(~copied)
+    diagonals = assemble.diagonals(points[solved])
+    finite = np.isfinite(diagonals).all(axis=1) & np.isfinite(
+        assemble._block).all()
+    if not finite.all():
+        raise EigensolverError(points[solved[np.argmin(finite)]],
+                               "non-finite fiber")
     bands = np.empty((n_points, n_bands))
     vectors = (np.empty((n_points, shell.size, n_bands), dtype=complex)
                if keep_vectors else None)
-    assemble = FiberAssembler(symbol, shell)
-    for i in np.flatnonzero(~copied):
-        # H is a fresh array, so eigh may overwrite it; a float64 H takes
-        # the real-symmetric LAPACK driver
-        H = assemble(points[i])
-        try:
-            if keep_vectors:
-                bands[i], vectors[i] = scipy.linalg.eigh(
-                    H, subset_by_index=[0, n_bands - 1], overwrite_a=True
-                )
-            else:
-                bands[i] = scipy.linalg.eigh(
-                    H, eigvals_only=True, subset_by_index=[0, n_bands - 1],
-                    overwrite_a=True,
-                )
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-            raise EigensolverError(points[i]) from exc
+    # one Fortran-ordered fiber, which LAPACK overwrites in place
+    H = np.empty_like(assemble._block, order="F")
+    diag = np.diag_indices(shell.size)
+    for i, kinetic in zip(solved, diagonals):
+        np.copyto(H, assemble._block)
+        H[diag] += kinetic
+        w, z, _, _, info = evr(H, compute_v=keep_vectors, range="I", il=1,
+                               iu=n_bands, lower=1, overwrite_a=1, **work)
+        if info != 0:
+            raise EigensolverError(points[i], f"LAPACK {name} info={info}")
+        bands[i] = w[:n_bands]
+        if keep_vectors:
+            vectors[i] = z
     bands = bands[source]
     for g in range(len(maps) if keep_vectors else 0):
         idx = np.flatnonzero(copied & (element == g))

@@ -216,16 +216,58 @@ def test_fold_solves_one_point_per_pair(lat1, lat2, monkeypatch, dim, res,
     assert distinct_fibers(disc, res) == solved
 
 
+def _identity_case(name, lat1, lat2):
+    """(symbol, grid, shell) of one fiber kind."""
+    if name == "separable":
+        return (PeriodicSymbol(Nonrelativistic(), separable_cosine_2d(lat2, 0.5)),
+                bz_grid(lat2, 8), dual_shell(lat2, 6.0))
+    if name == "mathieu":
+        return (PeriodicSymbol(Nonrelativistic(), cosine_potential(lat1, 0.5)),
+                bz_grid(lat1, 64), dual_shell(lat1, 8.0))
+    kind = Nonrelativistic if name == "lopsided" else Relativistic
+    return (PeriodicSymbol(kind(), _lopsided_potential(lat2, 0.7)),
+            bz_grid(lat2, 7), dual_shell(lat2, 4.0))
+
+
+@pytest.mark.parametrize("keep_vectors", [True, False])
+@pytest.mark.parametrize("name",
+                         ["separable", "mathieu", "lopsided", "relativistic"])
+def test_bands_equal_eigh_bit_for_bit(lat1, lat2, name, keep_vectors):
+    """The direct LAPACK call returns what eigh(subset_by_index) returns."""
+    symbol, grid, shell = _identity_case(name, lat1, lat2)
+    assemble = FiberAssembler(symbol, shell)
+    assert assemble.dtype == (np.complex128 if name in ("lopsided",
+                                                        "relativistic")
+                              else np.float64)
+    bands = compute_bands(symbol, grid, shell, 3, keep_vectors=keep_vectors)
+    source = grid.orbits(point_group(symbol, shell)[0])[0]
+    points = grid.points()
+    ref = {i: scipy.linalg.eigh(assemble(points[i]), subset_by_index=[0, 2])
+           for i in np.unique(source)}
+    assert (bands.bands == np.stack([ref[i][0] for i in source])).all()
+    if keep_vectors:
+        for i, (_, vecs) in ref.items():
+            assert (bands.vectors[i] == vecs).all()
+    else:
+        assert bands.vectors is None
+
+
 def _counted_solves(monkeypatch, symbol, grid, shell):
-    """The eigh calls of one compute_bands."""
+    """The LAPACK eigensolver calls of one compute_bands."""
     calls = []
-    eigh = scipy.linalg.eigh
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+    def counting_handles(*args, **kwargs):
+        evr, query = get_lapack_funcs(*args, **kwargs)
 
-    monkeypatch.setattr(bloch.scipy.linalg, "eigh", counting)
+        def counting(*solve_args, **solve_kwargs):
+            calls.append(1)
+            return evr(*solve_args, **solve_kwargs)
+
+        return counting, query
+
+    monkeypatch.setattr(bloch.scipy.linalg, "get_lapack_funcs",
+                        counting_handles)
     compute_bands(symbol, grid, shell, 2)
     return calls
 
@@ -294,9 +336,9 @@ def test_apply_matches_the_assembled_fibers(lat2, shift):
 
 def test_band_grid_size_is_bounded(separable, lat2, monkeypatch):
     def no_solve(*args, **kwargs):
-        raise AssertionError("eigh called on an oversized grid")
+        raise AssertionError("eigensolver fetched for an oversized grid")
 
-    monkeypatch.setattr(bloch.scipy.linalg, "eigh", no_solve)
+    monkeypatch.setattr(bloch.scipy.linalg, "get_lapack_funcs", no_solve)
     shell = dual_shell(lat2, 8.0)
     assert shell.size == 197
     # the largest band grid of the acceptance suite fits

@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from peierls import bloch, direct, effective
 from peierls.cli import main
+from peierls.lattice import bz_grid, dual_shell
+from peierls.symbols import PeriodicSymbol
 
 BASE_CONFIG = {
     "lattice": {"basis": [[6.283185307179586]]},
@@ -176,6 +179,28 @@ def test_numeric_error_exit_code(config_path, tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert _run("effective", str(path), tmp_path) == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+def test_non_finite_fiber_is_an_eigensolver_error(mathieu, lat1, config_path,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+    """A NaN kinetic diagonal at one grid point names that point."""
+    kinetic = PeriodicSymbol.kinetic
+    bad = -0.25  # a grid point of resolution 16 that is solved, not copied
+
+    def nan_at_one_point(self, eta):
+        values = kinetic(self, eta)
+        values[np.all(np.atleast_2d(eta) == bad, axis=1)] = np.nan
+        return values
+
+    monkeypatch.setattr(PeriodicSymbol, "kinetic", nan_at_one_point)
+    with pytest.raises(bloch.EigensolverError) as info:
+        bloch.compute_bands(mathieu, bz_grid(lat1, 16), dual_shell(lat1, 6.0),
+                            3)
+    assert info.value.xi.tolist() == [bad]
+    assert _run("bands", config_path, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "EigensolverError" in err and "xi=[-0.25]" in err
 
 
 def test_missing_config_is_config_error(tmp_path, capsys):

@@ -106,6 +106,25 @@ def test_constant_gauge_shift_preserves_box_spectrum(flux, shift, nn_hoppings,
     assert np.max(np.abs(va - vb)) < 1e-9
 
 
+@pytest.fixture(scope="module")
+def separable_band0_hoppings(separable_bands):
+    return fourier_hoppings(separable_bands.bands[:, 0], separable_bands.grid,
+                            radius=8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(flux=FLUXES, k=st.tuples(*[st.floats(-np.pi, np.pi)] * 2))
+def test_peierls_fiber_spectrum_is_even_in_k(flux, k,
+                                             separable_band0_hoppings):
+    """The even fixture's fiber has one spectrum at k, -k, (-k1, k2) and
+    (k1, -k2)."""
+    k1, k2 = k
+    kpts = [(k1, k2), (-k1, -k2), (-k1, k2), (k1, -k2)]
+    spectra = np.linalg.eigvalsh(
+        _bloch_fibers(separable_band0_hoppings, flux, kpts))
+    assert np.max(np.abs(spectra[1:] - spectra[0])) <= 1e-10
+
+
 def test_lambda_scan_margin_matches_band_distance(mathieu, lat1):
     grid = bz_grid(lat1, 64)
     shell = dual_shell(lat1, 8.0)
