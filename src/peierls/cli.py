@@ -50,9 +50,12 @@ def _write_json(path: Path, payload) -> None:
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"the config must be a JSON object, got {cfg!r}")
+    return cfg
 
 
 def _number(section: dict, name: str, key: str, default,
@@ -125,23 +128,24 @@ def build_field(cfg: dict):
 
 def build_symbol(cfg: dict, lattice: Lattice) -> symbols.PeriodicSymbol:
     sc = cfg.get("symbol")
-    if not sc:
-        raise ConfigError("missing 'symbol' section")
+    if not sc or not isinstance(sc, dict):
+        raise ConfigError(f"'symbol' must be a non-empty object, got {sc!r}")
     kind_name = sc.get("kind", "nonrelativistic")
     kind = {"nonrelativistic": symbols.Nonrelativistic,
             "relativistic": symbols.Relativistic}.get(kind_name)
     if kind is None:
         raise ConfigError(f"unknown symbol kind {kind_name!r}")
     pc = sc.get("potential", {"name": "zero"})
+    if not isinstance(pc, dict):
+        raise ConfigError(f"'symbol.potential' must be an object, got {pc!r}")
     name = pc.get("name", "zero")
     factory = symbols.POTENTIAL_CATALOG.get(name)
     if factory is None:
         raise ConfigError(f"unknown potential {name!r}")
+    amplitude = () if name == "zero" else (
+        _number(pc, "symbol.potential", "amplitude", 1.0),)
     try:
-        if name == "zero":
-            pot = factory(lattice)
-        else:
-            pot = factory(lattice, float(pc.get("amplitude", 1.0)))
+        pot = factory(lattice, *amplitude)
     except ValueError as exc:
         raise ConfigError(
             f"hypothesis H.3 violated: potential not admissible ({exc})"
@@ -280,7 +284,8 @@ def cmd_grushin(cfg, num, out: Path) -> dict:
     sec = section.transport_section(bands, num["band_index"])
     family = grushin.trial_from_section(sec)
     k = num["band_index"]
-    rng = np.random.default_rng(cfg.get("seed", 0))
+    rng = np.random.default_rng(_number(cfg, "", "seed", 0, lambda v: v >= 0,
+                                        "an integer >= 0"))
     n_samples = _positive_int(cfg, "samples", 20)
     assemble = bloch.FiberAssembler(sym, bands.shell)
     pts = bands.grid.points()
@@ -464,8 +469,10 @@ def cmd_compare(cfg, num, out: Path) -> dict:
     window = _window(cfg, num, bands)
     merge_tol = num["merge_tol"]
     eps_flux = cfg.get("epsilons")  # list of [epsilon, "p/q"]
-    if not eps_flux:
-        raise ConfigError("compare needs an 'epsilons' list of [eps, flux]")
+    if not (eps_flux and isinstance(eps_flux, list) and all(
+            isinstance(pair, list) and len(pair) == 2 for pair in eps_flux)):
+        raise ConfigError("compare needs 'epsilons', a list of [epsilon, "
+                          f"flux] pairs, got {eps_flux!r}")
     eps_flux = [(eps, _parse_flux(text, lattice)) for eps, text in eps_flux]
     _check_flux_per_epsilon(eps_flux)
     k_res_eff = _positive_int(cfg, "k_resolution", 32)

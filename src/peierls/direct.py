@@ -3,9 +3,9 @@
 Finite differences with Peierls link phases (the gauge-invariant
 discretization of Governale and Ungarelli, PRB 58, 7816 (1998)): each
 nearest-neighbor hop of the second-order Laplacian stencil carries the
-line phase omega_A(x, x') of magnetic.line_phase, which keeps the discrete
-operator exactly gauge covariant; A is the transversal gauge of the
-constant field, plus grad(chi) for a CHI_CATALOG key chi.  One stencil
+line phase omega_A(x, x') of magnetic.peierls_hops, which keeps the
+discrete operator exactly gauge covariant; A is the transversal gauge of
+the constant field, plus grad(chi) for a CHI_CATALOG key chi.  One stencil
 builds both operators; for the relativistic kind it takes the Hermitian
 square root of the kinetic part plus one, a dense matrix, so the
 relativistic kind is limited to RELATIVISTIC_MAX_UNKNOWNS unknowns (the
@@ -14,12 +14,8 @@ sparse one to MAX_UNKNOWNS).  Only the boundary differs:
   * box mode drops the links that leave the grid on
     [-length/2, length/2)^d (Dirichlet);
   * magnetic_bloch mode closes them over a magnetic cell of q unit cells
-    (rational unit-cell flux p/q) with the magnetic-Bloch condition
-
-        u(y + a) = exp(i k_a) exp(i <A(a), y>) u(y)
-
-    for the magnetic-cell vectors a, A(a) in the transversal gauge (chi
-    must be periodic over the cell).
+    (rational unit-cell flux p/q) with the magnetic-Bloch wrap of
+    peierls_hops at momentum k (chi must be periodic over the cell).
 
 In magnetic_bloch mode the field must be the one whose unit-cell flux is
 2 pi p/q, or the link phases and the cell wrap describe different
@@ -58,7 +54,7 @@ from .bloch import compute_bands, point_group
 from .lattice import (GridTooLargeError, Lattice, bz_grid, dual_shell,
                       tensor_grid)
 from .magnetic import (MagneticField, VectorPotential, hermitian_sqrt,
-                       line_phase, transversal_gauge)
+                       peierls_hops)
 from .spectra import SpectrumSet
 from .symbols import PeriodicSymbol, Relativistic
 
@@ -125,11 +121,9 @@ class DirectDiscretization:
             raise ValueError("bloch_matrix is defined in magnetic_bloch mode")
         lengths = _cell_lengths(self.symbol.lattice)
         n = self.points_per_cell
-        reps = np.ones(lengths.size, dtype=int)
-        reps[0] = self.flux.denominator
-        wrap = (np.asarray(k, dtype=float), np.diag(lengths * reps))
+        shape = (self.flux.denominator * n,) + (n,) * (lengths.size - 1)
         return _fd_stencil(self.symbol, self._vector_potential(), lengths / n,
-                           tuple(reps * n), wrap=wrap)
+                           shape, k=k)
 
     def box_matrix(self) -> sp.spmatrix:
         """Dirichlet FD matrix on [-box_size/2, box_size/2)^d."""
@@ -185,58 +179,26 @@ def _fd_stencil(
     h: np.ndarray,
     shape: tuple,
     origin: float = 0.0,
-    wrap=None,
+    k=None,
 ) -> sp.spmatrix:
     """FD matrix on the grid origin + h * i, 0 <= i_ax < shape[ax].
 
     CSR for the nonrelativistic kind; the relativistic root is dense and
     comes as a BSR matrix of one block.
 
-    In d=2 the link [x, x + h_ax e_ax] carries the line phase
-    omega_A(x, x + h_ax e_ax); in d=1 there is no field.  wrap=None drops
-    the links that leave the grid (Dirichlet).  wrap=(k, cell_vecs) closes
-    each of them with the magnetic-Bloch phase of the cell vector
-    cell_vecs[ax] at momentum k; a gradient gauge chi of A must then be
-    periodic over the cell.
+    The links [x, x + h_ax e_ax] and their phases come from
+    magnetic.peierls_hops at k (None: Dirichlet); the reverse links are
+    their conjugates, so M is exactly Hermitian.
     """
-    d = len(shape)
     total = int(np.prod(shape))
-    idx = np.arange(total).reshape(shape)
-    coords = tensor_grid([np.arange(m) for m in shape])
-    pos = origin + coords * h[None, :]
+    pos = origin + tensor_grid([np.arange(m) for m in shape]) * h[None, :]
 
     vvals = symbol.potential.value(pos)
     diag = np.full(total, float(np.sum(2.0 / h**2)), dtype=complex) + vvals
 
-    rows, cols, vals = [], [], []
-    for ax in range(d):
-        nb = coords.copy()
-        nb[:, ax] += 1
-        wrapped = nb[:, ax] == shape[ax]
-        if wrap is None:
-            src = np.flatnonzero(~wrapped)
-        else:
-            src = np.arange(total)
-        nb[wrapped, ax] = 0
-        target = idx[tuple(nb[src].T)]
-        x = pos[src]
-        link = (line_phase(A, x, x + h[ax] * np.eye(d)[ax]) if d == 2
-                else np.ones(src.size, dtype=complex))
-        hop = -link / h[ax] ** 2
-        if wrap is not None and np.any(wrapped):
-            k, cell_vecs = wrap
-            y = pos[wrapped].copy()
-            y[:, ax] = 0.0
-            # magnetic-Bloch wrap: u(y + a) = e^{ik_a} e^{i<A(a), y>} u(y)
-            shift = (y @ transversal_gauge(A.field, cell_vecs[ax]) if d == 2
-                     else 0.0)
-            hop[wrapped] *= np.exp(1j * (k[ax] + shift))
-        rows.append(src)
-        cols.append(target)
-        vals.append(hop)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+    rows, cols, axis, _, phases = peierls_hops(
+        A, shape, h, np.eye(len(shape), dtype=int), origin, k)
+    vals = -phases / h[axis] ** 2
     M = sp.coo_matrix(
         (np.concatenate([vals, np.conj(vals), diag]),
          (np.concatenate([rows, cols, np.arange(total)]),

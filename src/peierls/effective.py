@@ -4,13 +4,15 @@ A dual-periodic symbol q(xi) (N x N Hermitian blocks on the momentum cell)
 is expanded in Fourier hoppings q_hat_alpha and quantized on l2 of the
 lattice with the magnetic line phases:
 
-    entry(gamma, alpha) = omega_A(-gamma, -alpha) * q_hat_{gamma - alpha}.
+    entry(gamma, alpha) = omega_A(gamma, alpha) * q_hat_{gamma - alpha},
 
-For a constant field the phase is exp(-i (Phi_s / 2) (gamma ^ alpha)) with
-Phi_s the signed flux through the unit cell and gamma ^ alpha the wedge of
-the integer coordinates.  At rational flux Phi_s = 2 pi p / q the operator
-commutes with the magnetic translations by (q, 0) and (0, 1) and reduces
-to qN x qN Bloch matrices over a magnetic momentum cell.
+with the phases of magnetic.peierls_hops.  For a constant field in the
+transversal gauge omega_A(gamma, alpha) = omega_A(-gamma, -alpha) =
+exp(-i (Phi_s / 2) (gamma ^ alpha)) with Phi_s the signed flux through the
+unit cell and gamma ^ alpha the wedge of the integer coordinates.  At
+rational flux Phi_s = 2 pi p / q the operator commutes with the magnetic
+translations by (q, 0) and (0, 1) and reduces to qN x qN Bloch matrices
+over a magnetic momentum cell.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .lattice import BZGrid, GridTooLargeError, Lattice, momentum_grid
-from .magnetic import MagneticField, VectorPotential, line_phase
+from .magnetic import MagneticField, VectorPotential, peierls_hops
 from .spectra import SpectrumSet
 
 
@@ -182,36 +184,24 @@ def assemble_effective(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
-    d = hops.dim
-    n = hops.n
-    sites = np.asarray(
-        list(product(range(-box_size, box_size + 1), repeat=d)), dtype=int
-    )
-    n_sites = sites.shape[0]
-    M = np.zeros((n_sites * n, n_sites * n), dtype=complex)
-    if d == 2:
-        # omega_A(-gamma, -alpha) for the field of unit-cell flux 2 pi flux
-        A = VectorPotential(MagneticField(b12=2.0 * np.pi * float(flux)))
-        omega = line_phase(A, -sites[:, None], -sites[None, :])
-    else:
-        omega = np.ones((n_sites, n_sites))
-    # site difference gamma - alpha -> index of its hop, -1 for none; the
-    # differences lie in [-2 box_size, 2 box_size]^d
-    span = (4 * box_size + 1,) * d
-    keys = np.asarray(list(hops.hoppings), dtype=int).reshape(-1, d)
-    inside = np.all(np.abs(keys) <= 2 * box_size, axis=1)
-    table = np.full(np.prod(span), -1)
-    table[np.ravel_multi_index(tuple((keys[inside] + 2 * box_size).T),
-                               span)] = np.flatnonzero(inside)
-    diff = sites[:, None, :] - sites[None, :, :] + 2 * box_size
-    hop = table[np.ravel_multi_index(tuple(np.moveaxis(diff, -1, 0)), span)]
-    rows, cols = np.nonzero(hop >= 0)
+def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, **grid):
+    """peierls_hops of the hoppings on the unit grid of this shape at flux
+    2 pi flux per cell: rows, cols, cell shifts, phased blocks (hops, N, N)."""
+    A = VectorPotential(MagneticField(b12=2.0 * np.pi * float(flux)))
+    keys = np.asarray(list(hops.hoppings), dtype=int).reshape(-1, hops.dim)
+    rows, cols, hop, cell, phases = peierls_hops(
+        A, shape, np.ones(hops.dim), -keys, **grid)
     blocks = np.stack(list(hops.hoppings.values()))
-    M = M.reshape(n_sites, n, n_sites, n)
-    phased = omega[rows, cols, None, None] * blocks[hop[rows, cols]]
-    M[rows, :, cols, :] = phased
-    M = M.reshape(n_sites * n, n_sites * n)
+    return rows, cols, cell, phases[:, None, None] * blocks[hop]
+
+
+def _box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
+    n, side = hops.n, 2 * box_size + 1
+    sites = side**hops.dim
+    rows, cols, _, entries = _lattice_hops(hops, flux, (side,) * hops.dim,
+                                           origin=-box_size)
+    M = np.zeros((sites * n, sites * n), dtype=complex)
+    M.reshape(sites, n, sites, n)[rows, :, cols, :] = entries
     herm = np.linalg.norm(M - np.conj(M.T), ord="fro")
     if herm > 1e-10 * max(1.0, np.linalg.norm(M, ord="fro")):
         raise InconsistentSymbolError("box operator not Hermitian")
@@ -226,39 +216,35 @@ def _bloch_coefficients(hops: HoppingSet, flux: Fraction):
 
         H(k) = sum_j coeffs[j] exp(i <k, shifts[j]>).
 
-    The blocks are read off the fiber formula of _bloch_fibers: the hop
-    beta = (b1, b2) adds q_hat_beta exp(i (Phi/2) [s b2 + q n m - s' n])
-    to block (s, s') of C_(m, n).  H(k) is Hermitian for every k exactly
-    when C_(m, n) = C_(-m, -n)^*; this is checked once here, and the
-    blocks are returned symmetrized.  In d=1 the flux is ignored (q = 1).
+    The magnetic cell is the q x 1 box of sites (s, 0); at k = 0 a hop
+    from (s, 0) to (s', 0) in the cell shifted by (m, n) adds its entry
+    of _lattice_hops to block (s, s') of C_(m, n).  H(k) is Hermitian for
+    every k exactly when C_(m, n) = C_(-m, -n)^*; this is checked once
+    here, and the blocks are returned symmetrized.  In d=1 the flux is
+    ignored (q = 1).
     """
-    d = hops.dim
-    n = hops.n
+    d, n = hops.dim, hops.n
     q = flux.denominator if d == 2 else 1
-    phi = 2.0 * np.pi * float(flux) if d == 2 else 0.0
-    blocks: dict = {}
-    for alpha, blk in hops.hoppings.items():
-        b1, b2 = (tuple(alpha) + (0,))[:2]
-        nn = -b2
-        for s in range(q):
-            sp = (s - b1) % q
-            m = (s - b1 - sp) // q
-            key = (m, nn)[:d]
-            C = blocks.setdefault(key, np.zeros((q * n, q * n), dtype=complex))
-            phase = np.exp(0.5j * phi * (s * b2 + q * nn * m - sp * nn))
-            C[s * n:(s + 1) * n, sp * n:(sp + 1) * n] += blk * phase
-    for key in list(blocks):
-        blocks.setdefault(tuple(-x for x in key), np.zeros_like(blocks[key]))
-    index = {key: j for j, key in enumerate(blocks)}
-    coeffs = np.stack(list(blocks.values()))
-    partner = [index[tuple(-x for x in key)] for key in index]
+    rows, cols, cell, entries = _lattice_hops(hops, flux, (q, 1)[:d],
+                                              k=np.zeros(d))
+    # shifts in order of first appearance, as _bloch_fibers sums them, then
+    # the negatives that no hop reaches (zero blocks); -shift has code -code
+    code = cell @ (2 * np.abs(cell).max() + 1) ** np.arange(d)[::-1]
+    both = np.concatenate([code, -code])
+    first = np.sort(np.unique(both, return_index=True)[1])
+    codes, shifts = both[first], np.concatenate([cell, -cell])[first]
+    order = np.argsort(codes)
+    group = order[np.searchsorted(codes, code, sorter=order)]
+    coeffs = np.zeros((codes.size, q * n, q * n), dtype=complex)
+    coeffs.reshape(-1, q, n, q, n)[group, rows, :, cols, :] += entries
+    partner = order[np.searchsorted(codes, -codes, sorter=order)]
     adjoint = np.conj(np.swapaxes(coeffs[partner], 1, 2))
     # sup_k ||H(k) - H(k)^*||_2 <= sum_j ||C_j - C_-j^*||_F
     herm = float(np.linalg.norm(coeffs - adjoint, axis=(1, 2)).sum())
     scale = float(np.linalg.norm(coeffs, axis=(1, 2)).sum())
     if herm > 1e-10 * max(1.0, scale):
         raise InconsistentSymbolError("magnetic-Bloch fiber not Hermitian")
-    return np.asarray(list(index), dtype=float), 0.5 * (coeffs + adjoint)
+    return shifts.astype(float), 0.5 * (coeffs + adjoint)
 
 
 def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:

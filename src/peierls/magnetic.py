@@ -1,12 +1,16 @@
-"""Magnetic geometry: transversal gauge, line phases, quantization.
+"""Magnetic geometry: transversal gauge, line phases, Peierls hops.
 
 Every magnetic phase of the package is computed here: line_phase for
-links and kernels, transversal_gauge for magnetic-Bloch wraps.
+links and kernels, peierls_hops for the hops of a lattice operator on a
+uniform grid (the stencil of direct, the box matrix and magnetic-Bloch
+blocks of effective), with their magnetic-Bloch wrap over a cell.
 
 Conventions (d = 2 throughout unless noted):
   * constant field B12 = b, B21 = -b; transversal gauge A(x) = (b/2)(-x2, x1);
   * line phase omega_A(x, y) = exp(-i * integral of A over [x, y]), which
     for the constant field is exp(-i (b/2) (x1 y2 - x2 y1));
+  * magnetic-Bloch condition over the cell vector a of integer shift n:
+    u(y + a) = exp(i (<k, n> + <A(a), y> + (b/2) a1 a2)) u(y);
   * a gauge change A -> A + grad(chi) takes chi from CHI_CATALOG.
 """
 
@@ -79,6 +83,43 @@ def line_phase(A: VectorPotential, x, y) -> np.ndarray:
         chi = CHI_CATALOG[A.chi]
         phase *= np.exp(-1j * (chi(y) - chi(x)))
     return phase
+
+
+def peierls_hops(A: VectorPotential, shape, h, offsets, origin=0.0, k=None):
+    """The hops i -> i + o (o a row of offsets) on the grid origin + h * i,
+    0 <= i < shape, offset by offset, each over the sites in C order.
+
+    The hop from x to x + h * o carries line_phase(A, x, x + h * o), or 1
+    in d = 1.  With k None a hop that leaves the grid is dropped
+    (Dirichlet); otherwise its target i + o = j + shape * n is wrapped onto
+    j with the magnetic-Bloch factor of the module docstring at
+    a = h * shape * n and y = origin + h * j (a gradient gauge chi must be
+    periodic over the cell).  Returns (rows, cols, offset, n, phases):
+    source and target site, row of offsets, cell shift and phase per hop.
+    """
+    shape, h = np.asarray(shape), np.asarray(h, dtype=float)
+    d = shape.size
+    offsets = np.asarray(offsets).reshape(-1, d)
+    sites = np.indices(shape).reshape(d, -1).T
+    x = origin + h * sites
+    # one hop per (offset, site), flattened in C order
+    n, j = (v.reshape(-1, d)
+            for v in np.divmod(offsets[:, None] + sites, shape))
+    offset, rows = np.divmod(np.arange(n.shape[0]), sites.shape[0])
+    phases = (line_phase(A, x, x + (h * offsets)[:, None]).ravel() if d == 2
+              else np.ones(rows.size, dtype=complex))
+    wrapped = n.any(axis=1)
+    if k is None:
+        rows, offset, n, j, phases = (
+            v[~wrapped] for v in (rows, offset, n, j, phases))
+    else:
+        arg = n[wrapped] @ np.asarray(k, dtype=float)
+        if d == 2:
+            a, y = h * shape * n[wrapped], origin + h * j[wrapped]
+            arg += (np.einsum("ij,ij->i", transversal_gauge(A.field, a), y)
+                    + 0.5 * A.field.strength * a[:, 0] * a[:, 1])
+        phases[wrapped] *= np.exp(1j * arg)
+    return rows, np.ravel_multi_index(tuple(j.T), shape), offset, n, phases
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,8 @@ class PeriodicPotential:
             key = tuple(int(k) for k in np.atleast_1d(key))
             if len(key) != self.lattice.dim:
                 raise ValueError(f"coefficient index {key} has wrong dimension")
+            if not np.isfinite(val):
+                raise ValueError(f"coefficient at {key} is {val}, not finite")
             if abs(val) > 0:
                 clean[key] = complex(val)
         pairs = {}

@@ -354,7 +354,10 @@ def test_direct_fibers_are_recorded(tmp_path):
 
 
 def _edited(base, keys, value):
-    """A deep copy of base with the value at the nested keys replaced."""
+    """A deep copy of base with the value at the nested keys replaced;
+    no keys replace the whole config."""
+    if not keys:
+        return value
     cfg = json.loads(json.dumps(base))
     *parents, key = keys
     section = cfg
@@ -380,10 +383,21 @@ def _edited(base, keys, value):
     ("direct", D2_CONFIG, ("field", "matrix"), [[0.0]], "field.matrix"),
     ("direct", D2_CONFIG, ("field", "b12"), "abc", "field.b12"),
     ("direct", D2_CONFIG, ("field", "epsilon"), True, "field.epsilon"),
+    ("bands", BASE_CONFIG, ("symbol", "potential", "amplitude"),
+     float("nan"), "H.3"),
+    ("bands", BASE_CONFIG, ("symbol", "potential", "amplitude"), [0.5],
+     "symbol.potential.amplitude"),
+    ("bands", BASE_CONFIG, ("symbol", "potential", "amplitude"), "0.5",
+     "symbol.potential.amplitude"),
+    ("bands", BASE_CONFIG, ("symbol",), "cosine", "'symbol'"),
+    ("bands", BASE_CONFIG, ("symbol", "potential"), "cosine",
+     "'symbol.potential'"),
+    ("bands", BASE_CONFIG, (), [BASE_CONFIG], "JSON object"),
 ], ids=["no_basis", "non_square_basis", "resolution_text",
         "resolution_fraction", "no_bands", "negative_cutoff",
         "band_index_too_large", "field_matrix_1x1", "b12_text",
-        "epsilon_bool"])
+        "epsilon_bool", "amplitude_nan", "amplitude_list", "amplitude_text",
+        "symbol_text", "potential_text", "config_list"])
 def test_malformed_config_is_config_error(command, base, keys, value, named,
                                           tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -437,12 +451,19 @@ COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
     ("direct", dict(D2_CONFIG, mode="box", flux="0"), "box_points", -16),
     ("compare", COMPARE_CONFIG, "direct_k_resolution", "x"),
     ("compare", COMPARE_CONFIG, "k_resolution", 2.5),
+    ("grushin", BASE_CONFIG, "seed", "abc"),
+    ("grushin", BASE_CONFIG, "seed", 1.5),
+    ("grushin", BASE_CONFIG, "seed", -1),
+    ("compare", COMPARE_CONFIG, "epsilons", [[0.08]]),
+    ("compare", COMPARE_CONFIG, "epsilons", 5),
 ], ids=["k_resolution_text", "k_resolution_fraction", "window_reversed",
         "window_nan", "effective_box_size_zero", "lambda_points_text",
         "scan_k_resolution_zero", "samples_text", "points_per_cell_fraction",
         "points_per_cell_too_coarse", "zero_field_k_resolution_one",
         "direct_box_size_text", "direct_box_size_zero", "box_points_negative",
-        "direct_k_resolution_text", "compare_k_resolution_fraction"])
+        "direct_k_resolution_text", "compare_k_resolution_fraction",
+        "seed_text", "seed_fraction", "seed_negative", "epsilons_single",
+        "epsilons_number"])
 def test_malformed_top_level_key_is_config_error(command, base, key, value,
                                                  tmp_path, capsys):
     path = tmp_path / "cfg.json"

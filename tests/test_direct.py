@@ -15,14 +15,15 @@ from peierls.direct import (
     WindowCoverageError,
     WindowTooWideError,
     _edge_factors,
+    _fd_stencil,
     _window_eigs,
     assemble_direct,
     direct_spectrum,
     distinct_fibers,
 )
-from peierls.effective import field_for_flux
-from peierls.lattice import Lattice, momentum_grid
-from peierls.magnetic import CHI_CATALOG, MagneticField
+from peierls.effective import HoppingSet, _bloch_fibers, field_for_flux
+from peierls.lattice import Lattice, momentum_grid, tensor_grid
+from peierls.magnetic import CHI_CATALOG, MagneticField, VectorPotential
 from peierls.spectra import SpectrumSet
 from peierls.symbols import (
     Nonrelativistic,
@@ -124,6 +125,44 @@ def test_fd_fiber_window_is_even_in_k(separable, k1, k2):
     assert negated.shape == mirrored.shape == base.shape
     assert np.max(np.abs(negated - base)) < 1e-10
     assert np.max(np.abs(mirrored - base)) < 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.tuples(*[st.floats(-np.pi, np.pi)] * 2))
+@pytest.mark.parametrize("lengths", [[2.0 * np.pi], [2.0 * np.pi, 3.0]],
+                         ids=["d1", "d2"])
+def test_free_fd_fiber_matches_closed_form(lengths, k):
+    # the discrete Laplacian on N points per axis with the Bloch wrap
+    # u_{j + N} = exp(i k) u_j has the eigenvalues (2 - 2 cos theta) / h^2,
+    # N theta = k + 2 pi j, summed over the axes
+    free = PeriodicSymbol(Nonrelativistic(),
+                          zero_potential(Lattice(np.diag(lengths))))
+    disc = assemble_direct(free, None, "magnetic_bloch", points_per_cell=16)
+    k = np.asarray(k[:len(lengths)])
+    vals = np.linalg.eigvalsh(disc.bloch_matrix(k).toarray())
+    h = np.asarray(lengths) / 16
+    theta = (k + 2.0 * np.pi * tensor_grid([np.arange(16)] * len(lengths))) / 16
+    expected = np.sort(np.sum((2.0 - 2.0 * np.cos(theta)) / h**2, axis=1))
+    assert np.max(np.abs(vals - expected)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(flux=st.integers(1, 16).flatmap(
+           lambda q: st.integers(-q, q).map(lambda p: Fraction(p, q))),
+       k=st.tuples(*[st.floats(-np.pi, np.pi)] * 2))
+def test_fd_stencil_on_the_unit_grid_is_the_harper_fiber(flux, k, lat2):
+    # on the unit grid of the magnetic cell the FD Laplacian is the
+    # Peierls operator of the nearest-neighbour hoppings: the stencil and
+    # the effective fibers share the line phases, the wrap and the sign of k
+    one = np.array([[1.0 + 0j]])
+    harper = HoppingSet(n=1, dim=2, source_tag="harper", hoppings={
+        (0, 0): 4.0 * one, (1, 0): -one, (-1, 0): -one, (0, 1): -one,
+        (0, -1): -one})
+    A = VectorPotential(MagneticField(2.0 * np.pi * float(flux)))
+    free = PeriodicSymbol(Nonrelativistic(), zero_potential(lat2))
+    M = _fd_stencil(free, A, np.ones(2), (flux.denominator, 1), k=k)
+    H = _bloch_fibers(harper, flux, [k])[0]
+    assert np.max(np.abs(M.toarray() - H)) < 1e-13
 
 
 def test_fd_converges_second_order_d1(mathieu):

@@ -177,8 +177,9 @@ def _reference_fiber(hops: HoppingSet, flux: Fraction, k) -> np.ndarray:
 
 
 @settings(max_examples=30, deadline=None)
-@given(flux=FLUXES, seed=st.integers(0, 2**16))
-def test_batched_cloud_matches_per_k_fiber_formula(flux, seed):
+@given(flux=FLUXES, seed=st.integers(0, 2**16),
+       k=st.tuples(*[st.floats(-np.pi, np.pi)] * 2))
+def test_batched_cloud_matches_per_k_fiber_formula(flux, seed, k):
     hops = _hermitian_hoppings(seed)
     k_res = 3
     axis = 2.0 * np.pi * np.arange(k_res) / k_res
@@ -189,6 +190,10 @@ def test_batched_cloud_matches_per_k_fiber_formula(flux, seed):
     cloud = bloch_eigenvalue_cloud(hops, flux, k_resolution=k_res)
     assert cloud.shape == ref.shape
     assert np.max(np.abs(cloud - ref)) < 1e-12
+    # entrywise at an off-grid k: the cloud of a grid symmetric under
+    # k -> -k cannot see the sign of k
+    fiber = _bloch_fibers(hops, flux, [k])[0]
+    assert np.max(np.abs(fiber - _reference_fiber(hops, flux, k))) < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
