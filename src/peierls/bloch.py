@@ -160,6 +160,7 @@ class BandStructure:
     shell: DualShell
     bands: np.ndarray  # (n_points, n_bands), ascending per point
     vectors: np.ndarray | None = None  # (n_points, M, n_bands)
+    solved: int = 0  # fibers diagonalized, one per orbit of the grid
 
     @property
     def n_bands(self) -> int:
@@ -233,7 +234,8 @@ def compute_bands(
         idx = np.flatnonzero(copied & (element == g))
         image = vectors[source[idx, None], perms[g]]
         vectors[idx] = np.conj(image, out=image) if conj[g] else image
-    return BandStructure(grid=grid, shell=shell, bands=bands, vectors=vectors)
+    return BandStructure(grid=grid, shell=shell, bands=bands, vectors=vectors,
+                         solved=solved.size)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bloch, direct, effective, grushin, section, spectra, symbols
 from .lattice import GridTooLargeError, Lattice, bz_grid, dual_shell
-from .magnetic import MagneticField
+from .magnetic import MagneticField, field_for_flux
 
 
 class ConfigError(ValueError):
@@ -131,17 +131,21 @@ def build_symbol(cfg: dict, lattice: Lattice) -> symbols.PeriodicSymbol:
     if not sc or not isinstance(sc, dict):
         raise ConfigError(f"'symbol' must be a non-empty object, got {sc!r}")
     kind_name = sc.get("kind", "nonrelativistic")
-    kind = {"nonrelativistic": symbols.Nonrelativistic,
-            "relativistic": symbols.Relativistic}.get(kind_name)
+    kinds = {"nonrelativistic": symbols.Nonrelativistic,
+             "relativistic": symbols.Relativistic}
+    # a list or an object is no key: test the type before the lookup
+    kind = kinds.get(kind_name) if isinstance(kind_name, str) else None
     if kind is None:
-        raise ConfigError(f"unknown symbol kind {kind_name!r}")
+        raise ConfigError(f"unknown symbol kind {kind_name!r} in symbol.kind")
     pc = sc.get("potential", {"name": "zero"})
     if not isinstance(pc, dict):
         raise ConfigError(f"'symbol.potential' must be an object, got {pc!r}")
     name = pc.get("name", "zero")
-    factory = symbols.POTENTIAL_CATALOG.get(name)
+    factory = (symbols.POTENTIAL_CATALOG.get(name) if isinstance(name, str)
+               else None)
     if factory is None:
-        raise ConfigError(f"unknown potential {name!r}")
+        raise ConfigError(
+            f"unknown potential {name!r} in symbol.potential.name")
     amplitude = () if name == "zero" else (
         _number(pc, "symbol.potential", "amplitude", 1.0),)
     try:
@@ -330,14 +334,17 @@ def cmd_effective(cfg, num, out: Path) -> dict:
     cloud = effective.bloch_eigenvalue_cloud(
         hops, flux, _positive_int(cfg, "k_resolution", 32))
     if mode == "box":
-        op = effective.assemble_effective(
-            hops, "box", flux, box_size=_positive_int(cfg, "box_size", 16))
-        spec_set = effective.effective_spectrum(op, window, merge_tol)
+        # the box must hold every hop: at least the hopping radius
+        least = max(1, num["radius"])
+        box_size = _number(cfg, "", "box_size", 16, lambda v: v >= least,
+                           f"an integer >= {least} (numerics.radius and 1)")
+        points = np.linalg.eigvalsh(effective.box_matrix(hops, flux, box_size))
     elif mode == "bloch":
-        spec_set = spectra.SpectrumSet(
-            points=cloud, window=window, merge_tol=merge_tol)
+        points = cloud
     else:
         raise ConfigError(f"unknown effective mode {mode!r}")
+    spec_set = spectra.SpectrumSet(points=points, window=window,
+                                   merge_tol=merge_tol)
     lam_grid = np.linspace(window[0], window[1],
                            _positive_int(cfg, "lambda_points", 400))
     margins = effective.cloud_margins(cloud, lam_grid)
@@ -365,24 +372,21 @@ def cmd_scan(cfg, num, out: Path) -> dict:
     return {"lambda_points": int(lam_grid.size)}
 
 
-def _magnetic_bloch_field(
-    field, flux: Fraction, lattice: Lattice
-) -> MagneticField:
-    """The constant field whose unit-cell flux is 2 pi * flux.
-
-    A configured field must be that field: the finite-difference link
-    phases follow the field and the magnetic-cell wrap follows the flux.
-    """
-    consistent = effective.field_for_flux(flux, lattice)
+def _check_field(field, flux: Fraction, lattice: Lattice) -> None:
+    """A configured field must be the one whose unit-cell flux is 2 pi *
+    flux: the magnetic cell takes its link phases and its wrap from the
+    flux."""
     if field is None:
-        return consistent
-    b, b_flux = field.strength, consistent.b12
+        return
+    b, b_flux = field.strength, field_for_flux(flux, lattice).b12
     if abs(b - b_flux) > 1e-9 * max(1.0, abs(b_flux)):
         raise ConfigError(
             f"field epsilon * b12 = {b!r} does not match flux {flux}: the "
             f"consistent field is b12 = {b_flux!r}"
         )
-    return field
+
+
+DIRECT_MODES = ("zero_field_bloch", "magnetic_bloch", "box")
 
 
 def cmd_direct(cfg, num, out: Path) -> dict:
@@ -390,11 +394,12 @@ def cmd_direct(cfg, num, out: Path) -> dict:
     sym = build_symbol(cfg, lattice)
     field = build_field(cfg)
     mode = cfg.get("mode", "zero_field_bloch")
-    if mode not in direct.MODES:
-        raise ConfigError(f"unknown direct mode {mode!r}, not in {direct.MODES}")
+    if mode not in DIRECT_MODES:
+        raise ConfigError(
+            f"unknown direct mode {mode!r}, not in {DIRECT_MODES}")
     flux = _parse_flux(cfg.get("flux", "0"), lattice)
     if mode == "magnetic_bloch":
-        field = _magnetic_bloch_field(field, flux, lattice)
+        _check_field(field, flux, lattice)
     elif mode == "zero_field_bloch":
         b = field.strength if field is not None else 0.0
         if flux != 0 or b != 0.0:
@@ -410,34 +415,43 @@ def cmd_direct(cfg, num, out: Path) -> dict:
         )
     # only a box has a side length; the other modes ignore box_size
     box = mode == "box"
-    disc = direct.assemble_direct(
-        sym, field, mode, flux=flux,
-        points_per_cell=_positive_int(cfg, "points_per_cell", 16),
-        box_points=_number(cfg, "", "box_points", 0, lambda v: v >= 0,
-                           "an integer >= 0"),
-        box_size=_number(cfg, "", "box_size", 0.0,
-                         lambda v: (v > 0 if box else v >= 0) and v < np.inf,
-                         "a finite number " + ("> 0" if box else ">= 0")),
-    )
+    points_per_cell = _positive_int(cfg, "points_per_cell", 16)
+    box_points = _number(cfg, "", "box_points", 0, lambda v: v >= 0,
+                         "an integer >= 0")
+    box_size = _number(cfg, "", "box_size", 0.0,
+                       lambda v: (v > 0 if box else v >= 0) and v < np.inf,
+                       "a finite number " + ("> 0" if box else ">= 0"))
     bands = None if cfg.get("window") is not None else _bands(
         lattice, sym, num)
     window = _window(cfg, num, bands)
+    merge_tol = num["merge_tol"]
     # a zero-field band grid needs two points per axis
     least = 2 if mode == "zero_field_bloch" else 1
     k_res = _number(cfg, "", "k_resolution", 8, lambda v: v >= least,
                     f"an integer >= {least}")
-    spec_set = direct.direct_spectrum(
-        disc, window, num["merge_tol"],
-        k_resolution=k_res,
-        n_bands=num["n_bands"],
-        shell_radius=num["cutoff"],
-    )
+    if mode == "magnetic_bloch":
+        disc = direct.DirectDiscretization(sym, flux, points_per_cell)
+        spec_set = direct.direct_spectrum(disc, window, merge_tol, k_res)
+        fibers = direct.distinct_fibers(disc, k_res)
+    elif box:
+        matrix = direct.box_matrix(sym, field, box_size, box_points)
+        spec_set = spectra.SpectrumSet(
+            points=direct.window_eigs(matrix, window), window=window,
+            merge_tol=merge_tol)
+        fibers = 1
+    else:  # zero field: the plane-wave band solve at k_resolution
+        solve = bloch.compute_bands(sym, bz_grid(lattice, k_res),
+                                    dual_shell(lattice, num["cutoff"]),
+                                    num["n_bands"])
+        spec_set = spectra.SpectrumSet(
+            points=solve.bands.ravel(), window=window, merge_tol=merge_tol)
+        fibers = solve.solved
     _write_csv(out / "eigenvalues.csv", ["value"],
                ([v] for v in spec_set.points))
     return {
         "mode": mode,
         "count": int(spec_set.points.size),
-        "direct_fibers": direct.distinct_fibers(disc, k_res, num["cutoff"]),
+        "direct_fibers": fibers,
         "intervals": spec_set.merged_intervals.tolist(),
     }
 
@@ -481,15 +495,11 @@ def cmd_compare(cfg, num, out: Path) -> dict:
     pairs = []
     detail = []
     for eps, flux in eps_flux:
-        field = effective.field_for_flux(flux, lattice)
-        op = effective.assemble_effective(hops, "magnetic_bloch", flux)
-        eff_set = effective.effective_spectrum(
-            op, window, merge_tol, k_resolution=k_res_eff)
-        disc = direct.assemble_direct(
-            sym, field, "magnetic_bloch", flux=flux, points_per_cell=ppc)
-        dir_set = direct.direct_spectrum(
-            disc, window, merge_tol, k_resolution=k_res_dir,
-            n_bands=num["n_bands"])
+        eff_set = spectra.SpectrumSet(
+            points=effective.bloch_eigenvalue_cloud(hops, flux, k_res_eff),
+            window=window, merge_tol=merge_tol)
+        disc = direct.DirectDiscretization(sym, flux, ppc)
+        dir_set = direct.direct_spectrum(disc, window, merge_tol, k_res_dir)
         d_h, flagged = spectra.hausdorff_distance(eff_set, dir_set)
         detail.append({
             "epsilon": float(eps), "flux": str(flux), "d_H": d_h,
@@ -553,6 +563,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         summary = COMMANDS[args.command](cfg, num, out)
     except (ConfigError, GridTooLargeError, direct.GridTooCoarseError,
+            direct.NonRectangularLatticeError,
             direct.WindowTooWideError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

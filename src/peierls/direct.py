@@ -11,16 +11,16 @@ square root of the kinetic part plus one, a dense matrix, so the
 relativistic kind is limited to RELATIVISTIC_MAX_UNKNOWNS unknowns (the
 sparse one to MAX_UNKNOWNS).  Only the boundary differs:
 
-  * box mode drops the links that leave the grid on
-    [-length/2, length/2)^d (Dirichlet);
-  * magnetic_bloch mode closes them over a magnetic cell of q unit cells
+  * box_matrix drops the links that leave the grid on
+    [-length/2, length/2)^d (Dirichlet), for any constant field;
+  * DirectDiscretization closes them over a magnetic cell of q unit cells
     (rational unit-cell flux p/q) with the magnetic-Bloch wrap of
-    peierls_hops at momentum k (chi must be periodic over the cell).
+    peierls_hops at momentum k (chi must be periodic over the cell).  Its
+    field is the one whose unit-cell flux is 2 pi p/q
+    (magnetic.field_for_flux), so the link phases and the cell wrap
+    describe one operator.
 
-In magnetic_bloch mode the field must be the one whose unit-cell flux is
-2 pi p/q, or the link phases and the cell wrap describe different
-operators.  Lattices must be rectangular (diagonal basis) in the
-finite-difference modes.
+Lattices must be rectangular (diagonal basis).
 
 The magnetic translation by one unit cell along axis 1 commutes with the
 operator and shifts k2 by 2 pi p/q, so in d=2 the fibers at k and
@@ -50,16 +50,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bloch import compute_bands, point_group
-from .lattice import (GridTooLargeError, Lattice, bz_grid, dual_shell,
-                      tensor_grid)
-from .magnetic import (MagneticField, VectorPotential, hermitian_sqrt,
-                       peierls_hops)
+from .lattice import GridTooLargeError, Lattice, tensor_grid
+from .magnetic import (MagneticField, VectorPotential, field_for_flux,
+                       hermitian_sqrt, peierls_hops)
 from .spectra import SpectrumSet
 from .symbols import PeriodicSymbol, Relativistic
 
-
-MODES = ("zero_field_bloch", "magnetic_bloch", "box")
 
 # The relativistic root is a dense complex matrix.  A 45^2 box (2,025
 # unknowns) takes 21 s and 0.38 GB peak (its eigh alone 19 s at 2,048;
@@ -94,83 +90,71 @@ def _cell_lengths(lattice: Lattice) -> np.ndarray:
     basis = lattice.basis
     if not np.allclose(basis, np.diag(np.diag(basis))):
         raise NonRectangularLatticeError(
-            "finite-difference modes require a rectangular lattice"
+            "the finite-difference operator needs a rectangular lattice: "
+            f"lattice.basis {basis.tolist()} is not diagonal"
         )
     return np.diag(basis).copy()
 
 
+def _require_size(symbol: PeriodicSymbol, unknowns: int) -> None:
+    limit = (RELATIVISTIC_MAX_UNKNOWNS
+             if isinstance(symbol.kind, Relativistic) else MAX_UNKNOWNS)
+    if unknowns > limit:
+        raise GridTooLargeError(
+            f"the finite-difference operator has {unknowns} unknowns, "
+            f"more than the {type(symbol.kind).__name__} limit {limit}")
+
+
+def _vector_potential(field: MagneticField, chi: str | None):
+    gauge = "transversal" if chi is None else "transversal_plus_gradient"
+    return VectorPotential(field, gauge, chi)
+
+
 @dataclass(frozen=True)
 class DirectDiscretization:
+    """The FD operator of the magnetic cell at rational flux p/q."""
+
     symbol: PeriodicSymbol
-    field: MagneticField | None
-    mode: str  # "zero_field_bloch" | "magnetic_bloch" | "box"
-    flux: Fraction = Fraction(0)
+    flux: Fraction  # signed unit-cell flux / 2 pi
     points_per_cell: int = 16
-    box_size: float = 0.0
-    box_points: int = 0
     chi: str | None = None  # CHI_CATALOG gauge function, A -> A + grad(chi)
 
-    def _vector_potential(self) -> VectorPotential:
-        field = self.field if self.field is not None else MagneticField(0.0)
-        gauge = "transversal" if self.chi is None else "transversal_plus_gradient"
-        return VectorPotential(field, gauge, self.chi)
+    def __post_init__(self):
+        if not isinstance(self.flux, Fraction):
+            raise ValueError("flux must be an exact Fraction")
+        if self.points_per_cell < 16:
+            raise GridTooCoarseError(
+                f"points_per_cell {self.points_per_cell}: need at least 16")
+        _cell_lengths(self.symbol.lattice)
+        _require_size(self.symbol, self.flux.denominator
+                      * self.points_per_cell**self.symbol.lattice.dim)
 
     def bloch_matrix(self, k) -> sp.spmatrix:
         """FD matrix over q unit cells (stacked along axis 1) at momentum k."""
-        if self.mode != "magnetic_bloch":
-            raise ValueError("bloch_matrix is defined in magnetic_bloch mode")
-        lengths = _cell_lengths(self.symbol.lattice)
+        lattice = self.symbol.lattice
+        lengths = _cell_lengths(lattice)
         n = self.points_per_cell
         shape = (self.flux.denominator * n,) + (n,) * (lengths.size - 1)
-        return _fd_stencil(self.symbol, self._vector_potential(), lengths / n,
-                           shape, k=k)
-
-    def box_matrix(self) -> sp.spmatrix:
-        """Dirichlet FD matrix on [-box_size/2, box_size/2)^d."""
-        if self.mode != "box":
-            raise ValueError("box_matrix is defined in box mode")
-        n = self.box_points
-        if n < 16:
-            raise GridTooCoarseError(f"box_points {n}: need at least 16")
-        d = self.symbol.lattice.dim
-        return _fd_stencil(self.symbol, self._vector_potential(),
-                           np.full(d, self.box_size / n), (n,) * d,
-                           origin=-0.5 * self.box_size)
+        A = _vector_potential(field_for_flux(self.flux, lattice), self.chi)
+        return _fd_stencil(self.symbol, A, lengths / n, shape, k=k)
 
 
-def assemble_direct(
+def box_matrix(
     symbol: PeriodicSymbol,
     field: MagneticField | None,
-    mode: str,
-    flux: Fraction = Fraction(0),
-    points_per_cell: int = 16,
-    box_size: float = 0.0,
-    box_points: int = 0,
+    box_size: float,
+    box_points: int,
     chi: str | None = None,
-) -> DirectDiscretization:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode != "zero_field_bloch":
-        if not isinstance(flux, Fraction):
-            raise ValueError("flux must be an exact Fraction")
-        if points_per_cell < 16 and mode == "magnetic_bloch":
-            raise GridTooCoarseError(
-                f"points_per_cell {points_per_cell}: need at least 16")
-        _cell_lengths(symbol.lattice)
-        d = symbol.lattice.dim
-        unknowns = (box_points**d if mode == "box"
-                    else flux.denominator * points_per_cell**d)
-        limit = (RELATIVISTIC_MAX_UNKNOWNS
-                 if isinstance(symbol.kind, Relativistic) else MAX_UNKNOWNS)
-        if unknowns > limit:
-            raise GridTooLargeError(
-                f"the finite-difference operator has {unknowns} unknowns, "
-                f"more than the {type(symbol.kind).__name__} limit {limit}")
-    return DirectDiscretization(
-        symbol=symbol, field=field, mode=mode, flux=flux,
-        points_per_cell=points_per_cell, box_size=box_size,
-        box_points=box_points, chi=chi,
-    )
+) -> sp.spmatrix:
+    """Dirichlet FD matrix on [-box_size/2, box_size/2)^d (field None: 0)."""
+    _cell_lengths(symbol.lattice)
+    d = symbol.lattice.dim
+    _require_size(symbol, box_points**d)
+    if box_points < 16:
+        raise GridTooCoarseError(f"box_points {box_points}: need at least 16")
+    A = _vector_potential(field or MagneticField(0.0), chi)
+    return _fd_stencil(symbol, A, np.full(d, box_size / box_points),
+                       (box_points,) * d, origin=-0.5 * box_size)
 
 
 def _fd_stencil(
@@ -212,7 +196,7 @@ def _fd_stencil(
         dense[on_diag] += 1.0
         root = hermitian_sqrt(dense)
         root[on_diag] += vvals
-        # dense: one block, which _window_eigs hands to eigvalsh as is
+        # dense: one block, which window_eigs hands to eigvalsh as is
         return sp.bsr_matrix((root[None], [0], [0, 1]), shape=(total, total))
     return M
 
@@ -271,7 +255,7 @@ def _edge_factors(M: sp.spmatrix, edge: float, outward: float):
     return factors, s, int(np.count_nonzero(pivots.real < 0))
 
 
-def _window_eigs(M: sp.spmatrix, window) -> np.ndarray:
+def window_eigs(M: sp.spmatrix, window) -> np.ndarray:
     """Eigenvalues of the Hermitian matrix intersected with window.
 
     A matrix of up to DENSE_MAX_UNKNOWNS unknowns, or one stored dense
@@ -340,15 +324,8 @@ def _fiber_classes(disc: DirectDiscretization, k_resolution: int):
     return 2.0 * np.pi * reps / k_resolution, classes.ravel()
 
 
-def distinct_fibers(disc: DirectDiscretization, k_resolution: int,
-                    shell_radius: float = 6.0) -> int:
+def distinct_fibers(disc: DirectDiscretization, k_resolution: int) -> int:
     """Matrices direct_spectrum diagonalizes at this k_resolution."""
-    if disc.mode == "box":
-        return 1
-    if disc.mode == "zero_field_bloch":
-        lat = disc.symbol.lattice
-        maps = point_group(disc.symbol, dual_shell(lat, shell_radius))[0]
-        return np.unique(bz_grid(lat, k_resolution).orbits(maps)[0]).size
     return len(_fiber_classes(disc, k_resolution)[0])
 
 
@@ -357,34 +334,17 @@ def direct_spectrum(
     window,
     merge_tol: float,
     k_resolution: int = 8,
-    n_bands: int = 4,
-    shell_radius: float = 6.0,
 ) -> SpectrumSet:
     """sigma(P_eps) within the window.
 
-    magnetic_bloch mode unions finite-difference eigenvalues over a
-    uniform magnetic-momentum grid, solving one fiber per class of
-    _fiber_classes (r * r / gcd(r, q) fibers in d=2 for r = k_resolution)
-    and counting its eigenvalues once for every point of the class, so
-    the cloud keeps the size of the full grid; zero_field_bloch reuses the
-    plane-wave band solver, which solves one point of each orbit of the
-    symbol's point group and time reversal;
-    box mode takes the Dirichlet matrix as is.
+    Unions finite-difference eigenvalues over a uniform magnetic-momentum
+    grid, solving one fiber per class of _fiber_classes (r * r / gcd(r, q)
+    fibers in d=2 for r = k_resolution) and counting its eigenvalues once
+    for every point of the class, so the cloud keeps the size of the full
+    grid.
     """
-    if disc.mode == "zero_field_bloch":
-        lat = disc.symbol.lattice
-        grid = bz_grid(lat, k_resolution)
-        shell = dual_shell(lat, shell_radius)
-        bands = compute_bands(disc.symbol, grid, shell, n_bands)
-        return SpectrumSet(
-            points=bands.bands.ravel(), window=window, merge_tol=merge_tol
-        )
-    if disc.mode == "box":
-        vals = _window_eigs(disc.box_matrix(), window)
-        return SpectrumSet(points=vals, window=window, merge_tol=merge_tol)
-
     momenta, classes = _fiber_classes(disc, k_resolution)
-    solved = [_window_eigs(disc.bloch_matrix(k), window) for k in momenta]
+    solved = [window_eigs(disc.bloch_matrix(k), window) for k in momenta]
     pts = (np.concatenate([solved[c] for c in classes]) if classes.size
            else np.empty(0))
     return SpectrumSet(points=pts, window=window, merge_tol=merge_tol)

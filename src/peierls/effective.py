@@ -139,51 +139,6 @@ def gauge_shifted_hoppings(
     )
 
 
-def field_for_flux(flux: Fraction, lattice: Lattice) -> MagneticField:
-    """Constant field whose unit-cell flux is exactly 2 pi * flux."""
-    signed_area = float(np.linalg.det(lattice.basis))
-    return MagneticField(b12=2.0 * np.pi * float(flux) / signed_area)
-
-
-@dataclass(frozen=True)
-class EffectiveLatticeOperator:
-    hoppings: HoppingSet
-    mode: str  # "box" or "magnetic_bloch"
-    flux: Fraction  # signed unit-cell flux / 2 pi (0 for zero field)
-    box_size: int | None = None
-    box_matrix: np.ndarray | None = None
-
-
-def assemble_effective(
-    hops: HoppingSet,
-    mode: str,
-    flux: Fraction = Fraction(0),
-    box_size: int | None = None,
-) -> EffectiveLatticeOperator:
-    """Build the lattice operator in box or magnetic-Bloch form.
-
-    flux is the exact signed unit-cell flux divided by 2 pi; pass a
-    Fraction (rationality is part of the type, never detected from
-    floats).
-    """
-    if not isinstance(flux, Fraction):
-        raise IrrationalFluxError("flux must be an exact Fraction p/q")
-    radius = max(
-        (max(abs(a) for a in alpha) for alpha in hops.hoppings), default=0
-    )
-    if mode == "box":
-        if box_size is None or box_size < radius:
-            raise ValueError("box size must be at least the hopping radius")
-        matrix = _box_matrix(hops, flux, box_size)
-        return EffectiveLatticeOperator(
-            hoppings=hops, mode=mode, flux=flux, box_size=box_size,
-            box_matrix=matrix,
-        )
-    if mode == "magnetic_bloch":
-        return EffectiveLatticeOperator(hoppings=hops, mode=mode, flux=flux)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, **grid):
     """peierls_hops of the hoppings on the unit grid of this shape at flux
     2 pi flux per cell: rows, cols, cell shifts, phased blocks (hops, N, N)."""
@@ -195,7 +150,20 @@ def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, **grid):
     return rows, cols, cell, phases[:, None, None] * blocks[hop]
 
 
-def _box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
+def box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
+    """The operator on the sites with |gamma_i| <= box_size (Dirichlet).
+
+    flux is the exact signed unit-cell flux divided by 2 pi, a Fraction
+    (rationality is part of the type, never detected from floats), here
+    and in the magnetic-Bloch fibers.
+    """
+    if not isinstance(flux, Fraction):
+        raise IrrationalFluxError("flux must be an exact Fraction p/q")
+    radius = max(
+        (max(abs(a) for a in alpha) for alpha in hops.hoppings), default=0
+    )
+    if box_size < radius:
+        raise ValueError("box size must be at least the hopping radius")
     n, side = hops.n, 2 * box_size + 1
     sites = side**hops.dim
     rows, cols, _, entries = _lattice_hops(hops, flux, (side,) * hops.dim,
@@ -263,6 +231,8 @@ def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
     with s' = (s - b1) mod q, m = (s - b1 - s') / q, n = -b2.  In d=1 the
     flux is zero and this is the symbol evaluated on the momentum grid.
     """
+    if not isinstance(flux, Fraction):  # before the guard reads q
+        raise IrrationalFluxError("flux must be an exact Fraction p/q")
     kpts = np.asarray(kpts, dtype=float).reshape(-1, hops.dim)
     dim = (flux.denominator if hops.dim == 2 else 1) * hops.n
     # a hop adds blocks at two shifts at most, doubled at most by partners
@@ -318,19 +288,6 @@ def subband_groups(
             groups += 1
         reach = max(reach, hi[j])
     return groups
-
-
-def effective_spectrum(
-    op: EffectiveLatticeOperator,
-    window,
-    merge_tol: float,
-    k_resolution: int = 32,
-) -> SpectrumSet:
-    if op.mode == "box":
-        vals = np.linalg.eigvalsh(op.box_matrix)
-    else:
-        vals = bloch_eigenvalue_cloud(op.hoppings, op.flux, k_resolution)
-    return SpectrumSet(points=vals, window=window, merge_tol=merge_tol)
 
 
 def lambda_scan(

@@ -3,7 +3,8 @@
 Every magnetic phase of the package is computed here: line_phase for
 links and kernels, peierls_hops for the hops of a lattice operator on a
 uniform grid (the stencil of direct, the box matrix and magnetic-Bloch
-blocks of effective), with their magnetic-Bloch wrap over a cell.
+blocks of effective), with their magnetic-Bloch wrap over a cell, and
+field_for_flux for the field of a rational unit-cell flux.
 
 Conventions (d = 2 throughout unless noted):
   * constant field B12 = b, B21 = -b; transversal gauge A(x) = (b/2)(-x2, x1);
@@ -17,11 +18,12 @@ Conventions (d = 2 throughout unless noted):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .lattice import tensor_grid
+from .lattice import Lattice, tensor_grid
 
 
 class UnsupportedGaugeError(ValueError):
@@ -46,6 +48,12 @@ CHI_CATALOG: dict = {
     "quadratic": lambda x: 0.3 * x[..., 0] * x[..., 1],
     "harmonic": lambda x: np.sin(x[..., 0]) + 0.5 * np.cos(x[..., 1]),
 }
+
+
+def field_for_flux(flux: Fraction, lattice: Lattice) -> MagneticField:
+    """Constant field whose unit-cell flux is exactly 2 pi * flux."""
+    signed_area = float(np.linalg.det(lattice.basis))
+    return MagneticField(b12=2.0 * np.pi * float(flux) / signed_area)
 
 
 @dataclass(frozen=True)
@@ -101,18 +109,18 @@ def peierls_hops(A: VectorPotential, shape, h, offsets, origin=0.0, k=None):
     d = shape.size
     offsets = np.asarray(offsets).reshape(-1, d)
     sites = np.indices(shape).reshape(d, -1).T
-    x = origin + h * sites
-    # one hop per (offset, site), flattened in C order
-    n, j = (v.reshape(-1, d)
-            for v in np.divmod(offsets[:, None] + sites, shape))
-    offset, rows = np.divmod(np.arange(n.shape[0]), sites.shape[0])
-    phases = (line_phase(A, x, x + (h * offsets)[:, None]).ravel() if d == 2
+    target = offsets[:, None] + sites
+    # one hop per (offset, site) in C order; in Dirichlet mode only those
+    # that stay on the grid, so no phase is computed for a dropped one
+    kept = (np.ones(target.shape[:2], dtype=bool) if k is not None
+            else ((target >= 0) & (target < shape)).all(axis=2))
+    offset, rows = np.nonzero(kept)
+    n, j = np.divmod(target[offset, rows], shape)
+    x = origin + h * sites[rows]
+    phases = (line_phase(A, x, x + (h * offsets)[offset]) if d == 2
               else np.ones(rows.size, dtype=complex))
-    wrapped = n.any(axis=1)
-    if k is None:
-        rows, offset, n, j, phases = (
-            v[~wrapped] for v in (rows, offset, n, j, phases))
-    else:
+    if k is not None:
+        wrapped = n.any(axis=1)
         arg = n[wrapped] @ np.asarray(k, dtype=float)
         if d == 2:
             a, y = h * shape * n[wrapped], origin + h * j[wrapped]

@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 from peierls.bloch import assemble_fiber_matrix, band_intervals, compute_bands
-from peierls.direct import assemble_direct, direct_spectrum
+from peierls.direct import DirectDiscretization, direct_spectrum
 from peierls.effective import (
-    assemble_effective,
     bloch_eigenvalue_cloud,
-    effective_spectrum,
-    field_for_flux,
+    box_matrix,
     fourier_hoppings,
     gauge_shifted_hoppings,
     hopping_decay_fit,
@@ -263,11 +261,10 @@ def test_criterion_06_gauge_covariance(nn_hoppings, lat2):
     assert dev_weyl <= 1e-9
 
     shifted_hops = gauge_shifted_hoppings(nn_hoppings, [0.4, -0.9], lat2)
-    a = assemble_effective(nn_hoppings, "box", Fraction(1, 3), box_size=7)
-    b = assemble_effective(shifted_hops, "box", Fraction(1, 3), box_size=7)
+    a = box_matrix(nn_hoppings, Fraction(1, 3), 7)
+    b = box_matrix(shifted_hops, Fraction(1, 3), 7)
     dev_lat = float(np.max(np.abs(
-        np.sort(np.linalg.eigvalsh(a.box_matrix))
-        - np.sort(np.linalg.eigvalsh(b.box_matrix))
+        np.sort(np.linalg.eigvalsh(a)) - np.sort(np.linalg.eigvalsh(b))
     )))
     assert dev_lat <= 1e-9
     _report(6, f"quantizer spectra deviation {dev_weyl:.1e} <= 1e-9, "
@@ -318,27 +315,23 @@ def compare_pipeline(separable):
     hops = fourier_hoppings(band, grid, radius=8)
     runs = []
     for eps, flux in EPS_FLUX:
-        op = assemble_effective(hops, "magnetic_bloch", flux)
-        eff = effective_spectrum(op, window, MERGE_TOL, k_resolution=24)
-        disc = assemble_direct(separable, field_for_flux(flux, lat),
-                               "magnetic_bloch", flux=flux,
-                               points_per_cell=16)
+        eff = SpectrumSet(points=bloch_eigenvalue_cloud(hops, flux, 24),
+                          window=window, merge_tol=MERGE_TOL)
+        disc = DirectDiscretization(separable, flux, points_per_cell=16)
         direct_set = direct_spectrum(disc, window, MERGE_TOL,
-                                     k_resolution=4, n_bands=4)
+                                     k_resolution=4)
         runs.append({"eps": eps, "flux": flux, "eff": eff,
                      "direct": direct_set, "disc": disc})
-    zero = assemble_direct(separable, None, "magnetic_bloch",
-                           flux=Fraction(0), points_per_cell=16)
-    zero_set = direct_spectrum(zero, window, MERGE_TOL, k_resolution=8,
-                               n_bands=4)
+    zero = DirectDiscretization(separable, Fraction(0), points_per_cell=16)
+    zero_set = direct_spectrum(zero, window, MERGE_TOL, k_resolution=8)
     gap_window = (-0.5, 0.0)
     gap_counts = [
         direct_spectrum(run["disc"], gap_window, MERGE_TOL,
-                        k_resolution=4, n_bands=4).points.size
+                        k_resolution=4).points.size
         for run in runs[-2:]
     ]
-    zero_gap = direct_spectrum(zero, gap_window, MERGE_TOL, k_resolution=8,
-                               n_bands=4).points.size
+    zero_gap = direct_spectrum(zero, gap_window, MERGE_TOL,
+                               k_resolution=8).points.size
     elapsed = time.perf_counter() - t0
     return {"window": window, "runs": runs, "zero_set": zero_set,
             "gap_counts": gap_counts, "zero_gap": zero_gap,

@@ -13,7 +13,6 @@ from peierls.bloch import (
     compute_bands,
     point_group,
 )
-from peierls.direct import assemble_direct, distinct_fibers
 from peierls.lattice import GridTooLargeError, Lattice, bz_grid, dual_shell
 from peierls.symbols import (
     Nonrelativistic,
@@ -211,9 +210,11 @@ def test_fold_solves_one_point_per_pair(lat1, lat2, monkeypatch, dim, res,
     shell = dual_shell(lat, 2.0)
     maps = point_group(symbol, shell)[0]
     assert np.unique(grid.orbits(maps)[0]).size == solved
-    assert len(_counted_solves(monkeypatch, symbol, grid, shell)) == solved
-    disc = assemble_direct(symbol, None, "zero_field_bloch")
-    assert distinct_fibers(disc, res) == solved
+    calls, bands = _counted_solves(monkeypatch, symbol, grid, shell)
+    assert len(calls) == bands.solved == solved
+    # the count the CLI reports in zero-field direct mode (shell radius 6)
+    cli_shell = dual_shell(lat, 6.0)
+    assert compute_bands(symbol, grid, cli_shell, 2).solved == solved
 
 
 def _identity_case(name, lat1, lat2):
@@ -253,7 +254,7 @@ def test_bands_equal_eigh_bit_for_bit(lat1, lat2, name, keep_vectors):
 
 
 def _counted_solves(monkeypatch, symbol, grid, shell):
-    """The LAPACK eigensolver calls of one compute_bands."""
+    """The LAPACK eigensolver calls of one compute_bands, and its bands."""
     calls = []
     get_lapack_funcs = scipy.linalg.get_lapack_funcs
 
@@ -268,16 +269,13 @@ def _counted_solves(monkeypatch, symbol, grid, shell):
 
     monkeypatch.setattr(bloch.scipy.linalg, "get_lapack_funcs",
                         counting_handles)
-    compute_bands(symbol, grid, shell, 2)
-    return calls
+    return calls, compute_bands(symbol, grid, shell, 2)
 
 
 def test_group_fold_solves_one_point_per_orbit(separable, lat2, monkeypatch):
-    grid = bz_grid(lat2, 16)
-    assert len(_counted_solves(monkeypatch, separable, grid,
-                               dual_shell(lat2, 6.0))) == 45
-    disc = assemble_direct(separable, None, "zero_field_bloch")
-    assert distinct_fibers(disc, 16) == 45
+    calls, bands = _counted_solves(monkeypatch, separable, bz_grid(lat2, 16),
+                                   dual_shell(lat2, 6.0))
+    assert len(calls) == bands.solved == 45
 
 
 def _group_case(name):

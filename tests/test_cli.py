@@ -86,6 +86,22 @@ def test_direct_command(config_path, tmp_path):
     assert lines[0] == "value" and len(lines) > 1
 
 
+def test_zero_field_bloch_mode_uses_band_solver(mathieu, lat1, tmp_path):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["numerics"].update(n_bands=2, cutoff=8.0)
+    cfg.update(k_resolution=16, window=[-0.5, 0.0])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path) == 0
+    values = _read_values(tmp_path / "eigenvalues.csv")
+    assert abs(min(values) + 0.37848922126213247) < 1e-8
+    # one fiber per orbit of the band grid is diagonalized
+    solved = bloch.compute_bands(mathieu, bz_grid(lat1, 16),
+                                 dual_shell(lat1, 8.0), 2).solved
+    meta = json.loads((tmp_path / "direct_meta.json").read_text())
+    assert meta["summary"]["direct_fibers"] == solved < 16
+
+
 def test_compare_command(config_path, tmp_path, monkeypatch):
     cfg = dict(BASE_CONFIG)
     cfg["epsilons"] = [[0.1, "0"], [0.05, "0"], [0.025, "0"]]
@@ -168,17 +184,6 @@ def test_config_error_nonsimple_band(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert _run("section", str(path), tmp_path) == 2
     assert "H.7" in capsys.readouterr().err
-
-
-def test_numeric_error_exit_code(config_path, tmp_path, capsys):
-    # box smaller than the hopping radius is a numeric-domain error
-    cfg = dict(BASE_CONFIG)
-    cfg["mode"] = "box"
-    cfg["box_size"] = 2
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert _run("effective", str(path), tmp_path) == 3
-    assert "numeric error" in capsys.readouterr().err
 
 
 def test_non_finite_fiber_is_an_eigensolver_error(mathieu, lat1, config_path,
@@ -393,11 +398,17 @@ def _edited(base, keys, value):
     ("bands", BASE_CONFIG, ("symbol", "potential"), "cosine",
      "'symbol.potential'"),
     ("bands", BASE_CONFIG, (), [BASE_CONFIG], "JSON object"),
+    ("bands", BASE_CONFIG, ("symbol", "kind"), ["x"], "symbol.kind"),
+    ("bands", BASE_CONFIG, ("symbol", "potential", "name"), {"a": 1},
+     "symbol.potential.name"),
+    ("direct", D2_CONFIG, ("mode",), ["box"], "mode ['box']"),
+    ("effective", BASE_CONFIG, ("mode",), ["box"], "mode ['box']"),
 ], ids=["no_basis", "non_square_basis", "resolution_text",
         "resolution_fraction", "no_bands", "negative_cutoff",
         "band_index_too_large", "field_matrix_1x1", "b12_text",
         "epsilon_bool", "amplitude_nan", "amplitude_list", "amplitude_text",
-        "symbol_text", "potential_text", "config_list"])
+        "symbol_text", "potential_text", "config_list", "kind_list",
+        "potential_name_object", "direct_mode_list", "effective_mode_list"])
 def test_malformed_config_is_config_error(command, base, keys, value, named,
                                           tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -439,6 +450,7 @@ COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
     ("effective", BASE_CONFIG, "window", [0.5, -0.5]),
     ("effective", BASE_CONFIG, "window", [float("nan"), 0.5]),
     ("effective", dict(BASE_CONFIG, mode="box"), "box_size", 0),
+    ("effective", dict(BASE_CONFIG, mode="box"), "box_size", 3),
     ("effective", BASE_CONFIG, "lambda_points", "many"),
     ("scan", BASE_CONFIG, "k_resolution", 0),
     ("grushin", BASE_CONFIG, "samples", "many"),
@@ -457,7 +469,8 @@ COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
     ("compare", COMPARE_CONFIG, "epsilons", [[0.08]]),
     ("compare", COMPARE_CONFIG, "epsilons", 5),
 ], ids=["k_resolution_text", "k_resolution_fraction", "window_reversed",
-        "window_nan", "effective_box_size_zero", "lambda_points_text",
+        "window_nan", "effective_box_size_zero",
+        "effective_box_size_below_radius", "lambda_points_text",
         "scan_k_resolution_zero", "samples_text", "points_per_cell_fraction",
         "points_per_cell_too_coarse", "zero_field_k_resolution_one",
         "direct_box_size_text", "direct_box_size_zero", "box_points_negative",
@@ -478,5 +491,22 @@ def test_nan_lattice_basis_is_config_error(tmp_path, capsys):
     path.write_text(json.dumps(_edited(BASE_CONFIG, ("lattice", "basis"),
                                        [[float("nan")]])))
     assert _run("bands", str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "lattice.basis" in err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("direct", D2_CONFIG),
+    ("direct", dict(D2_CONFIG, mode="box", flux="0", box_size=8.0,
+                    box_points=16)),
+    ("compare", COMPARE_CONFIG),
+], ids=["magnetic_bloch", "box", "compare"])
+def test_non_rectangular_lattice_is_config_error(command, cfg, tmp_path,
+                                                 capsys):
+    # the finite-difference operator needs a diagonal basis
+    skew = [[6.283185307179586, 1.0], [0.0, 6.283185307179586]]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_edited(cfg, ("lattice", "basis"), skew)))
+    assert _run(command, str(path), tmp_path) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "lattice.basis" in err

@@ -16,14 +16,15 @@ from peierls.direct import (
     WindowTooWideError,
     _edge_factors,
     _fd_stencil,
-    _window_eigs,
-    assemble_direct,
+    box_matrix,
     direct_spectrum,
     distinct_fibers,
+    window_eigs,
 )
-from peierls.effective import HoppingSet, _bloch_fibers, field_for_flux
+from peierls.effective import HoppingSet, _bloch_fibers
 from peierls.lattice import Lattice, momentum_grid, tensor_grid
-from peierls.magnetic import CHI_CATALOG, MagneticField, VectorPotential
+from peierls.magnetic import (CHI_CATALOG, MagneticField, VectorPotential,
+                              field_for_flux)
 from peierls.spectra import SpectrumSet
 from peierls.symbols import (
     Nonrelativistic,
@@ -35,30 +36,31 @@ from peierls.symbols import (
 )
 
 
-def test_assemble_direct_validation(mathieu, separable):
-    with pytest.raises(ValueError, match="unknown mode"):
-        assemble_direct(mathieu, None, "bogus")
+def test_discretization_validation(mathieu, separable):
+    with pytest.raises(ValueError, match="exact Fraction"):
+        DirectDiscretization(mathieu, 0.0)
     with pytest.raises(GridTooCoarseError):
-        assemble_direct(mathieu, None, "magnetic_bloch", points_per_cell=8)
+        DirectDiscretization(mathieu, Fraction(0), points_per_cell=8)
+    with pytest.raises(GridTooCoarseError):
+        box_matrix(mathieu, None, 8.0, 8)
     skew = Lattice(basis=np.array([[2.0 * np.pi, 1.0], [0.0, 2.0 * np.pi]]))
     skew_sym = PeriodicSymbol(Nonrelativistic(), zero_potential(skew))
-    with pytest.raises(NonRectangularLatticeError):
-        assemble_direct(skew_sym, None, "magnetic_bloch")
+    with pytest.raises(NonRectangularLatticeError, match="lattice.basis"):
+        DirectDiscretization(skew_sym, Fraction(0))
+    with pytest.raises(NonRectangularLatticeError, match="lattice.basis"):
+        box_matrix(skew_sym, None, 8.0, 16)
 
 
 def test_fd_matrix_hermitian_and_gauge_covariant(separable):
-    field = MagneticField(2.0 * np.pi / (4.0 * np.pi**2))  # flux 1 per cell
-    disc = assemble_direct(separable, field, "magnetic_bloch",
-                           flux=Fraction(1), points_per_cell=16)
+    disc = DirectDiscretization(separable, Fraction(1), points_per_cell=16)
     k = np.array([0.3, -0.7])
     M = disc.bloch_matrix(k)
     assert sp.issparse(M)
     dev = abs(M - M.getH()).max()
     assert dev < 1e-12
     # periodic gauge function: spectra must be unchanged
-    disc_chi = assemble_direct(separable, field, "magnetic_bloch",
-                               flux=Fraction(1), points_per_cell=16,
-                               chi="harmonic")
+    disc_chi = DirectDiscretization(separable, Fraction(1),
+                                    points_per_cell=16, chi="harmonic")
     v0 = np.linalg.eigvalsh(M.toarray())[:6]
     v1 = np.linalg.eigvalsh(disc_chi.bloch_matrix(k).toarray())[:6]
     assert np.max(np.abs(v0 - v1)) < 1e-9
@@ -67,18 +69,14 @@ def test_fd_matrix_hermitian_and_gauge_covariant(separable):
     cell_axis = 2.0 * np.pi / 16 * np.arange(16)
     box_axis = -3.0 + 6.0 / 16 * np.arange(16)
     cases = [
-        ("harmonic", field, dict(mode="magnetic_bloch", flux=Fraction(1),
-                                 points_per_cell=16), cell_axis),
-        ("quadratic", MagneticField(0.3), dict(mode="box", box_size=6.0,
-                                               box_points=16), box_axis),
+        ("harmonic", lambda chi: DirectDiscretization(
+            separable, Fraction(1), points_per_cell=16,
+            chi=chi).bloch_matrix(k), cell_axis),
+        ("quadratic", lambda chi: box_matrix(
+            separable, MagneticField(0.3), 6.0, 16, chi=chi), box_axis),
     ]
-    for chi, fld, kw, axis in cases:
-        mats = []
-        for gauge in (None, chi):
-            d = assemble_direct(separable, fld, chi=gauge, **kw)
-            mats.append((d.bloch_matrix(k) if d.mode == "magnetic_bloch"
-                         else d.box_matrix()).toarray())
-        base, gauged = mats
+    for chi, matrix, axis in cases:
+        base, gauged = (matrix(gauge).toarray() for gauge in (None, chi))
         x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
         D = np.exp(1j * CHI_CATALOG[chi](x.reshape(-1, 2)))
         expected = D[:, None] * base * np.conj(D)[None, :]
@@ -98,8 +96,7 @@ def test_fd_fiber_hermitian_and_periodic_in_k2(separable, p, q, k1, k2):
     # the operator and shifts k2 by 2 pi p/q, so the fiber spectrum has
     # period 2 pi/q in k2; the wrap phase of the stencil must respect it
     flux = Fraction(p, q)
-    disc = assemble_direct(separable, field_for_flux(flux, separable.lattice),
-                           "magnetic_bloch", flux=flux, points_per_cell=16)
+    disc = DirectDiscretization(separable, flux, points_per_cell=16)
     lowest = []
     for k in ([k1, k2], [k1, k2 + 2.0 * np.pi / flux.denominator]):
         M = disc.bloch_matrix(np.array(k))
@@ -109,17 +106,43 @@ def test_fd_fiber_hermitian_and_periodic_in_k2(separable, p, q, k1, k2):
     assert np.max(np.abs(lowest[0] - lowest[1])) < 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(flux=st.integers(1, 16).flatmap(
+           lambda q: st.integers(-q, q).map(lambda p: Fraction(p, q))),
+       k=st.tuples(*[st.floats(-np.pi, np.pi)] * 2))
+def test_fd_fiber_is_covariant_under_magnetic_translations(separable, flux,
+                                                           k):
+    # (T f)(x) = exp(i (b/2) L1 x2) f(x - L1 e1) commutes with the operator
+    # and maps magnetic-Bloch functions at k to k + (0, 2 pi p/q).  On the
+    # cell it is U = D P: P shifts by one unit cell (points_per_cell sites)
+    # along axis 1, cyclically, and D is the phase of T times the
+    # magnetic-Bloch wrap of the sites that P brings around the cell.
+    n, q = 16, flux.denominator
+    disc = DirectDiscretization(separable, flux, points_per_cell=n)
+    L1, L2 = np.diag(separable.lattice.basis)
+    b = field_for_flux(flux, separable.lattice).b12
+    i1, i2 = np.indices((q * n, n)).reshape(2, -1)
+    x2 = L2 / n * i2
+    wrap = np.where(i1 < n, -k[0] - 0.5 * b * q * L1 * x2, 0.0)
+    shift = np.ravel_multi_index(((i1 - n) % (q * n), i2), (q * n, n))
+    U = sp.diags(np.exp(1j * (0.5 * b * L1 * x2 + wrap))) @ sp.csr_matrix(
+        (np.ones(shift.size), (np.arange(shift.size), shift)))
+    M = disc.bloch_matrix(np.array(k))
+    image = disc.bloch_matrix(np.array([k[0],
+                                        k[1] + 2.0 * np.pi * float(flux)]))
+    assert abs(U @ M @ U.conj().T - image).max() < 1e-12
+
+
 @settings(max_examples=10, deadline=None)
 @given(k1=st.floats(-np.pi, np.pi), k2=st.floats(-np.pi, np.pi))
 def test_fd_fiber_window_is_even_in_k(separable, k1, k2):
     # the separable potential is even in each coordinate, and the
     # reflections k -> -k and k1 -> -k1 survive the field
     flux = Fraction(1, 4)
-    disc = assemble_direct(separable, field_for_flux(flux, separable.lattice),
-                           "magnetic_bloch", flux=flux, points_per_cell=16)
+    disc = DirectDiscretization(separable, flux, points_per_cell=16)
     window = (-0.83, -0.29)  # band 0 with margins in its gaps
     base, negated, mirrored = (
-        _window_eigs(disc.bloch_matrix(np.array(k)), window)
+        window_eigs(disc.bloch_matrix(np.array(k)), window)
         for k in ([k1, k2], [-k1, -k2], [-k1, k2]))
     assert base.size == flux.denominator  # q subbands
     assert negated.shape == mirrored.shape == base.shape
@@ -137,7 +160,7 @@ def test_free_fd_fiber_matches_closed_form(lengths, k):
     # N theta = k + 2 pi j, summed over the axes
     free = PeriodicSymbol(Nonrelativistic(),
                           zero_potential(Lattice(np.diag(lengths))))
-    disc = assemble_direct(free, None, "magnetic_bloch", points_per_cell=16)
+    disc = DirectDiscretization(free, Fraction(0), points_per_cell=16)
     k = np.asarray(k[:len(lengths)])
     vals = np.linalg.eigvalsh(disc.bloch_matrix(k).toarray())
     h = np.asarray(lengths) / 16
@@ -170,33 +193,28 @@ def test_fd_converges_second_order_d1(mathieu):
     ref = -0.37848922126213247  # dense plane-wave value
     errs = []
     for n in (32, 64):
-        disc = assemble_direct(mathieu, None, "magnetic_bloch",
-                               points_per_cell=n)
+        disc = DirectDiscretization(mathieu, Fraction(0), points_per_cell=n)
         vals = np.linalg.eigvalsh(disc.bloch_matrix([0.0]).toarray())
         errs.append(abs(vals[0] - ref))
     assert errs[1] < errs[0] / 3.0
 
 
 def test_magnetic_spectrum_stable_under_k_refinement(separable):
-    flux = Fraction(1, 2)
-    from peierls.effective import field_for_flux
     from peierls.spectra import hausdorff_distance
 
-    field = field_for_flux(flux, separable.lattice)
-    disc = assemble_direct(separable, field, "magnetic_bloch", flux=flux,
-                           points_per_cell=16)
+    disc = DirectDiscretization(separable, Fraction(1, 2), points_per_cell=16)
     win = (-1.0, 0.5)
-    s1 = direct_spectrum(disc, win, merge_tol=0.05, k_resolution=8, n_bands=4)
-    s2 = direct_spectrum(disc, win, merge_tol=0.05, k_resolution=16, n_bands=4)
+    s1 = direct_spectrum(disc, win, merge_tol=0.05, k_resolution=8)
+    s2 = direct_spectrum(disc, win, merge_tol=0.05, k_resolution=16)
     d, flagged = hausdorff_distance(s1, s2)
     assert not flagged and d < 0.01
 
 
 def test_box_mode_spectrum(mathieu):
-    disc = assemble_direct(mathieu, None, "box", box_size=8.0 * np.pi,
-                           box_points=128)
     win = (-0.5, 0.0)
-    s = direct_spectrum(disc, win, merge_tol=2e-2)
+    s = SpectrumSet(points=window_eigs(box_matrix(mathieu, None, 8.0 * np.pi,
+                                                  128), win),
+                    window=win, merge_tol=2e-2)
     # Dirichlet eigenvalues fill the first band up to boundary effects
     assert s.points.size > 3
     assert s.points.min() > -0.385
@@ -209,9 +227,8 @@ def test_relativistic_box_squares_to_the_nonrelativistic_box(dim, b12):
     field = MagneticField(b12) if b12 else None
 
     def box(kind, potential):
-        disc = assemble_direct(PeriodicSymbol(kind, potential), field, "box",
-                               box_size=6.0, box_points=16)
-        return disc.box_matrix().toarray()
+        return box_matrix(PeriodicSymbol(kind, potential), field, 6.0,
+                          16).toarray()
 
     kinetic = box(Nonrelativistic(), zero_potential(lat))
     v = box(Nonrelativistic(), pot) - kinetic
@@ -220,39 +237,29 @@ def test_relativistic_box_squares_to_the_nonrelativistic_box(dim, b12):
     assert np.max(np.abs(root @ root - (kinetic + eye))) < 1e-9
 
 
-def test_zero_field_bloch_mode_uses_band_solver(mathieu):
-    disc = assemble_direct(mathieu, None, "zero_field_bloch")
-    s = direct_spectrum(disc, (-0.5, 0.0), merge_tol=1e-2, k_resolution=16,
-                        n_bands=2, shell_radius=8.0)
-    assert abs(s.points.min() + 0.37848922126213247) < 1e-8
-
-
 def test_relativistic_fd_runs(lat1):
     sym = PeriodicSymbol(Relativistic(), cosine_potential(lat1, 0.3))
-    disc = assemble_direct(sym, None, "magnetic_bloch", points_per_cell=16)
+    disc = DirectDiscretization(sym, Fraction(0), points_per_cell=16)
     vals = np.linalg.eigvalsh(disc.bloch_matrix([0.0]).toarray())
     assert vals[0] > 0.0  # sqrt(1 + |eta|^2) + V >= 1 - 0.6
 
 
 def test_window_eigs_covers_window_above_initial_batch(separable):
-    from peierls.effective import field_for_flux
-
     flux = Fraction(1, 4)
-    disc = assemble_direct(separable, field_for_flux(flux, separable.lattice),
-                           "magnetic_bloch", flux=flux, points_per_cell=16)
+    disc = DirectDiscretization(separable, flux, points_per_cell=16)
     M = disc.bloch_matrix(np.array([0.3, -0.7]))
     assert M.shape[0] > 600  # the sparse path
     dense = np.linalg.eigvalsh(M.toarray())
     # window edges mid-gap, around the 21st to the 40th eigenvalue
     window = (0.5 * (dense[19] + dense[20]), 0.5 * (dense[39] + dense[40]))
-    got = _window_eigs(M, window)
+    got = window_eigs(M, window)
     expected = dense[(dense >= window[0]) & (dense <= window[1])]
     assert expected.size == 20
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) < 1e-9
     # a window holding more than an eighth of the spectrum is refused
     with pytest.raises(WindowTooWideError, match="window"):
-        _window_eigs(M, (-1.0, 20.0))
+        window_eigs(M, (-1.0, 20.0))
 
 
 def test_window_eigs_moves_shift_off_an_eigenvalue():
@@ -260,7 +267,7 @@ def test_window_eigs_moves_shift_off_an_eigenvalue():
     # have no LU factors, and the edges move outward
     M = sp.diags(np.arange(700.0) + 0j).tocsr()
     for window in ((9.5, 12.5), (10.0, 12.0)):
-        got = _window_eigs(M, window)
+        got = window_eigs(M, window)
         assert np.allclose(got, [10.0, 11.0, 12.0], atol=1e-10)
 
 
@@ -270,17 +277,17 @@ def test_window_eigs_refuses_off_diagonal_pivots():
     M = sp.kron(sp.identity(150), np.array([[0.0, 1.0], [1.0, 0.0]]),
                 format="csr").astype(complex)
     with pytest.raises(WindowCoverageError, match="LDL"):
-        _window_eigs(M, (0.0, 2.0))
+        window_eigs(M, (0.0, 2.0))
 
 
 def _check_window(M, dense, window):
-    """_window_eigs and the edge inertias against a dense solve.
+    """window_eigs and the edge inertias against a dense solve.
 
     An eigenvalue within 1e-9 of an edge may fall on either side of it in
     floating point; every other one must be found, and counted, exactly.
     """
     lo, hi = window
-    got = _window_eigs(M, window)
+    got = window_eigs(M, window)
     assert np.all((got >= lo) & (got <= hi))
     inner = dense[(dense > lo + 1e-9) & (dense < hi - 1e-9)]
     outer = dense[(dense >= lo - 1e-9) & (dense <= hi + 1e-9)]
@@ -307,8 +314,7 @@ def _check_window(M, dense, window):
 def test_window_eigs_matches_dense_at_random_flux(separable, p, q, k1, k2,
                                                   data):
     flux = Fraction(p, q)
-    disc = assemble_direct(separable, field_for_flux(flux, separable.lattice),
-                           "magnetic_bloch", flux=flux, points_per_cell=16)
+    disc = DirectDiscretization(separable, flux, points_per_cell=16)
     M = disc.bloch_matrix(np.array([k1, k2]))
     assert M.shape[0] > 200  # the sparse path
     dense = np.linalg.eigvalsh(M.toarray())
@@ -344,11 +350,10 @@ def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
     # j2 mod r / gcd(r, q) stands for the whole class, for every k1
     flux = Fraction(flux)
     sym = PeriodicSymbol(kind(), separable_cosine_2d(lat2, 0.5))
-    disc = assemble_direct(sym, field_for_flux(flux, lat2), "magnetic_bloch",
-                           flux=flux, points_per_cell=16, chi=chi)
+    disc = DirectDiscretization(sym, flux, points_per_cell=16, chi=chi)
     full = SpectrumSet(
         points=np.concatenate([
-            _window_eigs(disc.bloch_matrix(k), window)
+            window_eigs(disc.bloch_matrix(k), window)
             for k in momentum_grid(2, r)]),
         window=window, merge_tol=1e-3)
 
@@ -372,9 +377,8 @@ def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
 
 
 def test_no_fold_in_d1_or_at_integer_flux(mathieu, separable):
-    d1 = assemble_direct(mathieu, None, "magnetic_bloch")
-    field = field_for_flux(Fraction(1), separable.lattice)
-    d2 = assemble_direct(separable, field, "magnetic_bloch", flux=Fraction(1))
+    d1 = DirectDiscretization(mathieu, Fraction(0))
+    d2 = DirectDiscretization(separable, Fraction(1))
     assert distinct_fibers(d1, 6) == 6
     assert distinct_fibers(d2, 6) == 36
 
@@ -382,11 +386,8 @@ def test_no_fold_in_d1_or_at_integer_flux(mathieu, separable):
 def test_relativistic_fd_size_is_bounded(separable):
     sym = PeriodicSymbol(Relativistic(), separable.potential)
     with pytest.raises(GridTooLargeError, match="16384"):
-        assemble_direct(sym, MagneticField(0.3), "box", box_size=6.0,
-                        box_points=128)
+        box_matrix(sym, MagneticField(0.3), 6.0, 128)
     with pytest.raises(GridTooLargeError, match="4096"):
-        assemble_direct(sym, field_for_flux(Fraction(1, 16), sym.lattice),
-                        "magnetic_bloch", flux=Fraction(1, 16))
+        DirectDiscretization(sym, Fraction(1, 16))
     # the nonrelativistic stencil stays sparse at any size
-    assemble_direct(separable, MagneticField(0.3), "box", box_size=6.0,
-                    box_points=128)
+    assert sp.issparse(box_matrix(separable, MagneticField(0.3), 6.0, 128))

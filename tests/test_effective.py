@@ -12,10 +12,8 @@ from peierls.effective import (
     InconsistentSymbolError,
     IrrationalFluxError,
     _bloch_fibers,
-    assemble_effective,
     bloch_eigenvalue_cloud,
-    effective_spectrum,
-    field_for_flux,
+    box_matrix,
     fourier_hoppings,
     gauge_shifted_hoppings,
     hopping_decay_fit,
@@ -24,7 +22,8 @@ from peierls.effective import (
     subband_groups,
 )
 from peierls.lattice import bz_grid, dual_shell
-from peierls.spectra import hausdorff_distance
+from peierls.magnetic import field_for_flux
+from peierls.spectra import SpectrumSet, hausdorff_distance
 
 FLUXES = st.integers(1, 16).flatmap(
     lambda q: st.integers(-q, q).map(lambda p: Fraction(p, q)))
@@ -59,12 +58,14 @@ def test_flux_ratio_and_field_round_trip(lat2):
 
 def test_irrational_flux_rejected(nn_hoppings):
     with pytest.raises(IrrationalFluxError):
-        assemble_effective(nn_hoppings, "magnetic_bloch", 0.5)
+        bloch_eigenvalue_cloud(nn_hoppings, 0.5, k_resolution=4)
+    with pytest.raises(IrrationalFluxError):
+        box_matrix(nn_hoppings, 0.5, box_size=2)
 
 
 def test_box_size_guard(nn_hoppings):
     with pytest.raises(ValueError, match="box size"):
-        assemble_effective(nn_hoppings, "box", Fraction(0), box_size=0)
+        box_matrix(nn_hoppings, Fraction(0), box_size=0)
 
 
 def test_zero_flux_bloch_matrix_is_symbol(nn_hoppings):
@@ -86,10 +87,12 @@ def test_subband_counts(nn_hoppings):
 
 def test_box_and_bloch_spectra_agree_at_zero_flux(nn_hoppings):
     win = (-4.5, 4.5)
-    box = assemble_effective(nn_hoppings, "box", Fraction(0), box_size=14)
-    s_box = effective_spectrum(box, win, merge_tol=0.25)
-    blo = assemble_effective(nn_hoppings, "magnetic_bloch", Fraction(0))
-    s_blo = effective_spectrum(blo, win, merge_tol=0.25, k_resolution=48)
+    s_box = SpectrumSet(
+        points=np.linalg.eigvalsh(box_matrix(nn_hoppings, Fraction(0), 14)),
+        window=win, merge_tol=0.25)
+    s_blo = SpectrumSet(
+        points=bloch_eigenvalue_cloud(nn_hoppings, Fraction(0), 48),
+        window=win, merge_tol=0.25)
     d, flagged = hausdorff_distance(s_box, s_blo)
     assert not flagged and d < 0.3
 
@@ -99,10 +102,8 @@ def test_box_and_bloch_spectra_agree_at_zero_flux(nn_hoppings):
 def test_constant_gauge_shift_preserves_box_spectrum(flux, shift, nn_hoppings,
                                                      lat2):
     shifted = gauge_shifted_hoppings(nn_hoppings, shift, lat2)
-    a = assemble_effective(nn_hoppings, "box", flux, box_size=6)
-    b = assemble_effective(shifted, "box", flux, box_size=6)
-    va = np.sort(np.linalg.eigvalsh(a.box_matrix))
-    vb = np.sort(np.linalg.eigvalsh(b.box_matrix))
+    va = np.sort(np.linalg.eigvalsh(box_matrix(nn_hoppings, flux, 6)))
+    vb = np.sort(np.linalg.eigvalsh(box_matrix(shifted, flux, 6)))
     assert np.max(np.abs(va - vb)) < 1e-9
 
 

@@ -9,10 +9,13 @@ of the pipeline.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "peierls"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # names kept although nothing above mentions them, with the reason
 ALLOWED: set = set()
@@ -67,3 +70,33 @@ def test_public_names_are_reached():
     assert unreached - ALLOWED == set()
     # an allowlisted name that something now reaches leaves the allowlist
     assert ALLOWED <= unreached
+
+
+def test_benchmark_span_names_name_package_code(monkeypatch):
+    """A span the benchmark reads is "module.qualname" of a function or
+    method defined there, or "module." for all of a module: a rename in
+    the package would silently zero the metric that reads it."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer")
+    names = {name for keys in layers.TIME_METRICS.values() for name in keys}
+    names |= set(layers.COUNT_METRICS.values()) | set(tracer.OBSERVED)
+    names |= {".".join(method) for method in tracer.METHODS}
+    names |= {f"{module}.{name}" for module, private in tracer.PRIVATE.items()
+              for name in private}
+    missing = []
+    for name in sorted(names):
+        module, _, qualname = name.partition(".")
+        if not (PACKAGE / f"{module}.py").is_file():
+            missing.append(name)
+            continue
+        if not qualname:  # "module.": every span of the module
+            continue
+        obj = importlib.import_module(f"peierls.{module}")
+        for attr in qualname.split("."):
+            obj = getattr(obj, attr, None)
+        if not (inspect.isfunction(obj)
+                and obj.__module__ == f"peierls.{module}"
+                and obj.__qualname__ == qualname):
+            missing.append(name)
+    assert missing == []
