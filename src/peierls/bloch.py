@@ -38,9 +38,10 @@ from .lattice import BZGrid, DualShell, GridTooLargeError, tensor_grid
 from .symbols import PeriodicSymbol
 
 
-# Values plus vector entries one band grid may store: 2**24 complex entries
-# are 0.27 GB.  A 48^2 grid at cutoff 8 (basis size 197) with 4 bands and
-# their vectors stores 1.8e6.
+# Values plus vector entries one band grid may store, and entries of one
+# fiber: 2**24 complex entries are 0.27 GB.  A 48^2 grid at cutoff 8 (basis
+# size 197) with 4 bands and their vectors stores 1.8e6; a fiber admits a
+# basis of 4,096 members (cutoff 36 on the 2 pi square lattice).
 MAX_BAND_ENTRIES = 2**24
 
 
@@ -73,6 +74,10 @@ class FiberAssembler:
     def __init__(self, symbol: PeriodicSymbol, shell: DualShell):
         if shell.size == 0:
             raise ValueError("empty dual shell")
+        if shell.size**2 > MAX_BAND_ENTRIES:
+            raise GridTooLargeError(
+                f"a fiber of basis size {shell.size} has {shell.size**2} "
+                f"entries, more than the limit {MAX_BAND_ENTRIES}")
         self.symbol = symbol
         self._gammas = shell.members @ symbol.lattice.dual  # gamma* rows
         coeffs = symbol.potential.coeffs
@@ -242,7 +247,6 @@ def compute_bands(
 class BandIntervals:
     intervals: np.ndarray  # (n_bands, 2) [min, max]
     simple_flags: np.ndarray  # (n_bands,) bool
-    gap_tol: float
 
 
 def band_intervals(bands: BandStructure, gap_tol: float = 1e-6) -> BandIntervals:
@@ -272,7 +276,6 @@ def band_intervals(bands: BandStructure, gap_tol: float = 1e-6) -> BandIntervals
         if k == n - 1:
             disjoint = disjoint and False
         flags[k] = separated and disjoint
-    return BandIntervals(
-        intervals=np.stack([lo, hi], axis=-1), simple_flags=flags, gap_tol=gap_tol
-    )
+    return BandIntervals(intervals=np.stack([lo, hi], axis=-1),
+                         simple_flags=flags)
 

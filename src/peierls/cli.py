@@ -319,9 +319,8 @@ def _band_hoppings(cfg, num):
     bands = _bands(lattice, sym, num)
     _require_simple_band(bands, num)
     k = num["band_index"]
-    hops = effective.fourier_hoppings(
-        bands.bands[:, k], bands.grid, num["radius"], source_tag=f"band{k}"
-    )
+    hops = effective.fourier_hoppings(bands.bands[:, k], bands.grid,
+                                      num["radius"])
     return lattice, sym, bands, hops
 
 
@@ -459,16 +458,15 @@ def cmd_direct(cfg, num, out: Path) -> dict:
 def _check_flux_per_epsilon(eps_flux) -> None:
     """epsilon scales the field, so all pairs share one flux / epsilon."""
     def show(pairs):
-        return ", ".join(f"[{eps}, {str(flux)!r}]" for eps, flux in pairs)
+        return ", ".join(f"[{eps!r}, {str(flux)!r}]" for eps, flux in pairs)
 
-    try:
-        eps = [float(e) for e, _ in eps_flux]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"epsilon must be a number: {exc}") from exc
-    bad = [pair for pair, e in zip(eps_flux, eps) if not e > 0.0]
+    bad = [(e, flux) for e, flux in eps_flux
+           if isinstance(e, bool) or not isinstance(e, (int, float))
+           or not 0 < e < np.inf]
     if bad:
-        raise ConfigError(f"epsilon must be positive: {show(bad)}")
-    ratios = [float(flux) / e for (_, flux), e in zip(eps_flux, eps)]
+        raise ConfigError("epsilons: each epsilon must be a finite positive "
+                          f"number, unlike {show(bad)}")
+    ratios = [float(flux) / e for e, flux in eps_flux]
     bad = [pair for pair, r in zip(eps_flux, ratios)
            if abs(r - ratios[0]) > 1e-9 * max(abs(r), abs(ratios[0]))]
     if bad:

@@ -20,14 +20,9 @@ sparse one to MAX_UNKNOWNS).  Only the boundary differs:
     (magnetic.field_for_flux), so the link phases and the cell wrap
     describe one operator.
 
-Lattices must be rectangular (diagonal basis).
-
-The magnetic translation by one unit cell along axis 1 commutes with the
-operator and shifts k2 by 2 pi p/q, so in d=2 the fibers at k and
-k + (0, 2 pi/q) are unitarily equivalent (Zak, Phys. Rev. 134, A1602
-(1964)).  direct_spectrum therefore solves one fiber per class of the
-momentum grid under that shift and uses its eigenvalues for every point
-of the class.
+Lattices must be rectangular (diagonal basis).  direct_spectrum solves
+one fiber per class of lattice.magnetic_momenta and uses its eigenvalues
+for every point of the class.
 
 Window eigenvalues of matrices above DENSE_MAX_UNKNOWNS unknowns are
 counted before they are computed.  SuperLU factors M - lo and M - hi with
@@ -44,13 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice import GridTooLargeError, Lattice, tensor_grid
+from .lattice import GridTooLargeError, Lattice, magnetic_momenta, tensor_grid
 from .magnetic import (MagneticField, VectorPotential, field_for_flux,
                        hermitian_sqrt, peierls_hops)
 from .spectra import SpectrumSet
@@ -305,28 +299,10 @@ def window_eigs(M: sp.spmatrix, window) -> np.ndarray:
     return vals[(vals >= lo) & (vals <= hi)]
 
 
-def _fiber_classes(disc: DirectDiscretization, k_resolution: int):
-    """Representative momenta of the fiber classes, and each point's class.
-
-    Fibers of one class have equal spectra.  The grid is k = 2 pi j / r,
-    j in 0..r-1 per axis, in C order of (j_1, ..., j_d), with
-    r = k_resolution.  In d=2 the fibers at k2 and k2 + 2 pi/q are
-    unitarily equivalent, which on the grid identifies j2 with j2'
-    exactly when r / gcd(r, q) divides j2 - j2'.  The representatives
-    j2 < r / gcd(r, q) are grid points.  In d=1, and at q = 1, every grid
-    point is its own class.
-    """
-    d = disc.symbol.lattice.dim
-    j = tensor_grid([np.arange(k_resolution)] * d)
-    if d == 2:
-        j[:, 1] %= k_resolution // gcd(k_resolution, disc.flux.denominator)
-    reps, classes = np.unique(j, axis=0, return_inverse=True)
-    return 2.0 * np.pi * reps / k_resolution, classes.ravel()
-
-
 def distinct_fibers(disc: DirectDiscretization, k_resolution: int) -> int:
     """Matrices direct_spectrum diagonalizes at this k_resolution."""
-    return len(_fiber_classes(disc, k_resolution)[0])
+    return len(magnetic_momenta(disc.symbol.lattice.dim,
+                                disc.flux.denominator, k_resolution)[0])
 
 
 def direct_spectrum(
@@ -338,12 +314,13 @@ def direct_spectrum(
     """sigma(P_eps) within the window.
 
     Unions finite-difference eigenvalues over a uniform magnetic-momentum
-    grid, solving one fiber per class of _fiber_classes (r * r / gcd(r, q)
-    fibers in d=2 for r = k_resolution) and counting its eigenvalues once
-    for every point of the class, so the cloud keeps the size of the full
-    grid.
+    grid, solving one fiber per class of lattice.magnetic_momenta
+    (r * r / gcd(r, q) fibers in d=2 for r = k_resolution) and counting its
+    eigenvalues once for every point of the class, so the cloud keeps the
+    size of the full grid.
     """
-    momenta, classes = _fiber_classes(disc, k_resolution)
+    momenta, classes = magnetic_momenta(disc.symbol.lattice.dim,
+                                        disc.flux.denominator, k_resolution)
     solved = [window_eigs(disc.bloch_matrix(k), window) for k in momenta]
     pts = (np.concatenate([solved[c] for c in classes]) if classes.size
            else np.empty(0))

@@ -12,7 +12,7 @@ exp(-i (Phi_s / 2) (gamma ^ alpha)) with Phi_s the signed flux through the
 unit cell and gamma ^ alpha the wedge of the integer coordinates.  At
 rational flux Phi_s = 2 pi p / q the operator commutes with the magnetic
 translations by (q, 0) and (0, 1) and reduces to qN x qN Bloch matrices
-over a magnetic momentum cell.
+over a magnetic momentum cell, one per class of lattice.magnetic_momenta.
 """
 
 from __future__ import annotations
@@ -23,15 +23,21 @@ from itertools import product
 
 import numpy as np
 
-from .lattice import BZGrid, GridTooLargeError, Lattice, momentum_grid
+from .lattice import BZGrid, GridTooLargeError, Lattice, magnetic_momenta
 from .magnetic import MagneticField, VectorPotential, peierls_hops
 from .spectra import SpectrumSet
 
 
 # Complex entries (16 bytes: 512 MB) that the fibers of one momentum grid
-# and their k-independent blocks may take: at the CLI default k_resolution
-# 32, flux denominators up to q = 124 for one band at hopping radius 8.
+# and their k-independent blocks, or one dense box matrix, may take: at the
+# CLI default k_resolution 32, flux denominators up to q = 124 for one band
+# at hopping radius 8 (160 where the fold leaves fewer fibers); boxes of up
+# to 5,792 sites (box_size 2,895 in d=1, 37 in d=2).
 MAX_FIBER_ENTRIES = 2**25
+
+# Largest ||q_hat_alpha - q_hat_{-alpha}^*||_2 fourier_hoppings symmetrizes
+# away; above it the band data break Hermitian transport.
+ASYMMETRY_TOL = 1e-6
 
 
 class AliasingError(ValueError):
@@ -51,7 +57,6 @@ class HoppingSet:
     n: int  # block size N
     dim: int
     hoppings: dict  # {tuple(int): (N, N) complex array}
-    source_tag: str
     asymmetry: float = 0.0
 
     def resum(self, frac_coords: np.ndarray) -> np.ndarray:
@@ -65,11 +70,7 @@ class HoppingSet:
 
 
 def fourier_hoppings(
-    symbol_values: np.ndarray,
-    grid: BZGrid,
-    radius: int,
-    source_tag: str = "",
-    asym_tol: float = 1e-6,
+    symbol_values: np.ndarray, grid: BZGrid, radius: int
 ) -> HoppingSet:
     """Discrete Fourier hoppings q_hat_alpha over the momentum cell grid.
 
@@ -99,15 +100,12 @@ def fourier_hoppings(
     # the lexicographic box of keys, -alpha sits at the mirrored position
     adjoint = np.conj(np.swapaxes(blocks[::-1], 1, 2))
     asym = float(np.linalg.norm(blocks - adjoint, ord=2, axis=(1, 2)).max())
-    if asym > asym_tol:
+    if asym > ASYMMETRY_TOL:
         raise InconsistentSymbolError(
             f"Fourier hoppings break Hermitian transport by {asym:.3e}"
         )
     fixed = dict(zip(keys, 0.5 * (blocks + adjoint)))
-    return HoppingSet(
-        n=vals.shape[1], dim=d, hoppings=fixed, source_tag=source_tag,
-        asymmetry=asym,
-    )
+    return HoppingSet(n=vals.shape[1], dim=d, hoppings=fixed, asymmetry=asym)
 
 
 def hopping_decay_fit(hops: HoppingSet, k: int = 4) -> float:
@@ -133,10 +131,8 @@ def gauge_shifted_hoppings(
     for alpha, blk in hops.hoppings.items():
         beta = np.asarray(alpha, dtype=float) @ lattice.basis
         out[alpha] = blk * np.exp(-1j * float(c @ beta))
-    return HoppingSet(
-        n=hops.n, dim=hops.dim, hoppings=out,
-        source_tag=hops.source_tag + "+shift", asymmetry=hops.asymmetry,
-    )
+    return HoppingSet(n=hops.n, dim=hops.dim, hoppings=out,
+                      asymmetry=hops.asymmetry)
 
 
 def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, **grid):
@@ -150,15 +146,17 @@ def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, **grid):
     return rows, cols, cell, phases[:, None, None] * blocks[hop]
 
 
-def box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
-    """The operator on the sites with |gamma_i| <= box_size (Dirichlet).
-
-    flux is the exact signed unit-cell flux divided by 2 pi, a Fraction
-    (rationality is part of the type, never detected from floats), here
-    and in the magnetic-Bloch fibers.
-    """
+def _cells(flux: Fraction, dim: int) -> int:
+    """Unit cells per magnetic cell: q of the exact flux p/q in d=2 (a
+    Fraction: rationality is never detected from floats), 1 in d=1."""
     if not isinstance(flux, Fraction):
         raise IrrationalFluxError("flux must be an exact Fraction p/q")
+    return flux.denominator if dim == 2 else 1
+
+
+def box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
+    """The operator on the sites with |gamma_i| <= box_size (Dirichlet)."""
+    _cells(flux, hops.dim)  # an exact flux, else IrrationalFluxError
     radius = max(
         (max(abs(a) for a in alpha) for alpha in hops.hoppings), default=0
     )
@@ -166,6 +164,10 @@ def box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
         raise ValueError("box size must be at least the hopping radius")
     n, side = hops.n, 2 * box_size + 1
     sites = side**hops.dim
+    if (sites * n) ** 2 > MAX_FIBER_ENTRIES:
+        raise GridTooLargeError(
+            f"box_size {box_size} gives a {sites * n} x {sites * n} box "
+            f"matrix, more than the limit of {MAX_FIBER_ENTRIES} entries")
     rows, cols, _, entries = _lattice_hops(hops, flux, (side,) * hops.dim,
                                            origin=-box_size)
     M = np.zeros((sites * n, sites * n), dtype=complex)
@@ -192,7 +194,7 @@ def _bloch_coefficients(hops: HoppingSet, flux: Fraction):
     ignored (q = 1).
     """
     d, n = hops.dim, hops.n
-    q = flux.denominator if d == 2 else 1
+    q = _cells(flux, d)
     rows, cols, cell, entries = _lattice_hops(hops, flux, (q, 1)[:d],
                                               k=np.zeros(d))
     # shifts in order of first appearance, as _bloch_fibers sums them, then
@@ -231,10 +233,8 @@ def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
     with s' = (s - b1) mod q, m = (s - b1 - s') / q, n = -b2.  In d=1 the
     flux is zero and this is the symbol evaluated on the momentum grid.
     """
-    if not isinstance(flux, Fraction):  # before the guard reads q
-        raise IrrationalFluxError("flux must be an exact Fraction p/q")
+    dim = _cells(flux, hops.dim) * hops.n
     kpts = np.asarray(kpts, dtype=float).reshape(-1, hops.dim)
-    dim = (flux.denominator if hops.dim == 2 else 1) * hops.n
     # a hop adds blocks at two shifts at most, doubled at most by partners
     entries = (kpts.shape[0] + 4 * len(hops.hoppings)) * dim**2
     if entries > MAX_FIBER_ENTRIES:
@@ -243,21 +243,24 @@ def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
             f"{dim} x {dim}) take {entries} complex entries, more than the "
             f"limit of {MAX_FIBER_ENTRIES}")
     shifts, coeffs = _bloch_coefficients(hops, flux)
-    phases = np.exp(1j * (kpts @ shifts.T))
-    # one term per shift in hopping order: at zero flux these are the
-    # additions of a direct resummation of the symbol, bit for bit
+    # one term per shift in hopping order, its phases one column at a time
+    # (a momenta x shifts table would outgrow the fibers at small q): at
+    # zero flux these are the additions of a direct resummation of the
+    # symbol, bit for bit
     fibers = np.zeros((kpts.shape[0],) + coeffs.shape[1:], dtype=complex)
-    for j, C in enumerate(coeffs):
-        fibers += phases[:, j, None, None] * C
+    for shift, C in zip(shifts, coeffs):
+        fibers += np.exp(1j * (kpts @ shift))[:, None, None] * C
     return fibers
 
 
 def _bloch_branches(
     hops: HoppingSet, flux: Fraction, k_resolution: int
 ) -> np.ndarray:
-    """Ascending fiber eigenvalues per momentum, shape (K, qN)."""
-    kpts = momentum_grid(hops.dim, k_resolution)
-    return np.linalg.eigvalsh(_bloch_fibers(hops, flux, kpts))
+    """Ascending fiber eigenvalues per point of the magnetic momentum grid,
+    shape (k_resolution^d, qN): one fiber per class, expanded by class."""
+    momenta, classes = magnetic_momenta(hops.dim, _cells(flux, hops.dim),
+                                        k_resolution)
+    return np.linalg.eigvalsh(_bloch_fibers(hops, flux, momenta))[classes]
 
 
 def bloch_eigenvalue_cloud(

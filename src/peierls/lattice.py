@@ -10,6 +10,7 @@ the grid by it, and DualShell.permutation permutes the shell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 
@@ -123,13 +124,47 @@ def bz_grid(lattice: Lattice, resolution: int) -> BZGrid:
     return BZGrid(lattice, resolution)
 
 
-def momentum_grid(dim: int, resolution: int) -> np.ndarray:
-    """Uniform momenta 2 pi (j_1, ..., j_d) / resolution, j in 0..resolution-1.
+# Grid points times subbands one magnetic momentum grid may expand to: each
+# point carries at least the q subbands of a band into the eigenvalue
+# cloud.  2**20 values are 8 MB of floats, and the class map takes at most
+# as much: k_resolution 1024 at q = 1 in d=2, 256 at q = 16.  At q = 4 the
+# direct reference then solves at most 65,536 fibers.
+MAX_CLOUD_VALUES = 2**20
 
-    Shape (resolution^d, d), rows in C order of (j_1, ..., j_d).
+
+def magnetic_momenta(dim: int, q: int, k_resolution: int):
+    """The fiber classes of the magnetic momentum grid: representative
+    momenta, and the class of each grid point.
+
+    The grid is k = 2 pi j / r, j in 0..r-1 per axis, in C order, with
+    r = k_resolution.  At unit-cell flux 2 pi p/q the magnetic translation
+    by one unit cell along axis 1 commutes with the operator, Peierls or
+    finite-difference, and shifts k2 by 2 pi p/q, so in d=2 the fibers at
+    k and k + (0, 2 pi/q) are unitarily equivalent (Zak, Phys. Rev. 134,
+    A1602 (1964)).  On the grid j2 ~ j2' exactly when m = r / gcd(r, q)
+    divides j2 - j2': the representatives are the points with j2 < m, and
+    j is in class j1 * m + (j2 mod m).  In d=1, and at q = 1, every point
+    is its own class.  A grid whose points times q exceed MAX_CLOUD_VALUES
+    raises GridTooLargeError before anything grid-sized is built.
     """
-    axis = 2.0 * np.pi * np.arange(resolution) / resolution
-    return tensor_grid([axis] * dim)
+    points = k_resolution**dim
+    if points * q > MAX_CLOUD_VALUES:
+        raise GridTooLargeError(
+            f"the magnetic momentum grid of {points} points at q = {q} "
+            f"expands to {points * q} values, more than the limit "
+            f"{MAX_CLOUD_VALUES}")
+    j = np.arange(k_resolution)
+    m = k_resolution // gcd(k_resolution, q) if dim == 2 else k_resolution
+    reps = tensor_grid([j] * (dim - 1) + [j[:m]])
+    classes = (j[:, None] * m + j % m).ravel() if dim == 2 else j
+    return 2.0 * np.pi * reps / k_resolution, classes
+
+
+# Candidate coefficients one dual shell may scan, about 80 bytes each (the
+# coefficients, their points and norms, the index table): 2**20 are 84 MB.
+# The largest basis a fiber admits (4,096 members, bloch.MAX_BAND_ENTRIES)
+# needs a box of 5,300 on the square lattice.
+MAX_SHELL_CANDIDATES = 2**20
 
 
 @dataclass(frozen=True)
@@ -148,7 +183,13 @@ class DualShell:
         lat = self.lattice
         # bound on coefficients: |n| <= cutoff / (shortest dual height)
         heights = 2.0 * np.pi / np.linalg.norm(lat.basis, axis=1)
-        nmax = np.ceil(self.cutoff / heights).astype(int)
+        nmax = np.ceil(self.cutoff / heights)
+        box = np.prod(2 * nmax + 1)  # in floats, which cannot overflow
+        if box > MAX_SHELL_CANDIDATES:
+            raise GridTooLargeError(
+                f"the dual shell of cutoff {self.cutoff} scans {box:.0f} "
+                f"candidates, more than the limit {MAX_SHELL_CANDIDATES}")
+        nmax = nmax.astype(int)
         cand = tensor_grid([np.arange(-m, m + 1) for m in nmax])
         pts = cand @ lat.dual
         keep = np.linalg.norm(pts, axis=1) <= self.cutoff + 1e-12

@@ -112,7 +112,6 @@ def hausdorff_distance(a: SpectrumSet, b: SpectrumSet):
 
 @dataclass(frozen=True)
 class HausdorffReport:
-    pairs: list  # [(epsilon, d_H), ...]
     fitted_slope: float
     max_ratio: float
     residual: float
@@ -131,5 +130,5 @@ def lipschitz_fit(pairs) -> HausdorffReport:
     residual = float(np.linalg.norm(dh - pred) / denom) if denom > 0 else 0.0
     max_ratio = float(np.max(dh / eps))
     return HausdorffReport(
-        pairs=pairs, fitted_slope=slope, max_ratio=max_ratio, residual=residual
+        fitted_slope=slope, max_ratio=max_ratio, residual=residual
     )

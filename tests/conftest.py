@@ -70,5 +70,4 @@ def nn_hoppings():
         n=1,
         dim=2,
         hoppings={(1, 0): m, (-1, 0): m, (0, 1): m, (0, -1): m},
-        source_tag="nn",
     )

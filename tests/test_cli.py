@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from peierls import bloch, direct, effective
+from peierls import bloch, direct, effective, lattice
 from peierls.cli import main
 from peierls.lattice import bz_grid, dual_shell
 from peierls.symbols import PeriodicSymbol
@@ -468,6 +469,10 @@ COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
     ("grushin", BASE_CONFIG, "seed", -1),
     ("compare", COMPARE_CONFIG, "epsilons", [[0.08]]),
     ("compare", COMPARE_CONFIG, "epsilons", 5),
+    ("compare", COMPARE_CONFIG, "epsilons", [[True, "1/4"]]),
+    ("compare", COMPARE_CONFIG, "epsilons", [["0.08", "1/4"]]),
+    ("compare", COMPARE_CONFIG, "epsilons", [[float("inf"), "1/4"]]),
+    ("compare", COMPARE_CONFIG, "epsilons", [[float("nan"), "1/4"]]),
 ], ids=["k_resolution_text", "k_resolution_fraction", "window_reversed",
         "window_nan", "effective_box_size_zero",
         "effective_box_size_below_radius", "lambda_points_text",
@@ -476,7 +481,8 @@ COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
         "direct_box_size_text", "direct_box_size_zero", "box_points_negative",
         "direct_k_resolution_text", "compare_k_resolution_fraction",
         "seed_text", "seed_fraction", "seed_negative", "epsilons_single",
-        "epsilons_number"])
+        "epsilons_number", "epsilon_bool", "epsilon_text", "epsilon_infinite",
+        "epsilon_nan"])
 def test_malformed_top_level_key_is_config_error(command, base, key, value,
                                                  tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -484,6 +490,50 @@ def test_malformed_top_level_key_is_config_error(command, base, key, value,
     assert _run(command, str(path), tmp_path) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+D2_BLOCH = dict(D2_CONFIG, mode="bloch",
+                numerics={**D2_CONFIG["numerics"], "radius": 3})
+
+
+@pytest.mark.parametrize("command, cfg, module, limit, refused", [
+    # at flux 1/4 the class map of a 1024^2 grid alone is 8 MB
+    ("effective", dict(D2_BLOCH, k_resolution=1024), lattice,
+     "MAX_CLOUD_VALUES", 1024**2 * 8),
+    ("direct", dict(D2_CONFIG, k_resolution=1024), lattice,
+     "MAX_CLOUD_VALUES", 1024**2 * 8),
+    ("compare", dict(COMPARE_CONFIG, k_resolution=2,
+                     direct_k_resolution=1024), lattice,
+     "MAX_CLOUD_VALUES", 1024**2 * 8),
+    # a 511 x 511 complex box matrix is 4 MB
+    ("effective", dict(BASE_CONFIG, mode="box", box_size=255), effective,
+     "MAX_FIBER_ENTRIES", 511**2 * 16),
+    # cutoff 400 in d=1: a basis of 801 plane waves, a 5 MB fiber
+    ("bands", _edited(BASE_CONFIG, ("numerics", "cutoff"), 400.0), bloch,
+     "MAX_BAND_ENTRIES", 801**2 * 8),
+    # cutoff 400 in d=2: 801^2 candidates, 10 MB of coefficients
+    ("bands", _edited(D2_CONFIG, ("numerics", "cutoff"), 400.0), lattice,
+     "MAX_SHELL_CANDIDATES", 801**2 * 16),
+], ids=["k_resolution", "direct_k_resolution_direct",
+        "direct_k_resolution_compare", "box_size", "cutoff_basis",
+        "cutoff_candidates"])
+def test_oversized_grid_exits_2_before_it_is_allocated(
+        command, cfg, module, limit, refused, tmp_path, capsys, monkeypatch):
+    # each limit is lowered to 2**12, so the refused array stays small; the
+    # traced peak shows that it was refused before it was allocated
+    monkeypatch.setattr(module, limit, 2**12)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    tracemalloc.start()
+    try:
+        code = _run(command, str(path), tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "limit" in err
+    assert peak < refused / 2
 
 
 def test_nan_lattice_basis_is_config_error(tmp_path, capsys):

@@ -22,7 +22,7 @@ from peierls.direct import (
     window_eigs,
 )
 from peierls.effective import HoppingSet, _bloch_fibers
-from peierls.lattice import Lattice, momentum_grid, tensor_grid
+from peierls.lattice import Lattice, tensor_grid
 from peierls.magnetic import (CHI_CATALOG, MagneticField, VectorPotential,
                               field_for_flux)
 from peierls.spectra import SpectrumSet
@@ -178,7 +178,7 @@ def test_fd_stencil_on_the_unit_grid_is_the_harper_fiber(flux, k, lat2):
     # Peierls operator of the nearest-neighbour hoppings: the stencil and
     # the effective fibers share the line phases, the wrap and the sign of k
     one = np.array([[1.0 + 0j]])
-    harper = HoppingSet(n=1, dim=2, source_tag="harper", hoppings={
+    harper = HoppingSet(n=1, dim=2, hoppings={
         (0, 0): 4.0 * one, (1, 0): -one, (-1, 0): -one, (0, 1): -one,
         (0, -1): -one})
     A = VectorPotential(MagneticField(2.0 * np.pi * float(flux)))
@@ -351,10 +351,11 @@ def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
     flux = Fraction(flux)
     sym = PeriodicSymbol(kind(), separable_cosine_2d(lat2, 0.5))
     disc = DirectDiscretization(sym, flux, points_per_cell=16, chi=chi)
+    axis = 2.0 * np.pi * np.arange(r) / r
     full = SpectrumSet(
         points=np.concatenate([
             window_eigs(disc.bloch_matrix(k), window)
-            for k in momentum_grid(2, r)]),
+            for k in tensor_grid([axis, axis])]),
         window=window, merge_tol=1e-3)
 
     calls = []

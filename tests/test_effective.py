@@ -1,10 +1,13 @@
+import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peierls import effective
 from peierls.bloch import compute_bands
 from peierls.effective import (
     AliasingError,
@@ -21,7 +24,7 @@ from peierls.effective import (
     reconstruct_spectrum,
     subband_groups,
 )
-from peierls.lattice import bz_grid, dual_shell
+from peierls.lattice import GridTooLargeError, bz_grid, dual_shell, tensor_grid
 from peierls.magnetic import field_for_flux
 from peierls.spectra import SpectrumSet, hausdorff_distance
 
@@ -66,6 +69,15 @@ def test_irrational_flux_rejected(nn_hoppings):
 def test_box_size_guard(nn_hoppings):
     with pytest.raises(ValueError, match="box size"):
         box_matrix(nn_hoppings, Fraction(0), box_size=0)
+
+
+def test_box_matrix_is_bounded(nn_hoppings, monkeypatch):
+    # the dense matrix grows as box_size^(2d): at a limit of 2**12 entries
+    # box_size 3 in d=2 (49 x 49) is built and box_size 4 (81 x 81) is not
+    monkeypatch.setattr(effective, "MAX_FIBER_ENTRIES", 2**12)
+    assert box_matrix(nn_hoppings, Fraction(1, 4), 3).shape == (49, 49)
+    with pytest.raises(GridTooLargeError, match="box_size 4 .* limit"):
+        box_matrix(nn_hoppings, Fraction(1, 4), 4)
 
 
 def test_zero_flux_bloch_matrix_is_symbol(nn_hoppings):
@@ -158,7 +170,46 @@ def _hermitian_hoppings(seed: int, n: int = 2, radius: int = 2) -> HoppingSet:
                 blk = blk + np.conj(blk.T)
             hops[(a, b)] = blk
             hops[(-a, -b)] = np.conj(blk.T)
-    return HoppingSet(n=n, dim=2, hoppings=hops, source_tag="random")
+    return HoppingSet(n=n, dim=2, hoppings=hops)
+
+
+@pytest.mark.parametrize("flux, r", [
+    ("1/4", 6), ("1/8", 8), ("3/8", 12),
+    ("1/3", 4),  # gcd(r, q) = 1: nothing folds
+    ("0", 5),
+])
+def test_cloud_solves_one_fiber_per_class(flux, r, monkeypatch):
+    # fibers 2 pi/q apart in k2 are unitarily equivalent: the cloud solves
+    # r * r / gcd(r, q) of them and still equals the cloud of the full grid
+    flux = Fraction(flux)
+    hops = _hermitian_hoppings(seed=7)
+    axis = 2.0 * np.pi * np.arange(r) / r
+    full = np.sort(np.linalg.eigvalsh(
+        _bloch_fibers(hops, flux, tensor_grid([axis, axis]))), axis=None)
+    solved = []
+
+    def counted(hops, flux, kpts):
+        solved.append(len(kpts))
+        return _bloch_fibers(hops, flux, kpts)
+
+    monkeypatch.setattr(effective, "_bloch_fibers", counted)
+    cloud = bloch_eigenvalue_cloud(hops, flux, k_resolution=r)
+    assert solved == [r * r // gcd(r, flux.denominator)]
+    assert cloud.shape == full.shape
+    assert np.max(np.abs(cloud - full)) < 1e-12
+
+
+def test_cloud_memory_is_that_of_its_fibers():
+    # at flux 0 the 64^2 fibers of radius-8 hoppings take 64 KB; a table of
+    # their phases, momenta x 289 shifts, would take 19 MB
+    hops = _hermitian_hoppings(seed=1, n=1, radius=8)
+    tracemalloc.start()
+    try:
+        bloch_eigenvalue_cloud(hops, Fraction(0), k_resolution=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
 
 
 def _reference_fiber(hops: HoppingSet, flux: Fraction, k) -> np.ndarray:
@@ -201,7 +252,7 @@ def test_batched_cloud_matches_per_k_fiber_formula(flux, seed, k):
 @given(flux=FLUXES)
 def test_non_hermitian_hoppings_raise(flux):
     one = np.array([[1.0 + 0j]])
-    hops = HoppingSet(n=1, dim=2, source_tag="broken", hoppings={
+    hops = HoppingSet(n=1, dim=2, hoppings={
         (1, 0): -one, (-1, 0): -2.0 * one, (0, 1): -one, (0, -1): -one,
     })
     with pytest.raises(InconsistentSymbolError):

@@ -5,13 +5,39 @@ from peierls.bloch import point_group
 from peierls.lattice import (
     BZGrid,
     DegenerateLatticeError,
+    GridTooLargeError,
     Lattice,
     bz_grid,
     dual_basis,
     dual_shell,
+    magnetic_momenta,
     tensor_grid,
 )
 from peierls.symbols import Nonrelativistic, PeriodicPotential, PeriodicSymbol
+
+
+@pytest.mark.parametrize("dim, q, r", [
+    (1, 1, 5), (2, 1, 4), (2, 4, 6), (2, 3, 4), (2, 8, 8), (2, 16, 24),
+])
+def test_magnetic_momenta_are_the_k2_shift_classes(dim, q, r):
+    # two points of the grid 2 pi j / r share a class exactly when their k1
+    # agree and their k2 differ by a multiple of 2 pi/q, modulo 2 pi
+    j = tensor_grid([np.arange(r)] * dim)
+    momenta, classes = magnetic_momenta(dim, q, r)
+    same = np.all(j[:, None, :-1] == j[None, :, :-1], axis=-1)
+    same &= (q * (j[:, None, -1] - j[None, :, -1])) % r == 0
+    assert np.array_equal(classes[:, None] == classes[None, :], same)
+    # the representatives are the first points of their classes, in C order
+    first = np.array([np.flatnonzero(classes == c)[0]
+                      for c in range(len(momenta))])
+    assert np.all(np.diff(first) > 0)
+    assert np.array_equal(momenta, 2.0 * np.pi * j[first] / r)
+
+
+def test_magnetic_momenta_are_bounded():
+    # a refused grid allocates nothing: 10^12 points would not fit
+    with pytest.raises(GridTooLargeError, match="limit"):
+        magnetic_momenta(2, 4, 10**6)
 
 
 def test_dual_basis_pairing():
