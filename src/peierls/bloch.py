@@ -53,13 +53,15 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class FiberMatrix:
-    xi: np.ndarray
+    """H(xi), or the fibers at a stack of momenta along a leading axis."""
+
+    xi: np.ndarray  # (d,) or (S, d)
     shell: DualShell
-    entries: np.ndarray
+    entries: np.ndarray  # (M, M) or (S, M, M)
 
     @property
     def size(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 class FiberAssembler:
@@ -92,9 +94,13 @@ class FiberAssembler:
             self._block[rows, cols[rows]] += val.real if real else val
 
     def __call__(self, xi) -> np.ndarray:
-        H = self._block.copy()
-        H[np.diag_indices_from(H)] += self.diagonals(xi)[0]
-        return H
+        """H(xi) for one xi (d,), or the fibers (n, M, M) at the rows of
+        xi (n, d)."""
+        kinetic = self.diagonals(xi)
+        H = np.repeat(self._block[None], len(kinetic), axis=0)
+        diag = np.arange(H.shape[-1])
+        H[:, diag, diag] += kinetic
+        return H if np.ndim(xi) > 1 else H[0]
 
     def diagonals(self, xi) -> np.ndarray:
         """kinetic(xi_i + gamma*) for the rows xi_i of xi (n, d): (n, M)."""
@@ -205,8 +211,10 @@ def compute_bands(
     evr, query = scipy.linalg.get_lapack_funcs((name, name + "_lwork"),
                                                dtype=assemble.dtype)
     sizes = [int(size.real) for size in query(shell.size, lower=1)[:-1]]
-    work = dict(zip(("lwork", "liwork") if name == "syevr"
-                    else ("lwork", "lrwork", "liwork"), sizes))
+    options = dict(zip(("lwork", "liwork") if name == "syevr"
+                       else ("lwork", "lrwork", "liwork"), sizes),
+                   compute_v=keep_vectors, range="I", il=1, iu=n_bands,
+                   lower=1, overwrite_a=1)
     points = grid.points()
     maps, perms, conj = point_group(symbol, shell)
     source, element = grid.orbits(maps)
@@ -221,14 +229,15 @@ def compute_bands(
     bands = np.empty((n_points, n_bands))
     vectors = (np.empty((n_points, shell.size, n_bands), dtype=complex)
                if keep_vectors else None)
-    # one Fortran-ordered fiber, which LAPACK overwrites in place
+    # one Fortran-ordered fiber, which LAPACK overwrites in place, and a
+    # strided view of its diagonal
     H = np.empty_like(assemble._block, order="F")
-    diag = np.diag_indices(shell.size)
+    diag = H.reshape(-1, order="F")[:: shell.size + 1]
+    block_diag = assemble._block.diagonal().copy()
     for i, kinetic in zip(solved, diagonals):
         np.copyto(H, assemble._block)
-        H[diag] += kinetic
-        w, z, _, _, info = evr(H, compute_v=keep_vectors, range="I", il=1,
-                               iu=n_bands, lower=1, overwrite_a=1, **work)
+        np.add(block_diag, kinetic, out=diag)
+        w, z, _, _, info = evr(H, **options)
         if info != 0:
             raise EigensolverError(points[i], f"LAPACK {name} info={info}")
         bands[i] = w[:n_bands]

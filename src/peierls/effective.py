@@ -170,11 +170,24 @@ def box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
             f"matrix, more than the limit of {MAX_FIBER_ENTRIES} entries")
     rows, cols, _, entries = _lattice_hops(hops, flux, (side,) * hops.dim,
                                            origin=-box_size)
+    # M is Hermitian when each block (row, col) has the partner (col, row)
+    # with its adjoint: the Frobenius norm of M - M^* from the blocks,
+    # without two more box-sized matrices.  The pairs (row, col) are
+    # distinct; a block without a partner stands in M - M^* twice, at
+    # (row, col) and, as its adjoint, at (col, row)
+    code, partner = rows * sites + cols, cols * sites + rows
+    order = np.argsort(code)
+    at = order[np.searchsorted(code, partner, sorter=order).clip(
+        max=code.size - 1)]
+    matched = code[at] == partner
+    adjoint = np.where(matched[:, None, None],
+                       np.conj(np.swapaxes(entries[at], 1, 2)), 0.0)
+    herm = np.sqrt(np.linalg.norm(entries - adjoint) ** 2
+                   + np.linalg.norm(entries[~matched]) ** 2)
+    if herm > 1e-10 * max(1.0, np.linalg.norm(entries)):
+        raise InconsistentSymbolError("box operator not Hermitian")
     M = np.zeros((sites * n, sites * n), dtype=complex)
     M.reshape(sites, n, sites, n)[rows, :, cols, :] = entries
-    herm = np.linalg.norm(M - np.conj(M.T), ord="fro")
-    if herm > 1e-10 * max(1.0, np.linalg.norm(M, ord="fro")):
-        raise InconsistentSymbolError("box operator not Hermitian")
     return M
 
 

@@ -8,6 +8,10 @@ with Phi the M x N matrix of trial-family columns is inverted densely; the
 lower-right N x N block of the inverse is the effective Hamiltonian
 E_minus_plus(xi, lambda).  For a simple band with the section as the single
 trial function, E_minus_plus equals lambda - lambda_k(xi) exactly.
+
+A stack of samples (xi_s, lambda_s) is one GrushinMatrix with a leading
+sample axis, inverted by one batched call: numpy's batched cond, inv,
+matmul and 2-norm give each matrix of the stack the bits of its own call.
 """
 
 from __future__ import annotations
@@ -47,57 +51,66 @@ def trial_from_section(section: BlochSection) -> TrialFamily:
 
 @dataclass(frozen=True)
 class GrushinMatrix:
-    xi: np.ndarray
-    lam: float
-    top_left: np.ndarray  # H - lambda, (M, M)
-    border: np.ndarray  # Phi, (M, N)
+    """One sample, or a stack of S samples along a leading axis."""
+
+    xi: np.ndarray  # (d,) or (S, d)
+    lam: float | np.ndarray  # a float or (S,)
+    top_left: np.ndarray  # H - lambda, (M, M) or (S, M, M)
+    border: np.ndarray  # Phi, (M, N) or (S, M, N)
 
     @property
     def full(self) -> np.ndarray:
-        m, n = self.border.shape
-        out = np.zeros((m + n, m + n), dtype=complex)
-        out[:m, :m] = self.top_left
-        out[:m, m:] = self.border
-        out[m:, :m] = np.conj(self.border.T)
+        *stack, m, n = self.border.shape
+        out = np.zeros((*stack, m + n, m + n), dtype=complex)
+        out[..., :m, :m] = self.top_left
+        out[..., :m, m:] = self.border
+        out[..., m:, :m] = np.conj(np.swapaxes(self.border, -1, -2))
         return out
 
 
 @dataclass(frozen=True)
 class GrushinInverse:
-    e_minus_plus: np.ndarray  # (N, N)
-    condition_number: float
-    residual: float
+    e_minus_plus: np.ndarray  # (N, N) or (S, N, N)
+    condition_number: float  # the largest of the stack
+    residual: float  # the largest of the stack
 
 
 def assemble_grushin(
-    matrix: FiberMatrix, lam: float, family: TrialFamily, grid_index: int
+    matrix: FiberMatrix, lam, family: TrialFamily, grid_index
 ) -> GrushinMatrix:
+    """P(xi, lambda) at one grid index and lambda, or at a stack of them:
+    grid_index and lam of shape (S,) with matrix.entries (S, M, M)."""
     phi = family.vectors[grid_index]
-    if phi.shape[0] != matrix.size:
+    if phi.shape[-2] != matrix.size:
         raise ValueError("trial family and fiber matrix use different shells")
+    lam = np.asarray(lam, dtype=float)
     return GrushinMatrix(
         xi=matrix.xi,
-        lam=float(lam),
-        top_left=matrix.entries - lam * np.eye(matrix.size),
+        lam=float(lam) if lam.ndim == 0 else lam,
+        top_left=matrix.entries - lam[..., None, None] * np.eye(matrix.size),
         border=phi,
     )
 
 
 def invert_grushin(g: GrushinMatrix, cond_max: float = 1e12) -> GrushinInverse:
+    """The inverse's effective block; a sample whose condition number
+    exceeds cond_max raises NearSingularError naming the first such one."""
     full = g.full
-    m = g.top_left.shape[0]
+    m = g.top_left.shape[-1]
     cond = np.linalg.cond(full)
-    if cond > cond_max:
+    bad = np.flatnonzero(cond > cond_max)
+    if bad.size:
+        s = bad[0]
         raise NearSingularError(
-            f"Grushin matrix nearly singular (cond {cond:.3e}) at "
-            f"xi={g.xi}, lambda={g.lam}"
+            f"Grushin matrix nearly singular (cond {np.ravel(cond)[s]:.3e}) "
+            f"at xi={np.reshape(g.xi, (-1, g.xi.shape[-1]))[s]}, "
+            f"lambda={float(np.ravel(g.lam)[s])}"
         )
     inv = np.linalg.inv(full)
-    residual = float(
-        np.linalg.norm(full @ inv - np.eye(full.shape[0]), ord=2)
-    )
+    residual = np.linalg.norm(full @ inv - np.eye(full.shape[-1]), ord=2,
+                              axis=(-2, -1))
     return GrushinInverse(
-        e_minus_plus=inv[m:, m:],
-        condition_number=float(cond),
-        residual=residual,
+        e_minus_plus=inv[..., m:, m:],
+        condition_number=float(np.max(cond)),
+        residual=float(np.max(residual)),
     )

@@ -70,28 +70,25 @@ def from_intervals(intervals, window, merge_tol: float) -> SpectrumSet:
 
 
 def _directed(a: np.ndarray, b: np.ndarray) -> float:
-    """sup_{x in A} dist(x, B) over interval unions.
+    """sup_{x in A} dist(x, B) over interval unions (sorted, disjoint rows).
 
     The supremum is attained at an endpoint of A or at a point of A
     facing a gap of B, so checking interval endpoints of A plus the
-    B-gap midpoints clipped into A suffices.
+    B-gap midpoints clipped into each interval of A suffices.  A candidate
+    outside B is nearest to the right end of the last interval of B to its
+    left or the left end of the next one: the endpoints are sorted, so
+    these give the least |endpoint - x| over all of B.
     """
-    candidates = list(a.ravel())
-    for i in range(b.shape[0] - 1):
-        mid = 0.5 * (b[i, 1] + b[i + 1, 0])
-        for lo, hi in a:
-            if lo <= mid <= hi:
-                candidates.append(mid)
-            else:
-                candidates.append(float(np.clip(mid, lo, hi)))
-    best = 0.0
-    for x in candidates:
-        inside = np.any((b[:, 0] <= x) & (x <= b[:, 1]))
-        if inside:
-            continue
-        d = np.min(np.abs(b - x))
-        best = max(best, d)
-    return best
+    mids = 0.5 * (b[:-1, 1] + b[1:, 0])
+    x = np.concatenate([a.ravel(),
+                        np.clip(mids[:, None], a[:, 0], a[:, 1]).ravel()])
+    # the last interval of B starting at or below x, -1 for none
+    j = np.searchsorted(b[:, 0], x, side="right") - 1
+    inside = (j >= 0) & (x <= b[j, 1])
+    left = np.where(j >= 0, np.abs(b[j, 1] - x), np.inf)
+    right = np.where(j + 1 < len(b),
+                     np.abs(b[np.minimum(j + 1, len(b) - 1), 0] - x), np.inf)
+    return float(np.minimum(left, right)[~inside].max(initial=0.0))
 
 
 def hausdorff_distance(a: SpectrumSet, b: SpectrumSet):

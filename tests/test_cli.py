@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from peierls import bloch, direct, effective, lattice
+from peierls import bloch, cli, direct, effective, grushin, lattice
 from peierls.cli import main
 from peierls.lattice import bz_grid, dual_shell
+from peierls.section import transport_section
 from peierls.symbols import PeriodicSymbol
 
 BASE_CONFIG = {
@@ -69,6 +70,38 @@ def test_grushin_command_verifies_identity(config_path, tmp_path):
     assert report["max_effective_deviation"] < 1e-8
 
 
+def test_grushin_stack_is_solved_in_bounded_chunks(tmp_path, monkeypatch):
+    # with room for 4 Grushin matrices per solve, 600 samples are solved in
+    # 150 stacks: the command peaks near what it does for 4 samples, and
+    # reports the bits of one 600-matrix stack
+    def run(samples, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**BASE_CONFIG, "samples": samples}))
+        tracemalloc.start()
+        try:
+            assert _run("grushin", str(path), tmp_path / name) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (tmp_path / name / "grushin.json").read_text(), peak
+
+    whole, whole_peak = run(600, "whole")
+    solves = []
+    invert = grushin.invert_grushin
+    monkeypatch.setattr(grushin, "invert_grushin",
+                        lambda g: solves.append(len(g.lam)) or invert(g))
+    size = len(dual_shell(lattice.Lattice(np.array(
+        BASE_CONFIG["lattice"]["basis"])), 6.0).members) + 1
+    monkeypatch.setattr(cli, "GRUSHIN_STACK_ENTRIES", 4 * size**2 + 1)
+    chunked, chunked_peak = run(600, "chunked")
+    assert solves == [4] * 150
+    assert chunked == whole
+    _, four_peak = run(4, "four")
+    # about 0.1 MB against 9.5 MB for the single stack; the 600 draws and
+    # Python's bounded tuple free list add some 50 kB
+    assert chunked_peak < 2 * four_peak < whole_peak / 20
+
+
 def test_effective_and_scan_commands(config_path, tmp_path):
     out = tmp_path / "run"
     assert _run("effective", config_path, out) == 0
@@ -85,6 +118,79 @@ def test_direct_command(config_path, tmp_path):
     assert _run("direct", config_path, out) == 0
     lines = (out / "eigenvalues.csv").read_text().splitlines()
     assert lines[0] == "value" and len(lines) > 1
+
+
+def _per_value_csv(header, rows) -> str:
+    """The writer that the column writer replaced: str of a Python int or
+    str, f"{x:.17g}" of anything else."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, (str, int))
+                              else f"{float(v):.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _rows(columns) -> list:
+    """Rows of the columns as the per-value writer got them: integer
+    columns as Python ints, the others as numpy floats."""
+    return list(zip(*(col.tolist() if col.dtype.kind in "iu" else col
+                      for col in map(np.asarray, columns))))
+
+
+def test_csv_columns_print_as_the_per_value_writer(tmp_path):
+    ints = np.array([0, -3, 7, 2**40, -(2**62), 12], dtype=np.int64)
+    floats = np.array([-0.0, 0.0, 1.0 / 3.0, -np.inf, np.nan, 5e-324])
+    more = np.array([1e22, -1e-300, 2.5, 100.0, 123456789.123456789, -1.0])
+    cli._write_csv(tmp_path / "t.csv", ["i", "x", "y"], [ints, floats, more])
+    text = (tmp_path / "t.csv").read_text()
+    assert text == _per_value_csv(["i", "x", "y"], _rows([ints, floats, more]))
+    assert text.splitlines()[1:3] == ["0,-0,1e+22", "-3,0,-1e-300"]
+
+
+D2_CONFIG = {
+    "lattice": {"basis": [[6.283185307179586, 0.0], [0.0, 6.283185307179586]]},
+    "symbol": {"kind": "nonrelativistic",
+               "potential": {"name": "separable_cosine_2d", "amplitude": 0.5}},
+    "numerics": {"cutoff": 4.0, "resolution": 8, "n_bands": 4, "radius": 3},
+    "flux": "1/4", "k_resolution": 6, "lambda_points": 50,
+}
+
+
+@pytest.mark.parametrize("cfg", [BASE_CONFIG, D2_CONFIG], ids=["d1", "d2"])
+def test_csv_tables_equal_the_per_value_writer(cfg, tmp_path, monkeypatch):
+    # every table the CLI writes, against the per-value text of its columns;
+    # bands.csv also against the rows the per-point loop built, and the
+    # norm column against the norm of each section vector on its own
+    written = {}
+    write = cli._write_csv
+
+    def capture(path, header, columns):
+        written[path.name] = (header, columns)
+        write(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", capture)
+    path = tmp_path / "cfg.json"
+    for command, extra in [("bands", {}), ("section", {}), ("effective", {}),
+                           ("scan", {}), ("direct", {"flux": "0"})]:
+        path.write_text(json.dumps({**cfg, **extra}))
+        assert _run(command, str(path), tmp_path) == 0
+    assert sorted(written) == ["bands.csv", "eigenvalues.csv", "margin.csv",
+                               "scan.csv", "section.csv"]
+    for name, (header, columns) in written.items():
+        assert (tmp_path / name).read_text() == _per_value_csv(
+            header, _rows(columns)), name
+    num = cli._numerics(cfg)
+    lat = cli.build_lattice(cfg)
+    bands = cli._bands(lat, cli.build_symbol(cfg, lat), num, keep_vectors=True)
+    rows = [list(frac) + [j, bands.bands[i, j]]
+            for i, frac in enumerate(bands.grid.coords())
+            for j in range(bands.n_bands)]
+    assert (tmp_path / "bands.csv").read_text() == _per_value_csv(
+        written["bands.csv"][0], rows)
+    vectors = transport_section(bands, 0).vectors
+    norms = [line.split(",")[lat.dim] for line in
+             (tmp_path / "section.csv").read_text().splitlines()[1:]]
+    assert norms == [f"{np.linalg.norm(v):.17g}" for v in vectors]
 
 
 def test_zero_field_bloch_mode_uses_band_solver(mathieu, lat1, tmp_path):

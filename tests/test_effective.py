@@ -80,6 +80,68 @@ def test_box_matrix_is_bounded(nn_hoppings, monkeypatch):
         box_matrix(nn_hoppings, Fraction(1, 4), 4)
 
 
+def test_box_matrix_memory_is_that_of_its_matrix():
+    # the Hermiticity check reads the hop blocks, not M - M^*: a d=1 box of
+    # 801 sites peaks at its own 10 MB matrix, not three of them
+    hops = HoppingSet(n=1, dim=1, hoppings={
+        (a,): np.array([[0.3 / (1 + abs(a))]], dtype=complex)
+        for a in range(-8, 9)})
+    tracemalloc.start()
+    try:
+        M = box_matrix(hops, Fraction(0), 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.shape == (801, 801)
+    assert peak < 1.3 * M.nbytes
+
+
+@pytest.mark.parametrize("hoppings", [
+    {(1, 0): -1.0, (-1, 0): -2.0, (0, 1): -1.0, (0, -1): -1.0},
+    {(1, 0): -1.0, (0, 1): -1.0, (0, -1): -1.0},  # (-1, 0) missing
+    {(0, 0): 1j},
+])
+def test_non_hermitian_box_raises(hoppings):
+    hops = HoppingSet(n=1, dim=2, hoppings={
+        key: np.array([[value]], dtype=complex)
+        for key, value in hoppings.items()})
+    for flux in (Fraction(0), Fraction(1, 3)):
+        with pytest.raises(InconsistentSymbolError):
+            box_matrix(hops, flux, 3)
+
+
+@pytest.mark.parametrize("flux", [Fraction(0), Fraction(1, 3)])
+def test_box_hermiticity_tolerance_is_that_of_the_full_matrix(flux):
+    # a tiny hop (2, 0) without its partner (-2, 0): the block check must
+    # refuse it exactly when ||M - M^*||_F exceeds 1e-10 max(1, ||M||_F)
+    def hoppings(eps):
+        return HoppingSet(n=1, dim=2, hoppings={
+            key: np.array([[value]], dtype=complex) for key, value in {
+                (1, 0): -1.0, (-1, 0): -1.0, (0, 1): -1.0, (0, -1): -1.0,
+                (2, 0): eps}.items()})
+
+    def full_ratio(eps):
+        hops, side = hoppings(eps), 7
+        rows, cols, _, entries = effective._lattice_hops(
+            hops, flux, (side, side), origin=-3)
+        M = np.zeros((side**2, side**2), dtype=complex)
+        M[rows, cols] = entries[:, 0, 0]
+        return (np.linalg.norm(M - np.conj(M.T))
+                / max(1.0, np.linalg.norm(M)))
+
+    eps = 1e-6 * 1e-10 / full_ratio(1e-6)  # the ratio is linear in eps
+    with pytest.raises(InconsistentSymbolError):
+        box_matrix(hoppings(1.2 * eps), flux, 3)  # 1.2 / sqrt(2) < 1
+    box_matrix(hoppings(0.9 * eps), flux, 3)
+
+
+def test_hermitian_box_is_accepted():
+    hops = _hermitian_hoppings(seed=3)
+    for flux in (Fraction(0), Fraction(2, 5)):
+        M = box_matrix(hops, flux, 3)
+        assert np.max(np.abs(M - np.conj(M.T))) < 1e-12
+
+
 def test_zero_flux_bloch_matrix_is_symbol(nn_hoppings):
     k = np.array([0.7, -1.2])
     val = _bloch_fibers(nn_hoppings, Fraction(0), k)[0][0, 0]

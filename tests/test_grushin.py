@@ -1,7 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
-from peierls.bloch import assemble_fiber_matrix
+from peierls.bloch import FiberAssembler, FiberMatrix, assemble_fiber_matrix
+from peierls.cli import main
 from peierls.grushin import (
     NearSingularError,
     assemble_grushin,
@@ -66,3 +70,82 @@ def test_invert_grushin_near_singular_guard(mathieu, mathieu_bands, mathieu_fami
     gm = assemble_grushin(fm, 0.0, mathieu_family, 0)
     with pytest.raises(NearSingularError):
         invert_grushin(gm, cond_max=1.0)
+
+
+def test_stacked_inverse_equals_the_per_sample_inverses(
+    mathieu, mathieu_bands, mathieu_family
+):
+    pts = mathieu_bands.grid.points()
+    rng = np.random.default_rng(5)
+    idx = rng.integers(0, pts.shape[0], size=12)
+    lams = rng.uniform(-1.0, 0.5, size=12)
+    stack = FiberMatrix(xi=pts[idx], shell=mathieu_bands.shell,
+                        entries=FiberAssembler(mathieu, mathieu_bands.shell)(
+                            pts[idx]))
+    inv = invert_grushin(assemble_grushin(stack, lams, mathieu_family, idx))
+    each = [invert_grushin(assemble_grushin(
+        assemble_fiber_matrix(mathieu, pts[i], mathieu_bands.shell), lam,
+        mathieu_family, i)) for i, lam in zip(idx, lams)]
+    assert np.array_equal(inv.e_minus_plus,
+                          np.stack([one.e_minus_plus for one in each]))
+    assert inv.condition_number == max(one.condition_number for one in each)
+    assert inv.residual == max(one.residual for one in each)
+    assert type(inv.condition_number) is float
+
+
+def test_stacked_guard_names_the_first_singular_sample(
+    mathieu, mathieu_bands, mathieu_family
+):
+    # at lambda on band 1 the complement of the section is singular; on
+    # band 0, the section's own band, the bordered matrix is not
+    pts = mathieu_bands.grid.points()
+    idx = np.array([3, 9, 12])
+    lams = mathieu_bands.bands[idx, [0, 1, 1]]
+    stack = FiberMatrix(xi=pts[idx], shell=mathieu_bands.shell,
+                        entries=FiberAssembler(mathieu, mathieu_bands.shell)(
+                            pts[idx]))
+    gm = assemble_grushin(stack, lams, mathieu_family, idx)
+    with pytest.raises(NearSingularError,
+                       match=re.escape(f"lambda={float(lams[1])}") + "$"):
+        invert_grushin(gm)
+    with pytest.raises(NearSingularError,
+                       match=re.escape(f"lambda={float(lams[0])}") + "$"):
+        invert_grushin(gm, cond_max=1.0)
+
+
+def test_grushin_report_equals_the_per_sample_loop(
+    mathieu, mathieu_bands, mathieu_family, tmp_path
+):
+    # the CLI's stacked solve against the loop it replaced: one matrix per
+    # draw of (i, lambda), in the seed's order; at seed 2, np.abs of the
+    # deviations rounds the largest modulus unlike the scalar abs
+    cfg = {
+        "lattice": {"basis": [[2.0 * np.pi]]},
+        "symbol": {"kind": "nonrelativistic",
+                   "potential": {"name": "cosine", "amplitude": 0.5}},
+        "numerics": {"cutoff": 8.0, "resolution": 64, "n_bands": 3},
+        "seed": 2, "samples": 20,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["grushin", "--config", str(path), "--out",
+                 str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "grushin.json").read_text())
+    # the fixture's symbol, grid, shell and bands are the config's
+    rng = np.random.default_rng(2)
+    pts = mathieu_bands.grid.points()
+    band = mathieu_bands.bands[:, 0]
+    assemble = FiberAssembler(mathieu, mathieu_bands.shell)
+    worst_resid = worst_dev = 0.0
+    for _ in range(20):
+        i = int(rng.integers(0, pts.shape[0]))
+        lam = float(rng.uniform(band.min() - 0.5, band.max() + 0.5))
+        inv = invert_grushin(assemble_grushin(
+            FiberMatrix(xi=pts[i], shell=mathieu_bands.shell,
+                        entries=assemble(pts[i])),
+            lam, mathieu_family, i))
+        worst_resid = max(worst_resid, inv.residual)
+        worst_dev = max(worst_dev,
+                        abs(inv.e_minus_plus[0, 0] - (lam - band[i])))
+    assert report == {"max_residual": worst_resid,
+                      "max_effective_deviation": worst_dev, "samples": 20}

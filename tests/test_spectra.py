@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from peierls.spectra import (
     EmptySpectraError,
     SpectrumSet,
+    _directed,
     from_intervals,
     hausdorff_distance,
     lipschitz_fit,
@@ -74,6 +75,35 @@ def test_hausdorff_metric_axioms(xs, ys, zs):
     assert daa <= 1e-12
     assert abs(dab - dba) <= 1e-12
     assert dab <= dac + dcb + 1e-12
+
+
+def _directed_loop(a, b):
+    """The candidate loop that _directed vectorizes."""
+    candidates = list(a.ravel())
+    for i in range(b.shape[0] - 1):
+        mid = 0.5 * (b[i, 1] + b[i + 1, 0])
+        for lo, hi in a:
+            candidates.append(float(np.clip(mid, lo, hi)))
+    best = 0.0
+    for x in candidates:
+        if np.any((b[:, 0] <= x) & (x <= b[:, 1])):
+            continue
+        best = max(best, np.min(np.abs(b - x)))
+    return best
+
+
+def test_directed_equals_the_candidate_loop():
+    # random unions with single points, repeated values and one-interval
+    # sets; the distance is bit-identical, not only close
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        a, b = (_points(np.round(rng.uniform(0.0, 10.0,
+                                             size=rng.integers(1, 40)),
+                                 rng.integers(1, 4)),
+                        tol=rng.uniform(0.0, 0.5)).merged_intervals
+                for _ in range(2))
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert _directed(x, y) == _directed_loop(x, y)
 
 
 def test_lipschitz_fit_recovers_linear_law():
