@@ -56,7 +56,6 @@ class FiberMatrix:
     """H(xi), or the fibers at a stack of momenta along a leading axis."""
 
     xi: np.ndarray  # (d,) or (S, d)
-    shell: DualShell
     entries: np.ndarray  # (M, M) or (S, M, M)
 
     @property
@@ -152,7 +151,7 @@ def assemble_fiber_matrix(
     """One complex fiber H(xi); loops over many xi use FiberAssembler."""
     xi = np.asarray(xi, dtype=float).reshape(-1)
     entries = FiberAssembler(symbol, shell)(xi).astype(complex, copy=False)
-    return FiberMatrix(xi=xi, shell=shell, entries=entries)
+    return FiberMatrix(xi=xi, entries=entries)
 
 
 def negation_permutation(shell: DualShell) -> np.ndarray:
@@ -172,10 +171,6 @@ class BandStructure:
     bands: np.ndarray  # (n_points, n_bands), ascending per point
     vectors: np.ndarray | None = None  # (n_points, M, n_bands)
     solved: int = 0  # fibers diagonalized, one per orbit of the grid
-
-    @property
-    def n_bands(self) -> int:
-        return self.bands.shape[1]
 
 
 def compute_bands(
@@ -263,27 +258,25 @@ def band_intervals(bands: BandStructure, gap_tol: float = 1e-6) -> BandIntervals
 
     A band is flagged simple when its eigenvalue stays separated from its
     neighbors by more than gap_tol at every grid point and its interval is
-    disjoint from every other band interval.
+    disjoint from every other band interval.  The last computed band is
+    never flagged: nothing shows it disjoint from the bands above it.
     """
     vals = bands.bands
     lo = vals.min(axis=0)
     hi = vals.max(axis=0)
     n = vals.shape[1]
     flags = np.zeros(n, dtype=bool)
-    for k in range(n):
+    for k in range(n - 1):
         separated = True
         if k > 0 and np.min(vals[:, k] - vals[:, k - 1]) <= gap_tol:
             separated = False
-        if k + 1 < n and np.min(vals[:, k + 1] - vals[:, k]) <= gap_tol:
+        if np.min(vals[:, k + 1] - vals[:, k]) <= gap_tol:
             separated = False
         disjoint = all(
             hi[k] < lo[j] - gap_tol or lo[k] > hi[j] + gap_tol
             for j in range(n)
             if j != k
         )
-        # the last computed band cannot certify disjointness from bands above
-        if k == n - 1:
-            disjoint = disjoint and False
         flags[k] = separated and disjoint
     return BandIntervals(intervals=np.stack([lo, hi], axis=-1),
                          simple_flags=flags)

@@ -210,8 +210,9 @@ def _bands(lattice: Lattice, sym, num: dict, keep_vectors=False):
                                keep_vectors=keep_vectors)
 
 
-def _window(cfg: dict, num: dict, bands) -> tuple:
-    """The configured window, else a margin around the selected band."""
+def _window(cfg: dict, num: dict, intervals) -> tuple:
+    """The configured window, else a margin around the selected band of
+    the band_intervals."""
     win = cfg.get("window")
     if win is not None:
         if (not isinstance(win, (list, tuple)) or len(win) != 2
@@ -221,18 +222,20 @@ def _window(cfg: dict, num: dict, bands) -> tuple:
             raise ConfigError("window must be a pair [lo, hi] of finite "
                               f"numbers with lo < hi, got {win!r}")
         return float(win[0]), float(win[1])
-    iv = bloch.band_intervals(bands, num["gap_tol"]).intervals
+    iv = intervals.intervals
     k = num["band_index"]
     pad = 0.1 * (iv[k, 1] - iv[k, 0] + 1e-6)
     return float(iv[k, 0] - pad), float(iv[k, 1] + pad)
 
 
-def _require_simple_band(bands, num) -> None:
+def _require_simple_band(bands, num):
+    """The band_intervals, once the selected band is certified simple."""
     iv = bloch.band_intervals(bands, num["gap_tol"])
     if not iv.simple_flags[num["band_index"]]:
         raise ConfigError(
             "hypothesis H.7 violated: requested band is not certified simple"
         )
+    return iv
 
 
 # -------------------------------------------------------------- commands
@@ -312,8 +315,8 @@ def cmd_grushin(cfg, num, out: Path) -> dict:
     worst_dev = 0.0
     for start in range(0, n_samples, step):
         part = slice(start, start + step)
-        fm = bloch.FiberMatrix(xi=pts[idx[part]], shell=bands.shell,
-                               entries=assemble(pts[idx[part]]))
+        xi = pts[idx[part]]
+        fm = bloch.FiberMatrix(xi=xi, entries=assemble(xi))
         inv = grushin.invert_grushin(
             grushin.assemble_grushin(fm, lams[part], family, idx[part]))
         worst_resid = max(worst_resid, inv.residual)
@@ -333,18 +336,18 @@ def _band_hoppings(cfg, num):
     lattice = build_lattice(cfg)
     sym = build_symbol(cfg, lattice)
     bands = _bands(lattice, sym, num)
-    _require_simple_band(bands, num)
+    intervals = _require_simple_band(bands, num)
     k = num["band_index"]
     hops = effective.fourier_hoppings(bands.bands[:, k], bands.grid,
                                       num["radius"])
-    return lattice, sym, bands, hops
+    return lattice, sym, intervals, hops
 
 
 def cmd_effective(cfg, num, out: Path) -> dict:
-    lattice, sym, bands, hops = _band_hoppings(cfg, num)
+    lattice, sym, intervals, hops = _band_hoppings(cfg, num)
     flux = _parse_flux(cfg.get("flux", "0"), lattice)
     mode = cfg.get("mode", "bloch")
-    window = _window(cfg, num, bands)
+    window = _window(cfg, num, intervals)
     merge_tol = num["merge_tol"]
     cloud = effective.bloch_eigenvalue_cloud(
         hops, flux, _positive_int(cfg, "k_resolution", 32))
@@ -374,9 +377,9 @@ def cmd_effective(cfg, num, out: Path) -> dict:
 
 
 def cmd_scan(cfg, num, out: Path) -> dict:
-    lattice, sym, bands, hops = _band_hoppings(cfg, num)
+    lattice, sym, intervals, hops = _band_hoppings(cfg, num)
     flux = _parse_flux(cfg.get("flux", "0"), lattice)
-    window = _window(cfg, num, bands)
+    window = _window(cfg, num, intervals)
     lam_grid = np.linspace(window[0], window[1],
                            _positive_int(cfg, "lambda_points", 400))
     margins = effective.lambda_scan(
@@ -435,9 +438,9 @@ def cmd_direct(cfg, num, out: Path) -> dict:
     box_size = _number(cfg, "", "box_size", 0.0,
                        lambda v: (v > 0 if box else v >= 0) and v < np.inf,
                        "a finite number " + ("> 0" if box else ">= 0"))
-    bands = None if cfg.get("window") is not None else _bands(
-        lattice, sym, num)
-    window = _window(cfg, num, bands)
+    intervals = None if cfg.get("window") is not None else (
+        bloch.band_intervals(_bands(lattice, sym, num), num["gap_tol"]))
+    window = _window(cfg, num, intervals)
     merge_tol = num["merge_tol"]
     # a zero-field band grid needs two points per axis
     least = 2 if mode == "zero_field_bloch" else 1
@@ -491,8 +494,8 @@ def _check_flux_per_epsilon(eps_flux) -> None:
 
 
 def cmd_compare(cfg, num, out: Path) -> dict:
-    lattice, sym, bands, hops = _band_hoppings(cfg, num)
-    window = _window(cfg, num, bands)
+    lattice, sym, intervals, hops = _band_hoppings(cfg, num)
+    window = _window(cfg, num, intervals)
     merge_tol = num["merge_tol"]
     eps_flux = cfg.get("epsilons")  # list of [epsilon, "p/q"]
     if not (eps_flux and isinstance(eps_flux, list) and all(

@@ -99,11 +99,6 @@ def _require_size(symbol: PeriodicSymbol, unknowns: int) -> None:
             f"more than the {type(symbol.kind).__name__} limit {limit}")
 
 
-def _vector_potential(field: MagneticField, chi: str | None):
-    gauge = "transversal" if chi is None else "transversal_plus_gradient"
-    return VectorPotential(field, gauge, chi)
-
-
 @dataclass(frozen=True)
 class DirectDiscretization:
     """The FD operator of the magnetic cell at rational flux p/q."""
@@ -129,7 +124,7 @@ class DirectDiscretization:
         lengths = _cell_lengths(lattice)
         n = self.points_per_cell
         shape = (self.flux.denominator * n,) + (n,) * (lengths.size - 1)
-        A = _vector_potential(field_for_flux(self.flux, lattice), self.chi)
+        A = VectorPotential(field_for_flux(self.flux, lattice), self.chi)
         return _fd_stencil(self.symbol, A, lengths / n, shape, k=k)
 
 
@@ -146,7 +141,7 @@ def box_matrix(
     _require_size(symbol, box_points**d)
     if box_points < 16:
         raise GridTooCoarseError(f"box_points {box_points}: need at least 16")
-    A = _vector_potential(field or MagneticField(0.0), chi)
+    A = VectorPotential(field or MagneticField(0.0), chi)
     return _fd_stencil(symbol, A, np.full(d, box_size / box_points),
                        (box_points,) * d, origin=-0.5 * box_size)
 

@@ -13,6 +13,11 @@ unit cell and gamma ^ alpha the wedge of the integer coordinates.  At
 rational flux Phi_s = 2 pi p / q the operator commutes with the magnetic
 translations by (q, 0) and (0, 1) and reduces to qN x qN Bloch matrices
 over a magnetic momentum cell, one per class of lattice.magnetic_momenta.
+
+Hermiticity is decided once: HoppingSet checks q_hat_{-alpha} =
+q_hat_alpha^* when it is built, and box_matrix and the magnetic-Bloch
+blocks are assembled from the hops alpha = 0 and alpha > 0 plus their
+adjoints, so they are Hermitian by construction and check nothing again.
 """
 
 from __future__ import annotations
@@ -54,10 +59,47 @@ class IrrationalFluxError(ValueError):
 
 @dataclass(frozen=True)
 class HoppingSet:
-    n: int  # block size N
-    dim: int
-    hoppings: dict  # {tuple(int): (N, N) complex array}
-    asymmetry: float = 0.0
+    """Fourier hoppings q_hat_alpha of an N x N symbol over Z^d.
+
+    Hermitian transport q_hat_{-alpha} = q_hat_alpha^* is checked once,
+    here: a set with sum_alpha ||q_hat_{-alpha} - q_hat_alpha^*||_F above
+    1e-10 max(1, sum_alpha ||q_hat_alpha||_F), a missing partner counted
+    as a zero block, raises InconsistentSymbolError.  The lattice operators
+    are then built from the hops alpha = 0 and alpha > 0 (first nonzero
+    coordinate positive) plus their adjoints: Hermitian by construction.
+    """
+
+    hoppings: dict  # {tuple(int): (N, N) complex array}, not empty
+    asymmetry: float = 0.0  # what fourier_hoppings symmetrized away
+
+    def __post_init__(self):
+        if not self.hoppings:
+            raise ValueError("a hopping set needs at least one hop")
+        keys, blocks = self.stacked()
+        # the partner of each key by its code; -alpha has code -code
+        code = keys @ (2 * np.abs(keys).max() + 1) ** np.arange(self.dim)[::-1]
+        order = np.argsort(code)
+        at = order[np.searchsorted(code, -code, sorter=order).clip(
+            max=code.size - 1)]
+        partner = np.where((code[at] == -code)[:, None, None], blocks[at], 0)
+        herm = np.linalg.norm(partner - np.conj(np.swapaxes(blocks, 1, 2)),
+                              axis=(1, 2)).sum()
+        if herm > 1e-10 * max(1.0, np.linalg.norm(blocks, axis=(1, 2)).sum()):
+            raise InconsistentSymbolError(
+                f"hoppings break Hermitian transport by {herm:.3e}")
+
+    @property
+    def dim(self) -> int:
+        return len(next(iter(self.hoppings)))
+
+    @property
+    def n(self) -> int:  # block size N
+        return len(next(iter(self.hoppings.values())))
+
+    def stacked(self):
+        """The keys (K, d) and blocks (K, N, N) in dict order."""
+        keys = np.asarray(list(self.hoppings), dtype=int).reshape(-1, self.dim)
+        return keys, np.stack(list(self.hoppings.values()))
 
     def resum(self, frac_coords: np.ndarray) -> np.ndarray:
         """q(xi) at fractional momenta (rows), inverting the Fourier series."""
@@ -105,7 +147,7 @@ def fourier_hoppings(
             f"Fourier hoppings break Hermitian transport by {asym:.3e}"
         )
     fixed = dict(zip(keys, 0.5 * (blocks + adjoint)))
-    return HoppingSet(n=vals.shape[1], dim=d, hoppings=fixed, asymmetry=asym)
+    return HoppingSet(hoppings=fixed, asymmetry=asym)
 
 
 def hopping_decay_fit(hops: HoppingSet, k: int = 4) -> float:
@@ -131,19 +173,31 @@ def gauge_shifted_hoppings(
     for alpha, blk in hops.hoppings.items():
         beta = np.asarray(alpha, dtype=float) @ lattice.basis
         out[alpha] = blk * np.exp(-1j * float(c @ beta))
-    return HoppingSet(n=hops.n, dim=hops.dim, hoppings=out,
-                      asymmetry=hops.asymmetry)
+    return HoppingSet(hoppings=out, asymmetry=hops.asymmetry)
 
 
 def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, **grid):
     """peierls_hops of the hoppings on the unit grid of this shape at flux
-    2 pi flux per cell: rows, cols, cell shifts, phased blocks (hops, N, N)."""
+    2 pi flux per cell: rows, cols, cell shifts, phased blocks (hops, N, N).
+
+    Only alpha = 0 and alpha > 0 are phased; each alpha > 0 adds its
+    reverse (cols, rows, -cell) with the adjoint entry, the hop of
+    q_hat_{-alpha} = q_hat_alpha^* (a reversed line phase, and the
+    magnetic-Bloch wrap at k = 0, is conjugated).
+    """
     A = VectorPotential(MagneticField(b12=2.0 * np.pi * float(flux)))
-    keys = np.asarray(list(hops.hoppings), dtype=int).reshape(-1, hops.dim)
+    keys, blocks = hops.stacked()
+    lead = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)]
+    half = lead >= 0  # the first nonzero coordinate, 0 for alpha = 0
     rows, cols, hop, cell, phases = peierls_hops(
-        A, shape, np.ones(hops.dim), -keys, **grid)
-    blocks = np.stack(list(hops.hoppings.values()))
-    return rows, cols, cell, phases[:, None, None] * blocks[hop]
+        A, shape, np.ones(hops.dim), -keys[half], **grid)
+    entries = phases[:, None, None] * blocks[half][hop]
+    back = lead[half][hop] > 0
+    return (np.concatenate([rows, cols[back]]),
+            np.concatenate([cols, rows[back]]),
+            np.concatenate([cell, -cell[back]]),
+            np.concatenate([entries,
+                            np.conj(np.swapaxes(entries[back], 1, 2))]))
 
 
 def _cells(flux: Fraction, dim: int) -> int:
@@ -157,9 +211,7 @@ def _cells(flux: Fraction, dim: int) -> int:
 def box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
     """The operator on the sites with |gamma_i| <= box_size (Dirichlet)."""
     _cells(flux, hops.dim)  # an exact flux, else IrrationalFluxError
-    radius = max(
-        (max(abs(a) for a in alpha) for alpha in hops.hoppings), default=0
-    )
+    radius = max(max(abs(a) for a in alpha) for alpha in hops.hoppings)
     if box_size < radius:
         raise ValueError("box size must be at least the hopping radius")
     n, side = hops.n, 2 * box_size + 1
@@ -170,22 +222,6 @@ def box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
             f"matrix, more than the limit of {MAX_FIBER_ENTRIES} entries")
     rows, cols, _, entries = _lattice_hops(hops, flux, (side,) * hops.dim,
                                            origin=-box_size)
-    # M is Hermitian when each block (row, col) has the partner (col, row)
-    # with its adjoint: the Frobenius norm of M - M^* from the blocks,
-    # without two more box-sized matrices.  The pairs (row, col) are
-    # distinct; a block without a partner stands in M - M^* twice, at
-    # (row, col) and, as its adjoint, at (col, row)
-    code, partner = rows * sites + cols, cols * sites + rows
-    order = np.argsort(code)
-    at = order[np.searchsorted(code, partner, sorter=order).clip(
-        max=code.size - 1)]
-    matched = code[at] == partner
-    adjoint = np.where(matched[:, None, None],
-                       np.conj(np.swapaxes(entries[at], 1, 2)), 0.0)
-    herm = np.sqrt(np.linalg.norm(entries - adjoint) ** 2
-                   + np.linalg.norm(entries[~matched]) ** 2)
-    if herm > 1e-10 * max(1.0, np.linalg.norm(entries)):
-        raise InconsistentSymbolError("box operator not Hermitian")
     M = np.zeros((sites * n, sites * n), dtype=complex)
     M.reshape(sites, n, sites, n)[rows, :, cols, :] = entries
     return M
@@ -200,34 +236,21 @@ def _bloch_coefficients(hops: HoppingSet, flux: Fraction):
         H(k) = sum_j coeffs[j] exp(i <k, shifts[j]>).
 
     The magnetic cell is the q x 1 box of sites (s, 0); at k = 0 a hop
-    from (s, 0) to (s', 0) in the cell shifted by (m, n) adds its entry
-    of _lattice_hops to block (s, s') of C_(m, n).  H(k) is Hermitian for
-    every k exactly when C_(m, n) = C_(-m, -n)^*; this is checked once
-    here, and the blocks are returned symmetrized.  In d=1 the flux is
-    ignored (q = 1).
+    from (s, 0) to (s', 0) in the cell shifted by (m, n) sets its entry
+    of _lattice_hops as block (s, s') of C_(m, n).  The hops come in
+    adjoint pairs, so C_(-m, -n) = C_(m, n)^* and H(k) is Hermitian for
+    every k.  In d=1 the flux is ignored (q = 1).
     """
     d, n = hops.dim, hops.n
     q = _cells(flux, d)
     rows, cols, cell, entries = _lattice_hops(hops, flux, (q, 1)[:d],
                                               k=np.zeros(d))
-    # shifts in order of first appearance, as _bloch_fibers sums them, then
-    # the negatives that no hop reaches (zero blocks); -shift has code -code
+    # one block per shift, in the order of its code; -shift has code -code
     code = cell @ (2 * np.abs(cell).max() + 1) ** np.arange(d)[::-1]
-    both = np.concatenate([code, -code])
-    first = np.sort(np.unique(both, return_index=True)[1])
-    codes, shifts = both[first], np.concatenate([cell, -cell])[first]
-    order = np.argsort(codes)
-    group = order[np.searchsorted(codes, code, sorter=order)]
-    coeffs = np.zeros((codes.size, q * n, q * n), dtype=complex)
-    coeffs.reshape(-1, q, n, q, n)[group, rows, :, cols, :] += entries
-    partner = order[np.searchsorted(codes, -codes, sorter=order)]
-    adjoint = np.conj(np.swapaxes(coeffs[partner], 1, 2))
-    # sup_k ||H(k) - H(k)^*||_2 <= sum_j ||C_j - C_-j^*||_F
-    herm = float(np.linalg.norm(coeffs - adjoint, axis=(1, 2)).sum())
-    scale = float(np.linalg.norm(coeffs, axis=(1, 2)).sum())
-    if herm > 1e-10 * max(1.0, scale):
-        raise InconsistentSymbolError("magnetic-Bloch fiber not Hermitian")
-    return shifts.astype(float), 0.5 * (coeffs + adjoint)
+    _, first, group = np.unique(code, return_index=True, return_inverse=True)
+    coeffs = np.zeros((first.size, q * n, q * n), dtype=complex)
+    coeffs.reshape(-1, q, n, q, n)[group, rows, :, cols, :] = entries
+    return cell[first].astype(float), coeffs
 
 
 def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
@@ -248,7 +271,7 @@ def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
     """
     dim = _cells(flux, hops.dim) * hops.n
     kpts = np.asarray(kpts, dtype=float).reshape(-1, hops.dim)
-    # a hop adds blocks at two shifts at most, doubled at most by partners
+    # a key alpha >= 0 adds blocks at two shifts at most, its reverse two
     entries = (kpts.shape[0] + 4 * len(hops.hoppings)) * dim**2
     if entries > MAX_FIBER_ENTRIES:
         raise GridTooLargeError(
@@ -256,10 +279,8 @@ def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
             f"{dim} x {dim}) take {entries} complex entries, more than the "
             f"limit of {MAX_FIBER_ENTRIES}")
     shifts, coeffs = _bloch_coefficients(hops, flux)
-    # one term per shift in hopping order, its phases one column at a time
-    # (a momenta x shifts table would outgrow the fibers at small q): at
-    # zero flux these are the additions of a direct resummation of the
-    # symbol, bit for bit
+    # one term per shift, its phases one column at a time (a momenta x
+    # shifts table would outgrow the fibers at small q)
     fibers = np.zeros((kpts.shape[0],) + coeffs.shape[1:], dtype=complex)
     for shift, C in zip(shifts, coeffs):
         fibers += np.exp(1j * (kpts @ shift))[:, None, None] * C

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import FiberMatrix
-from .lattice import BZGrid, DualShell
 from .section import BlochSection
 
 
@@ -31,22 +30,12 @@ class NearSingularError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrialFamily:
-    grid: BZGrid
-    shell: DualShell
     vectors: np.ndarray  # (n_points, M, N), orthonormal columns per point
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[2]
 
 
 def trial_from_section(section: BlochSection) -> TrialFamily:
     """N = 1 family wrapping a simple-band section."""
-    return TrialFamily(
-        grid=section.grid,
-        shell=section.shell,
-        vectors=section.vectors[:, :, None],
-    )
+    return TrialFamily(vectors=section.vectors[:, :, None])
 
 
 @dataclass(frozen=True)

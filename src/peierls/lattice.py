@@ -209,9 +209,6 @@ class DualShell:
     def size(self) -> int:
         return self.members.shape[0]
 
-    def points(self) -> np.ndarray:
-        return self.members @ self.lattice.dual
-
     def index_of(self, coeffs) -> np.ndarray:
         """Shell index of each row of integer dual coefficients, -1 outside.
 

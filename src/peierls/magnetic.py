@@ -58,15 +58,15 @@ def field_for_flux(flux: Fraction, lattice: Lattice) -> MagneticField:
 
 @dataclass(frozen=True)
 class VectorPotential:
+    """The transversal gauge of the field, plus grad(chi) if chi is given."""
+
     field: MagneticField
-    gauge: str = "transversal"  # or "transversal_plus_gradient"
     chi: str | None = None
 
     def __post_init__(self):
-        if self.gauge not in ("transversal", "transversal_plus_gradient"):
-            raise UnsupportedGaugeError(f"unknown gauge {self.gauge!r}")
-        if self.gauge == "transversal_plus_gradient" and self.chi not in CHI_CATALOG:
-            raise UnsupportedGaugeError("gauge function must come from the catalog")
+        if self.chi is not None and self.chi not in CHI_CATALOG:
+            raise UnsupportedGaugeError(
+                f"gauge function {self.chi!r} is not in the catalog")
 
 
 def transversal_gauge(field: MagneticField, x) -> np.ndarray:
@@ -87,7 +87,7 @@ def line_phase(A: VectorPotential, x, y) -> np.ndarray:
     b = A.field.strength
     arg = -0.5 * b * (x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0])
     phase = np.exp(1j * arg)
-    if A.gauge == "transversal_plus_gradient":
+    if A.chi is not None:
         chi = CHI_CATALOG[A.chi]
         phase *= np.exp(-1j * (chi(y) - chi(x)))
     return phase

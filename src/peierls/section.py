@@ -57,8 +57,6 @@ def apply_permutation(vec: np.ndarray, perm: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class BlochSection:
     grid: object  # BZGrid
-    shell: DualShell
-    band_index: int
     vectors: np.ndarray  # (n_points, M) unit coefficient vectors
     phase_log: dict  # holonomy angles used during transport
 
@@ -94,8 +92,8 @@ def transport_section(bands: BandStructure, band_index: int) -> BlochSection:
             lambda x: np.concatenate([apply_permutation(x[:1], shift1),
                                       x[:0:-1]]))
         log["kappa_prime"] = kappa_prime.tolist()
-    return BlochSection(grid=grid, shell=shell, band_index=band_index,
-                        vectors=vectors.reshape(res**d, -1), phase_log=log)
+    return BlochSection(grid=grid, vectors=vectors.reshape(res**d, -1),
+                        phase_log=log)
 
 
 def _sweep(lines, seeds, coords, shell, n, reflect):

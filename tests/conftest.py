@@ -66,8 +66,4 @@ def nn_hoppings():
     from peierls.effective import HoppingSet
 
     m = np.array([[-1.0 + 0j]])
-    return HoppingSet(
-        n=1,
-        dim=2,
-        hoppings={(1, 0): m, (-1, 0): m, (0, 1): m, (0, -1): m},
-    )
+    return HoppingSet(hoppings={(1, 0): m, (-1, 0): m, (0, 1): m, (0, -1): m})

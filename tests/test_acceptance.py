@@ -249,8 +249,7 @@ def test_criterion_06_gauge_covariance(nn_hoppings, lat2):
     field = MagneticField(0.5)
     grid = BoxGrid(dim=2, n=12, length=4.0)
     base = VectorPotential(field)
-    shifted = VectorPotential(field, "transversal_plus_gradient",
-                              chi="quadratic")
+    shifted = VectorPotential(field, chi="quadratic")
     pot = lambda z: np.cos(z[0]) + 0.5 * np.cos(z[1])  # noqa: E731
     kin = lambda e: float(e @ e)  # noqa: E731
     v0 = np.sort(np.linalg.eigvalsh(

@@ -45,7 +45,7 @@ def test_free_fiber_diagonal(lat1):
     free = PeriodicSymbol(Nonrelativistic(), zero_potential(lat1))
     shell = dual_shell(lat1, 3.0)
     fm = assemble_fiber_matrix(free, [0.2], shell)
-    expected = (0.2 + shell.points()[:, 0]) ** 2
+    expected = (0.2 + (shell.members @ lat1.dual)[:, 0]) ** 2
     assert np.allclose(fm.entries, np.diag(expected), atol=1e-14)
 
 
@@ -102,7 +102,7 @@ def _fiber_symbols(lat1, lat2):
 def _entrywise_fiber(symbol, xi, shell):
     """H(xi)[g, b] entry by entry from the bloch module-docstring formula."""
     members = shell.members
-    gammas = shell.points()
+    gammas = shell.members @ shell.lattice.dual
     M = shell.size
     H = np.zeros((M, M), dtype=complex)
     for g in range(M):

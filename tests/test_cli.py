@@ -184,7 +184,7 @@ def test_csv_tables_equal_the_per_value_writer(cfg, tmp_path, monkeypatch):
     bands = cli._bands(lat, cli.build_symbol(cfg, lat), num, keep_vectors=True)
     rows = [list(frac) + [j, bands.bands[i, j]]
             for i, frac in enumerate(bands.grid.coords())
-            for j in range(bands.n_bands)]
+            for j in range(bands.bands.shape[1])]
     assert (tmp_path / "bands.csv").read_text() == _per_value_csv(
         written["bands.csv"][0], rows)
     vectors = transport_section(bands, 0).vectors
@@ -351,6 +351,24 @@ def test_effective_solves_the_bands_once(config_path, tmp_path, monkeypatch):
 
     monkeypatch.setattr(bloch, "compute_bands", counted)
     assert _run("effective", config_path, tmp_path) == 0  # no window
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["effective", "scan", "compare", "direct"])
+def test_band_intervals_are_computed_once(command, tmp_path, monkeypatch):
+    # the H.7 check and the default window share one band_intervals
+    calls = []
+    intervals = bloch.band_intervals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return intervals(*args, **kwargs)
+
+    cfg = dict(BASE_CONFIG, epsilons=[[0.1, "0"]])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(bloch, "band_intervals", counted)
+    assert _run(command, str(path), tmp_path) == 0  # no window
     assert len(calls) == 1
 
 

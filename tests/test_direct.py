@@ -178,7 +178,7 @@ def test_fd_stencil_on_the_unit_grid_is_the_harper_fiber(flux, k, lat2):
     # Peierls operator of the nearest-neighbour hoppings: the stencil and
     # the effective fibers share the line phases, the wrap and the sign of k
     one = np.array([[1.0 + 0j]])
-    harper = HoppingSet(n=1, dim=2, hoppings={
+    harper = HoppingSet(hoppings={
         (0, 0): 4.0 * one, (1, 0): -one, (-1, 0): -one, (0, 1): -one,
         (0, -1): -one})
     A = VectorPotential(MagneticField(2.0 * np.pi * float(flux)))

@@ -81,9 +81,9 @@ def test_box_matrix_is_bounded(nn_hoppings, monkeypatch):
 
 
 def test_box_matrix_memory_is_that_of_its_matrix():
-    # the Hermiticity check reads the hop blocks, not M - M^*: a d=1 box of
-    # 801 sites peaks at its own 10 MB matrix, not three of them
-    hops = HoppingSet(n=1, dim=1, hoppings={
+    # no Hermiticity check forms M - M^*: a d=1 box of 801 sites peaks at
+    # its own 10 MB matrix, not three of them
+    hops = HoppingSet(hoppings={
         (a,): np.array([[0.3 / (1 + abs(a))]], dtype=complex)
         for a in range(-8, 9)})
     tracemalloc.start()
@@ -102,37 +102,36 @@ def test_box_matrix_memory_is_that_of_its_matrix():
     {(0, 0): 1j},
 ])
 def test_non_hermitian_box_raises(hoppings):
-    hops = HoppingSet(n=1, dim=2, hoppings={
-        key: np.array([[value]], dtype=complex)
-        for key, value in hoppings.items()})
-    for flux in (Fraction(0), Fraction(1, 3)):
-        with pytest.raises(InconsistentSymbolError):
-            box_matrix(hops, flux, 3)
+    # the set is refused where it is built, before any operator
+    with pytest.raises(InconsistentSymbolError):
+        HoppingSet(hoppings={key: np.array([[value]], dtype=complex)
+                             for key, value in hoppings.items()})
 
 
 @pytest.mark.parametrize("flux", [Fraction(0), Fraction(1, 3)])
-def test_box_hermiticity_tolerance_is_that_of_the_full_matrix(flux):
-    # a tiny hop (2, 0) without its partner (-2, 0): the block check must
-    # refuse it exactly when ||M - M^*||_F exceeds 1e-10 max(1, ||M||_F)
+def test_hermiticity_tolerance_is_relative_to_the_set_norm(flux):
+    # a hop (2, 0) without its partner (-2, 0) counts once in
+    # sum ||q_hat_-alpha - q_hat_alpha^*||_F, against 1e-10 times
+    # sum ||q_hat_alpha||_F = 4 + eps
     def hoppings(eps):
-        return HoppingSet(n=1, dim=2, hoppings={
+        return HoppingSet(hoppings={
             key: np.array([[value]], dtype=complex) for key, value in {
                 (1, 0): -1.0, (-1, 0): -1.0, (0, 1): -1.0, (0, -1): -1.0,
                 (2, 0): eps}.items()})
 
-    def full_ratio(eps):
-        hops, side = hoppings(eps), 7
-        rows, cols, _, entries = effective._lattice_hops(
-            hops, flux, (side, side), origin=-3)
-        M = np.zeros((side**2, side**2), dtype=complex)
-        M[rows, cols] = entries[:, 0, 0]
-        return (np.linalg.norm(M - np.conj(M.T))
-                / max(1.0, np.linalg.norm(M)))
-
-    eps = 1e-6 * 1e-10 / full_ratio(1e-6)  # the ratio is linear in eps
     with pytest.raises(InconsistentSymbolError):
-        box_matrix(hoppings(1.2 * eps), flux, 3)  # 1.2 / sqrt(2) < 1
-    box_matrix(hoppings(0.9 * eps), flux, 3)
+        hoppings(1.01e-10 * 4)
+    # the tolerated hop is built with its adjoint: the box stays Hermitian
+    M = box_matrix(hoppings(0.99e-10 * 4), flux, 3)
+    assert np.array_equal(M, np.conj(M.T))
+    # 35 hops (2, 0) in the 7 x 7 box, and their 35 reverses
+    tiny = np.isclose(np.abs(M), 0.99e-10 * 4, rtol=1e-12, atol=0)
+    assert np.count_nonzero(tiny) == 70
+
+
+def test_empty_hopping_set_raises():
+    with pytest.raises(ValueError, match="at least one hop"):
+        HoppingSet(hoppings={})
 
 
 def test_hermitian_box_is_accepted():
@@ -232,7 +231,7 @@ def _hermitian_hoppings(seed: int, n: int = 2, radius: int = 2) -> HoppingSet:
                 blk = blk + np.conj(blk.T)
             hops[(a, b)] = blk
             hops[(-a, -b)] = np.conj(blk.T)
-    return HoppingSet(n=n, dim=2, hoppings=hops)
+    return HoppingSet(hoppings=hops)
 
 
 @pytest.mark.parametrize("flux, r", [
@@ -310,12 +309,27 @@ def test_batched_cloud_matches_per_k_fiber_formula(flux, seed, k):
     assert np.max(np.abs(fiber - _reference_fiber(hops, flux, k))) < 1e-12
 
 
-@settings(max_examples=20, deadline=None)
-@given(flux=FLUXES)
-def test_non_hermitian_hoppings_raise(flux):
+@settings(max_examples=30, deadline=None)
+@given(flux=FLUXES, seed=st.integers(0, 2**16))
+def test_operators_are_hermitian_by_construction(flux, seed):
+    # every box entry and every magnetic-Bloch block pair is an exact adjoint
+    hops = _hermitian_hoppings(seed)
+    M = box_matrix(hops, flux, 3)
+    assert np.array_equal(M, np.conj(M.T))
+    shifts, coeffs = effective._bloch_coefficients(hops, flux)
+    index = {tuple(s): j for j, s in enumerate(shifts)}
+    for shift, C in zip(shifts, coeffs):
+        assert np.array_equal(coeffs[index[tuple(-shift)]], np.conj(C.T))
+
+
+def test_non_hermitian_hoppings_raise():
     one = np.array([[1.0 + 0j]])
-    hops = HoppingSet(n=1, dim=2, hoppings={
-        (1, 0): -one, (-1, 0): -2.0 * one, (0, 1): -one, (0, -1): -one,
-    })
     with pytest.raises(InconsistentSymbolError):
-        bloch_eigenvalue_cloud(hops, flux, k_resolution=2)
+        HoppingSet(hoppings={
+            (1, 0): -one, (-1, 0): -2.0 * one, (0, 1): -one, (0, -1): -one,
+        })
+    # an N x N partner is the adjoint block, not the transpose
+    blk = np.array([[1.0, 2j], [0.5, -1j]])
+    HoppingSet(hoppings={(1, 0): blk, (-1, 0): np.conj(blk.T)})
+    with pytest.raises(InconsistentSymbolError):
+        HoppingSet(hoppings={(1, 0): blk, (-1, 0): blk.T})

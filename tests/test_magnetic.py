@@ -34,7 +34,7 @@ def test_line_phase_cocycle_constant_field():
 def test_line_phase_gradient_gauge_factorizes():
     field = MagneticField(0.5)
     base = VectorPotential(field)
-    shifted = VectorPotential(field, "transversal_plus_gradient", chi="harmonic")
+    shifted = VectorPotential(field, chi="harmonic")
     x, y = np.array([0.3, 0.7]), np.array([-1.1, 0.4])
     chi = CHI_CATALOG["harmonic"]
     extra = np.exp(-1j * (chi(y) - chi(x)))
@@ -43,11 +43,9 @@ def test_line_phase_gradient_gauge_factorizes():
 
 def test_gauge_catalog_validation():
     with pytest.raises(UnsupportedGaugeError):
-        VectorPotential(MagneticField(1.0), gauge="landau")
+        VectorPotential(MagneticField(1.0), chi="landau")
     with pytest.raises(UnsupportedGaugeError):
-        VectorPotential(
-            MagneticField(1.0), gauge="transversal_plus_gradient", chi="nope"
-        )
+        VectorPotential(MagneticField(1.0), chi="nope")
 
 
 def test_quantize_free_kinetic_is_spectral():
@@ -62,7 +60,7 @@ def test_quantize_gauge_covariance_spectra():
     field = MagneticField(0.5)
     grid = BoxGrid(dim=2, n=10, length=4.0)
     base = VectorPotential(field)
-    shifted = VectorPotential(field, "transversal_plus_gradient", chi="quadratic")
+    shifted = VectorPotential(field, chi="quadratic")
     pot = lambda z: np.cos(z[0])  # noqa: E731
     v0 = np.linalg.eigvalsh(
         quantize_on_grid(lambda e: float(e @ e), base, grid, pot).matrix

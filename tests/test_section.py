@@ -66,7 +66,7 @@ def test_transport_section_requires_vectors_and_even_grid(mathieu, lat1):
 
 def test_section_d1_properties(mathieu, mathieu_bands):
     sec = transport_section(mathieu_bands, 0)
-    shell = sec.shell
+    shell = mathieu_bands.shell
     grid = sec.grid
     res = grid.resolution
     pts = grid.points()
@@ -88,7 +88,7 @@ def test_section_d1_properties(mathieu, mathieu_bands):
 def test_section_d1_zone_edge_continuity(mathieu_bands):
     sec = transport_section(mathieu_bands, 0)
     res = sec.grid.resolution
-    s1 = shift_permutation(sec.shell, [1])
+    s1 = shift_permutation(mathieu_bands.shell, [1])
     steps = [
         np.linalg.norm(sec.vectors[i + 1] - sec.vectors[i]) for i in range(res - 1)
     ]
@@ -101,7 +101,7 @@ def test_section_d1_zone_edge_continuity(mathieu_bands):
 def test_section_d2_properties(separable, separable_bands):
     sec = transport_section(separable_bands, 0)
     res = sec.grid.resolution
-    shell = sec.shell
+    shell = separable_bands.shell
     pts = sec.grid.points()
     norms = np.linalg.norm(sec.vectors, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
