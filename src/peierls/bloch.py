@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .lattice import BZGrid, DualShell, GridTooLargeError, tensor_grid
+from .lattice import BZGrid, DualShell, InputError, tensor_grid
 from .symbols import PeriodicSymbol
 
 
@@ -74,9 +74,9 @@ class FiberAssembler:
 
     def __init__(self, symbol: PeriodicSymbol, shell: DualShell):
         if shell.size == 0:
-            raise ValueError("empty dual shell")
+            raise InputError("empty dual shell")
         if shell.size**2 > MAX_BAND_ENTRIES:
-            raise GridTooLargeError(
+            raise InputError(
                 f"a fiber of basis size {shell.size} has {shell.size**2} "
                 f"entries, more than the limit {MAX_BAND_ENTRIES}")
         self.symbol = symbol
@@ -191,11 +191,11 @@ def compute_bands(
     or a LAPACK failure raises EigensolverError naming its xi.
     """
     if n_bands > shell.size:
-        raise ValueError("n_bands exceeds the plane-wave basis size")
+        raise InputError("n_bands exceeds the plane-wave basis size")
     n_points = grid.resolution ** grid.dim
     entries = n_points * n_bands * (1 + (shell.size if keep_vectors else 0))
     if entries > MAX_BAND_ENTRIES:
-        raise GridTooLargeError(
+        raise InputError(
             f"the band grid stores {entries} values and vector entries "
             f"({n_points} points, {n_bands} bands, basis size {shell.size}), "
             f"more than the limit {MAX_BAND_ENTRIES}")

@@ -3,8 +3,9 @@ compare, scan.
 
 One JSON configuration file per run; deterministic CSV bodies (17
 significant digits, comma delimiter, LF endings) with run metadata in a
-sidecar JSON.  Exit codes: 0 success, 2 configuration error, 3 numeric
-error.
+sidecar JSON.  Exit codes: 0 success, 2 configuration error (an
+InputError: an input that the model or a size limit cannot take, from a
+config key or from a library check), 3 numeric error.
 """
 
 from __future__ import annotations
@@ -18,17 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import bloch, direct, effective, grushin, section, spectra, symbols
-from .lattice import GridTooLargeError, Lattice, bz_grid, dual_shell
+from .lattice import InputError, Lattice, bz_grid, dual_shell
 from .magnetic import MagneticField, field_for_flux
 
 
 # The entries of one stacked solve of Grushin matrices: those of the largest
 # admitted fiber, so a stack costs about what one such matrix costs
 GRUSHIN_STACK_ENTRIES = bloch.MAX_BAND_ENTRIES
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _write_csv(path: Path, header: list, columns) -> None:
@@ -55,16 +52,16 @@ def load_config(path: str) -> dict:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise InputError(f"cannot read config: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"the config must be a JSON object, got {cfg!r}")
+        raise InputError(f"the config must be a JSON object, got {cfg!r}")
     return cfg
 
 
 def _number(section: dict, name: str, key: str, default,
             ok=lambda value: True, need: str = "a number"):
-    """section[key] (default when absent) as default's type, else a
-    ConfigError naming name.key (key alone for the top level, name ""):
+    """section[key] (default when absent) as default's type, else an
+    InputError naming name.key (key alone for the top level, name ""):
     no strings, booleans, non-integers for an integer key, or values that
     fail ok."""
     value = section.get(key, default)
@@ -72,7 +69,7 @@ def _number(section: dict, name: str, key: str, default,
             or isinstance(default, int) and not float(value).is_integer()
             or not ok(value)):
         label = f"{name}.{key}" if name else key
-        raise ConfigError(f"{label} must be {need}, got {value!r}")
+        raise InputError(f"{label} must be {need}, got {value!r}")
     return type(default)(value)
 
 
@@ -85,13 +82,13 @@ def _positive_int(cfg: dict, key: str, default: int) -> int:
 def build_lattice(cfg: dict) -> Lattice:
     lc = cfg.get("lattice")
     if not lc:
-        raise ConfigError("missing 'lattice' section")
+        raise InputError("missing 'lattice' section")
     if not isinstance(lc, dict) or "basis" not in lc:
-        raise ConfigError("missing 'lattice.basis'")
+        raise InputError("missing 'lattice.basis'")
     try:
         return Lattice(basis=np.asarray(lc["basis"], dtype=float))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"lattice.basis {lc['basis']!r}: {exc}") from exc
+        raise InputError(f"lattice.basis {lc['basis']!r}: {exc}") from exc
 
 
 def build_field(cfg: dict):
@@ -99,7 +96,7 @@ def build_field(cfg: dict):
     if fc is None:
         return None
     if not isinstance(fc, dict):
-        raise ConfigError(f"'field' must be an object, got {fc!r}")
+        raise InputError(f"'field' must be an object, got {fc!r}")
     matrix = fc.get("matrix")
     if matrix is not None:
         try:
@@ -107,10 +104,10 @@ def build_field(cfg: dict):
         except (TypeError, ValueError):
             m = None
         if m is None or m.shape != (2, 2):
-            raise ConfigError("field.matrix must be a 2 x 2 matrix of "
+            raise InputError("field.matrix must be a 2 x 2 matrix of "
                               f"numbers, got {matrix!r}")
         if not np.allclose(m, -m.T, atol=1e-12):
-            raise ConfigError(
+            raise InputError(
                 "hypothesis H.1 violated: magnetic field matrix must be "
                 "antisymmetric (B12 = -B21)"
             )
@@ -119,10 +116,10 @@ def build_field(cfg: dict):
         b12 = _number(fc, "field", "b12", 0.0)
     epsilon = _number(fc, "field", "epsilon", 1.0)
     if not (np.isfinite(b12) and np.isfinite(epsilon)):
-        raise ConfigError("hypothesis H.2 violated: field must be finite")
+        raise InputError("hypothesis H.2 violated: field must be finite")
     kind = fc.get("kind", "constant")
     if kind != "constant":
-        raise ConfigError(
+        raise InputError(
             "hypothesis H.6 violated: the solvers need a constant field, "
             f"got field.kind {kind!r}"
         )
@@ -132,35 +129,35 @@ def build_field(cfg: dict):
 def build_symbol(cfg: dict, lattice: Lattice) -> symbols.PeriodicSymbol:
     sc = cfg.get("symbol")
     if not sc or not isinstance(sc, dict):
-        raise ConfigError(f"'symbol' must be a non-empty object, got {sc!r}")
+        raise InputError(f"'symbol' must be a non-empty object, got {sc!r}")
     kind_name = sc.get("kind", "nonrelativistic")
     kinds = {"nonrelativistic": symbols.Nonrelativistic,
              "relativistic": symbols.Relativistic}
     # a list or an object is no key: test the type before the lookup
     kind = kinds.get(kind_name) if isinstance(kind_name, str) else None
     if kind is None:
-        raise ConfigError(f"unknown symbol kind {kind_name!r} in symbol.kind")
+        raise InputError(f"unknown symbol kind {kind_name!r} in symbol.kind")
     pc = sc.get("potential", {"name": "zero"})
     if not isinstance(pc, dict):
-        raise ConfigError(f"'symbol.potential' must be an object, got {pc!r}")
+        raise InputError(f"'symbol.potential' must be an object, got {pc!r}")
     name = pc.get("name", "zero")
     factory = (symbols.POTENTIAL_CATALOG.get(name) if isinstance(name, str)
                else None)
     if factory is None:
-        raise ConfigError(
+        raise InputError(
             f"unknown potential {name!r} in symbol.potential.name")
     amplitude = () if name == "zero" else (
         _number(pc, "symbol.potential", "amplitude", 1.0),)
     try:
         pot = factory(lattice, *amplitude)
     except ValueError as exc:
-        raise ConfigError(
+        raise InputError(
             f"hypothesis H.3 violated: potential not admissible ({exc})"
         ) from exc
     sym = symbols.PeriodicSymbol(kind=kind(), potential=pot)
     ok, _ = symbols.symbol_ellipticity_check(sym, radius=4.0, samples=8)
     if not ok:
-        raise ConfigError(
+        raise InputError(
             "hypothesis H.4 violated: symbol fails the ellipticity sample check"
         )
     return sym
@@ -181,11 +178,11 @@ NUMERICS = {
 def _numerics(cfg: dict) -> dict:
     section = cfg.get("numerics", {})
     if not isinstance(section, dict):
-        raise ConfigError(f"'numerics' must be an object, got {section!r}")
+        raise InputError(f"'numerics' must be an object, got {section!r}")
     num = {key: _number(section, "numerics", key, default, ok, need)
            for key, (default, ok, need) in NUMERICS.items()}
     if num["band_index"] >= num["n_bands"]:
-        raise ConfigError(f"numerics.band_index {num['band_index']} must be "
+        raise InputError(f"numerics.band_index {num['band_index']} must be "
                           f"below numerics.n_bands {num['n_bands']}")
     return num
 
@@ -194,9 +191,9 @@ def _parse_flux(text, lattice: Lattice) -> Fraction:
     try:
         flux = Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"flux must be a rational p/q: {text!r}") from exc
+        raise InputError(f"flux must be a rational p/q: {text!r}") from exc
     if flux != 0 and lattice.dim < 2:
-        raise ConfigError(
+        raise InputError(
             f"hypothesis H.5 violated: flux {flux} needs a d=2 lattice; a "
             "magnetic field is a 2-form, so in d=1 the flux must be 0"
         )
@@ -219,7 +216,7 @@ def _window(cfg: dict, num: dict, intervals) -> tuple:
                 or not all(isinstance(v, (int, float))
                            and not isinstance(v, bool) for v in win)
                 or not (np.all(np.isfinite(win)) and win[0] < win[1])):
-            raise ConfigError("window must be a pair [lo, hi] of finite "
+            raise InputError("window must be a pair [lo, hi] of finite "
                               f"numbers with lo < hi, got {win!r}")
         return float(win[0]), float(win[1])
     iv = intervals.intervals
@@ -229,10 +226,18 @@ def _window(cfg: dict, num: dict, intervals) -> tuple:
 
 
 def _require_simple_band(bands, num):
-    """The band_intervals, once the selected band is certified simple."""
+    """The band_intervals, once the selected band is certified simple.
+    Only a band below the last computed one can be: band_intervals never
+    certifies the last."""
+    k = num["band_index"]
+    if num["n_bands"] <= k + 1:
+        raise InputError(
+            f"numerics.n_bands {num['n_bands']} must exceed "
+            f"numerics.band_index + 1 = {k + 1}: only a computed band above "
+            "the selected one certifies its gap")
     iv = bloch.band_intervals(bands, num["gap_tol"])
-    if not iv.simple_flags[num["band_index"]]:
-        raise ConfigError(
+    if not iv.simple_flags[k]:
+        raise InputError(
             "hypothesis H.7 violated: requested band is not certified simple"
         )
     return iv
@@ -241,9 +246,7 @@ def _require_simple_band(bands, num):
 # -------------------------------------------------------------- commands
 
 
-def cmd_bands(cfg, num, out: Path) -> dict:
-    lattice = build_lattice(cfg)
-    sym = build_symbol(cfg, lattice)
+def cmd_bands(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     bands = _bands(lattice, sym, num)
     # one row per (grid point, band), bands fastest
     n_points, n_bands = bands.bands.shape
@@ -261,9 +264,7 @@ def cmd_bands(cfg, num, out: Path) -> dict:
     return {"rows": n_points * n_bands}
 
 
-def cmd_section(cfg, num, out: Path) -> dict:
-    lattice = build_lattice(cfg)
-    sym = build_symbol(cfg, lattice)
+def cmd_section(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     bands = _bands(lattice, sym, num, keep_vectors=True)
     _require_simple_band(bands, num)
     sec = section.transport_section(bands, num["band_index"])
@@ -287,9 +288,7 @@ def cmd_section(cfg, num, out: Path) -> dict:
     return {"rows": len(vecs)}
 
 
-def cmd_grushin(cfg, num, out: Path) -> dict:
-    lattice = build_lattice(cfg)
-    sym = build_symbol(cfg, lattice)
+def cmd_grushin(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     bands = _bands(lattice, sym, num, keep_vectors=True)
     _require_simple_band(bands, num)
     sec = section.transport_section(bands, num["band_index"])
@@ -332,19 +331,17 @@ def cmd_grushin(cfg, num, out: Path) -> dict:
     return report
 
 
-def _band_hoppings(cfg, num):
-    lattice = build_lattice(cfg)
-    sym = build_symbol(cfg, lattice)
+def _band_hoppings(lattice: Lattice, sym, num):
+    """The band_intervals and the hoppings of the selected band."""
     bands = _bands(lattice, sym, num)
     intervals = _require_simple_band(bands, num)
-    k = num["band_index"]
-    hops = effective.fourier_hoppings(bands.bands[:, k], bands.grid,
-                                      num["radius"])
-    return lattice, sym, intervals, hops
+    hops = effective.fourier_hoppings(bands.bands[:, num["band_index"]],
+                                      bands.grid, num["radius"])
+    return intervals, hops
 
 
-def cmd_effective(cfg, num, out: Path) -> dict:
-    lattice, sym, intervals, hops = _band_hoppings(cfg, num)
+def cmd_effective(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
+    intervals, hops = _band_hoppings(lattice, sym, num)
     flux = _parse_flux(cfg.get("flux", "0"), lattice)
     mode = cfg.get("mode", "bloch")
     window = _window(cfg, num, intervals)
@@ -360,7 +357,7 @@ def cmd_effective(cfg, num, out: Path) -> dict:
     elif mode == "bloch":
         points = cloud
     else:
-        raise ConfigError(f"unknown effective mode {mode!r}")
+        raise InputError(f"unknown effective mode {mode!r}")
     spec_set = spectra.SpectrumSet(points=points, window=window,
                                    merge_tol=merge_tol)
     lam_grid = np.linspace(window[0], window[1],
@@ -376,8 +373,8 @@ def cmd_effective(cfg, num, out: Path) -> dict:
     return {"intervals": spec_set.merged_intervals.tolist()}
 
 
-def cmd_scan(cfg, num, out: Path) -> dict:
-    lattice, sym, intervals, hops = _band_hoppings(cfg, num)
+def cmd_scan(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
+    intervals, hops = _band_hoppings(lattice, sym, num)
     flux = _parse_flux(cfg.get("flux", "0"), lattice)
     window = _window(cfg, num, intervals)
     lam_grid = np.linspace(window[0], window[1],
@@ -397,7 +394,7 @@ def _check_field(field, flux: Fraction, lattice: Lattice) -> None:
         return
     b, b_flux = field.strength, field_for_flux(flux, lattice).b12
     if abs(b - b_flux) > 1e-9 * max(1.0, abs(b_flux)):
-        raise ConfigError(
+        raise InputError(
             f"field epsilon * b12 = {b!r} does not match flux {flux}: the "
             f"consistent field is b12 = {b_flux!r}"
         )
@@ -406,13 +403,11 @@ def _check_field(field, flux: Fraction, lattice: Lattice) -> None:
 DIRECT_MODES = ("zero_field_bloch", "magnetic_bloch", "box")
 
 
-def cmd_direct(cfg, num, out: Path) -> dict:
-    lattice = build_lattice(cfg)
-    sym = build_symbol(cfg, lattice)
+def cmd_direct(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     field = build_field(cfg)
     mode = cfg.get("mode", "zero_field_bloch")
     if mode not in DIRECT_MODES:
-        raise ConfigError(
+        raise InputError(
             f"unknown direct mode {mode!r}, not in {DIRECT_MODES}")
     flux = _parse_flux(cfg.get("flux", "0"), lattice)
     if mode == "magnetic_bloch":
@@ -420,13 +415,13 @@ def cmd_direct(cfg, num, out: Path) -> dict:
     elif mode == "zero_field_bloch":
         b = field.strength if field is not None else 0.0
         if flux != 0 or b != 0.0:
-            raise ConfigError(
+            raise InputError(
                 "mode zero_field_bloch solves at zero field, but the config "
                 f"sets flux {flux} and field strength {b!r}; use mode "
                 "'magnetic_bloch'"
             )
     elif flux != 0:
-        raise ConfigError(
+        raise InputError(
             f"mode box takes its field from 'field' alone, but the config "
             f"sets flux {flux}; set flux 0 and give the field in 'field'"
         )
@@ -481,26 +476,26 @@ def _check_flux_per_epsilon(eps_flux) -> None:
            if isinstance(e, bool) or not isinstance(e, (int, float))
            or not 0 < e < np.inf]
     if bad:
-        raise ConfigError("epsilons: each epsilon must be a finite positive "
+        raise InputError("epsilons: each epsilon must be a finite positive "
                           f"number, unlike {show(bad)}")
     ratios = [float(flux) / e for e, flux in eps_flux]
     bad = [pair for pair, r in zip(eps_flux, ratios)
            if abs(r - ratios[0]) > 1e-9 * max(abs(r), abs(ratios[0]))]
     if bad:
-        raise ConfigError(
+        raise InputError(
             "flux / epsilon must be the same for every pair: "
             f"{show(eps_flux[:1])} gives {ratios[0]!r}, unlike {show(bad)}"
         )
 
 
-def cmd_compare(cfg, num, out: Path) -> dict:
-    lattice, sym, intervals, hops = _band_hoppings(cfg, num)
+def cmd_compare(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
+    intervals, hops = _band_hoppings(lattice, sym, num)
     window = _window(cfg, num, intervals)
     merge_tol = num["merge_tol"]
     eps_flux = cfg.get("epsilons")  # list of [epsilon, "p/q"]
     if not (eps_flux and isinstance(eps_flux, list) and all(
             isinstance(pair, list) and len(pair) == 2 for pair in eps_flux)):
-        raise ConfigError("compare needs 'epsilons', a list of [epsilon, "
+        raise InputError("compare needs 'epsilons', a list of [epsilon, "
                           f"flux] pairs, got {eps_flux!r}")
     eps_flux = [(eps, _parse_flux(text, lattice)) for eps, text in eps_flux]
     _check_flux_per_epsilon(eps_flux)
@@ -578,10 +573,10 @@ def main(argv=None) -> int:
         num = _numerics(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        summary = COMMANDS[args.command](cfg, num, out)
-    except (ConfigError, GridTooLargeError, direct.GridTooCoarseError,
-            direct.NonRectangularLatticeError,
-            direct.WindowTooWideError) as exc:
+        lattice = build_lattice(cfg)
+        summary = COMMANDS[args.command](cfg, num, lattice,
+                                         build_symbol(cfg, lattice), out)
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -30,7 +30,7 @@ diagonal pivots only, an LDL^H factorization, and by Sylvester's law of
 inertia the negative pivots count the eigenvalues below each edge; their
 difference is the exact number in the window.  One shift-invert Arnoldi
 run at lo then asks for exactly that many.  A window holding more than an
-eighth of the spectrum raises WindowTooWideError before any iteration;
+eighth of the spectrum raises InputError before any iteration;
 factors that are not LDL^H, or a run that misses part of the count, raise
 WindowCoverageError.
 """
@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice import GridTooLargeError, Lattice, magnetic_momenta, tensor_grid
+from .lattice import InputError, Lattice, magnetic_momenta, tensor_grid
 from .magnetic import (MagneticField, VectorPotential, field_for_flux,
                        hermitian_sqrt, peierls_hops)
 from .spectra import SpectrumSet
@@ -72,18 +72,10 @@ MAX_UNKNOWNS = 2**15
 DENSE_MAX_UNKNOWNS = 144
 
 
-class NonRectangularLatticeError(ValueError):
-    pass
-
-
-class GridTooCoarseError(ValueError):
-    pass
-
-
 def _cell_lengths(lattice: Lattice) -> np.ndarray:
     basis = lattice.basis
     if not np.allclose(basis, np.diag(np.diag(basis))):
-        raise NonRectangularLatticeError(
+        raise InputError(
             "the finite-difference operator needs a rectangular lattice: "
             f"lattice.basis {basis.tolist()} is not diagonal"
         )
@@ -94,7 +86,7 @@ def _require_size(symbol: PeriodicSymbol, unknowns: int) -> None:
     limit = (RELATIVISTIC_MAX_UNKNOWNS
              if isinstance(symbol.kind, Relativistic) else MAX_UNKNOWNS)
     if unknowns > limit:
-        raise GridTooLargeError(
+        raise InputError(
             f"the finite-difference operator has {unknowns} unknowns, "
             f"more than the {type(symbol.kind).__name__} limit {limit}")
 
@@ -110,9 +102,9 @@ class DirectDiscretization:
 
     def __post_init__(self):
         if not isinstance(self.flux, Fraction):
-            raise ValueError("flux must be an exact Fraction")
+            raise InputError("flux must be an exact Fraction")
         if self.points_per_cell < 16:
-            raise GridTooCoarseError(
+            raise InputError(
                 f"points_per_cell {self.points_per_cell}: need at least 16")
         _cell_lengths(self.symbol.lattice)
         _require_size(self.symbol, self.flux.denominator
@@ -140,7 +132,7 @@ def box_matrix(
     d = symbol.lattice.dim
     _require_size(symbol, box_points**d)
     if box_points < 16:
-        raise GridTooCoarseError(f"box_points {box_points}: need at least 16")
+        raise InputError(f"box_points {box_points}: need at least 16")
     A = VectorPotential(field or MagneticField(0.0), chi)
     return _fd_stencil(symbol, A, np.full(d, box_size / box_points),
                        (box_points,) * d, origin=-0.5 * box_size)
@@ -192,10 +184,6 @@ def _fd_stencil(
 
 class WindowCoverageError(RuntimeError):
     """The eigensolver could not certify that it found the whole window."""
-
-
-class WindowTooWideError(ValueError):
-    """The window holds more eigenvalues than a sparse solve is for."""
 
 
 def _shift_factors(M: sp.spmatrix, sigma: float):
@@ -256,7 +244,7 @@ def window_eigs(M: sp.spmatrix, window) -> np.ndarray:
     (M - lo)^-1, which one shift-invert Arnoldi run computes from the
     factors of M - lo.  A run that returns fewer than count of them in the
     window raises WindowCoverageError.  More than size // 8 raise
-    WindowTooWideError before any iteration: such a window holds far more
+    InputError before any iteration: such a window holds far more
     than the few bands a reference solve resolves, and Arnoldi then costs
     more than a dense solve (128 eigenvalues of a 1,024-unknown fiber of
     the separable fixture: 0.69 s against 0.42 s).
@@ -274,7 +262,7 @@ def window_eigs(M: sp.spmatrix, window) -> np.ndarray:
     lower, lo_shift, below_lo = _edge_factors(M, lo, -nudge)
     count = below_hi - below_lo
     if count > size // 8:
-        raise WindowTooWideError(
+        raise InputError(
             f"window [{lo}, {hi}] holds {count} of the {size} eigenvalues, "
             f"more than the {size // 8} a sparse solve certifies; narrow "
             "the window")

@@ -28,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .lattice import BZGrid, GridTooLargeError, Lattice, magnetic_momenta
+from .lattice import BZGrid, InputError, Lattice, magnetic_momenta
 from .magnetic import MagneticField, VectorPotential, peierls_hops
 from .spectra import SpectrumSet
 
@@ -45,16 +45,8 @@ MAX_FIBER_ENTRIES = 2**25
 ASYMMETRY_TOL = 1e-6
 
 
-class AliasingError(ValueError):
-    pass
-
-
 class InconsistentSymbolError(ValueError):
     """Fourier data breaks the Hermitian-transport symmetry."""
-
-
-class IrrationalFluxError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -74,7 +66,7 @@ class HoppingSet:
 
     def __post_init__(self):
         if not self.hoppings:
-            raise ValueError("a hopping set needs at least one hop")
+            raise InputError("a hopping set needs at least one hop")
         keys, blocks = self.stacked()
         # the partner of each key by its code; -alpha has code -code
         code = keys @ (2 * np.abs(keys).max() + 1) ** np.arange(self.dim)[::-1]
@@ -125,7 +117,7 @@ def fourier_hoppings(
     d = grid.dim
     res = grid.resolution
     if res < 2 * radius + 1:
-        raise AliasingError(
+        raise InputError(
             f"grid resolution {res} cannot resolve hopping radius {radius}"
         )
     # at the centred grid point xi_j = j/res - 1/2 the phase exp(-2 pi i
@@ -204,20 +196,20 @@ def _cells(flux: Fraction, dim: int) -> int:
     """Unit cells per magnetic cell: q of the exact flux p/q in d=2 (a
     Fraction: rationality is never detected from floats), 1 in d=1."""
     if not isinstance(flux, Fraction):
-        raise IrrationalFluxError("flux must be an exact Fraction p/q")
+        raise InputError("flux must be an exact Fraction p/q")
     return flux.denominator if dim == 2 else 1
 
 
 def box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
     """The operator on the sites with |gamma_i| <= box_size (Dirichlet)."""
-    _cells(flux, hops.dim)  # an exact flux, else IrrationalFluxError
+    _cells(flux, hops.dim)  # an exact flux, else InputError
     radius = max(max(abs(a) for a in alpha) for alpha in hops.hoppings)
     if box_size < radius:
-        raise ValueError("box size must be at least the hopping radius")
+        raise InputError("box size must be at least the hopping radius")
     n, side = hops.n, 2 * box_size + 1
     sites = side**hops.dim
     if (sites * n) ** 2 > MAX_FIBER_ENTRIES:
-        raise GridTooLargeError(
+        raise InputError(
             f"box_size {box_size} gives a {sites * n} x {sites * n} box "
             f"matrix, more than the limit of {MAX_FIBER_ENTRIES} entries")
     rows, cols, _, entries = _lattice_hops(hops, flux, (side,) * hops.dim,
@@ -274,7 +266,7 @@ def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
     # a key alpha >= 0 adds blocks at two shifts at most, its reverse two
     entries = (kpts.shape[0] + 4 * len(hops.hoppings)) * dim**2
     if entries > MAX_FIBER_ENTRIES:
-        raise GridTooLargeError(
+        raise InputError(
             f"the magnetic-Bloch fibers at flux {flux} ({kpts.shape[0]} of "
             f"{dim} x {dim}) take {entries} complex entries, more than the "
             f"limit of {MAX_FIBER_ENTRIES}")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import FiberMatrix
+from .lattice import InputError
 from .section import BlochSection
 
 
@@ -71,7 +72,7 @@ def assemble_grushin(
     grid_index and lam of shape (S,) with matrix.entries (S, M, M)."""
     phi = family.vectors[grid_index]
     if phi.shape[-2] != matrix.size:
-        raise ValueError("trial family and fiber matrix use different shells")
+        raise InputError("trial family and fiber matrix use different shells")
     lam = np.asarray(lam, dtype=float)
     return GrushinMatrix(
         xi=matrix.xi,

@@ -15,12 +15,10 @@ from math import gcd
 import numpy as np
 
 
-class DegenerateLatticeError(ValueError):
-    """Basis vectors are linearly dependent (or numerically singular)."""
-
-
-class GridTooLargeError(ValueError):
-    """An operator or a stack of fibers would exceed its size limit."""
+class InputError(ValueError):
+    """An input that the model or a size limit cannot take: a degenerate
+    lattice, a grid too coarse, an operator too large, a flux that is not
+    exact.  The CLI exits 2 on it; every other error is numeric (exit 3)."""
 
 
 def tensor_grid(axes) -> np.ndarray:
@@ -34,12 +32,12 @@ def dual_basis(basis: np.ndarray) -> np.ndarray:
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     d = basis.shape[0]
     if basis.shape != (d, d):
-        raise ValueError(f"basis must be square, got shape {basis.shape}")
+        raise InputError(f"basis must be square, got shape {basis.shape}")
     if not np.all(np.isfinite(basis)):
-        raise DegenerateLatticeError("lattice basis must be finite")
+        raise InputError("lattice basis must be finite")
     det = np.linalg.det(basis)
     if abs(det) < 1e-14 * max(1.0, np.abs(basis).max() ** d):
-        raise DegenerateLatticeError("lattice basis is singular")
+        raise InputError("lattice basis is singular")
     return 2.0 * np.pi * np.linalg.inv(basis).T
 
 
@@ -53,7 +51,7 @@ class Lattice:
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
         if basis.shape[0] not in (1, 2):
-            raise ValueError("only d in {1, 2} is supported")
+            raise InputError("only d in {1, 2} is supported")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "dual", dual_basis(basis))
 
@@ -74,7 +72,7 @@ class BZGrid:
 
     def __post_init__(self):
         if self.resolution < 2:
-            raise ValueError("resolution must be >= 2")
+            raise InputError("resolution must be >= 2")
 
     @property
     def dim(self) -> int:
@@ -96,7 +94,7 @@ class BZGrid:
     def index_of_zero(self) -> int:
         """Flat index of the xi = 0 grid point (requires even resolution)."""
         if self.resolution % 2:
-            raise ValueError("zero is a grid point only for even resolution")
+            raise InputError("zero is a grid point only for even resolution")
         half = self.resolution // 2
         idx = 0
         for _ in range(self.dim):
@@ -145,11 +143,11 @@ def magnetic_momenta(dim: int, q: int, k_resolution: int):
     divides j2 - j2': the representatives are the points with j2 < m, and
     j is in class j1 * m + (j2 mod m).  In d=1, and at q = 1, every point
     is its own class.  A grid whose points times q exceed MAX_CLOUD_VALUES
-    raises GridTooLargeError before anything grid-sized is built.
+    raises InputError before anything grid-sized is built.
     """
     points = k_resolution**dim
     if points * q > MAX_CLOUD_VALUES:
-        raise GridTooLargeError(
+        raise InputError(
             f"the magnetic momentum grid of {points} points at q = {q} "
             f"expands to {points * q} values, more than the limit "
             f"{MAX_CLOUD_VALUES}")
@@ -186,7 +184,7 @@ class DualShell:
         nmax = np.ceil(self.cutoff / heights)
         box = np.prod(2 * nmax + 1)  # in floats, which cannot overflow
         if box > MAX_SHELL_CANDIDATES:
-            raise GridTooLargeError(
+            raise InputError(
                 f"the dual shell of cutoff {self.cutoff} scans {box:.0f} "
                 f"candidates, more than the limit {MAX_SHELL_CANDIDATES}")
         nmax = nmax.astype(int)
@@ -234,5 +232,5 @@ class DualShell:
 
 def dual_shell(lattice: Lattice, cutoff: float) -> DualShell:
     if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
+        raise InputError("cutoff must be positive")
     return DualShell(lattice, cutoff)

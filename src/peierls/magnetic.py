@@ -23,11 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import Lattice, tensor_grid
-
-
-class UnsupportedGaugeError(ValueError):
-    pass
+from .lattice import InputError, Lattice, tensor_grid
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ class VectorPotential:
 
     def __post_init__(self):
         if self.chi is not None and self.chi not in CHI_CATALOG:
-            raise UnsupportedGaugeError(
+            raise InputError(
                 f"gauge function {self.chi!r} is not in the catalog")
 
 
@@ -140,7 +136,7 @@ class BoxGrid:
 
     def __post_init__(self):
         if self.n < 8:
-            raise ValueError("box grid needs at least 8 points per direction")
+            raise InputError("box grid needs at least 8 points per direction")
 
     @property
     def spacing(self) -> float:
@@ -200,7 +196,7 @@ def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(matrix)
     if vals[0] < 0:
         if vals[0] < -1e-10:
-            raise ValueError(
+            raise np.linalg.LinAlgError(
                 f"matrix not positive semidefinite (min eig {vals[0]:.3e})"
             )
         vals = np.clip(vals, 0.0, None)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BandStructure, conj_reflect, negation_permutation
-from .lattice import DualShell
+from .lattice import DualShell, InputError
 
 
 class TransportStepError(RuntimeError):
@@ -68,11 +68,11 @@ def transport_section(bands: BandStructure, band_index: int) -> BlochSection:
     so that xi = 0 is a grid point.
     """
     if bands.vectors is None:
-        raise ValueError("transport_section needs stored eigenvectors")
+        raise InputError("transport_section needs stored eigenvectors")
     grid, shell = bands.grid, bands.shell
     res, d = grid.resolution, grid.dim
     if res % 2:
-        raise ValueError("grid resolution must be even")
+        raise InputError("grid resolution must be even")
     i0 = res // 2  # index of coordinate 0
     # a view of the band's vectors, (res,) * d + (M,)
     lines = bands.vectors[:, :, band_index].reshape((res,) * d + (-1,))

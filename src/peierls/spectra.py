@@ -11,9 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class EmptySpectraError(ValueError):
-    """Hausdorff distance between two empty sets is undefined."""
+from .lattice import InputError
 
 
 @dataclass(frozen=True)
@@ -26,7 +24,7 @@ class SpectrumSet:
     def __post_init__(self):
         lo, hi = self.window
         if not lo < hi:
-            raise ValueError("window must be a nonempty interval")
+            raise InputError("window must be a nonempty interval")
         pts = np.sort(np.asarray(self.points, dtype=float).ravel())
         pts = pts[(pts >= lo) & (pts <= hi)]
         object.__setattr__(self, "points", pts)
@@ -96,10 +94,10 @@ def hausdorff_distance(a: SpectrumSet, b: SpectrumSet):
 
     Returns (distance, flagged).  When exactly one set is empty the
     distance is defined as the window width and flagged True; both empty
-    raises EmptySpectraError.
+    raises InputError.
     """
     if a.is_empty and b.is_empty:
-        raise EmptySpectraError("both spectra empty: Hausdorff distance undefined")
+        raise InputError("both spectra empty: Hausdorff distance undefined")
     if a.is_empty or b.is_empty:
         win = a.window if a.is_empty else b.window
         return float(win[1] - win[0]), True
@@ -118,7 +116,7 @@ def lipschitz_fit(pairs) -> HausdorffReport:
     """Least-squares slope through the origin of d_H vs epsilon."""
     pairs = [(float(e), float(d)) for e, d in pairs]
     if len(pairs) < 3:
-        raise ValueError("lipschitz_fit needs at least 3 (epsilon, d_H) pairs")
+        raise InputError("lipschitz_fit needs at least 3 (epsilon, d_H) pairs")
     eps = np.array([p[0] for p in pairs])
     dh = np.array([p[1] for p in pairs])
     slope = float(np.dot(eps, dh) / np.dot(eps, eps))

@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .lattice import Lattice, tensor_grid
+from .lattice import InputError, Lattice, tensor_grid
 
 
 def _negated(key: tuple) -> tuple:
@@ -31,16 +31,16 @@ class PeriodicPotential:
         for key, val in self.coeffs.items():
             key = tuple(int(k) for k in np.atleast_1d(key))
             if len(key) != self.lattice.dim:
-                raise ValueError(f"coefficient index {key} has wrong dimension")
+                raise InputError(f"coefficient index {key} has wrong dimension")
             if not np.isfinite(val):
-                raise ValueError(f"coefficient at {key} is {val}, not finite")
+                raise InputError(f"coefficient at {key} is {val}, not finite")
             if abs(val) > 0:
                 clean[key] = complex(val)
         pairs = {}
         for key, val in clean.items():
             other = clean.get(_negated(key), 0.0)
             if abs(np.conj(val) - other) > 1e-10 * max(1.0, abs(val)):
-                raise ValueError(
+                raise InputError(
                     f"potential is not real: coefficient at {key} breaks "
                     "Hermitian symmetry"
                 )
@@ -74,7 +74,7 @@ def cosine_potential(lattice: Lattice, amplitude: float = 1.0) -> PeriodicPotent
 def separable_cosine_2d(lattice: Lattice, amplitude: float = 1.0) -> PeriodicPotential:
     """V(y) = 2a*cos(<e*_1,y>) + 2a*cos(<e*_2,y>)."""
     if lattice.dim != 2:
-        raise ValueError("separable_cosine_2d requires d = 2")
+        raise InputError("separable_cosine_2d requires d = 2")
     a = amplitude
     return PeriodicPotential(
         lattice, {(1, 0): a, (-1, 0): a, (0, 1): a, (0, -1): a}
@@ -143,7 +143,7 @@ def symbol_ellipticity_check(
     Returns (ok, C) with C the smallest sampled ratio; ok is C > 0.
     """
     if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise InputError("radius must be positive")
     lat = symbol.lattice
     d = lat.dim
     m = symbol.kind.order

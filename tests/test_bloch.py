@@ -13,7 +13,7 @@ from peierls.bloch import (
     compute_bands,
     point_group,
 )
-from peierls.lattice import GridTooLargeError, Lattice, bz_grid, dual_shell
+from peierls.lattice import InputError, Lattice, bz_grid, dual_shell
 from peierls.symbols import (
     Nonrelativistic,
     PeriodicPotential,
@@ -37,7 +37,7 @@ def test_fiber_matrix_rejects_empty_shell(mathieu, lat1):
     object.__setattr__(empty, "lattice", lat1)
     object.__setattr__(empty, "cutoff", 0.0)
     object.__setattr__(empty, "members", np.zeros((0, 1), dtype=int))
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(InputError, match="empty"):
         assemble_fiber_matrix(mathieu, [0.0], empty)
 
 
@@ -61,7 +61,7 @@ def test_compute_bands_sorted_and_periodic(mathieu_bands):
 def test_compute_bands_rejects_oversized_request(mathieu, lat1):
     grid = bz_grid(lat1, 4)
     shell = dual_shell(lat1, 1.0)
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(InputError, match="exceeds"):
         compute_bands(mathieu, grid, shell, shell.size + 1)
 
 
@@ -341,8 +341,8 @@ def test_band_grid_size_is_bounded(separable, lat2, monkeypatch):
     assert shell.size == 197
     # the largest band grid of the acceptance suite fits
     assert 48**2 * 4 * (1 + shell.size) <= MAX_BAND_ENTRIES
-    with pytest.raises(GridTooLargeError, match="limit"):
+    with pytest.raises(InputError, match="limit"):
         compute_bands(separable, bz_grid(lat2, 4096), shell, 2)
-    with pytest.raises(GridTooLargeError, match="limit"):
+    with pytest.raises(InputError, match="limit"):
         compute_bands(separable, bz_grid(lat2, 256), shell, 2,
                       keep_vectors=True)

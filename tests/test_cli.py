@@ -285,12 +285,54 @@ def test_config_error_irrational_flux(config_path, tmp_path, capsys):
 
 
 def test_config_error_nonsimple_band(tmp_path, capsys):
-    cfg = json.loads(json.dumps(BASE_CONFIG))
-    cfg["numerics"]["band_index"] = 2  # last computed band: never certified
+    # free-particle bands 0 and 1 touch at the zone edge xi = -1/2
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(_edited(BASE_CONFIG, ("symbol", "potential"),
+                                       {"name": "zero"})))
     assert _run("section", str(path), tmp_path) == 2
     assert "H.7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["section", "effective"])
+def test_last_computed_band_is_a_config_error(command, tmp_path, capsys):
+    # band 0 is simple, but with one band computed nothing certifies its gap
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_edited(BASE_CONFIG, ("numerics", "n_bands"),
+                                       1)))
+    assert _run(command, str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "numerics.n_bands" in err
+    assert "H.7" not in err
+
+
+@pytest.mark.parametrize("command, edits, named", [
+    ("section", {("numerics", "resolution"): 15}, "even"),
+    ("grushin", {("numerics", "resolution"): 15}, "even"),
+    ("effective", {("numerics", "resolution"): 12, ("numerics", "radius"): 8},
+     "hopping radius 8"),
+    ("scan", {("numerics", "resolution"): 12, ("numerics", "radius"): 8},
+     "hopping radius 8"),
+    ("compare", {("numerics", "resolution"): 12, ("numerics", "radius"): 8},
+     "hopping radius 8"),
+    ("bands", {("numerics", "cutoff"): 1.0, ("numerics", "n_bands"): 4},
+     "plane-wave basis size"),
+    ("compare", {("window",): [100, 101]}, "both spectra empty"),
+], ids=["section_odd_resolution", "grushin_odd_resolution",
+        "effective_aliasing", "scan_aliasing", "compare_aliasing",
+        "bands_above_basis_size", "compare_empty_window"])
+def test_input_checks_of_the_library_exit_2(command, edits, named, tmp_path,
+                                            capsys):
+    # each input is refused by a library module, not by the config reader
+    cfg = dict(BASE_CONFIG, epsilons=[[0.1, "0"]])
+    for keys, value in edits.items():
+        cfg = _edited(cfg, keys, value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(command, str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert "numeric error" not in err
+    assert "numeric error" not in err
 
 
 def test_non_finite_fiber_is_an_eigensolver_error(mathieu, lat1, config_path,

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from peierls.lattice import InputError
 from peierls.magnetic import (
     CHI_CATALOG,
     BoxGrid,
     MagneticField,
-    UnsupportedGaugeError,
     VectorPotential,
     hermitian_sqrt,
     line_phase,
@@ -42,9 +42,9 @@ def test_line_phase_gradient_gauge_factorizes():
 
 
 def test_gauge_catalog_validation():
-    with pytest.raises(UnsupportedGaugeError):
+    with pytest.raises(InputError, match="not in the catalog"):
         VectorPotential(MagneticField(1.0), chi="landau")
-    with pytest.raises(UnsupportedGaugeError):
+    with pytest.raises(InputError, match="not in the catalog"):
         VectorPotential(MagneticField(1.0), chi="nope")
 
 
@@ -88,7 +88,7 @@ def test_relativistic_sqrt_zero_field_exact():
 
 
 def test_box_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="at least 8"):
         BoxGrid(dim=1, n=4, length=1.0)
     grid = BoxGrid(dim=2, n=8, length=4.0)
     assert grid.positions().shape == (64, 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from peierls.bloch import BandStructure, assemble_fiber_matrix, compute_bands
-from peierls.lattice import DualShell, bz_grid, dual_shell
+from peierls.lattice import DualShell, InputError, bz_grid, dual_shell
 from peierls.section import (
     TransportStepError,
     apply_permutation,
@@ -55,12 +55,12 @@ def test_transport_section_requires_vectors_and_even_grid(mathieu, lat1):
     grid = bz_grid(lat1, 16)
     shell = dual_shell(lat1, 6.0)
     bands = compute_bands(mathieu, grid, shell, 2)
-    with pytest.raises(ValueError, match="eigenvectors"):
+    with pytest.raises(InputError, match="eigenvectors"):
         transport_section(bands, 0)
     odd = compute_bands(
         mathieu, bz_grid(lat1, 15), shell, 2, keep_vectors=True
     )
-    with pytest.raises(ValueError, match="even"):
+    with pytest.raises(InputError, match="even"):
         transport_section(odd, 0)
 
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peierls.lattice import InputError
 from peierls.spectra import (
-    EmptySpectraError,
     SpectrumSet,
     _directed,
     from_intervals,
@@ -55,7 +55,7 @@ def test_hausdorff_empty_conventions():
     full = from_intervals([(2.0, 3.0)], WIN, 0.05)
     d, flagged = hausdorff_distance(empty, full)
     assert flagged and d == WIN[1] - WIN[0]
-    with pytest.raises(EmptySpectraError):
+    with pytest.raises(InputError, match="both spectra empty"):
         hausdorff_distance(empty, _points([]))
 
 
@@ -112,5 +112,5 @@ def test_lipschitz_fit_recovers_linear_law():
     assert abs(rep.fitted_slope - 2.0) < 1e-12
     assert rep.residual < 1e-12
     assert abs(rep.max_ratio - 2.0) < 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="at least 3"):
         lipschitz_fit(pairs[:2])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from peierls.lattice import Lattice
+from peierls.lattice import InputError, Lattice
 from peierls.symbols import (
     Nonrelativistic,
     PeriodicPotential,
@@ -16,7 +16,7 @@ from peierls.symbols import (
 
 
 def test_potential_rejects_complex_valued(lat1):
-    with pytest.raises(ValueError, match="not real"):
+    with pytest.raises(InputError, match="not real"):
         PeriodicPotential(lat1, {(1,): 1.0, (-1,): 0.5j})
 
 
