@@ -148,8 +148,9 @@ def point_group(symbol: PeriodicSymbol, shell: DualShell):
 def assemble_fiber_matrix(
     symbol: PeriodicSymbol, xi, shell: DualShell
 ) -> FiberMatrix:
-    """One complex fiber H(xi); loops over many xi use FiberAssembler."""
-    xi = np.asarray(xi, dtype=float).reshape(-1)
+    """One complex fiber H(xi) for xi (d,), or the fibers (S, M, M) at the
+    rows of a stack xi (S, d); loops over many xi use FiberAssembler."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     entries = FiberAssembler(symbol, shell)(xi).astype(complex, copy=False)
     return FiberMatrix(xi=xi, entries=entries)
 

@@ -308,14 +308,13 @@ def cmd_grushin(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     for s in range(n_samples):
         idx[s] = rng.integers(0, pts.shape[0])
         lams[s] = rng.uniform(lo, hi)
-    assemble = bloch.FiberAssembler(sym, bands.shell)
     step = max(1, GRUSHIN_STACK_ENTRIES // sum(family.vectors.shape[-2:])**2)
     worst_resid = 0.0
     worst_dev = 0.0
     for start in range(0, n_samples, step):
         part = slice(start, start + step)
         xi = pts[idx[part]]
-        fm = bloch.FiberMatrix(xi=xi, entries=assemble(xi))
+        fm = bloch.assemble_fiber_matrix(sym, xi, bands.shell)
         inv = grushin.invert_grushin(
             grushin.assemble_grushin(fm, lams[part], family, idx[part]))
         worst_resid = max(worst_resid, inv.residual)
@@ -346,8 +345,6 @@ def cmd_effective(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     mode = cfg.get("mode", "bloch")
     window = _window(cfg, num, intervals)
     merge_tol = num["merge_tol"]
-    cloud = effective.bloch_eigenvalue_cloud(
-        hops, flux, _positive_int(cfg, "k_resolution", 32))
     if mode == "box":
         # the box must hold every hop: at least the hopping radius
         least = max(1, num["radius"])
@@ -355,15 +352,12 @@ def cmd_effective(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
                            f"an integer >= {least} (numerics.radius and 1)")
         points = np.linalg.eigvalsh(effective.box_matrix(hops, flux, box_size))
     elif mode == "bloch":
-        points = cloud
+        points = effective.bloch_eigenvalue_cloud(
+            hops, flux, _positive_int(cfg, "k_resolution", 32))
     else:
         raise InputError(f"unknown effective mode {mode!r}")
     spec_set = spectra.SpectrumSet(points=points, window=window,
                                    merge_tol=merge_tol)
-    lam_grid = np.linspace(window[0], window[1],
-                           _positive_int(cfg, "lambda_points", 400))
-    margins = effective.cloud_margins(cloud, lam_grid)
-    _write_csv(out / "margin.csv", ["lambda", "margin"], [lam_grid, margins])
     _write_json(out / "spectrum.json", {
         "intervals": spec_set.merged_intervals.tolist(),
         "window": list(window),
@@ -425,14 +419,6 @@ def cmd_direct(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
             f"mode box takes its field from 'field' alone, but the config "
             f"sets flux {flux}; set flux 0 and give the field in 'field'"
         )
-    # only a box has a side length; the other modes ignore box_size
-    box = mode == "box"
-    points_per_cell = _positive_int(cfg, "points_per_cell", 16)
-    box_points = _number(cfg, "", "box_points", 0, lambda v: v >= 0,
-                         "an integer >= 0")
-    box_size = _number(cfg, "", "box_size", 0.0,
-                       lambda v: (v > 0 if box else v >= 0) and v < np.inf,
-                       "a finite number " + ("> 0" if box else ">= 0"))
     intervals = None if cfg.get("window") is not None else (
         bloch.band_intervals(_bands(lattice, sym, num), num["gap_tol"]))
     window = _window(cfg, num, intervals)
@@ -442,19 +428,22 @@ def cmd_direct(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     k_res = _number(cfg, "", "k_resolution", 8, lambda v: v >= least,
                     f"an integer >= {least}")
     if mode == "magnetic_bloch":
-        disc = direct.DirectDiscretization(sym, flux, points_per_cell)
+        disc = direct.DirectDiscretization(
+            sym, flux, _positive_int(cfg, "points_per_cell", 16))
         spec_set = direct.direct_spectrum(disc, window, merge_tol, k_res)
         fibers = direct.distinct_fibers(disc, k_res)
-    elif box:
+    elif mode == "box":
+        box_points = _number(cfg, "", "box_points", 0, lambda v: v >= 0,
+                             "an integer >= 0")
+        box_size = _number(cfg, "", "box_size", 0.0,
+                           lambda v: 0 < v < np.inf, "a finite number > 0")
         matrix = direct.box_matrix(sym, field, box_size, box_points)
         spec_set = spectra.SpectrumSet(
             points=direct.window_eigs(matrix, window), window=window,
             merge_tol=merge_tol)
         fibers = 1
     else:  # zero field: the plane-wave band solve at k_resolution
-        solve = bloch.compute_bands(sym, bz_grid(lattice, k_res),
-                                    dual_shell(lattice, num["cutoff"]),
-                                    num["n_bands"])
+        solve = _bands(lattice, sym, {**num, "resolution": k_res})
         spec_set = spectra.SpectrumSet(
             points=solve.bands.ravel(), window=window, merge_tol=merge_tol)
         fibers = solve.solved
@@ -550,11 +539,6 @@ PARSER = argparse.ArgumentParser(
 PARSER.add_argument("command", choices=sorted(COMMANDS))
 PARSER.add_argument("--config", required=True, help="JSON config file")
 PARSER.add_argument("--out", default=".", help="output directory")
-PARSER.add_argument("--flux", help="override flux ratio p/q")
-PARSER.add_argument("--mode", help="override mode")
-PARSER.add_argument("--radius", type=int, help="override hopping radius")
-PARSER.add_argument("--window", nargs=2, type=float,
-                    help="override energy window")
 
 
 def main(argv=None) -> int:
@@ -562,14 +546,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        if args.flux is not None:
-            cfg["flux"] = args.flux
-        if args.mode is not None:
-            cfg["mode"] = args.mode
-        if args.window is not None:
-            cfg["window"] = list(args.window)
-        if args.radius is not None:
-            cfg.setdefault("numerics", {})["radius"] = args.radius
         num = _numerics(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -331,15 +331,9 @@ def lambda_scan(
     lambda - lambda_k(xi), so its lattice operator is lambda * I minus the
     operator of the band hoppings and the margin is the distance from
     lambda to the band-operator spectrum; the eigenvalue cloud is computed
-    once.
+    once and sorted, and each lambda is measured against its neighbours.
     """
-    return cloud_margins(
-        bloch_eigenvalue_cloud(band_hoppings, flux, k_resolution), lam_grid
-    )
-
-
-def cloud_margins(cloud: np.ndarray, lam_grid: np.ndarray) -> np.ndarray:
-    """Distance from each lambda to the sorted eigenvalue cloud."""
+    cloud = bloch_eigenvalue_cloud(band_hoppings, flux, k_resolution)
     lam = np.asarray(lam_grid, dtype=float)
     idx = np.searchsorted(cloud, lam)
     idx_lo = np.clip(idx - 1, 0, cloud.size - 1)

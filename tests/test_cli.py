@@ -120,6 +120,52 @@ def test_direct_command(config_path, tmp_path):
     assert lines[0] == "value" and len(lines) > 1
 
 
+# the files of each command besides its <command>_meta.json
+RESULTS = {
+    "bands": ["bands.csv", "intervals.json"],
+    "section": ["kappa.json", "section.csv"],
+    "grushin": ["grushin.json"],
+    "effective": ["spectrum.json"],
+    "scan": ["scan.csv"],
+    "direct": ["eigenvalues.csv"],
+    "compare": ["compare.json"],
+}
+
+
+def test_each_command_writes_its_own_results(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, epsilons=[[0.1, "0"]])))
+    for command, results in RESULTS.items():
+        out = tmp_path / command
+        assert _run(command, str(path), out) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*results, f"{command}_meta.json"])
+
+
+@pytest.mark.parametrize("flag", [["--flux", "1/4"], ["--mode", "box"],
+                                  ["--radius", "5"], ["--window", "0", "1"]])
+def test_config_values_have_no_override_flag(flag, config_path, tmp_path,
+                                             capsys):
+    # the config file is the one source of every value
+    with pytest.raises(SystemExit) as info:
+        _run("effective", config_path, tmp_path, flag)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_effective_box_builds_no_cloud(tmp_path, monkeypatch):
+    clouds = []
+    cloud = effective.bloch_eigenvalue_cloud
+    monkeypatch.setattr(effective, "bloch_eigenvalue_cloud",
+                        lambda *args: clouds.append(args) or cloud(*args))
+    for mode in ["box", "bloch"]:
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, mode=mode)))
+        assert _run("effective", str(path), tmp_path / mode) == 0
+        assert len(clouds) == (mode == "bloch")
+
+
 def _per_value_csv(header, rows) -> str:
     """The writer that the column writer replaced: str of a Python int or
     str, f"{x:.17g}" of anything else."""
@@ -147,7 +193,8 @@ def test_csv_columns_print_as_the_per_value_writer(tmp_path):
     assert text.splitlines()[1:3] == ["0,-0,1e+22", "-3,0,-1e-300"]
 
 
-D2_CONFIG = {
+# the d=2 tables: the bands and the effective operator at flux 1/4
+D2_TABLES_CONFIG = {
     "lattice": {"basis": [[6.283185307179586, 0.0], [0.0, 6.283185307179586]]},
     "symbol": {"kind": "nonrelativistic",
                "potential": {"name": "separable_cosine_2d", "amplitude": 0.5}},
@@ -156,7 +203,8 @@ D2_CONFIG = {
 }
 
 
-@pytest.mark.parametrize("cfg", [BASE_CONFIG, D2_CONFIG], ids=["d1", "d2"])
+@pytest.mark.parametrize("cfg", [BASE_CONFIG, D2_TABLES_CONFIG],
+                         ids=["d1", "d2"])
 def test_csv_tables_equal_the_per_value_writer(cfg, tmp_path, monkeypatch):
     # every table the CLI writes, against the per-value text of its columns;
     # bands.csv also against the rows the per-point loop built, and the
@@ -174,8 +222,8 @@ def test_csv_tables_equal_the_per_value_writer(cfg, tmp_path, monkeypatch):
                            ("scan", {}), ("direct", {"flux": "0"})]:
         path.write_text(json.dumps({**cfg, **extra}))
         assert _run(command, str(path), tmp_path) == 0
-    assert sorted(written) == ["bands.csv", "eigenvalues.csv", "margin.csv",
-                               "scan.csv", "section.csv"]
+    assert sorted(written) == ["bands.csv", "eigenvalues.csv", "scan.csv",
+                               "section.csv"]
     for name, (header, columns) in written.items():
         assert (tmp_path / name).read_text() == _per_value_csv(
             header, _rows(columns)), name
@@ -231,6 +279,7 @@ def test_config_error_antisymmetry(tmp_path, capsys):
     assert "H.1" in capsys.readouterr().err
 
 
+# the d=2 magnetic cell: direct at flux 1/4 in a window around band 0
 D2_CONFIG = {
     "lattice": {"basis": [[6.283185307179586, 0.0], [0.0, 6.283185307179586]]},
     "symbol": {
@@ -279,8 +328,10 @@ def test_config_error_unknown_potential(tmp_path, capsys):
     assert "unknown potential" in capsys.readouterr().err
 
 
-def test_config_error_irrational_flux(config_path, tmp_path, capsys):
-    assert _run("effective", config_path, tmp_path, ["--flux", "abc"]) == 2
+def test_config_error_irrational_flux(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, flux="abc")))
+    assert _run("effective", str(path), tmp_path) == 2
     assert "rational" in capsys.readouterr().err
 
 
@@ -465,21 +516,6 @@ def test_direct_box_rejects_flux(tmp_path, capsys):
     assert _run("direct", str(path), tmp_path) == 0
 
 
-def test_radius_override_is_recorded(config_path, tmp_path, monkeypatch):
-    radii = []
-    hoppings = effective.fourier_hoppings
-
-    def recorded(values, grid, radius, **kwargs):
-        radii.append(radius)
-        return hoppings(values, grid, radius, **kwargs)
-
-    monkeypatch.setattr(effective, "fourier_hoppings", recorded)
-    assert _run("effective", config_path, tmp_path, ["--radius", "5"]) == 0
-    meta = json.loads((tmp_path / "effective_meta.json").read_text())
-    assert radii == [5]
-    assert meta["config"]["numerics"]["radius"] == 5
-
-
 def test_relativistic_fd_size_limit_is_a_config_error(tmp_path, capsys,
                                                       monkeypatch):
     def stencil(*args, **kwargs):
@@ -600,6 +636,8 @@ def test_huge_flux_denominator_is_config_error(command, tmp_path, capsys):
     cfg = json.loads(json.dumps(D2_CONFIG))
     cfg["numerics"]["radius"] = 3
     cfg.update(flux="1/1000000007", epsilons=[[1.0, "1/1000000007"]])
+    if command == "effective":  # its magnetic-Bloch mode is named bloch
+        cfg["mode"] = "bloch"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert _run(command, str(path), tmp_path) == 2
@@ -618,7 +656,7 @@ COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
     ("effective", BASE_CONFIG, "window", [float("nan"), 0.5]),
     ("effective", dict(BASE_CONFIG, mode="box"), "box_size", 0),
     ("effective", dict(BASE_CONFIG, mode="box"), "box_size", 3),
-    ("effective", BASE_CONFIG, "lambda_points", "many"),
+    ("scan", BASE_CONFIG, "lambda_points", "many"),
     ("scan", BASE_CONFIG, "k_resolution", 0),
     ("grushin", BASE_CONFIG, "samples", "many"),
     ("direct", D2_CONFIG, "points_per_cell", 16.5),

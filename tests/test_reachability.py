@@ -1,16 +1,21 @@
 """Every public top-level function and class of the package is reached,
-and so is every public method and property of a public class.
+and so is every public method and property of a public class, and every
+public field of a public dataclass.
 
 A name counts as reached when another module of the package, another
 statement of its own module, or the acceptance suite mentions it.  A
 member counts as mentioned wherever its name is read as an attribute,
-whatever the object.  Code that only its own unit tests call is not part
-of the pipeline.
+whatever the object.  A field counts as reached only where it is read as
+an attribute, not declared or stored: by a module of the package (a
+method of its own class included), the acceptance suite or the
+benchmark.  Code that only its own unit tests call is not part of the
+pipeline.
 """
 
 import ast
 import importlib
 import inspect
+import textwrap
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "peierls"
@@ -45,10 +50,14 @@ def _public(nodes, kinds) -> list:
             if isinstance(node, kinds) and not node.name.startswith("_")]
 
 
+def _package_trees() -> dict:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def unreached_names() -> list:
     """(module, name) and (module, "class.member") pairs nothing reaches."""
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _package_trees()
     whole = {name: _mentions([tree]) for name, tree in trees.items()}
     acceptance = _mentions([ast.parse(ACCEPTANCE.read_text())])
     unreached = []
@@ -65,11 +74,87 @@ def unreached_names() -> list:
     return unreached
 
 
+def _attributes_read(trees) -> set:
+    """Attribute names loaded anywhere in the trees."""
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _is_dataclass(node) -> bool:
+    """@dataclass or @dataclass(...)"""
+    return any(getattr(getattr(dec, "func", dec), "id", None) == "dataclass"
+               for dec in node.decorator_list)
+
+
+def unread_fields(trees: dict, readers: list) -> list:
+    """(module, "class.field") pairs of the public fields of the public
+    dataclasses in trees (module name: AST) that no module of trees and
+    none of the reader ASTs reads as an attribute.  A read by a method of
+    the field's own class counts, as a call by a sibling method does for a
+    method; a declaration or a store does not."""
+    read = _attributes_read([*trees.values(), *readers])
+    return [(module, f"{node.name}.{item.target.id}")
+            for module, tree in trees.items()
+            for node in _public(tree.body, ast.ClassDef) if _is_dataclass(node)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and not item.target.id.startswith("_")
+            and item.target.id not in read]
+
+
 def test_public_names_are_reached():
     unreached = set(unreached_names())
     assert unreached - ALLOWED == set()
     # an allowlisted name that something now reaches leaves the allowlist
     assert ALLOWED <= unreached
+
+
+def test_dataclass_fields_are_read():
+    readers = [ast.parse(path.read_text())
+               for path in [ACCEPTANCE, *sorted(BENCH.glob("*.py"))]]
+    assert unread_fields(_package_trees(), readers) == []
+
+
+SYNTHETIC = textwrap.dedent("""
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class Pair:
+        left: int
+        right: int
+        middle: int = 0
+        _hidden: int = 0
+
+        def total(self):
+            return self.right
+
+
+    @dataclass
+    class Box:
+        size: int
+
+
+    class Plain:
+        width: int
+
+
+    def left_of(pair, box):
+        box.size = 3  # a store is no read
+        return pair.left
+""")
+
+
+def test_a_field_nothing_reads_is_flagged():
+    # left and right are read, middle nowhere, Box.size only stored, and
+    # Plain is no dataclass
+    module = ast.parse(SYNTHETIC)
+    assert sorted(unread_fields({"pairs": module}, [])) == [
+        ("pairs", "Box.size"), ("pairs", "Pair.middle")]
+    # another module and a reader each reach what they read
+    other = ast.parse("def middle(pair):\n    return pair.middle\n")
+    reader = ast.parse("def test(box):\n    assert box.size\n")
+    assert unread_fields({"pairs": module, "other": other}, [reader]) == []
 
 
 def test_benchmark_span_names_name_package_code(monkeypatch):
