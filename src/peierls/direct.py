@@ -29,10 +29,13 @@ counted before they are computed.  SuperLU factors M - lo and M - hi with
 diagonal pivots only, an LDL^H factorization, and by Sylvester's law of
 inertia the negative pivots count the eigenvalues below each edge; their
 difference is the exact number in the window.  One shift-invert Arnoldi
-run at lo then asks for exactly that many.  A window holding more than an
-eighth of the spectrum raises InputError before any iteration;
-factors that are not LDL^H, or a run that misses part of the count, raise
-WindowCoverageError.
+run at lo then asks for exactly that many.  direct_spectrum skips the
+factors of M - lo when one count on the zero-field unit cell certifies
+that no fiber has an eigenvalue below lo (the diamagnetic inequality,
+see _none_below); the run then shifts at hi and asks for the eigenvalues
+just below it.  A window holding more than an eighth of the spectrum
+raises InputError before any iteration; factors that are not LDL^H, or a
+run that misses part of the count, raise WindowCoverageError.
 """
 
 from __future__ import annotations
@@ -232,7 +235,8 @@ def _edge_factors(M: sp.spmatrix, edge: float, outward: float):
     return factors, s, int(np.count_nonzero(pivots.real < 0))
 
 
-def window_eigs(M: sp.spmatrix, window) -> np.ndarray:
+def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None
+                ) -> np.ndarray:
     """Eigenvalues of the Hermitian matrix intersected with window.
 
     A matrix of up to DENSE_MAX_UNKNOWNS unknowns, or one stored dense
@@ -240,14 +244,18 @@ def window_eigs(M: sp.spmatrix, window) -> np.ndarray:
     larger sparse one is counted first: count = nu(hi) - nu(lo) of its
     eigenvalues lie in [lo, hi), with nu the inertia count of
     _edge_factors; an edge that is an eigenvalue moves outward by 1e-9 of
-    the window width.  They are the count largest eigenvalues of
-    (M - lo)^-1, which one shift-invert Arnoldi run computes from the
-    factors of M - lo.  A run that returns fewer than count of them in the
-    window raises WindowCoverageError.  More than size // 8 raise
-    InputError before any iteration: such a window holds far more
-    than the few bands a reference solve resolves, and Arnoldi then costs
-    more than a dense solve (128 eigenvalues of a 1,024-unknown fiber of
-    the separable fixture: 0.69 s against 0.42 s).
+    the window width.  below_lo, when given, is nu(lo) certified by the
+    caller, and M - lo is not factored: the count eigenvalues are then the
+    count smallest of (M - hi)^-1, which one shift-invert Arnoldi run
+    computes from the factors of M - hi.  Otherwise they are the count
+    largest of (M - lo)^-1, from the factors of M - lo: for a window that
+    starts inside a band the lower edge is the faster shift.  A run that
+    returns fewer than count of them in the window raises
+    WindowCoverageError.  More than size // 8 raise InputError before any
+    iteration: such a window holds far more than the few bands a
+    reference solve resolves, and Arnoldi then costs more than a dense
+    solve (128 eigenvalues of a 1,024-unknown fiber of the separable
+    fixture: 0.69 s against 0.42 s).
     """
     lo, hi = window
     size = M.shape[0]
@@ -256,10 +264,12 @@ def window_eigs(M: sp.spmatrix, window) -> np.ndarray:
                                   else M.toarray())
         return vals[(vals >= lo) & (vals <= hi)]
     nudge = 1e-9 * (hi - lo)
-    # one factorization alive at a time: the upper edge only counts
-    upper, hi_shift, below_hi = _edge_factors(M, hi, nudge)
-    del upper
-    lower, lo_shift, below_lo = _edge_factors(M, lo, -nudge)
+    factors, hi_shift, below_hi = _edge_factors(M, hi, nudge)
+    lo_shift, sigma, which = lo, hi_shift, "SA"
+    if below_lo is None:
+        del factors  # one factorization alive at a time
+        factors, lo_shift, below_lo = _edge_factors(M, lo, -nudge)
+        sigma, which = lo_shift, "LA"
     count = below_hi - below_lo
     if count > size // 8:
         raise InputError(
@@ -268,10 +278,11 @@ def window_eigs(M: sp.spmatrix, window) -> np.ndarray:
             "the window")
     if count == 0:
         return np.empty(0)
-    inverse = spla.LinearOperator(M.shape, matvec=lower.solve, dtype=M.dtype)
+    inverse = spla.LinearOperator(M.shape, matvec=factors.solve,
+                                  dtype=M.dtype)
     # a fixed generic start vector makes reruns bit-identical
     v0 = np.random.default_rng(0).standard_normal(size) + 0j
-    vals = np.sort(spla.eigsh(M, k=count, sigma=lo_shift, which="LA", v0=v0,
+    vals = np.sort(spla.eigsh(M, k=count, sigma=sigma, which=which, v0=v0,
                               OPinv=inverse, return_eigenvectors=False))
     found = np.count_nonzero((vals >= lo_shift - nudge)
                              & (vals <= hi_shift + nudge))
@@ -288,6 +299,36 @@ def distinct_fibers(disc: DirectDiscretization, k_resolution: int) -> int:
                                 disc.flux.denominator, k_resolution)[0])
 
 
+def _none_below(disc: DirectDiscretization, window) -> int | None:
+    """0 when the lower window edge certifiably lies below every fiber.
+
+    The diamagnetic inequality (Avron, Herbst and Simon, Duke Math. J. 45,
+    847 (1978)) on the stencil: every link, wrap and chi phase of a fiber
+    M_A(k) has modulus 1, so the triangle inequality on each link gives
+    <psi, M_A(k) psi> >= <|psi|, M_0 |psi|>, with M_0 the zero-field
+    periodic stencil of the magnetic cell.  M_0 has off-diagonal entries
+    <= 0 on a connected grid, so by Perron-Frobenius its lowest
+    eigenvector is positive and unique, hence invariant under the
+    unit-cell translation, and its lowest eigenvalue is the unit cell's
+    at k = 0.  If that cell has no eigenvalue below the lower edge (moved
+    outward as in window_eigs), no fiber of any flux, momentum or gauge
+    has one.  Returns None, and the fibers count both edges, for the
+    relativistic kind (whose root is solved densely), for fibers on the
+    dense path, and for an edge the cell does not clear.
+    """
+    symbol, n = disc.symbol, disc.points_per_cell
+    lengths = _cell_lengths(symbol.lattice)
+    if (isinstance(symbol.kind, Relativistic)
+            or disc.flux.denominator * n**lengths.size <= DENSE_MAX_UNKNOWNS):
+        return None
+    cell = _fd_stencil(symbol, VectorPotential(MagneticField(0.0)),
+                       lengths / n, (n,) * lengths.size,
+                       k=np.zeros(lengths.size))
+    lo, hi = window
+    below = _edge_factors(cell, lo, -1e-9 * (hi - lo))[2]
+    return 0 if below == 0 else None
+
+
 def direct_spectrum(
     disc: DirectDiscretization,
     window,
@@ -300,11 +341,15 @@ def direct_spectrum(
     grid, solving one fiber per class of lattice.magnetic_momenta
     (r * r / gcd(r, q) fibers in d=2 for r = k_resolution) and counting its
     eigenvalues once for every point of the class, so the cloud keeps the
-    size of the full grid.
+    size of the full grid.  One inertia count on the zero-field unit cell
+    (_none_below) certifies, when it can, that no fiber has an eigenvalue
+    below the window, and each fiber then factors only M - hi.
     """
     momenta, classes = magnetic_momenta(disc.symbol.lattice.dim,
                                         disc.flux.denominator, k_resolution)
-    solved = [window_eigs(disc.bloch_matrix(k), window) for k in momenta]
+    below_lo = _none_below(disc, window)
+    solved = [window_eigs(disc.bloch_matrix(k), window, below_lo)
+              for k in momenta]
     pts = (np.concatenate([solved[c] for c in classes]) if classes.size
            else np.empty(0))
     return SpectrumSet(points=pts, window=window, merge_tol=merge_tol)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from peierls import direct
 from peierls.direct import (
     DirectDiscretization,
     WindowCoverageError,
@@ -281,18 +282,22 @@ def _check_window(M, dense, window):
 
     An eigenvalue within 1e-9 of an edge may fall on either side of it in
     floating point; every other one must be found, and counted, exactly.
+    A lower edge below the spectrum is also solved as certified, from the
+    factors of M - hi alone.
     """
     lo, hi = window
-    got = window_eigs(M, window)
-    assert np.all((got >= lo) & (got <= hi))
     inner = dense[(dense > lo + 1e-9) & (dense < hi - 1e-9)]
     outer = dense[(dense >= lo - 1e-9) & (dense <= hi + 1e-9)]
-    assert inner.size <= got.size <= outer.size
-    # each found value matches a dense eigenvalue, and none is missed
-    assert np.all(np.min(np.abs(got[:, None] - outer[None, :]), axis=1,
-                         initial=np.inf) < 1e-9)
-    assert np.all(np.min(np.abs(inner[:, None] - got[None, :]), axis=1,
-                         initial=np.inf) < 1e-9)
+    certified = [0] if lo < dense[0] else []
+    for below_lo in [None] + certified:
+        got = window_eigs(M, window, below_lo=below_lo)
+        assert np.all((got >= lo) & (got <= hi))
+        assert inner.size <= got.size <= outer.size
+        # each found value matches a dense eigenvalue, and none is missed
+        assert np.all(np.min(np.abs(got[:, None] - outer[None, :]), axis=1,
+                             initial=np.inf) < 1e-9)
+        assert np.all(np.min(np.abs(inner[:, None] - got[None, :]), axis=1,
+                             initial=np.inf) < 1e-9)
     for edge in (lo, hi):
         count = _edge_factors(M, edge, 1e-9)[2]
         assert (np.count_nonzero(dense < edge - 1e-9) <= count
@@ -329,6 +334,61 @@ def test_window_eigs_matches_dense_at_random_flux(separable, p, q, k1, k2,
         (dense[i] + 1e-7, dense[j] + 1e-7),  # lower edge just above one
     ]:
         _check_window(M, dense, window)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    flux=st.integers(1, 4).flatmap(
+        lambda q: st.integers(-q, q).map(lambda p: Fraction(p, q))),
+    k=st.tuples(*[st.floats(-np.pi, np.pi)] * 2),
+    chi=st.sampled_from([None, "harmonic"]),
+)
+@example(flux=Fraction(0), k=(0.0, 0.0), chi=None)
+def test_fiber_bottom_lies_above_the_zero_field_cell(separable, flux, k, chi):
+    # the diamagnetic inequality that lets direct_spectrum certify a lower
+    # window edge on the zero-field unit cell at k = 0; equality at zero
+    # field and k = 0, and on the zero-field magnetic cell of q unit cells
+    # (its Perron-Frobenius ground state is unit-cell periodic)
+    n, q = 16, flux.denominator
+    h = np.diag(separable.lattice.basis) / n
+    zero = VectorPotential(MagneticField(0.0))
+    floor, periodic = (
+        np.linalg.eigvalsh(_fd_stencil(separable, zero, h, shape,
+                                       k=np.zeros(2)).toarray())[0]
+        for shape in ((n, n), (q * n, n)))
+    assert abs(periodic - floor) < 1e-10
+    M = DirectDiscretization(separable, flux, points_per_cell=n,
+                             chi=chi).bloch_matrix(np.array(k))
+    bottom = np.linalg.eigvalsh(M.toarray())[0]
+    assert bottom >= floor - 1e-10
+    if flux == 0 and k == (0.0, 0.0):
+        assert abs(bottom - floor) < 1e-10
+
+
+@pytest.mark.parametrize("flux, kind, window, stencils, factorizations", [
+    ("1/4", Nonrelativistic, (-0.83, -0.29), 3, 3),  # 2 fibers + the cell
+    ("1/4", Nonrelativistic, (-0.5, 0.0), 3, 5),  # the cell reaches -0.5
+    # dense roots, and no cell, above DENSE_MAX_UNKNOWNS
+    ("1/2", Relativistic, (-0.3, 0.0), 2, 0),
+], ids=["band", "gap", "relativistic"])
+def test_certified_lower_edge_factors_each_fiber_once(
+        lat2, monkeypatch, flux, kind, window, stencils, factorizations):
+    sym = PeriodicSymbol(kind(), separable_cosine_2d(lat2, 0.5))
+    disc = DirectDiscretization(sym, Fraction(flux), points_per_cell=16)
+    calls = {"stencil": 0, "factor": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(direct, "_fd_stencil",
+                        counted("stencil", direct._fd_stencil))
+    monkeypatch.setattr(direct, "_shift_factors",
+                        counted("factor", direct._shift_factors))
+    direct_spectrum(disc, window, merge_tol=1e-3, k_resolution=2)
+    assert calls == {"stencil": stencils, "factor": factorizations}
 
 
 @pytest.mark.parametrize("flux, r, kind, chi, window", [
