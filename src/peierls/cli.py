@@ -428,9 +428,11 @@ def cmd_direct(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     k_res = _number(cfg, "", "k_resolution", 8, lambda v: v >= least,
                     f"an integer >= {least}")
     if mode == "magnetic_bloch":
-        disc = direct.DirectDiscretization(
-            sym, flux, _positive_int(cfg, "points_per_cell", 16))
-        spec_set = direct.direct_spectrum(disc, window, merge_tol, k_res)
+        ppc = _positive_int(cfg, "points_per_cell", 16)
+        disc = direct.DirectDiscretization(sym, flux, ppc)
+        spec_set = direct.direct_spectrum(
+            disc, window, merge_tol, k_res,
+            direct.certified_below(sym, ppc, window))
         fibers = direct.distinct_fibers(disc, k_res)
     elif mode == "box":
         box_points = _number(cfg, "", "box_points", 0, lambda v: v >= 0,
@@ -491,14 +493,18 @@ def cmd_compare(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     k_res_eff = _positive_int(cfg, "k_resolution", 32)
     k_res_dir = _positive_int(cfg, "direct_k_resolution", 4)
     ppc = _positive_int(cfg, "points_per_cell", 16)
+    discs = [direct.DirectDiscretization(sym, flux, ppc)
+             for _, flux in eps_flux]
+    # one lower-edge certificate holds for every flux
+    below_lo = direct.certified_below(sym, ppc, window)
     pairs = []
     detail = []
-    for eps, flux in eps_flux:
+    for (eps, flux), disc in zip(eps_flux, discs):
         eff_set = spectra.SpectrumSet(
             points=effective.bloch_eigenvalue_cloud(hops, flux, k_res_eff),
             window=window, merge_tol=merge_tol)
-        disc = direct.DirectDiscretization(sym, flux, ppc)
-        dir_set = direct.direct_spectrum(disc, window, merge_tol, k_res_dir)
+        dir_set = direct.direct_spectrum(disc, window, merge_tol, k_res_dir,
+                                         below_lo)
         d_h, flagged = spectra.hausdorff_distance(eff_set, dir_set)
         detail.append({
             "epsilon": float(eps), "flux": str(flux), "d_H": d_h,

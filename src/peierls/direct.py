@@ -18,7 +18,9 @@ sparse one to MAX_UNKNOWNS).  Only the boundary differs:
     peierls_hops at momentum k (chi must be periodic over the cell).  Its
     field is the one whose unit-cell flux is 2 pi p/q
     (magnetic.field_for_flux), so the link phases and the cell wrap
-    describe one operator.
+    describe one operator.  Only the wrapped links depend on k, through
+    the factor exp(i <k, n>) of their cell shift n, so the stencil is
+    built once, at k = 0, and re-phased for each fiber.
 
 Lattices must be rectangular (diagonal basis).  direct_spectrum solves
 one fiber per class of lattice.magnetic_momenta and uses its eigenvalues
@@ -32,8 +34,9 @@ difference is the exact number in the window.  One shift-invert Arnoldi
 run at lo then asks for exactly that many.  direct_spectrum skips the
 factors of M - lo when one count on the zero-field unit cell certifies
 that no fiber has an eigenvalue below lo (the diamagnetic inequality,
-see _none_below); the run then shifts at hi and asks for the eigenvalues
-just below it.  A window holding more than an eighth of the spectrum
+see certified_below; the count holds for every flux, so a run makes it
+once); the run then shifts at hi and asks for the eigenvalues just
+below it.  A window holding more than an eighth of the spectrum
 raises InputError before any iteration; factors that are not LDL^H, or a
 run that misses part of the count, raise WindowCoverageError.
 """
@@ -41,6 +44,7 @@ run that misses part of the count, raise WindowCoverageError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -113,14 +117,22 @@ class DirectDiscretization:
         _require_size(self.symbol, self.flux.denominator
                       * self.points_per_cell**self.symbol.lattice.dim)
 
-    def bloch_matrix(self, k) -> sp.spmatrix:
-        """FD matrix over q unit cells (stacked along axis 1) at momentum k."""
+    @cached_property
+    def _stencil(self) -> _Stencil:
         lattice = self.symbol.lattice
         lengths = _cell_lengths(lattice)
         n = self.points_per_cell
         shape = (self.flux.denominator * n,) + (n,) * (lengths.size - 1)
         A = VectorPotential(field_for_flux(self.flux, lattice), self.chi)
-        return _fd_stencil(self.symbol, A, lengths / n, shape, k=k)
+        return _fd_stencil(self.symbol, A, lengths / n, shape, periodic=True)
+
+    def bloch_matrix(self, k) -> sp.spmatrix:
+        """FD matrix over q unit cells (stacked along axis 1) at momentum k.
+
+        The stencil is built on the first call and re-phased at each k:
+        only the links that wrap across the cell depend on k.
+        """
+        return self._stencil.matrix(k)
 
 
 def box_matrix(
@@ -138,7 +150,48 @@ def box_matrix(
         raise InputError(f"box_points {box_points}: need at least 16")
     A = VectorPotential(field or MagneticField(0.0), chi)
     return _fd_stencil(symbol, A, np.full(d, box_size / box_points),
-                       (box_points,) * d, origin=-0.5 * box_size)
+                       (box_points,) * d, origin=-0.5 * box_size).matrix()
+
+
+@dataclass(frozen=True)
+class _Stencil:
+    """An FD matrix at k = 0 and the entries that carry the Bloch factor.
+
+    fixed holds every entry that does not depend on k; the links that
+    wrap across the cell are zeros in its pattern.  The wrapped link
+    of cell shift n adds value * exp(i <k, n>) at data index forward and
+    the conjugate at reverse, so every matrix(k) is exactly Hermitian.
+    """
+
+    relativistic: bool
+    fixed: sp.csr_matrix
+    potential: np.ndarray  # diagonal V(x), kept out of the relativistic root
+    forward: np.ndarray
+    reverse: np.ndarray
+    values: np.ndarray
+    shifts: np.ndarray  # (links, d)
+
+    def matrix(self, k=None) -> sp.spmatrix:
+        """CSR for the nonrelativistic kind; the relativistic root is dense
+        and comes as a BSR matrix of one block.  k None: k = 0."""
+        M = self.fixed.copy()
+        wrapped = self.values
+        if k is not None:
+            wrapped = wrapped * np.exp(
+                1j * (self.shifts @ np.asarray(k, dtype=float)))
+        np.add.at(M.data, self.forward, wrapped)
+        np.add.at(M.data, self.reverse, np.conj(wrapped))
+        if not self.relativistic:
+            return M
+        total = M.shape[0]
+        dense = M.toarray()
+        on_diag = np.diag_indices(total)
+        dense[on_diag] -= self.potential
+        dense[on_diag] += 1.0
+        root = hermitian_sqrt(dense)
+        root[on_diag] += self.potential
+        # dense: one block, which window_eigs hands to eigvalsh as is
+        return sp.bsr_matrix((root[None], [0], [0, 1]), shape=(total, total))
 
 
 def _fd_stencil(
@@ -147,16 +200,16 @@ def _fd_stencil(
     h: np.ndarray,
     shape: tuple,
     origin: float = 0.0,
-    k=None,
-) -> sp.spmatrix:
-    """FD matrix on the grid origin + h * i, 0 <= i_ax < shape[ax].
-
-    CSR for the nonrelativistic kind; the relativistic root is dense and
-    comes as a BSR matrix of one block.
+    periodic: bool = False,
+) -> _Stencil:
+    """FD stencil on the grid origin + h * i, 0 <= i_ax < shape[ax].
 
     The links [x, x + h_ax e_ax] and their phases come from
-    magnetic.peierls_hops at k (None: Dirichlet); the reverse links are
-    their conjugates, so M is exactly Hermitian.
+    magnetic.peierls_hops at k = 0 (periodic) or in Dirichlet mode, whose
+    stencil has no wrapped link; the reverse links are their conjugates.
+    In peierls_hops the wrap phase of a link of cell shift n is
+    exp(i <k, n>) times a factor that does not depend on k, so the
+    stencil's matrix(k) is the periodic FD matrix at momentum k.
     """
     total = int(np.prod(shape))
     pos = origin + tensor_grid([np.arange(m) for m in shape]) * h[None, :]
@@ -164,25 +217,27 @@ def _fd_stencil(
     vvals = symbol.potential.value(pos)
     diag = np.full(total, float(np.sum(2.0 / h**2)), dtype=complex) + vvals
 
-    rows, cols, axis, _, phases = peierls_hops(
-        A, shape, h, np.eye(len(shape), dtype=int), origin, k)
+    rows, cols, axis, n, phases = peierls_hops(
+        A, shape, h, np.eye(len(shape), dtype=int), origin,
+        np.zeros(len(shape)) if periodic else None)
     vals = -phases / h[axis] ** 2
+    wrapped = n.any(axis=1)
+    fixed = np.where(wrapped, 0.0, vals)
     M = sp.coo_matrix(
-        (np.concatenate([vals, np.conj(vals), diag]),
+        (np.concatenate([fixed, np.conj(fixed), diag]),
          (np.concatenate([rows, cols, np.arange(total)]),
           np.concatenate([cols, rows, np.arange(total)]))),
         shape=(total, total),
-    ).tocsr()
-    if isinstance(symbol.kind, Relativistic):
-        dense = M.toarray()
-        on_diag = np.diag_indices(total)
-        dense[on_diag] -= vvals
-        dense[on_diag] += 1.0
-        root = hermitian_sqrt(dense)
-        root[on_diag] += vvals
-        # dense: one block, which window_eigs hands to eigvalsh as is
-        return sp.bsr_matrix((root[None], [0], [0, 1]), shape=(total, total))
-    return M
+    ).tocsr()  # sorted and summed, the zeros of the wrapped links kept
+    # the data index of entry (r, c) is that of r * total + c in keys
+    keys = np.repeat(np.arange(total), np.diff(M.indptr)) * total + M.indices
+
+    def index(r, c):
+        return np.searchsorted(keys, r[wrapped] * total + c[wrapped])
+
+    return _Stencil(isinstance(symbol.kind, Relativistic), M, vvals,
+                    index(rows, cols), index(cols, rows), vals[wrapped],
+                    n[wrapped])
 
 
 class WindowCoverageError(RuntimeError):
@@ -250,10 +305,12 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None
     computes from the factors of M - hi.  Otherwise they are the count
     largest of (M - lo)^-1, from the factors of M - lo: for a window that
     starts inside a band the lower edge is the faster shift.  A run that
-    returns fewer than count of them in the window raises
-    WindowCoverageError.  More than size // 8 raise InputError before any
-    iteration: such a window holds far more than the few bands a
-    reference solve resolves, and Arnoldi then costs more than a dense
+    returns fewer than count of them in the window, widened by the edge
+    moves and 1e-9 of its width, raises WindowCoverageError.  The count
+    values are returned clipped onto the window: one on an edge may come
+    back a roundoff outside it.  More than size // 8 raise InputError
+    before any iteration: such a window holds far more than the few bands
+    a reference solve resolves, and Arnoldi then costs more than a dense
     solve (128 eigenvalues of a 1,024-unknown fiber of the separable
     fixture: 0.69 s against 0.42 s).
     """
@@ -290,7 +347,7 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None
         raise WindowCoverageError(
             f"window [{lo}, {hi}] holds {count} eigenvalues, but the "
             f"shift-invert solve returned {found} of them")
-    return vals[(vals >= lo) & (vals <= hi)]
+    return np.clip(vals, lo, hi)
 
 
 def distinct_fibers(disc: DirectDiscretization, k_resolution: int) -> int:
@@ -299,7 +356,8 @@ def distinct_fibers(disc: DirectDiscretization, k_resolution: int) -> int:
                                 disc.flux.denominator, k_resolution)[0])
 
 
-def _none_below(disc: DirectDiscretization, window) -> int | None:
+def certified_below(symbol: PeriodicSymbol, points_per_cell: int,
+                    window) -> int | None:
     """0 when the lower window edge certifiably lies below every fiber.
 
     The diamagnetic inequality (Avron, Herbst and Simon, Duke Math. J. 45,
@@ -312,18 +370,20 @@ def _none_below(disc: DirectDiscretization, window) -> int | None:
     unit-cell translation, and its lowest eigenvalue is the unit cell's
     at k = 0.  If that cell has no eigenvalue below the lower edge (moved
     outward as in window_eigs), no fiber of any flux, momentum or gauge
-    has one.  Returns None, and the fibers count both edges, for the
-    relativistic kind (whose root is solved densely), for fibers on the
-    dense path, and for an edge the cell does not clear.
+    has one, so one count serves every DirectDiscretization of this
+    symbol and points_per_cell.  Returns None, and the fibers count both
+    edges, for the relativistic kind (whose root is solved densely), for
+    a cell on the dense path (in d = 1, where the flux is 0 and the
+    fibers are the cell), and for an edge the cell does not clear.
     """
-    symbol, n = disc.symbol, disc.points_per_cell
+    n = points_per_cell
     lengths = _cell_lengths(symbol.lattice)
     if (isinstance(symbol.kind, Relativistic)
-            or disc.flux.denominator * n**lengths.size <= DENSE_MAX_UNKNOWNS):
+            or n**lengths.size <= DENSE_MAX_UNKNOWNS):
         return None
     cell = _fd_stencil(symbol, VectorPotential(MagneticField(0.0)),
                        lengths / n, (n,) * lengths.size,
-                       k=np.zeros(lengths.size))
+                       periodic=True).matrix()
     lo, hi = window
     below = _edge_factors(cell, lo, -1e-9 * (hi - lo))[2]
     return 0 if below == 0 else None
@@ -334,6 +394,7 @@ def direct_spectrum(
     window,
     merge_tol: float,
     k_resolution: int = 8,
+    below_lo: int | None = None,
 ) -> SpectrumSet:
     """sigma(P_eps) within the window.
 
@@ -341,13 +402,12 @@ def direct_spectrum(
     grid, solving one fiber per class of lattice.magnetic_momenta
     (r * r / gcd(r, q) fibers in d=2 for r = k_resolution) and counting its
     eigenvalues once for every point of the class, so the cloud keeps the
-    size of the full grid.  One inertia count on the zero-field unit cell
-    (_none_below) certifies, when it can, that no fiber has an eigenvalue
-    below the window, and each fiber then factors only M - hi.
+    size of the full grid.  below_lo 0, from certified_below, says that no
+    fiber has an eigenvalue below the window, and each fiber then factors
+    only M - hi; None counts both edges of each fiber.
     """
     momenta, classes = magnetic_momenta(disc.symbol.lattice.dim,
                                         disc.flux.denominator, k_resolution)
-    below_lo = _none_below(disc, window)
     solved = [window_eigs(disc.bloch_matrix(k), window, below_lo)
               for k in momenta]
     pts = (np.concatenate([solved[c] for c in classes]) if classes.size

@@ -36,17 +36,15 @@ class SpectrumSet:
 
 
 def _merge(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Intervals of the sorted points, split where a step exceeds tol."""
     if pts.size == 0:
         return np.empty((0, 2))
-    starts = [pts[0]]
-    ends = [pts[0]]
-    for p in pts[1:]:
-        if p - ends[-1] <= tol:
-            ends[-1] = p
-        else:
-            starts.append(p)
-            ends.append(p)
-    return np.stack([starts, ends], axis=-1)
+    split = np.diff(pts) > tol  # between point i and i + 1
+    out = np.empty((np.count_nonzero(split) + 1, 2))
+    out[0, 0], out[-1, 1] = pts[0], pts[-1]
+    out[1:, 0] = pts[1:][split]
+    out[:-1, 1] = pts[:-1][split]
+    return out
 
 
 def from_intervals(intervals, window, merge_tol: float) -> SpectrumSet:

@@ -561,6 +561,27 @@ def test_direct_fibers_are_recorded(tmp_path):
     assert [run["direct_fibers"] for run in report["runs"]] == [2]
 
 
+def test_compare_certifies_the_lower_edge_once(tmp_path, monkeypatch):
+    # two fluxes, two fibers each: one stencil per flux and one zero-field
+    # cell, whose count clears the window for both; each fiber then
+    # factors only its upper edge
+    cfg = json.loads(json.dumps(COMPARE_CONFIG))
+    cfg.update(direct_k_resolution=2, epsilons=[[0.08, "1/4"],
+                                                [0.04, "1/8"]])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    shapes, factors = [], []
+    stencil, factor = direct._fd_stencil, direct._shift_factors
+    monkeypatch.setattr(direct, "_fd_stencil", lambda sym, A, h, shape, **kw:
+                        shapes.append(shape) or stencil(sym, A, h, shape,
+                                                        **kw))
+    monkeypatch.setattr(direct, "_shift_factors", lambda M, sigma:
+                        factors.append(M.shape[0]) or factor(M, sigma))
+    assert _run("compare", str(path), tmp_path) == 0
+    assert sorted(shapes) == [(16, 16), (64, 16), (128, 16)]
+    assert sorted(factors) == [256, 1024, 1024, 2048, 2048]
+
+
 def _edited(base, keys, value):
     """A deep copy of base with the value at the nested keys replaced;
     no keys replace the whole config."""

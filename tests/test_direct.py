@@ -14,6 +14,7 @@ from peierls.direct import (
     _edge_factors,
     _fd_stencil,
     box_matrix,
+    certified_below,
     direct_spectrum,
     distinct_fibers,
     window_eigs,
@@ -21,7 +22,7 @@ from peierls.direct import (
 from peierls.effective import HoppingSet, _bloch_fibers
 from peierls.lattice import InputError, Lattice, tensor_grid
 from peierls.magnetic import (CHI_CATALOG, MagneticField, VectorPotential,
-                              field_for_flux)
+                              field_for_flux, peierls_hops)
 from peierls.spectra import SpectrumSet
 from peierls.symbols import (
     Nonrelativistic,
@@ -180,9 +181,72 @@ def test_fd_stencil_on_the_unit_grid_is_the_harper_fiber(flux, k, lat2):
         (0, -1): -one})
     A = VectorPotential(MagneticField(2.0 * np.pi * float(flux)))
     free = PeriodicSymbol(Nonrelativistic(), zero_potential(lat2))
-    M = _fd_stencil(free, A, np.ones(2), (flux.denominator, 1), k=k)
+    M = _fd_stencil(free, A, np.ones(2), (flux.denominator, 1),
+                    periodic=True).matrix(k)
     H = _bloch_fibers(harper, flux, [k])[0]
     assert np.max(np.abs(M.toarray() - H)) < 1e-13
+
+
+def _fiber_built_at(disc, k):
+    """disc's nonrelativistic FD matrix with every phase computed at k,
+    and its potential V."""
+    lattice = disc.symbol.lattice
+    n, q = disc.points_per_cell, disc.flux.denominator
+    h = np.diag(lattice.basis) / n
+    shape = (q * n, n)
+    A = VectorPotential(field_for_flux(disc.flux, lattice), disc.chi)
+    rows, cols, axis, _, phases = peierls_hops(
+        A, shape, h, np.eye(2, dtype=int), 0.0, k)
+    v = disc.symbol.potential.value(
+        tensor_grid([np.arange(m) for m in shape]) * h)
+    vals = -phases / h[axis] ** 2
+    sites = np.arange(v.size)
+    M = sp.coo_matrix(
+        (np.concatenate([vals, np.conj(vals), np.sum(2.0 / h**2) + v]),
+         (np.concatenate([rows, cols, sites]),
+          np.concatenate([cols, rows, sites]))), shape=(v.size,) * 2).tocsr()
+    return M, v
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    flux=st.integers(1, 8).flatmap(
+        lambda q: st.integers(-q, q).map(lambda p: Fraction(p, q))),
+    k=st.tuples(*[st.floats(-np.pi, np.pi)] * 2),
+    chi=st.sampled_from([None, "harmonic"]),
+    relativistic=st.booleans(),
+)
+def test_rephased_stencil_matches_the_build_at_each_k(lat2, flux, k, chi,
+                                                      relativistic):
+    # the stencil is built once at k = 0 and its wrapped links re-phased
+    # by exp(i <k, n>); the reference computes every phase at k instead
+    if relativistic:  # a dense root: keep the fiber small
+        flux = Fraction(flux.numerator % 2, 2)
+    kind = Relativistic() if relativistic else Nonrelativistic()
+    sym = PeriodicSymbol(kind, separable_cosine_2d(lat2, 0.5))
+    disc = DirectDiscretization(sym, flux, points_per_cell=16, chi=chi)
+    roots = []  # what the relativistic kind takes the root of
+    sqrt = direct.hermitian_sqrt
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(direct, "hermitian_sqrt",
+                      lambda m: roots.append(m) or sqrt(m))
+        M = disc.bloch_matrix(np.array(k))
+    expected, v = _fiber_built_at(disc, np.array(k))
+    if relativistic:
+        rephased = roots[-1] - np.eye(v.size) + np.diag(v)
+        assert np.array_equal(rephased != 0, expected.toarray() != 0)
+        assert np.abs(rephased - expected.toarray()).max() <= (
+            1e-14 * np.abs(expected.data).max())
+        assert np.array_equal(roots[-1], roots[-1].conj().T)
+        root = sqrt(expected.toarray() - np.diag(v) + np.eye(v.size))
+        got = M.toarray() - np.diag(v)
+        assert np.abs(got - root).max() <= 1e-14 * np.abs(root).max()
+        return
+    assert np.array_equal(M.indptr, expected.indptr)
+    assert np.array_equal(M.indices, expected.indices)
+    assert np.abs(M.data - expected.data).max() <= (
+        1e-14 * np.abs(expected.data).max())
+    assert abs(M - M.conj().T).max() == 0.0
 
 
 def test_fd_converges_second_order_d1(mathieu):
@@ -266,6 +330,20 @@ def test_window_eigs_moves_shift_off_an_eigenvalue():
     for window in ((9.5, 12.5), (10.0, 12.0)):
         got = window_eigs(M, window)
         assert np.allclose(got, [10.0, 11.0, 12.0], atol=1e-10)
+
+
+def test_window_eigs_keeps_eigenvalues_on_the_edges():
+    # integer edges of a diagonal spectrum are eigenvalues; each is counted
+    # in the window, and its Ritz value may come back a roundoff outside it
+    for size in (300, 500, 700, 1000):
+        M = sp.diags(np.arange(size) + 0j).tocsr()
+        for lo in range(1, 30):
+            for width in (1, 2, 3, 5):
+                got = window_eigs(M, (lo, lo + width))
+                assert got.shape == (width + 1,)
+                assert np.all((got >= lo) & (got <= lo + width))
+                assert np.max(np.abs(got - np.arange(lo, lo + width + 1))
+                              ) < 1e-12
 
 
 def test_window_eigs_refuses_off_diagonal_pivots():
@@ -354,7 +432,7 @@ def test_fiber_bottom_lies_above_the_zero_field_cell(separable, flux, k, chi):
     zero = VectorPotential(MagneticField(0.0))
     floor, periodic = (
         np.linalg.eigvalsh(_fd_stencil(separable, zero, h, shape,
-                                       k=np.zeros(2)).toarray())[0]
+                                       periodic=True).matrix().toarray())[0]
         for shape in ((n, n), (q * n, n)))
     assert abs(periodic - floor) < 1e-10
     M = DirectDiscretization(separable, flux, points_per_cell=n,
@@ -365,11 +443,12 @@ def test_fiber_bottom_lies_above_the_zero_field_cell(separable, flux, k, chi):
         assert abs(bottom - floor) < 1e-10
 
 
+# one stencil per flux, re-phased per fiber, plus the cell when certified
 @pytest.mark.parametrize("flux, kind, window, stencils, factorizations", [
-    ("1/4", Nonrelativistic, (-0.83, -0.29), 3, 3),  # 2 fibers + the cell
-    ("1/4", Nonrelativistic, (-0.5, 0.0), 3, 5),  # the cell reaches -0.5
+    ("1/4", Nonrelativistic, (-0.83, -0.29), 2, 3),  # 2 fibers + the cell
+    ("1/4", Nonrelativistic, (-0.5, 0.0), 2, 5),  # the cell reaches -0.5
     # dense roots, and no cell, above DENSE_MAX_UNKNOWNS
-    ("1/2", Relativistic, (-0.3, 0.0), 2, 0),
+    ("1/2", Relativistic, (-0.3, 0.0), 1, 0),
 ], ids=["band", "gap", "relativistic"])
 def test_certified_lower_edge_factors_each_fiber_once(
         lat2, monkeypatch, flux, kind, window, stencils, factorizations):
@@ -387,7 +466,8 @@ def test_certified_lower_edge_factors_each_fiber_once(
                         counted("stencil", direct._fd_stencil))
     monkeypatch.setattr(direct, "_shift_factors",
                         counted("factor", direct._shift_factors))
-    direct_spectrum(disc, window, merge_tol=1e-3, k_resolution=2)
+    direct_spectrum(disc, window, merge_tol=1e-3, k_resolution=2,
+                    below_lo=certified_below(sym, 16, window))
     assert calls == {"stencil": stencils, "factor": factorizations}
 
 

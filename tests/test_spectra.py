@@ -7,6 +7,7 @@ from peierls.lattice import InputError
 from peierls.spectra import (
     SpectrumSet,
     _directed,
+    _merge,
     from_intervals,
     hausdorff_distance,
     lipschitz_fit,
@@ -23,6 +24,39 @@ def test_merge_and_clip():
     s = _points([3.0, 3.05, 3.11, 5.0, -1.0, 12.0])
     assert np.allclose(s.merged_intervals, [[3.0, 3.11], [5.0, 5.0]])
     assert s.points.min() >= WIN[0] and s.points.max() <= WIN[1]
+
+
+def _merge_by_loop(pts, tol):
+    """The merge as a loop: a point joins the interval of the point before
+    it when it lies within tol of it."""
+    if pts.size == 0:
+        return np.empty((0, 2))
+    starts, ends = [pts[0]], [pts[0]]
+    for p in pts[1:]:
+        if p - ends[-1] <= tol:
+            ends[-1] = p
+        else:
+            starts.append(p)
+            ends.append(p)
+    return np.stack([starts, ends], axis=-1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(pts=st.lists(st.floats(-5.0, 5.0), max_size=60),
+       repeats=st.integers(0, 3), tol=st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
+def test_merge_matches_the_loop(pts, repeats, tol):
+    # random clouds, repeated points, tol 0, one point and no points
+    pts = np.sort(np.repeat(np.asarray(pts, dtype=float), repeats + 1))
+    got, expected = _merge(pts, tol), _merge_by_loop(pts, tol)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+def test_merge_edge_cases():
+    for pts, tol in [([], 0.1), ([2.0], 0.0), ([1.0, 1.0, 1.0], 0.0),
+                     ([1.0, 1.0, 2.0], 0.0), ([0.0, 0.1, 0.3], 0.1)]:
+        pts = np.asarray(pts, dtype=float)
+        assert np.array_equal(_merge(pts, tol), _merge_by_loop(pts, tol))
 
 
 def test_from_intervals_round_trip():
