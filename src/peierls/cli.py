@@ -340,22 +340,17 @@ def _band_hoppings(lattice: Lattice, sym, num):
 
 
 def cmd_effective(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
+    mode = cfg.get("mode", "bloch")
+    if mode != "bloch":
+        raise InputError(f"unknown effective mode {mode!r}: the one mode is "
+                          "'bloch', the magnetic-Bloch eigenvalue cloud")
     intervals, hops = _band_hoppings(lattice, sym, num)
     flux = _parse_flux(cfg.get("flux", "0"), lattice)
-    mode = cfg.get("mode", "bloch")
+    _check_field(build_field(cfg), flux, lattice)
     window = _window(cfg, num, intervals)
     merge_tol = num["merge_tol"]
-    if mode == "box":
-        # the box must hold every hop: at least the hopping radius
-        least = max(1, num["radius"])
-        box_size = _number(cfg, "", "box_size", 16, lambda v: v >= least,
-                           f"an integer >= {least} (numerics.radius and 1)")
-        points = np.linalg.eigvalsh(effective.box_matrix(hops, flux, box_size))
-    elif mode == "bloch":
-        points = effective.bloch_eigenvalue_cloud(
-            hops, flux, _positive_int(cfg, "k_resolution", 32))
-    else:
-        raise InputError(f"unknown effective mode {mode!r}")
+    points = effective.bloch_eigenvalue_cloud(
+        hops, flux, _positive_int(cfg, "k_resolution", 32))
     spec_set = spectra.SpectrumSet(points=points, window=window,
                                    merge_tol=merge_tol)
     _write_json(out / "spectrum.json", {
@@ -370,6 +365,7 @@ def cmd_effective(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
 def cmd_scan(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     intervals, hops = _band_hoppings(lattice, sym, num)
     flux = _parse_flux(cfg.get("flux", "0"), lattice)
+    _check_field(build_field(cfg), flux, lattice)
     window = _window(cfg, num, intervals)
     lam_grid = np.linspace(window[0], window[1],
                            _positive_int(cfg, "lambda_points", 400))
@@ -380,21 +376,23 @@ def cmd_scan(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     return {"lambda_points": int(lam_grid.size)}
 
 
-def _check_field(field, flux: Fraction, lattice: Lattice) -> None:
+def _check_field(field, flux: Fraction, lattice: Lattice,
+                 epsilon: float = 1.0) -> None:
     """A configured field must be the one whose unit-cell flux is 2 pi *
-    flux: the magnetic cell takes its link phases and its wrap from the
-    flux."""
+    flux: every operator takes its line phases and its magnetic cell from
+    the flux.  Its strength field.epsilon * field.b12 is scaled by
+    epsilon, the epsilon of a compare pair."""
     if field is None:
         return
-    b, b_flux = field.strength, field_for_flux(flux, lattice).b12
+    b, b_flux = epsilon * field.strength, field_for_flux(flux, lattice).b12
     if abs(b - b_flux) > 1e-9 * max(1.0, abs(b_flux)):
         raise InputError(
-            f"field epsilon * b12 = {b!r} does not match flux {flux}: the "
-            f"consistent field is b12 = {b_flux!r}"
+            f"field strength {b!r} does not match flux {flux}: the "
+            f"consistent field strength is {b_flux!r}"
         )
 
 
-DIRECT_MODES = ("zero_field_bloch", "magnetic_bloch", "box")
+DIRECT_MODES = ("zero_field_bloch", "magnetic_bloch")
 
 
 def cmd_direct(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
@@ -406,7 +404,7 @@ def cmd_direct(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     flux = _parse_flux(cfg.get("flux", "0"), lattice)
     if mode == "magnetic_bloch":
         _check_field(field, flux, lattice)
-    elif mode == "zero_field_bloch":
+    else:
         b = field.strength if field is not None else 0.0
         if flux != 0 or b != 0.0:
             raise InputError(
@@ -414,11 +412,6 @@ def cmd_direct(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
                 f"sets flux {flux} and field strength {b!r}; use mode "
                 "'magnetic_bloch'"
             )
-    elif flux != 0:
-        raise InputError(
-            f"mode box takes its field from 'field' alone, but the config "
-            f"sets flux {flux}; set flux 0 and give the field in 'field'"
-        )
     intervals = None if cfg.get("window") is not None else (
         bloch.band_intervals(_bands(lattice, sym, num), num["gap_tol"]))
     window = _window(cfg, num, intervals)
@@ -434,16 +427,6 @@ def cmd_direct(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
             disc, window, merge_tol, k_res,
             direct.certified_below(sym, ppc, window))
         fibers = direct.distinct_fibers(disc, k_res)
-    elif mode == "box":
-        box_points = _number(cfg, "", "box_points", 0, lambda v: v >= 0,
-                             "an integer >= 0")
-        box_size = _number(cfg, "", "box_size", 0.0,
-                           lambda v: 0 < v < np.inf, "a finite number > 0")
-        matrix = direct.box_matrix(sym, field, box_size, box_points)
-        spec_set = spectra.SpectrumSet(
-            points=direct.window_eigs(matrix, window), window=window,
-            merge_tol=merge_tol)
-        fibers = 1
     else:  # zero field: the plane-wave band solve at k_resolution
         solve = _bands(lattice, sym, {**num, "resolution": k_res})
         spec_set = spectra.SpectrumSet(
@@ -490,6 +473,9 @@ def cmd_compare(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
                           f"flux] pairs, got {eps_flux!r}")
     eps_flux = [(eps, _parse_flux(text, lattice)) for eps, text in eps_flux]
     _check_flux_per_epsilon(eps_flux)
+    field = build_field(cfg)
+    for eps, flux in eps_flux:
+        _check_field(field, flux, lattice, eps)
     k_res_eff = _positive_int(cfg, "k_resolution", 32)
     k_res_dir = _positive_int(cfg, "direct_k_resolution", 4)
     ppc = _positive_int(cfg, "points_per_cell", 16)

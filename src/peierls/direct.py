@@ -6,21 +6,17 @@ nearest-neighbor hop of the second-order Laplacian stencil carries the
 line phase omega_A(x, x') of magnetic.peierls_hops, which keeps the
 discrete operator exactly gauge covariant; A is the transversal gauge of
 the constant field, plus grad(chi) for a CHI_CATALOG key chi.  One stencil
-builds both operators; for the relativistic kind it takes the Hermitian
+builds both kinds; for the relativistic kind it takes the Hermitian
 square root of the kinetic part plus one, a dense matrix, so the
 relativistic kind is limited to RELATIVISTIC_MAX_UNKNOWNS unknowns (the
-sparse one to MAX_UNKNOWNS).  Only the boundary differs:
-
-  * box_matrix drops the links that leave the grid on
-    [-length/2, length/2)^d (Dirichlet), for any constant field;
-  * DirectDiscretization closes them over a magnetic cell of q unit cells
-    (rational unit-cell flux p/q) with the magnetic-Bloch wrap of
-    peierls_hops at momentum k (chi must be periodic over the cell).  Its
-    field is the one whose unit-cell flux is 2 pi p/q
-    (magnetic.field_for_flux), so the link phases and the cell wrap
-    describe one operator.  Only the wrapped links depend on k, through
-    the factor exp(i <k, n>) of their cell shift n, so the stencil is
-    built once, at k = 0, and re-phased for each fiber.
+sparse one to MAX_UNKNOWNS).  DirectDiscretization closes the stencil over
+a magnetic cell of q unit cells (rational unit-cell flux p/q) with the
+magnetic-Bloch wrap of peierls_hops at momentum k (chi must be periodic
+over the cell).  Its field is the one whose unit-cell flux is 2 pi p/q
+(magnetic.field_for_flux), so the link phases and the cell wrap describe
+one operator.  Only the wrapped links depend on k, through the factor
+exp(i <k, n>) of their cell shift n, so the stencil is built once, at
+k = 0, and re-phased for each fiber.
 
 Lattices must be rectangular (diagonal basis).  direct_spectrum solves
 one fiber per class of lattice.magnetic_momenta and uses its eigenvalues
@@ -58,10 +54,10 @@ from .spectra import SpectrumSet
 from .symbols import PeriodicSymbol, Relativistic
 
 
-# The relativistic root is a dense complex matrix.  A 45^2 box (2,025
-# unknowns) takes 21 s and 0.38 GB peak (its eigh alone 19 s at 2,048;
-# 2 CPUs, OpenBLAS with 1 thread); the limit admits a magnetic cell of
-# q = 8 unit cells at 16 points per cell.
+# The relativistic root is a dense complex matrix.  A d=2 fiber of 2,025
+# unknowns (45^2 points) takes 21 s and 0.38 GB peak (its eigh alone 19 s
+# at 2,048; 2 CPUs, OpenBLAS with 1 thread); the limit admits a magnetic
+# cell of q = 8 unit cells at 16 points per cell.
 RELATIVISTIC_MAX_UNKNOWNS = 2048
 
 # A sparse separable-fixture fiber and its window solve, as above: 4,096
@@ -74,8 +70,8 @@ MAX_UNKNOWNS = 2**15
 # OpenBLAS with 1 thread): on d=2 stencils of the separable fixture 3.2
 # against 4.1 ms at 144 unknowns, 4.1 against 3.3 ms at 169, 8.2 against
 # 5.0 ms at 196, 17 against 6.6 ms at 256, 74 against 7.3 ms at 512 (a
-# flux-1/2 fiber); on d=1 Mathieu boxes 2.1 against 2.6 ms at 128 and 2.1
-# against 1.7 ms at 144.
+# flux-1/2 fiber); on d=1 Mathieu stencils 2.1 against 2.6 ms at 128 and 2.1
+# against 1.7 ms at 144 unknowns.
 DENSE_MAX_UNKNOWNS = 144
 
 
@@ -87,15 +83,6 @@ def _cell_lengths(lattice: Lattice) -> np.ndarray:
             f"lattice.basis {basis.tolist()} is not diagonal"
         )
     return np.diag(basis).copy()
-
-
-def _require_size(symbol: PeriodicSymbol, unknowns: int) -> None:
-    limit = (RELATIVISTIC_MAX_UNKNOWNS
-             if isinstance(symbol.kind, Relativistic) else MAX_UNKNOWNS)
-    if unknowns > limit:
-        raise InputError(
-            f"the finite-difference operator has {unknowns} unknowns, "
-            f"more than the {type(symbol.kind).__name__} limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +101,15 @@ class DirectDiscretization:
             raise InputError(
                 f"points_per_cell {self.points_per_cell}: need at least 16")
         _cell_lengths(self.symbol.lattice)
-        _require_size(self.symbol, self.flux.denominator
-                      * self.points_per_cell**self.symbol.lattice.dim)
+        kind = self.symbol.kind
+        unknowns = (self.flux.denominator
+                    * self.points_per_cell**self.symbol.lattice.dim)
+        limit = (RELATIVISTIC_MAX_UNKNOWNS if isinstance(kind, Relativistic)
+                 else MAX_UNKNOWNS)
+        if unknowns > limit:
+            raise InputError(
+                f"the finite-difference operator has {unknowns} unknowns, "
+                f"more than the {type(kind).__name__} limit {limit}")
 
     @cached_property
     def _stencil(self) -> _Stencil:
@@ -124,7 +118,7 @@ class DirectDiscretization:
         n = self.points_per_cell
         shape = (self.flux.denominator * n,) + (n,) * (lengths.size - 1)
         A = VectorPotential(field_for_flux(self.flux, lattice), self.chi)
-        return _fd_stencil(self.symbol, A, lengths / n, shape, periodic=True)
+        return _fd_stencil(self.symbol, A, lengths / n, shape)
 
     def bloch_matrix(self, k) -> sp.spmatrix:
         """FD matrix over q unit cells (stacked along axis 1) at momentum k.
@@ -133,24 +127,6 @@ class DirectDiscretization:
         only the links that wrap across the cell depend on k.
         """
         return self._stencil.matrix(k)
-
-
-def box_matrix(
-    symbol: PeriodicSymbol,
-    field: MagneticField | None,
-    box_size: float,
-    box_points: int,
-    chi: str | None = None,
-) -> sp.spmatrix:
-    """Dirichlet FD matrix on [-box_size/2, box_size/2)^d (field None: 0)."""
-    _cell_lengths(symbol.lattice)
-    d = symbol.lattice.dim
-    _require_size(symbol, box_points**d)
-    if box_points < 16:
-        raise InputError(f"box_points {box_points}: need at least 16")
-    A = VectorPotential(field or MagneticField(0.0), chi)
-    return _fd_stencil(symbol, A, np.full(d, box_size / box_points),
-                       (box_points,) * d, origin=-0.5 * box_size).matrix()
 
 
 @dataclass(frozen=True)
@@ -194,32 +170,24 @@ class _Stencil:
         return sp.bsr_matrix((root[None], [0], [0, 1]), shape=(total, total))
 
 
-def _fd_stencil(
-    symbol: PeriodicSymbol,
-    A: VectorPotential,
-    h: np.ndarray,
-    shape: tuple,
-    origin: float = 0.0,
-    periodic: bool = False,
-) -> _Stencil:
-    """FD stencil on the grid origin + h * i, 0 <= i_ax < shape[ax].
+def _fd_stencil(symbol: PeriodicSymbol, A: VectorPotential, h: np.ndarray,
+                shape: tuple) -> _Stencil:
+    """Periodic FD stencil on the grid h * i, 0 <= i_ax < shape[ax].
 
     The links [x, x + h_ax e_ax] and their phases come from
-    magnetic.peierls_hops at k = 0 (periodic) or in Dirichlet mode, whose
-    stencil has no wrapped link; the reverse links are their conjugates.
-    In peierls_hops the wrap phase of a link of cell shift n is
-    exp(i <k, n>) times a factor that does not depend on k, so the
+    magnetic.peierls_hops at k = 0; the reverse links are their
+    conjugates.  In peierls_hops the wrap phase of a link of cell shift n
+    is exp(i <k, n>) times a factor that does not depend on k, so the
     stencil's matrix(k) is the periodic FD matrix at momentum k.
     """
     total = int(np.prod(shape))
-    pos = origin + tensor_grid([np.arange(m) for m in shape]) * h[None, :]
+    pos = tensor_grid([np.arange(m) for m in shape]) * h[None, :]
 
     vvals = symbol.potential.value(pos)
     diag = np.full(total, float(np.sum(2.0 / h**2)), dtype=complex) + vvals
 
     rows, cols, axis, n, phases = peierls_hops(
-        A, shape, h, np.eye(len(shape), dtype=int), origin,
-        np.zeros(len(shape)) if periodic else None)
+        A, shape, h, np.eye(len(shape), dtype=int), k=np.zeros(len(shape)))
     vals = -phases / h[axis] ** 2
     wrapped = n.any(axis=1)
     fixed = np.where(wrapped, 0.0, vals)
@@ -382,8 +350,7 @@ def certified_below(symbol: PeriodicSymbol, points_per_cell: int,
             or n**lengths.size <= DENSE_MAX_UNKNOWNS):
         return None
     cell = _fd_stencil(symbol, VectorPotential(MagneticField(0.0)),
-                       lengths / n, (n,) * lengths.size,
-                       periodic=True).matrix()
+                       lengths / n, (n,) * lengths.size).matrix()
     lo, hi = window
     below = _edge_factors(cell, lo, -1e-9 * (hi - lo))[2]
     return 0 if below == 0 else None

@@ -37,7 +37,7 @@ from .spectra import SpectrumSet
 # and their k-independent blocks, or one dense box matrix, may take: at the
 # CLI default k_resolution 32, flux denominators up to q = 124 for one band
 # at hopping radius 8 (160 where the fold leaves fewer fibers); boxes of up
-# to 5,792 sites (box_size 2,895 in d=1, 37 in d=2).
+# to 5,792 sites (half_width 2,895 in d=1, 37 in d=2).
 MAX_FIBER_ENTRIES = 2**25
 
 # Largest ||q_hat_alpha - q_hat_{-alpha}^*||_2 fourier_hoppings symmetrizes
@@ -200,20 +200,21 @@ def _cells(flux: Fraction, dim: int) -> int:
     return flux.denominator if dim == 2 else 1
 
 
-def box_matrix(hops: HoppingSet, flux: Fraction, box_size: int) -> np.ndarray:
-    """The operator on the sites with |gamma_i| <= box_size (Dirichlet)."""
+def box_matrix(hops: HoppingSet, flux: Fraction,
+               half_width: int) -> np.ndarray:
+    """The operator on the sites with |gamma_i| <= half_width (Dirichlet)."""
     _cells(flux, hops.dim)  # an exact flux, else InputError
     radius = max(max(abs(a) for a in alpha) for alpha in hops.hoppings)
-    if box_size < radius:
+    if half_width < radius:
         raise InputError("box size must be at least the hopping radius")
-    n, side = hops.n, 2 * box_size + 1
+    n, side = hops.n, 2 * half_width + 1
     sites = side**hops.dim
     if (sites * n) ** 2 > MAX_FIBER_ENTRIES:
         raise InputError(
-            f"box_size {box_size} gives a {sites * n} x {sites * n} box "
+            f"half_width {half_width} gives a {sites * n} x {sites * n} box "
             f"matrix, more than the limit of {MAX_FIBER_ENTRIES} entries")
     rows, cols, _, entries = _lattice_hops(hops, flux, (side,) * hops.dim,
-                                           origin=-box_size)
+                                           origin=-half_width)
     M = np.zeros((sites * n, sites * n), dtype=complex)
     M.reshape(sites, n, sites, n)[rows, :, cols, :] = entries
     return M

@@ -154,18 +154,6 @@ def test_config_values_have_no_override_flag(flag, config_path, tmp_path,
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
-def test_effective_box_builds_no_cloud(tmp_path, monkeypatch):
-    clouds = []
-    cloud = effective.bloch_eigenvalue_cloud
-    monkeypatch.setattr(effective, "bloch_eigenvalue_cloud",
-                        lambda *args: clouds.append(args) or cloud(*args))
-    for mode in ["box", "bloch"]:
-        path = tmp_path / f"{mode}.json"
-        path.write_text(json.dumps(dict(BASE_CONFIG, mode=mode)))
-        assert _run("effective", str(path), tmp_path / mode) == 0
-        assert len(clouds) == (mode == "bloch")
-
-
 def _per_value_csv(header, rows) -> str:
     """The writer that the column writer replaced: str of a Python int or
     str, f"{x:.17g}" of anything else."""
@@ -293,6 +281,12 @@ D2_CONFIG = {
     "k_resolution": 1,
 }
 
+COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
+                      numerics={**D2_CONFIG["numerics"], "radius": 3})
+
+D2_BLOCH = dict(D2_CONFIG, mode="bloch",
+                numerics={**D2_CONFIG["numerics"], "radius": 3})
+
 
 def test_direct_field_must_match_flux(tmp_path, capsys):
     consistent = 1.0 / (8.0 * math.pi)  # unit-cell flux 2 pi / 4
@@ -313,6 +307,25 @@ def test_direct_field_must_match_flux(tmp_path, capsys):
     assert _run("direct", str(path), tmp_path / "derived") == 0
     derived = _read_values(tmp_path / "derived" / "eigenvalues.csv")
     assert max(abs(a - b) for a, b in zip(given, derived)) < 1e-9
+    # effective, scan and compare check the same field; compare scales its
+    # strength by the epsilon of each pair.  A matching field changes no
+    # result.
+    for command, eps, result in [("effective", 1.0, "spectrum.json"),
+                                 ("scan", 1.0, "scan.csv"),
+                                 ("compare", 0.5, "compare.json")]:
+        cfg = dict(COMPARE_CONFIG, mode="bloch", epsilons=[[eps, "1/4"]])
+        for name, field in [("bad", {"b12": 0.1}),
+                            ("given", {"b12": consistent / eps}),
+                            ("derived", None)]:
+            path.write_text(json.dumps(dict(cfg, field=field) if field
+                                       else cfg))
+            assert _run(command, str(path), tmp_path / command / name) == (
+                2 if name == "bad" else 0)
+        err = capsys.readouterr().err
+        assert f"{0.1 * eps!r}" in err and f"{consistent:.12f}"[:13] in err
+        given, derived = ((tmp_path / command / name / result).read_text()
+                          for name in ("given", "derived"))
+        assert given == derived
 
 
 def _read_values(path):
@@ -423,13 +436,15 @@ def test_config_error_flux_in_d1(command, tmp_path, capsys):
     assert "H.5" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["box", "magnetic_bloch"])
-def test_config_error_non_constant_field(mode, tmp_path, capsys):
-    cfg = dict(D2_CONFIG, mode=mode, box_size=8.0, box_points=32,
-               field={"b12": 0.1, "kind": "gaussian"})
+@pytest.mark.parametrize("command, cfg", [
+    ("direct", D2_CONFIG), ("effective", D2_BLOCH), ("scan", D2_BLOCH),
+    ("compare", COMPARE_CONFIG),
+], ids=["magnetic_bloch", "effective", "scan", "compare"])
+def test_config_error_non_constant_field(command, cfg, tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert _run("direct", str(path), tmp_path) == 2
+    path.write_text(json.dumps(dict(cfg, field={"b12": 0.1,
+                                                "kind": "gaussian"})))
+    assert _run(command, str(path), tmp_path) == 2
     err = capsys.readouterr().err
     assert "H.6" in err and "gaussian" in err
 
@@ -502,18 +517,17 @@ def test_direct_rejects_unknown_mode(tmp_path, capsys):
     assert "'bloch'" in err and "magnetic_bloch" in err
 
 
-def test_direct_box_rejects_flux(tmp_path, capsys):
-    # the box takes its phases from the field; a flux would be ignored
-    cfg = dict(D2_CONFIG, mode="box", box_size=8.0, box_points=16,
-               field={"b12": 0.1})
+@pytest.mark.parametrize("command, cfg", [("effective", BASE_CONFIG),
+                                          ("direct", D2_CONFIG)],
+                         ids=["effective", "direct"])
+def test_box_mode_is_an_unknown_mode(command, cfg, tmp_path, capsys):
+    # no Dirichlet box: its edge states fill the gaps of the bulk spectrum
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert _run("direct", str(path), tmp_path) == 2
+    path.write_text(json.dumps(dict(cfg, mode="box")))
+    assert _run(command, str(path), tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert "flux 1/4" in err and "'field'" in err
-    cfg["flux"] = "0"
-    path.write_text(json.dumps(cfg))
-    assert _run("direct", str(path), tmp_path) == 0
+    assert "config error" in err and "mode 'box'" in err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_relativistic_fd_size_limit_is_a_config_error(tmp_path, capsys,
@@ -524,13 +538,12 @@ def test_relativistic_fd_size_limit_is_a_config_error(tmp_path, capsys,
     monkeypatch.setattr(direct, "_fd_stencil", stencil)
     cfg = json.loads(json.dumps(D2_CONFIG))
     cfg["symbol"]["kind"] = "relativistic"
-    cfg.update(mode="box", flux="0", box_size=6.0, box_points=128,
-               field={"b12": 0.3})
+    cfg["flux"] = "1/16"  # 16 unit cells of 16^2 points: 4,096 unknowns
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert _run("direct", str(path), tmp_path) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "16384" in err
+    assert "config error" in err and "4096" in err
 
 
 def test_too_wide_direct_window_is_a_config_error(tmp_path, capsys):
@@ -666,27 +679,17 @@ def test_huge_flux_denominator_is_config_error(command, tmp_path, capsys):
     assert "config error" in err and "limit" in err
 
 
-COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
-                      numerics={**D2_CONFIG["numerics"], "radius": 3})
-
-
 @pytest.mark.parametrize("command, base, key, value", [
     ("effective", BASE_CONFIG, "k_resolution", "x"),
     ("effective", BASE_CONFIG, "k_resolution", 8.7),
     ("effective", BASE_CONFIG, "window", [0.5, -0.5]),
     ("effective", BASE_CONFIG, "window", [float("nan"), 0.5]),
-    ("effective", dict(BASE_CONFIG, mode="box"), "box_size", 0),
-    ("effective", dict(BASE_CONFIG, mode="box"), "box_size", 3),
     ("scan", BASE_CONFIG, "lambda_points", "many"),
     ("scan", BASE_CONFIG, "k_resolution", 0),
     ("grushin", BASE_CONFIG, "samples", "many"),
     ("direct", D2_CONFIG, "points_per_cell", 16.5),
     ("direct", D2_CONFIG, "points_per_cell", 8),
     ("direct", dict(BASE_CONFIG, mode="zero_field_bloch"), "k_resolution", 1),
-    ("direct", dict(D2_CONFIG, mode="box", flux="0"), "box_size", "big"),
-    ("direct", dict(D2_CONFIG, mode="box", flux="0", box_points=32),
-     "box_size", 0),
-    ("direct", dict(D2_CONFIG, mode="box", flux="0"), "box_points", -16),
     ("compare", COMPARE_CONFIG, "direct_k_resolution", "x"),
     ("compare", COMPARE_CONFIG, "k_resolution", 2.5),
     ("grushin", BASE_CONFIG, "seed", "abc"),
@@ -699,11 +702,9 @@ COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
     ("compare", COMPARE_CONFIG, "epsilons", [[float("inf"), "1/4"]]),
     ("compare", COMPARE_CONFIG, "epsilons", [[float("nan"), "1/4"]]),
 ], ids=["k_resolution_text", "k_resolution_fraction", "window_reversed",
-        "window_nan", "effective_box_size_zero",
-        "effective_box_size_below_radius", "lambda_points_text",
-        "scan_k_resolution_zero", "samples_text", "points_per_cell_fraction",
+        "window_nan", "lambda_points_text", "scan_k_resolution_zero",
+        "samples_text", "points_per_cell_fraction",
         "points_per_cell_too_coarse", "zero_field_k_resolution_one",
-        "direct_box_size_text", "direct_box_size_zero", "box_points_negative",
         "direct_k_resolution_text", "compare_k_resolution_fraction",
         "seed_text", "seed_fraction", "seed_negative", "epsilons_single",
         "epsilons_number", "epsilon_bool", "epsilon_text", "epsilon_infinite",
@@ -717,10 +718,6 @@ def test_malformed_top_level_key_is_config_error(command, base, key, value,
     assert "config error" in err and key in err
 
 
-D2_BLOCH = dict(D2_CONFIG, mode="bloch",
-                numerics={**D2_CONFIG["numerics"], "radius": 3})
-
-
 @pytest.mark.parametrize("command, cfg, module, limit, refused", [
     # at flux 1/4 the class map of a 1024^2 grid alone is 8 MB
     ("effective", dict(D2_BLOCH, k_resolution=1024), lattice,
@@ -730,9 +727,10 @@ D2_BLOCH = dict(D2_CONFIG, mode="bloch",
     ("compare", dict(COMPARE_CONFIG, k_resolution=2,
                      direct_k_resolution=1024), lattice,
      "MAX_CLOUD_VALUES", 1024**2 * 8),
-    # a 511 x 511 complex box matrix is 4 MB
-    ("effective", dict(BASE_CONFIG, mode="box", box_size=255), effective,
-     "MAX_FIBER_ENTRIES", 511**2 * 16),
+    # q = 64 at k_resolution 2: 2 fibers and 21 coefficient blocks, each
+    # 64 x 64 complex, 1.5 MB
+    ("effective", dict(D2_BLOCH, flux="1/64", k_resolution=2), effective,
+     "MAX_FIBER_ENTRIES", 23 * 64**2 * 16),
     # cutoff 400 in d=1: a basis of 801 plane waves, a 5 MB fiber
     ("bands", _edited(BASE_CONFIG, ("numerics", "cutoff"), 400.0), bloch,
      "MAX_BAND_ENTRIES", 801**2 * 8),
@@ -740,7 +738,7 @@ D2_BLOCH = dict(D2_CONFIG, mode="bloch",
     ("bands", _edited(D2_CONFIG, ("numerics", "cutoff"), 400.0), lattice,
      "MAX_SHELL_CANDIDATES", 801**2 * 16),
 ], ids=["k_resolution", "direct_k_resolution_direct",
-        "direct_k_resolution_compare", "box_size", "cutoff_basis",
+        "direct_k_resolution_compare", "fiber_entries", "cutoff_basis",
         "cutoff_candidates"])
 def test_oversized_grid_exits_2_before_it_is_allocated(
         command, cfg, module, limit, refused, tmp_path, capsys, monkeypatch):
@@ -772,10 +770,8 @@ def test_nan_lattice_basis_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, cfg", [
     ("direct", D2_CONFIG),
-    ("direct", dict(D2_CONFIG, mode="box", flux="0", box_size=8.0,
-                    box_points=16)),
     ("compare", COMPARE_CONFIG),
-], ids=["magnetic_bloch", "box", "compare"])
+], ids=["magnetic_bloch", "compare"])
 def test_non_rectangular_lattice_is_config_error(command, cfg, tmp_path,
                                                  capsys):
     # the finite-difference operator needs a diagonal basis

@@ -13,7 +13,6 @@ from peierls.direct import (
     WindowCoverageError,
     _edge_factors,
     _fd_stencil,
-    box_matrix,
     certified_below,
     direct_spectrum,
     distinct_fibers,
@@ -39,14 +38,10 @@ def test_discretization_validation(mathieu, separable):
         DirectDiscretization(mathieu, 0.0)
     with pytest.raises(InputError, match="need at least 16"):
         DirectDiscretization(mathieu, Fraction(0), points_per_cell=8)
-    with pytest.raises(InputError, match="need at least 16"):
-        box_matrix(mathieu, None, 8.0, 8)
     skew = Lattice(basis=np.array([[2.0 * np.pi, 1.0], [0.0, 2.0 * np.pi]]))
     skew_sym = PeriodicSymbol(Nonrelativistic(), zero_potential(skew))
     with pytest.raises(InputError, match="lattice.basis"):
         DirectDiscretization(skew_sym, Fraction(0))
-    with pytest.raises(InputError, match="lattice.basis"):
-        box_matrix(skew_sym, None, 8.0, 16)
 
 
 def test_fd_matrix_hermitian_and_gauge_covariant(separable):
@@ -57,29 +52,20 @@ def test_fd_matrix_hermitian_and_gauge_covariant(separable):
     dev = abs(M - M.getH()).max()
     assert dev < 1e-12
     # periodic gauge function: spectra must be unchanged
-    disc_chi = DirectDiscretization(separable, Fraction(1),
-                                    points_per_cell=16, chi="harmonic")
-    v0 = np.linalg.eigvalsh(M.toarray())[:6]
-    v1 = np.linalg.eigvalsh(disc_chi.bloch_matrix(k).toarray())[:6]
+    base = M.toarray()
+    gauged = DirectDiscretization(separable, Fraction(1), points_per_cell=16,
+                                  chi="harmonic").bloch_matrix(k).toarray()
+    v0 = np.linalg.eigvalsh(base)[:6]
+    v1 = np.linalg.eigvalsh(gauged)[:6]
     assert np.max(np.abs(v0 - v1)) < 1e-9
-    # A -> A + grad(chi) conjugates the matrix by D = diag(exp(i chi(x))):
-    # on the magnetic cell (chi periodic over it) and in a box
-    cell_axis = 2.0 * np.pi / 16 * np.arange(16)
-    box_axis = -3.0 + 6.0 / 16 * np.arange(16)
-    cases = [
-        ("harmonic", lambda chi: DirectDiscretization(
-            separable, Fraction(1), points_per_cell=16,
-            chi=chi).bloch_matrix(k), cell_axis),
-        ("quadratic", lambda chi: box_matrix(
-            separable, MagneticField(0.3), 6.0, 16, chi=chi), box_axis),
-    ]
-    for chi, matrix, axis in cases:
-        base, gauged = (matrix(gauge).toarray() for gauge in (None, chi))
-        x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
-        D = np.exp(1j * CHI_CATALOG[chi](x.reshape(-1, 2)))
-        expected = D[:, None] * base * np.conj(D)[None, :]
-        assert np.max(np.abs(gauged - expected)) < 1e-12
-        assert np.max(np.abs(gauged - base)) > 0.1
+    # A -> A + grad(chi) conjugates the matrix by D = diag(exp(i chi(x)))
+    # on the magnetic cell (chi periodic over it)
+    axis = 2.0 * np.pi / 16 * np.arange(16)
+    x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    D = np.exp(1j * CHI_CATALOG["harmonic"](x.reshape(-1, 2)))
+    expected = D[:, None] * base * np.conj(D)[None, :]
+    assert np.max(np.abs(gauged - expected)) < 1e-12
+    assert np.max(np.abs(gauged - base)) > 0.1
 
 
 @settings(max_examples=8, deadline=None)
@@ -181,8 +167,7 @@ def test_fd_stencil_on_the_unit_grid_is_the_harper_fiber(flux, k, lat2):
         (0, -1): -one})
     A = VectorPotential(MagneticField(2.0 * np.pi * float(flux)))
     free = PeriodicSymbol(Nonrelativistic(), zero_potential(lat2))
-    M = _fd_stencil(free, A, np.ones(2), (flux.denominator, 1),
-                    periodic=True).matrix(k)
+    M = _fd_stencil(free, A, np.ones(2), (flux.denominator, 1)).matrix(k)
     H = _bloch_fibers(harper, flux, [k])[0]
     assert np.max(np.abs(M.toarray() - H)) < 1e-13
 
@@ -271,29 +256,21 @@ def test_magnetic_spectrum_stable_under_k_refinement(separable):
     assert not flagged and d < 0.01
 
 
-def test_box_mode_spectrum(mathieu):
-    win = (-0.5, 0.0)
-    s = SpectrumSet(points=window_eigs(box_matrix(mathieu, None, 8.0 * np.pi,
-                                                  128), win),
-                    window=win, merge_tol=2e-2)
-    # Dirichlet eigenvalues fill the first band up to boundary effects
-    assert s.points.size > 3
-    assert s.points.min() > -0.385
-
-
-@pytest.mark.parametrize("dim, b12", [(1, 0.0), (2, 0.3)])
-def test_relativistic_box_squares_to_the_nonrelativistic_box(dim, b12):
+@pytest.mark.parametrize("dim, flux", [(1, 0), (2, 1)])
+def test_relativistic_fiber_squares_to_the_nonrelativistic_fiber(dim, flux):
+    # at flux 1 the field b12 = 1 / (2 pi) puts a phase on every link
     lat = Lattice(basis=2.0 * np.pi * np.eye(dim))
     pot = (cosine_potential if dim == 1 else separable_cosine_2d)(lat, 0.3)
-    field = MagneticField(b12) if b12 else None
+    k = np.full(dim, 0.3)
 
-    def box(kind, potential):
-        return box_matrix(PeriodicSymbol(kind, potential), field, 6.0,
-                          16).toarray()
+    def fiber(kind, potential):
+        disc = DirectDiscretization(PeriodicSymbol(kind, potential),
+                                    Fraction(flux), points_per_cell=16)
+        return disc.bloch_matrix(k).toarray()
 
-    kinetic = box(Nonrelativistic(), zero_potential(lat))
-    v = box(Nonrelativistic(), pot) - kinetic
-    root = box(Relativistic(), pot) - v  # potential diagonal removed
+    kinetic = fiber(Nonrelativistic(), zero_potential(lat))
+    v = fiber(Nonrelativistic(), pot) - kinetic
+    root = fiber(Relativistic(), pot) - v  # potential diagonal removed
     eye = np.eye(kinetic.shape[0])
     assert np.max(np.abs(root @ root - (kinetic + eye))) < 1e-9
 
@@ -431,8 +408,8 @@ def test_fiber_bottom_lies_above_the_zero_field_cell(separable, flux, k, chi):
     h = np.diag(separable.lattice.basis) / n
     zero = VectorPotential(MagneticField(0.0))
     floor, periodic = (
-        np.linalg.eigvalsh(_fd_stencil(separable, zero, h, shape,
-                                       periodic=True).matrix().toarray())[0]
+        np.linalg.eigvalsh(_fd_stencil(separable, zero, h,
+                                       shape).matrix().toarray())[0]
         for shape in ((n, n), (q * n, n)))
     assert abs(periodic - floor) < 1e-10
     M = DirectDiscretization(separable, flux, points_per_cell=n,
@@ -522,9 +499,8 @@ def test_no_fold_in_d1_or_at_integer_flux(mathieu, separable):
 
 def test_relativistic_fd_size_is_bounded(separable):
     sym = PeriodicSymbol(Relativistic(), separable.potential)
-    with pytest.raises(InputError, match="16384"):
-        box_matrix(sym, MagneticField(0.3), 6.0, 128)
     with pytest.raises(InputError, match="4096"):
         DirectDiscretization(sym, Fraction(1, 16))
     # the nonrelativistic stencil stays sparse at any size
-    assert sp.issparse(box_matrix(separable, MagneticField(0.3), 6.0, 128))
+    assert sp.issparse(DirectDiscretization(separable, Fraction(1, 16))
+                       .bloch_matrix(np.zeros(2)))

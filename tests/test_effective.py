@@ -61,20 +61,20 @@ def test_irrational_flux_rejected(nn_hoppings):
     with pytest.raises(InputError, match="exact Fraction"):
         bloch_eigenvalue_cloud(nn_hoppings, 0.5, k_resolution=4)
     with pytest.raises(InputError, match="exact Fraction"):
-        box_matrix(nn_hoppings, 0.5, box_size=2)
+        box_matrix(nn_hoppings, 0.5, half_width=2)
 
 
 def test_box_size_guard(nn_hoppings):
     with pytest.raises(InputError, match="box size"):
-        box_matrix(nn_hoppings, Fraction(0), box_size=0)
+        box_matrix(nn_hoppings, Fraction(0), half_width=0)
 
 
 def test_box_matrix_is_bounded(nn_hoppings, monkeypatch):
-    # the dense matrix grows as box_size^(2d): at a limit of 2**12 entries
-    # box_size 3 in d=2 (49 x 49) is built and box_size 4 (81 x 81) is not
+    # the dense matrix grows as half_width^(2d): at a limit of 2**12 entries
+    # half_width 3 in d=2 (49 x 49) is built and half_width 4 (81 x 81) is not
     monkeypatch.setattr(effective, "MAX_FIBER_ENTRIES", 2**12)
     assert box_matrix(nn_hoppings, Fraction(1, 4), 3).shape == (49, 49)
-    with pytest.raises(InputError, match="box_size 4 .* limit"):
+    with pytest.raises(InputError, match="half_width 4 .* limit"):
         box_matrix(nn_hoppings, Fraction(1, 4), 4)
 
 
