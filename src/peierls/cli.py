@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bloch, direct, effective, grushin, section, spectra, symbols
 from .lattice import InputError, Lattice, bz_grid, dual_shell
-from .magnetic import MagneticField, field_for_flux
+from .magnetic import field_for_flux
 
 
 # The entries of one stacked solve of Grushin matrices: those of the largest
@@ -47,6 +47,26 @@ def _write_json(path: Path, payload) -> None:
 # ---------------------------------------------------------------- config
 
 
+# the top-level keys that some command reads, checked per config, not per
+# command: one config may feed every command of a pipeline
+CONFIG_KEYS = frozenset({
+    "lattice", "symbol", "numerics", "field", "flux", "window", "seed",
+    "samples", "k_resolution", "lambda_points", "points_per_cell",
+    "epsilons", "direct_k_resolution"})
+
+
+def _only(section: dict, name: str, keys) -> None:
+    """Refuse the keys of section outside keys, named name.key (key alone
+    for the top level, name ""): a key that nothing reads exits 2 rather
+    than pass unnoticed."""
+    unknown = [f"{name}.{key}" if name else key
+               for key in sorted(set(section) - set(keys))]
+    if unknown:
+        raise InputError(f"unknown config key {', '.join(unknown)}: "
+                          f"{name or 'the top level'} takes only "
+                          f"{', '.join(sorted(keys))}")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -55,6 +75,7 @@ def load_config(path: str) -> dict:
         raise InputError(f"cannot read config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError(f"the config must be a JSON object, got {cfg!r}")
+    _only(cfg, "", CONFIG_KEYS)
     return cfg
 
 
@@ -85,6 +106,7 @@ def build_lattice(cfg: dict) -> Lattice:
         raise InputError("missing 'lattice' section")
     if not isinstance(lc, dict) or "basis" not in lc:
         raise InputError("missing 'lattice.basis'")
+    _only(lc, "lattice", ("basis",))
     try:
         return Lattice(basis=np.asarray(lc["basis"], dtype=float))
     except (TypeError, ValueError) as exc:
@@ -92,30 +114,17 @@ def build_lattice(cfg: dict) -> Lattice:
 
 
 def build_field(cfg: dict):
+    """field.b12 of the configured constant field, None without a 'field'
+    section.  A scalar b12 is the 2-form B12 = -B21, antisymmetric by
+    construction."""
     fc = cfg.get("field")
     if fc is None:
         return None
     if not isinstance(fc, dict):
         raise InputError(f"'field' must be an object, got {fc!r}")
-    matrix = fc.get("matrix")
-    if matrix is not None:
-        try:
-            m = np.asarray(matrix, dtype=float)
-        except (TypeError, ValueError):
-            m = None
-        if m is None or m.shape != (2, 2):
-            raise InputError("field.matrix must be a 2 x 2 matrix of "
-                              f"numbers, got {matrix!r}")
-        if not np.allclose(m, -m.T, atol=1e-12):
-            raise InputError(
-                "hypothesis H.1 violated: magnetic field matrix must be "
-                "antisymmetric (B12 = -B21)"
-            )
-        b12 = float(m[0, 1])
-    else:
-        b12 = _number(fc, "field", "b12", 0.0)
-    epsilon = _number(fc, "field", "epsilon", 1.0)
-    if not (np.isfinite(b12) and np.isfinite(epsilon)):
+    _only(fc, "field", ("b12", "kind"))
+    b12 = _number(fc, "field", "b12", 0.0)
+    if not np.isfinite(b12):
         raise InputError("hypothesis H.2 violated: field must be finite")
     kind = fc.get("kind", "constant")
     if kind != "constant":
@@ -123,13 +132,14 @@ def build_field(cfg: dict):
             "hypothesis H.6 violated: the solvers need a constant field, "
             f"got field.kind {kind!r}"
         )
-    return MagneticField(b12=b12, epsilon=epsilon)
+    return b12
 
 
 def build_symbol(cfg: dict, lattice: Lattice) -> symbols.PeriodicSymbol:
     sc = cfg.get("symbol")
     if not sc or not isinstance(sc, dict):
         raise InputError(f"'symbol' must be a non-empty object, got {sc!r}")
+    _only(sc, "symbol", ("kind", "potential"))
     kind_name = sc.get("kind", "nonrelativistic")
     kinds = {"nonrelativistic": symbols.Nonrelativistic,
              "relativistic": symbols.Relativistic}
@@ -140,6 +150,7 @@ def build_symbol(cfg: dict, lattice: Lattice) -> symbols.PeriodicSymbol:
     pc = sc.get("potential", {"name": "zero"})
     if not isinstance(pc, dict):
         raise InputError(f"'symbol.potential' must be an object, got {pc!r}")
+    _only(pc, "symbol.potential", ("name", "amplitude"))
     name = pc.get("name", "zero")
     factory = (symbols.POTENTIAL_CATALOG.get(name) if isinstance(name, str)
                else None)
@@ -179,6 +190,7 @@ def _numerics(cfg: dict) -> dict:
     section = cfg.get("numerics", {})
     if not isinstance(section, dict):
         raise InputError(f"'numerics' must be an object, got {section!r}")
+    _only(section, "numerics", NUMERICS)
     num = {key: _number(section, "numerics", key, default, ok, need)
            for key, (default, ok, need) in NUMERICS.items()}
     if num["band_index"] >= num["n_bands"]:
@@ -340,13 +352,8 @@ def _band_hoppings(lattice: Lattice, sym, num):
 
 
 def cmd_effective(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
-    mode = cfg.get("mode", "bloch")
-    if mode != "bloch":
-        raise InputError(f"unknown effective mode {mode!r}: the one mode is "
-                          "'bloch', the magnetic-Bloch eigenvalue cloud")
+    flux = _flux(cfg, lattice)
     intervals, hops = _band_hoppings(lattice, sym, num)
-    flux = _parse_flux(cfg.get("flux", "0"), lattice)
-    _check_field(build_field(cfg), flux, lattice)
     window = _window(cfg, num, intervals)
     merge_tol = num["merge_tol"]
     points = effective.bloch_eigenvalue_cloud(
@@ -363,9 +370,8 @@ def cmd_effective(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
 
 
 def cmd_scan(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
+    flux = _flux(cfg, lattice)
     intervals, hops = _band_hoppings(lattice, sym, num)
-    flux = _parse_flux(cfg.get("flux", "0"), lattice)
-    _check_field(build_field(cfg), flux, lattice)
     window = _window(cfg, num, intervals)
     lam_grid = np.linspace(window[0], window[1],
                            _positive_int(cfg, "lambda_points", 400))
@@ -376,15 +382,15 @@ def cmd_scan(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     return {"lambda_points": int(lam_grid.size)}
 
 
-def _check_field(field, flux: Fraction, lattice: Lattice,
+def _check_field(b12, flux: Fraction, lattice: Lattice,
                  epsilon: float = 1.0) -> None:
-    """A configured field must be the one whose unit-cell flux is 2 pi *
-    flux: every operator takes its line phases and its magnetic cell from
-    the flux.  Its strength field.epsilon * field.b12 is scaled by
-    epsilon, the epsilon of a compare pair."""
-    if field is None:
+    """A configured field.b12 (None without a field), scaled once by
+    epsilon, the epsilon of a compare pair, must be the field whose
+    unit-cell flux is 2 pi * flux: every operator takes its line phases
+    and its magnetic cell from the flux."""
+    if b12 is None:
         return
-    b, b_flux = epsilon * field.strength, field_for_flux(flux, lattice).b12
+    b, b_flux = epsilon * b12, field_for_flux(flux, lattice).b12
     if abs(b - b_flux) > 1e-9 * max(1.0, abs(b_flux)):
         raise InputError(
             f"field strength {b!r} does not match flux {flux}: the "
@@ -392,49 +398,40 @@ def _check_field(field, flux: Fraction, lattice: Lattice,
         )
 
 
-DIRECT_MODES = ("zero_field_bloch", "magnetic_bloch")
+def _flux(cfg: dict, lattice: Lattice) -> Fraction:
+    """The configured flux, once a configured field matches it."""
+    flux = _parse_flux(cfg.get("flux", "0"), lattice)
+    _check_field(build_field(cfg), flux, lattice)
+    return flux
 
 
 def cmd_direct(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
-    field = build_field(cfg)
-    mode = cfg.get("mode", "zero_field_bloch")
-    if mode not in DIRECT_MODES:
-        raise InputError(
-            f"unknown direct mode {mode!r}, not in {DIRECT_MODES}")
-    flux = _parse_flux(cfg.get("flux", "0"), lattice)
-    if mode == "magnetic_bloch":
-        _check_field(field, flux, lattice)
-    else:
-        b = field.strength if field is not None else 0.0
-        if flux != 0 or b != 0.0:
-            raise InputError(
-                "mode zero_field_bloch solves at zero field, but the config "
-                f"sets flux {flux} and field strength {b!r}; use mode "
-                "'magnetic_bloch'"
-            )
+    """Flux 0 is the plane-wave band solve, any other flux the
+    finite-difference magnetic-Bloch fibers."""
+    flux = _flux(cfg, lattice)
     intervals = None if cfg.get("window") is not None else (
         bloch.band_intervals(_bands(lattice, sym, num), num["gap_tol"]))
     window = _window(cfg, num, intervals)
     merge_tol = num["merge_tol"]
     # a zero-field band grid needs two points per axis
-    least = 2 if mode == "zero_field_bloch" else 1
+    least = 2 if flux == 0 else 1
     k_res = _number(cfg, "", "k_resolution", 8, lambda v: v >= least,
                     f"an integer >= {least}")
-    if mode == "magnetic_bloch":
+    if flux == 0:  # the plane-wave band solve at k_resolution
+        solve = _bands(lattice, sym, {**num, "resolution": k_res})
+        spec_set = spectra.SpectrumSet(
+            points=solve.bands.ravel(), window=window, merge_tol=merge_tol)
+        fibers = solve.solved
+    else:
         ppc = _positive_int(cfg, "points_per_cell", 16)
         disc = direct.DirectDiscretization(sym, flux, ppc)
         spec_set = direct.direct_spectrum(
             disc, window, merge_tol, k_res,
             direct.certified_below(sym, ppc, window))
         fibers = direct.distinct_fibers(disc, k_res)
-    else:  # zero field: the plane-wave band solve at k_resolution
-        solve = _bands(lattice, sym, {**num, "resolution": k_res})
-        spec_set = spectra.SpectrumSet(
-            points=solve.bands.ravel(), window=window, merge_tol=merge_tol)
-        fibers = solve.solved
     _write_csv(out / "eigenvalues.csv", ["value"], [spec_set.points])
     return {
-        "mode": mode,
+        "mode": "magnetic_bloch" if flux else "zero_field_bloch",
         "count": int(spec_set.points.size),
         "direct_fibers": fibers,
         "intervals": spec_set.merged_intervals.tolist(),
@@ -463,9 +460,6 @@ def _check_flux_per_epsilon(eps_flux) -> None:
 
 
 def cmd_compare(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
-    intervals, hops = _band_hoppings(lattice, sym, num)
-    window = _window(cfg, num, intervals)
-    merge_tol = num["merge_tol"]
     eps_flux = cfg.get("epsilons")  # list of [epsilon, "p/q"]
     if not (eps_flux and isinstance(eps_flux, list) and all(
             isinstance(pair, list) and len(pair) == 2 for pair in eps_flux)):
@@ -473,9 +467,12 @@ def cmd_compare(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
                           f"flux] pairs, got {eps_flux!r}")
     eps_flux = [(eps, _parse_flux(text, lattice)) for eps, text in eps_flux]
     _check_flux_per_epsilon(eps_flux)
-    field = build_field(cfg)
+    b12 = build_field(cfg)
     for eps, flux in eps_flux:
-        _check_field(field, flux, lattice, eps)
+        _check_field(b12, flux, lattice, eps)
+    intervals, hops = _band_hoppings(lattice, sym, num)
+    window = _window(cfg, num, intervals)
+    merge_tol = num["merge_tol"]
     k_res_eff = _positive_int(cfg, "k_resolution", 32)
     k_res_dir = _positive_int(cfg, "direct_k_resolution", 4)
     ppc = _positive_int(cfg, "points_per_cell", 16)

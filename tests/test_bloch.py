@@ -212,7 +212,7 @@ def test_fold_solves_one_point_per_pair(lat1, lat2, monkeypatch, dim, res,
     assert np.unique(grid.orbits(maps)[0]).size == solved
     calls, bands = _counted_solves(monkeypatch, symbol, grid, shell)
     assert len(calls) == bands.solved == solved
-    # the count the CLI reports in zero-field direct mode (shell radius 6)
+    # the count the CLI reports for direct at flux 0 (shell radius 6)
     cli_shell = dual_shell(lat, 6.0)
     assert compute_bands(symbol, grid, cli_shell, 2).solved == solved
 

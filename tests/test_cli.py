@@ -258,15 +258,6 @@ def test_compare_command(config_path, tmp_path, monkeypatch):
     assert "fitted_slope" in report
 
 
-def test_config_error_antisymmetry(tmp_path, capsys):
-    cfg = dict(BASE_CONFIG)
-    cfg["field"] = {"matrix": [[0.0, 1.0], [1.0, 0.0]]}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
-    assert _run("direct", str(path), tmp_path) == 2
-    assert "H.1" in capsys.readouterr().err
-
-
 # the d=2 magnetic cell: direct at flux 1/4 in a window around band 0
 D2_CONFIG = {
     "lattice": {"basis": [[6.283185307179586, 0.0], [0.0, 6.283185307179586]]},
@@ -275,7 +266,6 @@ D2_CONFIG = {
         "potential": {"name": "separable_cosine_2d", "amplitude": 0.5},
     },
     "numerics": {"cutoff": 4.0, "resolution": 8, "n_bands": 2},
-    "mode": "magnetic_bloch",
     "flux": "1/4",
     "window": [-0.83, -0.29],
     "k_resolution": 1,
@@ -284,8 +274,7 @@ D2_CONFIG = {
 COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
                       numerics={**D2_CONFIG["numerics"], "radius": 3})
 
-D2_BLOCH = dict(D2_CONFIG, mode="bloch",
-                numerics={**D2_CONFIG["numerics"], "radius": 3})
+D2_BLOCH = dict(D2_CONFIG, numerics={**D2_CONFIG["numerics"], "radius": 3})
 
 
 def test_direct_field_must_match_flux(tmp_path, capsys):
@@ -313,7 +302,7 @@ def test_direct_field_must_match_flux(tmp_path, capsys):
     for command, eps, result in [("effective", 1.0, "spectrum.json"),
                                  ("scan", 1.0, "scan.csv"),
                                  ("compare", 0.5, "compare.json")]:
-        cfg = dict(COMPARE_CONFIG, mode="bloch", epsilons=[[eps, "1/4"]])
+        cfg = dict(COMPARE_CONFIG, epsilons=[[eps, "1/4"]])
         for name, field in [("bad", {"b12": 0.1}),
                             ("given", {"b12": consistent / eps}),
                             ("derived", None)]:
@@ -480,21 +469,6 @@ def test_band_intervals_are_computed_once(command, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("extra", [{"field": {"b12": 0.5}}, {"flux": "1/4"}],
-                         ids=["field", "flux"])
-def test_zero_field_bloch_rejects_field_and_flux(extra, tmp_path, capsys):
-    cfg = dict(D2_CONFIG, mode="zero_field_bloch", flux="0", k_resolution=2)
-    cfg.update(extra)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert _run("direct", str(path), tmp_path) == 2
-    assert "magnetic_bloch" in capsys.readouterr().err
-    # a field of zero strength is the zero field
-    cfg["field"], cfg["flux"] = {"b12": 0.5, "epsilon": 0.0}, "0"
-    path.write_text(json.dumps(cfg))
-    assert _run("direct", str(path), tmp_path) == 0
-
-
 @pytest.mark.parametrize("epsilons, named", [
     ([[0.08, "1/4"], [0.5, "1/8"]], "[0.5, '1/8']"),
     ([[0.08, "1/4"], [0.0, "0"]], "[0.0, '0']"),
@@ -507,27 +481,6 @@ def test_compare_needs_one_flux_per_epsilon(epsilons, named, tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert _run("compare", str(path), tmp_path) == 2
     assert named in capsys.readouterr().err
-
-
-def test_direct_rejects_unknown_mode(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(D2_CONFIG, mode="bloch")))
-    assert _run("direct", str(path), tmp_path) == 2
-    err = capsys.readouterr().err
-    assert "'bloch'" in err and "magnetic_bloch" in err
-
-
-@pytest.mark.parametrize("command, cfg", [("effective", BASE_CONFIG),
-                                          ("direct", D2_CONFIG)],
-                         ids=["effective", "direct"])
-def test_box_mode_is_an_unknown_mode(command, cfg, tmp_path, capsys):
-    # no Dirichlet box: its edge states fill the gaps of the bulk spectrum
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(cfg, mode="box")))
-    assert _run(command, str(path), tmp_path / "out") == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "mode 'box'" in err
-    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_relativistic_fd_size_limit_is_a_config_error(tmp_path, capsys,
@@ -622,9 +575,10 @@ def _edited(base, keys, value):
     ("bands", BASE_CONFIG, ("numerics", "cutoff"), -1.0, "numerics.cutoff"),
     ("effective", BASE_CONFIG, ("numerics", "band_index"), 3,
      "numerics.band_index"),
-    ("direct", D2_CONFIG, ("field", "matrix"), [[0.0]], "field.matrix"),
+    ("direct", D2_CONFIG, ("field", "matrix"), [[0.0]],
+     "key field.matrix:"),
     ("direct", D2_CONFIG, ("field", "b12"), "abc", "field.b12"),
-    ("direct", D2_CONFIG, ("field", "epsilon"), True, "field.epsilon"),
+    ("direct", D2_CONFIG, ("field", "epsilon"), True, "key field.epsilon:"),
     ("bands", BASE_CONFIG, ("symbol", "potential", "amplitude"),
      float("nan"), "H.3"),
     ("bands", BASE_CONFIG, ("symbol", "potential", "amplitude"), [0.5],
@@ -638,21 +592,60 @@ def _edited(base, keys, value):
     ("bands", BASE_CONFIG, ("symbol", "kind"), ["x"], "symbol.kind"),
     ("bands", BASE_CONFIG, ("symbol", "potential", "name"), {"a": 1},
      "symbol.potential.name"),
-    ("direct", D2_CONFIG, ("mode",), ["box"], "mode ['box']"),
-    ("effective", BASE_CONFIG, ("mode",), ["box"], "mode ['box']"),
+    # a key that no command reads is refused, not ignored
+    ("bands", BASE_CONFIG, ("mode",), "box", "key mode:"),
+    ("section", BASE_CONFIG, ("mode",), "box", "key mode:"),
+    ("grushin", BASE_CONFIG, ("mode",), "box", "key mode:"),
+    ("effective", BASE_CONFIG, ("mode",), "bloch", "key mode:"),
+    ("scan", BASE_CONFIG, ("mode",), "box", "key mode:"),
+    ("direct", D2_CONFIG, ("mode",), "magnetic_bloch", "key mode:"),
+    ("compare", COMPARE_CONFIG, ("mode",), "box", "key mode:"),
+    ("effective", BASE_CONFIG, ("box_size",), 10, "key box_size:"),
+    ("bands", BASE_CONFIG, ("numerics", "resolutoin"), 8,
+     "key numerics.resolutoin:"),
+    ("bands", BASE_CONFIG, ("symbol", "knd"), "relativistic",
+     "key symbol.knd:"),
+    ("bands", BASE_CONFIG, ("symbol", "potential", "amplitud"), 0.1,
+     "key symbol.potential.amplitud:"),
+    ("bands", BASE_CONFIG, ("lattice", "origin"), [0.0],
+     "key lattice.origin:"),
+    # flux 0 is the zero field, so a nonzero one does not match it
+    ("direct", dict(D2_CONFIG, flux="0", k_resolution=2), ("field", "b12"),
+     0.5, "field strength 0.5 does not match flux 0"),
 ], ids=["no_basis", "non_square_basis", "resolution_text",
         "resolution_fraction", "no_bands", "negative_cutoff",
         "band_index_too_large", "field_matrix_1x1", "b12_text",
         "epsilon_bool", "amplitude_nan", "amplitude_list", "amplitude_text",
         "symbol_text", "potential_text", "config_list", "kind_list",
-        "potential_name_object", "direct_mode_list", "effective_mode_list"])
+        "potential_name_object", "mode_bands", "mode_section",
+        "mode_grushin", "mode_effective", "mode_scan", "mode_direct",
+        "mode_compare", "box_size", "numerics_typo", "symbol_typo",
+        "potential_typo", "lattice_extra", "direct_flux_0_field"])
 def test_malformed_config_is_config_error(command, base, keys, value, named,
-                                          tmp_path, capsys):
+                                          tmp_path, capsys, monkeypatch):
+    # the config reader refuses each before any band solve, and no result
+    # file is written
+    def solve(*args, **kwargs):
+        raise AssertionError("no band is solved")
+
+    monkeypatch.setattr(bloch, "compute_bands", solve)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_edited(base, keys, value)))
-    assert _run(command, str(path), tmp_path) == 2
+    assert _run(command, str(path), tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "config error" in err and named in err
+    assert list(tmp_path.glob("out/*")) == []
+
+
+def test_zero_b12_at_flux_0_is_no_field(tmp_path):
+    cfg = dict(D2_CONFIG, flux="0", k_resolution=2)
+    path = tmp_path / "cfg.json"
+    for name, field in [("given", {"b12": 0.0}), ("derived", None)]:
+        path.write_text(json.dumps(dict(cfg, field=field) if field else cfg))
+        assert _run("direct", str(path), tmp_path / name) == 0
+    given, derived = ((tmp_path / name / "eigenvalues.csv").read_text()
+                      for name in ("given", "derived"))
+    assert given == derived
 
 
 def test_non_elliptic_symbol_is_config_error(tmp_path, capsys):
@@ -670,8 +663,6 @@ def test_huge_flux_denominator_is_config_error(command, tmp_path, capsys):
     cfg = json.loads(json.dumps(D2_CONFIG))
     cfg["numerics"]["radius"] = 3
     cfg.update(flux="1/1000000007", epsilons=[[1.0, "1/1000000007"]])
-    if command == "effective":  # its magnetic-Bloch mode is named bloch
-        cfg["mode"] = "bloch"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert _run(command, str(path), tmp_path) == 2
@@ -689,7 +680,7 @@ def test_huge_flux_denominator_is_config_error(command, tmp_path, capsys):
     ("grushin", BASE_CONFIG, "samples", "many"),
     ("direct", D2_CONFIG, "points_per_cell", 16.5),
     ("direct", D2_CONFIG, "points_per_cell", 8),
-    ("direct", dict(BASE_CONFIG, mode="zero_field_bloch"), "k_resolution", 1),
+    ("direct", BASE_CONFIG, "k_resolution", 1),
     ("compare", COMPARE_CONFIG, "direct_k_resolution", "x"),
     ("compare", COMPARE_CONFIG, "k_resolution", 2.5),
     ("grushin", BASE_CONFIG, "seed", "abc"),

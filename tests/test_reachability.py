@@ -185,3 +185,43 @@ def test_benchmark_span_names_name_package_code(monkeypatch):
                 and obj.__qualname__ == qualname):
             missing.append(name)
     assert missing == []
+
+
+def _config_keys_read(tree) -> set:
+    """The string keys read from the top-level config cfg: cfg.get(key),
+    _number(cfg, "", key, ...) and _positive_int(cfg, key, ...)."""
+    def text(node):
+        return node.value if isinstance(node, ast.Constant) else None
+
+    def name(node):
+        return getattr(node, "id", None)
+
+    keys = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Attribute):
+            if func.attr == "get" and name(func.value) == "cfg":
+                keys.add(text(args[0]))
+        elif args and name(args[0]) == "cfg":
+            if name(func) == "_number" and text(args[1]) == "":
+                keys.add(text(args[2]))
+            elif name(func) == "_positive_int":
+                keys.add(text(args[1]))
+    return keys - {None}
+
+
+def test_config_keys_are_the_keys_cli_reads():
+    """A top-level key is admitted exactly when some command reads it: a
+    new reader must admit its key, and a key leaves with its last reader."""
+    cli = importlib.import_module("peierls.cli")
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert _config_keys_read(tree) == cli.CONFIG_KEYS
+    # keys of an inner section or of another dict are not top-level keys
+    synthetic = ast.parse(textwrap.dedent("""
+        cfg.get("a", 1); section.get("b")
+        _number(cfg, "", "c", 0); _number(section, "", "d", 0)
+        _number(cfg, "numerics", "e", 0); _positive_int(cfg, "f", 1)
+    """))
+    assert _config_keys_read(synthetic) == {"a", "c", "f"}
