@@ -277,6 +277,18 @@ COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
 D2_BLOCH = dict(D2_CONFIG, numerics={**D2_CONFIG["numerics"], "radius": 3})
 
 
+def test_config_error_antisymmetry(tmp_path, capsys):
+    # a scalar b12 is antisymmetric by construction; a field matrix, which
+    # could be symmetric, is refused as a key that no command reads
+    cfg = dict(D2_CONFIG, field={"matrix": [[0.0, 1.0], [1.0, 0.0]]})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "key field.matrix:" in err
+    assert list(tmp_path.glob("out/*")) == []
+
+
 def test_direct_field_must_match_flux(tmp_path, capsys):
     consistent = 1.0 / (8.0 * math.pi)  # unit-cell flux 2 pi / 4
     cfg = dict(D2_CONFIG, field={"b12": 0.1})
@@ -509,6 +521,28 @@ def test_too_wide_direct_window_is_a_config_error(tmp_path, capsys):
     assert "config error" in err and "window [-1.0, 20.0] holds" in err
 
 
+def test_direct_rejects_unknown_mode(tmp_path, capsys):
+    # direct takes its solver from the flux, so no mode is read
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(D2_CONFIG, mode="bloch")))
+    assert _run("direct", str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "key mode:" in err
+
+
+@pytest.mark.parametrize("command, cfg", [("effective", BASE_CONFIG),
+                                          ("direct", D2_CONFIG)],
+                         ids=["effective", "direct"])
+def test_box_mode_is_an_unknown_mode(command, cfg, tmp_path, capsys):
+    # no Dirichlet box: its edge states fill the gaps of the bulk spectrum
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, mode="box")))
+    assert _run(command, str(path), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "key mode:" in err
+    assert list(tmp_path.glob("out/*")) == []
+
+
 def test_direct_fibers_are_recorded(tmp_path):
     # k_resolution 2 at flux 1/4: k2 = 0 and pi are 2 pi/4 apart twice
     cfg = json.loads(json.dumps(D2_CONFIG))
@@ -596,9 +630,9 @@ def _edited(base, keys, value):
     ("bands", BASE_CONFIG, ("mode",), "box", "key mode:"),
     ("section", BASE_CONFIG, ("mode",), "box", "key mode:"),
     ("grushin", BASE_CONFIG, ("mode",), "box", "key mode:"),
-    ("effective", BASE_CONFIG, ("mode",), "bloch", "key mode:"),
+    ("effective", BASE_CONFIG, ("mode",), ["box"], "key mode:"),
     ("scan", BASE_CONFIG, ("mode",), "box", "key mode:"),
-    ("direct", D2_CONFIG, ("mode",), "magnetic_bloch", "key mode:"),
+    ("direct", D2_CONFIG, ("mode",), ["box"], "key mode:"),
     ("compare", COMPARE_CONFIG, ("mode",), "box", "key mode:"),
     ("effective", BASE_CONFIG, ("box_size",), 10, "key box_size:"),
     ("bands", BASE_CONFIG, ("numerics", "resolutoin"), 8,
@@ -618,7 +652,8 @@ def _edited(base, keys, value):
         "epsilon_bool", "amplitude_nan", "amplitude_list", "amplitude_text",
         "symbol_text", "potential_text", "config_list", "kind_list",
         "potential_name_object", "mode_bands", "mode_section",
-        "mode_grushin", "mode_effective", "mode_scan", "mode_direct",
+        "mode_grushin", "effective_mode_list", "mode_scan",
+        "direct_mode_list",
         "mode_compare", "box_size", "numerics_typo", "symbol_typo",
         "potential_typo", "lattice_extra", "direct_flux_0_field"])
 def test_malformed_config_is_config_error(command, base, keys, value, named,
