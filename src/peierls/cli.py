@@ -47,14 +47,6 @@ def _write_json(path: Path, payload) -> None:
 # ---------------------------------------------------------------- config
 
 
-# the top-level keys that some command reads, checked per config, not per
-# command: one config may feed every command of a pipeline
-CONFIG_KEYS = frozenset({
-    "lattice", "symbol", "numerics", "field", "flux", "window", "seed",
-    "samples", "k_resolution", "lambda_points", "points_per_cell",
-    "epsilons", "direct_k_resolution"})
-
-
 def _only(section: dict, name: str, keys) -> None:
     """Refuse the keys of section outside keys, named name.key (key alone
     for the top level, name ""): a key that nothing reads exits 2 rather
@@ -92,12 +84,6 @@ def _number(section: dict, name: str, key: str, default,
         label = f"{name}.{key}" if name else key
         raise InputError(f"{label} must be {need}, got {value!r}")
     return type(default)(value)
-
-
-def _positive_int(cfg: dict, key: str, default: int) -> int:
-    """A top-level integer setting >= 1."""
-    return _number(cfg, "", key, default, lambda v: v >= 1,
-                   "a positive integer")
 
 
 def build_lattice(cfg: dict) -> Lattice:
@@ -185,18 +171,48 @@ NUMERICS = {
     "band_index": (0, lambda v: v >= 0, "an integer >= 0"),
 }
 
+# top-level scalar: (default, test of the value, the test in words); one
+# meaning per key: k_resolution is the Peierls cloud grid of effective, scan
+# and compare, direct_k_resolution the reference grid of direct and compare
+SETTINGS = {
+    "seed": (0, lambda v: v >= 0, "an integer >= 0"),
+    "samples": (20, lambda v: v >= 1, "a positive integer"),
+    "k_resolution": (32, lambda v: v >= 1, "a positive integer"),
+    "direct_k_resolution": (8, lambda v: v >= 1, "a positive integer"),
+    "lambda_points": (400, lambda v: v >= 1, "a positive integer"),
+    "points_per_cell": (16, lambda v: v >= 16, "an integer >= 16"),
+}
+
+# the top-level keys: the sections, flux, window and epsilons, read by
+# name, and SETTINGS
+CONFIG_KEYS = frozenset({"lattice", "symbol", "numerics", "field", "flux",
+                         "window", "epsilons", *SETTINGS})
+
 
 def _numerics(cfg: dict) -> dict:
+    """The numerics section and the top-level SETTINGS in one dict (no key
+    is in both), each value checked or its default."""
     section = cfg.get("numerics", {})
     if not isinstance(section, dict):
         raise InputError(f"'numerics' must be an object, got {section!r}")
     _only(section, "numerics", NUMERICS)
-    num = {key: _number(section, "numerics", key, default, ok, need)
-           for key, (default, ok, need) in NUMERICS.items()}
+    num = {key: _number(section, "numerics", key, *spec)
+           for key, spec in NUMERICS.items()}
     if num["band_index"] >= num["n_bands"]:
         raise InputError(f"numerics.band_index {num['band_index']} must be "
                           f"below numerics.n_bands {num['n_bands']}")
-    return num
+    return num | {key: _number(cfg, "", key, *spec)
+                  for key, spec in SETTINGS.items()}
+
+
+def _resolve(cfg: dict, lattice: Lattice) -> dict:
+    """Every top-level value, checked per config before any command runs,
+    so one config can feed a whole pipeline: the _numerics, field.b12, the
+    flux, the window and the epsilons (None when absent)."""
+    return {**_numerics(cfg), "field": build_field(cfg),
+            "flux": _parse_flux(cfg.get("flux", "0"), lattice),
+            "window": _parse_window(cfg.get("window")),
+            "epsilons": _parse_epsilons(cfg.get("epsilons"), lattice)}
 
 
 def _parse_flux(text, lattice: Lattice) -> Fraction:
@@ -212,42 +228,71 @@ def _parse_flux(text, lattice: Lattice) -> Fraction:
     return flux
 
 
-def _bands(lattice: Lattice, sym, num: dict, keep_vectors=False):
-    grid = bz_grid(lattice, num["resolution"])
-    shell = dual_shell(lattice, num["cutoff"])
-    return bloch.compute_bands(sym, grid, shell, num["n_bands"],
+def _bands(lattice: Lattice, sym, settings: dict, keep_vectors=False):
+    grid = bz_grid(lattice, settings["resolution"])
+    shell = dual_shell(lattice, settings["cutoff"])
+    return bloch.compute_bands(sym, grid, shell, settings["n_bands"],
                                keep_vectors=keep_vectors)
 
 
-def _window(cfg: dict, num: dict, intervals) -> tuple:
+def _parse_window(win):
+    if win is None:
+        return None
+    # type(v), not isinstance: a boolean is no number here
+    if not (isinstance(win, list) and len(win) == 2
+            and all(type(v) in (int, float) for v in win)
+            and np.all(np.isfinite(win)) and win[0] < win[1]):
+        raise InputError("window must be a pair [lo, hi] of finite "
+                          f"numbers with lo < hi, got {win!r}")
+    return float(win[0]), float(win[1])
+
+
+def _parse_epsilons(pairs, lattice: Lattice):
+    """The [epsilon, "p/q"] pairs as (epsilon, flux); epsilon scales the
+    field, so all pairs share one flux / epsilon."""
+    if pairs is None:
+        return None
+    if not (pairs and isinstance(pairs, list) and all(
+            isinstance(pair, list) and len(pair) == 2 for pair in pairs)):
+        raise InputError("epsilons must be a non-empty list of [epsilon, "
+                          f"flux] pairs, got {pairs!r}")
+    bad = [pair for pair in pairs
+           if type(pair[0]) not in (int, float) or not 0 < pair[0] < np.inf]
+    if bad:
+        raise InputError("epsilons: each epsilon must be a finite positive "
+                          f"number, unlike {bad!r}")
+    eps_flux = [(eps, _parse_flux(text, lattice)) for eps, text in pairs]
+    ratios = [float(flux) / eps for eps, flux in eps_flux]
+    bad = [pair for pair, r in zip(pairs, ratios)
+           if abs(r - ratios[0]) > 1e-9 * max(abs(r), abs(ratios[0]))]
+    if bad:
+        raise InputError("flux / epsilon must be the same for every pair: "
+                          f"{pairs[0]!r} gives {ratios[0]!r}, unlike {bad!r}")
+    return eps_flux
+
+
+def _window(settings: dict, intervals) -> tuple:
     """The configured window, else a margin around the selected band of
     the band_intervals."""
-    win = cfg.get("window")
-    if win is not None:
-        if (not isinstance(win, (list, tuple)) or len(win) != 2
-                or not all(isinstance(v, (int, float))
-                           and not isinstance(v, bool) for v in win)
-                or not (np.all(np.isfinite(win)) and win[0] < win[1])):
-            raise InputError("window must be a pair [lo, hi] of finite "
-                              f"numbers with lo < hi, got {win!r}")
-        return float(win[0]), float(win[1])
+    if settings["window"] is not None:
+        return settings["window"]
     iv = intervals.intervals
-    k = num["band_index"]
+    k = settings["band_index"]
     pad = 0.1 * (iv[k, 1] - iv[k, 0] + 1e-6)
     return float(iv[k, 0] - pad), float(iv[k, 1] + pad)
 
 
-def _require_simple_band(bands, num):
+def _require_simple_band(bands, settings):
     """The band_intervals, once the selected band is certified simple.
     Only a band below the last computed one can be: band_intervals never
     certifies the last."""
-    k = num["band_index"]
-    if num["n_bands"] <= k + 1:
+    k = settings["band_index"]
+    if settings["n_bands"] <= k + 1:
         raise InputError(
-            f"numerics.n_bands {num['n_bands']} must exceed "
+            f"numerics.n_bands {settings['n_bands']} must exceed "
             f"numerics.band_index + 1 = {k + 1}: only a computed band above "
             "the selected one certifies its gap")
-    iv = bloch.band_intervals(bands, num["gap_tol"])
+    iv = bloch.band_intervals(bands, settings["gap_tol"])
     if not iv.simple_flags[k]:
         raise InputError(
             "hypothesis H.7 violated: requested band is not certified simple"
@@ -258,8 +303,8 @@ def _require_simple_band(bands, num):
 # -------------------------------------------------------------- commands
 
 
-def cmd_bands(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
-    bands = _bands(lattice, sym, num)
+def cmd_bands(settings, lattice: Lattice, sym, out: Path) -> dict:
+    bands = _bands(lattice, sym, settings)
     # one row per (grid point, band), bands fastest
     n_points, n_bands = bands.bands.shape
     frac = np.repeat(bands.grid.coords(), n_bands, axis=0)
@@ -267,23 +312,23 @@ def cmd_bands(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     _write_csv(out / "bands.csv", header,
                [*frac.T, np.tile(np.arange(n_bands), n_points),
                 bands.bands.ravel()])
-    iv = bloch.band_intervals(bands, num["gap_tol"])
+    iv = bloch.band_intervals(bands, settings["gap_tol"])
     _write_json(out / "intervals.json", {
         "intervals": iv.intervals.tolist(),
         "simple": iv.simple_flags.tolist(),
-        "gap_tol": num["gap_tol"],
+        "gap_tol": settings["gap_tol"],
     })
     return {"rows": n_points * n_bands}
 
 
-def cmd_section(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
-    bands = _bands(lattice, sym, num, keep_vectors=True)
-    _require_simple_band(bands, num)
-    sec = section.transport_section(bands, num["band_index"])
+def cmd_section(settings, lattice: Lattice, sym, out: Path) -> dict:
+    bands = _bands(lattice, sym, settings, keep_vectors=True)
+    _require_simple_band(bands, settings)
+    sec = section.transport_section(bands, settings["band_index"])
     # each vector against its own fiber H(xi) v = V_hat v + kinetic(xi + g) v,
     # 32 points at a time to bound the temporaries
     assemble = bloch.FiberAssembler(sym, bands.shell)
-    vecs, lam = sec.vectors, bands.bands[:, num["band_index"], None]
+    vecs, lam = sec.vectors, bands.bands[:, settings["band_index"], None]
     points = bands.grid.points()
     chunks = [slice(i, i + 32) for i in range(0, len(vecs), 32)]
     resid = np.concatenate([np.linalg.norm(
@@ -300,15 +345,14 @@ def cmd_section(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     return {"rows": len(vecs)}
 
 
-def cmd_grushin(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
-    bands = _bands(lattice, sym, num, keep_vectors=True)
-    _require_simple_band(bands, num)
-    sec = section.transport_section(bands, num["band_index"])
+def cmd_grushin(settings, lattice: Lattice, sym, out: Path) -> dict:
+    bands = _bands(lattice, sym, settings, keep_vectors=True)
+    _require_simple_band(bands, settings)
+    sec = section.transport_section(bands, settings["band_index"])
     family = grushin.trial_from_section(sec)
-    k = num["band_index"]
-    rng = np.random.default_rng(_number(cfg, "", "seed", 0, lambda v: v >= 0,
-                                        "an integer >= 0"))
-    n_samples = _positive_int(cfg, "samples", 20)
+    k = settings["band_index"]
+    rng = np.random.default_rng(settings["seed"])
+    n_samples = settings["samples"]
     pts = bands.grid.points()
     band = bands.bands[:, k]
     lo, hi = band.min() - 0.5, band.max() + 0.5
@@ -342,52 +386,49 @@ def cmd_grushin(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     return report
 
 
-def _band_hoppings(lattice: Lattice, sym, num):
+def _band_hoppings(lattice: Lattice, sym, settings):
     """The band_intervals and the hoppings of the selected band."""
-    bands = _bands(lattice, sym, num)
-    intervals = _require_simple_band(bands, num)
-    hops = effective.fourier_hoppings(bands.bands[:, num["band_index"]],
-                                      bands.grid, num["radius"])
+    bands = _bands(lattice, sym, settings)
+    intervals = _require_simple_band(bands, settings)
+    hops = effective.fourier_hoppings(bands.bands[:, settings["band_index"]],
+                                      bands.grid, settings["radius"])
     return intervals, hops
 
 
-def cmd_effective(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
-    flux = _flux(cfg, lattice)
-    intervals, hops = _band_hoppings(lattice, sym, num)
-    window = _window(cfg, num, intervals)
-    merge_tol = num["merge_tol"]
-    points = effective.bloch_eigenvalue_cloud(
-        hops, flux, _positive_int(cfg, "k_resolution", 32))
-    spec_set = spectra.SpectrumSet(points=points, window=window,
-                                   merge_tol=merge_tol)
+def cmd_effective(settings, lattice: Lattice, sym, out: Path) -> dict:
+    flux = settings["flux"]
+    _check_field(settings["field"], flux, lattice)
+    intervals, hops = _band_hoppings(lattice, sym, settings)
+    window = _window(settings, intervals)
+    spec_set = spectra.SpectrumSet(
+        effective.bloch_eigenvalue_cloud(hops, flux, settings["k_resolution"]),
+        window, settings["merge_tol"])
     _write_json(out / "spectrum.json", {
         "intervals": spec_set.merged_intervals.tolist(),
         "window": list(window),
-        "merge_tol": merge_tol,
+        "merge_tol": settings["merge_tol"],
         "flux": str(flux),
     })
     return {"intervals": spec_set.merged_intervals.tolist()}
 
 
-def cmd_scan(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
-    flux = _flux(cfg, lattice)
-    intervals, hops = _band_hoppings(lattice, sym, num)
-    window = _window(cfg, num, intervals)
-    lam_grid = np.linspace(window[0], window[1],
-                           _positive_int(cfg, "lambda_points", 400))
-    margins = effective.lambda_scan(
-        hops, flux, lam_grid,
-        k_resolution=_positive_int(cfg, "k_resolution", 64))
+def cmd_scan(settings, lattice: Lattice, sym, out: Path) -> dict:
+    flux = settings["flux"]
+    _check_field(settings["field"], flux, lattice)
+    intervals, hops = _band_hoppings(lattice, sym, settings)
+    window = _window(settings, intervals)
+    lam_grid = np.linspace(window[0], window[1], settings["lambda_points"])
+    margins = effective.lambda_scan(hops, flux, lam_grid,
+                                    k_resolution=settings["k_resolution"])
     _write_csv(out / "scan.csv", ["lambda", "margin"], [lam_grid, margins])
     return {"lambda_points": int(lam_grid.size)}
 
 
 def _check_field(b12, flux: Fraction, lattice: Lattice,
                  epsilon: float = 1.0) -> None:
-    """A configured field.b12 (None without a field), scaled once by
-    epsilon, the epsilon of a compare pair, must be the field whose
-    unit-cell flux is 2 pi * flux: every operator takes its line phases
-    and its magnetic cell from the flux."""
+    """field.b12 (None without a field), scaled by the epsilon of a compare
+    pair, must be the field of unit-cell flux 2 pi * flux: every operator
+    takes its line phases and its magnetic cell from the flux."""
     if b12 is None:
         return
     b, b_flux = epsilon * b12, field_for_flux(flux, lattice).b12
@@ -398,32 +439,25 @@ def _check_field(b12, flux: Fraction, lattice: Lattice,
         )
 
 
-def _flux(cfg: dict, lattice: Lattice) -> Fraction:
-    """The configured flux, once a configured field matches it."""
-    flux = _parse_flux(cfg.get("flux", "0"), lattice)
-    _check_field(build_field(cfg), flux, lattice)
-    return flux
-
-
-def cmd_direct(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
+def cmd_direct(settings, lattice: Lattice, sym, out: Path) -> dict:
     """Flux 0 is the plane-wave band solve, any other flux the
     finite-difference magnetic-Bloch fibers."""
-    flux = _flux(cfg, lattice)
-    intervals = None if cfg.get("window") is not None else (
-        bloch.band_intervals(_bands(lattice, sym, num), num["gap_tol"]))
-    window = _window(cfg, num, intervals)
-    merge_tol = num["merge_tol"]
-    # a zero-field band grid needs two points per axis
-    least = 2 if flux == 0 else 1
-    k_res = _number(cfg, "", "k_resolution", 8, lambda v: v >= least,
-                    f"an integer >= {least}")
-    if flux == 0:  # the plane-wave band solve at k_resolution
-        solve = _bands(lattice, sym, {**num, "resolution": k_res})
-        spec_set = spectra.SpectrumSet(
-            points=solve.bands.ravel(), window=window, merge_tol=merge_tol)
+    flux, k_res = settings["flux"], settings["direct_k_resolution"]
+    _check_field(settings["field"], flux, lattice)
+    if flux == 0 and k_res < 2:  # a band grid needs two points per axis
+        raise InputError("direct_k_resolution must be an integer >= 2 at "
+                          f"flux 0, the plane-wave band grid, got {k_res}")
+    intervals = None if settings["window"] is not None else (
+        bloch.band_intervals(_bands(lattice, sym, settings),
+                             settings["gap_tol"]))
+    window = _window(settings, intervals)
+    merge_tol = settings["merge_tol"]
+    if flux == 0:  # the plane-wave band solve at direct_k_resolution
+        solve = _bands(lattice, sym, {**settings, "resolution": k_res})
+        spec_set = spectra.SpectrumSet(solve.bands.ravel(), window, merge_tol)
         fibers = solve.solved
     else:
-        ppc = _positive_int(cfg, "points_per_cell", 16)
+        ppc = settings["points_per_cell"]
         disc = direct.DirectDiscretization(sym, flux, ppc)
         spec_set = direct.direct_spectrum(
             disc, window, merge_tol, k_res,
@@ -438,54 +472,26 @@ def cmd_direct(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
     }
 
 
-def _check_flux_per_epsilon(eps_flux) -> None:
-    """epsilon scales the field, so all pairs share one flux / epsilon."""
-    def show(pairs):
-        return ", ".join(f"[{eps!r}, {str(flux)!r}]" for eps, flux in pairs)
-
-    bad = [(e, flux) for e, flux in eps_flux
-           if isinstance(e, bool) or not isinstance(e, (int, float))
-           or not 0 < e < np.inf]
-    if bad:
-        raise InputError("epsilons: each epsilon must be a finite positive "
-                          f"number, unlike {show(bad)}")
-    ratios = [float(flux) / e for e, flux in eps_flux]
-    bad = [pair for pair, r in zip(eps_flux, ratios)
-           if abs(r - ratios[0]) > 1e-9 * max(abs(r), abs(ratios[0]))]
-    if bad:
-        raise InputError(
-            "flux / epsilon must be the same for every pair: "
-            f"{show(eps_flux[:1])} gives {ratios[0]!r}, unlike {show(bad)}"
-        )
-
-
-def cmd_compare(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
-    eps_flux = cfg.get("epsilons")  # list of [epsilon, "p/q"]
-    if not (eps_flux and isinstance(eps_flux, list) and all(
-            isinstance(pair, list) and len(pair) == 2 for pair in eps_flux)):
+def cmd_compare(settings, lattice: Lattice, sym, out: Path) -> dict:
+    eps_flux = settings["epsilons"]
+    if eps_flux is None:
         raise InputError("compare needs 'epsilons', a list of [epsilon, "
-                          f"flux] pairs, got {eps_flux!r}")
-    eps_flux = [(eps, _parse_flux(text, lattice)) for eps, text in eps_flux]
-    _check_flux_per_epsilon(eps_flux)
-    b12 = build_field(cfg)
+                          "flux] pairs")
     for eps, flux in eps_flux:
-        _check_field(b12, flux, lattice, eps)
-    intervals, hops = _band_hoppings(lattice, sym, num)
-    window = _window(cfg, num, intervals)
-    merge_tol = num["merge_tol"]
-    k_res_eff = _positive_int(cfg, "k_resolution", 32)
-    k_res_dir = _positive_int(cfg, "direct_k_resolution", 4)
-    ppc = _positive_int(cfg, "points_per_cell", 16)
+        _check_field(settings["field"], flux, lattice, eps)
+    intervals, hops = _band_hoppings(lattice, sym, settings)
+    window = _window(settings, intervals)
+    merge_tol = settings["merge_tol"]
+    k_res_dir = settings["direct_k_resolution"]
+    ppc = settings["points_per_cell"]
     discs = [direct.DirectDiscretization(sym, flux, ppc)
              for _, flux in eps_flux]
     # one lower-edge certificate holds for every flux
     below_lo = direct.certified_below(sym, ppc, window)
-    pairs = []
-    detail = []
+    pairs, detail = [], []
     for (eps, flux), disc in zip(eps_flux, discs):
-        eff_set = spectra.SpectrumSet(
-            points=effective.bloch_eigenvalue_cloud(hops, flux, k_res_eff),
-            window=window, merge_tol=merge_tol)
+        eff_set = spectra.SpectrumSet(effective.bloch_eigenvalue_cloud(
+            hops, flux, settings["k_resolution"]), window, merge_tol)
         dir_set = direct.direct_spectrum(disc, window, merge_tol, k_res_dir,
                                          below_lo)
         d_h, flagged = spectra.hausdorff_distance(eff_set, dir_set)
@@ -502,22 +508,15 @@ def cmd_compare(cfg, num, lattice: Lattice, sym, out: Path) -> dict:
                "runs": detail}
     if len(pairs) >= 3:
         fit = spectra.lipschitz_fit(pairs)
-        payload["fitted_slope"] = fit.fitted_slope
-        payload["max_ratio"] = fit.max_ratio
-        payload["residual"] = fit.residual
+        payload.update(fitted_slope=fit.fitted_slope, max_ratio=fit.max_ratio,
+                       residual=fit.residual)
     _write_json(out / "compare.json", payload)
     return payload
 
 
-COMMANDS = {
-    "bands": cmd_bands,
-    "section": cmd_section,
-    "grushin": cmd_grushin,
-    "effective": cmd_effective,
-    "direct": cmd_direct,
-    "compare": cmd_compare,
-    "scan": cmd_scan,
-}
+COMMANDS = {"bands": cmd_bands, "section": cmd_section, "grushin": cmd_grushin,
+            "effective": cmd_effective, "direct": cmd_direct,
+            "compare": cmd_compare, "scan": cmd_scan}
 
 
 PARSER = argparse.ArgumentParser(
@@ -532,14 +531,13 @@ PARSER.add_argument("--out", default=".", help="output directory")
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
-
     try:
         cfg = load_config(args.config)
-        num = _numerics(cfg)
+        lattice = build_lattice(cfg)
+        settings = _resolve(cfg, lattice)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        lattice = build_lattice(cfg)
-        summary = COMMANDS[args.command](cfg, num, lattice,
+        summary = COMMANDS[args.command](settings, lattice,
                                          build_symbol(cfg, lattice), out)
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)

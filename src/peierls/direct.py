@@ -48,8 +48,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import InputError, Lattice, magnetic_momenta, tensor_grid
-from .magnetic import (MagneticField, VectorPotential, field_for_flux,
-                       hermitian_sqrt, peierls_hops)
+from .magnetic import (VectorPotential, field_for_flux, hermitian_sqrt,
+                       peierls_hops)
 from .spectra import SpectrumSet
 from .symbols import PeriodicSymbol, Relativistic
 
@@ -121,7 +121,8 @@ class DirectDiscretization:
         return _fd_stencil(self.symbol, A, lengths / n, shape)
 
     def bloch_matrix(self, k) -> sp.spmatrix:
-        """FD matrix over q unit cells (stacked along axis 1) at momentum k.
+        """FD matrix over q unit cells (stacked along axis 1) at momentum k
+        (None: k = 0).
 
         The stencil is built on the first call and re-phased at each k:
         only the links that wrap across the cell depend on k.
@@ -344,13 +345,11 @@ def certified_below(symbol: PeriodicSymbol, points_per_cell: int,
     a cell on the dense path (in d = 1, where the flux is 0 and the
     fibers are the cell), and for an edge the cell does not clear.
     """
-    n = points_per_cell
-    lengths = _cell_lengths(symbol.lattice)
     if (isinstance(symbol.kind, Relativistic)
-            or n**lengths.size <= DENSE_MAX_UNKNOWNS):
+            or points_per_cell**symbol.lattice.dim <= DENSE_MAX_UNKNOWNS):
         return None
-    cell = _fd_stencil(symbol, VectorPotential(MagneticField(0.0)),
-                       lengths / n, (n,) * lengths.size).matrix()
+    cell = DirectDiscretization(symbol, Fraction(0),
+                                points_per_cell).bloch_matrix(None)
     lo, hi = window
     below = _edge_factors(cell, lo, -1e-9 * (hi - lo))[2]
     return 0 if below == 0 else None
@@ -360,7 +359,7 @@ def direct_spectrum(
     disc: DirectDiscretization,
     window,
     merge_tol: float,
-    k_resolution: int = 8,
+    k_resolution: int,
     below_lo: int | None = None,
 ) -> SpectrumSet:
     """sigma(P_eps) within the window.

@@ -324,7 +324,7 @@ def lambda_scan(
     band_hoppings: HoppingSet,
     flux: Fraction,
     lam_grid: np.ndarray,
-    k_resolution: int = 64,
+    k_resolution: int,
 ) -> np.ndarray:
     """margin(lambda) = min |eig of the lattice operator of lambda - q|.
 

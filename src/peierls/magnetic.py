@@ -28,15 +28,9 @@ from .lattice import InputError, Lattice, tensor_grid
 
 @dataclass(frozen=True)
 class MagneticField:
-    """Constant magnetic 2-form B12 = epsilon * b12 in d = 2."""
+    """Constant magnetic 2-form B12 = b12 in d = 2."""
 
     b12: float
-    epsilon: float = 1.0
-
-    @property
-    def strength(self) -> float:
-        """Total constant-field strength epsilon * b12."""
-        return self.epsilon * self.b12
 
 
 # gauge functions chi for covariance experiments
@@ -68,7 +62,7 @@ class VectorPotential:
 def transversal_gauge(field: MagneticField, x) -> np.ndarray:
     """A(x) = (b/2)(-x2, x1) for the constant field b, over rows of x."""
     x = np.asarray(x, dtype=float)
-    b = field.strength
+    b = field.b12
     return np.stack([-0.5 * b * x[..., 1], 0.5 * b * x[..., 0]], axis=-1)
 
 
@@ -80,7 +74,7 @@ def line_phase(A: VectorPotential, x, y) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    b = A.field.strength
+    b = A.field.b12
     arg = -0.5 * b * (x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0])
     phase = np.exp(1j * arg)
     if A.chi is not None:
@@ -121,7 +115,7 @@ def peierls_hops(A: VectorPotential, shape, h, offsets, origin=0.0, k=None):
         if d == 2:
             a, y = h * shape * n[wrapped], origin + h * j[wrapped]
             arg += (np.einsum("ij,ij->i", transversal_gauge(A.field, a), y)
-                    + 0.5 * A.field.strength * a[:, 0] * a[:, 1])
+                    + 0.5 * A.field.b12 * a[:, 0] * a[:, 1])
         phases[wrapped] *= np.exp(1j * arg)
     return rows, np.ravel_multi_index(tuple(j.T), shape), offset, n, phases
 
@@ -209,7 +203,7 @@ def relativistic_sqrt_compare(
     """Operator-norm deviation of sqrt(Op(1+|eta|^2)) from Op(<eta>) per epsilon."""
     out = {}
     for eps in epsilons:
-        A = VectorPotential(MagneticField(field_b12, eps))
+        A = VectorPotential(MagneticField(eps * field_b12))
         m_nr = quantize_on_grid(
             lambda eta: 1.0 + float(eta @ eta), A, grid
         ).matrix

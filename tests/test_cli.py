@@ -232,7 +232,7 @@ def test_csv_tables_equal_the_per_value_writer(cfg, tmp_path, monkeypatch):
 def test_zero_field_bloch_mode_uses_band_solver(mathieu, lat1, tmp_path):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["numerics"].update(n_bands=2, cutoff=8.0)
-    cfg.update(k_resolution=16, window=[-0.5, 0.0])
+    cfg.update(direct_k_resolution=16, window=[-0.5, 0.0])
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert _run("direct", str(path), tmp_path) == 0
@@ -258,7 +258,9 @@ def test_compare_command(config_path, tmp_path, monkeypatch):
     assert "fitted_slope" in report
 
 
-# the d=2 magnetic cell: direct at flux 1/4 in a window around band 0
+# the d=2 magnetic cell: direct at flux 1/4 in a window around band 0, on
+# one FD fiber; k_resolution sizes the effective cloud of the tests that
+# build one
 D2_CONFIG = {
     "lattice": {"basis": [[6.283185307179586, 0.0], [0.0, 6.283185307179586]]},
     "symbol": {
@@ -269,6 +271,7 @@ D2_CONFIG = {
     "flux": "1/4",
     "window": [-0.83, -0.29],
     "k_resolution": 1,
+    "direct_k_resolution": 1,
 }
 
 COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
@@ -544,7 +547,7 @@ def test_box_mode_is_an_unknown_mode(command, cfg, tmp_path, capsys):
 
 
 def test_direct_fibers_are_recorded(tmp_path):
-    # k_resolution 2 at flux 1/4: k2 = 0 and pi are 2 pi/4 apart twice
+    # direct_k_resolution 2 at flux 1/4: k2 = 0 and pi are 2 pi/4 apart twice
     cfg = json.loads(json.dumps(D2_CONFIG))
     cfg.update(k_resolution=2, direct_k_resolution=2,
                epsilons=[[0.08, "1/4"]])
@@ -596,6 +599,14 @@ def _edited(base, keys, value):
     return cfg
 
 
+# malformed field sections, by test id: (keys, value, what the error names)
+MALFORMED_FIELD = {
+    "field_matrix_1x1": (("field", "matrix"), [[0.0]], "key field.matrix:"),
+    "b12_text": (("field", "b12"), "abc", "field.b12"),
+    "epsilon_bool": (("field", "epsilon"), True, "key field.epsilon:"),
+}
+
+
 @pytest.mark.parametrize("command, base, keys, value, named", [
     ("bands", BASE_CONFIG, ("lattice",), {"vectors": [[6.28]]},
      "lattice.basis"),
@@ -609,10 +620,7 @@ def _edited(base, keys, value):
     ("bands", BASE_CONFIG, ("numerics", "cutoff"), -1.0, "numerics.cutoff"),
     ("effective", BASE_CONFIG, ("numerics", "band_index"), 3,
      "numerics.band_index"),
-    ("direct", D2_CONFIG, ("field", "matrix"), [[0.0]],
-     "key field.matrix:"),
-    ("direct", D2_CONFIG, ("field", "b12"), "abc", "field.b12"),
-    ("direct", D2_CONFIG, ("field", "epsilon"), True, "key field.epsilon:"),
+    *[("direct", D2_CONFIG, *case) for case in MALFORMED_FIELD.values()],
     ("bands", BASE_CONFIG, ("symbol", "potential", "amplitude"),
      float("nan"), "H.3"),
     ("bands", BASE_CONFIG, ("symbol", "potential", "amplitude"), [0.5],
@@ -644,8 +652,8 @@ def _edited(base, keys, value):
     ("bands", BASE_CONFIG, ("lattice", "origin"), [0.0],
      "key lattice.origin:"),
     # flux 0 is the zero field, so a nonzero one does not match it
-    ("direct", dict(D2_CONFIG, flux="0", k_resolution=2), ("field", "b12"),
-     0.5, "field strength 0.5 does not match flux 0"),
+    ("direct", dict(D2_CONFIG, flux="0", direct_k_resolution=2),
+     ("field", "b12"), 0.5, "field strength 0.5 does not match flux 0"),
 ], ids=["no_basis", "non_square_basis", "resolution_text",
         "resolution_fraction", "no_bands", "negative_cutoff",
         "band_index_too_large", "field_matrix_1x1", "b12_text",
@@ -673,7 +681,7 @@ def test_malformed_config_is_config_error(command, base, keys, value, named,
 
 
 def test_zero_b12_at_flux_0_is_no_field(tmp_path):
-    cfg = dict(D2_CONFIG, flux="0", k_resolution=2)
+    cfg = dict(D2_CONFIG, flux="0", direct_k_resolution=2)
     path = tmp_path / "cfg.json"
     for name, field in [("given", {"b12": 0.0}), ("derived", None)]:
         path.write_text(json.dumps(dict(cfg, field=field) if field else cfg))
@@ -705,36 +713,43 @@ def test_huge_flux_denominator_is_config_error(command, tmp_path, capsys):
     assert "config error" in err and "limit" in err
 
 
-@pytest.mark.parametrize("command, base, key, value", [
-    ("effective", BASE_CONFIG, "k_resolution", "x"),
-    ("effective", BASE_CONFIG, "k_resolution", 8.7),
-    ("effective", BASE_CONFIG, "window", [0.5, -0.5]),
-    ("effective", BASE_CONFIG, "window", [float("nan"), 0.5]),
-    ("scan", BASE_CONFIG, "lambda_points", "many"),
-    ("scan", BASE_CONFIG, "k_resolution", 0),
-    ("grushin", BASE_CONFIG, "samples", "many"),
-    ("direct", D2_CONFIG, "points_per_cell", 16.5),
-    ("direct", D2_CONFIG, "points_per_cell", 8),
-    ("direct", BASE_CONFIG, "k_resolution", 1),
-    ("compare", COMPARE_CONFIG, "direct_k_resolution", "x"),
-    ("compare", COMPARE_CONFIG, "k_resolution", 2.5),
-    ("grushin", BASE_CONFIG, "seed", "abc"),
-    ("grushin", BASE_CONFIG, "seed", 1.5),
-    ("grushin", BASE_CONFIG, "seed", -1),
-    ("compare", COMPARE_CONFIG, "epsilons", [[0.08]]),
-    ("compare", COMPARE_CONFIG, "epsilons", 5),
-    ("compare", COMPARE_CONFIG, "epsilons", [[True, "1/4"]]),
-    ("compare", COMPARE_CONFIG, "epsilons", [["0.08", "1/4"]]),
-    ("compare", COMPARE_CONFIG, "epsilons", [[float("inf"), "1/4"]]),
-    ("compare", COMPARE_CONFIG, "epsilons", [[float("nan"), "1/4"]]),
-], ids=["k_resolution_text", "k_resolution_fraction", "window_reversed",
-        "window_nan", "lambda_points_text", "scan_k_resolution_zero",
-        "samples_text", "points_per_cell_fraction",
-        "points_per_cell_too_coarse", "zero_field_k_resolution_one",
-        "direct_k_resolution_text", "compare_k_resolution_fraction",
-        "seed_text", "seed_fraction", "seed_negative", "epsilons_single",
-        "epsilons_number", "epsilon_bool", "epsilon_text", "epsilon_infinite",
-        "epsilon_nan"])
+# malformed top-level values, by test id: (command, base, key, value)
+MALFORMED_TOP_LEVEL = {
+    "k_resolution_text": ("effective", BASE_CONFIG, "k_resolution", "x"),
+    "k_resolution_fraction": ("effective", BASE_CONFIG, "k_resolution", 8.7),
+    "window_reversed": ("effective", BASE_CONFIG, "window", [0.5, -0.5]),
+    "window_nan": ("effective", BASE_CONFIG, "window", [float("nan"), 0.5]),
+    "lambda_points_text": ("scan", BASE_CONFIG, "lambda_points", "many"),
+    "scan_k_resolution_zero": ("scan", BASE_CONFIG, "k_resolution", 0),
+    "samples_text": ("grushin", BASE_CONFIG, "samples", "many"),
+    "points_per_cell_fraction": ("direct", D2_CONFIG, "points_per_cell",
+                                 16.5),
+    "points_per_cell_too_coarse": ("direct", D2_CONFIG, "points_per_cell",
+                                   8),
+    "zero_field_k_resolution_one": ("direct", BASE_CONFIG,
+                                    "direct_k_resolution", 1),
+    "direct_k_resolution_text": ("compare", COMPARE_CONFIG,
+                                 "direct_k_resolution", "x"),
+    "compare_k_resolution_fraction": ("compare", COMPARE_CONFIG,
+                                      "k_resolution", 2.5),
+    "seed_text": ("grushin", BASE_CONFIG, "seed", "abc"),
+    "seed_fraction": ("grushin", BASE_CONFIG, "seed", 1.5),
+    "seed_negative": ("grushin", BASE_CONFIG, "seed", -1),
+    "epsilons_single": ("compare", COMPARE_CONFIG, "epsilons", [[0.08]]),
+    "epsilons_number": ("compare", COMPARE_CONFIG, "epsilons", 5),
+    "epsilon_bool": ("compare", COMPARE_CONFIG, "epsilons", [[True, "1/4"]]),
+    "epsilon_text": ("compare", COMPARE_CONFIG, "epsilons",
+                     [["0.08", "1/4"]]),
+    "epsilon_infinite": ("compare", COMPARE_CONFIG, "epsilons",
+                         [[float("inf"), "1/4"]]),
+    "epsilon_nan": ("compare", COMPARE_CONFIG, "epsilons",
+                    [[float("nan"), "1/4"]]),
+}
+
+
+@pytest.mark.parametrize("command, base, key, value",
+                         list(MALFORMED_TOP_LEVEL.values()),
+                         ids=list(MALFORMED_TOP_LEVEL))
 def test_malformed_top_level_key_is_config_error(command, base, key, value,
                                                  tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -744,11 +759,55 @@ def test_malformed_top_level_key_is_config_error(command, base, key, value,
     assert "config error" in err and key in err
 
 
+# direct_k_resolution 1 is malformed only at flux 0, for direct's band grid
+PER_CONFIG = {case: (base, (key,), value, key) for case, (_, base, key, value)
+              in MALFORMED_TOP_LEVEL.items()
+              if case != "zero_field_k_resolution_one"}
+PER_CONFIG.update({f"field-{case}": (D2_CONFIG, *field) for case, field
+                   in MALFORMED_FIELD.items()})
+
+
+@pytest.mark.parametrize("base, keys, value, named",
+                         list(PER_CONFIG.values()), ids=list(PER_CONFIG))
+def test_bands_refuses_what_another_command_refuses(
+        base, keys, value, named, tmp_path, capsys, monkeypatch):
+    # values are checked per config, not per command: bands reads no
+    # setting, window, epsilon or field, yet refuses a malformed one before
+    # any band solve, and writes no result file
+    def solve(*args, **kwargs):
+        raise AssertionError("no band is solved")
+
+    monkeypatch.setattr(bloch, "compute_bands", solve)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_edited(base, keys, value)))
+    assert _run("bands", str(path), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert list(tmp_path.glob("out/*")) == []
+
+
+def test_one_config_feeds_every_command(tmp_path):
+    # a d=2 pipeline on one config: every command runs, and direct and
+    # compare solve the reference on the one grid direct_k_resolution, not
+    # on the Peierls cloud's k_resolution
+    cfg = dict(COMPARE_CONFIG, k_resolution=2, direct_k_resolution=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command in RESULTS:
+        assert _run(command, str(path), tmp_path / command) == 0, command
+    direct_meta = json.loads(
+        (tmp_path / "direct" / "direct_meta.json").read_text())
+    report = json.loads((tmp_path / "compare" / "compare.json").read_text())
+    assert [run["flux"] for run in report["runs"]] == [cfg["flux"]]
+    assert direct_meta["summary"]["direct_fibers"] == (
+        report["runs"][0]["direct_fibers"]) == 1
+
+
 @pytest.mark.parametrize("command, cfg, module, limit, refused", [
     # at flux 1/4 the class map of a 1024^2 grid alone is 8 MB
     ("effective", dict(D2_BLOCH, k_resolution=1024), lattice,
      "MAX_CLOUD_VALUES", 1024**2 * 8),
-    ("direct", dict(D2_CONFIG, k_resolution=1024), lattice,
+    ("direct", dict(D2_CONFIG, direct_k_resolution=1024), lattice,
      "MAX_CLOUD_VALUES", 1024**2 * 8),
     ("compare", dict(COMPARE_CONFIG, k_resolution=2,
                      direct_k_resolution=1024), lattice,

@@ -53,7 +53,7 @@ def test_flux_ratio_and_field_round_trip(lat2):
     flux = Fraction(3, 7)
     field = field_for_flux(flux, lat2)
     signed_area = float(np.linalg.det(lat2.basis))
-    ratio = field.strength * signed_area / (2.0 * np.pi)
+    ratio = field.b12 * signed_area / (2.0 * np.pi)
     assert abs(ratio - float(flux)) < 1e-14
 
 

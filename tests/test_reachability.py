@@ -188,8 +188,8 @@ def test_benchmark_span_names_name_package_code(monkeypatch):
 
 
 def _config_keys_read(tree) -> set:
-    """The string keys read from the top-level config cfg: cfg.get(key),
-    _number(cfg, "", key, ...) and _positive_int(cfg, key, ...)."""
+    """The string keys read by name from the top-level config cfg:
+    cfg.get(key) and _number(cfg, "", key, ...)."""
     def text(node):
         return node.value if isinstance(node, ast.Constant) else None
 
@@ -204,24 +204,33 @@ def _config_keys_read(tree) -> set:
         if isinstance(func, ast.Attribute):
             if func.attr == "get" and name(func.value) == "cfg":
                 keys.add(text(args[0]))
-        elif args and name(args[0]) == "cfg":
-            if name(func) == "_number" and text(args[1]) == "":
-                keys.add(text(args[2]))
-            elif name(func) == "_positive_int":
-                keys.add(text(args[1]))
+        elif (args and name(args[0]) == "cfg" and name(func) == "_number"
+              and text(args[1]) == ""):
+            keys.add(text(args[2]))
     return keys - {None}
 
 
 def test_config_keys_are_the_keys_cli_reads():
-    """A top-level key is admitted exactly when some command reads it: a
-    new reader must admit its key, and a key leaves with its last reader."""
+    """A top-level key is admitted exactly when cli reads it, once: a
+    cli.SETTINGS key through that table, any other key by name.  A new
+    reader must admit its key, and a key leaves with its last reader.  No
+    command reads the config: each gets the values resolved from it."""
     cli = importlib.import_module("peierls.cli")
     tree = ast.parse((PACKAGE / "cli.py").read_text())
-    assert _config_keys_read(tree) == cli.CONFIG_KEYS
+    by_name = _config_keys_read(tree)
+    assert by_name.isdisjoint(cli.SETTINGS)
+    assert by_name | set(cli.SETTINGS) == cli.CONFIG_KEYS
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("cmd_")]
+    assert len(commands) == len(cli.COMMANDS)
+    assert [node.name for node in commands
+            if "cfg" in _mentions([node]) | {a.arg for a in node.args.args}
+            ] == []
     # keys of an inner section or of another dict are not top-level keys
     synthetic = ast.parse(textwrap.dedent("""
         cfg.get("a", 1); section.get("b")
         _number(cfg, "", "c", 0); _number(section, "", "d", 0)
-        _number(cfg, "numerics", "e", 0); _positive_int(cfg, "f", 1)
+        _number(cfg, "numerics", "e", 0); _number(cfg, "", key, 0)
     """))
-    assert _config_keys_read(synthetic) == {"a", "c", "f"}
+    assert _config_keys_read(synthetic) == {"a", "c"}
