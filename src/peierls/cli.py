@@ -439,30 +439,51 @@ def _check_field(b12, flux: Fraction, lattice: Lattice,
         )
 
 
-def cmd_direct(settings, lattice: Lattice, sym, out: Path) -> dict:
-    """Flux 0 is the plane-wave band solve, any other flux the
-    finite-difference magnetic-Bloch fibers."""
-    flux, k_res = settings["flux"], settings["direct_k_resolution"]
-    _check_field(settings["field"], flux, lattice)
-    if flux == 0 and k_res < 2:  # a band grid needs two points per axis
+def _reference(settings, lattice: Lattice, sym, fluxes):
+    """The reference solve of the full magnetic operator at each of the
+    fluxes, as solve(window) -> [(SpectrumSet, fibers solved) per flux].
+
+    The solver comes from the flux: flux 0 is the plane-wave band solve
+    at direct_k_resolution, any other flux direct.direct_spectrum on the
+    finite-difference magnetic-Bloch fibers.  Each flux is checked, and
+    its operator and momentum grid built, here, before any band solve;
+    solve certifies the lower window edge once for all nonzero fluxes.
+    """
+    k_res, ppc = settings["direct_k_resolution"], settings["points_per_cell"]
+    if 0 in fluxes and k_res < 2:  # a band grid needs two points per axis
         raise InputError("direct_k_resolution must be an integer >= 2 at "
                           f"flux 0, the plane-wave band grid, got {k_res}")
+    discs = [direct.DirectDiscretization(sym, flux, ppc) if flux else None
+             for flux in fluxes]
+    fibers = [direct.distinct_fibers(disc, k_res) if disc else None
+              for disc in discs]
+
+    def solve(window):
+        merge_tol = settings["merge_tol"]
+        # one lower-edge certificate holds for every flux
+        below_lo = (direct.certified_below(sym, ppc, window) if any(fluxes)
+                    else None)
+        solved = []
+        for disc, count in zip(discs, fibers):
+            if disc is None:
+                bands = _bands(lattice, sym, {**settings, "resolution": k_res})
+                solved.append((spectra.SpectrumSet(
+                    bands.bands.ravel(), window, merge_tol), bands.solved))
+            else:
+                solved.append((direct.direct_spectrum(
+                    disc, window, merge_tol, k_res, below_lo), count))
+        return solved
+    return solve
+
+
+def cmd_direct(settings, lattice: Lattice, sym, out: Path) -> dict:
+    flux = settings["flux"]
+    _check_field(settings["field"], flux, lattice)
+    solve = _reference(settings, lattice, sym, [flux])
     intervals = None if settings["window"] is not None else (
         bloch.band_intervals(_bands(lattice, sym, settings),
                              settings["gap_tol"]))
-    window = _window(settings, intervals)
-    merge_tol = settings["merge_tol"]
-    if flux == 0:  # the plane-wave band solve at direct_k_resolution
-        solve = _bands(lattice, sym, {**settings, "resolution": k_res})
-        spec_set = spectra.SpectrumSet(solve.bands.ravel(), window, merge_tol)
-        fibers = solve.solved
-    else:
-        ppc = settings["points_per_cell"]
-        disc = direct.DirectDiscretization(sym, flux, ppc)
-        spec_set = direct.direct_spectrum(
-            disc, window, merge_tol, k_res,
-            direct.certified_below(sym, ppc, window))
-        fibers = direct.distinct_fibers(disc, k_res)
+    [(spec_set, fibers)] = solve(_window(settings, intervals))
     _write_csv(out / "eigenvalues.csv", ["value"], [spec_set.points])
     return {
         "mode": "magnetic_bloch" if flux else "zero_field_bloch",
@@ -479,26 +500,19 @@ def cmd_compare(settings, lattice: Lattice, sym, out: Path) -> dict:
                           "flux] pairs")
     for eps, flux in eps_flux:
         _check_field(settings["field"], flux, lattice, eps)
+    solve = _reference(settings, lattice, sym,
+                       [flux for _, flux in eps_flux])
     intervals, hops = _band_hoppings(lattice, sym, settings)
     window = _window(settings, intervals)
     merge_tol = settings["merge_tol"]
-    k_res_dir = settings["direct_k_resolution"]
-    ppc = settings["points_per_cell"]
-    discs = [direct.DirectDiscretization(sym, flux, ppc)
-             for _, flux in eps_flux]
-    # one lower-edge certificate holds for every flux
-    below_lo = direct.certified_below(sym, ppc, window)
     pairs, detail = [], []
-    for (eps, flux), disc in zip(eps_flux, discs):
+    for (eps, flux), (dir_set, fibers) in zip(eps_flux, solve(window)):
         eff_set = spectra.SpectrumSet(effective.bloch_eigenvalue_cloud(
             hops, flux, settings["k_resolution"]), window, merge_tol)
-        dir_set = direct.direct_spectrum(disc, window, merge_tol, k_res_dir,
-                                         below_lo)
         d_h, flagged = spectra.hausdorff_distance(eff_set, dir_set)
         detail.append({
             "epsilon": float(eps), "flux": str(flux), "d_H": d_h,
-            "flagged": flagged,
-            "direct_fibers": direct.distinct_fibers(disc, k_res_dir),
+            "flagged": flagged, "direct_fibers": fibers,
             "effective_intervals": eff_set.merged_intervals.tolist(),
             "direct_intervals": dir_set.merged_intervals.tolist(),
         })

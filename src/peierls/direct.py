@@ -1,18 +1,16 @@
-"""Reference solver for the full magnetic Hamiltonian.
+"""Finite-difference reference solver for the full magnetic Hamiltonian.
 
 Finite differences with Peierls link phases (the gauge-invariant
 discretization of Governale and Ungarelli, PRB 58, 7816 (1998)): each
 nearest-neighbor hop of the second-order Laplacian stencil carries the
 line phase omega_A(x, x') of magnetic.peierls_hops, which keeps the
 discrete operator exactly gauge covariant; A is the transversal gauge of
-the constant field, plus grad(chi) for a CHI_CATALOG key chi.  One stencil
-builds both kinds; for the relativistic kind it takes the Hermitian
-square root of the kinetic part plus one, a dense matrix, so the
-relativistic kind is limited to RELATIVISTIC_MAX_UNKNOWNS unknowns (the
-sparse one to MAX_UNKNOWNS).  DirectDiscretization closes the stencil over
-a magnetic cell of q unit cells (rational unit-cell flux p/q) with the
-magnetic-Bloch wrap of peierls_hops at momentum k (chi must be periodic
-over the cell).  Its field is the one whose unit-cell flux is 2 pi p/q
+the constant field, plus grad(chi) for a CHI_CATALOG key chi.  The
+stencil discretizes the nonrelativistic kind alone, up to MAX_UNKNOWNS
+unknowns.  DirectDiscretization closes it over a magnetic cell of q unit
+cells (rational unit-cell flux p/q) with the magnetic-Bloch wrap of
+peierls_hops at momentum k (chi must be periodic over the cell).  Its
+field is the one whose unit-cell flux is 2 pi p/q
 (magnetic.field_for_flux), so the link phases and the cell wrap describe
 one operator.  Only the wrapped links depend on k, through the factor
 exp(i <k, n>) of their cell shift n, so the stencil is built once, at
@@ -22,19 +20,19 @@ Lattices must be rectangular (diagonal basis).  direct_spectrum solves
 one fiber per class of lattice.magnetic_momenta and uses its eigenvalues
 for every point of the class.
 
-Window eigenvalues of matrices above DENSE_MAX_UNKNOWNS unknowns are
-counted before they are computed.  SuperLU factors M - lo and M - hi with
-diagonal pivots only, an LDL^H factorization, and by Sylvester's law of
-inertia the negative pivots count the eigenvalues below each edge; their
-difference is the exact number in the window.  One shift-invert Arnoldi
-run at lo then asks for exactly that many.  direct_spectrum skips the
-factors of M - lo when one count on the zero-field unit cell certifies
-that no fiber has an eigenvalue below lo (the diamagnetic inequality,
-see certified_below; the count holds for every flux, so a run makes it
-once); the run then shifts at hi and asks for the eigenvalues just
-below it.  A window holding more than an eighth of the spectrum
-raises InputError before any iteration; factors that are not LDL^H, or a
-run that misses part of the count, raise WindowCoverageError.
+Window eigenvalues are counted before they are computed.  SuperLU
+factors M - lo and M - hi with diagonal pivots only, an LDL^H
+factorization, and by Sylvester's law of inertia the negative pivots
+count the eigenvalues below each edge; their difference is the exact
+number in the window.  One shift-invert Arnoldi run at lo then asks for
+exactly that many.  direct_spectrum skips the factors of M - lo when one
+count on the zero-field unit cell certifies that no fiber has an
+eigenvalue below lo (the diamagnetic inequality, see certified_below;
+the count holds for every flux, so a run makes it once); the run then
+shifts at hi and asks for the eigenvalues just below it.  A window
+holding more than an eighth of the spectrum raises InputError before
+any iteration; factors that are not LDL^H, or a run that misses part of
+the count, raise WindowCoverageError.
 """
 
 from __future__ import annotations
@@ -48,31 +46,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import InputError, Lattice, magnetic_momenta, tensor_grid
-from .magnetic import (VectorPotential, field_for_flux, hermitian_sqrt,
-                       peierls_hops)
+from .magnetic import VectorPotential, field_for_flux, peierls_hops
 from .spectra import SpectrumSet
-from .symbols import PeriodicSymbol, Relativistic
+from .symbols import Nonrelativistic, PeriodicSymbol
 
 
-# The relativistic root is a dense complex matrix.  A d=2 fiber of 2,025
-# unknowns (45^2 points) takes 21 s and 0.38 GB peak (its eigh alone 19 s
-# at 2,048; 2 CPUs, OpenBLAS with 1 thread); the limit admits a magnetic
-# cell of q = 8 unit cells at 16 points per cell.
-RELATIVISTIC_MAX_UNKNOWNS = 2048
-
-# A sparse separable-fixture fiber and its window solve, as above: 4,096
-# unknowns (q = 16) 0.14 s; 16,384 (q = 64) 3.3 s, 0.15 GB; 32,768
-# (q = 128) 30 s, 0.37 GB, as the window's q eigenvalues grow the basis.
+# A separable-fixture fiber and its window solve (2 CPUs, OpenBLAS with 1
+# thread): 4,096 unknowns (q = 16) 0.14 s; 16,384 (q = 64) 3.3 s, 0.15 GB;
+# 32,768 (q = 128) 30 s, 0.37 GB, as the window's q eigenvalues grow the
+# basis.
 MAX_UNKNOWNS = 2**15
-
-# Up to this size a dense eigvalsh is cheaper than the inertia-certified
-# shift-invert solve.  Dense against sparse with the band-0 window (2 CPUs,
-# OpenBLAS with 1 thread): on d=2 stencils of the separable fixture 3.2
-# against 4.1 ms at 144 unknowns, 4.1 against 3.3 ms at 169, 8.2 against
-# 5.0 ms at 196, 17 against 6.6 ms at 256, 74 against 7.3 ms at 512 (a
-# flux-1/2 fiber); on d=1 Mathieu stencils 2.1 against 2.6 ms at 128 and 2.1
-# against 1.7 ms at 144 unknowns.
-DENSE_MAX_UNKNOWNS = 144
 
 
 def _cell_lengths(lattice: Lattice) -> np.ndarray:
@@ -100,16 +83,18 @@ class DirectDiscretization:
         if self.points_per_cell < 16:
             raise InputError(
                 f"points_per_cell {self.points_per_cell}: need at least 16")
+        if not isinstance(self.symbol.kind, Nonrelativistic):
+            kind = type(self.symbol.kind).__name__.lower()
+            raise InputError(
+                "the finite-difference operator takes the nonrelativistic "
+                f"kind only, got symbol.kind {kind!r}")
         _cell_lengths(self.symbol.lattice)
-        kind = self.symbol.kind
         unknowns = (self.flux.denominator
                     * self.points_per_cell**self.symbol.lattice.dim)
-        limit = (RELATIVISTIC_MAX_UNKNOWNS if isinstance(kind, Relativistic)
-                 else MAX_UNKNOWNS)
-        if unknowns > limit:
+        if unknowns > MAX_UNKNOWNS:
             raise InputError(
                 f"the finite-difference operator has {unknowns} unknowns, "
-                f"more than the {type(kind).__name__} limit {limit}")
+                f"more than the limit {MAX_UNKNOWNS}")
 
     @cached_property
     def _stencil(self) -> _Stencil:
@@ -140,17 +125,14 @@ class _Stencil:
     the conjugate at reverse, so every matrix(k) is exactly Hermitian.
     """
 
-    relativistic: bool
     fixed: sp.csr_matrix
-    potential: np.ndarray  # diagonal V(x), kept out of the relativistic root
     forward: np.ndarray
     reverse: np.ndarray
     values: np.ndarray
     shifts: np.ndarray  # (links, d)
 
-    def matrix(self, k=None) -> sp.spmatrix:
-        """CSR for the nonrelativistic kind; the relativistic root is dense
-        and comes as a BSR matrix of one block.  k None: k = 0."""
+    def matrix(self, k=None) -> sp.csr_matrix:
+        """The CSR matrix at momentum k (None: k = 0)."""
         M = self.fixed.copy()
         wrapped = self.values
         if k is not None:
@@ -158,17 +140,7 @@ class _Stencil:
                 1j * (self.shifts @ np.asarray(k, dtype=float)))
         np.add.at(M.data, self.forward, wrapped)
         np.add.at(M.data, self.reverse, np.conj(wrapped))
-        if not self.relativistic:
-            return M
-        total = M.shape[0]
-        dense = M.toarray()
-        on_diag = np.diag_indices(total)
-        dense[on_diag] -= self.potential
-        dense[on_diag] += 1.0
-        root = hermitian_sqrt(dense)
-        root[on_diag] += self.potential
-        # dense: one block, which window_eigs hands to eigvalsh as is
-        return sp.bsr_matrix((root[None], [0], [0, 1]), shape=(total, total))
+        return M
 
 
 def _fd_stencil(symbol: PeriodicSymbol, A: VectorPotential, h: np.ndarray,
@@ -204,8 +176,7 @@ def _fd_stencil(symbol: PeriodicSymbol, A: VectorPotential, h: np.ndarray,
     def index(r, c):
         return np.searchsorted(keys, r[wrapped] * total + c[wrapped])
 
-    return _Stencil(isinstance(symbol.kind, Relativistic), M, vvals,
-                    index(rows, cols), index(cols, rows), vals[wrapped],
+    return _Stencil(M, index(rows, cols), index(cols, rows), vals[wrapped],
                     n[wrapped])
 
 
@@ -263,9 +234,7 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None
                 ) -> np.ndarray:
     """Eigenvalues of the Hermitian matrix intersected with window.
 
-    A matrix of up to DENSE_MAX_UNKNOWNS unknowns, or one stored dense
-    (the relativistic root, one BSR block), is diagonalized densely.  A
-    larger sparse one is counted first: count = nu(hi) - nu(lo) of its
+    The matrix is counted first: count = nu(hi) - nu(lo) of its
     eigenvalues lie in [lo, hi), with nu the inertia count of
     _edge_factors; an edge that is an eigenvalue moves outward by 1e-9 of
     the window width.  below_lo, when given, is nu(lo) certified by the
@@ -285,10 +254,6 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None
     """
     lo, hi = window
     size = M.shape[0]
-    if M.format == "bsr" or size <= DENSE_MAX_UNKNOWNS:
-        vals = np.linalg.eigvalsh(M.data[0] if M.format == "bsr"
-                                  else M.toarray())
-        return vals[(vals >= lo) & (vals <= hi)]
     nudge = 1e-9 * (hi - lo)
     factors, hi_shift, below_hi = _edge_factors(M, hi, nudge)
     lo_shift, sigma, which = lo, hi_shift, "SA"
@@ -341,13 +306,8 @@ def certified_below(symbol: PeriodicSymbol, points_per_cell: int,
     outward as in window_eigs), no fiber of any flux, momentum or gauge
     has one, so one count serves every DirectDiscretization of this
     symbol and points_per_cell.  Returns None, and the fibers count both
-    edges, for the relativistic kind (whose root is solved densely), for
-    a cell on the dense path (in d = 1, where the flux is 0 and the
-    fibers are the cell), and for an edge the cell does not clear.
+    edges, for an edge the cell does not clear.
     """
-    if (isinstance(symbol.kind, Relativistic)
-            or points_per_cell**symbol.lattice.dim <= DENSE_MAX_UNKNOWNS):
-        return None
     cell = DirectDiscretization(symbol, Fraction(0),
                                 points_per_cell).bloch_matrix(None)
     lo, hi = window

@@ -248,7 +248,6 @@ def test_zero_field_bloch_mode_uses_band_solver(mathieu, lat1, tmp_path):
 def test_compare_command(config_path, tmp_path, monkeypatch):
     cfg = dict(BASE_CONFIG)
     cfg["epsilons"] = [[0.1, "0"], [0.05, "0"], [0.025, "0"]]
-    cfg["points_per_cell"] = 32
     path = tmp_path / "cmp.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "run"
@@ -498,20 +497,18 @@ def test_compare_needs_one_flux_per_epsilon(epsilons, named, tmp_path, capsys):
     assert named in capsys.readouterr().err
 
 
-def test_relativistic_fd_size_limit_is_a_config_error(tmp_path, capsys,
-                                                      monkeypatch):
+def test_relativistic_fd_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the finite-difference stencil has no relativistic root
     def stencil(*args, **kwargs):
         raise AssertionError("the operator must not be built")
 
     monkeypatch.setattr(direct, "_fd_stencil", stencil)
-    cfg = json.loads(json.dumps(D2_CONFIG))
-    cfg["symbol"]["kind"] = "relativistic"
-    cfg["flux"] = "1/16"  # 16 unit cells of 16^2 points: 4,096 unknowns
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(_edited(D2_CONFIG, ("symbol", "kind"),
+                                       "relativistic")))
     assert _run("direct", str(path), tmp_path) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "4096" in err
+    assert "config error" in err and "symbol.kind 'relativistic'" in err
 
 
 def test_too_wide_direct_window_is_a_config_error(tmp_path, capsys):
@@ -597,6 +594,70 @@ def _edited(base, keys, value):
         section = section.setdefault(name, {})
     section[key] = value
     return cfg
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("compare", _edited(COMPARE_CONFIG, ("symbol", "kind"), "relativistic"),
+     "symbol.kind 'relativistic'"),
+    # 256 unit cells of 16^2 points: 65,536 unknowns
+    ("compare", dict(COMPARE_CONFIG, epsilons=[[0.08, "1/256"]]),
+     "65536 unknowns"),
+    ("compare", dict(COMPARE_CONFIG, direct_k_resolution=1024),
+     "momentum grid of 1048576 points"),
+    ("direct", {key: value for key, value in _edited(
+        D2_CONFIG, ("symbol", "kind"), "relativistic").items()
+        if key != "window"}, "symbol.kind 'relativistic'"),
+], ids=["relativistic_compare", "compare_size", "compare_momentum_grid",
+        "relativistic_direct"])
+def test_reference_is_refused_before_any_band_solve(
+        command, cfg, named, tmp_path, capsys, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("no band is solved")
+
+    monkeypatch.setattr(bloch, "compute_bands", solve)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(command, str(path), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert list(tmp_path.glob("out/*")) == []
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(BASE_CONFIG, window=[-0.5, 0.0], epsilons=[[0.1, "0"],
+                                                    [0.05, "0"]]),
+    dict(COMPARE_CONFIG, flux="0", direct_k_resolution=2,
+         epsilons=[[0.08, "0"]]),
+], ids=["d1", "d2"])
+def test_direct_and_compare_share_one_reference(cfg, tmp_path, monkeypatch):
+    # at flux 0 both solve the plane-wave bands at direct_k_resolution, and
+    # no finite-difference fiber or zero-field cell is factored
+    def factor(*args, **kwargs):
+        raise AssertionError("no finite-difference matrix is factored")
+
+    monkeypatch.setattr(direct, "_shift_factors", factor)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path) == 0
+    assert _run("compare", str(path), tmp_path) == 0
+    summary = json.loads((tmp_path / "direct_meta.json").read_text())[
+        "summary"]
+    runs = json.loads((tmp_path / "compare.json").read_text())["runs"]
+    assert len(runs) == len(cfg["epsilons"])
+    for run in runs:
+        assert run["direct_intervals"] == summary["intervals"]
+        assert run["direct_fibers"] == summary["direct_fibers"]
+
+
+@pytest.mark.parametrize("command", ["bands", "section", "effective", "scan",
+                                     "direct", "compare"])
+def test_relativistic_kind_runs_at_flux_0(command, tmp_path):
+    # only the finite-difference reference, at nonzero flux, refuses it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_edited(
+        dict(BASE_CONFIG, epsilons=[[0.1, "0"]]), ("symbol", "kind"),
+        "relativistic")))
+    assert _run(command, str(path), tmp_path) == 0
 
 
 # malformed field sections, by test id: (keys, value, what the error names)
@@ -728,6 +789,9 @@ MALFORMED_TOP_LEVEL = {
                                    8),
     "zero_field_k_resolution_one": ("direct", BASE_CONFIG,
                                     "direct_k_resolution", 1),
+    "zero_field_k_resolution_one_compare": (
+        "compare", dict(BASE_CONFIG, epsilons=[[0.1, "0"]]),
+        "direct_k_resolution", 1),
     "direct_k_resolution_text": ("compare", COMPARE_CONFIG,
                                  "direct_k_resolution", "x"),
     "compare_k_resolution_fraction": ("compare", COMPARE_CONFIG,
@@ -759,10 +823,11 @@ def test_malformed_top_level_key_is_config_error(command, base, key, value,
     assert "config error" in err and key in err
 
 
-# direct_k_resolution 1 is malformed only at flux 0, for direct's band grid
+# direct_k_resolution 1 is malformed only at flux 0, for the reference's
+# band grid
 PER_CONFIG = {case: (base, (key,), value, key) for case, (_, base, key, value)
               in MALFORMED_TOP_LEVEL.items()
-              if case != "zero_field_k_resolution_one"}
+              if not case.startswith("zero_field_k_resolution_one")}
 PER_CONFIG.update({f"field-{case}": (D2_CONFIG, *field) for case, field
                    in MALFORMED_FIELD.items()})
 

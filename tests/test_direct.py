@@ -27,7 +27,6 @@ from peierls.symbols import (
     Nonrelativistic,
     PeriodicSymbol,
     Relativistic,
-    cosine_potential,
     separable_cosine_2d,
     zero_potential,
 )
@@ -42,6 +41,11 @@ def test_discretization_validation(mathieu, separable):
     skew_sym = PeriodicSymbol(Nonrelativistic(), zero_potential(skew))
     with pytest.raises(InputError, match="lattice.basis"):
         DirectDiscretization(skew_sym, Fraction(0))
+    # the stencil has no relativistic root, at any flux
+    relativistic = PeriodicSymbol(Relativistic(), separable.potential)
+    for flux in (Fraction(0), Fraction(1, 4)):
+        with pytest.raises(InputError, match="symbol.kind 'relativistic'"):
+            DirectDiscretization(relativistic, flux)
 
 
 def test_fd_matrix_hermitian_and_gauge_covariant(separable):
@@ -173,8 +177,7 @@ def test_fd_stencil_on_the_unit_grid_is_the_harper_fiber(flux, k, lat2):
 
 
 def _fiber_built_at(disc, k):
-    """disc's nonrelativistic FD matrix with every phase computed at k,
-    and its potential V."""
+    """disc's FD matrix with every phase computed at k."""
     lattice = disc.symbol.lattice
     n, q = disc.points_per_cell, disc.flux.denominator
     h = np.diag(lattice.basis) / n
@@ -186,11 +189,10 @@ def _fiber_built_at(disc, k):
         tensor_grid([np.arange(m) for m in shape]) * h)
     vals = -phases / h[axis] ** 2
     sites = np.arange(v.size)
-    M = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate([vals, np.conj(vals), np.sum(2.0 / h**2) + v]),
          (np.concatenate([rows, cols, sites]),
           np.concatenate([cols, rows, sites]))), shape=(v.size,) * 2).tocsr()
-    return M, v
 
 
 @settings(max_examples=12, deadline=None)
@@ -199,34 +201,14 @@ def _fiber_built_at(disc, k):
         lambda q: st.integers(-q, q).map(lambda p: Fraction(p, q))),
     k=st.tuples(*[st.floats(-np.pi, np.pi)] * 2),
     chi=st.sampled_from([None, "harmonic"]),
-    relativistic=st.booleans(),
 )
-def test_rephased_stencil_matches_the_build_at_each_k(lat2, flux, k, chi,
-                                                      relativistic):
+def test_rephased_stencil_matches_the_build_at_each_k(lat2, flux, k, chi):
     # the stencil is built once at k = 0 and its wrapped links re-phased
     # by exp(i <k, n>); the reference computes every phase at k instead
-    if relativistic:  # a dense root: keep the fiber small
-        flux = Fraction(flux.numerator % 2, 2)
-    kind = Relativistic() if relativistic else Nonrelativistic()
-    sym = PeriodicSymbol(kind, separable_cosine_2d(lat2, 0.5))
+    sym = PeriodicSymbol(Nonrelativistic(), separable_cosine_2d(lat2, 0.5))
     disc = DirectDiscretization(sym, flux, points_per_cell=16, chi=chi)
-    roots = []  # what the relativistic kind takes the root of
-    sqrt = direct.hermitian_sqrt
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(direct, "hermitian_sqrt",
-                      lambda m: roots.append(m) or sqrt(m))
-        M = disc.bloch_matrix(np.array(k))
-    expected, v = _fiber_built_at(disc, np.array(k))
-    if relativistic:
-        rephased = roots[-1] - np.eye(v.size) + np.diag(v)
-        assert np.array_equal(rephased != 0, expected.toarray() != 0)
-        assert np.abs(rephased - expected.toarray()).max() <= (
-            1e-14 * np.abs(expected.data).max())
-        assert np.array_equal(roots[-1], roots[-1].conj().T)
-        root = sqrt(expected.toarray() - np.diag(v) + np.eye(v.size))
-        got = M.toarray() - np.diag(v)
-        assert np.abs(got - root).max() <= 1e-14 * np.abs(root).max()
-        return
+    M = disc.bloch_matrix(np.array(k))
+    expected = _fiber_built_at(disc, np.array(k))
     assert np.array_equal(M.indptr, expected.indptr)
     assert np.array_equal(M.indices, expected.indices)
     assert np.abs(M.data - expected.data).max() <= (
@@ -254,32 +236,6 @@ def test_magnetic_spectrum_stable_under_k_refinement(separable):
     s2 = direct_spectrum(disc, win, merge_tol=0.05, k_resolution=16)
     d, flagged = hausdorff_distance(s1, s2)
     assert not flagged and d < 0.01
-
-
-@pytest.mark.parametrize("dim, flux", [(1, 0), (2, 1)])
-def test_relativistic_fiber_squares_to_the_nonrelativistic_fiber(dim, flux):
-    # at flux 1 the field b12 = 1 / (2 pi) puts a phase on every link
-    lat = Lattice(basis=2.0 * np.pi * np.eye(dim))
-    pot = (cosine_potential if dim == 1 else separable_cosine_2d)(lat, 0.3)
-    k = np.full(dim, 0.3)
-
-    def fiber(kind, potential):
-        disc = DirectDiscretization(PeriodicSymbol(kind, potential),
-                                    Fraction(flux), points_per_cell=16)
-        return disc.bloch_matrix(k).toarray()
-
-    kinetic = fiber(Nonrelativistic(), zero_potential(lat))
-    v = fiber(Nonrelativistic(), pot) - kinetic
-    root = fiber(Relativistic(), pot) - v  # potential diagonal removed
-    eye = np.eye(kinetic.shape[0])
-    assert np.max(np.abs(root @ root - (kinetic + eye))) < 1e-9
-
-
-def test_relativistic_fd_runs(lat1):
-    sym = PeriodicSymbol(Relativistic(), cosine_potential(lat1, 0.3))
-    disc = DirectDiscretization(sym, Fraction(0), points_per_cell=16)
-    vals = np.linalg.eigvalsh(disc.bloch_matrix([0.0]).toarray())
-    assert vals[0] > 0.0  # sqrt(1 + |eta|^2) + V >= 1 - 0.6
 
 
 def test_window_eigs_covers_window_above_initial_batch(separable):
@@ -312,7 +268,7 @@ def test_window_eigs_moves_shift_off_an_eigenvalue():
 def test_window_eigs_keeps_eigenvalues_on_the_edges():
     # integer edges of a diagonal spectrum are eigenvalues; each is counted
     # in the window, and its Ritz value may come back a roundoff outside it
-    for size in (300, 500, 700, 1000):
+    for size in (100, 300, 500, 700, 1000):
         M = sp.diags(np.arange(size) + 0j).tocsr()
         for lo in range(1, 30):
             for width in (1, 2, 3, 5):
@@ -421,16 +377,13 @@ def test_fiber_bottom_lies_above_the_zero_field_cell(separable, flux, k, chi):
 
 
 # one stencil per flux, re-phased per fiber, plus the cell when certified
-@pytest.mark.parametrize("flux, kind, window, stencils, factorizations", [
-    ("1/4", Nonrelativistic, (-0.83, -0.29), 2, 3),  # 2 fibers + the cell
-    ("1/4", Nonrelativistic, (-0.5, 0.0), 2, 5),  # the cell reaches -0.5
-    # dense roots, and no cell, above DENSE_MAX_UNKNOWNS
-    ("1/2", Relativistic, (-0.3, 0.0), 1, 0),
-], ids=["band", "gap", "relativistic"])
+@pytest.mark.parametrize("window, stencils, factorizations", [
+    ((-0.83, -0.29), 2, 3),  # 2 fibers + the cell
+    ((-0.5, 0.0), 2, 5),  # the cell reaches -0.5
+], ids=["band", "gap"])
 def test_certified_lower_edge_factors_each_fiber_once(
-        lat2, monkeypatch, flux, kind, window, stencils, factorizations):
-    sym = PeriodicSymbol(kind(), separable_cosine_2d(lat2, 0.5))
-    disc = DirectDiscretization(sym, Fraction(flux), points_per_cell=16)
+        separable, monkeypatch, window, stencils, factorizations):
+    disc = DirectDiscretization(separable, Fraction(1, 4), points_per_cell=16)
     calls = {"stencil": 0, "factor": 0}
 
     def counted(name, fn):
@@ -444,7 +397,7 @@ def test_certified_lower_edge_factors_each_fiber_once(
     monkeypatch.setattr(direct, "_shift_factors",
                         counted("factor", direct._shift_factors))
     direct_spectrum(disc, window, merge_tol=1e-3, k_resolution=2,
-                    below_lo=certified_below(sym, 16, window))
+                    below_lo=certified_below(separable, 16, window))
     assert calls == {"stencil": stencils, "factor": factorizations}
 
 
@@ -455,7 +408,6 @@ def test_certified_lower_edge_factors_each_fiber_once(
     ("3/8", 4, Nonrelativistic, None, (-0.83, -0.29)),
     ("2/3", 2, Nonrelativistic, None, (-0.83, -0.29)),  # gcd(r, q) = 1
     ("1/4", 2, Nonrelativistic, "harmonic", (-0.83, -0.29)),
-    ("1/2", 2, Relativistic, None, (-0.3, 0.0)),
 ])
 def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
                                     window):
@@ -498,9 +450,7 @@ def test_no_fold_in_d1_or_at_integer_flux(mathieu, separable):
 
 
 def test_relativistic_fd_size_is_bounded(separable):
-    sym = PeriodicSymbol(Relativistic(), separable.potential)
-    with pytest.raises(InputError, match="4096"):
-        DirectDiscretization(sym, Fraction(1, 16))
-    # the nonrelativistic stencil stays sparse at any size
+    # the stencil discretizes the nonrelativistic kind alone, and stays
+    # sparse at any size
     assert sp.issparse(DirectDiscretization(separable, Fraction(1, 16))
                        .bloch_matrix(np.zeros(2)))
