@@ -167,12 +167,12 @@ NUMERICS = {
     "n_bands": (4, lambda v: v >= 1, "a positive integer"),
     "radius": (8, lambda v: v >= 0, "an integer >= 0"),
     "gap_tol": (1e-6, lambda v: 0 <= v < np.inf, "a number >= 0"),
-    "merge_tol": (1e-3, lambda v: 0 <= v < np.inf, "a number >= 0"),
+    "merge_tol": (0.0, lambda v: 0 <= v < np.inf, "a number >= 0"),
     "band_index": (0, lambda v: v >= 0, "an integer >= 0"),
 }
 
 # top-level scalar: (default, test of the value, the test in words); one
-# meaning per key: k_resolution is the Peierls cloud grid of effective, scan
+# meaning per key: k_resolution is the Peierls branch grid of effective, scan
 # and compare, direct_k_resolution the reference grid of direct and compare
 SETTINGS = {
     "seed": (0, lambda v: v >= 0, "an integer >= 0"),
@@ -468,7 +468,7 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
             if disc is None:
                 bands = _bands(lattice, sym, {**settings, "resolution": k_res})
                 solved.append((spectra.SpectrumSet(
-                    bands.bands.ravel(), window, merge_tol), bands.solved))
+                    bands.bands, window, merge_tol), bands.solved))
             else:
                 solved.append((direct.direct_spectrum(
                     disc, window, merge_tol, k_res, below_lo), count))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .lattice import BZGrid, InputError, Lattice, magnetic_momenta
 from .magnetic import MagneticField, VectorPotential, peierls_hops
-from .spectra import SpectrumSet
+from .spectra import SpectrumSet, distance
 
 
 # Complex entries (16 bytes: 512 MB) that the fibers of one momentum grid
@@ -280,44 +280,28 @@ def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
     return fibers
 
 
-def _bloch_branches(
-    hops: HoppingSet, flux: Fraction, k_resolution: int
-) -> np.ndarray:
-    """Ascending fiber eigenvalues per point of the magnetic momentum grid,
-    shape (k_resolution^d, qN): one fiber per class, expanded by class."""
-    momenta, classes = magnetic_momenta(hops.dim, _cells(flux, hops.dim),
-                                        k_resolution)
-    return np.linalg.eigvalsh(_bloch_fibers(hops, flux, momenta))[classes]
-
-
 def bloch_eigenvalue_cloud(
     hops: HoppingSet, flux: Fraction, k_resolution: int
 ) -> np.ndarray:
-    """All magnetic-Bloch eigenvalues over a uniform momentum grid."""
-    return np.sort(_bloch_branches(hops, flux, k_resolution), axis=None)
+    """The magnetic-Bloch branch table over a uniform momentum grid: the
+    ascending fiber eigenvalues per grid point, shape (k_resolution^d, qN),
+    one fiber solved per class of lattice.magnetic_momenta."""
+    momenta, classes = magnetic_momenta(hops.dim, _cells(flux, hops.dim),
+                                        k_resolution)
+    return np.linalg.eigvalsh(_bloch_fibers(hops, flux, momenta))[classes]
 
 
 def subband_groups(
     hops: HoppingSet, flux: Fraction, k_resolution: int = 32,
     overlap_tol: float = 1e-9,
 ) -> int:
-    """Number of subband groups of the magnetic-Bloch spectrum.
-
-    Branch intervals [min_k lam_j(k), max_k lam_j(k)] are grouped only when
-    they overlap by more than overlap_tol, so subbands that merely touch at
-    isolated points (the central pair at even denominators) still count
-    separately.
+    """Number of subband groups of the magnetic-Bloch spectrum: its branch
+    ranges, joined only where they overlap by at least overlap_tol (merge_tol
+    -overlap_tol), so subbands that merely touch at isolated points (the
+    central pair at even denominators) still count separately.
     """
-    branches = _bloch_branches(hops, flux, k_resolution)
-    lo = branches.min(axis=0)
-    hi = branches.max(axis=0)
-    groups = 1
-    reach = hi[0]
-    for j in range(1, lo.size):
-        if lo[j] >= reach - overlap_tol:
-            groups += 1
-        reach = max(reach, hi[j])
-    return groups
+    return len(SpectrumSet(bloch_eigenvalue_cloud(hops, flux, k_resolution),
+                           (-np.inf, np.inf), -overlap_tol).merged_intervals)
 
 
 def lambda_scan(
@@ -330,18 +314,14 @@ def lambda_scan(
 
     The symbol of the effective block for a simple band is
     lambda - lambda_k(xi), so its lattice operator is lambda * I minus the
-    operator of the band hoppings and the margin is the distance from
-    lambda to the band-operator spectrum; the eigenvalue cloud is computed
-    once and sorted, and each lambda is measured against its neighbours.
+    operator of the band hoppings, and the margin is the distance from
+    lambda to the band-operator spectrum: the union of the branch ranges
+    of bloch_eigenvalue_cloud, 0 inside a band.
     """
-    cloud = bloch_eigenvalue_cloud(band_hoppings, flux, k_resolution)
-    lam = np.asarray(lam_grid, dtype=float)
-    idx = np.searchsorted(cloud, lam)
-    idx_lo = np.clip(idx - 1, 0, cloud.size - 1)
-    idx_hi = np.clip(idx, 0, cloud.size - 1)
-    return np.minimum(
-        np.abs(lam - cloud[idx_lo]), np.abs(lam - cloud[idx_hi])
-    )
+    union = SpectrumSet(bloch_eigenvalue_cloud(band_hoppings, flux,
+                                               k_resolution),
+                        (-np.inf, np.inf), 0.0)
+    return distance(lam_grid, union.merged_intervals)
 
 
 def reconstruct_spectrum(

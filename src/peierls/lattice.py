@@ -123,8 +123,8 @@ def bz_grid(lattice: Lattice, resolution: int) -> BZGrid:
 
 
 # Grid points times subbands one magnetic momentum grid may expand to: each
-# point carries at least the q subbands of a band into the eigenvalue
-# cloud.  2**20 values are 8 MB of floats, and the class map takes at most
+# point carries at least the q subbands of a band into the branch
+# table.  2**20 values are 8 MB of floats, and the class map takes at most
 # as much: k_resolution 1024 at q = 1 in d=2, 256 at q = 16.  At q = 4 the
 # direct reference then solves at most 65,536 fibers.
 MAX_CLOUD_VALUES = 2**20

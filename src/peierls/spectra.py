@@ -1,8 +1,14 @@
-"""Spectrum-as-set utilities: merged intervals, gaps, Hausdorff distance.
+"""Spectrum-as-set utilities: branch ranges, gaps, Hausdorff distance.
 
-Spectra are compared as unions of closed intervals obtained by merging
-sorted eigenvalue clouds with a merge tolerance: a dense momentum grid
-samples each band densely, and merging removes the sampling artifacts.
+The spectrum of a periodic operator is the union over its ordered fiber
+eigenvalue branches lambda_j of [min_k lambda_j(k), max_k lambda_j(k)].
+Each branch is continuous on the connected momentum torus, so its range
+is one closed interval: a momentum grid can move its edges inward but
+never split it.  A SpectrumSet takes a table of branches (one row per
+fiber, one column per ascending branch; -inf or +inf where a branch lies
+below or above the window), clips each branch range to the window and
+joins the ranges whose gap is at most merge_tol.  A 1-D cloud is the table
+in which every value is its own branch.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from .lattice import InputError
 
 @dataclass(frozen=True)
 class SpectrumSet:
-    points: np.ndarray  # sorted eigenvalues inside the window
+    points: np.ndarray  # branch table; then its sorted values in the window
     window: tuple  # (lo, hi)
     merge_tol: float
     merged_intervals: np.ndarray = field(init=False)  # (n, 2)
@@ -25,44 +31,58 @@ class SpectrumSet:
         lo, hi = self.window
         if not lo < hi:
             raise InputError("window must be a nonempty interval")
-        pts = np.sort(np.asarray(self.points, dtype=float).ravel())
-        pts = pts[(pts >= lo) & (pts <= hi)]
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "merged_intervals", _merge(pts, self.merge_tol))
+        table = np.atleast_2d(np.asarray(self.points, dtype=float))
+        ranges = np.stack([
+            np.maximum(table.min(axis=0, initial=np.inf), lo),
+            np.minimum(table.max(axis=0, initial=-np.inf), hi)], axis=-1)
+        inside = np.isfinite(table) & (table >= lo) & (table <= hi)
+        object.__setattr__(self, "points", np.sort(table[inside]))
+        object.__setattr__(self, "merged_intervals", _merge(
+            ranges[ranges[:, 0] <= ranges[:, 1]], self.merge_tol))
 
     @property
     def is_empty(self) -> bool:
-        return self.points.size == 0
+        return self.merged_intervals.size == 0
 
 
-def _merge(pts: np.ndarray, tol: float) -> np.ndarray:
-    """Intervals of the sorted points, split where a step exceeds tol."""
-    if pts.size == 0:
+def _merge(ranges: np.ndarray, tol: float) -> np.ndarray:
+    """Union of the ranges (rows [a, b], a <= b), ordered by start: a range
+    joins those before it when its gap to their reach is at most tol."""
+    if ranges.size == 0:
         return np.empty((0, 2))
-    split = np.diff(pts) > tol  # between point i and i + 1
+    ranges = ranges[np.argsort(ranges[:, 0])]
+    reach = np.maximum.accumulate(ranges[:, 1])
+    split = ranges[1:, 0] - reach[:-1] > tol  # between range i and i + 1
     out = np.empty((np.count_nonzero(split) + 1, 2))
-    out[0, 0], out[-1, 1] = pts[0], pts[-1]
-    out[1:, 0] = pts[1:][split]
-    out[:-1, 1] = pts[:-1][split]
+    out[0, 0], out[-1, 1] = ranges[0, 0], reach[-1]
+    out[1:, 0] = ranges[1:, 0][split]
+    out[:-1, 1] = reach[:-1][split]
     return out
 
 
 def from_intervals(intervals, window, merge_tol: float) -> SpectrumSet:
-    """SpectrumSet whose merged intervals reproduce the given ones.
+    """SpectrumSet of the given intervals, clipped to the window: the
+    two-row table of their starts and ends."""
+    table = np.asarray(intervals, dtype=float).reshape(-1, 2).T
+    return SpectrumSet(points=table, window=window, merge_tol=merge_tol)
 
-    Each interval is clipped to the window and represented by a point
-    cloud fine enough (spacing merge_tol / 2) that merging recovers it.
+
+def distance(x, b: np.ndarray) -> np.ndarray:
+    """dist(x, B) at each x, for B the union of the intervals b (sorted,
+    disjoint, nonempty rows); 0 inside B.
+
+    Outside B the nearest point is the right end of the last interval to
+    the left of x or the left end of the next one: the endpoints are
+    sorted, so these give the least |endpoint - x| over all of B.
     """
-    lo, hi = window
-    pts = []
-    for a, b in intervals:
-        a, b = max(a, lo), min(b, hi)
-        if a > b:
-            continue
-        n = max(2, int(np.ceil((b - a) / (merge_tol / 2.0))) + 1)
-        pts.append(np.linspace(a, b, n))
-    cloud = np.concatenate(pts) if pts else np.empty(0)
-    return SpectrumSet(points=cloud, window=window, merge_tol=merge_tol)
+    x = np.asarray(x, dtype=float)
+    # the last interval of B starting at or below x, -1 for none
+    j = np.searchsorted(b[:, 0], x, side="right") - 1
+    inside = (j >= 0) & (x <= b[j, 1])
+    left = np.where(j >= 0, np.abs(b[j, 1] - x), np.inf)
+    right = np.where(j + 1 < len(b),
+                     np.abs(b[np.minimum(j + 1, len(b) - 1), 0] - x), np.inf)
+    return np.where(inside, 0.0, np.minimum(left, right))
 
 
 def _directed(a: np.ndarray, b: np.ndarray) -> float:
@@ -70,21 +90,12 @@ def _directed(a: np.ndarray, b: np.ndarray) -> float:
 
     The supremum is attained at an endpoint of A or at a point of A
     facing a gap of B, so checking interval endpoints of A plus the
-    B-gap midpoints clipped into each interval of A suffices.  A candidate
-    outside B is nearest to the right end of the last interval of B to its
-    left or the left end of the next one: the endpoints are sorted, so
-    these give the least |endpoint - x| over all of B.
+    B-gap midpoints clipped into each interval of A suffices.
     """
     mids = 0.5 * (b[:-1, 1] + b[1:, 0])
     x = np.concatenate([a.ravel(),
                         np.clip(mids[:, None], a[:, 0], a[:, 1]).ravel()])
-    # the last interval of B starting at or below x, -1 for none
-    j = np.searchsorted(b[:, 0], x, side="right") - 1
-    inside = (j >= 0) & (x <= b[j, 1])
-    left = np.where(j >= 0, np.abs(b[j, 1] - x), np.inf)
-    right = np.where(j + 1 < len(b),
-                     np.abs(b[np.minimum(j + 1, len(b) - 1), 0] - x), np.inf)
-    return float(np.minimum(left, right)[~inside].max(initial=0.0))
+    return float(distance(x, b).max(initial=0.0))
 
 
 def hausdorff_distance(a: SpectrumSet, b: SpectrumSet):

@@ -113,6 +113,60 @@ def test_effective_and_scan_commands(config_path, tmp_path):
     assert len(lines) == 401
 
 
+def _written(tmp_path, command, cfg, name):
+    """Run command on cfg in a directory of its own; its file name."""
+    out = tmp_path / f"{command}_{len(list(tmp_path.iterdir()))}"
+    out.mkdir()
+    (out / "cfg.json").write_text(json.dumps(cfg))
+    assert _run(command, str(out / "cfg.json"), out) == 0
+    return out / name
+
+
+def test_compare_at_flux_0_sees_one_band_on_both_grids(tmp_path):
+    # the Peierls branch (k_resolution 32) and the plane-wave band
+    # (direct_k_resolution 8) reach the same band edges, at k = 0 and pi, so
+    # the two ranges agree although the grids differ
+    cfg = dict(BASE_CONFIG, epsilons=[[0.1, "0"]], direct_k_resolution=8)
+    [run] = json.loads(_written(tmp_path, "compare", cfg,
+                                "compare.json").read_text())["runs"]
+    assert len(run["effective_intervals"]) == len(run["direct_intervals"]) == 1
+    assert run["d_H"] <= 1e-10
+
+
+def test_scan_margin_is_zero_inside_the_band_on_every_grid(tmp_path):
+    margins = {}
+    for k_res in (32, 64):
+        cfg = dict(BASE_CONFIG, k_resolution=k_res)
+        table = np.loadtxt(_written(tmp_path, "scan", cfg, "scan.csv"),
+                           delimiter=",", skiprows=1)
+        [[lo, hi]] = json.loads(_written(tmp_path, "effective", cfg,
+                                         "spectrum.json").read_text())[
+            "intervals"]
+        lam, margins[k_res] = table.T
+        inside = (lam >= lo) & (lam <= hi)
+        assert inside.any() and not inside.all()
+        assert np.all(margins[k_res][inside] == 0.0)
+        assert np.all(margins[k_res][~inside] > 0.0)
+    assert np.array_equal(margins[32], margins[64])
+
+
+def test_effective_reports_each_subband_of_the_separable_fixture(tmp_path):
+    # q subbands at flux 1/q, gaps narrower than the old merge_tol included
+    cfg = {
+        "lattice": {"basis": [[2.0 * math.pi, 0.0], [0.0, 2.0 * math.pi]]},
+        "symbol": {"potential": {"name": "separable_cosine_2d",
+                                 "amplitude": 0.5}},
+        "numerics": {"cutoff": 6.0, "resolution": 32, "n_bands": 2,
+                     "radius": 8},
+    }
+    for q in (4, 8, 16):
+        spectrum = json.loads(_written(tmp_path, "effective",
+                                       dict(cfg, flux=f"1/{q}"),
+                                       "spectrum.json").read_text())
+        assert spectrum["merge_tol"] == 0.0
+        assert len(spectrum["intervals"]) == q
+
+
 def test_direct_command(config_path, tmp_path):
     out = tmp_path / "run"
     assert _run("direct", config_path, out) == 0

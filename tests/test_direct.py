@@ -19,7 +19,8 @@ from peierls.direct import (
     window_eigs,
 )
 from peierls.effective import HoppingSet, _bloch_fibers
-from peierls.lattice import InputError, Lattice, tensor_grid
+from peierls.lattice import (InputError, Lattice, magnetic_momenta,
+                             tensor_grid)
 from peierls.magnetic import (CHI_CATALOG, MagneticField, VectorPotential,
                               field_for_flux, peierls_hops)
 from peierls.spectra import SpectrumSet
@@ -130,7 +131,7 @@ def test_fd_fiber_window_is_even_in_k(separable, k1, k2):
     disc = DirectDiscretization(separable, flux, points_per_cell=16)
     window = (-0.83, -0.29)  # band 0 with margins in its gaps
     base, negated, mirrored = (
-        window_eigs(disc.bloch_matrix(np.array(k)), window)
+        window_eigs(disc.bloch_matrix(np.array(k)), window)[0]
         for k in ([k1, k2], [-k1, -k2], [-k1, k2]))
     assert base.size == flux.denominator  # q subbands
     assert negated.shape == mirrored.shape == base.shape
@@ -246,9 +247,9 @@ def test_window_eigs_covers_window_above_initial_batch(separable):
     dense = np.linalg.eigvalsh(M.toarray())
     # window edges mid-gap, around the 21st to the 40th eigenvalue
     window = (0.5 * (dense[19] + dense[20]), 0.5 * (dense[39] + dense[40]))
-    got = window_eigs(M, window)
+    got, below = window_eigs(M, window)
     expected = dense[(dense >= window[0]) & (dense <= window[1])]
-    assert expected.size == 20
+    assert expected.size == 20 and below == 20
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) < 1e-9
     # a window holding more than an eighth of the spectrum is refused
@@ -261,8 +262,9 @@ def test_window_eigs_moves_shift_off_an_eigenvalue():
     # have no LU factors, and the edges move outward
     M = sp.diags(np.arange(700.0) + 0j).tocsr()
     for window in ((9.5, 12.5), (10.0, 12.0)):
-        got = window_eigs(M, window)
+        got, below = window_eigs(M, window)
         assert np.allclose(got, [10.0, 11.0, 12.0], atol=1e-10)
+        assert below == 10
 
 
 def test_window_eigs_keeps_eigenvalues_on_the_edges():
@@ -272,8 +274,8 @@ def test_window_eigs_keeps_eigenvalues_on_the_edges():
         M = sp.diags(np.arange(size) + 0j).tocsr()
         for lo in range(1, 30):
             for width in (1, 2, 3, 5):
-                got = window_eigs(M, (lo, lo + width))
-                assert got.shape == (width + 1,)
+                got, below = window_eigs(M, (lo, lo + width))
+                assert got.shape == (width + 1,) and below == lo
                 assert np.all((got >= lo) & (got <= lo + width))
                 assert np.max(np.abs(got - np.arange(lo, lo + width + 1))
                               ) < 1e-12
@@ -301,8 +303,10 @@ def _check_window(M, dense, window):
     outer = dense[(dense >= lo - 1e-9) & (dense <= hi + 1e-9)]
     certified = [0] if lo < dense[0] else []
     for below_lo in [None] + certified:
-        got = window_eigs(M, window, below_lo=below_lo)
+        got, below = window_eigs(M, window, below_lo=below_lo)
         assert np.all((got >= lo) & (got <= hi))
+        assert (np.count_nonzero(dense < lo - 1e-9) <= below
+                <= np.count_nonzero(dense < lo + 1e-9))
         assert inner.size <= got.size <= outer.size
         # each found value matches a dense eigenvalue, and none is missed
         assert np.all(np.min(np.abs(got[:, None] - outer[None, :]), axis=1,
@@ -417,10 +421,10 @@ def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
     sym = PeriodicSymbol(kind(), separable_cosine_2d(lat2, 0.5))
     disc = DirectDiscretization(sym, flux, points_per_cell=16, chi=chi)
     axis = 2.0 * np.pi * np.arange(r) / r
+    # every fiber holds its q subbands in the window: the branch table
     full = SpectrumSet(
-        points=np.concatenate([
-            window_eigs(disc.bloch_matrix(k), window)
-            for k in tensor_grid([axis, axis])]),
+        points=np.stack([window_eigs(disc.bloch_matrix(k), window)[0]
+                         for k in tensor_grid([axis, axis])]),
         window=window, merge_tol=1e-3)
 
     calls = []
@@ -440,6 +444,27 @@ def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
     assert folded.merged_intervals.shape == full.merged_intervals.shape
     assert np.max(np.abs(folded.merged_intervals
                          - full.merged_intervals)) < 1e-12
+
+
+def test_branches_crossing_the_lower_edge_are_clipped_there(separable):
+    # a lower edge inside the lowest subband: some fibers hold branch 0
+    # below the window, so nu(lo) differs between fibers, the cell does not
+    # certify the edge, and branch 0 is clipped at lo
+    disc = DirectDiscretization(separable, Fraction(1, 4), points_per_cell=16)
+    momenta, _ = magnetic_momenta(2, 4, 2)
+    dense = np.stack([np.linalg.eigvalsh(disc.bloch_matrix(k).toarray())
+                      for k in momenta])
+    lo = 0.5 * (dense[:, 0].min() + dense[:, 0].max())
+    hi = 0.5 * (dense[:, 3].max() + dense[:, 4].min())  # above the subbands
+    assert certified_below(separable, 16, (lo, hi)) is None
+    got = direct_spectrum(disc, (lo, hi), merge_tol=0.0, k_resolution=2)
+    ranges = np.stack([np.maximum(dense.min(axis=0), lo),
+                       np.minimum(dense.max(axis=0), hi)], axis=-1)
+    ranges = ranges[ranges[:, 0] <= ranges[:, 1]]
+    assert ranges.shape == (4, 2) and ranges[0, 0] == lo
+    assert np.all(ranges[1:, 0] > ranges[:-1, 1])  # four disjoint subbands
+    assert got.merged_intervals.shape == ranges.shape
+    assert np.max(np.abs(got.merged_intervals - ranges)) < 1e-10
 
 
 def test_no_fold_in_d1_or_at_integer_flux(mathieu, separable):

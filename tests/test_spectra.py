@@ -26,37 +26,65 @@ def test_merge_and_clip():
     assert s.points.min() >= WIN[0] and s.points.max() <= WIN[1]
 
 
-def _merge_by_loop(pts, tol):
-    """The merge as a loop: a point joins the interval of the point before
-    it when it lies within tol of it."""
-    if pts.size == 0:
-        return np.empty((0, 2))
-    starts, ends = [pts[0]], [pts[0]]
-    for p in pts[1:]:
-        if p - ends[-1] <= tol:
-            ends[-1] = p
+def test_branch_table_gives_one_range_per_branch():
+    # two branches on three fibers: each is one range however far apart its
+    # samples lie, and a gap is closed only by merge_tol
+    table = np.array([[1.0, 3.0], [1.5, 3.2], [2.0, 2.9]])
+    s = SpectrumSet(points=table, window=WIN, merge_tol=0.0)
+    assert np.array_equal(s.merged_intervals, [[1.0, 2.0], [2.9, 3.2]])
+    assert np.array_equal(s.points, np.sort(table, axis=None))
+    joined = SpectrumSet(points=table, window=WIN, merge_tol=0.9)
+    assert np.array_equal(joined.merged_intervals, [[1.0, 3.2]])
+    # -inf and +inf: the branch lies below or above the window in that
+    # fiber, so its range reaches the edge, and no point is added
+    clipped = SpectrumSet(points=[[-np.inf, 4.0], [1.0, np.inf]], window=WIN,
+                          merge_tol=0.0)
+    assert np.array_equal(clipped.merged_intervals, [[0.0, 1.0], [4.0, 10.0]])
+    assert np.array_equal(clipped.points, [1.0, 4.0])
+
+
+def _ranges(pts):
+    """The points as degenerate ranges [p, p]."""
+    pts = np.asarray(pts, dtype=float)
+    return np.stack([pts, pts], axis=-1)
+
+
+def _merge_by_loop(ranges, tol):
+    """The merge as a loop over the ranges by start: a range joins the
+    interval before it when it starts within tol of its end."""
+    starts, ends = [], []
+    for a, b in sorted(ranges.tolist()):
+        if starts and a - ends[-1] <= tol:
+            ends[-1] = max(ends[-1], b)
         else:
-            starts.append(p)
-            ends.append(p)
-    return np.stack([starts, ends], axis=-1)
+            starts.append(a)
+            ends.append(b)
+    return np.array([starts, ends]).T.reshape(-1, 2)
 
 
 @settings(max_examples=50, deadline=None)
 @given(pts=st.lists(st.floats(-5.0, 5.0), max_size=60),
-       repeats=st.integers(0, 3), tol=st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
-def test_merge_matches_the_loop(pts, repeats, tol):
-    # random clouds, repeated points, tol 0, one point and no points
-    pts = np.sort(np.repeat(np.asarray(pts, dtype=float), repeats + 1))
-    got, expected = _merge(pts, tol), _merge_by_loop(pts, tol)
-    assert got.shape == expected.shape
-    assert np.array_equal(got, expected)
+       repeats=st.integers(0, 3), tol=st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+       spans=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 2.0)),
+                      max_size=30))
+def test_merge_matches_the_loop(pts, repeats, tol, spans):
+    # random clouds, repeated points, tol 0, one point and no points, and
+    # random ranges that nest, overlap, touch or stand apart
+    pts = np.repeat(np.asarray(pts, dtype=float), repeats + 1)
+    ranges = np.array([[a, a + w] for a, w in spans]).reshape(-1, 2)
+    for given_ranges in (_ranges(pts), ranges):
+        got = _merge(given_ranges, tol)
+        expected = _merge_by_loop(given_ranges, tol)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 def test_merge_edge_cases():
     for pts, tol in [([], 0.1), ([2.0], 0.0), ([1.0, 1.0, 1.0], 0.0),
                      ([1.0, 1.0, 2.0], 0.0), ([0.0, 0.1, 0.3], 0.1)]:
-        pts = np.asarray(pts, dtype=float)
-        assert np.array_equal(_merge(pts, tol), _merge_by_loop(pts, tol))
+        ranges = _ranges(pts)
+        assert np.array_equal(_merge(ranges, tol),
+                              _merge_by_loop(ranges, tol))
 
 
 def test_from_intervals_round_trip():
