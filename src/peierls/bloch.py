@@ -257,28 +257,17 @@ class BandIntervals:
 def band_intervals(bands: BandStructure, gap_tol: float = 1e-6) -> BandIntervals:
     """Per-band [min, max] over the grid plus simplicity flags.
 
-    A band is flagged simple when its eigenvalue stays separated from its
-    neighbors by more than gap_tol at every grid point and its interval is
-    disjoint from every other band interval.  The last computed band is
-    never flagged: nothing shows it disjoint from the bands above it.
+    A band is flagged simple when its range clears the ranges of the
+    bands below and above it by more than gap_tol.  Each row of the band
+    table is ascending, so such a band is disjoint from every other band
+    range and separated from its neighbors by more than gap_tol at every
+    grid point.  The last computed band is never flagged: nothing shows
+    it disjoint from the bands above it.
     """
-    vals = bands.bands
-    lo = vals.min(axis=0)
-    hi = vals.max(axis=0)
-    n = vals.shape[1]
-    flags = np.zeros(n, dtype=bool)
-    for k in range(n - 1):
-        separated = True
-        if k > 0 and np.min(vals[:, k] - vals[:, k - 1]) <= gap_tol:
-            separated = False
-        if np.min(vals[:, k + 1] - vals[:, k]) <= gap_tol:
-            separated = False
-        disjoint = all(
-            hi[k] < lo[j] - gap_tol or lo[k] > hi[j] + gap_tol
-            for j in range(n)
-            if j != k
-        )
-        flags[k] = separated and disjoint
+    lo, hi = bands.bands.min(axis=0), bands.bands.max(axis=0)
+    # clear[k]: the range of band k + 1 starts more than gap_tol above the
+    # end of band k's; band k needs clear[k] and, above band 0, clear[k - 1]
+    clear = hi[:-1] < lo[1:] - gap_tol
+    flags = np.append(clear, False) & np.insert(clear, 0, True)
     return BandIntervals(intervals=np.stack([lo, hi], axis=-1),
                          simple_flags=flags)
-

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bloch, direct, effective, grushin, section, spectra, symbols
 from .lattice import InputError, Lattice, bz_grid, dual_shell
-from .magnetic import field_for_flux
+from .magnetic import field_for_flux, magnetic_cells
 
 
 # The entries of one stacked solve of Grushin matrices: those of the largest
@@ -220,11 +220,7 @@ def _parse_flux(text, lattice: Lattice) -> Fraction:
         flux = Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"flux must be a rational p/q: {text!r}") from exc
-    if flux != 0 and lattice.dim < 2:
-        raise InputError(
-            f"hypothesis H.5 violated: flux {flux} needs a d=2 lattice; a "
-            "magnetic field is a 2-form, so in d=1 the flux must be 0"
-        )
+    magnetic_cells(flux, lattice.dim)  # H.5: 0 in d=1
     return flux
 
 
@@ -387,18 +383,18 @@ def cmd_grushin(settings, lattice: Lattice, sym, out: Path) -> dict:
 
 
 def _band_hoppings(lattice: Lattice, sym, settings):
-    """The band_intervals and the hoppings of the selected band."""
+    """The band solve, its band_intervals and the selected band's hoppings."""
     bands = _bands(lattice, sym, settings)
     intervals = _require_simple_band(bands, settings)
     hops = effective.fourier_hoppings(bands.bands[:, settings["band_index"]],
                                       bands.grid, settings["radius"])
-    return intervals, hops
+    return bands, intervals, hops
 
 
 def cmd_effective(settings, lattice: Lattice, sym, out: Path) -> dict:
     flux = settings["flux"]
     _check_field(settings["field"], flux, lattice)
-    intervals, hops = _band_hoppings(lattice, sym, settings)
+    _, intervals, hops = _band_hoppings(lattice, sym, settings)
     window = _window(settings, intervals)
     spec_set = spectra.SpectrumSet(
         effective.bloch_eigenvalue_cloud(hops, flux, settings["k_resolution"]),
@@ -415,7 +411,7 @@ def cmd_effective(settings, lattice: Lattice, sym, out: Path) -> dict:
 def cmd_scan(settings, lattice: Lattice, sym, out: Path) -> dict:
     flux = settings["flux"]
     _check_field(settings["field"], flux, lattice)
-    intervals, hops = _band_hoppings(lattice, sym, settings)
+    _, intervals, hops = _band_hoppings(lattice, sym, settings)
     window = _window(settings, intervals)
     lam_grid = np.linspace(window[0], window[1], settings["lambda_points"])
     margins = effective.lambda_scan(hops, flux, lam_grid,
@@ -441,13 +437,15 @@ def _check_field(b12, flux: Fraction, lattice: Lattice,
 
 def _reference(settings, lattice: Lattice, sym, fluxes):
     """The reference solve of the full magnetic operator at each of the
-    fluxes, as solve(window) -> [(SpectrumSet, fibers solved) per flux].
+    fluxes, as solve(window, bands) -> [(SpectrumSet, fibers) per flux].
 
     The solver comes from the flux: flux 0 is the plane-wave band solve
     at direct_k_resolution, any other flux direct.direct_spectrum on the
     finite-difference magnetic-Bloch fibers.  Each flux is checked, and
     its operator and momentum grid built, here, before any band solve;
     solve certifies the lower window edge once for all nonzero fluxes.
+    The flux-0 band grid is solved once, or is bands, the command's own
+    band solve, when direct_k_resolution equals resolution.
     """
     k_res, ppc = settings["direct_k_resolution"], settings["points_per_cell"]
     if 0 in fluxes and k_res < 2:  # a band grid needs two points per axis
@@ -458,7 +456,9 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
     fibers = [direct.distinct_fibers(disc, k_res) if disc else None
               for disc in discs]
 
-    def solve(window):
+    def solve(window, bands=None):
+        if 0 in fluxes and (bands is None or k_res != settings["resolution"]):
+            bands = _bands(lattice, sym, {**settings, "resolution": k_res})
         merge_tol = settings["merge_tol"]
         # one lower-edge certificate holds for every flux
         below_lo = (direct.certified_below(sym, ppc, window) if any(fluxes)
@@ -466,7 +466,6 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
         solved = []
         for disc, count in zip(discs, fibers):
             if disc is None:
-                bands = _bands(lattice, sym, {**settings, "resolution": k_res})
                 solved.append((spectra.SpectrumSet(
                     bands.bands, window, merge_tol), bands.solved))
             else:
@@ -480,10 +479,11 @@ def cmd_direct(settings, lattice: Lattice, sym, out: Path) -> dict:
     flux = settings["flux"]
     _check_field(settings["field"], flux, lattice)
     solve = _reference(settings, lattice, sym, [flux])
-    intervals = None if settings["window"] is not None else (
-        bloch.band_intervals(_bands(lattice, sym, settings),
-                             settings["gap_tol"]))
-    [(spec_set, fibers)] = solve(_window(settings, intervals))
+    bands = intervals = None
+    if settings["window"] is None:
+        bands = _bands(lattice, sym, settings)
+        intervals = bloch.band_intervals(bands, settings["gap_tol"])
+    [(spec_set, fibers)] = solve(_window(settings, intervals), bands)
     _write_csv(out / "eigenvalues.csv", ["value"], [spec_set.points])
     return {
         "mode": "magnetic_bloch" if flux else "zero_field_bloch",
@@ -502,11 +502,11 @@ def cmd_compare(settings, lattice: Lattice, sym, out: Path) -> dict:
         _check_field(settings["field"], flux, lattice, eps)
     solve = _reference(settings, lattice, sym,
                        [flux for _, flux in eps_flux])
-    intervals, hops = _band_hoppings(lattice, sym, settings)
+    bands, intervals, hops = _band_hoppings(lattice, sym, settings)
     window = _window(settings, intervals)
     merge_tol = settings["merge_tol"]
     pairs, detail = [], []
-    for (eps, flux), (dir_set, fibers) in zip(eps_flux, solve(window)):
+    for (eps, flux), (dir_set, fibers) in zip(eps_flux, solve(window, bands)):
         eff_set = spectra.SpectrumSet(effective.bloch_eigenvalue_cloud(
             hops, flux, settings["k_resolution"]), window, merge_tol)
         d_h, flagged = spectra.hausdorff_distance(eff_set, dir_set)

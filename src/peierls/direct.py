@@ -17,8 +17,7 @@ exp(i <k, n>) of their cell shift n, so the stencil is built once, at
 k = 0, and re-phased for each fiber.
 
 Lattices must be rectangular (diagonal basis).  direct_spectrum solves
-one fiber per class of lattice.magnetic_momenta and uses its eigenvalues
-for every point of the class.
+the fibers at the representatives of lattice.magnetic_momenta.
 
 Window eigenvalues are counted before they are computed.  SuperLU
 factors M - lo and M - hi with diagonal pivots only, an LDL^H
@@ -46,7 +45,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import InputError, Lattice, magnetic_momenta, tensor_grid
-from .magnetic import VectorPotential, field_for_flux, peierls_hops
+from .magnetic import (VectorPotential, field_for_flux, magnetic_cells,
+                       peierls_hops)
 from .spectra import SpectrumSet
 from .symbols import Nonrelativistic, PeriodicSymbol
 
@@ -78,8 +78,7 @@ class DirectDiscretization:
     chi: str | None = None  # CHI_CATALOG gauge function, A -> A + grad(chi)
 
     def __post_init__(self):
-        if not isinstance(self.flux, Fraction):
-            raise InputError("flux must be an exact Fraction")
+        cells = magnetic_cells(self.flux, self.symbol.lattice.dim)
         if self.points_per_cell < 16:
             raise InputError(
                 f"points_per_cell {self.points_per_cell}: need at least 16")
@@ -89,8 +88,7 @@ class DirectDiscretization:
                 "the finite-difference operator takes the nonrelativistic "
                 f"kind only, got symbol.kind {kind!r}")
         _cell_lengths(self.symbol.lattice)
-        unknowns = (self.flux.denominator
-                    * self.points_per_cell**self.symbol.lattice.dim)
+        unknowns = cells * self.points_per_cell**self.symbol.lattice.dim
         if unknowns > MAX_UNKNOWNS:
             raise InputError(
                 f"the finite-difference operator has {unknowns} unknowns, "
@@ -289,7 +287,7 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None):
 def distinct_fibers(disc: DirectDiscretization, k_resolution: int) -> int:
     """Matrices direct_spectrum diagonalizes at this k_resolution."""
     return len(magnetic_momenta(disc.symbol.lattice.dim,
-                                disc.flux.denominator, k_resolution)[0])
+                                disc.flux.denominator, k_resolution))
 
 
 def certified_below(symbol: PeriodicSymbol, points_per_cell: int,
@@ -326,17 +324,17 @@ def direct_spectrum(
 ) -> SpectrumSet:
     """sigma(P_eps) within the window, as the ranges of its branches.
 
-    Solves one finite-difference fiber per class of lattice.magnetic_momenta
-    (r * r / gcd(r, q) in d=2 for r = k_resolution) and takes its
-    eigenvalues for every point of the class.  The i-th window eigenvalue
-    of fiber k is branch nu_k(lo) + i; a branch is -inf in the fibers where
+    Solves the finite-difference fibers at the representatives of
+    lattice.magnetic_momenta (r * r / gcd(r, q) in d=2 for
+    r = k_resolution), one table row each.  The i-th window eigenvalue of
+    fiber k is branch nu_k(lo) + i; a branch is -inf in the fibers where
     it lies below the window and +inf where above, so its range is clipped
     at that edge.  below_lo 0, from certified_below, says that no fiber has
     an eigenvalue below the window, and each fiber then factors only M - hi;
     None counts both edges of each fiber.
     """
-    momenta, classes = magnetic_momenta(disc.symbol.lattice.dim,
-                                        disc.flux.denominator, k_resolution)
+    momenta = magnetic_momenta(disc.symbol.lattice.dim,
+                               disc.flux.denominator, k_resolution)
     solved = [window_eigs(disc.bloch_matrix(k), window, below_lo)
               for k in momenta]
     # column j holds branch base + j, base the least nu_k(lo)
@@ -345,5 +343,4 @@ def direct_spectrum(
                      - base), np.inf)
     for row, (vals, nu) in zip(table, solved):
         row[:nu - base], row[nu - base:][:vals.size] = -np.inf, vals
-    return SpectrumSet(points=table[classes], window=window,
-                       merge_tol=merge_tol)
+    return SpectrumSet(points=table, window=window, merge_tol=merge_tol)

@@ -12,7 +12,8 @@ exp(-i (Phi_s / 2) (gamma ^ alpha)) with Phi_s the signed flux through the
 unit cell and gamma ^ alpha the wedge of the integer coordinates.  At
 rational flux Phi_s = 2 pi p / q the operator commutes with the magnetic
 translations by (q, 0) and (0, 1) and reduces to qN x qN Bloch matrices
-over a magnetic momentum cell, one per class of lattice.magnetic_momenta.
+over a magnetic momentum cell, one per momentum of
+lattice.magnetic_momenta.
 
 Hermiticity is decided once: HoppingSet checks q_hat_{-alpha} =
 q_hat_alpha^* when it is built, and box_matrix and the magnetic-Bloch
@@ -29,7 +30,8 @@ from itertools import product
 import numpy as np
 
 from .lattice import BZGrid, InputError, Lattice, magnetic_momenta
-from .magnetic import MagneticField, VectorPotential, peierls_hops
+from .magnetic import (MagneticField, VectorPotential, magnetic_cells,
+                       peierls_hops)
 from .spectra import SpectrumSet, distance
 
 
@@ -192,18 +194,10 @@ def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, **grid):
                             np.conj(np.swapaxes(entries[back], 1, 2))]))
 
 
-def _cells(flux: Fraction, dim: int) -> int:
-    """Unit cells per magnetic cell: q of the exact flux p/q in d=2 (a
-    Fraction: rationality is never detected from floats), 1 in d=1."""
-    if not isinstance(flux, Fraction):
-        raise InputError("flux must be an exact Fraction p/q")
-    return flux.denominator if dim == 2 else 1
-
-
 def box_matrix(hops: HoppingSet, flux: Fraction,
                half_width: int) -> np.ndarray:
     """The operator on the sites with |gamma_i| <= half_width (Dirichlet)."""
-    _cells(flux, hops.dim)  # an exact flux, else InputError
+    magnetic_cells(flux, hops.dim)  # an exact flux, 0 in d=1, else InputError
     radius = max(max(abs(a) for a in alpha) for alpha in hops.hoppings)
     if half_width < radius:
         raise InputError("box size must be at least the hopping radius")
@@ -232,10 +226,10 @@ def _bloch_coefficients(hops: HoppingSet, flux: Fraction):
     from (s, 0) to (s', 0) in the cell shifted by (m, n) sets its entry
     of _lattice_hops as block (s, s') of C_(m, n).  The hops come in
     adjoint pairs, so C_(-m, -n) = C_(m, n)^* and H(k) is Hermitian for
-    every k.  In d=1 the flux is ignored (q = 1).
+    every k.
     """
     d, n = hops.dim, hops.n
-    q = _cells(flux, d)
+    q = magnetic_cells(flux, d)
     rows, cols, cell, entries = _lattice_hops(hops, flux, (q, 1)[:d],
                                               k=np.zeros(d))
     # one block per shift, in the order of its code; -shift has code -code
@@ -262,7 +256,7 @@ def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
     with s' = (s - b1) mod q, m = (s - b1 - s') / q, n = -b2.  In d=1 the
     flux is zero and this is the symbol evaluated on the momentum grid.
     """
-    dim = _cells(flux, hops.dim) * hops.n
+    dim = magnetic_cells(flux, hops.dim) * hops.n
     kpts = np.asarray(kpts, dtype=float).reshape(-1, hops.dim)
     # a key alpha >= 0 adds blocks at two shifts at most, its reverse two
     entries = (kpts.shape[0] + 4 * len(hops.hoppings)) * dim**2
@@ -284,11 +278,12 @@ def bloch_eigenvalue_cloud(
     hops: HoppingSet, flux: Fraction, k_resolution: int
 ) -> np.ndarray:
     """The magnetic-Bloch branch table over a uniform momentum grid: the
-    ascending fiber eigenvalues per grid point, shape (k_resolution^d, qN),
-    one fiber solved per class of lattice.magnetic_momenta."""
-    momenta, classes = magnetic_momenta(hops.dim, _cells(flux, hops.dim),
-                                        k_resolution)
-    return np.linalg.eigvalsh(_bloch_fibers(hops, flux, momenta))[classes]
+    ascending eigenvalues of one fiber per row, shape (fibers, qN), at the
+    representatives of lattice.magnetic_momenta, whose ranges are those of
+    the whole grid."""
+    momenta = magnetic_momenta(hops.dim, magnetic_cells(flux, hops.dim),
+                               k_resolution)
+    return np.linalg.eigvalsh(_bloch_fibers(hops, flux, momenta))
 
 
 def subband_groups(

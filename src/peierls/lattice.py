@@ -122,17 +122,18 @@ def bz_grid(lattice: Lattice, resolution: int) -> BZGrid:
     return BZGrid(lattice, resolution)
 
 
-# Grid points times subbands one magnetic momentum grid may expand to: each
-# point carries at least the q subbands of a band into the branch
-# table.  2**20 values are 8 MB of floats, and the class map takes at most
-# as much: k_resolution 1024 at q = 1 in d=2, 256 at q = 16.  At q = 4 the
-# direct reference then solves at most 65,536 fibers.
+# Grid points times subbands one magnetic momentum grid stands for: each
+# point carries at least the q subbands of a band.  Only the fibers at the
+# representatives are built, r^d / gcd(r, q) of them in d=2, but the bound
+# stays on the grid, so it refuses the same grids: k_resolution 1024 at
+# q = 1 in d=2, 256 at q = 16.  At q = 4 the direct reference then solves
+# at most 65,536 fibers.
 MAX_CLOUD_VALUES = 2**20
 
 
-def magnetic_momenta(dim: int, q: int, k_resolution: int):
-    """The fiber classes of the magnetic momentum grid: representative
-    momenta, and the class of each grid point.
+def magnetic_momenta(dim: int, q: int, k_resolution: int) -> np.ndarray:
+    """The representative momenta of the fiber classes of the magnetic
+    momentum grid, one row per fiber to solve.
 
     The grid is k = 2 pi j / r, j in 0..r-1 per axis, in C order, with
     r = k_resolution.  At unit-cell flux 2 pi p/q the magnetic translation
@@ -140,22 +141,22 @@ def magnetic_momenta(dim: int, q: int, k_resolution: int):
     finite-difference, and shifts k2 by 2 pi p/q, so in d=2 the fibers at
     k and k + (0, 2 pi/q) are unitarily equivalent (Zak, Phys. Rev. 134,
     A1602 (1964)).  On the grid j2 ~ j2' exactly when m = r / gcd(r, q)
-    divides j2 - j2': the representatives are the points with j2 < m, and
-    j is in class j1 * m + (j2 mod m).  In d=1, and at q = 1, every point
-    is its own class.  A grid whose points times q exceed MAX_CLOUD_VALUES
-    raises InputError before anything grid-sized is built.
+    divides j2 - j2': the representatives are the points with j2 < m, the
+    first of each class in C order.  Equivalent fibers have equal
+    eigenvalues, so the representatives carry every branch's min and max
+    over the grid.  In d=1 the flux is 0 (H.5), q = 1 and every point is
+    its own representative.  A grid whose points times q exceed
+    MAX_CLOUD_VALUES raises InputError before anything is built.
     """
     points = k_resolution**dim
     if points * q > MAX_CLOUD_VALUES:
         raise InputError(
             f"the magnetic momentum grid of {points} points at q = {q} "
-            f"expands to {points * q} values, more than the limit "
+            f"stands for {points * q} values, more than the limit "
             f"{MAX_CLOUD_VALUES}")
     j = np.arange(k_resolution)
-    m = k_resolution // gcd(k_resolution, q) if dim == 2 else k_resolution
-    reps = tensor_grid([j] * (dim - 1) + [j[:m]])
-    classes = (j[:, None] * m + j % m).ravel() if dim == 2 else j
-    return 2.0 * np.pi * reps / k_resolution, classes
+    m = k_resolution // gcd(k_resolution, q)
+    return 2.0 * np.pi * tensor_grid([j] * (dim - 1) + [j[:m]]) / k_resolution
 
 
 # Candidate coefficients one dual shell may scan, about 80 bytes each (the

@@ -4,7 +4,8 @@ Every magnetic phase of the package is computed here: line_phase for
 links and kernels, peierls_hops for the hops of a lattice operator on a
 uniform grid (the stencil of direct, the box matrix and magnetic-Bloch
 blocks of effective), with their magnetic-Bloch wrap over a cell, and
-field_for_flux for the field of a rational unit-cell flux.
+field_for_flux for the field of a rational unit-cell flux and
+magnetic_cells for the unit cells of its magnetic cell.
 
 Conventions (d = 2 throughout unless noted):
   * constant field B12 = b, B21 = -b; transversal gauge A(x) = (b/2)(-x2, x1);
@@ -38,6 +39,19 @@ CHI_CATALOG: dict = {
     "quadratic": lambda x: 0.3 * x[..., 0] * x[..., 1],
     "harmonic": lambda x: np.sin(x[..., 0]) + 0.5 * np.cos(x[..., 1]),
 }
+
+
+def magnetic_cells(flux: Fraction, dim: int) -> int:
+    """Unit cells per magnetic cell: q of the exact flux p/q (a Fraction:
+    rationality is never detected from floats).  A field is a 2-form, so
+    a nonzero flux in d=1 raises InputError (H.5)."""
+    if not isinstance(flux, Fraction):
+        raise InputError("flux must be an exact Fraction p/q")
+    if flux and dim < 2:
+        raise InputError(
+            f"hypothesis H.5 violated: flux {flux} needs a d=2 lattice; a "
+            "magnetic field is a 2-form, so in d=1 the flux must be 0")
+    return flux.denominator
 
 
 def field_for_flux(flux: Fraction, lattice: Lattice) -> MagneticField:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import Phase, settings
 
-from peierls.lattice import Lattice, bz_grid, dual_shell
+from peierls.lattice import (Lattice, bz_grid, dual_shell, magnetic_momenta,
+                             tensor_grid)
 from peierls.symbols import (
     Nonrelativistic,
     PeriodicSymbol,
@@ -67,3 +68,20 @@ def nn_hoppings():
 
     m = np.array([[-1.0 + 0j]])
     return HoppingSet(hoppings={(1, 0): m, (-1, 0): m, (0, 1): m, (0, -1): m})
+
+
+@pytest.fixture(scope="session")
+def representative_rows():
+    """rows(dim, q, r): for each point j of the grid 2 pi j / r, in C order,
+    the row of magnetic_momenta(dim, q, r) in its class: the one momentum
+    of equal k1 whose k2 differs from that of j by a multiple of 2 pi/q,
+    modulo 2 pi."""
+    def rows(dim, q, r):
+        j = tensor_grid([np.arange(r)] * dim)
+        reps = np.rint(magnetic_momenta(dim, q, r) * r / (2.0 * np.pi)
+                       ).astype(int)
+        same = np.all(j[:, None, :-1] == reps[None, :, :-1], axis=-1)
+        same &= (q * (j[:, None, -1] - reps[None, :, -1])) % r == 0
+        assert np.all(same.sum(axis=1) == 1)
+        return np.argmax(same, axis=1)
+    return rows

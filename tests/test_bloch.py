@@ -75,6 +75,44 @@ def test_band_intervals_simplicity_flags(mathieu_bands):
     assert np.all(iv.intervals[:, 0] <= iv.intervals[:, 1])
 
 
+def _scanned_flags(vals, gap_tol):
+    """Simplicity flags by the point scan: band k is simple when it stays
+    more than gap_tol from its neighbors at every point and its interval
+    is disjoint from every other band interval; the last band never is."""
+    lo, hi = vals.min(axis=0), vals.max(axis=0)
+    n = vals.shape[1]
+    flags = np.zeros(n, dtype=bool)
+    for k in range(n - 1):
+        separated = np.min(vals[:, k + 1] - vals[:, k]) > gap_tol and (
+            k == 0 or np.min(vals[:, k] - vals[:, k - 1]) > gap_tol)
+        disjoint = all(hi[k] < lo[j] - gap_tol or lo[k] > hi[j] + gap_tol
+                       for j in range(n) if j != k)
+        flags[k] = separated and disjoint
+    return flags
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_points=st.integers(1, 6), n_bands=st.integers(1, 5),
+       gap_tol=st.sampled_from([0.0, 1e-6, 0.5, 1.0]))
+def test_band_intervals_flags_equal_the_point_scan(data, n_points, n_bands,
+                                                   gap_tol):
+    # ascending rows on a grid of step 0.5, some values moved by 2^-20 or
+    # 2^-21, so gaps fall on both sides of each gap_tol: bands that touch,
+    # cross, and clear each other by about gap_tol.  Every value is a
+    # multiple of 2^-21 below 5, so every difference is exact and no gap
+    # lies within a rounding of gap_tol, where the two tests may round apart
+    size = n_points * n_bands
+    steps = data.draw(st.lists(st.integers(0, 8), min_size=size,
+                               max_size=size))
+    moves = data.draw(st.lists(st.sampled_from([0, 2, -2, 1]), min_size=size,
+                               max_size=size))
+    table = np.sort((0.5 * np.array(steps) + np.ldexp(moves, -21)).reshape(
+        n_points, n_bands), axis=1)
+    bands = bloch.BandStructure(grid=None, shell=None, bands=table)
+    assert np.array_equal(band_intervals(bands, gap_tol).simple_flags,
+                          _scanned_flags(table, gap_tol))
+
+
 
 def _shifted_cosine(lattice, amplitude, shift):
     """V(y) = 2 a cos(<e*_1, y> - shift): real V with complex V_hat."""

@@ -519,6 +519,31 @@ def test_effective_solves_the_bands_once(config_path, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", sorted(RESULTS))
+@pytest.mark.parametrize("cfg", [
+    dict(BASE_CONFIG, epsilons=[[0.1, "0"], [0.05, "0"], [0.025, "0"]]),
+    dict(BASE_CONFIG, epsilons=[[0.1, "0"]], direct_k_resolution=16),
+    dict(D2_BLOCH, epsilons=[[0.08, "1/4"], [0.04, "1/8"]]),
+    dict(D2_BLOCH, flux="0", epsilons=[[0.08, "0"]], direct_k_resolution=8),
+], ids=["d1", "d1_equal_grids", "d2", "d2_equal_grids"])
+def test_each_band_grid_is_solved_once(command, cfg, tmp_path, monkeypatch):
+    # a grid, cutoff and n_bands give one BandStructure: the flux-0
+    # reference of direct and compare solves its grid once for all its
+    # fluxes, and takes the command's own solve when the grids are equal
+    grids = []
+    solve = bloch.compute_bands
+
+    def counted(sym, grid, shell, n_bands, **kwargs):
+        grids.append((grid.resolution, shell.cutoff, n_bands))
+        return solve(sym, grid, shell, n_bands, **kwargs)
+
+    monkeypatch.setattr(bloch, "compute_bands", counted)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(command, str(path), tmp_path) == 0
+    assert len(grids) == len(set(grids))
+
+
 @pytest.mark.parametrize("command", ["effective", "scan", "compare", "direct"])
 def test_band_intervals_are_computed_once(command, tmp_path, monkeypatch):
     # the H.7 check and the default window share one band_intervals
@@ -609,7 +634,7 @@ def test_direct_fibers_are_recorded(tmp_path):
     meta = json.loads((tmp_path / "direct_meta.json").read_text())
     summary = meta["summary"]
     assert summary["direct_fibers"] == 2
-    assert summary["count"] == 2 * 2 * 4  # every grid point, q subbands
+    assert summary["count"] == 2 * 4  # each fiber solved, q subbands
     assert _run("compare", str(path), tmp_path) == 0
     report = json.loads((tmp_path / "compare.json").read_text())
     assert [run["direct_fibers"] for run in report["runs"]] == [2]

@@ -18,7 +18,8 @@ from peierls.direct import (
     distinct_fibers,
     window_eigs,
 )
-from peierls.effective import HoppingSet, _bloch_fibers
+from peierls.effective import (HoppingSet, _bloch_fibers,
+                               bloch_eigenvalue_cloud, box_matrix)
 from peierls.lattice import (InputError, Lattice, magnetic_momenta,
                              tensor_grid)
 from peierls.magnetic import (CHI_CATALOG, MagneticField, VectorPotential,
@@ -414,7 +415,7 @@ def test_certified_lower_edge_factors_each_fiber_once(
     ("1/4", 2, Nonrelativistic, "harmonic", (-0.83, -0.29)),
 ])
 def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
-                                    window):
+                                    window, representative_rows):
     # fibers 2 pi/q apart in k2 have equal spectra, so one fiber per class
     # j2 mod r / gcd(r, q) stands for the whole class, for every k1
     flux = Fraction(flux)
@@ -422,10 +423,14 @@ def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
     disc = DirectDiscretization(sym, flux, points_per_cell=16, chi=chi)
     axis = 2.0 * np.pi * np.arange(r) / r
     # every fiber holds its q subbands in the window: the branch table
-    full = SpectrumSet(
-        points=np.stack([window_eigs(disc.bloch_matrix(k), window)[0]
-                         for k in tensor_grid([axis, axis])]),
-        window=window, merge_tol=1e-3)
+    table = np.stack([window_eigs(disc.bloch_matrix(k), window)[0]
+                      for k in tensor_grid([axis, axis])])
+    full = SpectrumSet(points=table, window=window, merge_tol=1e-3)
+    momenta = magnetic_momenta(2, flux.denominator, r)
+    reps = np.stack([window_eigs(disc.bloch_matrix(k), window)[0]
+                     for k in momenta])
+    assert np.max(np.abs(reps[representative_rows(2, flux.denominator, r)]
+                         - table)) < 1e-12
 
     calls = []
     matrix = DirectDiscretization.bloch_matrix
@@ -438,9 +443,10 @@ def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
     folded = direct_spectrum(disc, window, merge_tol=1e-3, k_resolution=r)
     fibers = r * (r // np.gcd(r, flux.denominator))
     assert len(calls) == fibers == distinct_fibers(disc, r)
-    assert folded.points.shape == full.points.shape
-    assert folded.points.size == r * r * flux.denominator  # q subbands
-    assert np.max(np.abs(folded.points - full.points)) < 1e-12
+    assert np.array_equal(calls, momenta)
+    # one row per fiber solved, q subbands each
+    assert folded.points.size == fibers * flux.denominator
+    assert np.array_equal(folded.points, np.sort(reps, axis=None))
     assert folded.merged_intervals.shape == full.merged_intervals.shape
     assert np.max(np.abs(folded.merged_intervals
                          - full.merged_intervals)) < 1e-12
@@ -451,7 +457,7 @@ def test_branches_crossing_the_lower_edge_are_clipped_there(separable):
     # below the window, so nu(lo) differs between fibers, the cell does not
     # certify the edge, and branch 0 is clipped at lo
     disc = DirectDiscretization(separable, Fraction(1, 4), points_per_cell=16)
-    momenta, _ = magnetic_momenta(2, 4, 2)
+    momenta = magnetic_momenta(2, 4, 2)
     dense = np.stack([np.linalg.eigvalsh(disc.bloch_matrix(k).toarray())
                       for k in momenta])
     lo = 0.5 * (dense[:, 0].min() + dense[:, 0].max())
@@ -465,6 +471,36 @@ def test_branches_crossing_the_lower_edge_are_clipped_there(separable):
     assert np.all(ranges[1:, 0] > ranges[:-1, 1])  # four disjoint subbands
     assert got.merged_intervals.shape == ranges.shape
     assert np.max(np.abs(got.merged_intervals - ranges)) < 1e-10
+
+
+@pytest.mark.parametrize("flux, r", [("1/4", 8), ("1/3", 3), ("1/8", 4)])
+def test_branch_tables_have_one_row_per_fiber(separable, nn_hoppings,
+                                              monkeypatch, flux, r):
+    # the Peierls and the finite-difference tables hold each fiber solved
+    # once: 16 rows at flux 1/4 and r = 8, not one per grid point
+    flux = Fraction(flux)
+    disc = DirectDiscretization(separable, flux, points_per_cell=16)
+    fibers = distinct_fibers(disc, r)
+    assert bloch_eigenvalue_cloud(nn_hoppings, flux, r).shape == (
+        fibers, flux.denominator)
+    tables = []
+    monkeypatch.setattr(direct, "SpectrumSet", lambda points, **kwargs: (
+        tables.append(points.shape) or SpectrumSet(points, **kwargs)))
+    direct_spectrum(disc, (-0.83, -0.29), merge_tol=0.0, k_resolution=r)
+    assert len(tables) == 1 and tables[0][0] == fibers
+
+
+def test_nonzero_flux_in_d1_is_refused(mathieu):
+    # a magnetic field is a 2-form (H.5): in d=1 the library refuses a
+    # nonzero flux, as the CLI does, where it returned the spectrum of
+    # another operator
+    hop = np.array([[-1.0 + 0j]])
+    hops = HoppingSet(hoppings={(1,): hop, (-1,): hop})
+    for build in (lambda: DirectDiscretization(mathieu, Fraction(1, 3)),
+                  lambda: bloch_eigenvalue_cloud(hops, Fraction(1, 3), 8),
+                  lambda: box_matrix(hops, Fraction(1, 3), 4)):
+        with pytest.raises(InputError, match="H.5"):
+            build()
 
 
 def test_no_fold_in_d1_or_at_integer_flux(mathieu, separable):
