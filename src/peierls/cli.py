@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bloch, direct, effective, grushin, section, spectra, symbols
-from .lattice import InputError, Lattice, bz_grid, dual_shell
-from .magnetic import field_for_flux, magnetic_cells
+from .lattice import (InputError, Lattice, bz_grid, dual_shell,
+                      magnetic_momenta)
+from .magnetic import magnetic_cells
 
 
 # The entries of one stacked solve of Grushin matrices: those of the largest
@@ -99,28 +100,6 @@ def build_lattice(cfg: dict) -> Lattice:
         raise InputError(f"lattice.basis {lc['basis']!r}: {exc}") from exc
 
 
-def build_field(cfg: dict):
-    """field.b12 of the configured constant field, None without a 'field'
-    section.  A scalar b12 is the 2-form B12 = -B21, antisymmetric by
-    construction."""
-    fc = cfg.get("field")
-    if fc is None:
-        return None
-    if not isinstance(fc, dict):
-        raise InputError(f"'field' must be an object, got {fc!r}")
-    _only(fc, "field", ("b12", "kind"))
-    b12 = _number(fc, "field", "b12", 0.0)
-    if not np.isfinite(b12):
-        raise InputError("hypothesis H.2 violated: field must be finite")
-    kind = fc.get("kind", "constant")
-    if kind != "constant":
-        raise InputError(
-            "hypothesis H.6 violated: the solvers need a constant field, "
-            f"got field.kind {kind!r}"
-        )
-    return b12
-
-
 def build_symbol(cfg: dict, lattice: Lattice) -> symbols.PeriodicSymbol:
     sc = cfg.get("symbol")
     if not sc or not isinstance(sc, dict):
@@ -185,8 +164,8 @@ SETTINGS = {
 
 # the top-level keys: the sections, flux, window and epsilons, read by
 # name, and SETTINGS
-CONFIG_KEYS = frozenset({"lattice", "symbol", "numerics", "field", "flux",
-                         "window", "epsilons", *SETTINGS})
+CONFIG_KEYS = frozenset({"lattice", "symbol", "numerics", "flux", "window",
+                         "epsilons", *SETTINGS})
 
 
 def _numerics(cfg: dict) -> dict:
@@ -207,11 +186,16 @@ def _numerics(cfg: dict) -> dict:
 
 def _resolve(cfg: dict, lattice: Lattice) -> dict:
     """Every top-level value, checked per config before any command runs,
-    so one config can feed a whole pipeline: the _numerics, field.b12, the
-    flux, the window and the epsilons (None when absent)."""
-    return {**_numerics(cfg), "field": build_field(cfg),
-            "flux": _parse_flux(cfg.get("flux", "0"), lattice),
-            "window": _parse_window(cfg.get("window")),
+    so one config can feed a whole pipeline."""
+    return {**_numerics(cfg), **build_field(cfg, lattice),
+            "window": _parse_window(cfg.get("window"))}
+
+
+def build_field(cfg: dict, lattice: Lattice) -> dict:
+    """flux, which fixes every operator's field b12 = 2 pi * flux /
+    det(basis) (no key sets a field), and compare's [epsilon, flux] pairs
+    epsilons (None when absent)."""
+    return {"flux": _parse_flux(cfg.get("flux", "0"), lattice),
             "epsilons": _parse_epsilons(cfg.get("epsilons"), lattice)}
 
 
@@ -393,7 +377,6 @@ def _band_hoppings(lattice: Lattice, sym, settings):
 
 def cmd_effective(settings, lattice: Lattice, sym, out: Path) -> dict:
     flux = settings["flux"]
-    _check_field(settings["field"], flux, lattice)
     _, intervals, hops = _band_hoppings(lattice, sym, settings)
     window = _window(settings, intervals)
     spec_set = spectra.SpectrumSet(
@@ -410,7 +393,6 @@ def cmd_effective(settings, lattice: Lattice, sym, out: Path) -> dict:
 
 def cmd_scan(settings, lattice: Lattice, sym, out: Path) -> dict:
     flux = settings["flux"]
-    _check_field(settings["field"], flux, lattice)
     _, intervals, hops = _band_hoppings(lattice, sym, settings)
     window = _window(settings, intervals)
     lam_grid = np.linspace(window[0], window[1], settings["lambda_points"])
@@ -418,21 +400,6 @@ def cmd_scan(settings, lattice: Lattice, sym, out: Path) -> dict:
                                     k_resolution=settings["k_resolution"])
     _write_csv(out / "scan.csv", ["lambda", "margin"], [lam_grid, margins])
     return {"lambda_points": int(lam_grid.size)}
-
-
-def _check_field(b12, flux: Fraction, lattice: Lattice,
-                 epsilon: float = 1.0) -> None:
-    """field.b12 (None without a field), scaled by the epsilon of a compare
-    pair, must be the field of unit-cell flux 2 pi * flux: every operator
-    takes its line phases and its magnetic cell from the flux."""
-    if b12 is None:
-        return
-    b, b_flux = epsilon * b12, field_for_flux(flux, lattice).b12
-    if abs(b - b_flux) > 1e-9 * max(1.0, abs(b_flux)):
-        raise InputError(
-            f"field strength {b!r} does not match flux {flux}: the "
-            f"consistent field strength is {b_flux!r}"
-        )
 
 
 def _reference(settings, lattice: Lattice, sym, fluxes):
@@ -453,8 +420,8 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
                           f"flux 0, the plane-wave band grid, got {k_res}")
     discs = [direct.DirectDiscretization(sym, flux, ppc) if flux else None
              for flux in fluxes]
-    fibers = [direct.distinct_fibers(disc, k_res) if disc else None
-              for disc in discs]
+    fibers = [len(magnetic_momenta(lattice.dim, flux.denominator, k_res))
+              if flux else None for flux in fluxes]
 
     def solve(window, bands=None):
         if 0 in fluxes and (bands is None or k_res != settings["resolution"]):
@@ -477,7 +444,6 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
 
 def cmd_direct(settings, lattice: Lattice, sym, out: Path) -> dict:
     flux = settings["flux"]
-    _check_field(settings["field"], flux, lattice)
     solve = _reference(settings, lattice, sym, [flux])
     bands = intervals = None
     if settings["window"] is None:
@@ -498,8 +464,6 @@ def cmd_compare(settings, lattice: Lattice, sym, out: Path) -> dict:
     if eps_flux is None:
         raise InputError("compare needs 'epsilons', a list of [epsilon, "
                           "flux] pairs")
-    for eps, flux in eps_flux:
-        _check_field(settings["field"], flux, lattice, eps)
     solve = _reference(settings, lattice, sym,
                        [flux for _, flux in eps_flux])
     bands, intervals, hops = _band_hoppings(lattice, sym, settings)

@@ -104,8 +104,8 @@ class DirectDiscretization:
         return _fd_stencil(self.symbol, A, lengths / n, shape)
 
     def bloch_matrix(self, k) -> sp.spmatrix:
-        """FD matrix over q unit cells (stacked along axis 1) at momentum k
-        (None: k = 0).
+        """FD matrix over q unit cells, stacked along the first lattice vector
+        (array axis 0 of the stencil grid), at momentum k (None: k = 0).
 
         The stencil is built on the first call and re-phased at each k:
         only the links that wrap across the cell depend on k.
@@ -282,12 +282,6 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None):
             f"window [{lo}, {hi}] holds {count} eigenvalues, but the "
             f"shift-invert solve returned {found} of them")
     return np.clip(vals, lo, hi), below_lo
-
-
-def distinct_fibers(disc: DirectDiscretization, k_resolution: int) -> int:
-    """Matrices direct_spectrum diagonalizes at this k_resolution."""
-    return len(magnetic_momenta(disc.symbol.lattice.dim,
-                                disc.flux.denominator, k_resolution))
 
 
 def certified_below(symbol: PeriodicSymbol, points_per_cell: int,

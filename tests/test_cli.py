@@ -333,58 +333,6 @@ COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
 D2_BLOCH = dict(D2_CONFIG, numerics={**D2_CONFIG["numerics"], "radius": 3})
 
 
-def test_config_error_antisymmetry(tmp_path, capsys):
-    # a scalar b12 is antisymmetric by construction; a field matrix, which
-    # could be symmetric, is refused as a key that no command reads
-    cfg = dict(D2_CONFIG, field={"matrix": [[0.0, 1.0], [1.0, 0.0]]})
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
-    assert _run("direct", str(path), tmp_path / "out") == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "key field.matrix:" in err
-    assert list(tmp_path.glob("out/*")) == []
-
-
-def test_direct_field_must_match_flux(tmp_path, capsys):
-    consistent = 1.0 / (8.0 * math.pi)  # unit-cell flux 2 pi / 4
-    cfg = dict(D2_CONFIG, field={"b12": 0.1})
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
-    assert _run("direct", str(path), tmp_path / "bad") == 2
-    err = capsys.readouterr().err
-    assert "0.1" in err and f"{consistent:.12f}"[:13] in err
-    cfg["field"] = {"b12": consistent}
-    path.write_text(json.dumps(cfg))
-    assert _run("direct", str(path), tmp_path / "given") == 0
-    given = _read_values(tmp_path / "given" / "eigenvalues.csv")
-    assert len(given) == 4  # q subbands of band 0
-    # without a field the consistent one is derived from the flux
-    del cfg["field"]
-    path.write_text(json.dumps(cfg))
-    assert _run("direct", str(path), tmp_path / "derived") == 0
-    derived = _read_values(tmp_path / "derived" / "eigenvalues.csv")
-    assert max(abs(a - b) for a, b in zip(given, derived)) < 1e-9
-    # effective, scan and compare check the same field; compare scales its
-    # strength by the epsilon of each pair.  A matching field changes no
-    # result.
-    for command, eps, result in [("effective", 1.0, "spectrum.json"),
-                                 ("scan", 1.0, "scan.csv"),
-                                 ("compare", 0.5, "compare.json")]:
-        cfg = dict(COMPARE_CONFIG, epsilons=[[eps, "1/4"]])
-        for name, field in [("bad", {"b12": 0.1}),
-                            ("given", {"b12": consistent / eps}),
-                            ("derived", None)]:
-            path.write_text(json.dumps(dict(cfg, field=field) if field
-                                       else cfg))
-            assert _run(command, str(path), tmp_path / command / name) == (
-                2 if name == "bad" else 0)
-        err = capsys.readouterr().err
-        assert f"{0.1 * eps!r}" in err and f"{consistent:.12f}"[:13] in err
-        given, derived = ((tmp_path / command / name / result).read_text()
-                          for name in ("given", "derived"))
-        assert given == derived
-
-
 def _read_values(path):
     return [float(v) for v in path.read_text().splitlines()[1:]]
 
@@ -491,19 +439,6 @@ def test_config_error_flux_in_d1(command, tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert _run(command, str(path), tmp_path) == 2
     assert "H.5" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command, cfg", [
-    ("direct", D2_CONFIG), ("effective", D2_BLOCH), ("scan", D2_BLOCH),
-    ("compare", COMPARE_CONFIG),
-], ids=["magnetic_bloch", "effective", "scan", "compare"])
-def test_config_error_non_constant_field(command, cfg, tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(cfg, field={"b12": 0.1,
-                                                "kind": "gaussian"})))
-    assert _run(command, str(path), tmp_path) == 2
-    err = capsys.readouterr().err
-    assert "H.6" in err and "gaussian" in err
 
 
 def test_effective_solves_the_bands_once(config_path, tmp_path, monkeypatch):
@@ -739,12 +674,18 @@ def test_relativistic_kind_runs_at_flux_0(command, tmp_path):
     assert _run(command, str(path), tmp_path) == 0
 
 
-# malformed field sections, by test id: (keys, value, what the error names)
+# field sections, by test id: (keys, value, what the error names).  The
+# field is the flux's, so a field section of any content is an unknown key
 MALFORMED_FIELD = {
-    "field_matrix_1x1": (("field", "matrix"), [[0.0]], "key field.matrix:"),
-    "b12_text": (("field", "b12"), "abc", "field.b12"),
-    "epsilon_bool": (("field", "epsilon"), True, "key field.epsilon:"),
+    "field_matrix_1x1": (("field", "matrix"), [[0.0]], "key field:"),
+    "b12_text": (("field", "b12"), "abc", "key field:"),
+    "epsilon_bool": (("field", "epsilon"), True, "key field:"),
 }
+
+# the base config of each command at flux 1/4 on the 2 pi square lattice
+D2_BASES = {"bands": D2_CONFIG, "section": D2_CONFIG, "grushin": D2_CONFIG,
+            "effective": D2_BLOCH, "scan": D2_BLOCH, "direct": D2_CONFIG,
+            "compare": COMPARE_CONFIG}
 
 
 @pytest.mark.parametrize("command, base, keys, value, named", [
@@ -791,9 +732,10 @@ MALFORMED_FIELD = {
      "key symbol.potential.amplitud:"),
     ("bands", BASE_CONFIG, ("lattice", "origin"), [0.0],
      "key lattice.origin:"),
-    # flux 0 is the zero field, so a nonzero one does not match it
-    ("direct", dict(D2_CONFIG, flux="0", direct_k_resolution=2),
-     ("field", "b12"), 0.5, "field strength 0.5 does not match flux 0"),
+    # the field of flux 1/4, b12 = 2 pi * flux / det(basis), is refused too:
+    # every operator takes its field from the flux
+    *[(command, base, ("field",), {"b12": 1.0 / (8.0 * math.pi)},
+       "key field:") for command, base in D2_BASES.items()],
 ], ids=["no_basis", "non_square_basis", "resolution_text",
         "resolution_fraction", "no_bands", "negative_cutoff",
         "band_index_too_large", "field_matrix_1x1", "b12_text",
@@ -803,7 +745,8 @@ MALFORMED_FIELD = {
         "mode_grushin", "effective_mode_list", "mode_scan",
         "direct_mode_list",
         "mode_compare", "box_size", "numerics_typo", "symbol_typo",
-        "potential_typo", "lattice_extra", "direct_flux_0_field"])
+        "potential_typo", "lattice_extra",
+        *[f"field_{command}" for command in D2_BASES]])
 def test_malformed_config_is_config_error(command, base, keys, value, named,
                                           tmp_path, capsys, monkeypatch):
     # the config reader refuses each before any band solve, and no result
@@ -818,17 +761,6 @@ def test_malformed_config_is_config_error(command, base, keys, value, named,
     err = capsys.readouterr().err
     assert "config error" in err and named in err
     assert list(tmp_path.glob("out/*")) == []
-
-
-def test_zero_b12_at_flux_0_is_no_field(tmp_path):
-    cfg = dict(D2_CONFIG, flux="0", direct_k_resolution=2)
-    path = tmp_path / "cfg.json"
-    for name, field in [("given", {"b12": 0.0}), ("derived", None)]:
-        path.write_text(json.dumps(dict(cfg, field=field) if field else cfg))
-        assert _run("direct", str(path), tmp_path / name) == 0
-    given, derived = ((tmp_path / name / "eigenvalues.csv").read_text()
-                      for name in ("given", "derived"))
-    assert given == derived
 
 
 def test_non_elliptic_symbol_is_config_error(tmp_path, capsys):
@@ -916,8 +848,8 @@ PER_CONFIG.update({f"field-{case}": (D2_CONFIG, *field) for case, field
 def test_bands_refuses_what_another_command_refuses(
         base, keys, value, named, tmp_path, capsys, monkeypatch):
     # values are checked per config, not per command: bands reads no
-    # setting, window, epsilon or field, yet refuses a malformed one before
-    # any band solve, and writes no result file
+    # setting, window or epsilon, yet refuses a malformed one, and a field
+    # section, before any band solve, and writes no result file
     def solve(*args, **kwargs):
         raise AssertionError("no band is solved")
 
@@ -931,10 +863,12 @@ def test_bands_refuses_what_another_command_refuses(
 
 
 def test_one_config_feeds_every_command(tmp_path):
-    # a d=2 pipeline on one config: every command runs, and direct and
+    # a d=2 pipeline on one config at flux 1/4 without a field section,
+    # the field being the flux's: every command runs, and direct and
     # compare solve the reference on the one grid direct_k_resolution, not
     # on the Peierls cloud's k_resolution
     cfg = dict(COMPARE_CONFIG, k_resolution=2, direct_k_resolution=1)
+    assert cfg["flux"] == "1/4" and "field" not in cfg
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     for command in RESULTS:

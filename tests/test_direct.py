@@ -15,7 +15,6 @@ from peierls.direct import (
     _fd_stencil,
     certified_below,
     direct_spectrum,
-    distinct_fibers,
     window_eigs,
 )
 from peierls.effective import (HoppingSet, _bloch_fibers,
@@ -442,7 +441,8 @@ def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
     monkeypatch.setattr(DirectDiscretization, "bloch_matrix", counted)
     folded = direct_spectrum(disc, window, merge_tol=1e-3, k_resolution=r)
     fibers = r * (r // np.gcd(r, flux.denominator))
-    assert len(calls) == fibers == distinct_fibers(disc, r)
+    assert len(calls) == fibers == len(
+        magnetic_momenta(2, disc.flux.denominator, r))
     assert np.array_equal(calls, momenta)
     # one row per fiber solved, q subbands each
     assert folded.points.size == fibers * flux.denominator
@@ -480,7 +480,7 @@ def test_branch_tables_have_one_row_per_fiber(separable, nn_hoppings,
     # once: 16 rows at flux 1/4 and r = 8, not one per grid point
     flux = Fraction(flux)
     disc = DirectDiscretization(separable, flux, points_per_cell=16)
-    fibers = distinct_fibers(disc, r)
+    fibers = len(magnetic_momenta(2, disc.flux.denominator, r))
     assert bloch_eigenvalue_cloud(nn_hoppings, flux, r).shape == (
         fibers, flux.denominator)
     tables = []
@@ -506,8 +506,8 @@ def test_nonzero_flux_in_d1_is_refused(mathieu):
 def test_no_fold_in_d1_or_at_integer_flux(mathieu, separable):
     d1 = DirectDiscretization(mathieu, Fraction(0))
     d2 = DirectDiscretization(separable, Fraction(1))
-    assert distinct_fibers(d1, 6) == 6
-    assert distinct_fibers(d2, 6) == 36
+    assert len(magnetic_momenta(1, d1.flux.denominator, 6)) == 6
+    assert len(magnetic_momenta(2, d2.flux.denominator, 6)) == 36
 
 
 def test_relativistic_fd_size_is_bounded(separable):
