@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from peierls import bloch, cli, direct, effective, grushin, lattice
 from peierls.cli import main
 from peierls.lattice import bz_grid, dual_shell
+from peierls.magnetic import field_for_flux
 from peierls.section import transport_section
 from peierls.symbols import PeriodicSymbol
 
@@ -331,6 +333,39 @@ COMPARE_CONFIG = dict(D2_CONFIG, epsilons=[[0.08, "1/4"]],
                       numerics={**D2_CONFIG["numerics"], "radius": 3})
 
 D2_BLOCH = dict(D2_CONFIG, numerics={**D2_CONFIG["numerics"], "radius": 3})
+
+
+def test_config_error_antisymmetry(tmp_path, capsys):
+    # the field is the flux's scalar b12, antisymmetric by construction; a
+    # field matrix, which could be symmetric, is refused as a key that no
+    # command reads
+    cfg = dict(D2_CONFIG, field={"matrix": [[0.0, 1.0], [1.0, 0.0]]})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("direct", str(path), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "key field:" in err
+    assert list(tmp_path.glob("out/*")) == []
+
+
+def test_direct_field_must_match_flux(tmp_path, capsys):
+    # the flux fixes the field: b12 = 2 pi * flux / det(basis), the
+    # unit-cell flux 2 pi / 4 on the 2 pi square lattice
+    consistent = 1.0 / (8.0 * math.pi)
+    lat = cli.build_lattice(D2_CONFIG)
+    assert abs(field_for_flux(Fraction(1, 4), lat).b12 - consistent) < 1e-15
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(D2_CONFIG))
+    assert _run("direct", str(path), tmp_path / "derived") == 0
+    assert len(_read_values(tmp_path / "derived" / "eigenvalues.csv")) == 4
+    # a field other than the flux's is refused by every command that
+    # builds a magnetic operator, and no result file is written
+    for command, cfg in [("direct", D2_CONFIG), ("effective", D2_BLOCH),
+                         ("scan", D2_BLOCH), ("compare", COMPARE_CONFIG)]:
+        path.write_text(json.dumps(dict(cfg, field={"b12": 0.1})))
+        assert _run(command, str(path), tmp_path / command) == 2, command
+        assert "key field:" in capsys.readouterr().err
+        assert list(tmp_path.glob(f"{command}/*")) == []
 
 
 def _read_values(path):
