@@ -3,21 +3,14 @@
 Finite differences with Peierls link phases (the gauge-invariant
 discretization of Governale and Ungarelli, PRB 58, 7816 (1998)): each
 nearest-neighbor hop of the second-order Laplacian stencil carries the
-line phase omega_A(x, x') of magnetic.peierls_hops, which keeps the
-discrete operator exactly gauge covariant; A is the transversal gauge of
-the constant field, plus grad(chi) for a CHI_CATALOG key chi.  The
-stencil discretizes the nonrelativistic kind alone, up to MAX_UNKNOWNS
-unknowns.  DirectDiscretization closes it over a magnetic cell of q unit
-cells (rational unit-cell flux p/q) with the magnetic-Bloch wrap of
-peierls_hops at momentum k (chi must be periodic over the cell).  Its
-field is the one whose unit-cell flux is 2 pi p/q
-(magnetic.field_for_flux), so the link phases and the cell wrap describe
-one operator.  Only the wrapped links depend on k, through the factor
-exp(i <k, n>) of their cell shift n, so the stencil is built once, at
-k = 0, and re-phased for each fiber.
-
-Lattices must be rectangular (diagonal basis).  direct_spectrum solves
-the fibers at the representatives of lattice.magnetic_momenta.
+line phase of magnetic.hermitian_hops, which keeps the discrete operator
+exactly gauge covariant; A is the transversal gauge of the field of
+unit-cell flux 2 pi p/q (magnetic.field_for_flux), plus grad(chi) for a
+CHI_CATALOG key chi, periodic over the cell.  DirectDiscretization
+closes the stencil (nonrelativistic kind, up to MAX_UNKNOWNS unknowns,
+rectangular lattice) over a magnetic cell of q unit cells as a
+magnetic.BlochOperator, the form of the Peierls fibers, built once per
+flux; direct_spectrum solves its fibers at lattice.magnetic_momenta.
 
 Window eigenvalues are counted before they are computed.  SuperLU
 factors M - lo and M - hi with diagonal pivots only, an LDL^H
@@ -45,8 +38,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import InputError, Lattice, magnetic_momenta, tensor_grid
-from .magnetic import (VectorPotential, field_for_flux, magnetic_cells,
-                       peierls_hops)
+from .magnetic import (BlochOperator, VectorPotential, bloch_operator,
+                       field_for_flux, hermitian_hops, magnetic_cells)
 from .spectra import SpectrumSet
 from .symbols import Nonrelativistic, PeriodicSymbol
 
@@ -95,7 +88,7 @@ class DirectDiscretization:
                 f"more than the limit {MAX_UNKNOWNS}")
 
     @cached_property
-    def _stencil(self) -> _Stencil:
+    def _stencil(self) -> BlochOperator:
         lattice = self.symbol.lattice
         lengths = _cell_lengths(lattice)
         n = self.points_per_cell
@@ -105,77 +98,28 @@ class DirectDiscretization:
 
     def bloch_matrix(self, k) -> sp.spmatrix:
         """FD matrix over q unit cells, stacked along the first lattice vector
-        (array axis 0 of the stencil grid), at momentum k (None: k = 0).
-
-        The stencil is built on the first call and re-phased at each k:
-        only the links that wrap across the cell depend on k.
-        """
+        (array axis 0 of the stencil grid), at momentum k (None: k = 0);
+        the stencil is built on the first call."""
         return self._stencil.matrix(k)
 
 
-@dataclass(frozen=True)
-class _Stencil:
-    """An FD matrix at k = 0 and the entries that carry the Bloch factor.
-
-    fixed holds every entry that does not depend on k; the links that
-    wrap across the cell are zeros in its pattern.  The wrapped link
-    of cell shift n adds value * exp(i <k, n>) at data index forward and
-    the conjugate at reverse, so every matrix(k) is exactly Hermitian.
-    """
-
-    fixed: sp.csr_matrix
-    forward: np.ndarray
-    reverse: np.ndarray
-    values: np.ndarray
-    shifts: np.ndarray  # (links, d)
-
-    def matrix(self, k=None) -> sp.csr_matrix:
-        """The CSR matrix at momentum k (None: k = 0)."""
-        M = self.fixed.copy()
-        wrapped = self.values
-        if k is not None:
-            wrapped = wrapped * np.exp(
-                1j * (self.shifts @ np.asarray(k, dtype=float)))
-        np.add.at(M.data, self.forward, wrapped)
-        np.add.at(M.data, self.reverse, np.conj(wrapped))
-        return M
-
-
 def _fd_stencil(symbol: PeriodicSymbol, A: VectorPotential, h: np.ndarray,
-                shape: tuple) -> _Stencil:
-    """Periodic FD stencil on the grid h * i, 0 <= i_ax < shape[ax].
-
-    The links [x, x + h_ax e_ax] and their phases come from
-    magnetic.peierls_hops at k = 0; the reverse links are their
-    conjugates.  In peierls_hops the wrap phase of a link of cell shift n
-    is exp(i <k, n>) times a factor that does not depend on k, so the
-    stencil's matrix(k) is the periodic FD matrix at momentum k.
-    """
-    total = int(np.prod(shape))
+                shape: tuple) -> BlochOperator:
+    """Periodic FD stencil on the grid h * i, 0 <= i_ax < shape[ax]: the
+    links [x, x + h_ax e_ax] of entry -1/h_ax^2 and their adjoints from
+    magnetic.hermitian_hops at k = 0, and the diagonal, sum 2/h_ax^2 plus
+    the potential, of shift 0.  A wrapped link of cell shift n carries
+    exp(i <k, n>) times a factor free of k, so matrix(k) is the periodic
+    FD matrix at momentum k."""
+    total, d = int(np.prod(shape)), len(shape)
     pos = tensor_grid([np.arange(m) for m in shape]) * h[None, :]
-
-    vvals = symbol.potential.value(pos)
-    diag = np.full(total, float(np.sum(2.0 / h**2)), dtype=complex) + vvals
-
-    rows, cols, axis, n, phases = peierls_hops(
-        A, shape, h, np.eye(len(shape), dtype=int), k=np.zeros(len(shape)))
-    vals = -phases / h[axis] ** 2
-    wrapped = n.any(axis=1)
-    fixed = np.where(wrapped, 0.0, vals)
-    M = sp.coo_matrix(
-        (np.concatenate([fixed, np.conj(fixed), diag]),
-         (np.concatenate([rows, cols, np.arange(total)]),
-          np.concatenate([cols, rows, np.arange(total)]))),
-        shape=(total, total),
-    ).tocsr()  # sorted and summed, the zeros of the wrapped links kept
-    # the data index of entry (r, c) is that of r * total + c in keys
-    keys = np.repeat(np.arange(total), np.diff(M.indptr)) * total + M.indices
-
-    def index(r, c):
-        return np.searchsorted(keys, r[wrapped] * total + c[wrapped])
-
-    return _Stencil(M, index(rows, cols), index(cols, rows), vals[wrapped],
-                    n[wrapped])
+    diag = (np.full(total, float(np.sum(2.0 / h**2)), dtype=complex)
+            + symbol.potential.value(pos))
+    links = hermitian_hops(A, shape, h, np.eye(d, dtype=int),
+                           (-1.0 / h**2)[:, None, None], k=np.zeros(d))
+    sites = np.arange(total)
+    diagonal = (sites, sites, np.zeros((total, d), int), diag[:, None, None])
+    return bloch_operator(*map(np.concatenate, zip(links, diagonal)), total)
 
 
 class WindowCoverageError(RuntimeError):

@@ -6,7 +6,7 @@ lattice with the magnetic line phases:
 
     entry(gamma, alpha) = omega_A(gamma, alpha) * q_hat_{gamma - alpha},
 
-with the phases of magnetic.peierls_hops.  For a constant field in the
+with the phases of magnetic.hermitian_hops.  For a constant field in the
 transversal gauge omega_A(gamma, alpha) = omega_A(-gamma, -alpha) =
 exp(-i (Phi_s / 2) (gamma ^ alpha)) with Phi_s the signed flux through the
 unit cell and gamma ^ alpha the wedge of the integer coordinates.  At
@@ -17,8 +17,9 @@ lattice.magnetic_momenta.
 
 Hermiticity is decided once: HoppingSet checks q_hat_{-alpha} =
 q_hat_alpha^* when it is built, and box_matrix and the magnetic-Bloch
-blocks are assembled from the hops alpha = 0 and alpha > 0 plus their
-adjoints, so they are Hermitian by construction and check nothing again.
+operator (a magnetic.BlochOperator, the form of the FD reference too)
+take the hops alpha = 0 and alpha > 0 plus their adjoints, so they are
+Hermitian by construction and check nothing again.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from itertools import product
 import numpy as np
 
 from .lattice import BZGrid, InputError, Lattice, magnetic_momenta
-from .magnetic import (MagneticField, VectorPotential, magnetic_cells,
-                       peierls_hops)
+from .magnetic import (BlochOperator, VectorPotential, bloch_operator,
+                       field_for_flux, hermitian_hops, magnetic_cells)
 from .spectra import SpectrumSet, distance
 
 
@@ -96,13 +97,11 @@ class HoppingSet:
         return keys, np.stack(list(self.hoppings.values()))
 
     def resum(self, frac_coords: np.ndarray) -> np.ndarray:
-        """q(xi) at fractional momenta (rows), inverting the Fourier series."""
-        frac = np.atleast_2d(np.asarray(frac_coords, dtype=float))
-        out = np.zeros((frac.shape[0], self.n, self.n), dtype=complex)
-        for key, blk in self.hoppings.items():
-            phase = np.exp(2j * np.pi * (frac @ np.asarray(key, dtype=float)))
-            out += phase[:, None, None] * blk
-        return out
+        """q(xi) at fractional momenta (rows), inverting the Fourier series:
+        the fibers of one site with the hoppings as its cell shifts."""
+        keys, blocks = self.stacked()
+        return bloch_operator(0 * keys[:, 0], 0 * keys[:, 0], keys, blocks,
+                              1).dense(2.0 * np.pi * np.asarray(frac_coords))
 
 
 def fourier_hoppings(
@@ -171,27 +170,15 @@ def gauge_shifted_hoppings(
 
 
 def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, **grid):
-    """peierls_hops of the hoppings on the unit grid of this shape at flux
-    2 pi flux per cell: rows, cols, cell shifts, phased blocks (hops, N, N).
-
-    Only alpha = 0 and alpha > 0 are phased; each alpha > 0 adds its
-    reverse (cols, rows, -cell) with the adjoint entry, the hop of
-    q_hat_{-alpha} = q_hat_alpha^* (a reversed line phase, and the
-    magnetic-Bloch wrap at k = 0, is conjugated).
-    """
-    A = VectorPotential(MagneticField(b12=2.0 * np.pi * float(flux)))
+    """magnetic.hermitian_hops on the unit grid of this shape at flux 2 pi
+    flux per cell: the hops alpha = 0 and alpha > 0, from gamma to
+    gamma - alpha, and their adjoints, those of q_hat_-alpha."""
+    A = VectorPotential(field_for_flux(flux, Lattice(np.eye(hops.dim))))
     keys, blocks = hops.stacked()
     lead = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)]
     half = lead >= 0  # the first nonzero coordinate, 0 for alpha = 0
-    rows, cols, hop, cell, phases = peierls_hops(
-        A, shape, np.ones(hops.dim), -keys[half], **grid)
-    entries = phases[:, None, None] * blocks[half][hop]
-    back = lead[half][hop] > 0
-    return (np.concatenate([rows, cols[back]]),
-            np.concatenate([cols, rows[back]]),
-            np.concatenate([cell, -cell[back]]),
-            np.concatenate([entries,
-                            np.conj(np.swapaxes(entries[back], 1, 2))]))
+    return hermitian_hops(A, shape, np.ones(hops.dim), -keys[half],
+                          blocks[half], **grid)
 
 
 def box_matrix(hops: HoppingSet, flux: Fraction,
@@ -207,44 +194,16 @@ def box_matrix(hops: HoppingSet, flux: Fraction,
         raise InputError(
             f"half_width {half_width} gives a {sites * n} x {sites * n} box "
             f"matrix, more than the limit of {MAX_FIBER_ENTRIES} entries")
-    rows, cols, _, entries = _lattice_hops(hops, flux, (side,) * hops.dim,
-                                           origin=-half_width)
-    M = np.zeros((sites * n, sites * n), dtype=complex)
-    M.reshape(sites, n, sites, n)[rows, :, cols, :] = entries
-    return M
+    return bloch_operator(*_lattice_hops(hops, flux, (side,) * hops.dim,
+                                         origin=-half_width),
+                          sites).dense(np.zeros(hops.dim))[0]
 
 
-def _bloch_coefficients(hops: HoppingSet, flux: Fraction):
-    """k-independent blocks of the magnetic-Bloch fiber.
+def _bloch_operator(hops: HoppingSet, flux: Fraction) -> BlochOperator:
+    """The magnetic-Bloch fibers H(k) = sum_s C_s exp(i <k, s>) over the
+    magnetic cell of q unit cells, the q x 1 box of sites (s, 0).
 
-    Returns (shifts, coeffs) with shifts of shape (J, d) and coeffs of
-    shape (J, qN, qN) such that
-
-        H(k) = sum_j coeffs[j] exp(i <k, shifts[j]>).
-
-    The magnetic cell is the q x 1 box of sites (s, 0); at k = 0 a hop
-    from (s, 0) to (s', 0) in the cell shifted by (m, n) sets its entry
-    of _lattice_hops as block (s, s') of C_(m, n).  The hops come in
-    adjoint pairs, so C_(-m, -n) = C_(m, n)^* and H(k) is Hermitian for
-    every k.
-    """
-    d, n = hops.dim, hops.n
-    q = magnetic_cells(flux, d)
-    rows, cols, cell, entries = _lattice_hops(hops, flux, (q, 1)[:d],
-                                              k=np.zeros(d))
-    # one block per shift, in the order of its code; -shift has code -code
-    code = cell @ (2 * np.abs(cell).max() + 1) ** np.arange(d)[::-1]
-    _, first, group = np.unique(code, return_index=True, return_inverse=True)
-    coeffs = np.zeros((first.size, q * n, q * n), dtype=complex)
-    coeffs.reshape(-1, q, n, q, n)[group, rows, :, cols, :] = entries
-    return cell[first].astype(float), coeffs
-
-
-def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
-    """Magnetic-Bloch fibers H(k) at the rows of kpts, shape (K, qN, qN).
-
-    H(k) is the fiber over the magnetic cell of q unit cells.  With
-    (T_a f)_gamma = exp(-i (Phi/2) (gamma ^ a)) f_{gamma - a}
+    With (T_a f)_gamma = exp(-i (Phi/2) (gamma ^ a)) f_{gamma - a}
     commuting with the operator for every a, the joint Bloch condition for
     a in {(q, 0), (0, 1)} reduces f to the values u_s = f_{(s, 0)},
     s = 0..q-1, and the operator acts by
@@ -253,9 +212,18 @@ def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
             exp(i [ (Phi/2) s b2 + k1 m + (Phi/2) q n m + k2 n
                     - (Phi/2) s' n ]) u_{s'}
 
-    with s' = (s - b1) mod q, m = (s - b1 - s') / q, n = -b2.  In d=1 the
-    flux is zero and this is the symbol evaluated on the momentum grid.
+    with s' = (s - b1) mod q, m = (s - b1 - s') / q, n = -b2: the hop of
+    _lattice_hops at k = 0 from (s, 0) to (s', 0) in the cell shifted by
+    (m, n) is block (s, s') of C_(m, n).  In d=1 the flux is zero and this
+    is the symbol evaluated on the momentum grid.
     """
+    q = magnetic_cells(flux, hops.dim)
+    return bloch_operator(*_lattice_hops(hops, flux, (q, 1)[:hops.dim],
+                                         k=np.zeros(hops.dim)), q)
+
+
+def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
+    """_bloch_operator's fibers at the rows of kpts, shape (K, qN, qN)."""
     dim = magnetic_cells(flux, hops.dim) * hops.n
     kpts = np.asarray(kpts, dtype=float).reshape(-1, hops.dim)
     # a key alpha >= 0 adds blocks at two shifts at most, its reverse two
@@ -265,13 +233,7 @@ def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
             f"the magnetic-Bloch fibers at flux {flux} ({kpts.shape[0]} of "
             f"{dim} x {dim}) take {entries} complex entries, more than the "
             f"limit of {MAX_FIBER_ENTRIES}")
-    shifts, coeffs = _bloch_coefficients(hops, flux)
-    # one term per shift, its phases one column at a time (a momenta x
-    # shifts table would outgrow the fibers at small q)
-    fibers = np.zeros((kpts.shape[0],) + coeffs.shape[1:], dtype=complex)
-    for shift, C in zip(shifts, coeffs):
-        fibers += np.exp(1j * (kpts @ shift))[:, None, None] * C
-    return fibers
+    return _bloch_operator(hops, flux).dense(kpts)
 
 
 def bloch_eigenvalue_cloud(

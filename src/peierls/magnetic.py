@@ -2,10 +2,11 @@
 
 Every magnetic phase of the package is computed here: line_phase for
 links and kernels, peierls_hops for the hops of a lattice operator on a
-uniform grid (the stencil of direct, the box matrix and magnetic-Bloch
-blocks of effective), with their magnetic-Bloch wrap over a cell, and
-field_for_flux for the field of a rational unit-cell flux and
-magnetic_cells for the unit cells of its magnetic cell.
+grid with their magnetic-Bloch wrap over a cell, hermitian_hops for them
+closed by their adjoints and BlochOperator for the fibers
+H(k) = sum_s C_s exp(i <k, s>) (the FD stencil of direct and the
+operators of effective), field_for_flux for the field of a rational
+unit-cell flux and magnetic_cells for the unit cells of its magnetic cell.
 
 Conventions (d = 2 throughout unless noted):
   * constant field B12 = b, B21 = -b; transversal gauge A(x) = (b/2)(-x2, x1);
@@ -23,6 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .lattice import InputError, Lattice, tensor_grid
 
@@ -118,11 +120,13 @@ def peierls_hops(A: VectorPotential, shape, h, offsets, origin=0.0, k=None):
     # that stay on the grid, so no phase is computed for a dropped one
     kept = (np.ones(target.shape[:2], dtype=bool) if k is not None
             else ((target >= 0) & (target < shape)).all(axis=2))
-    offset, rows = np.nonzero(kept)
-    n, j = np.divmod(target[offset, rows], shape)
-    x = origin + h * sites[rows]
-    phases = (line_phase(A, x, x + (h * offsets)[offset]) if d == 2
-              else np.ones(rows.size, dtype=complex))
+    hop = np.flatnonzero(kept)
+    offset, rows = np.divmod(hop, len(sites))
+    # rows of 2-D arrays are gathered with take: fancy indexing is slower
+    n, j = np.divmod(target.reshape(-1, d).take(hop, axis=0), shape)
+    x = origin + h * sites.take(rows, axis=0)
+    phases = (line_phase(A, x, x + (h * offsets).take(offset, axis=0))
+              if d == 2 else np.ones(rows.size, dtype=complex))
     if k is not None:
         wrapped = n.any(axis=1)
         arg = n[wrapped] @ np.asarray(k, dtype=float)
@@ -132,6 +136,92 @@ def peierls_hops(A: VectorPotential, shape, h, offsets, origin=0.0, k=None):
                     + 0.5 * A.field.b12 * a[:, 0] * a[:, 1])
         phases[wrapped] *= np.exp(1j * arg)
     return rows, np.ravel_multi_index(tuple(j.T), shape), offset, n, phases
+
+
+def hermitian_hops(A: VectorPotential, shape, h, offsets, blocks, **grid):
+    """peierls_hops of the offsets, one (N, N) block each, and their
+    adjoints: rows, cols, cell shifts and phased blocks (hops, N, N).  Each
+    nonzero offset adds its reverse (cols, rows, -cell) with the adjoint
+    entry, so with no offset the negative of another and a Hermitian block
+    at offset 0 the operator is Hermitian by construction."""
+    rows, cols, hop, cell, phases = peierls_hops(A, shape, h, offsets, **grid)
+    entries = phases[:, None, None] * blocks[hop]
+    back = np.flatnonzero(offsets.any(axis=1)[hop])
+    return (np.concatenate([rows, cols[back]]),
+            np.concatenate([cols, rows[back]]),
+            np.concatenate([cell, -cell.take(back, axis=0)]),
+            np.concatenate([entries, np.conj(
+                entries.take(back, axis=0).transpose(0, 2, 1))]))
+
+
+@dataclass(frozen=True)
+class BlochOperator:
+    """The fibers H(k) = sum_s C_s exp(i <k, s>) over cell shifts s: the CSR
+    pattern (indptr, indices) of H, the shifts in lexicographic order and,
+    per shift, the data indices (at) and values (data) of C_s there.  Both
+    views add the terms in the order of the shifts, C_0 among them."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    shifts: np.ndarray  # (J, d) integers
+    at: tuple  # J index arrays
+    data: tuple  # J value arrays
+
+    def _data(self, kpts) -> np.ndarray:
+        """The CSR data of H(k), one column per row k of kpts, summed one
+        term at a time: a momenta x entries table would outgrow fibers."""
+        kpts = np.asarray(kpts, dtype=float).reshape(-1, self.shifts.shape[1])
+        out = np.zeros((self.indices.size, len(kpts)), dtype=complex)
+        for shift, at, data in zip(self.shifts, self.at, self.data):
+            out[at] += np.exp(1j * (kpts @ shift)) * data[:, None]
+        return out
+
+    def matrix(self, k=None) -> sp.csr_matrix:
+        """H(k) as a CSR matrix (k None: k = 0)."""
+        size = self.indptr.size - 1
+        data = self._data(np.zeros(self.shifts.shape[1]) if k is None else k)
+        return sp.csr_matrix((data[:, 0], self.indices, self.indptr),
+                             shape=(size, size))
+
+    def dense(self, kpts) -> np.ndarray:
+        """H(k) at the rows of kpts, shape (K, n, n)."""
+        size, data = self.indptr.size - 1, self._data(kpts)
+        out = np.zeros((data.shape[1], size * size), dtype=complex)
+        out[:, np.repeat(np.arange(size), np.diff(self.indptr)) * size
+            + self.indices] = data.T
+        return out.reshape(-1, size, size)
+
+
+def bloch_operator(rows, cols, shifts, entries, size) -> BlochOperator:
+    """The BlochOperator of size x size blocks whose entry j, an (N, N)
+    array, adds to C_{shifts[j]} at block (rows[j], cols[j]).  Entries of
+    equal row, column and shift are summed in their order."""
+    n, i = entries.shape[1], np.arange(entries.shape[1])
+    rows, cols = (x.ravel() for x in np.broadcast_arrays(
+        rows[:, None, None] * n + i[:, None], cols[:, None, None] * n + i))
+    shifts, size = np.repeat(shifts, n * n, axis=0), size * n
+    base, entries = 2 * np.abs(shifts).max() + 1, entries.ravel()
+    code = sum(axis * base**p for p, axis in enumerate(shifts.T[::-1]))
+    key = rows * size + cols  # the pattern, and each entry's data index
+    order = np.argsort(key, kind="stable")
+    new = np.diff(key[order], prepend=-1) != 0
+    pattern, where = key[order][new], np.empty_like(order)
+    where[order] = np.cumsum(new) - 1
+    # the entries by shift, then by data index; equal ones are summed
+    order = order[np.argsort(code[order], kind="stable")]
+    code, where, data = code[order], where[order], entries[order]
+    term = code * pattern.size + where
+    first = np.diff(term, prepend=term[:1] - 1) != 0
+    starts, dup = np.flatnonzero(first), np.flatnonzero(~first)
+    summed, at = data[starts], where[starts]
+    np.add.at(summed, np.searchsorted(starts, dup, "right") - 1, data[dup])
+    bounds = np.flatnonzero(np.diff(code[starts], prepend=code[:1] - 1))
+    runs = list(zip(bounds.tolist(), bounds[1:].tolist() + [starts.size]))
+    return BlochOperator(  # int32 indices, as scipy's CSR takes them
+        np.searchsorted(pattern, np.arange(size + 1) * size).astype(np.int32),
+        (pattern % size).astype(np.int32),
+        shifts.take(order[starts[bounds]], axis=0),
+        tuple(at[a:b] for a, b in runs), tuple(summed[a:b] for a, b in runs))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import Phase, settings
 
 from peierls.lattice import (Lattice, bz_grid, dual_shell, magnetic_momenta,
@@ -85,3 +86,19 @@ def representative_rows():
         assert np.all(same.sum(axis=1) == 1)
         return np.argmax(same, axis=1)
     return rows
+
+
+@pytest.fixture(scope="session")
+def coefficients():
+    """terms(op): {shift: C_s as a CSR matrix} of a magnetic.BlochOperator,
+    read from its pattern and per-shift data."""
+    def terms(op):
+        size = op.indptr.size - 1
+        out = {}
+        for shift, at, data in zip(op.shifts, op.at, op.data):
+            values = np.zeros(op.indices.size, dtype=complex)
+            values[at] = data
+            out[tuple(shift)] = sp.csr_matrix(
+                (values, op.indices, op.indptr), shape=(size, size))
+        return out
+    return terms

@@ -17,7 +17,7 @@ from peierls.direct import (
     direct_spectrum,
     window_eigs,
 )
-from peierls.effective import (HoppingSet, _bloch_fibers,
+from peierls.effective import (HoppingSet, _bloch_fibers, _bloch_operator,
                                bloch_eigenvalue_cloud, box_matrix)
 from peierls.lattice import (InputError, Lattice, magnetic_momenta,
                              tensor_grid)
@@ -162,17 +162,25 @@ def test_free_fd_fiber_matches_closed_form(lengths, k):
 @given(flux=st.integers(1, 16).flatmap(
            lambda q: st.integers(-q, q).map(lambda p: Fraction(p, q))),
        k=st.tuples(*[st.floats(-np.pi, np.pi)] * 2))
-def test_fd_stencil_on_the_unit_grid_is_the_harper_fiber(flux, k, lat2):
+def test_fd_stencil_on_the_unit_grid_is_the_harper_fiber(flux, k, lat2,
+                                                         coefficients):
     # on the unit grid of the magnetic cell the FD Laplacian is the
     # Peierls operator of the nearest-neighbour hoppings: the stencil and
-    # the effective fibers share the line phases, the wrap and the sign of k
+    # the effective fibers share the line phases, the wrap and the sign of
+    # k, so both magnetic-Bloch operators have the same shifts and blocks
     one = np.array([[1.0 + 0j]])
     harper = HoppingSet(hoppings={
         (0, 0): 4.0 * one, (1, 0): -one, (-1, 0): -one, (0, 1): -one,
         (0, -1): -one})
     A = VectorPotential(MagneticField(2.0 * np.pi * float(flux)))
     free = PeriodicSymbol(Nonrelativistic(), zero_potential(lat2))
-    M = _fd_stencil(free, A, np.ones(2), (flux.denominator, 1)).matrix(k)
+    stencil = _fd_stencil(free, A, np.ones(2), (flux.denominator, 1))
+    peierls = _bloch_operator(harper, flux)
+    assert np.array_equal(stencil.shifts, peierls.shifts)
+    fd_terms, peierls_terms = coefficients(stencil), coefficients(peierls)
+    for shift, C in fd_terms.items():
+        assert abs(C - peierls_terms[shift]).max() < 1e-13
+    M = stencil.matrix(k)
     H = _bloch_fibers(harper, flux, [k])[0]
     assert np.max(np.abs(M.toarray() - H)) < 1e-13
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from peierls import effective
 from peierls.bloch import compute_bands
+from peierls.direct import DirectDiscretization
 from peierls.effective import (
     HoppingSet,
     InconsistentSymbolError,
@@ -316,15 +317,20 @@ def test_batched_cloud_matches_per_k_fiber_formula(flux, seed, k,
 
 @settings(max_examples=30, deadline=None)
 @given(flux=FLUXES, seed=st.integers(0, 2**16))
-def test_operators_are_hermitian_by_construction(flux, seed):
-    # every box entry and every magnetic-Bloch block pair is an exact adjoint
+def test_operators_are_hermitian_by_construction(flux, seed, separable,
+                                                 coefficients):
+    # every box entry is an exact adjoint pair, and so is every coefficient
+    # pair C_-s = C_s^H of the magnetic-Bloch operators of the Peierls
+    # fibers and of an FD stencil
     hops = _hermitian_hoppings(seed)
     M = box_matrix(hops, flux, 3)
     assert np.array_equal(M, np.conj(M.T))
-    shifts, coeffs = effective._bloch_coefficients(hops, flux)
-    index = {tuple(s): j for j, s in enumerate(shifts)}
-    for shift, C in zip(shifts, coeffs):
-        assert np.array_equal(coeffs[index[tuple(-shift)]], np.conj(C.T))
+    for op in (effective._bloch_operator(hops, flux),
+               DirectDiscretization(separable, flux, chi="harmonic")._stencil):
+        terms = coefficients(op)
+        assert len(terms) == len(op.shifts) > 1
+        for shift, C in terms.items():
+            assert (terms[tuple(-np.asarray(shift))] != C.conj().T).nnz == 0
 
 
 def test_non_hermitian_hoppings_raise():

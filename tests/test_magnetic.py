@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peierls.lattice import InputError
 from peierls.magnetic import (
@@ -7,6 +9,7 @@ from peierls.magnetic import (
     BoxGrid,
     MagneticField,
     VectorPotential,
+    bloch_operator,
     hermitian_sqrt,
     line_phase,
     quantize_on_grid,
@@ -93,3 +96,38 @@ def test_box_grid_validation():
     grid = BoxGrid(dim=2, n=8, length=4.0)
     assert grid.positions().shape == (64, 2)
     assert np.isclose(grid.spacing, 0.5)
+
+
+def test_bloch_operator_sums_equal_entries(coefficients):
+    # entries of equal row, column and shift add up; the shifts come out
+    # in lexicographic order, C_0 among them
+    op = bloch_operator(np.array([0, 0, 1, 0, 1]), np.array([1, 1, 0, 1, 1]),
+                        np.array([(1, 0), (1, 0), (-1, 2), (0, 0), (1, 0)]),
+                        np.reshape([1.0, 2j, 3.0, 4.0, 5.0], (-1, 1, 1)), 2)
+    assert op.shifts.tolist() == [[-1, 2], [0, 0], [1, 0]]
+    terms = coefficients(op)
+    assert terms[(-1, 2)].toarray().tolist() == [[0, 0], [3, 0]]
+    assert terms[(0, 0)].toarray().tolist() == [[0, 4], [0, 0]]
+    assert terms[(1, 0)].toarray().tolist() == [[0, 1 + 2j], [0, 5]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), size=st.integers(1, 6),
+       count=st.integers(1, 40))
+def test_bloch_operator_views_agree(seed, size, count):
+    # on random operators, repeated entries included, the CSR view is the
+    # dense view bit for bit, and k = None is k = 0
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(0, size, (2, count))
+    entries = rng.normal(size=count) + 1j * rng.normal(size=count)
+    op = bloch_operator(rows, cols, rng.integers(-2, 3, (count, 2)),
+                        entries[:, None, None], size)
+    kpts = rng.uniform(-np.pi, np.pi, (3, 2))
+    for k, fiber in zip(kpts, op.dense(kpts)):
+        assert np.array_equal(op.matrix(k).toarray(), op.dense([k])[0])
+        assert np.allclose(fiber, op.dense([k])[0], rtol=0, atol=1e-14)
+    H0 = op.matrix(None).toarray()
+    assert np.array_equal(H0, op.matrix(np.zeros(2)).toarray())
+    expected = np.zeros((size, size), dtype=complex)
+    np.add.at(expected, (rows, cols), entries)
+    assert np.allclose(H0, expected, rtol=0, atol=1e-13)
