@@ -25,6 +25,12 @@ shifts at hi and asks for the eigenvalues just below it.  A window
 holding more than an eighth of the spectrum raises InputError before
 any iteration; factors that are not LDL^H, or a run that misses part of
 the count, raise WindowCoverageError.
+
+The run stops at the residual KRYLOV_TOL, not at machine precision,
+which saves ARPACK an implicit restart.  The counts also place the rest
+of the spectrum, so each Ritz value has a certified gap, and by
+Kato-Temple an error bound (_kato_temple); a bound above a few ulps of
+the window repeats the run at ARPACK's machine-precision stop.
 """
 
 from __future__ import annotations
@@ -44,11 +50,15 @@ from .spectra import SpectrumSet
 from .symbols import Nonrelativistic, PeriodicSymbol
 
 
-# A separable-fixture fiber and its window solve (2 CPUs, OpenBLAS with 1
-# thread): 4,096 unknowns (q = 16) 0.14 s; 16,384 (q = 64) 3.3 s, 0.15 GB;
-# 32,768 (q = 128) 30 s, 0.37 GB, as the window's q eigenvalues grow the
-# basis.
+# A separable-fixture fiber and its window solve, band 0 at a certified
+# lower edge (2 CPUs, OpenBLAS with 1 thread; peak RSS of the process):
+# 4,096 unknowns (q = 16) 0.07 s; 16,384 (q = 64) 2.0 s, 0.12 GB; 32,768
+# (q = 128) 12.6 s, 0.24 GB, as the window's q eigenvalues grow the basis.
 MAX_UNKNOWNS = 2**15
+
+# ARPACK stops the window run once every Ritz residual ||T x - theta x|| is
+# at most KRYLOV_TOL max(eps^(2/3), |theta|)
+KRYLOV_TOL = 1e-10
 
 
 def _cell_lengths(lattice: Lattice) -> np.ndarray:
@@ -172,6 +182,45 @@ def _edge_factors(M: sp.spmatrix, edge: float, outward: float):
     return factors, s, int(np.count_nonzero(pivots.real < 0))
 
 
+def _kato_temple(vals: np.ndarray, sigma: float, tol: float,
+                 unwanted) -> np.ndarray:
+    """Error bounds of the eigenvalues vals of M from a shift-invert run
+    at sigma stopped at tol, when unwanted = (low, high) holds the rest of
+    the spectrum of T = (M - sigma)^-1.
+
+    ARPACK stops once each Ritz pair (theta_i, x_i) of T, theta_i =
+    1/(vals_i - sigma), has ||T x_i - theta_i x_i|| <= rho_i =
+    tol max(eps^(2/3), |theta_i|) (Lehoucq, Sorensen and Yang, ARPACK
+    Users' Guide, SIAM 1998), so theta_i +- rho_i holds an eigenvalue of
+    T.  If these intervals are disjoint and outside unwanted, they hold
+    one eigenvalue each, and the others lie at least delta_i from
+    theta_i: the least of the distance to unwanted and of
+    |theta_i - theta_j| - rho_j.  By Kato-Temple (Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998, ch. 10-11) the eigenvalue t_i then lies
+    within e_i = rho_i^2 / delta_i of theta_i, so sigma + 1/t_i lies
+    within e_i / (|theta_i| (|theta_i| - e_i)) of vals_i.  That bounds
+    the early stop alone: the roundoff of the factors and solves, some
+    eps ||M||, is the same at tol = 0.
+
+    Returns the bounds; all inf unless every delta_i > rho_i and every
+    e_i < |theta_i|.
+    """
+    theta = 1.0 / (vals - sigma)
+    rho = tol * np.maximum(np.finfo(float).eps ** (2 / 3), np.abs(theta))
+    # theta is monotone in the sorted vals unless some theta_i lies in
+    # unwanted, and |theta_i - theta_j| - rho_j grows away from i (tol < 1),
+    # so the neighbours of i give its least
+    gap = np.abs(np.diff(theta))
+    delta = np.minimum.reduce([
+        np.maximum(unwanted[0] - theta, theta - unwanted[1]),
+        np.append(gap - rho[1:], np.inf),
+        np.insert(gap - rho[:-1], 0, np.inf)])
+    size, e = np.abs(theta), rho**2 / np.maximum(delta, rho)
+    if np.any(delta <= rho) or np.any(e >= size):
+        return np.full(vals.size, np.inf)
+    return e / (size * (size - e))
+
+
 def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None):
     """Eigenvalues of the Hermitian matrix intersected with window, and
     nu(lo), the number below it.
@@ -184,11 +233,23 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None):
     count smallest of (M - hi)^-1, which one shift-invert Arnoldi run
     computes from the factors of M - hi.  Otherwise they are the count
     largest of (M - lo)^-1, from the factors of M - lo: for a window that
-    starts inside a band the lower edge is the faster shift.  A run that
-    returns fewer than count of them in the window, widened by the edge
-    moves and 1e-9 of its width, raises WindowCoverageError.  The count
-    values are returned clipped onto the window: one on an edge may come
-    back a roundoff outside it.  More than size // 8 raise InputError
+    starts inside a band the lower edge is the faster shift.  On these
+    complex fibers eigsh runs ARPACK's complex Arnoldi (znaupd), not
+    Lanczos.
+
+    The run stops at tol = KRYLOV_TOL.  The counts put the rest of the
+    spectrum of T = (M - sigma)^-1 beyond the wanted theta =
+    1/(lambda - sigma): above 0 at sigma = hi (above 1/(lo - hi) if some
+    eigenvalues lie below lo), below 1/(hi - lo) at sigma = lo.  If a
+    Kato-Temple bound from that gap and the other Ritz values
+    (_kato_temple) exceeds 4 eps max(|lo|, |hi|), the run is repeated at
+    tol = 0, ARPACK's stop at machine precision.  An upper edge on an
+    eigenvalue, at sigma = lo, always repeats: the edge move is its gap.
+
+    A run that returns fewer than count of them in the window, widened by
+    the edge moves and 1e-9 of its width, raises WindowCoverageError.  The
+    count values are returned clipped onto the window: one on an edge may
+    come back a roundoff outside it.  More than size // 8 raise InputError
     before any iteration: such a window holds far more than the few bands
     a reference solve resolves, and Arnoldi then costs more than a dense
     solve (128 eigenvalues of a 1,024-unknown fiber of the separable
@@ -200,11 +261,15 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None):
     size = M.shape[0]
     nudge = 1e-9 * (hi - lo)
     factors, hi_shift, below_hi = _edge_factors(M, hi, nudge)
-    lo_shift, sigma, which = lo, hi_shift, "SA"
+    # unwanted holds theta = 1/(lambda - sigma) of every eigenvalue outside
     if below_lo is None:
         del factors  # one factorization alive at a time
         factors, lo_shift, below_lo = _edge_factors(M, lo, -nudge)
         sigma, which = lo_shift, "LA"
+        unwanted = (-np.inf, 1.0 / (hi_shift - lo_shift))
+    else:
+        lo_shift, sigma, which = lo, hi_shift, "SA"
+        unwanted = (0.0 if below_lo == 0 else 1.0 / (lo - hi_shift), np.inf)
     count = below_hi - below_lo
     if count > size // 8:
         raise InputError(
@@ -217,8 +282,13 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None):
                                   dtype=M.dtype)
     # a fixed generic start vector makes reruns bit-identical
     v0 = np.random.default_rng(0).standard_normal(size) + 0j
-    vals = np.sort(spla.eigsh(M, k=count, sigma=sigma, which=which, v0=v0,
-                              OPinv=inverse, return_eigenvectors=False))
+    limit = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    for tol in (KRYLOV_TOL, 0.0):
+        vals = np.sort(spla.eigsh(M, k=count, sigma=sigma, which=which,
+                                  v0=v0, OPinv=inverse, tol=tol,
+                                  return_eigenvectors=False))
+        if tol and np.all(_kato_temple(vals, sigma, tol, unwanted) <= limit):
+            break
     found = np.count_nonzero((vals >= lo_shift - nudge)
                              & (vals <= hi_shift + nudge))
     if found < count:

@@ -175,8 +175,10 @@ def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, **grid):
     gamma - alpha, and their adjoints, those of q_hat_-alpha."""
     A = VectorPotential(field_for_flux(flux, Lattice(np.eye(hops.dim))))
     keys, blocks = hops.stacked()
-    lead = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)]
-    half = lead >= 0  # the first nonzero coordinate, 0 for alpha = 0
+    lead = keys[:, -1]  # the first nonzero coordinate, 0 for alpha = 0
+    for column in keys.T[-2::-1]:
+        lead = np.where(column != 0, column, lead)
+    half = lead >= 0
     return hermitian_hops(A, shape, np.ones(hops.dim), -keys[half],
                           blocks[half], **grid)
 

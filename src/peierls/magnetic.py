@@ -128,7 +128,9 @@ def peierls_hops(A: VectorPotential, shape, h, offsets, origin=0.0, k=None):
     phases = (line_phase(A, x, x + (h * offsets).take(offset, axis=0))
               if d == 2 else np.ones(rows.size, dtype=complex))
     if k is not None:
-        wrapped = n.any(axis=1)
+        wrapped = n[:, 0] != 0  # column by column: any(axis=1) is slower
+        for column in n.T[1:]:
+            wrapped |= column != 0
         arg = n[wrapped] @ np.asarray(k, dtype=float)
         if d == 2:
             a, y = h * shape * n[wrapped], origin + h * j[wrapped]
@@ -196,31 +198,41 @@ def bloch_operator(rows, cols, shifts, entries, size) -> BlochOperator:
     """The BlochOperator of size x size blocks whose entry j, an (N, N)
     array, adds to C_{shifts[j]} at block (rows[j], cols[j]).  Entries of
     equal row, column and shift are summed in their order."""
-    n, i = entries.shape[1], np.arange(entries.shape[1])
-    rows, cols = (x.ravel() for x in np.broadcast_arrays(
-        rows[:, None, None] * n + i[:, None], cols[:, None, None] * n + i))
-    shifts, size = np.repeat(shifts, n * n, axis=0), size * n
-    base, entries = 2 * np.abs(shifts).max() + 1, entries.ravel()
-    code = sum(axis * base**p for p, axis in enumerate(shifts.T[::-1]))
-    key = rows * size + cols  # the pattern, and each entry's data index
+    n = entries.shape[1]
+    size, block = size * n, n * n
+    # int32 keys while size^2 fits, and a cell-shift code per hop in the
+    # smallest type, which a stable argsort orders by radix: full-length
+    # temporaries stay few and small
+    itype = np.int32 if size**2 <= np.iinfo(np.int32).max else np.int64
+    i = np.arange(n, dtype=itype)
+    key = ((rows.astype(itype)[:, None, None] * n + i[:, None]) * size
+           + cols.astype(itype)[:, None, None] * n + i).ravel()
+    m = int(np.abs(shifts).max())  # shifts in lexicographic order
+    code = np.ravel_multi_index(tuple((shifts + m).T),
+                                (2 * m + 1,) * shifts.shape[1])
+    code = np.repeat(code.astype(np.min_scalar_type(code.max())), block)
     order = np.argsort(key, kind="stable")
-    new = np.diff(key[order], prepend=-1) != 0
-    pattern, where = key[order][new], np.empty_like(order)
-    where[order] = np.cumsum(new) - 1
+    key = key.take(order)  # the pattern, and each entry's data index
+    new = np.concatenate(([True], key[1:] != key[:-1]))
+    pattern, where = key[new], np.cumsum(new)
+    where -= 1
     # the entries by shift, then by data index; equal ones are summed
-    order = order[np.argsort(code[order], kind="stable")]
-    code, where, data = code[order], where[order], entries[order]
-    term = code * pattern.size + where
-    first = np.diff(term, prepend=term[:1] - 1) != 0
+    by_shift = np.argsort(code.take(order), kind="stable")
+    order = order.take(by_shift)
+    code, where = code.take(order), where.take(by_shift)
+    shift = np.concatenate(([True], code[1:] != code[:-1]))
+    first = shift | np.concatenate(([True], where[1:] != where[:-1]))
     starts, dup = np.flatnonzero(first), np.flatnonzero(~first)
-    summed, at = data[starts], where[starts]
-    np.add.at(summed, np.searchsorted(starts, dup, "right") - 1, data[dup])
-    bounds = np.flatnonzero(np.diff(code[starts], prepend=code[:1] - 1))
+    data = entries.reshape(-1)
+    summed, at = data.take(order.take(starts)), where.take(starts)
+    np.add.at(summed, np.searchsorted(starts, dup, "right") - 1,
+              data.take(order.take(dup)))
+    bounds = np.flatnonzero(shift.take(starts))
     runs = list(zip(bounds.tolist(), bounds[1:].tolist() + [starts.size]))
     return BlochOperator(  # int32 indices, as scipy's CSR takes them
         np.searchsorted(pattern, np.arange(size + 1) * size).astype(np.int32),
         (pattern % size).astype(np.int32),
-        shifts.take(order[starts[bounds]], axis=0),
+        shifts.take(order.take(starts.take(bounds)) // block, axis=0),
         tuple(at[a:b] for a, b in runs), tuple(summed[a:b] for a, b in runs))
 
 

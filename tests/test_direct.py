@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peierls import direct
 from peierls.direct import (
+    KRYLOV_TOL,
     DirectDiscretization,
     WindowCoverageError,
     _edge_factors,
     _fd_stencil,
+    _kato_temple,
     certified_below,
     direct_spectrum,
     window_eigs,
@@ -357,6 +360,138 @@ def test_window_eigs_matches_dense_at_random_flux(separable, p, q, k1, k2,
         (dense[i] + 1e-7, dense[j] + 1e-7),  # lower edge just above one
     ]:
         _check_window(M, dense, window)
+
+
+def _counted_runs(monkeypatch):
+    """The tol of every eigsh run, and the SuperLU solves of each."""
+    runs, factor, eigsh = [], direct._shift_factors, direct.spla.eigsh
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def solve(self, b):
+            runs[-1][1] += 1
+            return self.lu.solve(b)
+
+    def run(*args, **kwargs):
+        runs.append([kwargs["tol"], 0])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(direct, "_shift_factors",
+                        lambda *args: Counted(factor(*args)))
+    monkeypatch.setattr(direct.spla, "eigsh", run)
+    return runs
+
+
+def test_certified_window_run_stops_at_krylov_tol(separable, monkeypatch):
+    # the flux-1/8 fibers of the separable_compare benchmark, window
+    # band 0 +- 0.08 with the lower edge certified: one run at KRYLOV_TOL
+    # takes 21 solves, where ARPACK's machine-precision stop takes 33 (one
+    # implicit restart)
+    q = 4 * 0.5  # Mathieu q of the fixture's amplitude 0.5, per axis
+    band = 2 * np.array([scipy.special.mathieu_a(0, q),
+                         scipy.special.mathieu_b(1, q)]) / 4
+    window = (band[0] - 0.08, band[1] + 0.08)
+    assert certified_below(separable, 16, window) == 0
+    disc = DirectDiscretization(separable, Fraction(1, 8), points_per_cell=16)
+    runs = _counted_runs(monkeypatch)
+    for k in magnetic_momenta(2, 8, 2):
+        M = disc.bloch_matrix(k)
+        assert M.shape[0] == 2048
+        got, below = window_eigs(M, window, below_lo=0)
+        assert below == 0 and got.size == 8  # the q subbands
+        tol, solves = runs.pop()
+        assert tol == KRYLOV_TOL and solves <= 21 and not runs
+
+
+@pytest.mark.parametrize("diagonal, window", [
+    ({11: 10.0 + 1e-8}, (9.5, 12.5)),  # a pair 1e-8 apart
+    ({}, (9.5, 12.0)),  # hi an eigenvalue: a gap of the 1e-9 edge move
+], ids=["pair", "edge"])
+def test_uncertified_ritz_values_are_solved_again_at_tol_0(
+        monkeypatch, diagonal, window):
+    values = np.arange(700.0)
+    values[list(diagonal)] = list(diagonal.values())
+    M = sp.diags(values + 0j).tocsr()
+    runs = _counted_runs(monkeypatch)
+    got, below = window_eigs(M, window)
+    assert [tol for tol, _ in runs] == [KRYLOV_TOL, 0.0]
+    dense = np.linalg.eigvalsh(M.toarray())
+    expected = dense[(dense >= window[0]) & (dense <= window[1])]
+    assert below == 10 and got.shape == expected.shape == (3,)
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def _certified_errors(M, dense, window, tol):
+    """window_eigs with KRYLOV_TOL = tol, at each lower edge it takes:
+    (error against dense, bound) of every value of a certified first run.
+    The window's edges must not be eigenvalues."""
+    records, out = [], []
+
+    def record(vals, sigma, tol, unwanted):
+        bounds = _kato_temple(vals, sigma, tol, unwanted)
+        records.append((vals.copy(), bounds))
+        return bounds
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(direct, "KRYLOV_TOL", tol)
+        patch.setattr(direct, "_kato_temple", record)
+        for below_lo in [None] + ([0] if window[0] < dense[0] else []):
+            records.clear()
+            _, below = window_eigs(M, window, below_lo=below_lo)
+            for vals, bounds in records[:1]:
+                if np.all(np.isfinite(bounds)):
+                    out.append((np.abs(vals - dense[below:below + vals.size]),
+                                bounds))
+    return out
+
+
+def test_kato_temple_bounds_hold_on_diagonal_fibers():
+    # exact spectra with pairs 1e-6 to 1e-2 apart; a loose tol makes the
+    # bounds far larger than roundoff, and the slack covers the last
+    # rounding of sigma + 1/theta
+    rng = np.random.default_rng(7)
+    certified = 0
+    for tol in (1e-2, 1e-4, 1e-7, KRYLOV_TOL):
+        for _ in range(4):
+            values = rng.uniform(0.0, 10.0, 400)
+            values[1::7] = values[::7][:57] + 10.0 ** rng.uniform(-6, -2, 57)
+            dense = np.sort(values)
+            lo = rng.uniform(-1.0, 9.0)
+            window = (lo, lo + rng.uniform(0.05, 1.0))
+            slack = 8 * np.finfo(float).eps * max(map(abs, window))
+            M = sp.diags(values + 0j).tocsr()
+            for errors, bounds in _certified_errors(M, dense, window, tol):
+                assert np.all(errors <= bounds + slack)
+                certified += 1
+    assert certified >= 8
+
+
+def test_kato_temple_bounds_hold_on_fd_fibers(separable):
+    # the bound covers the early stop of the iteration, not the roundoff
+    # of the factors and solves (a tol = 0 run has it too) nor that of
+    # the dense eigenvalues: the slack, 100 eps ||M||, is 1.2e-12 here
+    rng = np.random.default_rng(8)
+    certified = 0
+    for flux in ("1/2", "1/3", "2/3", "1/4"):
+        disc = DirectDiscretization(separable, Fraction(flux),
+                                    points_per_cell=16)
+        M = disc.bloch_matrix(rng.uniform(-np.pi, np.pi, 2))
+        dense = np.linalg.eigvalsh(M.toarray())
+        slack = 100 * np.finfo(float).eps * abs(M).sum(axis=1).max()
+        m = M.shape[0] // 8
+        for tol in (1e-2, 1e-4, 1e-7, KRYLOV_TOL):
+            lo = dense[0] - 0.1 + rng.uniform(0.0, 1.0) * (dense[m] - dense[0])
+            window = (lo, min(lo + rng.uniform(0.05, 1.0),
+                              0.5 * (dense[m - 1] + dense[m])))
+            for errors, bounds in _certified_errors(M, dense, window, tol):
+                assert np.all(errors <= bounds + slack)
+                certified += 1
+    assert certified >= 8
 
 
 @settings(max_examples=8, deadline=None)

@@ -131,3 +131,90 @@ def test_bloch_operator_views_agree(seed, size, count):
     expected = np.zeros((size, size), dtype=complex)
     np.add.at(expected, (rows, cols), entries)
     assert np.allclose(H0, expected, rtol=0, atol=1e-13)
+
+
+def _bloch_operator_reference(rows, cols, shifts, entries, size):
+    """bloch_operator as first written: int64 keys over the repeated
+    shifts, a shift code per entry and gathers by fancy indexing."""
+    n, i = entries.shape[1], np.arange(entries.shape[1])
+    rows, cols = (x.ravel() for x in np.broadcast_arrays(
+        rows[:, None, None] * n + i[:, None], cols[:, None, None] * n + i))
+    shifts, size = np.repeat(shifts, n * n, axis=0), size * n
+    base, entries = 2 * np.abs(shifts).max() + 1, entries.ravel()
+    code = sum(axis * base**p for p, axis in enumerate(shifts.T[::-1]))
+    key = rows * size + cols
+    order = np.argsort(key, kind="stable")
+    new = np.diff(key[order], prepend=-1) != 0
+    pattern, where = key[order][new], np.empty_like(order)
+    where[order] = np.cumsum(new) - 1
+    order = order[np.argsort(code[order], kind="stable")]
+    code, where, data = code[order], where[order], entries[order]
+    term = code * pattern.size + where
+    first = np.diff(term, prepend=term[:1] - 1) != 0
+    starts, dup = np.flatnonzero(first), np.flatnonzero(~first)
+    summed, at = data[starts], where[starts]
+    np.add.at(summed, np.searchsorted(starts, dup, "right") - 1, data[dup])
+    bounds = np.flatnonzero(np.diff(code[starts], prepend=code[:1] - 1))
+    runs = list(zip(bounds.tolist(), bounds[1:].tolist() + [starts.size]))
+    return (np.searchsorted(pattern, np.arange(size + 1) * size
+                            ).astype(np.int32),
+            (pattern % size).astype(np.int32),
+            shifts.take(order[starts[bounds]], axis=0),
+            tuple(at[a:b] for a, b in runs),
+            tuple(summed[a:b] for a, b in runs))
+
+
+def _assert_identical(op, reference):
+    """Every array of op equals the reference's, dtype and bits."""
+    indptr, indices, shifts, at, data = reference
+    fields = [(op.indptr, indptr), (op.indices, indices),
+              (op.shifts, shifts)]
+    assert len(op.at) == len(at) and len(op.data) == len(data)
+    for got, want in fields + list(zip(op.at, at)) + list(zip(op.data, data)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_bloch_operator_is_its_reference_bit_for_bit(monkeypatch, separable,
+                                                     nn_hoppings):
+    # the FD stencils of the bench fluxes, with and without a gauge
+    # function, and the Peierls fibers and box: the same arrays, dtypes
+    # and sums as the first construction
+    from fractions import Fraction
+
+    from peierls import direct, effective
+    from peierls.direct import DirectDiscretization
+    from peierls.effective import _bloch_operator, box_matrix
+
+    calls = []
+    for module in (direct, effective):
+        monkeypatch.setattr(module, "bloch_operator", lambda *args: (
+            calls.append(args) or bloch_operator(*args)))
+    for flux, chi in [("0", None), ("1/4", None), ("1/8", None),
+                      ("3/4", "harmonic")]:
+        DirectDiscretization(separable, Fraction(flux), 16,
+                             chi=chi).bloch_matrix(None)
+    for flux in ("1/4", "2/5"):
+        _bloch_operator(nn_hoppings, Fraction(flux))
+        box_matrix(nn_hoppings, Fraction(flux), 3)
+    assert len(calls) == 8
+    for args in calls:
+        _assert_identical(bloch_operator(*args),
+                          _bloch_operator_reference(*args))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       size=st.one_of(st.integers(1, 6), st.just(50_000)),  # int64 keys
+       block=st.integers(1, 3), count=st.integers(1, 60),
+       reach=st.integers(0, 40), dim=st.integers(1, 3))
+def test_random_bloch_operators_are_their_reference(seed, size, block, count,
+                                                    reach, dim):
+    # repeated entries, blocks, wide shift ranges and every dimension
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(0, size, (2, count))
+    shifts = rng.integers(-reach, reach + 1, (count, dim))
+    entries = (rng.normal(size=(count, block, block))
+               + 1j * rng.normal(size=(count, block, block)))
+    args = rows, cols, shifts, entries, size
+    _assert_identical(bloch_operator(*args), _bloch_operator_reference(*args))

@@ -234,3 +234,20 @@ def test_config_keys_are_the_keys_cli_reads():
         _number(cfg, "numerics", "e", 0); _number(cfg, "", key, 0)
     """))
     assert _config_keys_read(synthetic) == {"a", "c"}
+
+
+def test_one_krylov_call_with_an_explicit_stop():
+    """The package runs ARPACK (eigs, eigsh) at one call site, eigsh in
+    direct.window_eigs, and that call names its tol: one Krylov path with
+    one documented stopping rule (KRYLOV_TOL and its rerun at 0)."""
+    trees = _package_trees()
+    sites = [(module, node) for module, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and _mentions([node.func]) & {"eigs", "eigsh"}]
+    assert [module for module, _ in sites] == ["direct"]
+    call = sites[0][1]
+    window_eigs = next(node for node in trees["direct"].body
+                       if getattr(node, "name", None) == "window_eigs")
+    assert call in list(ast.walk(window_eigs))
+    assert "eigsh" in _mentions([call.func])
+    assert "tol" in {keyword.arg for keyword in call.keywords}
