@@ -56,6 +56,10 @@ from .symbols import Nonrelativistic, PeriodicSymbol
 # (q = 128) 12.6 s, 0.24 GB, as the window's q eigenvalues grow the basis.
 MAX_UNKNOWNS = 2**15
 
+# The outward move of a window edge, in units of the window width: one for
+# window_eigs and certified_below, whose count at lo must hold for the fibers
+EDGE_MOVE = 1e-9
+
 # ARPACK stops the window run once every Ritz residual ||T x - theta x|| is
 # at most KRYLOV_TOL max(eps^(2/3), |theta|)
 KRYLOV_TOL = 1e-10
@@ -108,8 +112,8 @@ class DirectDiscretization:
 
     def bloch_matrix(self, k) -> sp.spmatrix:
         """FD matrix over q unit cells, stacked along the first lattice vector
-        (array axis 0 of the stencil grid), at momentum k (None: k = 0);
-        the stencil is built on the first call."""
+        (array axis 0 of the stencil grid), at momentum k; the stencil is
+        built on the first call."""
         return self._stencil.matrix(k)
 
 
@@ -117,16 +121,16 @@ def _fd_stencil(symbol: PeriodicSymbol, A: VectorPotential, h: np.ndarray,
                 shape: tuple) -> BlochOperator:
     """Periodic FD stencil on the grid h * i, 0 <= i_ax < shape[ax]: the
     links [x, x + h_ax e_ax] of entry -1/h_ax^2 and their adjoints from
-    magnetic.hermitian_hops at k = 0, and the diagonal, sum 2/h_ax^2 plus
-    the potential, of shift 0.  A wrapped link of cell shift n carries
-    exp(i <k, n>) times a factor free of k, so matrix(k) is the periodic
-    FD matrix at momentum k."""
+    magnetic.hermitian_hops, each wrapped over the grid with its factor at
+    k = 0, and the diagonal, sum 2/h_ax^2 plus the potential, of shift 0.
+    A wrapped link of cell shift n carries exp(i <k, n>) times that factor,
+    so matrix(k) is the periodic FD matrix at momentum k."""
     total, d = int(np.prod(shape)), len(shape)
     pos = tensor_grid([np.arange(m) for m in shape]) * h[None, :]
     diag = (np.full(total, float(np.sum(2.0 / h**2)), dtype=complex)
             + symbol.potential.value(pos))
     links = hermitian_hops(A, shape, h, np.eye(d, dtype=int),
-                           (-1.0 / h**2)[:, None, None], k=np.zeros(d))
+                           (-1.0 / h**2)[:, None, None])
     sites = np.arange(total)
     diagonal = (sites, sites, np.zeros((total, d), int), diag[:, None, None])
     return bloch_operator(*map(np.concatenate, zip(links, diagonal)), total)
@@ -227,13 +231,14 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None):
 
     The matrix is counted first: count = nu(hi) - nu(lo) of its
     eigenvalues lie in [lo, hi), with nu the inertia count of
-    _edge_factors; an edge that is an eigenvalue moves outward by 1e-9 of
-    the window width.  below_lo, when given, is nu(lo) certified by the
-    caller, and M - lo is not factored: the count eigenvalues are then the
-    count smallest of (M - hi)^-1, which one shift-invert Arnoldi run
-    computes from the factors of M - hi.  Otherwise they are the count
-    largest of (M - lo)^-1, from the factors of M - lo: for a window that
-    starts inside a band the lower edge is the faster shift.  On these
+    _edge_factors; an edge that is an eigenvalue moves outward by
+    EDGE_MOVE of the window width.  below_lo, when given, is nu(lo)
+    certified by the caller, and M - lo is not factored: the count
+    eigenvalues are then the count smallest of (M - hi)^-1, which one
+    shift-invert Arnoldi run computes from the factors of M - hi.
+    Otherwise they are the count largest of (M - lo)^-1, from the factors
+    of M - lo: for a window that starts inside a band the lower edge is the
+    faster shift.  On these
     complex fibers eigsh runs ARPACK's complex Arnoldi (znaupd), not
     Lanczos.
 
@@ -247,9 +252,9 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None):
     eigenvalue, at sigma = lo, always repeats: the edge move is its gap.
 
     A run that returns fewer than count of them in the window, widened by
-    the edge moves and 1e-9 of its width, raises WindowCoverageError.  The
-    count values are returned clipped onto the window: one on an edge may
-    come back a roundoff outside it.  More than size // 8 raise InputError
+    the edge moves and EDGE_MOVE of its width, raises WindowCoverageError.
+    The count values are returned clipped onto the window: one on an edge
+    may come back a roundoff outside it.  More than size // 8 raise InputError
     before any iteration: such a window holds far more than the few bands
     a reference solve resolves, and Arnoldi then costs more than a dense
     solve (128 eigenvalues of a 1,024-unknown fiber of the separable
@@ -259,7 +264,7 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None):
     """
     lo, hi = window
     size = M.shape[0]
-    nudge = 1e-9 * (hi - lo)
+    nudge = EDGE_MOVE * (hi - lo)
     factors, hi_shift, below_hi = _edge_factors(M, hi, nudge)
     # unwanted holds theta = 1/(lambda - sigma) of every eigenvalue outside
     if below_lo is None:
@@ -311,15 +316,16 @@ def certified_below(symbol: PeriodicSymbol, points_per_cell: int,
     eigenvector is positive and unique, hence invariant under the
     unit-cell translation, and its lowest eigenvalue is the unit cell's
     at k = 0.  If that cell has no eigenvalue below the lower edge (moved
-    outward as in window_eigs), no fiber of any flux, momentum or gauge
-    has one, so one count serves every DirectDiscretization of this
-    symbol and points_per_cell.  Returns None, and the fibers count both
-    edges, for an edge the cell does not clear.
+    outward by EDGE_MOVE, as in window_eigs), no fiber of any flux,
+    momentum or gauge has one, so one count serves every
+    DirectDiscretization of this symbol and points_per_cell.  Returns
+    None, and the fibers count both edges, for an edge the cell does not
+    clear.
     """
-    cell = DirectDiscretization(symbol, Fraction(0),
-                                points_per_cell).bloch_matrix(None)
+    cell = DirectDiscretization(symbol, Fraction(0), points_per_cell
+                                ).bloch_matrix(np.zeros(symbol.lattice.dim))
     lo, hi = window
-    below = _edge_factors(cell, lo, -1e-9 * (hi - lo))[2]
+    below = _edge_factors(cell, lo, -EDGE_MOVE * (hi - lo))[2]
     return 0 if below == 0 else None
 
 

@@ -169,10 +169,11 @@ def gauge_shifted_hoppings(
     return HoppingSet(hoppings=out, asymmetry=hops.asymmetry)
 
 
-def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, **grid):
-    """magnetic.hermitian_hops on the unit grid of this shape at flux 2 pi
-    flux per cell: the hops alpha = 0 and alpha > 0, from gamma to
-    gamma - alpha, and their adjoints, those of q_hat_-alpha."""
+def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, origin=0.0):
+    """magnetic.hermitian_hops on the unit grid origin + i of this shape,
+    wrapped over it, at flux 2 pi flux per cell: the hops alpha = 0 and
+    alpha > 0, from gamma to gamma - alpha, and their adjoints, those of
+    q_hat_-alpha."""
     A = VectorPotential(field_for_flux(flux, Lattice(np.eye(hops.dim))))
     keys, blocks = hops.stacked()
     lead = keys[:, -1]  # the first nonzero coordinate, 0 for alpha = 0
@@ -180,12 +181,14 @@ def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, **grid):
         lead = np.where(column != 0, column, lead)
     half = lead >= 0
     return hermitian_hops(A, shape, np.ones(hops.dim), -keys[half],
-                          blocks[half], **grid)
+                          blocks[half], origin)
 
 
 def box_matrix(hops: HoppingSet, flux: Fraction,
                half_width: int) -> np.ndarray:
-    """The operator on the sites with |gamma_i| <= half_width (Dirichlet)."""
+    """The operator on the sites with |gamma_i| <= half_width: the shift-0
+    term of the periodic operator on the box, its hops that stay in it
+    (Dirichlet)."""
     magnetic_cells(flux, hops.dim)  # an exact flux, 0 in d=1, else InputError
     radius = max(max(abs(a) for a in alpha) for alpha in hops.hoppings)
     if half_width < radius:
@@ -196,8 +199,9 @@ def box_matrix(hops: HoppingSet, flux: Fraction,
         raise InputError(
             f"half_width {half_width} gives a {sites * n} x {sites * n} box "
             f"matrix, more than the limit of {MAX_FIBER_ENTRIES} entries")
-    return bloch_operator(*_lattice_hops(hops, flux, (side,) * hops.dim,
-                                         origin=-half_width),
+    links = _lattice_hops(hops, flux, (side,) * hops.dim, -half_width)
+    inside = ~links[2].any(axis=1)
+    return bloch_operator(*(x[inside] for x in links),
                           sites).dense(np.zeros(hops.dim))[0]
 
 
@@ -215,13 +219,13 @@ def _bloch_operator(hops: HoppingSet, flux: Fraction) -> BlochOperator:
                     - (Phi/2) s' n ]) u_{s'}
 
     with s' = (s - b1) mod q, m = (s - b1 - s') / q, n = -b2: the hop of
-    _lattice_hops at k = 0 from (s, 0) to (s', 0) in the cell shifted by
-    (m, n) is block (s, s') of C_(m, n).  In d=1 the flux is zero and this
-    is the symbol evaluated on the momentum grid.
+    _lattice_hops from (s, 0) to (s', 0) in the cell shifted by (m, n),
+    with its wrap factor at k = 0, is block (s, s') of C_(m, n), and
+    BlochOperator adds the exp(i (k1 m + k2 n)).  In d=1 the flux is zero
+    and this is the symbol evaluated on the momentum grid.
     """
     q = magnetic_cells(flux, hops.dim)
-    return bloch_operator(*_lattice_hops(hops, flux, (q, 1)[:hops.dim],
-                                         k=np.zeros(hops.dim)), q)
+    return bloch_operator(*_lattice_hops(hops, flux, (q, 1)[:hops.dim]), q)
 
 
 def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Magnetic geometry: transversal gauge, line phases, Peierls hops.
 
 Every magnetic phase of the package is computed here: line_phase for
-links and kernels, peierls_hops for the hops of a lattice operator on a
-grid with their magnetic-Bloch wrap over a cell, hermitian_hops for them
-closed by their adjoints and BlochOperator for the fibers
-H(k) = sum_s C_s exp(i <k, s>) (the FD stencil of direct and the
-operators of effective), field_for_flux for the field of a rational
-unit-cell flux and magnetic_cells for the unit cells of its magnetic cell.
+links and kernels, hermitian_hops for the hops of a lattice operator on
+a grid, each wrapped over the cell with its magnetic-Bloch factor at
+k = 0 and closed by its adjoint, BlochOperator for the fibers
+H(k) = sum_s C_s exp(i <k, s>) over its cell shifts s (the FD stencil of
+direct and the operators of effective), field_for_flux for the field of
+a rational unit-cell flux and magnetic_cells for the unit cells of its
+magnetic cell.
 
 Conventions (d = 2 throughout unless noted):
   * constant field B12 = b, B21 = -b; transversal gauge A(x) = (b/2)(-x2, x1);
@@ -99,59 +100,44 @@ def line_phase(A: VectorPotential, x, y) -> np.ndarray:
     return phase
 
 
-def peierls_hops(A: VectorPotential, shape, h, offsets, origin=0.0, k=None):
+def hermitian_hops(A: VectorPotential, shape, h, offsets, blocks,
+                   origin=0.0):
     """The hops i -> i + o (o a row of offsets) on the grid origin + h * i,
-    0 <= i < shape, offset by offset, each over the sites in C order.
+    0 <= i < shape, offset by offset, each over the sites in C order, with
+    one (N, N) block per offset, and their adjoints.
 
     The hop from x to x + h * o carries line_phase(A, x, x + h * o), or 1
-    in d = 1.  With k None a hop that leaves the grid is dropped
-    (Dirichlet); otherwise its target i + o = j + shape * n is wrapped onto
-    j with the magnetic-Bloch factor of the module docstring at
+    in d = 1, times its block.  Its target i + o = j + shape * n is wrapped
+    onto j with the magnetic-Bloch factor of the module docstring at k = 0,
     a = h * shape * n and y = origin + h * j (a gradient gauge chi must be
-    periodic over the cell).  Returns (rows, cols, offset, n, phases):
-    source and target site, row of offsets, cell shift and phase per hop.
+    periodic over the cell).  Each nonzero offset adds its reverse
+    (cols, rows, -n) with the adjoint entry, so with no offset the negative
+    of another and a Hermitian block at offset 0 the operator is Hermitian
+    by construction.  Returns rows, cols, cell shifts n and phased blocks
+    (hops, N, N).
     """
     shape, h = np.asarray(shape), np.asarray(h, dtype=float)
     d = shape.size
     offsets = np.asarray(offsets).reshape(-1, d)
     sites = np.indices(shape).reshape(d, -1).T
-    target = offsets[:, None] + sites
-    # one hop per (offset, site) in C order; in Dirichlet mode only those
-    # that stay on the grid, so no phase is computed for a dropped one
-    kept = (np.ones(target.shape[:2], dtype=bool) if k is not None
-            else ((target >= 0) & (target < shape)).all(axis=2))
-    hop = np.flatnonzero(kept)
-    offset, rows = np.divmod(hop, len(sites))
-    # rows of 2-D arrays are gathered with take: fancy indexing is slower
-    n, j = np.divmod(target.reshape(-1, d).take(hop, axis=0), shape)
-    x = origin + h * sites.take(rows, axis=0)
-    phases = (line_phase(A, x, x + (h * offsets).take(offset, axis=0))
-              if d == 2 else np.ones(rows.size, dtype=complex))
-    if k is not None:
-        wrapped = n[:, 0] != 0  # column by column: any(axis=1) is slower
-        for column in n.T[1:]:
-            wrapped |= column != 0
-        arg = n[wrapped] @ np.asarray(k, dtype=float)
-        if d == 2:
-            a, y = h * shape * n[wrapped], origin + h * j[wrapped]
-            arg += (np.einsum("ij,ij->i", transversal_gauge(A.field, a), y)
-                    + 0.5 * A.field.b12 * a[:, 0] * a[:, 1])
-        phases[wrapped] *= np.exp(1j * arg)
-    return rows, np.ravel_multi_index(tuple(j.T), shape), offset, n, phases
-
-
-def hermitian_hops(A: VectorPotential, shape, h, offsets, blocks, **grid):
-    """peierls_hops of the offsets, one (N, N) block each, and their
-    adjoints: rows, cols, cell shifts and phased blocks (hops, N, N).  Each
-    nonzero offset adds its reverse (cols, rows, -cell) with the adjoint
-    entry, so with no offset the negative of another and a Hermitian block
-    at offset 0 the operator is Hermitian by construction."""
-    rows, cols, hop, cell, phases = peierls_hops(A, shape, h, offsets, **grid)
-    entries = phases[:, None, None] * blocks[hop]
-    back = np.flatnonzero(offsets.any(axis=1)[hop])
+    offset, rows = np.divmod(np.arange(len(offsets) * len(sites)), len(sites))
+    n, j = np.divmod((offsets[:, None] + sites).reshape(-1, d), shape)
+    phases = np.ones(rows.size, dtype=complex)
+    if d == 2:
+        # rows of 2-D arrays are gathered with take: fancy indexing is slower
+        x = origin + h * sites.take(rows, axis=0)
+        phases = line_phase(A, x, x + (h * offsets).take(offset, axis=0))
+        wrapped = (n[:, 0] != 0) | (n[:, 1] != 0)  # any(axis=1) is slower
+        a, y = h * shape * n[wrapped], origin + h * j[wrapped]
+        phases[wrapped] *= np.exp(1j * (
+            np.einsum("ij,ij->i", transversal_gauge(A.field, a), y)
+            + 0.5 * A.field.b12 * a[:, 0] * a[:, 1]))
+    cols = np.ravel_multi_index(tuple(j.T), shape)
+    entries = phases[:, None, None] * blocks[offset]
+    back = np.flatnonzero(offsets.any(axis=1)[offset])
     return (np.concatenate([rows, cols[back]]),
             np.concatenate([cols, rows[back]]),
-            np.concatenate([cell, -cell.take(back, axis=0)]),
+            np.concatenate([n, -n.take(back, axis=0)]),
             np.concatenate([entries, np.conj(
                 entries.take(back, axis=0).transpose(0, 2, 1))]))
 
@@ -178,12 +164,11 @@ class BlochOperator:
             out[at] += np.exp(1j * (kpts @ shift)) * data[:, None]
         return out
 
-    def matrix(self, k=None) -> sp.csr_matrix:
-        """H(k) as a CSR matrix (k None: k = 0)."""
+    def matrix(self, k) -> sp.csr_matrix:
+        """H(k) as a CSR matrix."""
         size = self.indptr.size - 1
-        data = self._data(np.zeros(self.shifts.shape[1]) if k is None else k)
-        return sp.csr_matrix((data[:, 0], self.indices, self.indptr),
-                             shape=(size, size))
+        return sp.csr_matrix((self._data(k)[:, 0], self.indices,
+                              self.indptr), shape=(size, size))
 
     def dense(self, kpts) -> np.ndarray:
         """H(k) at the rows of kpts, shape (K, n, n)."""

@@ -25,7 +25,7 @@ from peierls.effective import (HoppingSet, _bloch_fibers, _bloch_operator,
 from peierls.lattice import (InputError, Lattice, magnetic_momenta,
                              tensor_grid)
 from peierls.magnetic import (CHI_CATALOG, MagneticField, VectorPotential,
-                              field_for_flux, peierls_hops)
+                              field_for_flux, line_phase, transversal_gauge)
 from peierls.spectra import SpectrumSet
 from peierls.symbols import (
     Nonrelativistic,
@@ -189,17 +189,28 @@ def test_fd_stencil_on_the_unit_grid_is_the_harper_fiber(flux, k, lat2,
 
 
 def _fiber_built_at(disc, k):
-    """disc's FD matrix with every phase computed at k."""
+    """disc's FD matrix with every phase computed at k: the line phase of
+    each link [x, x + h_ax e_ax] and, on a link that leaves the grid at
+    cell shift n, the wrap exp(i (<k, n> + <A(a), y> + (b/2) a1 a2)) of its
+    cell vector a and wrapped target y."""
     lattice = disc.symbol.lattice
     n, q = disc.points_per_cell, disc.flux.denominator
     h = np.diag(lattice.basis) / n
-    shape = (q * n, n)
+    shape = np.array([q * n, n])
     A = VectorPotential(field_for_flux(disc.flux, lattice), disc.chi)
-    rows, cols, axis, _, phases = peierls_hops(
-        A, shape, h, np.eye(2, dtype=int), 0.0, k)
+    sites = np.indices(shape).reshape(2, -1).T
+    axis = np.repeat([0, 1], len(sites))
+    start = np.concatenate([sites, sites])
+    cell, end = np.divmod(start + np.eye(2, dtype=int)[axis], shape)
+    x, a, y = h * start, h * shape * cell, h * end
+    wrap = (cell @ k + np.sum(transversal_gauge(A.field, a) * y, axis=1)
+            + 0.5 * A.field.b12 * a[:, 0] * a[:, 1])
+    vals = (-line_phase(A, x, x + h * np.eye(2)[axis]) * np.exp(1j * wrap)
+            / h[axis] ** 2)
+    rows, cols = (np.ravel_multi_index(tuple(p.T), shape)
+                  for p in (start, end))
     v = disc.symbol.potential.value(
         tensor_grid([np.arange(m) for m in shape]) * h)
-    vals = -phases / h[axis] ** 2
     sites = np.arange(v.size)
     return sp.coo_matrix(
         (np.concatenate([vals, np.conj(vals), np.sum(2.0 / h**2) + v]),
@@ -511,8 +522,8 @@ def test_fiber_bottom_lies_above_the_zero_field_cell(separable, flux, k, chi):
     h = np.diag(separable.lattice.basis) / n
     zero = VectorPotential(MagneticField(0.0))
     floor, periodic = (
-        np.linalg.eigvalsh(_fd_stencil(separable, zero, h,
-                                       shape).matrix().toarray())[0]
+        np.linalg.eigvalsh(_fd_stencil(separable, zero, h, shape)
+                           .matrix(np.zeros(2)).toarray())[0]
         for shape in ((n, n), (q * n, n)))
     assert abs(periodic - floor) < 1e-10
     M = DirectDiscretization(separable, flux, points_per_cell=n,

@@ -23,8 +23,10 @@ from peierls.effective import (
     reconstruct_spectrum,
     subband_groups,
 )
-from peierls.lattice import InputError, bz_grid, dual_shell, tensor_grid
-from peierls.magnetic import field_for_flux
+from peierls.lattice import (InputError, Lattice, bz_grid, dual_shell,
+                             tensor_grid)
+from peierls.magnetic import (VectorPotential, bloch_operator,
+                              field_for_flux, line_phase)
 from peierls.spectra import SpectrumSet, hausdorff_distance
 
 FLUXES = st.integers(1, 16).flatmap(
@@ -93,6 +95,64 @@ def test_box_matrix_memory_is_that_of_its_matrix():
         tracemalloc.stop()
     assert M.shape == (801, 801)
     assert peak < 1.3 * M.nbytes
+
+
+def _dirichlet_box_reference(hops, flux, half_width):
+    """box_matrix built as a Dirichlet box: a hop that leaves the box is
+    dropped before any phase is computed, and the hops alpha = 0 and
+    alpha > 0 that stay carry their line phase, closed by their adjoints."""
+    d, side = hops.dim, 2 * half_width + 1
+    A = VectorPotential(field_for_flux(flux, Lattice(np.eye(d))))
+    keys, blocks = hops.stacked()
+    lead = keys[:, -1]  # the first nonzero coordinate, 0 for alpha = 0
+    for column in keys.T[-2::-1]:
+        lead = np.where(column != 0, column, lead)
+    offsets, blocks = -keys[lead >= 0], blocks[lead >= 0]
+    h, sites = np.ones(d), np.indices((side,) * d).reshape(d, -1).T
+    target = offsets[:, None] + sites
+    hop = np.flatnonzero(((target >= 0) & (target < side)).all(axis=2))
+    offset, rows = np.divmod(hop, len(sites))
+    cols = np.ravel_multi_index(tuple(target.reshape(-1, d)[hop].T),
+                                (side,) * d)
+    x = -half_width + h * sites[rows]
+    phases = (line_phase(A, x, x + (h * offsets)[offset]) if d == 2
+              else np.ones(rows.size, dtype=complex))
+    entries = phases[:, None, None] * blocks[offset]
+    back = np.flatnonzero(offsets.any(axis=1)[offset])
+    entries = np.concatenate(
+        [entries, np.conj(entries[back].transpose(0, 2, 1))])
+    return bloch_operator(np.concatenate([rows, cols[back]]),
+                          np.concatenate([cols, rows[back]]),
+                          np.zeros((len(entries), d), dtype=int), entries,
+                          len(sites)).dense(np.zeros(d))[0]
+
+
+@pytest.mark.parametrize("name", ["nn", "fft", "random"])
+def test_box_is_the_dirichlet_box_bit_for_bit(name, nn_hoppings,
+                                              separable_bands):
+    # the shift-0 hops of the periodic box are the hops that stay in it,
+    # with the same phases in the same order
+    hops = {"nn": nn_hoppings, "random": _hermitian_hoppings(seed=5),
+            "fft": fourier_hoppings(separable_bands.bands[:, 0],
+                                    separable_bands.grid, radius=3)}[name]
+    radius = max(max(abs(a) for a in alpha) for alpha in hops.hoppings)
+    for flux in ("0", "1/3", "1/4", "2/5"):
+        for half_width in (radius, radius + 2):
+            M = box_matrix(hops, Fraction(flux), half_width)
+            expected = _dirichlet_box_reference(hops, Fraction(flux),
+                                                half_width)
+            assert M.dtype == expected.dtype
+            assert M.tobytes() == expected.tobytes()
+
+
+def test_d1_box_is_the_dirichlet_box_bit_for_bit(mathieu_bands):
+    hops = fourier_hoppings(mathieu_bands.bands[:, 0], mathieu_bands.grid,
+                            radius=8)
+    for half_width in (8, 11):
+        M = box_matrix(hops, Fraction(0), half_width)
+        expected = _dirichlet_box_reference(hops, Fraction(0), half_width)
+        assert M.dtype == expected.dtype
+        assert M.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("hoppings", [

@@ -116,7 +116,7 @@ def test_bloch_operator_sums_equal_entries(coefficients):
        count=st.integers(1, 40))
 def test_bloch_operator_views_agree(seed, size, count):
     # on random operators, repeated entries included, the CSR view is the
-    # dense view bit for bit, and k = None is k = 0
+    # dense view bit for bit
     rng = np.random.default_rng(seed)
     rows, cols = rng.integers(0, size, (2, count))
     entries = rng.normal(size=count) + 1j * rng.normal(size=count)
@@ -126,8 +126,7 @@ def test_bloch_operator_views_agree(seed, size, count):
     for k, fiber in zip(kpts, op.dense(kpts)):
         assert np.array_equal(op.matrix(k).toarray(), op.dense([k])[0])
         assert np.allclose(fiber, op.dense([k])[0], rtol=0, atol=1e-14)
-    H0 = op.matrix(None).toarray()
-    assert np.array_equal(H0, op.matrix(np.zeros(2)).toarray())
+    H0 = op.matrix(np.zeros(2)).toarray()
     expected = np.zeros((size, size), dtype=complex)
     np.add.at(expected, (rows, cols), entries)
     assert np.allclose(H0, expected, rtol=0, atol=1e-13)
@@ -193,7 +192,7 @@ def test_bloch_operator_is_its_reference_bit_for_bit(monkeypatch, separable,
     for flux, chi in [("0", None), ("1/4", None), ("1/8", None),
                       ("3/4", "harmonic")]:
         DirectDiscretization(separable, Fraction(flux), 16,
-                             chi=chi).bloch_matrix(None)
+                             chi=chi).bloch_matrix(np.zeros(2))
     for flux in ("1/4", "2/5"):
         _bloch_operator(nn_hoppings, Fraction(flux))
         box_matrix(nn_hoppings, Fraction(flux), 3)

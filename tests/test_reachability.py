@@ -251,3 +251,21 @@ def test_one_krylov_call_with_an_explicit_stop():
     assert call in list(ast.walk(window_eigs))
     assert "eigsh" in _mentions([call.func])
     assert "tol" in {keyword.arg for keyword in call.keywords}
+
+
+def test_one_line_phase_per_operator_kind():
+    """The package calls magnetic.line_phase in two functions, once each:
+    hermitian_hops, for every hop of a lattice operator (the FD stencil,
+    the Peierls fibers and the box), and quantize_on_grid, for the kernel
+    of the grid quantizer of criteria 6 and 10."""
+    trees = _package_trees()
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and "line_phase" in _mentions([node.func])]
+    callers = [(module, function.name) for module, tree in trees.items()
+               for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef)
+               and any(node in calls for node in ast.walk(function))]
+    assert len(calls) == 2
+    assert sorted(callers) == [("magnetic", "hermitian_hops"),
+                               ("magnetic", "quantize_on_grid")]
