@@ -46,7 +46,7 @@ MAX_BAND_ENTRIES = 2**24
 
 
 class EigensolverError(RuntimeError):
-    def __init__(self, xi, message="eigensolver failed"):
+    def __init__(self, xi, message):
         super().__init__(f"{message} at xi={np.asarray(xi)}")
         self.xi = np.asarray(xi)
 

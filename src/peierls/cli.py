@@ -131,7 +131,7 @@ def build_symbol(cfg: dict, lattice: Lattice) -> symbols.PeriodicSymbol:
             f"hypothesis H.3 violated: potential not admissible ({exc})"
         ) from exc
     sym = symbols.PeriodicSymbol(kind=kind(), potential=pot)
-    ok, _ = symbols.symbol_ellipticity_check(sym, radius=4.0, samples=8)
+    ok, _ = symbols.symbol_ellipticity_check(sym)
     if not ok:
         raise InputError(
             "hypothesis H.4 violated: symbol fails the ellipticity sample check"
@@ -344,7 +344,7 @@ def cmd_grushin(settings, lattice: Lattice, sym, out: Path) -> dict:
     for s in range(n_samples):
         idx[s] = rng.integers(0, pts.shape[0])
         lams[s] = rng.uniform(lo, hi)
-    step = max(1, GRUSHIN_STACK_ENTRIES // sum(family.vectors.shape[-2:])**2)
+    step = max(1, GRUSHIN_STACK_ENTRIES // sum(family.shape[-2:])**2)
     worst_resid = 0.0
     worst_dev = 0.0
     for start in range(0, n_samples, step):
@@ -428,8 +428,7 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
             bands = _bands(lattice, sym, {**settings, "resolution": k_res})
         merge_tol = settings["merge_tol"]
         # one lower-edge certificate holds for every flux
-        below_lo = (direct.certified_below(sym, ppc, window) if any(fluxes)
-                    else None)
+        lower_clear = any(fluxes) and direct.certified_below(sym, ppc, window)
         solved = []
         for disc, count in zip(discs, fibers):
             if disc is None:
@@ -437,7 +436,7 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
                     bands.bands, window, merge_tol), bands.solved))
             else:
                 solved.append((direct.direct_spectrum(
-                    disc, window, merge_tol, k_res, below_lo), count))
+                    disc, window, merge_tol, k_res, lower_clear), count))
         return solved
     return solve
 

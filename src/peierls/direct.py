@@ -225,31 +225,36 @@ def _kato_temple(vals: np.ndarray, sigma: float, tol: float,
     return e / (size * (size - e))
 
 
-def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None):
+def window_eigs(M: sp.spmatrix, window, lower_clear: bool):
     """Eigenvalues of the Hermitian matrix intersected with window, and
     nu(lo), the number below it.
 
     The matrix is counted first: count = nu(hi) - nu(lo) of its
     eigenvalues lie in [lo, hi), with nu the inertia count of
     _edge_factors; an edge that is an eigenvalue moves outward by
-    EDGE_MOVE of the window width.  below_lo, when given, is nu(lo)
-    certified by the caller, and M - lo is not factored: the count
-    eigenvalues are then the count smallest of (M - hi)^-1, which one
-    shift-invert Arnoldi run computes from the factors of M - hi.
-    Otherwise they are the count largest of (M - lo)^-1, from the factors
-    of M - lo: for a window that starts inside a band the lower edge is the
-    faster shift.  On these
+    EDGE_MOVE of the window width.  lower_clear says that the caller has
+    certified nu(lo) = 0 (certified_below), and M - lo is not factored:
+    the count eigenvalues are then the count smallest of (M - hi)^-1,
+    which one shift-invert Arnoldi run computes from the factors of
+    M - hi.  Otherwise they are the count largest of (M - lo)^-1, from
+    the factors of M - lo: on the FD fibers of criterion 8 (fluxes 1/4,
+    1/8 and 1/16, band 0 +- 0.08 and the gap window (-0.5, 0)) the lower
+    edge took 152, 304 and 776 Krylov solves at direct k_resolution 2, 4
+    and 8 where the upper one took 170, 352 and 867.  A window that
+    starts inside band 0 took 21 solves per fiber at either edge at fluxes
+    1/4 and 1/8; the lower edge wins on windows that start below the
+    band.  On these
     complex fibers eigsh runs ARPACK's complex Arnoldi (znaupd), not
     Lanczos.
 
     The run stops at tol = KRYLOV_TOL.  The counts put the rest of the
     spectrum of T = (M - sigma)^-1 beyond the wanted theta =
-    1/(lambda - sigma): above 0 at sigma = hi (above 1/(lo - hi) if some
-    eigenvalues lie below lo), below 1/(hi - lo) at sigma = lo.  If a
-    Kato-Temple bound from that gap and the other Ritz values
-    (_kato_temple) exceeds 4 eps max(|lo|, |hi|), the run is repeated at
-    tol = 0, ARPACK's stop at machine precision.  An upper edge on an
-    eigenvalue, at sigma = lo, always repeats: the edge move is its gap.
+    1/(lambda - sigma): above 0 at sigma = hi, below 1/(hi - lo) at
+    sigma = lo.  If a Kato-Temple bound from that gap and the other Ritz
+    values (_kato_temple) exceeds 4 eps max(|lo|, |hi|), the run is
+    repeated at tol = 0, ARPACK's stop at machine precision.  An upper
+    edge on an eigenvalue, at sigma = lo, always repeats: the edge move is
+    its gap.
 
     A run that returns fewer than count of them in the window, widened by
     the edge moves and EDGE_MOVE of its width, raises WindowCoverageError.
@@ -267,14 +272,14 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None):
     nudge = EDGE_MOVE * (hi - lo)
     factors, hi_shift, below_hi = _edge_factors(M, hi, nudge)
     # unwanted holds theta = 1/(lambda - sigma) of every eigenvalue outside
-    if below_lo is None:
+    if lower_clear:
+        below_lo, lo_shift, sigma, which = 0, lo, hi_shift, "SA"
+        unwanted = (0.0, np.inf)
+    else:
         del factors  # one factorization alive at a time
         factors, lo_shift, below_lo = _edge_factors(M, lo, -nudge)
         sigma, which = lo_shift, "LA"
         unwanted = (-np.inf, 1.0 / (hi_shift - lo_shift))
-    else:
-        lo_shift, sigma, which = lo, hi_shift, "SA"
-        unwanted = (0.0 if below_lo == 0 else 1.0 / (lo - hi_shift), np.inf)
     count = below_hi - below_lo
     if count > size // 8:
         raise InputError(
@@ -304,8 +309,8 @@ def window_eigs(M: sp.spmatrix, window, below_lo: int | None = None):
 
 
 def certified_below(symbol: PeriodicSymbol, points_per_cell: int,
-                    window) -> int | None:
-    """0 when the lower window edge certifiably lies below every fiber.
+                    window) -> bool:
+    """Whether the lower window edge certifiably lies below every fiber.
 
     The diamagnetic inequality (Avron, Herbst and Simon, Duke Math. J. 45,
     847 (1978)) on the stencil: every link, wrap and chi phase of a fiber
@@ -318,15 +323,13 @@ def certified_below(symbol: PeriodicSymbol, points_per_cell: int,
     at k = 0.  If that cell has no eigenvalue below the lower edge (moved
     outward by EDGE_MOVE, as in window_eigs), no fiber of any flux,
     momentum or gauge has one, so one count serves every
-    DirectDiscretization of this symbol and points_per_cell.  Returns
-    None, and the fibers count both edges, for an edge the cell does not
-    clear.
+    DirectDiscretization of this symbol and points_per_cell.  False, for
+    an edge the cell does not clear, leaves the fibers to count both edges.
     """
     cell = DirectDiscretization(symbol, Fraction(0), points_per_cell
                                 ).bloch_matrix(np.zeros(symbol.lattice.dim))
     lo, hi = window
-    below = _edge_factors(cell, lo, -EDGE_MOVE * (hi - lo))[2]
-    return 0 if below == 0 else None
+    return _edge_factors(cell, lo, -EDGE_MOVE * (hi - lo))[2] == 0
 
 
 def direct_spectrum(
@@ -334,7 +337,7 @@ def direct_spectrum(
     window,
     merge_tol: float,
     k_resolution: int,
-    below_lo: int | None = None,
+    lower_clear: bool = False,
 ) -> SpectrumSet:
     """sigma(P_eps) within the window, as the ranges of its branches.
 
@@ -343,13 +346,13 @@ def direct_spectrum(
     r = k_resolution), one table row each.  The i-th window eigenvalue of
     fiber k is branch nu_k(lo) + i; a branch is -inf in the fibers where
     it lies below the window and +inf where above, so its range is clipped
-    at that edge.  below_lo 0, from certified_below, says that no fiber has
-    an eigenvalue below the window, and each fiber then factors only M - hi;
-    None counts both edges of each fiber.
+    at that edge.  lower_clear, from certified_below, says that no fiber
+    has an eigenvalue below the window, and each fiber then factors only
+    M - hi; otherwise each fiber counts both edges.
     """
     momenta = magnetic_momenta(disc.symbol.lattice.dim,
                                disc.flux.denominator, k_resolution)
-    solved = [window_eigs(disc.bloch_matrix(k), window, below_lo)
+    solved = [window_eigs(disc.bloch_matrix(k), window, lower_clear)
               for k in momenta]
     # column j holds branch base + j, base the least nu_k(lo)
     base = min(nu for _, nu in solved)

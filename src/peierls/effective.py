@@ -47,6 +47,9 @@ MAX_FIBER_ENTRIES = 2**25
 # away; above it the band data break Hermitian transport.
 ASYMMETRY_TOL = 1e-6
 
+# Least overlap of two magnetic-Bloch branch ranges that subband_groups joins
+OVERLAP_TOL = 1e-9
+
 
 class InconsistentSymbolError(ValueError):
     """Fourier data breaks the Hermitian-transport symmetry."""
@@ -143,11 +146,11 @@ def fourier_hoppings(
     return HoppingSet(hoppings=fixed, asymmetry=asym)
 
 
-def hopping_decay_fit(hops: HoppingSet, k: int = 4) -> float:
-    """Smallest constant C with ||q_hat_alpha|| <= C <alpha>^{-k}."""
+def hopping_decay_fit(hops: HoppingSet) -> float:
+    """Smallest constant C with ||q_hat_alpha|| <= C <alpha>^{-4}."""
     best = 0.0
     for alpha, blk in hops.hoppings.items():
-        weight = (1.0 + float(np.dot(alpha, alpha))) ** (k / 2.0)
+        weight = (1.0 + float(np.dot(alpha, alpha))) ** 2.0
         best = max(best, float(np.linalg.norm(blk, ord=2)) * weight)
     return best
 
@@ -255,16 +258,15 @@ def bloch_eigenvalue_cloud(
 
 
 def subband_groups(
-    hops: HoppingSet, flux: Fraction, k_resolution: int = 32,
-    overlap_tol: float = 1e-9,
+    hops: HoppingSet, flux: Fraction, k_resolution: int = 32
 ) -> int:
     """Number of subband groups of the magnetic-Bloch spectrum: its branch
-    ranges, joined only where they overlap by at least overlap_tol (merge_tol
-    -overlap_tol), so subbands that merely touch at isolated points (the
+    ranges, joined only where they overlap by at least OVERLAP_TOL (merge_tol
+    -OVERLAP_TOL), so subbands that merely touch at isolated points (the
     central pair at even denominators) still count separately.
     """
     return len(SpectrumSet(bloch_eigenvalue_cloud(hops, flux, k_resolution),
-                           (-np.inf, np.inf), -overlap_tol).merged_intervals)
+                           (-np.inf, np.inf), -OVERLAP_TOL).merged_intervals)
 
 
 def lambda_scan(

@@ -29,14 +29,10 @@ class NearSingularError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class TrialFamily:
-    vectors: np.ndarray  # (n_points, M, N), orthonormal columns per point
-
-
-def trial_from_section(section: BlochSection) -> TrialFamily:
-    """N = 1 family wrapping a simple-band section."""
-    return TrialFamily(vectors=section.vectors[:, :, None])
+def trial_from_section(section: BlochSection) -> np.ndarray:
+    """The N = 1 trial family of a simple-band section: its orthonormal
+    columns per grid point, shape (n_points, M, N)."""
+    return section.vectors[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -66,11 +62,12 @@ class GrushinInverse:
 
 
 def assemble_grushin(
-    matrix: FiberMatrix, lam, family: TrialFamily, grid_index
+    matrix: FiberMatrix, lam, family: np.ndarray, grid_index
 ) -> GrushinMatrix:
     """P(xi, lambda) at one grid index and lambda, or at a stack of them:
-    grid_index and lam of shape (S,) with matrix.entries (S, M, M)."""
-    phi = family.vectors[grid_index]
+    grid_index and lam of shape (S,) with matrix.entries (S, M, M); family
+    is the (n_points, M, N) trial columns of trial_from_section."""
+    phi = family[grid_index]
     if phi.shape[-2] != matrix.size:
         raise InputError("trial family and fiber matrix use different shells")
     lam = np.asarray(lam, dtype=float)

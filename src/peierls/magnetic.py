@@ -246,18 +246,12 @@ class BoxGrid:
         return tensor_grid([freqs] * self.dim)
 
 
-@dataclass(frozen=True)
-class QuantizedOperator:
-    grid: BoxGrid
-    matrix: np.ndarray
-
-
 def quantize_on_grid(
     momentum_function: Callable,
     A: VectorPotential | None,
     grid: BoxGrid,
     potential_function: Callable | None = None,
-) -> QuantizedOperator:
+) -> np.ndarray:
     """Finite-grid magnetic Weyl quantization of p(z, eta) = g(eta) + V(z).
 
     M[x, y] = (1/n^d) sum_eta exp(i<eta, x-y>) omega_A(x, y) g(eta)
@@ -284,7 +278,7 @@ def quantize_on_grid(
         M *= line_phase(A, positions[:, None], positions[None, :])
     if potential_function is not None:
         M = M + np.diag([potential_function(p) for p in positions])
-    return QuantizedOperator(grid=grid, matrix=M)
+    return M
 
 
 def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -305,12 +299,9 @@ def relativistic_sqrt_compare(
     out = {}
     for eps in epsilons:
         A = VectorPotential(MagneticField(eps * field_b12))
-        m_nr = quantize_on_grid(
-            lambda eta: 1.0 + float(eta @ eta), A, grid
-        ).matrix
+        m_nr = quantize_on_grid(lambda eta: 1.0 + float(eta @ eta), A, grid)
         m_r = quantize_on_grid(
-            lambda eta: np.sqrt(1.0 + float(eta @ eta)), A, grid
-        ).matrix
+            lambda eta: np.sqrt(1.0 + float(eta @ eta)), A, grid)
         root = hermitian_sqrt(m_nr)
         out[float(eps)] = float(np.linalg.norm(root - m_r, ord=2))
     return out

@@ -16,6 +16,11 @@ import numpy as np
 
 from .lattice import InputError, Lattice, tensor_grid
 
+# The least |eta| of the ellipticity sample, and its points per cell axis
+# and directions in d=2
+ELLIPTIC_RADIUS = 4.0
+ELLIPTIC_SAMPLES = 8
+
 
 def _negated(key: tuple) -> tuple:
     return tuple(-k for k in key)
@@ -63,7 +68,7 @@ def zero_potential(lattice: Lattice) -> PeriodicPotential:
     return PeriodicPotential(lattice, {})
 
 
-def cosine_potential(lattice: Lattice, amplitude: float = 1.0) -> PeriodicPotential:
+def cosine_potential(lattice: Lattice, amplitude: float) -> PeriodicPotential:
     """V(y) = 2*amplitude*cos(<e*_1, y>) (the Mathieu fixture for Gamma=2*pi*Z)."""
     d = lattice.dim
     plus = tuple([1] + [0] * (d - 1))
@@ -71,7 +76,7 @@ def cosine_potential(lattice: Lattice, amplitude: float = 1.0) -> PeriodicPotent
     return PeriodicPotential(lattice, {plus: amplitude, minus: amplitude})
 
 
-def separable_cosine_2d(lattice: Lattice, amplitude: float = 1.0) -> PeriodicPotential:
+def separable_cosine_2d(lattice: Lattice, amplitude: float) -> PeriodicPotential:
     """V(y) = 2a*cos(<e*_1,y>) + 2a*cos(<e*_2,y>)."""
     if lattice.dim != 2:
         raise InputError("separable_cosine_2d requires d = 2")
@@ -135,26 +140,24 @@ def evaluate_symbol(symbol: PeriodicSymbol, y, eta) -> np.ndarray:
     return symbol.potential.value(y)[:, None] + symbol.kinetic(eta)[None, :]
 
 
-def symbol_ellipticity_check(
-    symbol: PeriodicSymbol, radius: float, samples: int = 16
-):
-    """Sample p0(y, eta)/|eta|^m over the cell and |eta| >= radius.
+def symbol_ellipticity_check(symbol: PeriodicSymbol):
+    """Sample p0(y, eta)/|eta|^m over ELLIPTIC_SAMPLES points per cell axis
+    and |eta| >= ELLIPTIC_RADIUS, in ELLIPTIC_SAMPLES directions in d=2.
 
     Returns (ok, C) with C the smallest sampled ratio; ok is C > 0.
     """
-    if radius <= 0:
-        raise InputError("radius must be positive")
     lat = symbol.lattice
     d = lat.dim
     m = symbol.kind.order
-    frac = np.linspace(0.0, 1.0, samples, endpoint=False)
+    frac = np.linspace(0.0, 1.0, ELLIPTIC_SAMPLES, endpoint=False)
     ys = tensor_grid([frac] * d) @ lat.basis
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
-        angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        angles = np.linspace(0.0, 2.0 * np.pi, ELLIPTIC_SAMPLES,
+                             endpoint=False)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    radii = radius * np.array([1.0, 1.5, 2.0, 4.0, 8.0])
+    radii = ELLIPTIC_RADIUS * np.array([1.0, 1.5, 2.0, 4.0, 8.0])
     etas = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
     ratios = evaluate_symbol(symbol, ys, etas) / np.repeat(radii**m, len(dirs))
     best = float(ratios.min())

@@ -253,9 +253,9 @@ def test_criterion_06_gauge_covariance(nn_hoppings, lat2):
     pot = lambda z: np.cos(z[0]) + 0.5 * np.cos(z[1])  # noqa: E731
     kin = lambda e: float(e @ e)  # noqa: E731
     v0 = np.sort(np.linalg.eigvalsh(
-        quantize_on_grid(kin, base, grid, pot).matrix))
+        quantize_on_grid(kin, base, grid, pot)))
     v1 = np.sort(np.linalg.eigvalsh(
-        quantize_on_grid(kin, shifted, grid, pot).matrix))
+        quantize_on_grid(kin, shifted, grid, pot)))
     dev_weyl = float(np.max(np.abs(v0 - v1)))
     assert dev_weyl <= 1e-9
 
@@ -419,7 +419,7 @@ def test_criterion_11_utility_properties(mathieu_bands):
         hops.resum(grid.coords())[:, 0, 0].real - mathieu_bands.bands[:, 0]
     )))
     assert round_trip <= 1e-8
-    decay = hopping_decay_fit(hops, k=4)
+    decay = hopping_decay_fit(hops)
     assert decay > 0.0
     _report(11, f"metric-axiom deviation {dev:.1e} <= 1e-12, Fourier "
                 f"round-trip {round_trip:.1e} <= 1e-8, decay constant "

@@ -134,7 +134,7 @@ def test_fd_fiber_window_is_even_in_k(separable, k1, k2):
     disc = DirectDiscretization(separable, flux, points_per_cell=16)
     window = (-0.83, -0.29)  # band 0 with margins in its gaps
     base, negated, mirrored = (
-        window_eigs(disc.bloch_matrix(np.array(k)), window)[0]
+        window_eigs(disc.bloch_matrix(np.array(k)), window, False)[0]
         for k in ([k1, k2], [-k1, -k2], [-k1, k2]))
     assert base.size == flux.denominator  # q subbands
     assert negated.shape == mirrored.shape == base.shape
@@ -269,14 +269,14 @@ def test_window_eigs_covers_window_above_initial_batch(separable):
     dense = np.linalg.eigvalsh(M.toarray())
     # window edges mid-gap, around the 21st to the 40th eigenvalue
     window = (0.5 * (dense[19] + dense[20]), 0.5 * (dense[39] + dense[40]))
-    got, below = window_eigs(M, window)
+    got, below = window_eigs(M, window, False)
     expected = dense[(dense >= window[0]) & (dense <= window[1])]
     assert expected.size == 20 and below == 20
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) < 1e-9
     # a window holding more than an eighth of the spectrum is refused
     with pytest.raises(InputError, match="window"):
-        window_eigs(M, (-1.0, 20.0))
+        window_eigs(M, (-1.0, 20.0), False)
 
 
 def test_window_eigs_moves_shift_off_an_eigenvalue():
@@ -284,7 +284,7 @@ def test_window_eigs_moves_shift_off_an_eigenvalue():
     # have no LU factors, and the edges move outward
     M = sp.diags(np.arange(700.0) + 0j).tocsr()
     for window in ((9.5, 12.5), (10.0, 12.0)):
-        got, below = window_eigs(M, window)
+        got, below = window_eigs(M, window, False)
         assert np.allclose(got, [10.0, 11.0, 12.0], atol=1e-10)
         assert below == 10
 
@@ -296,7 +296,7 @@ def test_window_eigs_keeps_eigenvalues_on_the_edges():
         M = sp.diags(np.arange(size) + 0j).tocsr()
         for lo in range(1, 30):
             for width in (1, 2, 3, 5):
-                got, below = window_eigs(M, (lo, lo + width))
+                got, below = window_eigs(M, (lo, lo + width), False)
                 assert got.shape == (width + 1,) and below == lo
                 assert np.all((got >= lo) & (got <= lo + width))
                 assert np.max(np.abs(got - np.arange(lo, lo + width + 1))
@@ -309,7 +309,7 @@ def test_window_eigs_refuses_off_diagonal_pivots():
     M = sp.kron(sp.identity(150), np.array([[0.0, 1.0], [1.0, 0.0]]),
                 format="csr").astype(complex)
     with pytest.raises(WindowCoverageError, match="LDL"):
-        window_eigs(M, (0.0, 2.0))
+        window_eigs(M, (0.0, 2.0), False)
 
 
 def _check_window(M, dense, window):
@@ -323,9 +323,9 @@ def _check_window(M, dense, window):
     lo, hi = window
     inner = dense[(dense > lo + 1e-9) & (dense < hi - 1e-9)]
     outer = dense[(dense >= lo - 1e-9) & (dense <= hi + 1e-9)]
-    certified = [0] if lo < dense[0] else []
-    for below_lo in [None] + certified:
-        got, below = window_eigs(M, window, below_lo=below_lo)
+    certified = [True] if lo < dense[0] else []
+    for lower_clear in [False] + certified:
+        got, below = window_eigs(M, window, lower_clear=lower_clear)
         assert np.all((got >= lo) & (got <= hi))
         assert (np.count_nonzero(dense < lo - 1e-9) <= below
                 <= np.count_nonzero(dense < lo + 1e-9))
@@ -407,16 +407,51 @@ def test_certified_window_run_stops_at_krylov_tol(separable, monkeypatch):
     band = 2 * np.array([scipy.special.mathieu_a(0, q),
                          scipy.special.mathieu_b(1, q)]) / 4
     window = (band[0] - 0.08, band[1] + 0.08)
-    assert certified_below(separable, 16, window) == 0
+    assert certified_below(separable, 16, window)
     disc = DirectDiscretization(separable, Fraction(1, 8), points_per_cell=16)
     runs = _counted_runs(monkeypatch)
     for k in magnetic_momenta(2, 8, 2):
         M = disc.bloch_matrix(k)
         assert M.shape[0] == 2048
-        got, below = window_eigs(M, window, below_lo=0)
+        got, below = window_eigs(M, window, lower_clear=True)
         assert below == 0 and got.size == 8  # the q subbands
         tol, solves = runs.pop()
         assert tol == KRYLOV_TOL and solves <= 21 and not runs
+
+
+def test_uncertified_windows_shift_at_the_lower_edge(separable, monkeypatch):
+    """A window whose lower edge is not certified is solved from the
+    factors of M - lo, a certified one from those of M - hi alone.
+
+    The lower edge is the faster shift on windows that start below a band.
+    On the FD fibers of criterion 8 (fluxes 1/4, 1/8 and 1/16, band 0
+    +- 0.08 and the gap window (-0.5, 0), each with nu(lo) counted),
+    the shift at lo takes 152, 304 and 776 Krylov solves at direct
+    k_resolution 2, 4 and 8; shifting every window at hi took 170, 352 and
+    867, and 1%, 10% and 10% more wall time (median of three runs, 2 CPUs).
+    A window that starts inside band 0 took 21 solves per fiber at either
+    edge at fluxes 1/4 and 1/8.  Every window whose lower edge the
+    zero-field cell does not clear takes the shift at lo.
+    """
+    q = 4 * 0.5  # Mathieu q of the fixture's amplitude 0.5, per axis
+    band = 2 * np.array([scipy.special.mathieu_a(0, q),
+                         scipy.special.mathieu_b(1, q)]) / 4
+    window = (band[0] - 0.08, band[1] + 0.08)
+    M = DirectDiscretization(separable, Fraction(1, 8), points_per_cell=16
+                             ).bloch_matrix(np.zeros(2))
+    runs, eigsh = [], direct.spla.eigsh
+
+    def run(*args, **kwargs):
+        runs.append((kwargs["which"], kwargs["sigma"]))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(direct.spla, "eigsh", run)
+    for lower_clear, shift in [(False, ("LA", window[0])),
+                               (True, ("SA", window[1]))]:
+        got, below = window_eigs(M, window, lower_clear)
+        assert below == 0 and got.size == 8
+        assert runs and set(runs) == {shift}
+        runs.clear()
 
 
 @pytest.mark.parametrize("diagonal, window", [
@@ -429,7 +464,7 @@ def test_uncertified_ritz_values_are_solved_again_at_tol_0(
     values[list(diagonal)] = list(diagonal.values())
     M = sp.diags(values + 0j).tocsr()
     runs = _counted_runs(monkeypatch)
-    got, below = window_eigs(M, window)
+    got, below = window_eigs(M, window, False)
     assert [tol for tol, _ in runs] == [KRYLOV_TOL, 0.0]
     dense = np.linalg.eigvalsh(M.toarray())
     expected = dense[(dense >= window[0]) & (dense <= window[1])]
@@ -451,9 +486,9 @@ def _certified_errors(M, dense, window, tol):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(direct, "KRYLOV_TOL", tol)
         patch.setattr(direct, "_kato_temple", record)
-        for below_lo in [None] + ([0] if window[0] < dense[0] else []):
+        for lower_clear in [False] + ([True] if window[0] < dense[0] else []):
             records.clear()
-            _, below = window_eigs(M, window, below_lo=below_lo)
+            _, below = window_eigs(M, window, lower_clear=lower_clear)
             for vals, bounds in records[:1]:
                 if np.all(np.isfinite(bounds)):
                     out.append((np.abs(vals - dense[below:below + vals.size]),
@@ -555,7 +590,7 @@ def test_certified_lower_edge_factors_each_fiber_once(
     monkeypatch.setattr(direct, "_shift_factors",
                         counted("factor", direct._shift_factors))
     direct_spectrum(disc, window, merge_tol=1e-3, k_resolution=2,
-                    below_lo=certified_below(separable, 16, window))
+                    lower_clear=certified_below(separable, 16, window))
     assert calls == {"stencil": stencils, "factor": factorizations}
 
 
@@ -576,11 +611,11 @@ def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
     disc = DirectDiscretization(sym, flux, points_per_cell=16, chi=chi)
     axis = 2.0 * np.pi * np.arange(r) / r
     # every fiber holds its q subbands in the window: the branch table
-    table = np.stack([window_eigs(disc.bloch_matrix(k), window)[0]
+    table = np.stack([window_eigs(disc.bloch_matrix(k), window, False)[0]
                       for k in tensor_grid([axis, axis])])
     full = SpectrumSet(points=table, window=window, merge_tol=1e-3)
     momenta = magnetic_momenta(2, flux.denominator, r)
-    reps = np.stack([window_eigs(disc.bloch_matrix(k), window)[0]
+    reps = np.stack([window_eigs(disc.bloch_matrix(k), window, False)[0]
                      for k in momenta])
     assert np.max(np.abs(reps[representative_rows(2, flux.denominator, r)]
                          - table)) < 1e-12
@@ -616,7 +651,7 @@ def test_branches_crossing_the_lower_edge_are_clipped_there(separable):
                       for k in momenta])
     lo = 0.5 * (dense[:, 0].min() + dense[:, 0].max())
     hi = 0.5 * (dense[:, 3].max() + dense[:, 4].min())  # above the subbands
-    assert certified_below(separable, 16, (lo, hi)) is None
+    assert not certified_below(separable, 16, (lo, hi))
     got = direct_spectrum(disc, (lo, hi), merge_tol=0.0, k_resolution=2)
     ranges = np.stack([np.maximum(dense.min(axis=0), lo),
                        np.minimum(dense.max(axis=0), hi)], axis=-1)

@@ -48,7 +48,7 @@ def test_fourier_hoppings_aliasing_guard(mathieu_bands):
 
 def test_hopping_decay_fit_positive(mathieu_bands):
     hops = fourier_hoppings(mathieu_bands.bands[:, 0], mathieu_bands.grid, 8)
-    c = hopping_decay_fit(hops, k=4)
+    c = hopping_decay_fit(hops)
     assert 0.0 < c < 10.0
 
 

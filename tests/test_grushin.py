@@ -23,12 +23,12 @@ def mathieu_family(mathieu_bands):
 
 def test_trial_from_section_shape(mathieu_family, mathieu_bands):
     fam = mathieu_family
-    assert fam.vectors.shape == (
+    assert fam.shape == (
         mathieu_bands.grid.resolution ** mathieu_bands.grid.dim,
         mathieu_bands.shell.size,
         1,
     )
-    norms = np.linalg.norm(fam.vectors[:, :, 0], axis=1)
+    norms = np.linalg.norm(fam[:, :, 0], axis=1)
     assert np.allclose(norms, 1.0, atol=1e-10)
 
 

@@ -8,8 +8,10 @@ member counts as mentioned wherever its name is read as an attribute,
 whatever the object.  A field counts as reached only where it is read as
 an attribute, not declared or stored: by a module of the package (a
 method of its own class included), the acceptance suite or the
-benchmark.  Code that only its own unit tests call is not part of the
-pipeline.
+benchmark.  Every default of a public function or method is left out
+by some call of its name in the package, the acceptance suite or the
+benchmark: a value that every caller passes is no default.  Code that
+only its own unit tests call is not part of the pipeline.
 """
 
 import ast
@@ -155,6 +157,106 @@ def test_a_field_nothing_reads_is_flagged():
     other = ast.parse("def middle(pair):\n    return pair.middle\n")
     reader = ast.parse("def test(box):\n    assert box.size\n")
     assert unread_fields({"pairs": module, "other": other}, [reader]) == []
+
+
+def _defaulted(function, bound: bool) -> list:
+    """(position, name) of each argument of function with a default, the
+    position among those a call passes positionally (None for a
+    keyword-only one); bound drops self or cls."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args][bound:]
+    first = len(positional) - len(args.defaults)
+    return ([(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            + [(None, arg.arg) for arg, default
+               in zip(args.kwonlyargs, args.kw_defaults) if default])
+
+
+def _leaves_out(call, position, name) -> bool:
+    """Whether call passes no value for the argument; a call with *args or
+    **kwargs counts as leaving out every default."""
+    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(keyword.arg is None for keyword in call.keywords)):
+        return True
+    return ((position is None or position >= len(call.args))
+            and name not in {keyword.arg for keyword in call.keywords})
+
+
+def defaults_never_left_out(trees: dict, callers: list) -> list:
+    """(module, qualname, argument) of each default of a public function
+    or public method in trees (module name: AST) that no call in trees or
+    in the caller ASTs leaves out; a class's __init__ is called through
+    the class.  Calls are matched by the name called, f(...) or x.f(...),
+    whatever the object, as the field check matches attribute names."""
+    calls: dict = {}
+    for tree in [*trees.values(), *callers]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr",
+                               getattr(node.func, "id", None))
+                calls.setdefault(name, []).append(node)
+    found = []
+    for module, tree in trees.items():
+        for node in _public(tree.body, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.FunctionDef):
+                targets = [(node.name, node.name, node, False)]
+            else:
+                targets = [
+                    (f"{node.name}.{item.name}",
+                     node.name if item.name == "__init__" else item.name,
+                     item, True)
+                    for item in node.body if isinstance(item, ast.FunctionDef)
+                    and (item.name == "__init__"
+                         or not item.name.startswith("_"))]
+            for qualname, called, function, bound in targets:
+                for position, name in _defaulted(function, bound):
+                    if not any(_leaves_out(call, position, name)
+                               for call in calls.get(called, [])):
+                        found.append((module, qualname, name))
+    return found
+
+
+def test_every_default_is_left_out_by_some_call():
+    callers = [ast.parse(path.read_text())
+               for path in [ACCEPTANCE, *sorted(BENCH.glob("*.py"))]]
+    assert defaults_never_left_out(_package_trees(), callers) == []
+
+
+DEFAULTS = textwrap.dedent("""
+    def scale(x, factor=2.0, *, shift=0.0):
+        return x * factor + shift
+
+
+    class Box:
+        def __init__(self, size, label="box"):
+            self.size = size
+
+        def grow(self, by=1):
+            return Box(self.size + by, label="grown")
+
+        def _shrink(self, by=1):
+            return self.size - by
+
+
+    def _private(k=3):
+        return scale(k, 3.0)
+
+
+    def area(box):
+        return box.grow().size * scale(x=1.0, factor=2.0, shift=1.0)
+""")
+
+
+def test_a_default_every_call_passes_is_flagged():
+    # factor is passed by each call of scale, positionally or by name, and
+    # label by each of Box; shift and by are left out, and the private
+    # _shrink and _private are not covered
+    module = ast.parse(DEFAULTS)
+    assert sorted(defaults_never_left_out({"shapes": module}, [])) == [
+        ("shapes", "Box.__init__", "label"), ("shapes", "scale", "factor")]
+    # a call with *args or **kwargs leaves every default out
+    reader = ast.parse("def test(args, kwargs):\n"
+                       "    scale(*args)\n    Box(3, **kwargs)\n")
+    assert defaults_never_left_out({"shapes": module}, [reader]) == []
 
 
 def test_benchmark_span_names_name_package_code(monkeypatch):

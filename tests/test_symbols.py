@@ -73,8 +73,8 @@ def test_evaluate_symbol_matches_parts(mathieu):
 
 
 def test_ellipticity_check_accepts_kinetic_kinds(mathieu, separable):
-    ok1, c1 = symbol_ellipticity_check(mathieu, radius=4.0, samples=8)
-    ok2, c2 = symbol_ellipticity_check(separable, radius=4.0, samples=8)
+    ok1, c1 = symbol_ellipticity_check(mathieu)
+    ok2, c2 = symbol_ellipticity_check(separable)
     assert ok1 and c1 > 0.5
     assert ok2 and c2 > 0.5
 
@@ -100,7 +100,7 @@ def test_ellipticity_constant_is_pinned(name, expected, request, lat1, lat2):
     # C as the per-sample scalar loop computed it, at the CLI's settings
     symbols = _pinned_symbols(lat1, lat2)
     sym = symbols[name] if name in symbols else request.getfixturevalue(name)
-    ok, c = symbol_ellipticity_check(sym, radius=4.0, samples=8)
+    ok, c = symbol_ellipticity_check(sym)
     assert ok == expected[0]
     assert abs(c - expected[1]) <= 1e-12
     # the table holds p0 at every (position, momentum) pair
