@@ -412,7 +412,8 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
     its operator and momentum grid built, here, before any band solve;
     solve certifies the lower window edge once for all nonzero fluxes.
     The flux-0 band grid is solved once, or is bands, the command's own
-    band solve, when direct_k_resolution equals resolution.
+    band solve, when direct_k_resolution equals resolution; a window that
+    reaches its last band raises InputError.
     """
     k_res, ppc = settings["direct_k_resolution"], settings["points_per_cell"]
     if 0 in fluxes and k_res < 2:  # a band grid needs two points per axis
@@ -426,6 +427,13 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
     def solve(window, bands=None):
         if 0 in fluxes and (bands is None or k_res != settings["resolution"]):
             bands = _bands(lattice, sym, {**settings, "resolution": k_res})
+        # as in _require_simple_band: the table holds nothing above its top
+        if 0 in fluxes and window[1] >= bands.bands[:, -1].min():
+            raise InputError(
+                f"the window top {window[1]:g} is not below "
+                f"{bands.bands[:, -1].min():.6g}, where the last of the "
+                f"numerics.n_bands {settings['n_bands']} computed bands "
+                "starts: only the bands below it are certified")
         merge_tol = settings["merge_tol"]
         # one lower-edge certificate holds for every flux
         lower_clear = any(fluxes) and direct.certified_below(sym, ppc, window)

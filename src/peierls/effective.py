@@ -61,10 +61,11 @@ class HoppingSet:
 
     Hermitian transport q_hat_{-alpha} = q_hat_alpha^* is checked once,
     here: a set with sum_alpha ||q_hat_{-alpha} - q_hat_alpha^*||_F above
-    1e-10 max(1, sum_alpha ||q_hat_alpha||_F), a missing partner counted
-    as a zero block, raises InconsistentSymbolError.  The lattice operators
-    are then built from the hops alpha = 0 and alpha > 0 (first nonzero
-    coordinate positive) plus their adjoints: Hermitian by construction.
+    1e-10 max(1, sum_alpha ||q_hat_alpha||_F), q_hat_{-alpha} looked up
+    by the key -alpha and a missing one counted as a zero block, raises
+    InconsistentSymbolError.  The lattice operators are then built
+    from the hops alpha >= 0 (lexicographically) plus their adjoints:
+    Hermitian by construction.
     """
 
     hoppings: dict  # {tuple(int): (N, N) complex array}, not empty
@@ -74,12 +75,9 @@ class HoppingSet:
         if not self.hoppings:
             raise InputError("a hopping set needs at least one hop")
         keys, blocks = self.stacked()
-        # the partner of each key by its code; -alpha has code -code
-        code = keys @ (2 * np.abs(keys).max() + 1) ** np.arange(self.dim)[::-1]
-        order = np.argsort(code)
-        at = order[np.searchsorted(code, -code, sorter=order).clip(
-            max=code.size - 1)]
-        partner = np.where((code[at] == -code)[:, None, None], blocks[at], 0)
+        zero = np.zeros_like(blocks[0])
+        partner = np.stack([self.hoppings.get(tuple(alpha), zero)
+                            for alpha in -keys])
         herm = np.linalg.norm(partner - np.conj(np.swapaxes(blocks, 1, 2)),
                               axis=(1, 2)).sum()
         if herm > 1e-10 * max(1.0, np.linalg.norm(blocks, axis=(1, 2)).sum()):
@@ -174,15 +172,13 @@ def gauge_shifted_hoppings(
 
 def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, origin=0.0):
     """magnetic.hermitian_hops on the unit grid origin + i of this shape,
-    wrapped over it, at flux 2 pi flux per cell: the hops alpha = 0 and
-    alpha > 0, from gamma to gamma - alpha, and their adjoints, those of
-    q_hat_-alpha."""
+    wrapped over it, at flux 2 pi flux per cell: the hops alpha >= 0
+    lexicographically, alpha_1 > 0 or alpha_1 = 0 <= alpha_d in the d <= 2
+    that Lattice enforces, from gamma to gamma - alpha, and their adjoints,
+    those of q_hat_-alpha."""
     A = VectorPotential(field_for_flux(flux, Lattice(np.eye(hops.dim))))
     keys, blocks = hops.stacked()
-    lead = keys[:, -1]  # the first nonzero coordinate, 0 for alpha = 0
-    for column in keys.T[-2::-1]:
-        lead = np.where(column != 0, column, lead)
-    half = lead >= 0
+    half = (keys[:, 0] > 0) | (keys[:, 0] == 0) & (keys[:, -1] >= 0)
     return hermitian_hops(A, shape, np.ones(hops.dim), -keys[half],
                           blocks[half], origin)
 
@@ -231,30 +227,24 @@ def _bloch_operator(hops: HoppingSet, flux: Fraction) -> BlochOperator:
     return bloch_operator(*_lattice_hops(hops, flux, (q, 1)[:hops.dim]), q)
 
 
-def _bloch_fibers(hops: HoppingSet, flux: Fraction, kpts) -> np.ndarray:
-    """_bloch_operator's fibers at the rows of kpts, shape (K, qN, qN)."""
-    dim = magnetic_cells(flux, hops.dim) * hops.n
-    kpts = np.asarray(kpts, dtype=float).reshape(-1, hops.dim)
-    # a key alpha >= 0 adds blocks at two shifts at most, its reverse two
-    entries = (kpts.shape[0] + 4 * len(hops.hoppings)) * dim**2
-    if entries > MAX_FIBER_ENTRIES:
-        raise InputError(
-            f"the magnetic-Bloch fibers at flux {flux} ({kpts.shape[0]} of "
-            f"{dim} x {dim}) take {entries} complex entries, more than the "
-            f"limit of {MAX_FIBER_ENTRIES}")
-    return _bloch_operator(hops, flux).dense(kpts)
-
-
 def bloch_eigenvalue_cloud(
     hops: HoppingSet, flux: Fraction, k_resolution: int
 ) -> np.ndarray:
     """The magnetic-Bloch branch table over a uniform momentum grid: the
-    ascending eigenvalues of one fiber per row, shape (fibers, qN), at the
-    representatives of lattice.magnetic_momenta, whose ranges are those of
-    the whole grid."""
-    momenta = magnetic_momenta(hops.dim, magnetic_cells(flux, hops.dim),
-                               k_resolution)
-    return np.linalg.eigvalsh(_bloch_fibers(hops, flux, momenta))
+    ascending eigenvalues of one _bloch_operator fiber per row, shape
+    (fibers, qN), at the representatives of lattice.magnetic_momenta, whose
+    ranges are those of the whole grid."""
+    q = magnetic_cells(flux, hops.dim)
+    momenta = magnetic_momenta(hops.dim, q, k_resolution)
+    dim = q * hops.n
+    # a key alpha >= 0 adds blocks at two shifts at most, its reverse two
+    entries = (len(momenta) + 4 * len(hops.hoppings)) * dim**2
+    if entries > MAX_FIBER_ENTRIES:
+        raise InputError(
+            f"the magnetic-Bloch fibers at flux {flux} ({len(momenta)} of "
+            f"{dim} x {dim}) take {entries} complex entries, more than the "
+            f"limit of {MAX_FIBER_ENTRIES}")
+    return np.linalg.eigvalsh(_bloch_operator(hops, flux).dense(momenta))
 
 
 def subband_groups(

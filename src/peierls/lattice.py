@@ -95,11 +95,8 @@ class BZGrid:
         """Flat index of the xi = 0 grid point (requires even resolution)."""
         if self.resolution % 2:
             raise InputError("zero is a grid point only for even resolution")
-        half = self.resolution // 2
-        idx = 0
-        for _ in range(self.dim):
-            idx = idx * self.resolution + half
-        return idx
+        res, d = self.resolution, self.dim
+        return int(np.ravel_multi_index((res // 2,) * d, (res,) * d))
 
     def orbits(self, maps) -> tuple[np.ndarray, np.ndarray]:
         """Orbits of the grid under a group of integer maps f -> f M.

@@ -420,10 +420,16 @@ def test_last_computed_band_is_a_config_error(command, tmp_path, capsys):
      "hopping radius 8"),
     ("bands", {("numerics", "cutoff"): 1.0, ("numerics", "n_bands"): 4},
      "plane-wave basis size"),
-    ("compare", {("window",): [100, 101]}, "both spectra empty"),
+    ("compare", {("window",): [0.0, 0.5]}, "both spectra empty"),
+    ("direct", {("window",): [-1, 30]}, "numerics.n_bands"),
+    ("compare", {("window",): [-1, 30]}, "numerics.n_bands"),
+    ("direct", {("window",): [100, 101]}, "numerics.n_bands"),
+    ("compare", {("window",): [100, 101]}, "numerics.n_bands"),
 ], ids=["section_odd_resolution", "grushin_odd_resolution",
         "effective_aliasing", "scan_aliasing", "compare_aliasing",
-        "bands_above_basis_size", "compare_empty_window"])
+        "bands_above_basis_size", "compare_empty_window",
+        "direct_window_into_last_band", "compare_window_into_last_band",
+        "direct_window_above_bands", "compare_window_above_bands"])
 def test_input_checks_of_the_library_exit_2(command, edits, named, tmp_path,
                                             capsys):
     # each input is refused by a library module, not by the config reader

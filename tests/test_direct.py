@@ -20,7 +20,7 @@ from peierls.direct import (
     direct_spectrum,
     window_eigs,
 )
-from peierls.effective import (HoppingSet, _bloch_fibers, _bloch_operator,
+from peierls.effective import (HoppingSet, _bloch_operator,
                                bloch_eigenvalue_cloud, box_matrix)
 from peierls.lattice import (InputError, Lattice, magnetic_momenta,
                              tensor_grid)
@@ -184,7 +184,7 @@ def test_fd_stencil_on_the_unit_grid_is_the_harper_fiber(flux, k, lat2,
     for shift, C in fd_terms.items():
         assert abs(C - peierls_terms[shift]).max() < 1e-13
     M = stencil.matrix(k)
-    H = _bloch_fibers(harper, flux, [k])[0]
+    H = _bloch_operator(harper, flux).dense([k])[0]
     assert np.max(np.abs(M.toarray() - H)) < 1e-13
 
 

@@ -13,7 +13,7 @@ from peierls.direct import DirectDiscretization
 from peierls.effective import (
     HoppingSet,
     InconsistentSymbolError,
-    _bloch_fibers,
+    _bloch_operator,
     bloch_eigenvalue_cloud,
     box_matrix,
     fourier_hoppings,
@@ -25,7 +25,7 @@ from peierls.effective import (
 )
 from peierls.lattice import (InputError, Lattice, bz_grid, dual_shell,
                              tensor_grid)
-from peierls.magnetic import (VectorPotential, bloch_operator,
+from peierls.magnetic import (BlochOperator, VectorPotential, bloch_operator,
                               field_for_flux, line_phase)
 from peierls.spectra import SpectrumSet, hausdorff_distance
 
@@ -202,7 +202,7 @@ def test_hermitian_box_is_accepted():
 
 def test_zero_flux_bloch_matrix_is_symbol(nn_hoppings):
     k = np.array([0.7, -1.2])
-    val = _bloch_fibers(nn_hoppings, Fraction(0), k)[0][0, 0]
+    val = _bloch_operator(nn_hoppings, Fraction(0)).dense(k)[0][0, 0]
     assert abs(val - (-2 * np.cos(0.7) - 2 * np.cos(1.2))) < 1e-12
 
 
@@ -254,7 +254,7 @@ def test_peierls_fiber_spectrum_is_even_in_k(flux, k,
     k1, k2 = k
     kpts = [(k1, k2), (-k1, -k2), (-k1, k2), (k1, -k2)]
     spectra = np.linalg.eigvalsh(
-        _bloch_fibers(separable_band0_hoppings, flux, kpts))
+        _bloch_operator(separable_band0_hoppings, flux).dense(kpts))
     assert np.max(np.abs(spectra[1:] - spectra[0])) <= 1e-10
 
 
@@ -307,14 +307,15 @@ def test_cloud_solves_one_fiber_per_class(flux, r, monkeypatch,
     hops = _hermitian_hoppings(seed=7)
     axis = 2.0 * np.pi * np.arange(r) / r
     full = np.linalg.eigvalsh(
-        _bloch_fibers(hops, flux, tensor_grid([axis, axis])))
+        _bloch_operator(hops, flux).dense(tensor_grid([axis, axis])))
     solved = []
+    dense = BlochOperator.dense
 
-    def counted(hops, flux, kpts):
+    def counted(op, kpts):
         solved.append(len(kpts))
-        return _bloch_fibers(hops, flux, kpts)
+        return dense(op, kpts)
 
-    monkeypatch.setattr(effective, "_bloch_fibers", counted)
+    monkeypatch.setattr(BlochOperator, "dense", counted)
     cloud = bloch_eigenvalue_cloud(hops, flux, k_resolution=r)
     assert solved == [r * r // gcd(r, flux.denominator)]
     assert cloud.shape == (solved[0], full.shape[1])
@@ -336,7 +337,7 @@ def test_cloud_memory_is_that_of_its_fibers():
 
 
 def _reference_fiber(hops: HoppingSet, flux: Fraction, k) -> np.ndarray:
-    """The fiber formula of the _bloch_fibers docstring, entry by entry."""
+    """The fiber formula of the _bloch_operator docstring, entry by entry."""
     q, n = flux.denominator, hops.n
     phi = 2.0 * np.pi * float(flux)
     H = np.zeros((q * n, q * n), dtype=complex)
@@ -371,7 +372,7 @@ def test_batched_cloud_matches_per_k_fiber_formula(flux, seed, k,
     assert np.max(np.abs(cloud[rows] - ref)) < 1e-12
     # entrywise at an off-grid k: the cloud of a grid symmetric under
     # k -> -k cannot see the sign of k
-    fiber = _bloch_fibers(hops, flux, [k])[0]
+    fiber = _bloch_operator(hops, flux).dense([k])[0]
     assert np.max(np.abs(fiber - _reference_fiber(hops, flux, k))) < 1e-12
 
 
@@ -391,6 +392,32 @@ def test_operators_are_hermitian_by_construction(flux, seed, separable,
         assert len(terms) == len(op.shifts) > 1
         for shift, C in terms.items():
             assert (terms[tuple(-np.asarray(shift))] != C.conj().T).nnz == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lattice_hops_take_the_lexicographic_half(dim, seed, monkeypatch):
+    # of a random Hermitian set with alpha = 0 and keys (0, j), exactly the
+    # hops alpha >= 0 in lexicographic order reach hermitian_hops, each with
+    # its own block
+    rng = np.random.default_rng(seed)
+    keys = [(0,) * dim, *map(tuple, rng.integers(-3, 4, (8, dim)).tolist())]
+    if dim == 2:
+        keys += [(0, j) for j in rng.integers(-3, 4, 3).tolist()]
+    hops = {}
+    for alpha in keys:
+        hops[alpha] = hops[tuple(-a for a in alpha)] = rng.normal(size=(1, 1))
+    passed = {}
+
+    def record(A, shape, h, offsets, blocks, origin):
+        passed.update(zip(map(tuple, (-offsets).tolist()), blocks))
+
+    monkeypatch.setattr(effective, "hermitian_hops", record)
+    effective._lattice_hops(HoppingSet(hoppings=hops), Fraction(0),
+                            (3,) * dim)
+    assert passed.keys() == {a for a in hops if a >= (0,) * dim}
+    for alpha, blk in passed.items():
+        assert np.array_equal(blk, hops[alpha])
 
 
 def test_non_hermitian_hoppings_raise():
