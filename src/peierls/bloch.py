@@ -9,10 +9,13 @@ When every Fourier coefficient is real (for a real potential, one that is
 even about the origin, as in the cosine fixtures) H(xi) is real symmetric:
 FiberAssembler then builds float64 fibers, and compute_bands solves them with
 LAPACK's real-symmetric MRRR routine ?syevr instead of the complex Hermitian
-?heevr (Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)).  It calls the
-routine itself, with one handle and one workspace query per call and the
-lower triangle, as eigh(subset_by_index=...) does: the bands and vectors
-equal eigh's bit for bit, without its per-call checks and copies.
+?heevr (Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)).  Every fiber
+goes through one handle: the routine's C function in scipy.linalg.cython_lapack,
+called through ctypes with the arguments eigh(subset_by_index=...) passes
+(range "I", the lower triangle, abstol 0, the workspace LAPACK asks for).  The
+bands and vectors equal eigh's bit for bit, without its per-call checks and
+copies, and ctypes releases the GIL for the length of each call, so threads
+solve fibers side by side.
 
 At zero field the fibers share the symbol's point group: the integer maps
 R of dual coefficients, c -> c R (|det R| = 1, entries in {-1, 0, 1}), whose
@@ -29,10 +32,14 @@ time reversal alone, 33 of 64 in d=1.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.cython_lapack
 
 from .lattice import BZGrid, DualShell, InputError, tensor_grid
 from .symbols import PeriodicSymbol
@@ -43,6 +50,10 @@ from .symbols import PeriodicSymbol
 # size 197) with 4 bands and their vectors stores 1.8e6; a fiber admits a
 # basis of 4,096 members (cutoff 36 on the 2 pi square lattice).
 MAX_BAND_ENTRIES = 2**24
+
+# solves x (basis size)^3 that one thread must hold to repay its start
+# (80-105 us): three fibers of basis size 113, about 1.2 ms of ?syevr
+THREAD_WORK = 2**22
 
 
 class EigensolverError(RuntimeError):
@@ -165,6 +176,77 @@ def conj_reflect(vec: np.ndarray, neg_perm: np.ndarray) -> np.ndarray:
     return np.conj(vec[neg_perm])
 
 
+def _lapack(name: str, nargs: int):
+    """LAPACK's routine name from scipy.linalg.cython_lapack, as a ctypes
+    function of nargs pointers that releases the GIL while it runs."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    signature = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    address = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, signature)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+# per fiber dtype: the MRRR routine's name, its handle and the dtypes of its
+# workspaces, each of which takes a pointer and a length
+_MRRR = {np.dtype(float): ("syevr", _lapack("dsyevr", 21),
+                           (np.float64, np.int32)),
+         np.dtype(complex): ("heevr", _lapack("zheevr", 23),
+                             (np.complex128, np.float64, np.int32))}
+
+# the arguments that LAPACK only reads and every call shares: the flags jobz
+# ("V" or "N"), range "I" and uplo "L", il = 1, and abstol = 0, which also
+# stands for vl and vu (range "I" reads neither)
+_FLAGS = ctypes.create_string_buffer(b"VNIL")
+_ONE, _ZERO = ctypes.c_int(1), ctypes.c_double(0.0)
+_V, _N, _RANGE, _UPLO = (ctypes.addressof(_FLAGS) + k for k in range(4))
+_IL, _ABSTOL = ctypes.addressof(_ONE), ctypes.addressof(_ZERO)
+
+
+def _buffers(dtype: np.dtype, size: int, n_bands: int, jobz: int,
+             lengths) -> tuple:
+    """The MRRR routine's arrays (a, w, z, isuppz, workspaces), its int32
+    scalars (n, iu, workspace lengths, m, info) and its arguments: jobz,
+    range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz,
+    each workspace and its length, info."""
+    ints = np.array([size, n_bands, *lengths, 0, 0], dtype=np.int32)
+    arrays = [np.empty((size, size), dtype, order="F"), np.empty(size),
+              np.empty((size, n_bands), dtype, order="F"),
+              np.empty(2 * size, np.int32),
+              *map(np.empty, np.maximum(lengths, 1), _MRRR[dtype][2])]
+    n, iu, *lens, m, info = range(ints.ctypes.data,
+                                  ints.ctypes.data + ints.nbytes, 4)
+    a, w, z, isuppz, *works = (array.ctypes.data for array in arrays)
+    spaces = [arg for pair in zip(works, lens) for arg in pair]
+    return arrays, ints, (jobz, _RANGE, _UPLO, n, a, n, _ABSTOL, _ABSTOL,
+                          _IL, iu, _ABSTOL, m, w, z, n, isuppz, *spaces, info)
+
+
+@functools.lru_cache(maxsize=64)
+def _workspace(dtype: np.dtype, size: int) -> tuple:
+    """The workspace lengths that the routine asks for at basis size size,
+    which eigh queries again at every call."""
+    arrays, _, args = _buffers(dtype, size, 1, _N, [-1] * len(_MRRR[dtype][2]))
+    _MRRR[dtype][1](*args)
+    return tuple(int(work[0].real) for work in arrays[4:])
+
+
+def _workers() -> int:
+    """Threads for the band fibers: the cores that the BLAS leaves free.
+
+    OpenBLAS runs OPENBLAS_NUM_THREADS threads, else OMP_NUM_THREADS, else
+    one per core.  Fiber threads beside a BLAS that fills every core were
+    slower: 0.24 -> 0.30 s for a 32^2 grid at cutoff 8, on two cores.
+    """
+    cores = len(os.sched_getaffinity(0))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cores // int(value))
+    return 1
+
+
 @dataclass(frozen=True)
 class BandStructure:
     grid: BZGrid
@@ -186,10 +268,14 @@ def compute_bands(
     One point of each orbit of the point group is solved, the lowest in
     flat order (grid.orbits); the others get its eigenvalues and, with
     keep_vectors, its vectors mapped by one gather per group element.
-    The kinetic diagonals of the solved points are evaluated at once, and
-    each fiber is filled into one reused Fortran-ordered buffer that ?syevr
-    or ?heevr (range "I", lower triangle) overwrites.  A non-finite fiber
-    or a LAPACK failure raises EigensolverError naming its xi.
+    The kinetic diagonals of the solved points are evaluated at once.  The
+    solved points are split into contiguous chunks, at most _workers() and
+    each of THREAD_WORK or more: this thread solves the first, worker
+    threads the others.  Each chunk fills its fibers into its own
+    Fortran-ordered buffer that ?syevr or ?heevr (range "I", lower
+    triangle) overwrites, so no result depends on the thread.  A
+    non-finite fiber, checked before any solve, or a LAPACK failure raises
+    EigensolverError naming its xi, the lowest in flat order.
     """
     if n_bands > shell.size:
         raise InputError("n_bands exceeds the plane-wave basis size")
@@ -201,16 +287,8 @@ def compute_bands(
             f"({n_points} points, {n_bands} bands, basis size {shell.size}), "
             f"more than the limit {MAX_BAND_ENTRIES}")
     assemble = FiberAssembler(symbol, shell)
-    # the MRRR routine and its workspace, which eigh(subset_by_index=...)
-    # would query again at every fiber
-    name = "syevr" if assemble.dtype == float else "heevr"
-    evr, query = scipy.linalg.get_lapack_funcs((name, name + "_lwork"),
-                                               dtype=assemble.dtype)
-    sizes = [int(size.real) for size in query(shell.size, lower=1)[:-1]]
-    options = dict(zip(("lwork", "liwork") if name == "syevr"
-                       else ("lwork", "lrwork", "liwork"), sizes),
-                   compute_v=keep_vectors, range="I", il=1, iu=n_bands,
-                   lower=1, overwrite_a=1)
+    name, evr, _ = _MRRR[assemble.dtype]
+    lengths = _workspace(assemble.dtype, shell.size)
     points = grid.points()
     maps, perms, conj = point_group(symbol, shell)
     source, element = grid.orbits(maps)
@@ -225,20 +303,42 @@ def compute_bands(
     bands = np.empty((n_points, n_bands))
     vectors = (np.empty((n_points, shell.size, n_bands), dtype=complex)
                if keep_vectors else None)
-    # one Fortran-ordered fiber, which LAPACK overwrites in place, and a
-    # strided view of its diagonal
-    H = np.empty_like(assemble._block, order="F")
-    diag = H.reshape(-1, order="F")[:: shell.size + 1]
     block_diag = assemble._block.diagonal().copy()
-    for i, kinetic in zip(solved, diagonals):
-        np.copyto(H, assemble._block)
-        np.add(block_diag, kinetic, out=diag)
-        w, z, _, _, info = evr(H, **options)
-        if info != 0:
-            raise EigensolverError(points[i], f"LAPACK {name} info={info}")
-        bands[i] = w[:n_bands]
-        if keep_vectors:
-            vectors[i] = z
+
+    def solve(rows, arrays, ints, args):
+        """Solve the fibers solved[rows]: None, or the first failing row
+        and its info."""
+        H, w, z = arrays[:3]
+        diag = H.reshape(-1, order="F")[:: shell.size + 1]
+        for row in rows:
+            np.copyto(H, assemble._block)
+            np.add(block_diag, diagonals[row], out=diag)
+            evr(*args)
+            if ints[-1] != 0:
+                return row, int(ints[-1])
+            bands[solved[row]] = w[:n_bands]
+            if keep_vectors:
+                vectors[solved[row]] = z
+        return None
+
+    work = solved.size * shell.size**3
+    chunks = (min(work // THREAD_WORK, _workers())
+              if work >= 2 * THREAD_WORK else 1)
+    jobs = [(range(solved.size * k // chunks, solved.size * (k + 1) // chunks),
+             *_buffers(assemble.dtype, shell.size, n_bands,
+                       _V if keep_vectors else _N, lengths))
+            for k in range(chunks)]
+    if chunks == 1:
+        results = [solve(*jobs[0])]
+    else:
+        with ThreadPoolExecutor(chunks - 1) as pool:
+            futures = [pool.submit(solve, *job) for job in jobs[1:]]
+            results = [solve(*jobs[0]),
+                       *(future.result() for future in futures)]
+    failed = [result for result in results if result is not None]
+    if failed:
+        row, info = min(failed)
+        raise EigensolverError(points[solved[row]], f"LAPACK {name} info={info}")
     bands = bands[source]
     for g in range(len(maps) if keep_vectors else 0):
         idx = np.flatnonzero(copied & (element == g))

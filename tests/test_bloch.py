@@ -1,3 +1,7 @@
+import ctypes
+import os
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -291,22 +295,131 @@ def test_bands_equal_eigh_bit_for_bit(lat1, lat2, name, keep_vectors):
         assert bands.vectors is None
 
 
+def _split(monkeypatch, workers):
+    """Split every compute_bands over `workers` chunks, however small."""
+    monkeypatch.setattr(bloch, "_workers", lambda: workers)
+    monkeypatch.setattr(bloch, "THREAD_WORK", 1)
+
+
+@pytest.mark.parametrize("keep_vectors", [True, False])
+@pytest.mark.parametrize("name",
+                         ["separable", "mathieu", "lopsided", "relativistic"])
+def test_split_bands_equal_eigh_bit_for_bit(lat1, lat2, monkeypatch, name,
+                                            keep_vectors):
+    """A fiber's bands and vectors do not depend on the thread that solves
+    it: with 1, 2 or 3 chunks they are eigh(subset_by_index)'s bits."""
+    symbol, grid, shell = _identity_case(name, lat1, lat2)
+    assemble = FiberAssembler(symbol, shell)
+    solved = np.unique(grid.orbits(point_group(symbol, shell)[0])[0])
+    points = grid.points()
+    ref = [scipy.linalg.eigh(assemble(points[i]), subset_by_index=[0, 2])
+           for i in solved]
+    for workers in (1, 2, 3):
+        _split(monkeypatch, workers)
+        bands = compute_bands(symbol, grid, shell, 3, keep_vectors=keep_vectors)
+        assert (bands.bands[solved] == np.stack([r[0] for r in ref])).all()
+        if keep_vectors:
+            assert (bands.vectors[solved] == np.stack([r[1] for r in ref])).all()
+
+
+def test_workers_leave_the_blas_its_threads(monkeypatch):
+    cores = len(os.sched_getaffinity(0))
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    # an unset BLAS runs a thread per core: the fibers stay in one thread
+    assert bloch._workers() == 1
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert bloch._workers() == cores
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cores))
+    assert bloch._workers() == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert bloch._workers() == cores
+
+
+def _solving_threads(monkeypatch):
+    """The idents of the threads that solve fibers, one entry per solve."""
+    threads = []
+
+    def recording(evr):
+        def solve(*args):
+            if not _is_query(args):
+                threads.append(threading.get_ident())
+            return evr(*args)
+
+        return solve
+
+    _wrapped_handles(monkeypatch, recording)
+    return threads
+
+
+def test_only_work_worth_a_thread_is_split(mathieu, separable, lat1, lat2,
+                                           monkeypatch):
+    monkeypatch.setattr(bloch, "_workers", lambda: 3)
+    threads = _solving_threads(monkeypatch)
+    before = threading.active_count()
+    # 33 fibers of basis size 17 stay in the calling thread
+    compute_bands(mathieu, bz_grid(lat1, 64), dual_shell(lat1, 8.0), 4)
+    assert set(threads) == {threading.get_ident()} and len(threads) == 33
+    threads.clear()
+    # 45 of basis size 113 take a chunk each of 15 in three threads
+    compute_bands(separable, bz_grid(lat2, 16), dual_shell(lat2, 6.0), 4)
+    assert len(threads) == 45 and len(set(threads)) == 3
+    assert threads.count(threading.get_ident()) == 15
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing, named", [((13,), 13), ((13, 7), 7),
+                                            ((14, 2), 2)])
+def test_split_failure_names_the_lowest_failing_xi(separable, lat2,
+                                                   monkeypatch, failing,
+                                                   named):
+    """With 3 chunks of 5 of the 15 solves, a LAPACK failure in the last
+    chunk, or in two, names the xi the serial loop would name first."""
+    grid, shell = bz_grid(lat2, 8), dual_shell(lat2, 3.0)
+    assemble = FiberAssembler(separable, shell)
+    solved = np.unique(grid.orbits(point_group(separable, shell)[0])[0])
+    assert solved.size == 15
+    xi = grid.points()[solved]
+    diagonals = np.stack([assemble(x).diagonal() for x in xi])
+    size = shell.size
+
+    def failing_at(evr):
+        def solve(*args):
+            if _is_query(args):
+                return evr(*args)
+            fiber = np.ctypeslib.as_array(
+                (ctypes.c_double * size**2).from_address(args[4]))
+            row = np.argmin(np.abs(diagonals - fiber[:: size + 1]).max(1))
+            evr(*args)
+            if row in failing:
+                ctypes.c_int.from_address(args[-1]).value = 7
+
+        return solve
+
+    _split(monkeypatch, 3)
+    _wrapped_handles(monkeypatch, failing_at)
+    before = threading.active_count()
+    with pytest.raises(bloch.EigensolverError, match="LAPACK syevr info=7"
+                       ) as error:
+        compute_bands(separable, grid, shell, 2)
+    assert (error.value.xi == xi[named]).all()
+    assert threading.active_count() == before
+
+
+def _wrapped_handles(monkeypatch, wrap):
+    """Replace each MRRR handle evr of bloch by wrap(evr)."""
+    for dtype, (name, evr, kinds) in list(bloch._MRRR.items()):
+        monkeypatch.setitem(bloch._MRRR, dtype, (name, wrap(evr), kinds))
+
+
+def _is_query(args):
+    """A workspace query passes lwork = -1."""
+    return ctypes.c_int.from_address(args[17]).value == -1
+
+
 def _counted_solves(monkeypatch, symbol, grid, shell):
     """The LAPACK eigensolver calls of one compute_bands, and its bands."""
-    calls = []
-    get_lapack_funcs = scipy.linalg.get_lapack_funcs
-
-    def counting_handles(*args, **kwargs):
-        evr, query = get_lapack_funcs(*args, **kwargs)
-
-        def counting(*solve_args, **solve_kwargs):
-            calls.append(1)
-            return evr(*solve_args, **solve_kwargs)
-
-        return counting, query
-
-    monkeypatch.setattr(bloch.scipy.linalg, "get_lapack_funcs",
-                        counting_handles)
+    calls = _solving_threads(monkeypatch)
     return calls, compute_bands(symbol, grid, shell, 2)
 
 
@@ -370,11 +483,13 @@ def test_apply_matches_the_assembled_fibers(lat2, shift):
     assert np.max(np.abs(assemble.apply(xi, vecs) - expected)) < 1e-12
 
 
-def test_band_grid_size_is_bounded(separable, lat2, monkeypatch):
-    def no_solve(*args, **kwargs):
+class _NoSolver(dict):
+    def __getitem__(self, key):
         raise AssertionError("eigensolver fetched for an oversized grid")
 
-    monkeypatch.setattr(bloch.scipy.linalg, "get_lapack_funcs", no_solve)
+
+def test_band_grid_size_is_bounded(separable, lat2, monkeypatch):
+    monkeypatch.setattr(bloch, "_MRRR", _NoSolver())
     shell = dual_shell(lat2, 8.0)
     assert shell.size == 197
     # the largest band grid of the acceptance suite fits

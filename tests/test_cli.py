@@ -442,7 +442,6 @@ def test_input_checks_of_the_library_exit_2(command, edits, named, tmp_path,
     err = capsys.readouterr().err
     assert "config error" in err and named in err
     assert "numeric error" not in err
-    assert "numeric error" not in err
 
 
 def test_non_finite_fiber_is_an_eigensolver_error(mathieu, lat1, config_path,

@@ -355,6 +355,25 @@ def test_one_krylov_call_with_an_explicit_stop():
     assert "tol" in {keyword.arg for keyword in call.keywords}
 
 
+def test_one_fiber_eigensolver_handle():
+    """bloch is the one module that reaches scipy.linalg.cython_lapack, and
+    no module fetches ?syevr or ?heevr as an f2py wrapper, by
+    get_lapack_funcs or by name: every band fiber goes through bloch's one
+    ctypes handle, in the calling thread and in the workers."""
+    trees = _package_trees()
+    reaching = [module for module, tree in trees.items()
+                if any("cython_lapack" in name for name in _mentions([tree]))]
+    assert reaching == ["bloch"]
+    for tree in trees.values():
+        assert not any(kind in name for name in _mentions([tree])
+                       for kind in ("syevr", "heevr"))
+        fetched = [arg.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and "get_lapack_funcs" in _mentions([node.func])
+                   for arg in ast.walk(node) if isinstance(arg, ast.Constant)]
+        assert not any(kind in str(value) for value in fetched
+                       for kind in ("syevr", "heevr"))
+
 def test_one_line_phase_per_operator_kind():
     """The package calls magnetic.line_phase in two functions, once each:
     hermitian_hops, for every hop of a lattice operator (the FD stencil,
