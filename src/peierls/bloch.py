@@ -45,10 +45,11 @@ from .lattice import BZGrid, DualShell, InputError, tensor_grid
 from .symbols import PeriodicSymbol
 
 
-# Values plus vector entries one band grid may store, and entries of one
-# fiber: 2**24 complex entries are 0.27 GB.  A 48^2 grid at cutoff 8 (basis
-# size 197) with 4 bands and their vectors stores 1.8e6; a fiber admits a
-# basis of 4,096 members (cutoff 36 on the 2 pi square lattice).
+# Values plus vector entries one band grid may store, n_points (n_bands + M)
+# with one band's vectors, and entries of one fiber: 2**24 complex entries
+# are 0.27 GB.  A 48^2 grid at cutoff 8 (basis size M = 197) with 4 bands
+# and one band's vectors stores 4.6e5; a fiber admits a basis of 4,096
+# members (cutoff 36 on the 2 pi square lattice).
 MAX_BAND_ENTRIES = 2**24
 
 # solves x (basis size)^3 that one thread must hold to repay its start
@@ -252,7 +253,7 @@ class BandStructure:
     grid: BZGrid
     shell: DualShell
     bands: np.ndarray  # (n_points, n_bands), ascending per point
-    vectors: np.ndarray | None = None  # (n_points, M, n_bands)
+    vectors: np.ndarray | None = None  # (n_points, M), one band's vectors
     solved: int = 0  # fibers diagonalized, one per orbit of the grid
 
 
@@ -261,13 +262,16 @@ def compute_bands(
     grid: BZGrid,
     shell: DualShell,
     n_bands: int,
-    keep_vectors: bool = False,
+    vector_band: int | None = None,
 ) -> BandStructure:
-    """The lowest n_bands eigenvalues (and eigenvectors) at every grid point.
+    """The lowest n_bands eigenvalues at every grid point, and the
+    eigenvectors of band vector_band (0-based) when it is given.
 
     One point of each orbit of the point group is solved, the lowest in
-    flat order (grid.orbits); the others get its eigenvalues and, with
-    keep_vectors, its vectors mapped by one gather per group element.
+    flat order (grid.orbits); the others get its eigenvalues and its
+    vector mapped by one gather per group element.  Every solve returns
+    the vectors of all n_bands bands, as eigh does, and only the column of
+    vector_band is kept.
     The kinetic diagonals of the solved points are evaluated at once.  The
     solved points are split into contiguous chunks, at most _workers() and
     each of THREAD_WORK or more: this thread solves the first, worker
@@ -279,8 +283,12 @@ def compute_bands(
     """
     if n_bands > shell.size:
         raise InputError("n_bands exceeds the plane-wave basis size")
+    keep = vector_band is not None
+    if keep and not 0 <= vector_band < n_bands:
+        raise InputError(f"vector_band {vector_band} is not one of the "
+                         f"{n_bands} bands computed")
     n_points = grid.resolution ** grid.dim
-    entries = n_points * n_bands * (1 + (shell.size if keep_vectors else 0))
+    entries = n_points * (n_bands + (shell.size if keep else 0))
     if entries > MAX_BAND_ENTRIES:
         raise InputError(
             f"the band grid stores {entries} values and vector entries "
@@ -301,8 +309,7 @@ def compute_bands(
         raise EigensolverError(points[solved[np.argmin(finite)]],
                                "non-finite fiber")
     bands = np.empty((n_points, n_bands))
-    vectors = (np.empty((n_points, shell.size, n_bands), dtype=complex)
-               if keep_vectors else None)
+    vectors = np.empty((n_points, shell.size), complex) if keep else None
     block_diag = assemble._block.diagonal().copy()
 
     def solve(rows, arrays, ints, args):
@@ -317,8 +324,8 @@ def compute_bands(
             if ints[-1] != 0:
                 return row, int(ints[-1])
             bands[solved[row]] = w[:n_bands]
-            if keep_vectors:
-                vectors[solved[row]] = z
+            if keep:
+                vectors[solved[row]] = z[:, vector_band]
         return None
 
     work = solved.size * shell.size**3
@@ -326,7 +333,7 @@ def compute_bands(
               if work >= 2 * THREAD_WORK else 1)
     jobs = [(range(solved.size * k // chunks, solved.size * (k + 1) // chunks),
              *_buffers(assemble.dtype, shell.size, n_bands,
-                       _V if keep_vectors else _N, lengths))
+                       _V if keep else _N, lengths))
             for k in range(chunks)]
     if chunks == 1:
         results = [solve(*jobs[0])]
@@ -340,7 +347,7 @@ def compute_bands(
         row, info = min(failed)
         raise EigensolverError(points[solved[row]], f"LAPACK {name} info={info}")
     bands = bands[source]
-    for g in range(len(maps) if keep_vectors else 0):
+    for g in range(len(maps) if keep else 0):
         idx = np.flatnonzero(copied & (element == g))
         image = vectors[source[idx, None], perms[g]]
         vectors[idx] = np.conj(image, out=image) if conj[g] else image

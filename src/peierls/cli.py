@@ -208,11 +208,11 @@ def _parse_flux(text, lattice: Lattice) -> Fraction:
     return flux
 
 
-def _bands(lattice: Lattice, sym, settings: dict, keep_vectors=False):
+def _bands(lattice: Lattice, sym, settings: dict, vector_band=None):
     grid = bz_grid(lattice, settings["resolution"])
     shell = dual_shell(lattice, settings["cutoff"])
     return bloch.compute_bands(sym, grid, shell, settings["n_bands"],
-                               keep_vectors=keep_vectors)
+                               vector_band=vector_band)
 
 
 def _parse_window(win):
@@ -302,9 +302,9 @@ def cmd_bands(settings, lattice: Lattice, sym, out: Path) -> dict:
 
 
 def cmd_section(settings, lattice: Lattice, sym, out: Path) -> dict:
-    bands = _bands(lattice, sym, settings, keep_vectors=True)
+    bands = _bands(lattice, sym, settings, settings["band_index"])
     _require_simple_band(bands, settings)
-    sec = section.transport_section(bands, settings["band_index"])
+    sec = section.transport_section(bands)
     # each vector against its own fiber H(xi) v = V_hat v + kinetic(xi + g) v,
     # 32 points at a time to bound the temporaries
     assemble = bloch.FiberAssembler(sym, bands.shell)
@@ -326,9 +326,9 @@ def cmd_section(settings, lattice: Lattice, sym, out: Path) -> dict:
 
 
 def cmd_grushin(settings, lattice: Lattice, sym, out: Path) -> dict:
-    bands = _bands(lattice, sym, settings, keep_vectors=True)
+    bands = _bands(lattice, sym, settings, settings["band_index"])
     _require_simple_band(bands, settings)
-    sec = section.transport_section(bands, settings["band_index"])
+    sec = section.transport_section(bands)
     family = grushin.trial_from_section(sec)
     k = settings["band_index"]
     rng = np.random.default_rng(settings["seed"])

@@ -61,11 +61,12 @@ class BlochSection:
     phase_log: dict  # holonomy angles used during transport
 
 
-def transport_section(bands: BandStructure, band_index: int) -> BlochSection:
+def transport_section(bands: BandStructure) -> BlochSection:
     """Inductive parallel-transport construction of the section over the grid.
 
-    Requires eigenvectors (keep_vectors=True) and an even grid resolution
-    so that xi = 0 is a grid point.
+    Transports the band whose eigenvectors the bands carry (compute_bands'
+    vector_band) and requires an even grid resolution, so that xi = 0 is a
+    grid point.
     """
     if bands.vectors is None:
         raise InputError("transport_section needs stored eigenvectors")
@@ -75,7 +76,7 @@ def transport_section(bands: BandStructure, band_index: int) -> BlochSection:
         raise InputError("grid resolution must be even")
     i0 = res // 2  # index of coordinate 0
     # a view of the band's vectors, (res,) * d + (M,)
-    lines = bands.vectors[:, :, band_index].reshape((res,) * d + (-1,))
+    lines = bands.vectors.reshape((res,) * d + (-1,))
     neg = negation_permutation(shell)
     # the conjugation-fixed seed exp(i f / 2) v, with <v, C v> = exp(i f)
     v = lines[(i0,) * d]

@@ -50,7 +50,7 @@ def mathieu_bands(mathieu, lat1):
 
     grid = bz_grid(lat1, 64)
     shell = dual_shell(lat1, 8.0)
-    return compute_bands(mathieu, grid, shell, 3, keep_vectors=True)
+    return compute_bands(mathieu, grid, shell, 3, 0)
 
 
 @pytest.fixture(scope="session")
@@ -59,7 +59,7 @@ def separable_bands(separable, lat2):
 
     grid = bz_grid(lat2, 32)
     shell = dual_shell(lat2, 8.0)
-    return compute_bands(separable, grid, shell, 2, keep_vectors=True)
+    return compute_bands(separable, grid, shell, 2, 0)
 
 
 @pytest.fixture(scope="session")

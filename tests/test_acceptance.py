@@ -131,7 +131,7 @@ def test_criterion_03_zero_field_scan_reconstruction(mathieu, lat1):
 
 
 def test_criterion_04_grushin_identity(mathieu, mathieu_bands):
-    family = trial_from_section(transport_section(mathieu_bands, 0))
+    family = trial_from_section(transport_section(mathieu_bands))
     pts = mathieu_bands.grid.points()
     rng = np.random.default_rng(2024)
     lam_lo = mathieu_bands.bands[:, 0].min() - 0.5
@@ -161,8 +161,8 @@ def _section_suite(symbol, resolution):
     d = lat.dim
     grid = bz_grid(lat, resolution)
     shell = dual_shell(lat, 8.0)
-    bands = compute_bands(symbol, grid, shell, 1, keep_vectors=True)
-    sec = transport_section(bands, 0)
+    bands = compute_bands(symbol, grid, shell, 1, 0)
+    sec = transport_section(bands)
     res = resolution
     vecs = sec.vectors
     neg = negation_permutation(shell)

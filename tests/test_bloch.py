@@ -67,6 +67,9 @@ def test_compute_bands_rejects_oversized_request(mathieu, lat1):
     shell = dual_shell(lat1, 1.0)
     with pytest.raises(InputError, match="exceeds"):
         compute_bands(mathieu, grid, shell, shell.size + 1)
+    for band in (-1, 2):
+        with pytest.raises(InputError, match="vector_band"):
+            compute_bands(mathieu, grid, shell, 2, band)
 
 
 def test_band_intervals_simplicity_flags(mathieu_bands):
@@ -232,15 +235,16 @@ def test_folded_bands_match_every_point_solved(lat1, lat2, kind, dim, shift,
 
 
 def _check_folded_bands(symbol, grid, shell):
-    """Every folded point matches its own fiber solved on its own."""
-    bands = compute_bands(symbol, grid, shell, 3, keep_vectors=True)
+    """Every folded point matches its own fiber solved on its own, and its
+    mapped vector is an eigenvector of the kept band, for each band kept."""
     plain = _plain_bands(symbol, grid, shell, 3)
-    assert np.max(np.abs(bands.bands - plain)) < 1e-12
     assemble = FiberAssembler(symbol, shell)
-    for xi, vals, vecs in zip(grid.points(), bands.bands, bands.vectors):
-        assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-12)
-        resid = assemble(xi) @ vecs - vecs * vals
-        assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-10
+    for k in range(3):
+        bands = compute_bands(symbol, grid, shell, 3, k)
+        assert np.max(np.abs(bands.bands - plain)) < 1e-12
+        for xi, vals, vec in zip(grid.points(), bands.bands, bands.vectors):
+            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+            assert np.linalg.norm(assemble(xi) @ vec - vals[k] * vec) <= 1e-10
 
 
 @pytest.mark.parametrize("dim, res, solved", [(2, 16, 144), (1, 64, 33)])
@@ -272,27 +276,35 @@ def _identity_case(name, lat1, lat2):
             bz_grid(lat2, 7), dual_shell(lat2, 4.0))
 
 
-@pytest.mark.parametrize("keep_vectors", [True, False])
+def _kept_bands(vectors):
+    """The vector_band values of a test: each of 3 bands, or no vectors."""
+    return (0, 1, 2) if vectors else (None,)
+
+
+@pytest.mark.parametrize("vectors", [True, False])
 @pytest.mark.parametrize("name",
                          ["separable", "mathieu", "lopsided", "relativistic"])
-def test_bands_equal_eigh_bit_for_bit(lat1, lat2, name, keep_vectors):
-    """The direct LAPACK call returns what eigh(subset_by_index) returns."""
+def test_bands_equal_eigh_bit_for_bit(lat1, lat2, name, vectors):
+    """The direct LAPACK call returns what eigh(subset_by_index) returns,
+    and the kept vectors are its column vector_band."""
     symbol, grid, shell = _identity_case(name, lat1, lat2)
     assemble = FiberAssembler(symbol, shell)
     assert assemble.dtype == (np.complex128 if name in ("lopsided",
                                                         "relativistic")
                               else np.float64)
-    bands = compute_bands(symbol, grid, shell, 3, keep_vectors=keep_vectors)
     source = grid.orbits(point_group(symbol, shell)[0])[0]
     points = grid.points()
     ref = {i: scipy.linalg.eigh(assemble(points[i]), subset_by_index=[0, 2])
            for i in np.unique(source)}
-    assert (bands.bands == np.stack([ref[i][0] for i in source])).all()
-    if keep_vectors:
+    for vector_band in _kept_bands(vectors):
+        bands = compute_bands(symbol, grid, shell, 3, vector_band)
+        assert (bands.bands == np.stack([ref[i][0] for i in source])).all()
+        if vector_band is None:
+            assert bands.vectors is None
+            continue
+        assert bands.vectors.shape == (len(points), shell.size)
         for i, (_, vecs) in ref.items():
-            assert (bands.vectors[i] == vecs).all()
-    else:
-        assert bands.vectors is None
+            assert (bands.vectors[i] == vecs[:, vector_band]).all()
 
 
 def _split(monkeypatch, workers):
@@ -301,11 +313,11 @@ def _split(monkeypatch, workers):
     monkeypatch.setattr(bloch, "THREAD_WORK", 1)
 
 
-@pytest.mark.parametrize("keep_vectors", [True, False])
+@pytest.mark.parametrize("vectors", [True, False])
 @pytest.mark.parametrize("name",
                          ["separable", "mathieu", "lopsided", "relativistic"])
 def test_split_bands_equal_eigh_bit_for_bit(lat1, lat2, monkeypatch, name,
-                                            keep_vectors):
+                                            vectors):
     """A fiber's bands and vectors do not depend on the thread that solves
     it: with 1, 2 or 3 chunks they are eigh(subset_by_index)'s bits."""
     symbol, grid, shell = _identity_case(name, lat1, lat2)
@@ -316,10 +328,12 @@ def test_split_bands_equal_eigh_bit_for_bit(lat1, lat2, monkeypatch, name,
            for i in solved]
     for workers in (1, 2, 3):
         _split(monkeypatch, workers)
-        bands = compute_bands(symbol, grid, shell, 3, keep_vectors=keep_vectors)
-        assert (bands.bands[solved] == np.stack([r[0] for r in ref])).all()
-        if keep_vectors:
-            assert (bands.vectors[solved] == np.stack([r[1] for r in ref])).all()
+        for vector_band in _kept_bands(vectors):
+            bands = compute_bands(symbol, grid, shell, 3, vector_band)
+            assert (bands.bands[solved] == np.stack([r[0] for r in ref])).all()
+            if vector_band is not None:
+                assert (bands.vectors[solved] == np.stack(
+                    [r[1][:, vector_band] for r in ref])).all()
 
 
 def test_workers_leave_the_blas_its_threads(monkeypatch):
@@ -493,9 +507,12 @@ def test_band_grid_size_is_bounded(separable, lat2, monkeypatch):
     shell = dual_shell(lat2, 8.0)
     assert shell.size == 197
     # the largest band grid of the acceptance suite fits
-    assert 48**2 * 4 * (1 + shell.size) <= MAX_BAND_ENTRIES
+    assert 48**2 * (4 + shell.size) <= MAX_BAND_ENTRIES
     with pytest.raises(InputError, match="limit"):
         compute_bands(separable, bz_grid(lat2, 4096), shell, 2)
+    # one band's vectors: 256^2 (2 + 197) entries pass the bound and reach
+    # the solver, 512^2 (2 + 197) do not
+    with pytest.raises(AssertionError, match="fetched"):
+        compute_bands(separable, bz_grid(lat2, 256), shell, 2, 1)
     with pytest.raises(InputError, match="limit"):
-        compute_bands(separable, bz_grid(lat2, 256), shell, 2,
-                      keep_vectors=True)
+        compute_bands(separable, bz_grid(lat2, 512), shell, 2, 1)

@@ -72,6 +72,27 @@ def test_grushin_command_verifies_identity(config_path, tmp_path):
     assert report["max_effective_deviation"] < 1e-8
 
 
+@pytest.mark.parametrize("command", ["section", "grushin"])
+def test_section_and_grushin_carry_the_selected_band(command, tmp_path):
+    """At band_index 1 the kept vectors are those of band 1: band 0's would
+    leave a residual and an effective-block deviation of about the gap."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["numerics"].update(cutoff=8.0, resolution=64, band_index=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(command, str(path), tmp_path) == 0
+    if command == "section":
+        lines = (tmp_path / "section.csv").read_text().splitlines()[1:]
+        table = np.array([line.split(",") for line in lines], dtype=float)
+        assert table.shape[0] == 64
+        assert np.max(np.abs(table[:, 1] - 1.0)) <= 1e-10
+        assert np.max(table[:, 2]) <= 1e-8
+    else:
+        report = json.loads((tmp_path / "grushin.json").read_text())
+        assert report["max_residual"] <= 1e-8
+        assert report["max_effective_deviation"] <= 1e-8
+
+
 def test_grushin_stack_is_solved_in_bounded_chunks(tmp_path, monkeypatch):
     # with room for 4 Grushin matrices per solve, 600 samples are solved in
     # 150 stacks: the command peaks near what it does for 4 samples, and
@@ -273,13 +294,13 @@ def test_csv_tables_equal_the_per_value_writer(cfg, tmp_path, monkeypatch):
             header, _rows(columns)), name
     num = cli._numerics(cfg)
     lat = cli.build_lattice(cfg)
-    bands = cli._bands(lat, cli.build_symbol(cfg, lat), num, keep_vectors=True)
+    bands = cli._bands(lat, cli.build_symbol(cfg, lat), num, 0)
     rows = [list(frac) + [j, bands.bands[i, j]]
             for i, frac in enumerate(bands.grid.coords())
             for j in range(bands.bands.shape[1])]
     assert (tmp_path / "bands.csv").read_text() == _per_value_csv(
         written["bands.csv"][0], rows)
-    vectors = transport_section(bands, 0).vectors
+    vectors = transport_section(bands).vectors
     norms = [line.split(",")[lat.dim] for line in
              (tmp_path / "section.csv").read_text().splitlines()[1:]]
     assert norms == [f"{np.linalg.norm(v):.17g}" for v in vectors]

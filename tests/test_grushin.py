@@ -17,7 +17,7 @@ from peierls.section import transport_section
 
 @pytest.fixture(scope="module")
 def mathieu_family(mathieu_bands):
-    sec = transport_section(mathieu_bands, 0)
+    sec = transport_section(mathieu_bands)
     return trial_from_section(sec)
 
 

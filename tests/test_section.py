@@ -36,8 +36,8 @@ def test_permutation_algebra(lat1):
 def test_transport_builds_its_permutations_once_per_shell(separable, lat2,
                                                           monkeypatch):
     bands = compute_bands(separable, bz_grid(lat2, 8), dual_shell(lat2, 4.0),
-                          1, keep_vectors=True)
-    first = transport_section(bands, 0)
+                          1, 0)
+    first = transport_section(bands)
     calls = []
     index_of = DualShell.index_of
 
@@ -46,7 +46,7 @@ def test_transport_builds_its_permutations_once_per_shell(separable, lat2,
         return index_of(self, coeffs)
 
     monkeypatch.setattr(DualShell, "index_of", counting)
-    again = transport_section(bands, 0)
+    again = transport_section(bands)
     assert calls == []
     assert np.array_equal(again.vectors, first.vectors)
 
@@ -56,16 +56,14 @@ def test_transport_section_requires_vectors_and_even_grid(mathieu, lat1):
     shell = dual_shell(lat1, 6.0)
     bands = compute_bands(mathieu, grid, shell, 2)
     with pytest.raises(InputError, match="eigenvectors"):
-        transport_section(bands, 0)
-    odd = compute_bands(
-        mathieu, bz_grid(lat1, 15), shell, 2, keep_vectors=True
-    )
+        transport_section(bands)
+    odd = compute_bands(mathieu, bz_grid(lat1, 15), shell, 2, 0)
     with pytest.raises(InputError, match="even"):
-        transport_section(odd, 0)
+        transport_section(odd)
 
 
 def test_section_d1_properties(mathieu, mathieu_bands):
-    sec = transport_section(mathieu_bands, 0)
+    sec = transport_section(mathieu_bands)
     shell = mathieu_bands.shell
     grid = sec.grid
     res = grid.resolution
@@ -86,7 +84,7 @@ def test_section_d1_properties(mathieu, mathieu_bands):
 
 
 def test_section_d1_zone_edge_continuity(mathieu_bands):
-    sec = transport_section(mathieu_bands, 0)
+    sec = transport_section(mathieu_bands)
     res = sec.grid.resolution
     s1 = shift_permutation(mathieu_bands.shell, [1])
     steps = [
@@ -99,7 +97,7 @@ def test_section_d1_zone_edge_continuity(mathieu_bands):
 
 
 def test_section_d2_properties(separable, separable_bands):
-    sec = transport_section(separable_bands, 0)
+    sec = transport_section(separable_bands)
     res = sec.grid.resolution
     shell = separable_bands.shell
     pts = sec.grid.points()
@@ -126,7 +124,7 @@ def test_section_d2_properties(separable, separable_bands):
 
 
 def test_section_d2_continuity_in_both_axes(separable_bands):
-    sec = transport_section(separable_bands, 0)
+    sec = transport_section(separable_bands)
     res = sec.grid.resolution
     vecs = sec.vectors.reshape(res, res, -1)
     for axis in (0, 1):
@@ -143,11 +141,11 @@ def test_transport_aborts_between_orthogonal_neighbours(lattice, request):
     shell = dual_shell(lat, 5.0)
     n_points = grid.resolution ** grid.dim
     assert shell.size >= n_points
-    vectors = np.eye(shell.size, dtype=complex)[:n_points, :, None]
+    vectors = np.eye(shell.size, dtype=complex)[:n_points]
     bands = BandStructure(grid=grid, shell=shell, bands=np.zeros((n_points, 1)),
                           vectors=vectors)
     with pytest.raises(TransportStepError, match="< 1/2"):
-        transport_section(bands, 0)
+        transport_section(bands)
 
 
 def _project(target, prev):
@@ -157,13 +155,13 @@ def _project(target, prev):
     return out / np.linalg.norm(out)
 
 
-def _reference_section(bands, k):
+def _reference_section(bands):
     """The section built one point at a time: the axis (t1, 0) as a line,
     then each column in t2 from the axis, kappa' aligned from t1 = 0."""
     res, d, shell = bands.grid.resolution, bands.grid.dim, bands.shell
     i0, coords = res // 2, bands.grid.axis_coords
     neg = negation_permutation(shell)
-    vecs = bands.vectors[:, :, k].reshape((res,) * d + (-1,))
+    vecs = bands.vectors.reshape((res,) * d + (-1,))
     perm = [shift_permutation(shell, n) for n in np.eye(d, dtype=int)]
     unperm = [shift_permutation(shell, -n) for n in np.eye(d, dtype=int)]
 
@@ -217,8 +215,8 @@ def _reference_section(bands, k):
 @pytest.mark.parametrize("fixture", ["mathieu_bands", "separable_bands"])
 def test_sweep_matches_point_by_point_transport(fixture, request):
     bands = request.getfixturevalue(fixture)
-    sec = transport_section(bands, 0)
-    vectors, angles = _reference_section(bands, 0)
+    sec = transport_section(bands)
+    vectors, angles = _reference_section(bands)
     # the batched sums round differently, by a few ulp per step
     assert np.max(np.abs(sec.vectors - vectors)) < 1e-12
     assert abs(sec.phase_log["kappa"] - angles[0]) < 1e-12
