@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -210,15 +211,24 @@ def _buffers(dtype: np.dtype, size: int, n_bands: int, jobz: int,
     """The MRRR routine's arrays (a, w, z, isuppz, workspaces), its int32
     scalars (n, iu, workspace lengths, m, info) and its arguments: jobz,
     range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz,
-    each workspace and its length, info."""
-    ints = np.array([size, n_bands, *lengths, 0, 0], dtype=np.int32)
-    arrays = [np.empty((size, size), dtype, order="F"), np.empty(size),
-              np.empty((size, n_bands), dtype, order="F"),
-              np.empty(2 * size, np.int32),
-              *map(np.empty, np.maximum(lengths, 1), _MRRR[dtype][2])]
-    n, iu, *lens, m, info = range(ints.ctypes.data,
-                                  ints.ctypes.data + ints.nbytes, 4)
-    a, w, z, isuppz, *works = (array.ctypes.data for array in arrays)
+    each workspace and its length, info.  They are views of one byte
+    buffer, each at a multiple of 16 bytes, so one address is read."""
+    kinds = [np.dtype(kind) for kind in
+             (dtype, float, dtype, np.int32, *_MRRR[dtype][2], np.int32)]
+    counts = [size * size, size, size * n_bands, 2 * size,
+              *(max(length, 1) for length in lengths), len(lengths) + 4]
+    nbytes = [count * kind.itemsize for kind, count in zip(kinds, counts)]
+    starts = list(itertools.accumulate((-(-n // 16) * 16 for n in nbytes),
+                                       initial=0))
+    buffer = np.empty(starts[-1], np.uint8)
+    *arrays, ints = (buffer[start:start + n].view(kind)
+                     for kind, start, n in zip(kinds, starts, nbytes))
+    arrays[0] = arrays[0].reshape(size, size, order="F")
+    arrays[2] = arrays[2].reshape(size, n_bands, order="F")
+    ints[:] = [size, n_bands, *lengths, 0, 0]
+    base = buffer.ctypes.data
+    a, w, z, isuppz, *works, at = (base + start for start in starts[:-1])
+    n, iu, *lens, m, info = range(at, at + ints.nbytes, 4)
     spaces = [arg for pair in zip(works, lens) for arg in pair]
     return arrays, ints, (jobz, _RANGE, _UPLO, n, a, n, _ABSTOL, _ABSTOL,
                           _IL, iu, _ABSTOL, m, w, z, n, isuppz, *spaces, info)
@@ -253,7 +263,7 @@ class BandStructure:
     grid: BZGrid
     shell: DualShell
     bands: np.ndarray  # (n_points, n_bands), ascending per point
-    vectors: np.ndarray | None = None  # (n_points, M), one band's vectors
+    vectors: np.ndarray | None = None  # (n_points, M), one band's, fiber dtype
     solved: int = 0  # fibers diagonalized, one per orbit of the grid
 
 
@@ -263,6 +273,7 @@ def compute_bands(
     shell: DualShell,
     n_bands: int,
     vector_band: int | None = None,
+    workers: int | None = None,
 ) -> BandStructure:
     """The lowest n_bands eigenvalues at every grid point, and the
     eigenvectors of band vector_band (0-based) when it is given.
@@ -273,13 +284,15 @@ def compute_bands(
     the vectors of all n_bands bands, as eigh does, and only the column of
     vector_band is kept.
     The kinetic diagonals of the solved points are evaluated at once.  The
-    solved points are split into contiguous chunks, at most _workers() and
-    each of THREAD_WORK or more: this thread solves the first, worker
-    threads the others.  Each chunk fills its fibers into its own
-    Fortran-ordered buffer that ?syevr or ?heevr (range "I", lower
-    triangle) overwrites, so no result depends on the thread.  A
-    non-finite fiber, checked before any solve, or a LAPACK failure raises
-    EigensolverError naming its xi, the lowest in flat order.
+    solved points are split into contiguous chunks, at most workers
+    (default _workers()) and each of THREAD_WORK or more: this thread
+    solves the first, worker threads the others.  Each chunk fills its
+    fibers into its own Fortran-ordered buffer that ?syevr or ?heevr
+    (range "I", lower triangle) overwrites, so no result depends on the
+    thread.  The kept vectors have the fiber's dtype, float64 for a real
+    fiber.  A non-finite fiber, checked before any solve, or a LAPACK
+    failure raises EigensolverError naming its xi, the lowest in flat
+    order.
     """
     if n_bands > shell.size:
         raise InputError("n_bands exceeds the plane-wave basis size")
@@ -309,7 +322,8 @@ def compute_bands(
         raise EigensolverError(points[solved[np.argmin(finite)]],
                                "non-finite fiber")
     bands = np.empty((n_points, n_bands))
-    vectors = np.empty((n_points, shell.size), complex) if keep else None
+    vectors = (np.empty((n_points, shell.size), assemble.dtype) if keep
+               else None)
     block_diag = assemble._block.diagonal().copy()
 
     def solve(rows, arrays, ints, args):
@@ -329,7 +343,7 @@ def compute_bands(
         return None
 
     work = solved.size * shell.size**3
-    chunks = (min(work // THREAD_WORK, _workers())
+    chunks = (min(work // THREAD_WORK, workers or _workers())
               if work >= 2 * THREAD_WORK else 1)
     jobs = [(range(solved.size * k // chunks, solved.size * (k + 1) // chunks),
              *_buffers(assemble.dtype, shell.size, n_bands,

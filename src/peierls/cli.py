@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -208,11 +209,12 @@ def _parse_flux(text, lattice: Lattice) -> Fraction:
     return flux
 
 
-def _bands(lattice: Lattice, sym, settings: dict, vector_band=None):
+def _bands(lattice: Lattice, sym, settings: dict, vector_band=None,
+           workers=None):
     grid = bz_grid(lattice, settings["resolution"])
     shell = dual_shell(lattice, settings["cutoff"])
     return bloch.compute_bands(sym, grid, shell, settings["n_bands"],
-                               vector_band=vector_band)
+                               vector_band=vector_band, workers=workers)
 
 
 def _parse_window(win):
@@ -366,9 +368,11 @@ def cmd_grushin(settings, lattice: Lattice, sym, out: Path) -> dict:
     return report
 
 
-def _band_hoppings(lattice: Lattice, sym, settings):
-    """The band solve, its band_intervals and the selected band's hoppings."""
-    bands = _bands(lattice, sym, settings)
+def _band_hoppings(lattice: Lattice, sym, settings, workers=None):
+    """The band solve, in at most workers chunks (default
+    bloch._workers()), its band_intervals and the selected band's
+    hoppings."""
+    bands = _bands(lattice, sym, settings, workers=workers)
     intervals = _require_simple_band(bands, settings)
     hops = effective.fourier_hoppings(bands.bands[:, settings["band_index"]],
                                       bands.grid, settings["radius"])
@@ -467,19 +471,54 @@ def cmd_direct(settings, lattice: Lattice, sym, out: Path) -> dict:
 
 
 def cmd_compare(settings, lattice: Lattice, sym, out: Path) -> dict:
+    """The Peierls spectrum against the reference at each [epsilon, flux].
+
+    With a window key, nonzero fluxes and bloch._workers() > 1, a worker
+    thread builds the Peierls side (the band solve, in _workers() - 1
+    chunks, then one cloud per flux) while this thread solves the
+    reference; both spend most of their time in calls that release the
+    GIL.  Otherwise the band solve goes first, for the default window or
+    the flux-0 reference, and the two halves run in turn.  Errors keep the
+    order of the serial run: the band side's, the reference's, then each
+    flux's cloud and distance in turn.
+    """
     eps_flux = settings["epsilons"]
     if eps_flux is None:
         raise InputError("compare needs 'epsilons', a list of [epsilon, "
                           "flux] pairs")
-    solve = _reference(settings, lattice, sym,
-                       [flux for _, flux in eps_flux])
-    bands, intervals, hops = _band_hoppings(lattice, sym, settings)
-    window = _window(settings, intervals)
+    fluxes = [flux for _, flux in eps_flux]
+    solve = _reference(settings, lattice, sym, fluxes)
     merge_tol = settings["merge_tol"]
-    pairs, detail = [], []
-    for (eps, flux), (dir_set, fibers) in zip(eps_flux, solve(window, bands)):
-        eff_set = spectra.SpectrumSet(effective.bloch_eigenvalue_cloud(
+    workers = bloch._workers()
+
+    def cloud(hops, flux, window):
+        return spectra.SpectrumSet(effective.bloch_eigenvalue_cloud(
             hops, flux, settings["k_resolution"]), window, merge_tol)
+
+    if workers == 1 or settings["window"] is None or 0 in fluxes:
+        bands, intervals, hops = _band_hoppings(lattice, sym, settings)
+        window = _window(settings, intervals)
+        references = solve(window, bands)
+        clouds = (cloud(hops, flux, window) for flux in fluxes)
+    else:
+        window = settings["window"]
+        with ThreadPoolExecutor(1) as pool:
+            side = pool.submit(_band_hoppings, lattice, sym, settings,
+                               workers - 1)
+            futures = [pool.submit(lambda flux: cloud(
+                side.result()[2], flux, window), flux) for flux in fluxes]
+            try:
+                references = solve(window)
+            except Exception:
+                # the band side's error wins, as when it ran first
+                pool.shutdown(cancel_futures=True)
+                side.result()
+                raise
+            side.result()
+        clouds = (future.result() for future in futures)
+    pairs, detail = [], []
+    for (eps, flux), (dir_set, fibers), eff_set in zip(eps_flux, references,
+                                                       clouds):
         d_h, flagged = spectra.hausdorff_distance(eff_set, dir_set)
         detail.append({
             "epsilon": float(eps), "flux": str(flux), "d_H": d_h,

@@ -303,6 +303,7 @@ def test_bands_equal_eigh_bit_for_bit(lat1, lat2, name, vectors):
             assert bands.vectors is None
             continue
         assert bands.vectors.shape == (len(points), shell.size)
+        assert bands.vectors.dtype == assemble.dtype  # real fibers: float64
         for i, (_, vecs) in ref.items():
             assert (bands.vectors[i] == vecs[:, vector_band]).all()
 
@@ -319,17 +320,23 @@ def _split(monkeypatch, workers):
 def test_split_bands_equal_eigh_bit_for_bit(lat1, lat2, monkeypatch, name,
                                             vectors):
     """A fiber's bands and vectors do not depend on the thread that solves
-    it: with 1, 2 or 3 chunks they are eigh(subset_by_index)'s bits."""
+    it: with 1, 2 or 3 chunks they are eigh(subset_by_index)'s bits, and
+    the argument workers=1 keeps every solve in the calling thread."""
     symbol, grid, shell = _identity_case(name, lat1, lat2)
     assemble = FiberAssembler(symbol, shell)
     solved = np.unique(grid.orbits(point_group(symbol, shell)[0])[0])
     points = grid.points()
     ref = [scipy.linalg.eigh(assemble(points[i]), subset_by_index=[0, 2])
            for i in solved]
-    for workers in (1, 2, 3):
+    threads = _solving_threads(monkeypatch)
+    for workers, argument in [(1, None), (2, None), (3, None), (3, 1)]:
         _split(monkeypatch, workers)
         for vector_band in _kept_bands(vectors):
-            bands = compute_bands(symbol, grid, shell, 3, vector_band)
+            threads.clear()
+            bands = compute_bands(symbol, grid, shell, 3, vector_band,
+                                  workers=argument)
+            if argument == 1:
+                assert set(threads) == {threading.get_ident()}
             assert (bands.bands[solved] == np.stack([r[0] for r in ref])).all()
             if vector_band is not None:
                 assert (bands.vectors[solved] == np.stack(

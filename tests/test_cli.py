@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 from peierls import bloch, cli, direct, effective, grushin, lattice
 from peierls.cli import main
-from peierls.lattice import bz_grid, dual_shell
+from peierls.lattice import InputError, bz_grid, dual_shell
 from peierls.magnetic import field_for_flux
 from peierls.section import transport_section
 from peierls.symbols import PeriodicSymbol
@@ -655,6 +656,81 @@ def test_compare_certifies_the_lower_edge_once(tmp_path, monkeypatch):
     assert _run("compare", str(path), tmp_path) == 0
     assert sorted(shapes) == [(16, 16), (64, 16), (128, 16)]
     assert sorted(factors) == [256, 1024, 1024, 2048, 2048]
+
+
+# two fluxes and a window: compare runs its Peierls side beside the
+# reference when a core is free
+OVERLAP_CONFIG = dict(D2_BLOCH, epsilons=[[0.08, "1/4"], [0.04, "1/8"]])
+
+
+def test_compare_beside_the_reference_writes_the_same_bytes(tmp_path,
+                                                            monkeypatch):
+    # one free core runs the halves in turn, two run the Peierls side on a
+    # worker thread beside the reference
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(OVERLAP_CONFIG))
+    written = []
+    for workers in (1, 2):
+        monkeypatch.setattr(bloch, "_workers", lambda: workers)
+        out = tmp_path / f"workers{workers}"
+        assert _run("compare", str(path), out) == 0
+        written.append([(out / name).read_bytes()
+                        for name in ("compare.json", "compare_meta.json")])
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("potential, named", [
+    ("zero", "H.7"), ("separable_cosine_2d", "the reference failed"),
+], ids=["both_fail", "reference_fails"])
+def test_compare_band_error_wins_over_the_reference(
+        workers, potential, named, tmp_path, monkeypatch, capsys):
+    # free bands touch, so band 0 fails H.7: that error is reported even
+    # when the reference beside it fails too, as when the band side ran
+    # first; a reference error alone is reported as it is
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(threading.get_ident())
+        raise InputError("the reference failed")
+
+    monkeypatch.setattr(direct, "direct_spectrum", failing)
+    monkeypatch.setattr(bloch, "_workers", lambda: workers)
+    before = threading.active_count()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_edited(
+        OVERLAP_CONFIG, ("symbol", "potential", "name"), potential)))
+    assert _run("compare", str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert ("the reference failed" in err) == (named != "H.7")
+    # beside the band side the reference runs, in the calling thread
+    assert calls == ([] if workers == 1 and named == "H.7"
+                     else [threading.get_ident()])
+    assert threading.active_count() == before
+
+
+def test_compare_band_side_takes_the_cores_the_reference_leaves(
+        tmp_path, monkeypatch):
+    # three free cores: the reference keeps one, and the band solve on the
+    # worker thread splits into two chunks, its own and one in a thread it
+    # starts; no thread outlives the command
+    monkeypatch.setattr(bloch, "_workers", lambda: 3)
+    monkeypatch.setattr(bloch, "THREAD_WORK", 1)
+    threads, chunks = [], []
+    for dtype, (name, evr, kinds) in list(bloch._MRRR.items()):
+        monkeypatch.setitem(bloch._MRRR, dtype, (name, lambda *args, evr=evr: (
+            threads.append(threading.get_ident()) or evr(*args)), kinds))
+    solve = bloch.compute_bands
+    monkeypatch.setattr(bloch, "compute_bands", lambda *args, **kwargs: (
+        chunks.append(kwargs["workers"]) or solve(*args, **kwargs)))
+    before = threading.active_count()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(OVERLAP_CONFIG))
+    assert _run("compare", str(path), tmp_path) == 0
+    assert chunks == [2]
+    assert len(set(threads)) == 2 and threading.get_ident() not in threads
+    assert threading.active_count() == before
 
 
 def _edited(base, keys, value):
