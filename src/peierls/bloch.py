@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,6 +51,8 @@ from .symbols import PeriodicSymbol
 # and one band's vectors stores 4.6e5; a fiber admits a basis of 4,096
 # members (cutoff 36 on the 2 pi square lattice).
 MAX_BAND_ENTRIES = 2**24
+
+GAP_TOL = 1e-6  # band_intervals' default gap_tol
 
 # solves x (basis size)^3 that one thread must hold to repay its start
 # (80-105 us): three fibers of basis size 113, about 1.2 ms of ?syevr
@@ -211,24 +212,15 @@ def _buffers(dtype: np.dtype, size: int, n_bands: int, jobz: int,
     """The MRRR routine's arrays (a, w, z, isuppz, workspaces), its int32
     scalars (n, iu, workspace lengths, m, info) and its arguments: jobz,
     range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz,
-    each workspace and its length, info.  They are views of one byte
-    buffer, each at a multiple of 16 bytes, so one address is read."""
-    kinds = [np.dtype(kind) for kind in
-             (dtype, float, dtype, np.int32, *_MRRR[dtype][2], np.int32)]
-    counts = [size * size, size, size * n_bands, 2 * size,
-              *(max(length, 1) for length in lengths), len(lengths) + 4]
-    nbytes = [count * kind.itemsize for kind, count in zip(kinds, counts)]
-    starts = list(itertools.accumulate((-(-n // 16) * 16 for n in nbytes),
-                                       initial=0))
-    buffer = np.empty(starts[-1], np.uint8)
-    *arrays, ints = (buffer[start:start + n].view(kind)
-                     for kind, start, n in zip(kinds, starts, nbytes))
-    arrays[0] = arrays[0].reshape(size, size, order="F")
-    arrays[2] = arrays[2].reshape(size, n_bands, order="F")
-    ints[:] = [size, n_bands, *lengths, 0, 0]
-    base = buffer.ctypes.data
-    a, w, z, isuppz, *works, at = (base + start for start in starts[:-1])
-    n, iu, *lens, m, info = range(at, at + ints.nbytes, 4)
+    each workspace and its length, info."""
+    ints = np.array([size, n_bands, *lengths, 0, 0], dtype=np.int32)
+    arrays = [np.empty((size, size), dtype, order="F"), np.empty(size),
+              np.empty((size, n_bands), dtype, order="F"),
+              np.empty(2 * size, np.int32),
+              *map(np.empty, np.maximum(lengths, 1), _MRRR[dtype][2])]
+    n, iu, *lens, m, info = range(ints.ctypes.data,
+                                  ints.ctypes.data + ints.nbytes, 4)
+    a, w, z, isuppz, *works = (array.ctypes.data for array in arrays)
     spaces = [arg for pair in zip(works, lens) for arg in pair]
     return arrays, ints, (jobz, _RANGE, _UPLO, n, a, n, _ABSTOL, _ABSTOL,
                           _IL, iu, _ABSTOL, m, w, z, n, isuppz, *spaces, info)
@@ -375,7 +367,7 @@ class BandIntervals:
     simple_flags: np.ndarray  # (n_bands,) bool
 
 
-def band_intervals(bands: BandStructure, gap_tol: float = 1e-6) -> BandIntervals:
+def band_intervals(bands: BandStructure, gap_tol=GAP_TOL) -> BandIntervals:
     """Per-band [min, max] over the grid plus simplicity flags.
 
     A band is flagged simple when its range clears the ranges of the

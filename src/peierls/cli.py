@@ -25,11 +25,6 @@ from .lattice import (InputError, Lattice, bz_grid, dual_shell,
 from .magnetic import magnetic_cells
 
 
-# The entries of one stacked solve of Grushin matrices: those of the largest
-# admitted fiber, so a stack costs about what one such matrix costs
-GRUSHIN_STACK_ENTRIES = bloch.MAX_BAND_ENTRIES
-
-
 def _write_csv(path: Path, header: list, columns) -> None:
     """One row per entry of the 1-D columns, each formatted by one %
     format: integer columns as %d, the others as %.17g (the text of str of
@@ -146,7 +141,7 @@ NUMERICS = {
     "resolution": (64, lambda v: v >= 2, "an integer >= 2"),
     "n_bands": (4, lambda v: v >= 1, "a positive integer"),
     "radius": (8, lambda v: v >= 0, "an integer >= 0"),
-    "gap_tol": (1e-6, lambda v: 0 <= v < np.inf, "a number >= 0"),
+    "gap_tol": (bloch.GAP_TOL, lambda v: 0 <= v < np.inf, "a number >= 0"),
     "merge_tol": (0.0, lambda v: 0 <= v < np.inf, "a number >= 0"),
     "band_index": (0, lambda v: v >= 0, "an integer >= 0"),
 }
@@ -160,7 +155,9 @@ SETTINGS = {
     "k_resolution": (32, lambda v: v >= 1, "a positive integer"),
     "direct_k_resolution": (8, lambda v: v >= 1, "a positive integer"),
     "lambda_points": (400, lambda v: v >= 1, "a positive integer"),
-    "points_per_cell": (16, lambda v: v >= 16, "an integer >= 16"),
+    "points_per_cell": (direct.MIN_POINTS_PER_CELL,
+                        lambda v: v >= direct.MIN_POINTS_PER_CELL,
+                        f"an integer >= {direct.MIN_POINTS_PER_CELL}"),
 }
 
 # the top-level keys: the sections, flux, window and epsilons, read by
@@ -346,7 +343,7 @@ def cmd_grushin(settings, lattice: Lattice, sym, out: Path) -> dict:
     for s in range(n_samples):
         idx[s] = rng.integers(0, pts.shape[0])
         lams[s] = rng.uniform(lo, hi)
-    step = max(1, GRUSHIN_STACK_ENTRIES // sum(family.shape[-2:])**2)
+    step = max(1, bloch.MAX_BAND_ENTRIES // sum(family.shape[-2:])**2)
     worst_resid = 0.0
     worst_dev = 0.0
     for start in range(0, n_samples, step):
@@ -369,9 +366,8 @@ def cmd_grushin(settings, lattice: Lattice, sym, out: Path) -> dict:
 
 
 def _band_hoppings(lattice: Lattice, sym, settings, workers=None):
-    """The band solve, in at most workers chunks (default
-    bloch._workers()), its band_intervals and the selected band's
-    hoppings."""
+    """The band solve, in at most workers chunks, its band_intervals and
+    the selected band's hoppings."""
     bands = _bands(lattice, sym, settings, workers=workers)
     intervals = _require_simple_band(bands, settings)
     hops = effective.fourier_hoppings(bands.bands[:, settings["band_index"]],

@@ -56,6 +56,8 @@ from .symbols import Nonrelativistic, PeriodicSymbol
 # (q = 128) 12.6 s, 0.24 GB, as the window's q eigenvalues grow the basis.
 MAX_UNKNOWNS = 2**15
 
+MIN_POINTS_PER_CELL = 16  # least FD points per unit cell and axis; the default
+
 # The outward move of a window edge, in units of the window width: one for
 # window_eigs and certified_below, whose count at lo must hold for the fibers
 EDGE_MOVE = 1e-9
@@ -81,14 +83,14 @@ class DirectDiscretization:
 
     symbol: PeriodicSymbol
     flux: Fraction  # signed unit-cell flux / 2 pi
-    points_per_cell: int = 16
+    points_per_cell: int = MIN_POINTS_PER_CELL
     chi: str | None = None  # CHI_CATALOG gauge function, A -> A + grad(chi)
 
     def __post_init__(self):
         cells = magnetic_cells(self.flux, self.symbol.lattice.dim)
-        if self.points_per_cell < 16:
-            raise InputError(
-                f"points_per_cell {self.points_per_cell}: need at least 16")
+        if self.points_per_cell < MIN_POINTS_PER_CELL:
+            raise InputError(f"points_per_cell {self.points_per_cell}: "
+                             f"need at least {MIN_POINTS_PER_CELL}")
         if not isinstance(self.symbol.kind, Nonrelativistic):
             kind = type(self.symbol.kind).__name__.lower()
             raise InputError(

@@ -50,6 +50,9 @@ ASYMMETRY_TOL = 1e-6
 # Least overlap of two magnetic-Bloch branch ranges that subband_groups joins
 OVERLAP_TOL = 1e-9
 
+# The k_resolution of the momentum grid that subband_groups counts on
+SUBBAND_K_RESOLUTION = 32
+
 
 class InconsistentSymbolError(ValueError):
     """Fourier data breaks the Hermitian-transport symmetry."""
@@ -247,16 +250,15 @@ def bloch_eigenvalue_cloud(
     return np.linalg.eigvalsh(_bloch_operator(hops, flux).dense(momenta))
 
 
-def subband_groups(
-    hops: HoppingSet, flux: Fraction, k_resolution: int = 32
-) -> int:
+def subband_groups(hops: HoppingSet, flux: Fraction) -> int:
     """Number of subband groups of the magnetic-Bloch spectrum: its branch
     ranges, joined only where they overlap by at least OVERLAP_TOL (merge_tol
     -OVERLAP_TOL), so subbands that merely touch at isolated points (the
     central pair at even denominators) still count separately.
     """
-    return len(SpectrumSet(bloch_eigenvalue_cloud(hops, flux, k_resolution),
-                           (-np.inf, np.inf), -OVERLAP_TOL).merged_intervals)
+    cloud = bloch_eigenvalue_cloud(hops, flux, SUBBAND_K_RESOLUTION)
+    return len(SpectrumSet(cloud, (-np.inf, np.inf),
+                           -OVERLAP_TOL).merged_intervals)
 
 
 def lambda_scan(

@@ -25,6 +25,9 @@ from .lattice import InputError
 from .section import BlochSection
 
 
+COND_MAX = 1e12
+
+
 class NearSingularError(RuntimeError):
     pass
 
@@ -79,13 +82,13 @@ def assemble_grushin(
     )
 
 
-def invert_grushin(g: GrushinMatrix, cond_max: float = 1e12) -> GrushinInverse:
+def invert_grushin(g: GrushinMatrix) -> GrushinInverse:
     """The inverse's effective block; a sample whose condition number
-    exceeds cond_max raises NearSingularError naming the first such one."""
+    exceeds COND_MAX raises NearSingularError naming the first such one."""
     full = g.full
     m = g.top_left.shape[-1]
     cond = np.linalg.cond(full)
-    bad = np.flatnonzero(cond > cond_max)
+    bad = np.flatnonzero(cond > COND_MAX)
     if bad.size:
         s = bad[0]
         raise NearSingularError(

@@ -116,7 +116,7 @@ def test_grushin_stack_is_solved_in_bounded_chunks(tmp_path, monkeypatch):
                         lambda g: solves.append(len(g.lam)) or invert(g))
     size = len(dual_shell(lattice.Lattice(np.array(
         BASE_CONFIG["lattice"]["basis"])), 6.0).members) + 1
-    monkeypatch.setattr(cli, "GRUSHIN_STACK_ENTRIES", 4 * size**2 + 1)
+    monkeypatch.setattr(bloch, "MAX_BAND_ENTRIES", 4 * size**2 + 1)
     chunked, chunked_peak = run(600, "chunked")
     assert solves == [4] * 150
     assert chunked == whole

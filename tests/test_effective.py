@@ -213,8 +213,8 @@ def test_hofstadter_half_flux_endpoints(nn_hoppings):
 
 
 def test_subband_counts(nn_hoppings):
-    assert subband_groups(nn_hoppings, Fraction(1, 3), k_resolution=16) == 3
-    assert subband_groups(nn_hoppings, Fraction(1, 4), k_resolution=16) == 4
+    assert subband_groups(nn_hoppings, Fraction(1, 3)) == 3
+    assert subband_groups(nn_hoppings, Fraction(1, 4)) == 4
 
 
 def test_box_and_bloch_spectra_agree_at_zero_flux(nn_hoppings):

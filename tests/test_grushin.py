@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from peierls import grushin
 from peierls.bloch import FiberAssembler, FiberMatrix, assemble_fiber_matrix
 from peierls.cli import main
 from peierls.grushin import (
@@ -63,12 +64,14 @@ def test_grushin_schur_complement(mathieu, mathieu_bands, mathieu_family):
     assert np.allclose(np.linalg.inv(inv.e_minus_plus), schur, atol=1e-8)
 
 
-def test_invert_grushin_near_singular_guard(mathieu, mathieu_bands, mathieu_family):
+def test_invert_grushin_near_singular_guard(mathieu, mathieu_bands,
+                                            mathieu_family, monkeypatch):
     fm = assemble_fiber_matrix(mathieu, mathieu_bands.grid.points()[0],
                                mathieu_bands.shell)
     gm = assemble_grushin(fm, 0.0, mathieu_family, 0)
+    monkeypatch.setattr(grushin, "COND_MAX", 1.0)
     with pytest.raises(NearSingularError):
-        invert_grushin(gm, cond_max=1.0)
+        invert_grushin(gm)
 
 
 def test_stacked_inverse_equals_the_per_sample_inverses(
@@ -93,7 +96,7 @@ def test_stacked_inverse_equals_the_per_sample_inverses(
 
 
 def test_stacked_guard_names_the_first_singular_sample(
-    mathieu, mathieu_bands, mathieu_family
+    mathieu, mathieu_bands, mathieu_family, monkeypatch
 ):
     # at lambda on band 1 the complement of the section is singular; on
     # band 0, the section's own band, the bordered matrix is not
@@ -107,9 +110,10 @@ def test_stacked_guard_names_the_first_singular_sample(
     with pytest.raises(NearSingularError,
                        match=re.escape(f"lambda={float(lams[1])}") + "$"):
         invert_grushin(gm)
+    monkeypatch.setattr(grushin, "COND_MAX", 1.0)
     with pytest.raises(NearSingularError,
                        match=re.escape(f"lambda={float(lams[0])}") + "$"):
-        invert_grushin(gm, cond_max=1.0)
+        invert_grushin(gm)
 
 
 def test_grushin_report_equals_the_per_sample_loop(

@@ -10,8 +10,9 @@ an attribute, not declared or stored: by a module of the package (a
 method of its own class included), the acceptance suite or the
 benchmark.  Every default of a public function or method is left out
 by some call of its name in the package, the acceptance suite or the
-benchmark: a value that every caller passes is no default.  Code that
-only its own unit tests call is not part of the pipeline.
+benchmark, and passed by another: a value that every caller passes is no
+default, and one that no caller passes is a constant.  Code that only its
+own unit tests call is not part of the pipeline.
 """
 
 import ast
@@ -113,9 +114,7 @@ def test_public_names_are_reached():
 
 
 def test_dataclass_fields_are_read():
-    readers = [ast.parse(path.read_text())
-               for path in [ACCEPTANCE, *sorted(BENCH.glob("*.py"))]]
-    assert unread_fields(_package_trees(), readers) == []
+    assert unread_fields(_package_trees(), _acceptance_and_bench()) == []
 
 
 SYNTHETIC = textwrap.dedent("""
@@ -171,22 +170,26 @@ def _defaulted(function, bound: bool) -> list:
                in zip(args.kwonlyargs, args.kw_defaults) if default])
 
 
-def _leaves_out(call, position, name) -> bool:
-    """Whether call passes no value for the argument; a call with *args or
-    **kwargs counts as leaving out every default."""
-    if (any(isinstance(arg, ast.Starred) for arg in call.args)
-            or any(keyword.arg is None for keyword in call.keywords)):
-        return True
-    return ((position is None or position >= len(call.args))
-            and name not in {keyword.arg for keyword in call.keywords})
+def _passes(call, position, name) -> bool:
+    """Whether call passes a value for the argument by position or name."""
+    return ((position is not None and position < len(call.args))
+            or name in {keyword.arg for keyword in call.keywords})
 
 
-def defaults_never_left_out(trees: dict, callers: list) -> list:
+def _starred(call) -> bool:
+    """Whether call has *args or **kwargs: it counts as passing every
+    argument and as leaving each out."""
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(keyword.arg is None for keyword in call.keywords))
+
+
+def defaults_no_call(trees: dict, callers: list, passed: bool) -> list:
     """(module, qualname, argument) of each default of a public function
     or public method in trees (module name: AST) that no call in trees or
-    in the caller ASTs leaves out; a class's __init__ is called through
-    the class.  Calls are matched by the name called, f(...) or x.f(...),
-    whatever the object, as the field check matches attribute names."""
+    in the caller ASTs passes (passed True) or leaves out (passed False);
+    a class's __init__ is called through the class.  Calls are matched by
+    the name called, f(...) or x.f(...), whatever the object, as the field
+    check matches attribute names."""
     calls: dict = {}
     for tree in [*trees.values(), *callers]:
         for node in ast.walk(tree):
@@ -209,16 +212,26 @@ def defaults_never_left_out(trees: dict, callers: list) -> list:
                          or not item.name.startswith("_"))]
             for qualname, called, function, bound in targets:
                 for position, name in _defaulted(function, bound):
-                    if not any(_leaves_out(call, position, name)
+                    if not any(_starred(call)
+                               or _passes(call, position, name) == passed
                                for call in calls.get(called, [])):
                         found.append((module, qualname, name))
     return found
 
 
+def _acceptance_and_bench() -> list:
+    return [ast.parse(path.read_text())
+            for path in [ACCEPTANCE, *sorted(BENCH.glob("*.py"))]]
+
+
 def test_every_default_is_left_out_by_some_call():
-    callers = [ast.parse(path.read_text())
-               for path in [ACCEPTANCE, *sorted(BENCH.glob("*.py"))]]
-    assert defaults_never_left_out(_package_trees(), callers) == []
+    assert defaults_no_call(_package_trees(), _acceptance_and_bench(),
+                            passed=False) == []
+
+
+def test_every_default_is_passed_by_some_call():
+    assert defaults_no_call(_package_trees(), _acceptance_and_bench(),
+                            passed=True) == []
 
 
 DEFAULTS = textwrap.dedent("""
@@ -251,12 +264,27 @@ def test_a_default_every_call_passes_is_flagged():
     # label by each of Box; shift and by are left out, and the private
     # _shrink and _private are not covered
     module = ast.parse(DEFAULTS)
-    assert sorted(defaults_never_left_out({"shapes": module}, [])) == [
+    assert sorted(defaults_no_call({"shapes": module}, [], passed=False)) == [
         ("shapes", "Box.__init__", "label"), ("shapes", "scale", "factor")]
     # a call with *args or **kwargs leaves every default out
     reader = ast.parse("def test(args, kwargs):\n"
                        "    scale(*args)\n    Box(3, **kwargs)\n")
-    assert defaults_never_left_out({"shapes": module}, [reader]) == []
+    assert defaults_no_call({"shapes": module}, [reader],
+                            passed=False) == []
+
+
+def test_a_default_no_call_passes_is_flagged():
+    # factor is passed positionally by _private and by name by area, shift
+    # by area and label by grow; grow's by is passed by no call, and the
+    # private _shrink and _private are not covered
+    module = ast.parse(DEFAULTS)
+    assert defaults_no_call({"shapes": module}, [], passed=True) == [
+        ("shapes", "Box.grow", "by")]
+    # a call with *args or **kwargs passes every default
+    for call in ("box.grow(*args)", "box.grow(**kwargs)"):
+        reader = ast.parse(f"def test(box, args, kwargs):\n    {call}\n")
+        assert defaults_no_call({"shapes": module}, [reader],
+                                passed=True) == []
 
 
 def test_benchmark_span_names_name_package_code(monkeypatch):
