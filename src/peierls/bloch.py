@@ -32,6 +32,7 @@ time reversal alone, 33 of 64 in d=1.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -235,19 +236,37 @@ def _workspace(dtype: np.dtype, size: int) -> tuple:
     return tuple(int(work[0].real) for work in arrays[4:])
 
 
-def _workers() -> int:
-    """Threads for the band fibers: the cores that the BLAS leaves free.
+@functools.cache
+def _blas_controls() -> dict:
+    """{module: (set, get)}: OpenBLAS's thread count functions, by ctypes
+    through the extensions that link it; none under MKL or a system BLAS."""
+    controls = {}
+    for name, module, suffix in (("scipy", scipy.linalg.cython_lapack, ""),
+                                 ("numpy", np.linalg._umath_linalg, "64_")):
+        lib = ctypes.CDLL(module.__file__)
+        with contextlib.suppress(AttributeError):
+            controls[name] = (lib[f"scipy_openblas_set_num_threads{suffix}"],
+                              lib[f"scipy_openblas_get_num_threads{suffix}"])
+            controls[name][0].argtypes = [ctypes.c_int]
+    return controls
 
-    OpenBLAS runs OPENBLAS_NUM_THREADS threads, else OMP_NUM_THREADS, else
-    one per core.  Fiber threads beside a BLAS that fills every core were
-    slower: 0.24 -> 0.30 s for a 32^2 grid at cutoff 8, on two cores.
-    """
-    cores = len(os.sched_getaffinity(0))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cores // int(value))
-    return 1
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with every OpenBLAS found at one thread, then restore."""
+    with contextlib.ExitStack() as restore:
+        for set_, get in _blas_controls().values():
+            restore.callback(set_, get())
+            set_(1)
+        yield
+
+
+def _workers() -> int:
+    """Threads for the band fibers: every core beside a one-thread scipy
+    OpenBLAS, else one.  Fiber threads beside a two-thread BLAS were slower:
+    0.24 -> 0.30 s for a 32^2 grid at cutoff 8, on two cores."""
+    control = _blas_controls().get("scipy")
+    return len(os.sched_getaffinity(0)) if control and control[1]() == 1 else 1
 
 
 @dataclass(frozen=True)
@@ -255,8 +274,8 @@ class BandStructure:
     grid: BZGrid
     shell: DualShell
     bands: np.ndarray  # (n_points, n_bands), ascending per point
-    vectors: np.ndarray | None = None  # (n_points, M), one band's, fiber dtype
-    solved: int = 0  # fibers diagonalized, one per orbit of the grid
+    vectors: np.ndarray | None  # (n_points, M), one band's, fiber dtype
+    solved: int  # fibers diagonalized, one per orbit of the grid
 
 
 def compute_bands(

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bloch, direct, effective, grushin, section, spectra, symbols
-from .lattice import (InputError, Lattice, bz_grid, dual_shell,
-                      magnetic_momenta)
+from .lattice import (MAX_CLOUD_VALUES, InputError, Lattice, bz_grid,
+                      dual_shell, magnetic_momenta)
 from .magnetic import magnetic_cells
 
 
@@ -151,10 +151,12 @@ NUMERICS = {
 # and compare, direct_k_resolution the reference grid of direct and compare
 SETTINGS = {
     "seed": (0, lambda v: v >= 0, "an integer >= 0"),
-    "samples": (20, lambda v: v >= 1, "a positive integer"),
+    "samples": (20, lambda v: 1 <= v <= MAX_CLOUD_VALUES,
+                f"an integer in [1, {MAX_CLOUD_VALUES}]"),
     "k_resolution": (32, lambda v: v >= 1, "a positive integer"),
     "direct_k_resolution": (8, lambda v: v >= 1, "a positive integer"),
-    "lambda_points": (400, lambda v: v >= 1, "a positive integer"),
+    "lambda_points": (400, lambda v: 1 <= v <= MAX_CLOUD_VALUES,
+                      f"an integer in [1, {MAX_CLOUD_VALUES}]"),
     "points_per_cell": (direct.MIN_POINTS_PER_CELL,
                         lambda v: v >= direct.MIN_POINTS_PER_CELL,
                         f"an integer >= {direct.MIN_POINTS_PER_CELL}"),
@@ -557,8 +559,9 @@ def main(argv=None) -> int:
         settings = _resolve(cfg, lattice)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        summary = COMMANDS[args.command](settings, lattice,
-                                         build_symbol(cfg, lattice), out)
+        with bloch.one_blas_thread():
+            summary = COMMANDS[args.command](settings, lattice,
+                                             build_symbol(cfg, lattice), out)
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -5,8 +5,7 @@ discretization of Governale and Ungarelli, PRB 58, 7816 (1998)): each
 nearest-neighbor hop of the second-order Laplacian stencil carries the
 line phase of magnetic.hermitian_hops, which keeps the discrete operator
 exactly gauge covariant; A is the transversal gauge of the field of
-unit-cell flux 2 pi p/q (magnetic.field_for_flux), plus grad(chi) for a
-CHI_CATALOG key chi, periodic over the cell.  DirectDiscretization
+unit-cell flux 2 pi p/q (magnetic.field_for_flux).  DirectDiscretization
 closes the stencil (nonrelativistic kind, up to MAX_UNKNOWNS unknowns,
 rectangular lattice) over a magnetic cell of q unit cells as a
 magnetic.BlochOperator, the form of the Peierls fibers, built once per
@@ -83,8 +82,7 @@ class DirectDiscretization:
 
     symbol: PeriodicSymbol
     flux: Fraction  # signed unit-cell flux / 2 pi
-    points_per_cell: int = MIN_POINTS_PER_CELL
-    chi: str | None = None  # CHI_CATALOG gauge function, A -> A + grad(chi)
+    points_per_cell: int
 
     def __post_init__(self):
         cells = magnetic_cells(self.flux, self.symbol.lattice.dim)
@@ -109,7 +107,7 @@ class DirectDiscretization:
         lengths = _cell_lengths(lattice)
         n = self.points_per_cell
         shape = (self.flux.denominator * n,) + (n,) * (lengths.size - 1)
-        A = VectorPotential(field_for_flux(self.flux, lattice), self.chi)
+        A = VectorPotential(field_for_flux(self.flux, lattice))
         return _fd_stencil(self.symbol, A, lengths / n, shape)
 
     def bloch_matrix(self, k) -> sp.spmatrix:
@@ -315,7 +313,7 @@ def certified_below(symbol: PeriodicSymbol, points_per_cell: int,
     """Whether the lower window edge certifiably lies below every fiber.
 
     The diamagnetic inequality (Avron, Herbst and Simon, Duke Math. J. 45,
-    847 (1978)) on the stencil: every link, wrap and chi phase of a fiber
+    847 (1978)) on the stencil: every link and wrap phase of a fiber
     M_A(k) has modulus 1, so the triangle inequality on each link gives
     <psi, M_A(k) psi> >= <|psi|, M_0 |psi|>, with M_0 the zero-field
     periodic stencil of the magnetic cell.  M_0 has off-diagonal entries

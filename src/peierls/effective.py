@@ -72,7 +72,7 @@ class HoppingSet:
     """
 
     hoppings: dict  # {tuple(int): (N, N) complex array}, not empty
-    asymmetry: float = 0.0  # what fourier_hoppings symmetrized away
+    asymmetry: float  # what fourier_hoppings symmetrized away
 
     def __post_init__(self):
         if not self.hoppings:

@@ -44,22 +44,27 @@ def separable(lat2):
     return PeriodicSymbol(Nonrelativistic(), separable_cosine_2d(lat2, 0.5))
 
 
+# The shared band grids are solved with the BLAS at one thread, as the CLI
+# and the acceptance criteria solve theirs: a session fixture is built
+# before a module's fixtures, so the acceptance module's pin comes too late
 @pytest.fixture(scope="session")
 def mathieu_bands(mathieu, lat1):
-    from peierls.bloch import compute_bands
+    from peierls.bloch import compute_bands, one_blas_thread
 
     grid = bz_grid(lat1, 64)
     shell = dual_shell(lat1, 8.0)
-    return compute_bands(mathieu, grid, shell, 3, 0)
+    with one_blas_thread():
+        return compute_bands(mathieu, grid, shell, 3, 0)
 
 
 @pytest.fixture(scope="session")
 def separable_bands(separable, lat2):
-    from peierls.bloch import compute_bands
+    from peierls.bloch import compute_bands, one_blas_thread
 
     grid = bz_grid(lat2, 32)
     shell = dual_shell(lat2, 8.0)
-    return compute_bands(separable, grid, shell, 2, 0)
+    with one_blas_thread():
+        return compute_bands(separable, grid, shell, 2, 0)
 
 
 @pytest.fixture(scope="session")
@@ -68,7 +73,8 @@ def nn_hoppings():
     from peierls.effective import HoppingSet
 
     m = np.array([[-1.0 + 0j]])
-    return HoppingSet(hoppings={(1, 0): m, (-1, 0): m, (0, 1): m, (0, -1): m})
+    return HoppingSet(hoppings={(1, 0): m, (-1, 0): m, (0, 1): m, (0, -1): m},
+                      asymmetry=0.0)
 
 
 @pytest.fixture(scope="session")
@@ -102,3 +108,41 @@ def coefficients():
                 (values, op.indices, op.indptr), shape=(size, size))
         return out
     return terms
+
+
+@pytest.fixture(scope="session")
+def gauged_stencil():
+    """stencil(disc, chi): the FD stencil of the DirectDiscretization disc
+    in the gauge A + grad(chi) of the CHI_CATALOG key chi, built by
+    direct._fd_stencil on disc's grid; chi None gives disc's own."""
+    from peierls import direct
+    from peierls.magnetic import VectorPotential, field_for_flux
+
+    def stencil(disc, chi):
+        if chi is None:
+            return disc._stencil
+        lattice, n = disc.symbol.lattice, disc.points_per_cell
+        shape = (disc.flux.denominator * n,) + (n,) * (lattice.dim - 1)
+        A = VectorPotential(field_for_flux(disc.flux, lattice), chi)
+        return direct._fd_stencil(disc.symbol, A, np.diag(lattice.basis) / n,
+                                  shape)
+    return stencil
+
+
+@pytest.fixture
+def blas_threads():
+    """set(n): every OpenBLAS copy that peierls.bloch controls at n
+    threads; each gets the count it had before the test back after it."""
+    from peierls import bloch
+
+    controls = list(bloch._blas_controls().values())
+    if not controls:
+        pytest.skip("no OpenBLAS thread controls")
+    counts = [get() for _, get in controls]
+
+    def set_threads(n):
+        for set_, _ in controls:
+            set_(n)
+    yield set_threads
+    for (set_, _), count in zip(controls, counts):
+        set_(count)

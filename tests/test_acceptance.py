@@ -10,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from peierls.bloch import assemble_fiber_matrix, band_intervals, compute_bands
+from peierls.bloch import (assemble_fiber_matrix, band_intervals,
+                           compute_bands, one_blas_thread)
 from peierls.direct import DirectDiscretization, direct_spectrum
 from peierls.effective import (
     bloch_eigenvalue_cloud,
@@ -54,6 +55,14 @@ ORACLE_LAM2_HALF = 0.5947999701185106
 ORACLE_LAM2_0 = 0.9180581766158671
 ORACLE_J1 = (ORACLE_LAM1_0, ORACLE_LAM1_HALF)
 ORACLE_J2 = (ORACLE_LAM2_HALF, ORACLE_LAM2_0)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _one_blas_thread():
+    """Every criterion runs with the BLAS at one thread, as the CLI does,
+    so the values it prints do not depend on the caller's thread count."""
+    with one_blas_thread():
+        yield
 
 
 def _report(num, detail):

@@ -1,4 +1,5 @@
 import ctypes
+import ctypes.util
 import os
 import threading
 
@@ -115,7 +116,8 @@ def test_band_intervals_flags_equal_the_point_scan(data, n_points, n_bands,
                                max_size=size))
     table = np.sort((0.5 * np.array(steps) + np.ldexp(moves, -21)).reshape(
         n_points, n_bands), axis=1)
-    bands = bloch.BandStructure(grid=None, shell=None, bands=table)
+    bands = bloch.BandStructure(grid=None, shell=None, bands=table,
+                                vectors=None, solved=n_points)
     assert np.array_equal(band_intervals(bands, gap_tol).simple_flags,
                           _scanned_flags(table, gap_tol))
 
@@ -343,18 +345,41 @@ def test_split_bands_equal_eigh_bit_for_bit(lat1, lat2, monkeypatch, name,
                     [r[1][:, vector_band] for r in ref])).all()
 
 
-def test_workers_leave_the_blas_its_threads(monkeypatch):
-    cores = len(os.sched_getaffinity(0))
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    # an unset BLAS runs a thread per core: the fibers stay in one thread
+def test_workers_take_every_core_beside_a_one_thread_blas(blas_threads,
+                                                          monkeypatch):
+    # the scipy OpenBLAS solves the fibers: beside one thread of it they
+    # take every core, beside more they stay in one thread
+    blas_threads(1)
+    assert bloch._workers() == len(os.sched_getaffinity(0))
+    blas_threads(2)
     assert bloch._workers() == 1
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert bloch._workers() == cores
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cores))
+    # without thread controls (MKL, a system BLAS) nothing is pinned, and
+    # the fibers stay in one thread
+    blas_threads(1)
+    monkeypatch.setattr(bloch, "_blas_controls", dict)
     assert bloch._workers() == 1
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert bloch._workers() == cores
+    with bloch.one_blas_thread():
+        assert bloch._workers() == 1
+
+
+def test_a_blas_without_the_symbols_gives_no_controls(monkeypatch):
+    # the lookup itself, uncached, where each extension links a library
+    # without the OpenBLAS thread functions (here the C math library):
+    # no module has controls, and nothing raises
+    libm = ctypes.CDLL(ctypes.util.find_library("m"))
+    monkeypatch.setattr(bloch.ctypes, "CDLL", lambda path: libm)
+    assert bloch._blas_controls.__wrapped__() == {}
+
+
+def test_one_blas_thread_gives_the_counts_back(blas_threads):
+    counts = [get for _, get in bloch._blas_controls().values()]
+    blas_threads(2)
+    with bloch.one_blas_thread():
+        assert [get() for get in counts] == [1] * len(counts)
+    assert [get() for get in counts] == [2] * len(counts)
+    with pytest.raises(ZeroDivisionError), bloch.one_blas_thread():
+        1 / 0
+    assert [get() for get in counts] == [2] * len(counts)
 
 
 def _solving_threads(monkeypatch):

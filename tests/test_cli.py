@@ -710,6 +710,37 @@ def test_compare_band_error_wins_over_the_reference(
     assert threading.active_count() == before
 
 
+# at cutoff 8 (basis size 197) a two-thread OpenBLAS solves band fibers to
+# other bits than a one-thread one
+THREADED_CONFIG = dict(COMPARE_CONFIG,
+                       numerics={**COMPARE_CONFIG["numerics"], "cutoff": 8.0})
+
+
+def test_outputs_do_not_depend_on_the_callers_blas_threads(tmp_path,
+                                                           blas_threads):
+    # every command runs with the BLAS at one thread: a caller at two
+    # threads gets the bytes of one at one thread, and its two threads
+    # back after each exit, 0 or 2
+    counts = [get for _, get in bloch._blas_controls().values()]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(THREADED_CONFIG))
+    written = []
+    for threads in (1, 2):
+        blas_threads(threads)
+        out = tmp_path / f"threads{threads}"
+        for command in ("bands", "section", "compare"):
+            assert _run(command, str(path), out) == 0
+            assert [get() for get in counts] == [threads] * len(counts)
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+    # refused as the config is read, and by the command, under the pin
+    for key, edit in [(("seed",), -1), (("numerics", "n_bands"), 1)]:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_edited(THREADED_CONFIG, key, edit)))
+        assert _run("section", str(bad), tmp_path / "bad") == 2
+        assert [get() for get in counts] == [2] * len(counts)
+
+
 def test_compare_band_side_takes_the_cores_the_reference_leaves(
         tmp_path, monkeypatch):
     # three free cores: the reference keeps one, and the band solve on the
@@ -947,6 +978,9 @@ MALFORMED_TOP_LEVEL = {
     "seed_text": ("grushin", BASE_CONFIG, "seed", "abc"),
     "seed_fraction": ("grushin", BASE_CONFIG, "seed", 1.5),
     "seed_negative": ("grushin", BASE_CONFIG, "seed", -1),
+    # each sizes an array, refused before it is allocated
+    "samples_oversized": ("grushin", BASE_CONFIG, "samples", 10**12),
+    "lambda_points_oversized": ("scan", BASE_CONFIG, "lambda_points", 10**12),
     "epsilons_single": ("compare", COMPARE_CONFIG, "epsilons", [[0.08]]),
     "epsilons_number": ("compare", COMPARE_CONFIG, "epsilons", 5),
     "epsilon_bool": ("compare", COMPARE_CONFIG, "epsilons", [[True, "1/4"]]),

@@ -38,21 +38,21 @@ from peierls.symbols import (
 
 def test_discretization_validation(mathieu, separable):
     with pytest.raises(InputError, match="exact Fraction"):
-        DirectDiscretization(mathieu, 0.0)
+        DirectDiscretization(mathieu, 0.0, 16)
     with pytest.raises(InputError, match="need at least 16"):
         DirectDiscretization(mathieu, Fraction(0), points_per_cell=8)
     skew = Lattice(basis=np.array([[2.0 * np.pi, 1.0], [0.0, 2.0 * np.pi]]))
     skew_sym = PeriodicSymbol(Nonrelativistic(), zero_potential(skew))
     with pytest.raises(InputError, match="lattice.basis"):
-        DirectDiscretization(skew_sym, Fraction(0))
+        DirectDiscretization(skew_sym, Fraction(0), 16)
     # the stencil has no relativistic root, at any flux
     relativistic = PeriodicSymbol(Relativistic(), separable.potential)
     for flux in (Fraction(0), Fraction(1, 4)):
         with pytest.raises(InputError, match="symbol.kind 'relativistic'"):
-            DirectDiscretization(relativistic, flux)
+            DirectDiscretization(relativistic, flux, 16)
 
 
-def test_fd_matrix_hermitian_and_gauge_covariant(separable):
+def test_fd_matrix_hermitian_and_gauge_covariant(separable, gauged_stencil):
     disc = DirectDiscretization(separable, Fraction(1), points_per_cell=16)
     k = np.array([0.3, -0.7])
     M = disc.bloch_matrix(k)
@@ -61,8 +61,7 @@ def test_fd_matrix_hermitian_and_gauge_covariant(separable):
     assert dev < 1e-12
     # periodic gauge function: spectra must be unchanged
     base = M.toarray()
-    gauged = DirectDiscretization(separable, Fraction(1), points_per_cell=16,
-                                  chi="harmonic").bloch_matrix(k).toarray()
+    gauged = gauged_stencil(disc, "harmonic").matrix(k).toarray()
     v0 = np.linalg.eigvalsh(base)[:6]
     v1 = np.linalg.eigvalsh(gauged)[:6]
     assert np.max(np.abs(v0 - v1)) < 1e-9
@@ -174,7 +173,7 @@ def test_fd_stencil_on_the_unit_grid_is_the_harper_fiber(flux, k, lat2,
     one = np.array([[1.0 + 0j]])
     harper = HoppingSet(hoppings={
         (0, 0): 4.0 * one, (1, 0): -one, (-1, 0): -one, (0, 1): -one,
-        (0, -1): -one})
+        (0, -1): -one}, asymmetry=0.0)
     A = VectorPotential(MagneticField(2.0 * np.pi * float(flux)))
     free = PeriodicSymbol(Nonrelativistic(), zero_potential(lat2))
     stencil = _fd_stencil(free, A, np.ones(2), (flux.denominator, 1))
@@ -188,16 +187,17 @@ def test_fd_stencil_on_the_unit_grid_is_the_harper_fiber(flux, k, lat2,
     assert np.max(np.abs(M.toarray() - H)) < 1e-13
 
 
-def _fiber_built_at(disc, k):
-    """disc's FD matrix with every phase computed at k: the line phase of
-    each link [x, x + h_ax e_ax] and, on a link that leaves the grid at
-    cell shift n, the wrap exp(i (<k, n> + <A(a), y> + (b/2) a1 a2)) of its
-    cell vector a and wrapped target y."""
+def _fiber_built_at(disc, chi, k):
+    """disc's FD matrix in the gauge A + grad(chi) with every phase
+    computed at k: the line phase of each link [x, x + h_ax e_ax] and, on
+    a link that leaves the grid at cell shift n, the wrap
+    exp(i (<k, n> + <A(a), y> + (b/2) a1 a2)) of its cell vector a and
+    wrapped target y."""
     lattice = disc.symbol.lattice
     n, q = disc.points_per_cell, disc.flux.denominator
     h = np.diag(lattice.basis) / n
     shape = np.array([q * n, n])
-    A = VectorPotential(field_for_flux(disc.flux, lattice), disc.chi)
+    A = VectorPotential(field_for_flux(disc.flux, lattice), chi)
     sites = np.indices(shape).reshape(2, -1).T
     axis = np.repeat([0, 1], len(sites))
     start = np.concatenate([sites, sites])
@@ -225,13 +225,14 @@ def _fiber_built_at(disc, k):
     k=st.tuples(*[st.floats(-np.pi, np.pi)] * 2),
     chi=st.sampled_from([None, "harmonic"]),
 )
-def test_rephased_stencil_matches_the_build_at_each_k(lat2, flux, k, chi):
+def test_rephased_stencil_matches_the_build_at_each_k(lat2, gauged_stencil,
+                                                      flux, k, chi):
     # the stencil is built once at k = 0 and its wrapped links re-phased
     # by exp(i <k, n>); the reference computes every phase at k instead
     sym = PeriodicSymbol(Nonrelativistic(), separable_cosine_2d(lat2, 0.5))
-    disc = DirectDiscretization(sym, flux, points_per_cell=16, chi=chi)
-    M = disc.bloch_matrix(np.array(k))
-    expected = _fiber_built_at(disc, np.array(k))
+    disc = DirectDiscretization(sym, flux, points_per_cell=16)
+    M = gauged_stencil(disc, chi).matrix(np.array(k))
+    expected = _fiber_built_at(disc, chi, np.array(k))
     assert np.array_equal(M.indptr, expected.indptr)
     assert np.array_equal(M.indices, expected.indices)
     assert np.abs(M.data - expected.data).max() <= (
@@ -548,7 +549,9 @@ def test_kato_temple_bounds_hold_on_fd_fibers(separable):
     chi=st.sampled_from([None, "harmonic"]),
 )
 @example(flux=Fraction(0), k=(0.0, 0.0), chi=None)
-def test_fiber_bottom_lies_above_the_zero_field_cell(separable, flux, k, chi):
+def test_fiber_bottom_lies_above_the_zero_field_cell(separable,
+                                                     gauged_stencil, flux,
+                                                     k, chi):
     # the diamagnetic inequality that lets direct_spectrum certify a lower
     # window edge on the zero-field unit cell at k = 0; equality at zero
     # field and k = 0, and on the zero-field magnetic cell of q unit cells
@@ -561,8 +564,8 @@ def test_fiber_bottom_lies_above_the_zero_field_cell(separable, flux, k, chi):
                            .matrix(np.zeros(2)).toarray())[0]
         for shape in ((n, n), (q * n, n)))
     assert abs(periodic - floor) < 1e-10
-    M = DirectDiscretization(separable, flux, points_per_cell=n,
-                             chi=chi).bloch_matrix(np.array(k))
+    M = gauged_stencil(DirectDiscretization(separable, flux, n),
+                       chi).matrix(np.array(k))
     bottom = np.linalg.eigvalsh(M.toarray())[0]
     assert bottom >= floor - 1e-10
     if flux == 0 and k == (0.0, 0.0):
@@ -603,29 +606,30 @@ def test_certified_lower_edge_factors_each_fiber_once(
     ("1/4", 2, Nonrelativistic, "harmonic", (-0.83, -0.29)),
 ])
 def test_fold_matches_the_full_grid(lat2, monkeypatch, flux, r, kind, chi,
-                                    window, representative_rows):
+                                    window, representative_rows,
+                                    gauged_stencil):
     # fibers 2 pi/q apart in k2 have equal spectra, so one fiber per class
     # j2 mod r / gcd(r, q) stands for the whole class, for every k1
     flux = Fraction(flux)
     sym = PeriodicSymbol(kind(), separable_cosine_2d(lat2, 0.5))
-    disc = DirectDiscretization(sym, flux, points_per_cell=16, chi=chi)
+    disc = DirectDiscretization(sym, flux, points_per_cell=16)
+    stencil = gauged_stencil(disc, chi)
     axis = 2.0 * np.pi * np.arange(r) / r
     # every fiber holds its q subbands in the window: the branch table
-    table = np.stack([window_eigs(disc.bloch_matrix(k), window, False)[0]
+    table = np.stack([window_eigs(stencil.matrix(k), window, False)[0]
                       for k in tensor_grid([axis, axis])])
     full = SpectrumSet(points=table, window=window, merge_tol=1e-3)
     momenta = magnetic_momenta(2, flux.denominator, r)
-    reps = np.stack([window_eigs(disc.bloch_matrix(k), window, False)[0]
+    reps = np.stack([window_eigs(stencil.matrix(k), window, False)[0]
                      for k in momenta])
     assert np.max(np.abs(reps[representative_rows(2, flux.denominator, r)]
                          - table)) < 1e-12
 
     calls = []
-    matrix = DirectDiscretization.bloch_matrix
 
     def counted(self, k):
         calls.append(k)
-        return matrix(self, k)
+        return stencil.matrix(k)
 
     monkeypatch.setattr(DirectDiscretization, "bloch_matrix", counted)
     folded = direct_spectrum(disc, window, merge_tol=1e-3, k_resolution=r)
@@ -684,8 +688,8 @@ def test_nonzero_flux_in_d1_is_refused(mathieu):
     # nonzero flux, as the CLI does, where it returned the spectrum of
     # another operator
     hop = np.array([[-1.0 + 0j]])
-    hops = HoppingSet(hoppings={(1,): hop, (-1,): hop})
-    for build in (lambda: DirectDiscretization(mathieu, Fraction(1, 3)),
+    hops = HoppingSet(hoppings={(1,): hop, (-1,): hop}, asymmetry=0.0)
+    for build in (lambda: DirectDiscretization(mathieu, Fraction(1, 3), 16),
                   lambda: bloch_eigenvalue_cloud(hops, Fraction(1, 3), 8),
                   lambda: box_matrix(hops, Fraction(1, 3), 4)):
         with pytest.raises(InputError, match="H.5"):
@@ -693,8 +697,8 @@ def test_nonzero_flux_in_d1_is_refused(mathieu):
 
 
 def test_no_fold_in_d1_or_at_integer_flux(mathieu, separable):
-    d1 = DirectDiscretization(mathieu, Fraction(0))
-    d2 = DirectDiscretization(separable, Fraction(1))
+    d1 = DirectDiscretization(mathieu, Fraction(0), 16)
+    d2 = DirectDiscretization(separable, Fraction(1), 16)
     assert len(magnetic_momenta(1, d1.flux.denominator, 6)) == 6
     assert len(magnetic_momenta(2, d2.flux.denominator, 6)) == 36
 
@@ -702,5 +706,5 @@ def test_no_fold_in_d1_or_at_integer_flux(mathieu, separable):
 def test_relativistic_fd_size_is_bounded(separable):
     # the stencil discretizes the nonrelativistic kind alone, and stays
     # sparse at any size
-    assert sp.issparse(DirectDiscretization(separable, Fraction(1, 16))
+    assert sp.issparse(DirectDiscretization(separable, Fraction(1, 16), 16)
                        .bloch_matrix(np.zeros(2)))

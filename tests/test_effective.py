@@ -86,7 +86,7 @@ def test_box_matrix_memory_is_that_of_its_matrix():
     # its own 10 MB matrix, not three of them
     hops = HoppingSet(hoppings={
         (a,): np.array([[0.3 / (1 + abs(a))]], dtype=complex)
-        for a in range(-8, 9)})
+        for a in range(-8, 9)}, asymmetry=0.0)
     tracemalloc.start()
     try:
         M = box_matrix(hops, Fraction(0), 400)
@@ -164,7 +164,8 @@ def test_non_hermitian_box_raises(hoppings):
     # the set is refused where it is built, before any operator
     with pytest.raises(InconsistentSymbolError):
         HoppingSet(hoppings={key: np.array([[value]], dtype=complex)
-                             for key, value in hoppings.items()})
+                             for key, value in hoppings.items()},
+                   asymmetry=0.0)
 
 
 @pytest.mark.parametrize("flux", [Fraction(0), Fraction(1, 3)])
@@ -176,7 +177,7 @@ def test_hermiticity_tolerance_is_relative_to_the_set_norm(flux):
         return HoppingSet(hoppings={
             key: np.array([[value]], dtype=complex) for key, value in {
                 (1, 0): -1.0, (-1, 0): -1.0, (0, 1): -1.0, (0, -1): -1.0,
-                (2, 0): eps}.items()})
+                (2, 0): eps}.items()}, asymmetry=0.0)
 
     with pytest.raises(InconsistentSymbolError):
         hoppings(1.01e-10 * 4)
@@ -190,7 +191,7 @@ def test_hermiticity_tolerance_is_relative_to_the_set_norm(flux):
 
 def test_empty_hopping_set_raises():
     with pytest.raises(InputError, match="at least one hop"):
-        HoppingSet(hoppings={})
+        HoppingSet(hoppings={}, asymmetry=0.0)
 
 
 def test_hermitian_box_is_accepted():
@@ -290,7 +291,7 @@ def _hermitian_hoppings(seed: int, n: int = 2, radius: int = 2) -> HoppingSet:
                 blk = blk + np.conj(blk.T)
             hops[(a, b)] = blk
             hops[(-a, -b)] = np.conj(blk.T)
-    return HoppingSet(hoppings=hops)
+    return HoppingSet(hoppings=hops, asymmetry=0.0)
 
 
 @pytest.mark.parametrize("flux, r", [
@@ -379,7 +380,7 @@ def test_batched_cloud_matches_per_k_fiber_formula(flux, seed, k,
 @settings(max_examples=30, deadline=None)
 @given(flux=FLUXES, seed=st.integers(0, 2**16))
 def test_operators_are_hermitian_by_construction(flux, seed, separable,
-                                                 coefficients):
+                                                 coefficients, gauged_stencil):
     # every box entry is an exact adjoint pair, and so is every coefficient
     # pair C_-s = C_s^H of the magnetic-Bloch operators of the Peierls
     # fibers and of an FD stencil
@@ -387,7 +388,8 @@ def test_operators_are_hermitian_by_construction(flux, seed, separable,
     M = box_matrix(hops, flux, 3)
     assert np.array_equal(M, np.conj(M.T))
     for op in (effective._bloch_operator(hops, flux),
-               DirectDiscretization(separable, flux, chi="harmonic")._stencil):
+               gauged_stencil(DirectDiscretization(separable, flux, 16),
+                              "harmonic")):
         terms = coefficients(op)
         assert len(terms) == len(op.shifts) > 1
         for shift, C in terms.items():
@@ -413,8 +415,8 @@ def test_lattice_hops_take_the_lexicographic_half(dim, seed, monkeypatch):
         passed.update(zip(map(tuple, (-offsets).tolist()), blocks))
 
     monkeypatch.setattr(effective, "hermitian_hops", record)
-    effective._lattice_hops(HoppingSet(hoppings=hops), Fraction(0),
-                            (3,) * dim)
+    effective._lattice_hops(HoppingSet(hoppings=hops, asymmetry=0.0),
+                            Fraction(0), (3,) * dim)
     assert passed.keys() == {a for a in hops if a >= (0,) * dim}
     for alpha, blk in passed.items():
         assert np.array_equal(blk, hops[alpha])
@@ -425,9 +427,9 @@ def test_non_hermitian_hoppings_raise():
     with pytest.raises(InconsistentSymbolError):
         HoppingSet(hoppings={
             (1, 0): -one, (-1, 0): -2.0 * one, (0, 1): -one, (0, -1): -one,
-        })
+        }, asymmetry=0.0)
     # an N x N partner is the adjoint block, not the transpose
     blk = np.array([[1.0, 2j], [0.5, -1j]])
-    HoppingSet(hoppings={(1, 0): blk, (-1, 0): np.conj(blk.T)})
+    HoppingSet(hoppings={(1, 0): blk, (-1, 0): np.conj(blk.T)}, asymmetry=0.0)
     with pytest.raises(InconsistentSymbolError):
-        HoppingSet(hoppings={(1, 0): blk, (-1, 0): blk.T})
+        HoppingSet(hoppings={(1, 0): blk, (-1, 0): blk.T}, asymmetry=0.0)

@@ -175,7 +175,8 @@ def _assert_identical(op, reference):
 
 
 def test_bloch_operator_is_its_reference_bit_for_bit(monkeypatch, separable,
-                                                     nn_hoppings):
+                                                     nn_hoppings,
+                                                     gauged_stencil):
     # the FD stencils of the bench fluxes, with and without a gauge
     # function, and the Peierls fibers and box: the same arrays, dtypes
     # and sums as the first construction
@@ -191,8 +192,8 @@ def test_bloch_operator_is_its_reference_bit_for_bit(monkeypatch, separable,
             calls.append(args) or bloch_operator(*args)))
     for flux, chi in [("0", None), ("1/4", None), ("1/8", None),
                       ("3/4", "harmonic")]:
-        DirectDiscretization(separable, Fraction(flux), 16,
-                             chi=chi).bloch_matrix(np.zeros(2))
+        gauged_stencil(DirectDiscretization(separable, Fraction(flux), 16),
+                       chi).matrix(np.zeros(2))
     for flux in ("1/4", "2/5"):
         _bloch_operator(nn_hoppings, Fraction(flux))
         box_matrix(nn_hoppings, Fraction(flux), 3)

@@ -8,11 +8,12 @@ member counts as mentioned wherever its name is read as an attribute,
 whatever the object.  A field counts as reached only where it is read as
 an attribute, not declared or stored: by a module of the package (a
 method of its own class included), the acceptance suite or the
-benchmark.  Every default of a public function or method is left out
-by some call of its name in the package, the acceptance suite or the
-benchmark, and passed by another: a value that every caller passes is no
-default, and one that no caller passes is a constant.  Code that only its
-own unit tests call is not part of the pipeline.
+benchmark.  Every default of a public function or method, or of a public
+field of a public dataclass, is left out by some call of its name in the
+package, the acceptance suite or the benchmark, and passed by another: a
+value that every caller passes is no default, and one that no caller
+passes is a constant.  Code that only its own unit tests call is not part
+of the pipeline.
 """
 
 import ast
@@ -170,6 +171,28 @@ def _defaulted(function, bound: bool) -> list:
                in zip(args.kwonlyargs, args.kw_defaults) if default])
 
 
+def _field_defaults(node) -> list:
+    """(position, name) of each public field with a default of the
+    dataclass node, the position among the arguments of its __init__,
+    which takes no ClassVar and no field(init=False)."""
+    taken = []
+    for item in node.body:
+        if (not isinstance(item, ast.AnnAssign)
+                or "ClassVar" in ast.unparse(item.annotation)):
+            continue
+        call = item.value
+        keywords = ({kw.arg: kw.value for kw in call.keywords}
+                    if isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "field" else None)
+        if keywords is None:
+            taken.append((item.target.id, call is not None))
+        elif getattr(keywords.get("init"), "value", True) is not False:
+            taken.append((item.target.id, bool(
+                {"default", "default_factory"} & keywords.keys())))
+    return [(i, name) for i, (name, default) in enumerate(taken)
+            if default and not name.startswith("_")]
+
+
 def _passes(call, position, name) -> bool:
     """Whether call passes a value for the argument by position or name."""
     return ((position is not None and position < len(call.args))
@@ -184,12 +207,13 @@ def _starred(call) -> bool:
 
 
 def defaults_no_call(trees: dict, callers: list, passed: bool) -> list:
-    """(module, qualname, argument) of each default of a public function
-    or public method in trees (module name: AST) that no call in trees or
-    in the caller ASTs passes (passed True) or leaves out (passed False);
-    a class's __init__ is called through the class.  Calls are matched by
-    the name called, f(...) or x.f(...), whatever the object, as the field
-    check matches attribute names."""
+    """(module, qualname, argument) of each default of a public function,
+    public method or public dataclass field in trees (module name: AST)
+    that no call in trees or in the caller ASTs passes (passed True) or
+    leaves out (passed False); a class's __init__, and a dataclass's
+    fields, are called through the class.  Calls are matched by the name
+    called, f(...) or x.f(...), whatever the object, as the field check
+    matches attribute names."""
     calls: dict = {}
     for tree in [*trees.values(), *callers]:
         for node in ast.walk(tree):
@@ -201,17 +225,20 @@ def defaults_no_call(trees: dict, callers: list, passed: bool) -> list:
     for module, tree in trees.items():
         for node in _public(tree.body, (ast.FunctionDef, ast.ClassDef)):
             if isinstance(node, ast.FunctionDef):
-                targets = [(node.name, node.name, node, False)]
+                targets = [(node.name, node.name, _defaulted(node, False))]
             else:
                 targets = [
                     (f"{node.name}.{item.name}",
                      node.name if item.name == "__init__" else item.name,
-                     item, True)
+                     _defaulted(item, True))
                     for item in node.body if isinstance(item, ast.FunctionDef)
                     and (item.name == "__init__"
                          or not item.name.startswith("_"))]
-            for qualname, called, function, bound in targets:
-                for position, name in _defaulted(function, bound):
+                if _is_dataclass(node):
+                    targets.append((node.name, node.name,
+                                    _field_defaults(node)))
+            for qualname, called, defaulted in targets:
+                for position, name in defaulted:
                     if not any(_starred(call)
                                or _passes(call, position, name) == passed
                                for call in calls.get(called, [])):
@@ -285,6 +312,36 @@ def test_a_default_no_call_passes_is_flagged():
         reader = ast.parse(f"def test(box, args, kwargs):\n    {call}\n")
         assert defaults_no_call({"shapes": module}, [reader],
                                 passed=True) == []
+
+
+FIELD_DEFAULTS = textwrap.dedent("""
+    from dataclasses import dataclass, field
+    from typing import ClassVar
+
+    @dataclass(frozen=True)
+    class Cell:
+        size: int
+        kind: ClassVar[str] = "cell"
+        area: float = field(init=False)
+        label: str = "cell"
+        scale: float = 1.0
+        tags: list = field(default_factory=list)
+        _cache: dict = field(default_factory=dict)
+
+    def cells():
+        return [Cell(1, "small"), Cell(2, "big", 2.0), Cell(size=3, label="x")]
+""")
+
+
+def test_a_dataclass_field_default_is_checked_as_an_argument():
+    # label is passed by every call, in the second place, which neither
+    # the ClassVar kind nor the init=False area takes; tags by none, and
+    # scale by one; the private _cache is not covered
+    module = ast.parse(FIELD_DEFAULTS)
+    assert defaults_no_call({"cells": module}, [], passed=False) == [
+        ("cells", "Cell", "label")]
+    assert defaults_no_call({"cells": module}, [], passed=True) == [
+        ("cells", "Cell", "tags")]
 
 
 def test_benchmark_span_names_name_package_code(monkeypatch):

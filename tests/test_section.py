@@ -143,7 +143,7 @@ def test_transport_aborts_between_orthogonal_neighbours(lattice, request):
     assert shell.size >= n_points
     vectors = np.eye(shell.size, dtype=complex)[:n_points]
     bands = BandStructure(grid=grid, shell=shell, bands=np.zeros((n_points, 1)),
-                          vectors=vectors)
+                          vectors=vectors, solved=n_points)
     with pytest.raises(TransportStepError, match="< 1/2"):
         transport_section(bands)
 
