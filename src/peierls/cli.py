@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -404,18 +405,54 @@ def cmd_scan(settings, lattice: Lattice, sym, out: Path) -> dict:
     return {"lambda_points": int(lam_grid.size)}
 
 
+class _Jobs:
+    """solve(i) for each i of work, ordered by work, largest first and ties
+    in index order (Graham's longest-job-first list scheduling, SIAM J.
+    Appl. Math. 17, 416 (1969)): the calling thread takes from the large
+    end, a worker thread from the small end.  Each result or exception is
+    kept in slot i, so the outcome does not depend on who ran what."""
+
+    def __init__(self, solve, work):
+        self.solve, self.slots = solve, [None] * len(work)
+        self.pending = deque(sorted(range(len(work)), key=lambda i: -work[i]))
+
+    def run(self, small_end: bool = False) -> None:
+        take = self.pending.pop if small_end else self.pending.popleft
+        while True:
+            try:
+                i = take()
+            except IndexError:  # no job left
+                return
+            try:
+                self.slots[i] = self.solve(i)
+            except Exception as exc:
+                self.slots[i] = exc
+
+    def results(self) -> list:
+        """The results, once the jobs left have run here; the first error
+        in index order is raised."""
+        self.run()
+        for slot in self.slots:
+            if isinstance(slot, Exception):
+                raise slot
+        return self.slots
+
+
 def _reference(settings, lattice: Lattice, sym, fluxes):
     """The reference solve of the full magnetic operator at each of the
-    fluxes, as solve(window, bands) -> [(SpectrumSet, fibers) per flux].
+    fluxes, as jobs(window, bands) -> _Jobs of one (SpectrumSet, fibers)
+    per flux.
 
     The solver comes from the flux: flux 0 is the plane-wave band solve
     at direct_k_resolution, any other flux direct.direct_spectrum on the
-    finite-difference magnetic-Bloch fibers.  Each flux is checked, and
-    its operator and momentum grid built, here, before any band solve;
-    solve certifies the lower window edge once for all nonzero fluxes.
-    The flux-0 band grid is solved once, or is bands, the command's own
-    band solve, when direct_k_resolution equals resolution; a window that
-    reaches its last band raises InputError.
+    finite-difference magnetic-Bloch fibers, of work fibers times
+    unknowns per fiber.  Each flux is checked, and its operator and
+    momentum grid built, here, before any band solve; jobs certifies the
+    lower window edge once for all nonzero fluxes.  The flux-0 band grid
+    is solved once, or is bands, the command's own band solve, when
+    direct_k_resolution equals resolution; a window that reaches its last
+    band raises InputError.  Flux 0 (work 0) comes alone: flux / epsilon
+    is the same for every pair.
     """
     k_res, ppc = settings["direct_k_resolution"], settings["points_per_cell"]
     if 0 in fluxes and k_res < 2:  # a band grid needs two points per axis
@@ -424,9 +461,10 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
     discs = [direct.DirectDiscretization(sym, flux, ppc) if flux else None
              for flux in fluxes]
     fibers = [len(magnetic_momenta(lattice.dim, flux.denominator, k_res))
-              if flux else None for flux in fluxes]
+              if flux else 0 for flux in fluxes]
+    merge_tol = settings["merge_tol"]
 
-    def solve(window, bands=None):
+    def jobs(window, bands=None):
         if 0 in fluxes and (bands is None or k_res != settings["resolution"]):
             bands = _bands(lattice, sym, {**settings, "resolution": k_res})
         # as in _require_simple_band: the table holds nothing above its top
@@ -436,19 +474,19 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
                 f"{bands.bands[:, -1].min():.6g}, where the last of the "
                 f"numerics.n_bands {settings['n_bands']} computed bands "
                 "starts: only the bands below it are certified")
-        merge_tol = settings["merge_tol"]
         # one lower-edge certificate holds for every flux
         lower_clear = any(fluxes) and direct.certified_below(sym, ppc, window)
-        solved = []
-        for disc, count in zip(discs, fibers):
-            if disc is None:
-                solved.append((spectra.SpectrumSet(
-                    bands.bands, window, merge_tol), bands.solved))
-            else:
-                solved.append((direct.direct_spectrum(
-                    disc, window, merge_tol, k_res, lower_clear), count))
-        return solved
-    return solve
+
+        def solve(i):
+            if discs[i] is None:
+                return (spectra.SpectrumSet(bands.bands, window, merge_tol),
+                        bands.solved)
+            return direct.direct_spectrum(discs[i], window, merge_tol, k_res,
+                                          lower_clear), fibers[i]
+        # unknowns per fiber: q unit cells of points_per_cell^d points each
+        return _Jobs(solve, [count * flux.denominator
+                             for flux, count in zip(fluxes, fibers)])
+    return jobs
 
 
 def cmd_direct(settings, lattice: Lattice, sym, out: Path) -> dict:
@@ -458,7 +496,7 @@ def cmd_direct(settings, lattice: Lattice, sym, out: Path) -> dict:
     if settings["window"] is None:
         bands = _bands(lattice, sym, settings)
         intervals = bloch.band_intervals(bands, settings["gap_tol"])
-    [(spec_set, fibers)] = solve(_window(settings, intervals), bands)
+    [(spec_set, fibers)] = solve(_window(settings, intervals), bands).results()
     _write_csv(out / "eigenvalues.csv", ["value"], [spec_set.points])
     return {
         "mode": "magnetic_bloch" if flux else "zero_field_bloch",
@@ -473,12 +511,14 @@ def cmd_compare(settings, lattice: Lattice, sym, out: Path) -> dict:
 
     With a window key, nonzero fluxes and bloch._workers() > 1, a worker
     thread builds the Peierls side (the band solve, in _workers() - 1
-    chunks, then one cloud per flux) while this thread solves the
-    reference; both spend most of their time in calls that release the
-    GIL.  Otherwise the band solve goes first, for the default window or
-    the flux-0 reference, and the two halves run in turn.  Errors keep the
-    order of the serial run: the band side's, the reference's, then each
-    flux's cloud and distance in turn.
+    chunks, then one cloud per flux) and then takes the reference jobs of
+    the smallest fluxes, while this thread certifies the lower edge and
+    takes those of the largest; both spend most of their time in calls
+    that release the GIL.  Otherwise the band solve goes first, for the
+    default window or the flux-0 reference, and this thread runs all the
+    jobs.  Errors keep the order of the serial run: the band side's, the
+    first reference error in config order, then each flux's cloud and
+    distance in turn.
     """
     eps_flux = settings["epsilons"]
     if eps_flux is None:
@@ -496,7 +536,7 @@ def cmd_compare(settings, lattice: Lattice, sym, out: Path) -> dict:
     if workers == 1 or settings["window"] is None or 0 in fluxes:
         bands, intervals, hops = _band_hoppings(lattice, sym, settings)
         window = _window(settings, intervals)
-        references = solve(window, bands)
+        references = solve(window, bands).results()
         clouds = (cloud(hops, flux, window) for flux in fluxes)
     else:
         window = settings["window"]
@@ -506,13 +546,18 @@ def cmd_compare(settings, lattice: Lattice, sym, out: Path) -> dict:
             futures = [pool.submit(lambda flux: cloud(
                 side.result()[2], flux, window), flux) for flux in fluxes]
             try:
-                references = solve(window)
+                jobs = solve(window)
             except Exception:
                 # the band side's error wins, as when it ran first
                 pool.shutdown(cancel_futures=True)
                 side.result()
                 raise
-            side.result()
+            # after the clouds the worker takes the smallest fluxes' jobs
+            smallest = pool.submit(jobs.run, True)
+            jobs.run()
+            smallest.result()
+        side.result()
+        references = jobs.results()
         clouds = (future.result() for future in futures)
     pairs, detail = [], []
     for (eps, flux), (dir_set, fibers), eff_set in zip(eps_flux, references,

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -661,41 +662,66 @@ def test_compare_certifies_the_lower_edge_once(tmp_path, monkeypatch):
 # two fluxes and a window: compare runs its Peierls side beside the
 # reference when a core is free
 OVERLAP_CONFIG = dict(D2_BLOCH, epsilons=[[0.08, "1/4"], [0.04, "1/8"]])
+# three: the calling thread and the worker meet at the middle flux
+THREE_FLUX_CONFIG = dict(D2_BLOCH, epsilons=[[0.08, "1/4"], [0.04, "1/8"],
+                                             [0.02, "1/16"]])
 
 
 def test_compare_beside_the_reference_writes_the_same_bytes(tmp_path,
                                                             monkeypatch):
     # one free core runs the halves in turn, two run the Peierls side on a
-    # worker thread beside the reference
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(OVERLAP_CONFIG))
-    written = []
-    for workers in (1, 2):
-        monkeypatch.setattr(bloch, "_workers", lambda: workers)
-        out = tmp_path / f"workers{workers}"
-        assert _run("compare", str(path), out) == 0
-        written.append([(out / name).read_bytes()
-                        for name in ("compare.json", "compare_meta.json")])
-    assert written[0] == written[1]
+    # worker thread beside the reference, which then shares the fluxes
+    for fluxes, cfg in enumerate([OVERLAP_CONFIG, THREE_FLUX_CONFIG], 2):
+        path = tmp_path / f"cfg{fluxes}.json"
+        path.write_text(json.dumps(cfg))
+        written = []
+        for workers in (1, 2):
+            monkeypatch.setattr(bloch, "_workers", lambda: workers)
+            out = tmp_path / f"fluxes{fluxes}-workers{workers}"
+            assert _run("compare", str(path), out) == 0
+            written.append([(out / name).read_bytes()
+                            for name in ("compare.json", "compare_meta.json")])
+        assert written[0] == written[1]
+
+
+def _held_reference(monkeypatch, workers, fails=()):
+    """direct.direct_spectrum recording the thread of each flux's call and
+    raising at the fluxes fails.  Beside a worker the first call on the
+    calling thread, its largest flux, waits until another flux's call has
+    started, which only the worker can make: the worker, done with the
+    Peierls side, then takes the smallest flux."""
+    threads, started, spectrum = {}, threading.Event(), direct.direct_spectrum
+    caller = threading.get_ident()
+
+    def reference(disc, *args):
+        threads.setdefault(disc.flux, []).append(threading.get_ident())
+        if threading.get_ident() != caller:
+            started.set()
+        elif workers > 1 and len(threads) == 1:
+            assert started.wait(60)
+        if disc.flux in fails:
+            raise InputError(f"the reference failed at {disc.flux}")
+        return spectrum(disc, *args)
+
+    monkeypatch.setattr(direct, "direct_spectrum", reference)
+    monkeypatch.setattr(bloch, "_workers", lambda: workers)
+    return threads
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("potential, named", [
-    ("zero", "H.7"), ("separable_cosine_2d", "the reference failed"),
-], ids=["both_fail", "reference_fails"])
+@pytest.mark.parametrize("potential, fails, named", [
+    ("zero", ("1/4", "1/8"), "H.7"),
+    ("separable_cosine_2d", ("1/4", "1/8"), "the reference failed at 1/4"),
+    ("separable_cosine_2d", ("1/4",), "the reference failed at 1/4"),
+], ids=["both_fail", "reference_fails", "worker_flux_fails"])
 def test_compare_band_error_wins_over_the_reference(
-        workers, potential, named, tmp_path, monkeypatch, capsys):
+        workers, potential, fails, named, tmp_path, monkeypatch, capsys):
     # free bands touch, so band 0 fails H.7: that error is reported even
     # when the reference beside it fails too, as when the band side ran
-    # first; a reference error alone is reported as it is
-    calls = []
-
-    def failing(*args, **kwargs):
-        calls.append(threading.get_ident())
-        raise InputError("the reference failed")
-
-    monkeypatch.setattr(direct, "direct_spectrum", failing)
-    monkeypatch.setattr(bloch, "_workers", lambda: workers)
+    # first; a reference error alone is reported as it is, the first in
+    # config order, also when the worker thread solved its flux
+    threads = _held_reference(monkeypatch, workers,
+                              [Fraction(flux) for flux in fails])
     before = threading.active_count()
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_edited(
@@ -704,10 +730,77 @@ def test_compare_band_error_wins_over_the_reference(
     err = capsys.readouterr().err
     assert "config error" in err and named in err
     assert ("the reference failed" in err) == (named != "H.7")
-    # beside the band side the reference runs, in the calling thread
-    assert calls == ([] if workers == 1 and named == "H.7"
-                     else [threading.get_ident()])
+    # the serial run stops at the band side; beside it each flux is solved
+    # once, the smallest on the worker
+    if workers == 1 and named == "H.7":
+        assert threads == {}
+    else:
+        assert {flux: len(ids) for flux, ids in threads.items()} == {
+            Fraction(1, 4): 1, Fraction(1, 8): 1}
+        assert (threads[Fraction(1, 4)] == [threading.get_ident()]) == (
+            workers == 1)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_compare_splits_the_reference_between_its_ends(workers, tmp_path,
+                                                       monkeypatch):
+    # one fiber per flux, so the work is q: the calling thread solves 1/16,
+    # the largest, and the worker 1/4, the smallest, once the Peierls side
+    # is built; one free core solves every flux in the calling thread and
+    # starts no thread
+    threads = _held_reference(monkeypatch, workers)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (
+        started.append(self), start(self))[1])
+    before = threading.active_count()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(THREE_FLUX_CONFIG))
+    assert _run("compare", str(path), tmp_path) == 0
+    # the fluxes in the order of their first calls: the largest, then the
+    # next on this thread or the smallest on the worker
+    big, middle, small = Fraction(1, 16), Fraction(1, 8), Fraction(1, 4)
+    assert list(threads) == ([big, middle, small] if workers == 1
+                             else [big, small, middle])
+    assert all(len(ids) == 1 for ids in threads.values())
+    caller = threading.get_ident()
+    assert threads[big] == [caller]
+    assert (threads[small] == [caller]) == (workers == 1)
+    assert len(started) == workers - 1
+    assert threading.active_count() == before
+
+
+def test_jobs_run_once_whichever_thread_takes_them():
+    # four threads, two at each end, switching every microsecond: every
+    # job runs exactly once and its slot holds its own result or error,
+    # which results() raises first in index order
+    count, ran = 2000, []
+
+    def solve(i):
+        ran.append(i)
+        if i in (7, 1500):
+            raise ValueError(i)
+        return i
+
+    jobs = cli._Jobs(solve, [i % 5 for i in range(count)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=jobs.run, args=(end,))
+                   for end in (False, True, False, True)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(count))
+    assert [slot if isinstance(slot, int) else slot.args[0]
+            for slot in jobs.slots] == list(range(count))
+    with pytest.raises(ValueError, match="^7$"):
+        jobs.results()
+    assert len(ran) == count
 
 
 # at cutoff 8 (basis size 197) a two-thread OpenBLAS solves band fibers to

@@ -440,6 +440,22 @@ def test_one_krylov_call_with_an_explicit_stop():
     assert "tol" in {keyword.arg for keyword in call.keywords}
 
 
+
+def test_one_reference_routine():
+    """The package calls direct.direct_spectrum and direct.certified_below
+    at one call site each, inside cli._reference, and names them nowhere
+    else: direct, and compare serial or beside its Peierls side, run the
+    one job list that it builds."""
+    names = {"direct_spectrum", "certified_below"}
+    trees = _package_trees()
+    reference = next(node for node in trees["cli"].body
+                     if getattr(node, "name", None) == "_reference")
+    calls = [node for node in ast.walk(reference)
+             if isinstance(node, ast.Call) and _mentions([node.func]) & names]
+    assert sorted(call.func.attr for call in calls) == sorted(names)
+    for module, tree in trees.items():
+        assert not _mentions([tree], skip=reference) & names, module
+
 def test_one_fiber_eigensolver_handle():
     """bloch is the one module that reaches scipy.linalg.cython_lapack, and
     no module fetches ?syevr or ?heevr as an f2py wrapper, by
