@@ -209,12 +209,43 @@ def _parse_flux(text, lattice: Lattice) -> Fraction:
     return flux
 
 
-def _bands(lattice: Lattice, sym, settings: dict, vector_band=None,
-           workers=None):
-    grid = bz_grid(lattice, settings["resolution"])
-    shell = dual_shell(lattice, settings["cutoff"])
-    return bloch.compute_bands(sym, grid, shell, settings["n_bands"],
-                               vector_band=vector_band, workers=workers)
+# the last band solve of this process, (key, vector_band, BandStructure),
+# or None: see _bands
+_last_solve = None
+
+
+def _bands(sym, settings: dict, vector_band=None, workers=None):
+    """The bands of sym on the grid of the settings' resolution, cutoff
+    and n_bands, with the vectors of band vector_band when it is given,
+    in at most workers chunks.
+
+    The last solve is kept, and a request reuses it when every input of
+    the solve is equal (the lattice basis, the kinetic kind, the
+    potential's coefficients, resolution, cutoff and n_bands) and it asks
+    for no vectors or for the kept band's.  ?syevr and ?heevr at range
+    "I" give the same eigenvalues bit for bit with and without vectors,
+    and the chunk count changes no bit, so a reuse returns what a solve
+    would.  The bands and vectors are read-only: every caller shares them.
+    A failed solve leaves the kept one.
+    """
+    global _last_solve
+    lattice = sym.lattice
+    key = (lattice.basis.tobytes(), sym.kind,
+           sorted(sym.potential.coeffs.items()), settings["resolution"],
+           settings["cutoff"], settings["n_bands"])
+    # one read: a thread sees a whole entry, and at worst solves again
+    last_key, last_band, last = _last_solve or (None,) * 3
+    if last_key == key and vector_band in (None, last_band):
+        return last
+    bands = bloch.compute_bands(
+        sym, bz_grid(lattice, settings["resolution"]),
+        dual_shell(lattice, settings["cutoff"]), settings["n_bands"],
+        vector_band=vector_band, workers=workers)
+    for table in (bands.bands, bands.vectors):
+        if table is not None:
+            table.flags.writeable = False
+    _last_solve = key, vector_band, bands
+    return bands
 
 
 def _parse_window(win):
@@ -286,7 +317,7 @@ def _require_simple_band(bands, settings):
 
 
 def cmd_bands(settings, lattice: Lattice, sym, out: Path) -> dict:
-    bands = _bands(lattice, sym, settings)
+    bands = _bands(sym, settings)
     # one row per (grid point, band), bands fastest
     n_points, n_bands = bands.bands.shape
     frac = np.repeat(bands.grid.coords(), n_bands, axis=0)
@@ -304,7 +335,7 @@ def cmd_bands(settings, lattice: Lattice, sym, out: Path) -> dict:
 
 
 def cmd_section(settings, lattice: Lattice, sym, out: Path) -> dict:
-    bands = _bands(lattice, sym, settings, settings["band_index"])
+    bands = _bands(sym, settings, settings["band_index"])
     _require_simple_band(bands, settings)
     sec = section.transport_section(bands)
     # each vector against its own fiber H(xi) v = V_hat v + kinetic(xi + g) v,
@@ -328,7 +359,7 @@ def cmd_section(settings, lattice: Lattice, sym, out: Path) -> dict:
 
 
 def cmd_grushin(settings, lattice: Lattice, sym, out: Path) -> dict:
-    bands = _bands(lattice, sym, settings, settings["band_index"])
+    bands = _bands(sym, settings, settings["band_index"])
     _require_simple_band(bands, settings)
     sec = section.transport_section(bands)
     family = grushin.trial_from_section(sec)
@@ -368,19 +399,19 @@ def cmd_grushin(settings, lattice: Lattice, sym, out: Path) -> dict:
     return report
 
 
-def _band_hoppings(lattice: Lattice, sym, settings, workers=None):
-    """The band solve, in at most workers chunks, its band_intervals and
-    the selected band's hoppings."""
-    bands = _bands(lattice, sym, settings, workers=workers)
+def _band_hoppings(sym, settings, workers=None):
+    """The band_intervals of the band solve, in at most workers chunks,
+    and the selected band's hoppings."""
+    bands = _bands(sym, settings, workers=workers)
     intervals = _require_simple_band(bands, settings)
     hops = effective.fourier_hoppings(bands.bands[:, settings["band_index"]],
                                       bands.grid, settings["radius"])
-    return bands, intervals, hops
+    return intervals, hops
 
 
 def cmd_effective(settings, lattice: Lattice, sym, out: Path) -> dict:
     flux = settings["flux"]
-    _, intervals, hops = _band_hoppings(lattice, sym, settings)
+    intervals, hops = _band_hoppings(sym, settings)
     window = _window(settings, intervals)
     spec_set = spectra.SpectrumSet(
         effective.bloch_eigenvalue_cloud(hops, flux, settings["k_resolution"]),
@@ -396,7 +427,7 @@ def cmd_effective(settings, lattice: Lattice, sym, out: Path) -> dict:
 
 def cmd_scan(settings, lattice: Lattice, sym, out: Path) -> dict:
     flux = settings["flux"]
-    _, intervals, hops = _band_hoppings(lattice, sym, settings)
+    intervals, hops = _band_hoppings(sym, settings)
     window = _window(settings, intervals)
     lam_grid = np.linspace(window[0], window[1], settings["lambda_points"])
     margins = effective.lambda_scan(hops, flux, lam_grid,
@@ -440,8 +471,8 @@ class _Jobs:
 
 def _reference(settings, lattice: Lattice, sym, fluxes):
     """The reference solve of the full magnetic operator at each of the
-    fluxes, as jobs(window, bands) -> _Jobs of one (SpectrumSet, fibers)
-    per flux.
+    fluxes, as jobs(window) -> _Jobs of one (SpectrumSet, fibers) per
+    flux.
 
     The solver comes from the flux: flux 0 is the plane-wave band solve
     at direct_k_resolution, any other flux direct.direct_spectrum on the
@@ -449,7 +480,7 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
     unknowns per fiber.  Each flux is checked, and its operator and
     momentum grid built, here, before any band solve; jobs certifies the
     lower window edge once for all nonzero fluxes.  The flux-0 band grid
-    is solved once, or is bands, the command's own band solve, when
+    comes from _bands, so it is the command's own band solve when
     direct_k_resolution equals resolution; a window that reaches its last
     band raises InputError.  Flux 0 (work 0) comes alone: flux / epsilon
     is the same for every pair.
@@ -464,16 +495,16 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
               if flux else 0 for flux in fluxes]
     merge_tol = settings["merge_tol"]
 
-    def jobs(window, bands=None):
-        if 0 in fluxes and (bands is None or k_res != settings["resolution"]):
-            bands = _bands(lattice, sym, {**settings, "resolution": k_res})
-        # as in _require_simple_band: the table holds nothing above its top
-        if 0 in fluxes and window[1] >= bands.bands[:, -1].min():
-            raise InputError(
-                f"the window top {window[1]:g} is not below "
-                f"{bands.bands[:, -1].min():.6g}, where the last of the "
-                f"numerics.n_bands {settings['n_bands']} computed bands "
-                "starts: only the bands below it are certified")
+    def jobs(window):
+        if 0 in fluxes:
+            bands = _bands(sym, {**settings, "resolution": k_res})
+            # as in _require_simple_band: the table shows nothing above it
+            if window[1] >= bands.bands[:, -1].min():
+                raise InputError(
+                    f"the window top {window[1]:g} is not below "
+                    f"{bands.bands[:, -1].min():.6g}, where the last of the "
+                    f"numerics.n_bands {settings['n_bands']} computed bands "
+                    "starts: only the bands below it are certified")
         # one lower-edge certificate holds for every flux
         lower_clear = any(fluxes) and direct.certified_below(sym, ppc, window)
 
@@ -492,11 +523,11 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
 def cmd_direct(settings, lattice: Lattice, sym, out: Path) -> dict:
     flux = settings["flux"]
     solve = _reference(settings, lattice, sym, [flux])
-    bands = intervals = None
+    intervals = None
     if settings["window"] is None:
-        bands = _bands(lattice, sym, settings)
-        intervals = bloch.band_intervals(bands, settings["gap_tol"])
-    [(spec_set, fibers)] = solve(_window(settings, intervals), bands).results()
+        intervals = bloch.band_intervals(_bands(sym, settings),
+                                         settings["gap_tol"])
+    [(spec_set, fibers)] = solve(_window(settings, intervals)).results()
     _write_csv(out / "eigenvalues.csv", ["value"], [spec_set.points])
     return {
         "mode": "magnetic_bloch" if flux else "zero_field_bloch",
@@ -534,17 +565,16 @@ def cmd_compare(settings, lattice: Lattice, sym, out: Path) -> dict:
             hops, flux, settings["k_resolution"]), window, merge_tol)
 
     if workers == 1 or settings["window"] is None or 0 in fluxes:
-        bands, intervals, hops = _band_hoppings(lattice, sym, settings)
+        intervals, hops = _band_hoppings(sym, settings)
         window = _window(settings, intervals)
-        references = solve(window, bands).results()
+        references = solve(window).results()
         clouds = (cloud(hops, flux, window) for flux in fluxes)
     else:
         window = settings["window"]
         with ThreadPoolExecutor(1) as pool:
-            side = pool.submit(_band_hoppings, lattice, sym, settings,
-                               workers - 1)
+            side = pool.submit(_band_hoppings, sym, settings, workers - 1)
             futures = [pool.submit(lambda flux: cloud(
-                side.result()[2], flux, window), flux) for flux in fluxes]
+                side.result()[1], flux, window), flux) for flux in fluxes]
             try:
                 jobs = solve(window)
             except Exception:

@@ -22,6 +22,15 @@ settings.register_profile(
 settings.load_profile("derandomized")
 
 
+@pytest.fixture(autouse=True)
+def no_kept_band_solve():
+    """Every test starts with no band solve kept by the CLI, so a command
+    solves its bands under the test's own patches whatever ran before."""
+    from peierls import cli
+
+    cli._last_solve = None
+
+
 @pytest.fixture(scope="session")
 def lat1():
     return Lattice(basis=np.array([[2.0 * np.pi]]))

@@ -310,6 +310,29 @@ def test_bands_equal_eigh_bit_for_bit(lat1, lat2, name, vectors):
             assert (bands.vectors[i] == vecs[:, vector_band]).all()
 
 
+@pytest.mark.parametrize("name", ["mathieu", "separable", "complex"])
+def test_kept_vectors_leave_the_bands_unchanged(lat1, lat2, name):
+    """The bands of a solve that keeps one band's vectors are those of the
+    values-only solve bit for bit (?syevr or ?heevr with jobz "V" and
+    "N"), for real fibers in d = 1 and 2 and complex ones in d = 2: the
+    CLI serves a values request from its last solve with vectors."""
+    if name == "complex":
+        # complex coefficients, no real symmetric form
+        symbol = PeriodicSymbol(Nonrelativistic(), PeriodicPotential(lat2, {
+            (1, 0): 0.3 + 0.2j, (-1, 0): 0.3 - 0.2j,
+            (1, 1): 0.15j, (-1, -1): -0.15j}))
+        grid, shell = bz_grid(lat2, 7), dual_shell(lat2, 5.0)
+    else:
+        symbol, grid, shell = _identity_case(name, lat1, lat2)
+    assert FiberAssembler(symbol, shell).dtype == (
+        np.complex128 if name == "complex" else np.float64)
+    values = compute_bands(symbol, grid, shell, 3).bands
+    for vector_band in range(3):
+        kept = compute_bands(symbol, grid, shell, 3, vector_band)
+        assert kept.vectors is not None
+        assert kept.bands.tobytes() == values.tobytes()
+
+
 def _split(monkeypatch, workers):
     """Split every compute_bands over `workers` chunks, however small."""
     monkeypatch.setattr(bloch, "_workers", lambda: workers)

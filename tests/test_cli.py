@@ -42,7 +42,21 @@ def _run(command, config_path, out, extra=()):
     return main([command, "--config", config_path, "--out", str(out), *extra])
 
 
-def test_bands_command_writes_deterministic_csv(config_path, tmp_path):
+@pytest.fixture
+def band_solves(monkeypatch):
+    """The (resolution, vector_band) of each bloch.compute_bands call."""
+    calls, solve = [], bloch.compute_bands
+
+    def counted(sym, grid, shell, n_bands, vector_band=None, workers=None):
+        calls.append((grid.resolution, vector_band))
+        return solve(sym, grid, shell, n_bands, vector_band, workers)
+
+    monkeypatch.setattr(bloch, "compute_bands", counted)
+    return calls
+
+
+def test_bands_command_writes_deterministic_csv(config_path, tmp_path,
+                                                band_solves):
     out = tmp_path / "run"
     assert _run("bands", config_path, out) == 0
     body = (out / "bands.csv").read_text()
@@ -52,9 +66,11 @@ def test_bands_command_writes_deterministic_csv(config_path, tmp_path):
     assert meta["command"] == "bands"
     intervals = json.loads((out / "intervals.json").read_text())
     assert intervals["simple"][0] is True
-    # rerun: byte-identical output
+    # rerun without the kept solve: byte-identical output
+    cli._last_solve = None
     assert _run("bands", config_path, out) == 0
     assert (out / "bands.csv").read_text() == body
+    assert band_solves == [(16, None)] * 2
 
 
 def test_section_command_reports_holonomy(config_path, tmp_path):
@@ -296,7 +312,7 @@ def test_csv_tables_equal_the_per_value_writer(cfg, tmp_path, monkeypatch):
             header, _rows(columns)), name
     num = cli._numerics(cfg)
     lat = cli.build_lattice(cfg)
-    bands = cli._bands(lat, cli.build_symbol(cfg, lat), num, 0)
+    bands = cli._bands(cli.build_symbol(cfg, lat), num, 0)
     rows = [list(frac) + [j, bands.bands[i, j]]
             for i, frac in enumerate(bands.grid.coords())
             for j in range(bands.bands.shape[1])]
@@ -542,6 +558,101 @@ def test_each_band_grid_is_solved_once(command, cfg, tmp_path, monkeypatch):
     assert len(grids) == len(set(grids))
 
 
+@pytest.mark.parametrize("k_res, solves", [
+    (8, [(16, None), (8, None)]), (16, [(16, None)])])
+def test_a_pipeline_reuses_its_last_band_solve(k_res, solves, tmp_path,
+                                               band_solves):
+    # one process, one config: bands solves its grid, effective, scan and
+    # direct's default window reuse it, and direct's flux-0 reference
+    # solves its own grid only where it differs
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, flux="0",
+                                    direct_k_resolution=k_res)))
+    for command in ("bands", "effective", "scan", "direct"):
+        assert _run(command, str(path), tmp_path) == 0
+    assert band_solves == solves
+
+
+def test_only_the_kept_bands_vectors_are_reused(config_path, tmp_path,
+                                                band_solves):
+    # section asks for vectors, which the values of bands do not hold;
+    # grushin and effective take what section solved
+    for command in ("bands", "section", "grushin", "effective"):
+        assert _run(command, config_path, tmp_path) == 0
+    assert band_solves == [(16, None), (16, 0)]
+    # another band's vectors are solved; a values request takes any kept
+    # solve, whatever its chunk count
+    lat = cli.build_lattice(BASE_CONFIG)
+    sym, num = cli.build_symbol(BASE_CONFIG, lat), cli._numerics(BASE_CONFIG)
+    second = cli._bands(sym, num, 1)
+    assert band_solves[2:] == [(16, 1)] and second.vectors is not None
+    assert cli._bands(sym, num, workers=2) is second
+    assert cli._bands(sym, num, 1, workers=1) is second
+    assert len(band_solves) == 3
+
+
+@pytest.mark.parametrize("keys, value, solves", [
+    (("numerics", "resolution"), 16, 1),
+    (("seed",), 3, 1),
+    (("numerics", "radius"), 5, 1),
+    (("numerics", "gap_tol"), 1e-5, 1),
+    (("symbol", "potential", "amplitude"), 0.6, 2),
+    (("symbol", "kind"), "relativistic", 2),
+    (("lattice", "basis"), [[6.3]], 2),
+    (("numerics", "cutoff"), 7.0, 2),
+    (("numerics", "resolution"), 18, 2),
+    (("numerics", "n_bands"), 4, 2),
+], ids=["same", "seed", "radius", "gap_tol", "amplitude", "kind", "basis",
+        "cutoff", "resolution", "n_bands"])
+def test_a_changed_solve_input_solves_again(keys, value, solves, tmp_path,
+                                            band_solves):
+    # every input of the band solve is in the key, by value; the other
+    # settings are not
+    for step, config in enumerate([BASE_CONFIG,
+                                   _edited(BASE_CONFIG, keys, value)]):
+        path = tmp_path / f"cfg{step}.json"
+        path.write_text(json.dumps(config))
+        assert _run("bands", str(path), tmp_path) == 0
+    assert len(band_solves) == solves
+
+
+def test_a_kept_band_table_is_read_only(config_path, tmp_path):
+    assert _run("section", config_path, tmp_path) == 0
+    lat = cli.build_lattice(BASE_CONFIG)
+    bands = cli._bands(cli.build_symbol(BASE_CONFIG, lat),
+                       cli._numerics(BASE_CONFIG))
+    assert bands is cli._last_solve[2]
+    for table in (bands.bands, bands.vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+
+
+def test_a_failed_solve_keeps_the_last_one(config_path, tmp_path,
+                                           band_solves, monkeypatch):
+    # a solve that fails (exit 3) is not kept: the same config solves
+    # again, and the solve kept before it is still reused
+    assert _run("bands", config_path, tmp_path) == 0
+    kept = cli._last_solve
+    kinetic = PeriodicSymbol.kinetic
+
+    def nan_at_one_point(self, eta):
+        values = kinetic(self, eta)
+        values[np.all(np.atleast_2d(eta) == -0.25, axis=1)] = np.nan
+        return values
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_edited(
+        BASE_CONFIG, ("symbol", "potential", "amplitude"), 0.6)))
+    monkeypatch.setattr(PeriodicSymbol, "kinetic", nan_at_one_point)
+    for _ in range(2):
+        assert _run("bands", str(path), tmp_path) == 3
+        assert cli._last_solve is kept
+    monkeypatch.setattr(PeriodicSymbol, "kinetic", kinetic)
+    assert _run("bands", config_path, tmp_path) == 0
+    assert _run("bands", str(path), tmp_path) == 0
+    assert len(band_solves) == 4
+
+
 @pytest.mark.parametrize("command", ["effective", "scan", "compare", "direct"])
 def test_band_intervals_are_computed_once(command, tmp_path, monkeypatch):
     # the H.7 check and the default window share one band_intervals
@@ -668,7 +779,8 @@ THREE_FLUX_CONFIG = dict(D2_BLOCH, epsilons=[[0.08, "1/4"], [0.04, "1/8"],
 
 
 def test_compare_beside_the_reference_writes_the_same_bytes(tmp_path,
-                                                            monkeypatch):
+                                                            monkeypatch,
+                                                            band_solves):
     # one free core runs the halves in turn, two run the Peierls side on a
     # worker thread beside the reference, which then shares the fluxes
     for fluxes, cfg in enumerate([OVERLAP_CONFIG, THREE_FLUX_CONFIG], 2):
@@ -678,7 +790,10 @@ def test_compare_beside_the_reference_writes_the_same_bytes(tmp_path,
         for workers in (1, 2):
             monkeypatch.setattr(bloch, "_workers", lambda: workers)
             out = tmp_path / f"fluxes{fluxes}-workers{workers}"
+            cli._last_solve = None
+            band_solves.clear()
             assert _run("compare", str(path), out) == 0
+            assert band_solves == [(8, None)]
             written.append([(out / name).read_bytes()
                             for name in ("compare.json", "compare_meta.json")])
         assert written[0] == written[1]
@@ -810,7 +925,8 @@ THREADED_CONFIG = dict(COMPARE_CONFIG,
 
 
 def test_outputs_do_not_depend_on_the_callers_blas_threads(tmp_path,
-                                                           blas_threads):
+                                                           blas_threads,
+                                                           band_solves):
     # every command runs with the BLAS at one thread: a caller at two
     # threads gets the bytes of one at one thread, and its two threads
     # back after each exit, 0 or 2
@@ -821,9 +937,13 @@ def test_outputs_do_not_depend_on_the_callers_blas_threads(tmp_path,
     for threads in (1, 2):
         blas_threads(threads)
         out = tmp_path / f"threads{threads}"
+        cli._last_solve = None
+        band_solves.clear()
         for command in ("bands", "section", "compare"):
             assert _run(command, str(path), out) == 0
             assert [get() for get in counts] == [threads] * len(counts)
+        # compare takes the values of section's solve
+        assert band_solves == [(8, None), (8, 0)]
         written.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert written[0] == written[1]
     # refused as the config is read, and by the command, under the pin

@@ -456,6 +456,22 @@ def test_one_reference_routine():
     for module, tree in trees.items():
         assert not _mentions([tree], skip=reference) & names, module
 
+def test_one_band_solve_routine():
+    """The package calls bloch.compute_bands at one call site, inside
+    cli._bands, as an attribute of the module bloch, and names it nowhere
+    else: every command's band solve goes through the last solve that
+    _bands keeps, and a wrapper set on bloch.compute_bands sees each one."""
+    trees = _package_trees()
+    bands = next(node for node in trees["cli"].body
+                 if getattr(node, "name", None) == "_bands")
+    [call] = [node for node in ast.walk(bands) if isinstance(node, ast.Call)
+              and "compute_bands" in _mentions([node.func])]
+    assert isinstance(call.func, ast.Attribute)
+    assert isinstance(call.func.value, ast.Name)
+    assert (call.func.value.id, call.func.attr) == ("bloch", "compute_bands")
+    for module, tree in trees.items():
+        assert "compute_bands" not in _mentions([tree], skip=bands), module
+
 def test_one_fiber_eigensolver_handle():
     """bloch is the one module that reaches scipy.linalg.cython_lapack, and
     no module fetches ?syevr or ?heevr as an f2py wrapper, by
