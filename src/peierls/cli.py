@@ -316,12 +316,13 @@ def _require_simple_band(bands, settings):
 # -------------------------------------------------------------- commands
 
 
-def cmd_bands(settings, lattice: Lattice, sym, out: Path) -> dict:
+def cmd_bands(settings, sym, out: Path) -> dict:
     bands = _bands(sym, settings)
     # one row per (grid point, band), bands fastest
     n_points, n_bands = bands.bands.shape
     frac = np.repeat(bands.grid.coords(), n_bands, axis=0)
-    header = [f"frac{ax + 1}" for ax in range(lattice.dim)] + ["band", "value"]
+    header = [f"frac{ax + 1}" for ax in range(sym.lattice.dim)] + [
+        "band", "value"]
     _write_csv(out / "bands.csv", header,
                [*frac.T, np.tile(np.arange(n_bands), n_points),
                 bands.bands.ravel()])
@@ -334,7 +335,7 @@ def cmd_bands(settings, lattice: Lattice, sym, out: Path) -> dict:
     return {"rows": n_points * n_bands}
 
 
-def cmd_section(settings, lattice: Lattice, sym, out: Path) -> dict:
+def cmd_section(settings, sym, out: Path) -> dict:
     bands = _bands(sym, settings, settings["band_index"])
     _require_simple_band(bands, settings)
     sec = section.transport_section(bands)
@@ -349,7 +350,7 @@ def cmd_section(settings, lattice: Lattice, sym, out: Path) -> dict:
         for s in chunks])
     # the norm of each vector on its own: norm(axis=1) sums in another order
     norms = np.array([np.linalg.norm(v) for v in vecs])
-    header = [f"frac{ax + 1}" for ax in range(lattice.dim)] + [
+    header = [f"frac{ax + 1}" for ax in range(sym.lattice.dim)] + [
         "norm", "residual", "c0_re", "c0_im"]
     _write_csv(out / "section.csv", header,
                [*bands.grid.coords().T, norms, resid, vecs[:, 0].real,
@@ -358,7 +359,7 @@ def cmd_section(settings, lattice: Lattice, sym, out: Path) -> dict:
     return {"rows": len(vecs)}
 
 
-def cmd_grushin(settings, lattice: Lattice, sym, out: Path) -> dict:
+def cmd_grushin(settings, sym, out: Path) -> dict:
     bands = _bands(sym, settings, settings["band_index"])
     _require_simple_band(bands, settings)
     sec = section.transport_section(bands)
@@ -400,19 +401,18 @@ def cmd_grushin(settings, lattice: Lattice, sym, out: Path) -> dict:
 
 
 def _band_hoppings(sym, settings, workers=None):
-    """The band_intervals of the band solve, in at most workers chunks,
-    and the selected band's hoppings."""
+    """The window of the band solve, in at most workers chunks, and the
+    selected band's hoppings."""
     bands = _bands(sym, settings, workers=workers)
-    intervals = _require_simple_band(bands, settings)
+    window = _window(settings, _require_simple_band(bands, settings))
     hops = effective.fourier_hoppings(bands.bands[:, settings["band_index"]],
                                       bands.grid, settings["radius"])
-    return intervals, hops
+    return window, hops
 
 
-def cmd_effective(settings, lattice: Lattice, sym, out: Path) -> dict:
+def cmd_effective(settings, sym, out: Path) -> dict:
     flux = settings["flux"]
-    intervals, hops = _band_hoppings(sym, settings)
-    window = _window(settings, intervals)
+    window, hops = _band_hoppings(sym, settings)
     spec_set = spectra.SpectrumSet(
         effective.bloch_eigenvalue_cloud(hops, flux, settings["k_resolution"]),
         window, settings["merge_tol"])
@@ -425,10 +425,9 @@ def cmd_effective(settings, lattice: Lattice, sym, out: Path) -> dict:
     return {"intervals": spec_set.merged_intervals.tolist()}
 
 
-def cmd_scan(settings, lattice: Lattice, sym, out: Path) -> dict:
+def cmd_scan(settings, sym, out: Path) -> dict:
     flux = settings["flux"]
-    intervals, hops = _band_hoppings(sym, settings)
-    window = _window(settings, intervals)
+    window, hops = _band_hoppings(sym, settings)
     lam_grid = np.linspace(window[0], window[1], settings["lambda_points"])
     margins = effective.lambda_scan(hops, flux, lam_grid,
                                     k_resolution=settings["k_resolution"])
@@ -469,7 +468,7 @@ class _Jobs:
         return self.slots
 
 
-def _reference(settings, lattice: Lattice, sym, fluxes):
+def _reference(settings, sym, fluxes):
     """The reference solve of the full magnetic operator at each of the
     fluxes, as jobs(window) -> _Jobs of one (SpectrumSet, fibers) per
     flux.
@@ -491,7 +490,7 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
                           f"flux 0, the plane-wave band grid, got {k_res}")
     discs = [direct.DirectDiscretization(sym, flux, ppc) if flux else None
              for flux in fluxes]
-    fibers = [len(magnetic_momenta(lattice.dim, flux.denominator, k_res))
+    fibers = [len(magnetic_momenta(sym.lattice.dim, flux.denominator, k_res))
               if flux else 0 for flux in fluxes]
     merge_tol = settings["merge_tol"]
 
@@ -520,9 +519,9 @@ def _reference(settings, lattice: Lattice, sym, fluxes):
     return jobs
 
 
-def cmd_direct(settings, lattice: Lattice, sym, out: Path) -> dict:
+def cmd_direct(settings, sym, out: Path) -> dict:
     flux = settings["flux"]
-    solve = _reference(settings, lattice, sym, [flux])
+    solve = _reference(settings, sym, [flux])
     intervals = None
     if settings["window"] is None:
         intervals = bloch.band_intervals(_bands(sym, settings),
@@ -537,7 +536,7 @@ def cmd_direct(settings, lattice: Lattice, sym, out: Path) -> dict:
     }
 
 
-def cmd_compare(settings, lattice: Lattice, sym, out: Path) -> dict:
+def cmd_compare(settings, sym, out: Path) -> dict:
     """The Peierls spectrum against the reference at each [epsilon, flux].
 
     With a window key, nonzero fluxes and bloch._workers() > 1, a worker
@@ -556,7 +555,7 @@ def cmd_compare(settings, lattice: Lattice, sym, out: Path) -> dict:
         raise InputError("compare needs 'epsilons', a list of [epsilon, "
                           "flux] pairs")
     fluxes = [flux for _, flux in eps_flux]
-    solve = _reference(settings, lattice, sym, fluxes)
+    solve = _reference(settings, sym, fluxes)
     merge_tol = settings["merge_tol"]
     workers = bloch._workers()
 
@@ -565,8 +564,7 @@ def cmd_compare(settings, lattice: Lattice, sym, out: Path) -> dict:
             hops, flux, settings["k_resolution"]), window, merge_tol)
 
     if workers == 1 or settings["window"] is None or 0 in fluxes:
-        intervals, hops = _band_hoppings(sym, settings)
-        window = _window(settings, intervals)
+        window, hops = _band_hoppings(sym, settings)
         references = solve(window).results()
         clouds = (cloud(hops, flux, window) for flux in fluxes)
     else:
@@ -582,10 +580,10 @@ def cmd_compare(settings, lattice: Lattice, sym, out: Path) -> dict:
                 pool.shutdown(cancel_futures=True)
                 side.result()
                 raise
-            # after the clouds the worker takes the smallest fluxes' jobs
-            smallest = pool.submit(jobs.run, True)
+            # after the clouds the worker takes the smallest fluxes' jobs;
+            # _Jobs keeps each error, and leaving the pool waits for them
+            pool.submit(jobs.run, True)
             jobs.run()
-            smallest.result()
         side.result()
         references = jobs.results()
         clouds = (future.result() for future in futures)
@@ -635,8 +633,8 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with bloch.one_blas_thread():
-            summary = COMMANDS[args.command](settings, lattice,
-                                             build_symbol(cfg, lattice), out)
+            summary = COMMANDS[args.command](
+                settings, build_symbol(cfg, lattice), out)
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -173,8 +173,8 @@ def gauge_shifted_hoppings(
     return HoppingSet(hoppings=out, asymmetry=hops.asymmetry)
 
 
-def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, origin=0.0):
-    """magnetic.hermitian_hops on the unit grid origin + i of this shape,
+def _lattice_hops(hops: HoppingSet, flux: Fraction, shape):
+    """magnetic.hermitian_hops on the unit grid of this shape,
     wrapped over it, at flux 2 pi flux per cell: the hops alpha >= 0
     lexicographically, alpha_1 > 0 or alpha_1 = 0 <= alpha_d in the d <= 2
     that Lattice enforces, from gamma to gamma - alpha, and their adjoints,
@@ -183,14 +183,14 @@ def _lattice_hops(hops: HoppingSet, flux: Fraction, shape, origin=0.0):
     keys, blocks = hops.stacked()
     half = (keys[:, 0] > 0) | (keys[:, 0] == 0) & (keys[:, -1] >= 0)
     return hermitian_hops(A, shape, np.ones(hops.dim), -keys[half],
-                          blocks[half], origin)
+                          blocks[half])
 
 
 def box_matrix(hops: HoppingSet, flux: Fraction,
                half_width: int) -> np.ndarray:
-    """The operator on the sites with |gamma_i| <= half_width: the shift-0
-    term of the periodic operator on the box, its hops that stay in it
-    (Dirichlet)."""
+    """The operator on the sites 0 <= gamma_i <= 2 half_width, the shift-0
+    term of the periodic operator on the box: its hops that stay in it
+    (Dirichlet).  A moved box differs by a gauge change, not in spectrum."""
     magnetic_cells(flux, hops.dim)  # an exact flux, 0 in d=1, else InputError
     radius = max(max(abs(a) for a in alpha) for alpha in hops.hoppings)
     if half_width < radius:
@@ -201,7 +201,7 @@ def box_matrix(hops: HoppingSet, flux: Fraction,
         raise InputError(
             f"half_width {half_width} gives a {sites * n} x {sites * n} box "
             f"matrix, more than the limit of {MAX_FIBER_ENTRIES} entries")
-    links = _lattice_hops(hops, flux, (side,) * hops.dim, -half_width)
+    links = _lattice_hops(hops, flux, (side,) * hops.dim)
     inside = ~links[2].any(axis=1)
     return bloch_operator(*(x[inside] for x in links),
                           sites).dense(np.zeros(hops.dim))[0]

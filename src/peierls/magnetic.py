@@ -100,16 +100,15 @@ def line_phase(A: VectorPotential, x, y) -> np.ndarray:
     return phase
 
 
-def hermitian_hops(A: VectorPotential, shape, h, offsets, blocks,
-                   origin=0.0):
-    """The hops i -> i + o (o a row of offsets) on the grid origin + h * i,
+def hermitian_hops(A: VectorPotential, shape, h, offsets, blocks):
+    """The hops i -> i + o (o a row of offsets) on the grid h * i,
     0 <= i < shape, offset by offset, each over the sites in C order, with
     one (N, N) block per offset, and their adjoints.
 
     The hop from x to x + h * o carries line_phase(A, x, x + h * o), or 1
     in d = 1, times its block.  Its target i + o = j + shape * n is wrapped
     onto j with the magnetic-Bloch factor of the module docstring at k = 0,
-    a = h * shape * n and y = origin + h * j (a gradient gauge chi must be
+    a = h * shape * n and y = h * j (a gradient gauge chi must be
     periodic over the cell).  Each nonzero offset adds its reverse
     (cols, rows, -n) with the adjoint entry, so with no offset the negative
     of another and a Hermitian block at offset 0 the operator is Hermitian
@@ -125,10 +124,10 @@ def hermitian_hops(A: VectorPotential, shape, h, offsets, blocks,
     phases = np.ones(rows.size, dtype=complex)
     if d == 2:
         # rows of 2-D arrays are gathered with take: fancy indexing is slower
-        x = origin + h * sites.take(rows, axis=0)
+        x = h * sites.take(rows, axis=0)
         phases = line_phase(A, x, x + (h * offsets).take(offset, axis=0))
         wrapped = (n[:, 0] != 0) | (n[:, 1] != 0)  # any(axis=1) is slower
-        a, y = h * shape * n[wrapped], origin + h * j[wrapped]
+        a, y = h * shape * n[wrapped], h * j[wrapped]
         phases[wrapped] *= np.exp(1j * (
             np.einsum("ij,ij->i", transversal_gauge(A.field, a), y)
             + 0.5 * A.field.b12 * a[:, 0] * a[:, 1]))
@@ -248,7 +247,7 @@ class BoxGrid:
 
 def quantize_on_grid(
     momentum_function: Callable,
-    A: VectorPotential | None,
+    A: VectorPotential,
     grid: BoxGrid,
     potential_function: Callable | None = None,
 ) -> np.ndarray:
@@ -274,7 +273,7 @@ def quantize_on_grid(
         for ax in range(grid.dim)
     )
     M = kernel[diff_idx]
-    if A is not None and grid.dim == 2:  # else no field: every phase is 1
+    if grid.dim == 2:  # else no field: every phase is 1
         M *= line_phase(A, positions[:, None], positions[None, :])
     if potential_function is not None:
         M = M + np.diag([potential_function(p) for p in positions])

@@ -53,7 +53,8 @@ def test_gauge_catalog_validation():
 
 def test_quantize_free_kinetic_is_spectral():
     grid = BoxGrid(dim=1, n=32, length=2.0 * np.pi)
-    M = quantize_on_grid(lambda eta: float(eta @ eta), None, grid)
+    M = quantize_on_grid(lambda eta: float(eta @ eta),
+                         VectorPotential(MagneticField(0.0)), grid)
     vals = np.sort(np.linalg.eigvalsh(M))
     expected = np.sort(np.einsum("ij,ij->i", grid.momenta(), grid.momenta()))
     assert np.allclose(vals, expected, atol=1e-10)

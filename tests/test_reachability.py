@@ -12,8 +12,9 @@ benchmark.  Every default of a public function or method, or of a public
 field of a public dataclass, is left out by some call of its name in the
 package, the acceptance suite or the benchmark, and passed by another: a
 value that every caller passes is no default, and one that no caller
-passes is a constant.  Code that only its own unit tests call is not part
-of the pipeline.
+passes is a constant.  Every parameter of a function or method is read
+in its body.  Code that only its own unit tests call is not part of the
+pipeline.
 """
 
 import ast
@@ -157,6 +158,78 @@ def test_a_field_nothing_reads_is_flagged():
     other = ast.parse("def middle(pair):\n    return pair.middle\n")
     reader = ast.parse("def test(box):\n    assert box.size\n")
     assert unread_fields({"pairs": module, "other": other}, [reader]) == []
+
+
+def unread_parameters(trees: dict) -> list:
+    """(module, qualname, parameter) of each parameter of a function or
+    method in trees (module name: AST), nested ones included, that its body
+    never reads as a name: a value that the callee never uses, or can work
+    out from another, is not passed.  self, cls and the parameters of a
+    lambda are exempt; a read in a nested function counts."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+                continue
+            if not isinstance(child, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                visit(child, prefix)
+                continue
+            args = child.args
+            params = [arg.arg for arg in (*args.posonlyargs, *args.args,
+                                          *args.kwonlyargs, args.vararg,
+                                          args.kwarg) if arg is not None]
+            read = {sub.id for stmt in child.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Load)}
+            found.extend((module, f"{prefix}{child.name}", param)
+                         for param in params
+                         if param not in read | {"self", "cls"})
+            visit(child, f"{prefix}{child.name}.")
+
+    for module, tree in trees.items():
+        visit(tree, "")
+    return found
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(_package_trees()) == []
+
+
+PARAMETERS = textwrap.dedent("""
+    def scale(x, factor, *rest, unit=1, **extra):
+        factor = 2  # a store is no read
+        return x * unit
+
+
+    def outer(size, label):
+        def inner(step, width):
+            return size + step
+
+        return inner(1, lambda ignored: 0)
+
+
+    class Box:
+        def grow(self, by):
+            return self
+
+        @classmethod
+        def empty(cls):
+            return 0
+""")
+
+
+def test_a_parameter_nothing_reads_is_flagged():
+    # factor is only stored, rest, extra and label never read, and width
+    # nowhere in inner; size counts as read by inner, and self, cls and the
+    # lambda's parameter are exempt
+    module = ast.parse(PARAMETERS)
+    assert sorted(unread_parameters({"shapes": module})) == [
+        ("shapes", "Box.grow", "by"), ("shapes", "outer", "label"),
+        ("shapes", "outer.inner", "width"), ("shapes", "scale", "extra"),
+        ("shapes", "scale", "factor"), ("shapes", "scale", "rest")]
 
 
 def _defaulted(function, bound: bool) -> list:
