@@ -210,8 +210,10 @@ def _parse_flux(text, lattice: Lattice) -> Fraction:
 
 
 # the last band solve of this process, (key, vector_band, BandStructure),
-# or None: see _bands
+# or None, and whether a request of this process found its grid kept
+# without the vectors it asked for: see _bands and cmd_bands
 _last_solve = None
+_vectors_missed = False
 
 
 def _bands(sym, settings: dict, vector_band=None, workers=None):
@@ -226,9 +228,10 @@ def _bands(sym, settings: dict, vector_band=None, workers=None):
     "I" give the same eigenvalues bit for bit with and without vectors,
     and the chunk count changes no bit, so a reuse returns what a solve
     would.  The bands and vectors are read-only: every caller shares them.
-    A failed solve leaves the kept one.
+    A failed solve leaves the kept one.  A request for vectors that finds
+    its grid kept without them sets _vectors_missed.
     """
-    global _last_solve
+    global _last_solve, _vectors_missed
     lattice = sym.lattice
     key = (lattice.basis.tobytes(), sym.kind,
            sorted(sym.potential.coeffs.items()), settings["resolution"],
@@ -237,6 +240,7 @@ def _bands(sym, settings: dict, vector_band=None, workers=None):
     last_key, last_band, last = _last_solve or (None,) * 3
     if last_key == key and vector_band in (None, last_band):
         return last
+    _vectors_missed |= last_key == key
     bands = bloch.compute_bands(
         sym, bz_grid(lattice, settings["resolution"]),
         dual_shell(lattice, settings["cutoff"]), settings["n_bands"],
@@ -317,7 +321,17 @@ def _require_simple_band(bands, settings):
 
 
 def cmd_bands(settings, sym, out: Path) -> dict:
-    bands = _bands(sym, settings)
+    # once a command of this process has solved a kept grid again for its
+    # vectors, bands keeps band_index's for section and grushin (they leave
+    # the values unchanged); where they exceed the band-grid bound, it
+    # solves the values alone, as in a process that has not missed them
+    try:
+        bands = _bands(sym, settings,
+                       settings["band_index"] if _vectors_missed else None)
+    except InputError:
+        if not _vectors_missed:
+            raise
+        bands = _bands(sym, settings)
     # one row per (grid point, band), bands fastest
     n_points, n_bands = bands.bands.shape
     frac = np.repeat(bands.grid.coords(), n_bands, axis=0)

@@ -24,11 +24,12 @@ settings.load_profile("derandomized")
 
 @pytest.fixture(autouse=True)
 def no_kept_band_solve():
-    """Every test starts with no band solve kept by the CLI, so a command
-    solves its bands under the test's own patches whatever ran before."""
+    """Every test starts with no band solve kept by the CLI, and no
+    vectors missed, so a command solves its bands under the test's own
+    patches whatever ran before."""
     from peierls import cli
 
-    cli._last_solve = None
+    cli._last_solve, cli._vectors_missed = None, False
 
 
 @pytest.fixture(scope="session")

@@ -576,8 +576,9 @@ def test_a_pipeline_reuses_its_last_band_solve(k_res, solves, tmp_path,
 def test_only_the_kept_bands_vectors_are_reused(config_path, tmp_path,
                                                 band_solves):
     # section asks for vectors, which the values of bands do not hold;
-    # grushin and effective take what section solved
-    for command in ("bands", "section", "grushin", "effective"):
+    # grushin, effective and scan take what section solved
+    chain = ("bands", "section", "grushin", "effective", "scan")
+    for command in chain:
         assert _run(command, config_path, tmp_path) == 0
     assert band_solves == [(16, None), (16, 0)]
     # another band's vectors are solved; a values request takes any kept
@@ -589,6 +590,30 @@ def test_only_the_kept_bands_vectors_are_reused(config_path, tmp_path,
     assert cli._bands(sym, num, workers=2) is second
     assert cli._bands(sym, num, 1, workers=1) is second
     assert len(band_solves) == 3
+    # once a process has missed them, bands keeps the vectors of
+    # band_index, so the chain solves once, and it writes the bytes of its
+    # values-only solve (band 1 as in
+    # test_section_and_grushin_carry_the_selected_band)
+    band1 = tmp_path / "band1.json"
+    band1.write_text(json.dumps(_edited(
+        BASE_CONFIG, ("numerics",), dict(BASE_CONFIG["numerics"], cutoff=8.0,
+                                         resolution=64, band_index=1))))
+    # a request for vectors whose grid is not kept misses nothing
+    cli._last_solve, cli._vectors_missed = None, False
+    assert _run("section", str(band1), tmp_path) == 0
+    assert not cli._vectors_missed
+    for path, band, res in [(config_path, 0, 16), (str(band1), 1, 64)]:
+        written = []
+        for missed in (False, True):
+            cli._last_solve, cli._vectors_missed = None, missed
+            band_solves.clear()
+            for command in chain:
+                assert _run(command, path, tmp_path) == 0
+            assert band_solves == (
+                [(res, band)] if missed else [(res, None), (res, band)])
+            assert cli._vectors_missed
+            written.append((tmp_path / "bands.csv").read_bytes())
+        assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("keys, value, solves", [
@@ -937,7 +962,7 @@ def test_outputs_do_not_depend_on_the_callers_blas_threads(tmp_path,
     for threads in (1, 2):
         blas_threads(threads)
         out = tmp_path / f"threads{threads}"
-        cli._last_solve = None
+        cli._last_solve, cli._vectors_missed = None, False
         band_solves.clear()
         for command in ("bands", "section", "compare"):
             assert _run(command, str(path), out) == 0
@@ -1304,6 +1329,28 @@ def test_oversized_grid_exits_2_before_it_is_allocated(
     err = capsys.readouterr().err
     assert "config error" in err and "limit" in err
     assert peak < refused / 2
+
+
+@pytest.mark.parametrize("missed", [False, True])
+def test_bands_keeps_its_band_grid_bound(missed, tmp_path, capsys,
+                                         monkeypatch, band_solves):
+    # the limit is lowered below the values plus one band's vectors of the
+    # 16-point grid, basis size 13, but above its values and one fiber:
+    # section, which needs the vectors of band_index, is refused, and bands
+    # solves the values alone, also in a process that has missed vectors
+    size = dual_shell(cli.build_lattice(BASE_CONFIG), 6.0).size
+    limit = 16 * (3 + size) - 1
+    assert max(16 * 3, size**2) <= limit
+    monkeypatch.setattr(bloch, "MAX_BAND_ENTRIES", limit)
+    cli._vectors_missed = missed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE_CONFIG))
+    assert _run("bands", str(path), tmp_path) == 0
+    assert band_solves == [(16, 0)] * missed + [(16, None)]
+    assert _run("section", str(path), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "the band grid stores" in err
+    assert f"the limit {limit}" in err
 
 
 def test_nan_lattice_basis_is_config_error(tmp_path, capsys):
