@@ -263,10 +263,13 @@ def one_blas_thread():
 
 def _workers() -> int:
     """Threads for the band fibers: every core beside a one-thread scipy
-    OpenBLAS, else one.  Fiber threads beside a two-thread BLAS were slower:
-    0.24 -> 0.30 s for a 32^2 grid at cutoff 8, on two cores."""
+    OpenBLAS (os.cpu_count() where os has no sched_getaffinity, as on
+    macOS and Windows), else one.  Fiber threads beside a two-thread BLAS
+    were slower: 0.24 -> 0.30 s for a 32^2 grid at cutoff 8, on two cores."""
     control = _blas_controls().get("scipy")
-    return len(os.sched_getaffinity(0)) if control and control[1]() == 1 else 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return cores if control and control[1]() == 1 else 1
 
 
 @dataclass(frozen=True)
@@ -307,6 +310,8 @@ def compute_bands(
     """
     if n_bands > shell.size:
         raise InputError("n_bands exceeds the plane-wave basis size")
+    if workers is not None and workers < 1:
+        raise InputError(f"workers must be a positive integer, got {workers}")
     keep = vector_band is not None
     if keep and not 0 <= vector_band < n_bands:
         raise InputError(f"vector_band {vector_band} is not one of the "

@@ -553,16 +553,15 @@ def cmd_direct(settings, sym, out: Path) -> dict:
 def cmd_compare(settings, sym, out: Path) -> dict:
     """The Peierls spectrum against the reference at each [epsilon, flux].
 
-    With a window key, nonzero fluxes and bloch._workers() > 1, a worker
-    thread builds the Peierls side (the band solve, in _workers() - 1
-    chunks, then one cloud per flux) and then takes the reference jobs of
-    the smallest fluxes, while this thread certifies the lower edge and
-    takes those of the largest; both spend most of their time in calls
-    that release the GIL.  Otherwise the band solve goes first, for the
-    default window or the flux-0 reference, and this thread runs all the
-    jobs.  Errors keep the order of the serial run: the band side's, the
-    first reference error in config order, then each flux's cloud and
-    distance in turn.
+    A worker thread builds the Peierls side (the band solve, then one
+    cloud per flux) and then takes the reference jobs of the smallest
+    fluxes, while this thread certifies the lower edge and takes those of
+    the largest; both spend most of their time in calls that release the
+    GIL.  Without a window key or at flux 0 this thread first waits for
+    the band solve, for the default window or the flux-0 reference, and
+    the solve takes every free core, else one fewer.  Errors keep the
+    order of a serial run: the band side's, the first reference error in
+    config order, then each flux's cloud and distance in turn.
     """
     eps_flux = settings["epsilons"]
     if eps_flux is None:
@@ -571,39 +570,34 @@ def cmd_compare(settings, sym, out: Path) -> dict:
     fluxes = [flux for _, flux in eps_flux]
     solve = _reference(settings, sym, fluxes)
     merge_tol = settings["merge_tol"]
-    workers = bloch._workers()
+    wait = settings["window"] is None or 0 in fluxes
 
-    def cloud(hops, flux, window):
+    def cloud(flux):
+        window, hops = side.result()
         return spectra.SpectrumSet(effective.bloch_eigenvalue_cloud(
             hops, flux, settings["k_resolution"]), window, merge_tol)
 
-    if workers == 1 or settings["window"] is None or 0 in fluxes:
-        window, hops = _band_hoppings(sym, settings)
-        references = solve(window).results()
-        clouds = (cloud(hops, flux, window) for flux in fluxes)
-    else:
-        window = settings["window"]
-        with ThreadPoolExecutor(1) as pool:
-            side = pool.submit(_band_hoppings, sym, settings, workers - 1)
-            futures = [pool.submit(lambda flux: cloud(
-                side.result()[1], flux, window), flux) for flux in fluxes]
-            try:
-                jobs = solve(window)
-            except Exception:
-                # the band side's error wins, as when it ran first
-                pool.shutdown(cancel_futures=True)
-                side.result()
-                raise
-            # after the clouds the worker takes the smallest fluxes' jobs;
-            # _Jobs keeps each error, and leaving the pool waits for them
-            pool.submit(jobs.run, True)
-            jobs.run()
-        side.result()
-        references = jobs.results()
-        clouds = (future.result() for future in futures)
+    with ThreadPoolExecutor(1) as pool:
+        side = pool.submit(_band_hoppings, sym, settings,
+                           max(1, bloch._workers() - 1 + wait))
+        futures = [pool.submit(cloud, flux) for flux in fluxes]
+        try:
+            window = side.result()[0] if wait else settings["window"]
+            jobs = solve(window)
+        except Exception:
+            # the band side's error wins, as when it ran first
+            pool.shutdown(cancel_futures=True)
+            side.result()
+            raise
+        # after the clouds the worker takes the smallest fluxes' jobs;
+        # _Jobs keeps each error, and leaving the pool waits for them
+        pool.submit(jobs.run, True)
+        jobs.run()
+    side.result()
     pairs, detail = [], []
-    for (eps, flux), (dir_set, fibers), eff_set in zip(eps_flux, references,
-                                                       clouds):
+    for (eps, flux), (dir_set, fibers), future in zip(eps_flux, jobs.results(),
+                                                      futures):
+        eff_set = future.result()
         d_h, flagged = spectra.hausdorff_distance(eff_set, dir_set)
         detail.append({
             "epsilon": float(eps), "flux": str(flux), "d_H": d_h,
@@ -652,7 +646,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"numeric error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
     meta = {"command": args.command, "config": cfg, "summary": summary}

@@ -73,6 +73,19 @@ def test_compute_bands_rejects_oversized_request(mathieu, lat1):
             compute_bands(mathieu, grid, shell, 2, band)
 
 
+def test_compute_bands_refuses_fewer_than_one_worker(mathieu, lat1,
+                                                    monkeypatch):
+    # workers caps the chunks: 0 is no count of threads, not every core,
+    # and the refusal comes before any fiber is solved
+    threads = _solving_threads(monkeypatch)
+    grid, shell = bz_grid(lat1, 4), dual_shell(lat1, 4.0)
+    for workers in (0, -1):
+        with pytest.raises(InputError, match=f"workers .* got {workers}"):
+            compute_bands(mathieu, grid, shell, 2, workers=workers)
+    assert threads == []
+    assert compute_bands(mathieu, grid, shell, 2, workers=1).solved == 3
+
+
 def test_band_intervals_simplicity_flags(mathieu_bands):
     iv = band_intervals(mathieu_bands, gap_tol=1e-6)
     # Mathieu bands 1 and 2 are simple and disjoint; the last computed band
@@ -376,6 +389,16 @@ def test_workers_take_every_core_beside_a_one_thread_blas(blas_threads,
     assert bloch._workers() == len(os.sched_getaffinity(0))
     blas_threads(2)
     assert bloch._workers() == 1
+    # where os has no affinity call (macOS, Windows), every core it counts
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "sched_getaffinity")
+        patch.setattr(os, "cpu_count", lambda: 5)
+        blas_threads(1)
+        assert bloch._workers() == 5
+        patch.setattr(os, "cpu_count", lambda: None)
+        assert bloch._workers() == 1
+        blas_threads(2)
+        assert bloch._workers() == 1
     # without thread controls (MKL, a system BLAS) nothing is pinned, and
     # the fibers stay in one thread
     blas_threads(1)

@@ -796,25 +796,34 @@ def test_compare_certifies_the_lower_edge_once(tmp_path, monkeypatch):
 
 
 # two fluxes and a window: compare runs its Peierls side beside the
-# reference when a core is free
+# reference
 OVERLAP_CONFIG = dict(D2_BLOCH, epsilons=[[0.08, "1/4"], [0.04, "1/8"]])
 # three: the calling thread and the worker meet at the middle flux
 THREE_FLUX_CONFIG = dict(D2_BLOCH, epsilons=[[0.08, "1/4"], [0.04, "1/8"],
                                              [0.02, "1/16"]])
+# the reference waits for the band solve: for the default window, and at
+# flux 0 for the band grid, here the band solve's own
+NO_WINDOW_CONFIG = {key: value for key, value in OVERLAP_CONFIG.items()
+                    if key != "window"}
+FLUX_0_CONFIG = dict(D2_BLOCH, epsilons=[[0.08, "0"]], direct_k_resolution=8)
 
 
 def test_compare_beside_the_reference_writes_the_same_bytes(tmp_path,
                                                             monkeypatch,
                                                             band_solves):
-    # one free core runs the halves in turn, two run the Peierls side on a
-    # worker thread beside the reference, which then shares the fluxes
-    for fluxes, cfg in enumerate([OVERLAP_CONFIG, THREE_FLUX_CONFIG], 2):
-        path = tmp_path / f"cfg{fluxes}.json"
+    # one free core or two, the Peierls side runs on a worker thread beside
+    # the reference, which then shares the fluxes, or before it when the
+    # reference needs the band solve; either way the bytes are the same and
+    # the bands are solved once
+    for name, cfg in [("two", OVERLAP_CONFIG), ("three", THREE_FLUX_CONFIG),
+                      ("no_window", NO_WINDOW_CONFIG),
+                      ("flux_0", FLUX_0_CONFIG)]:
+        path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         written = []
         for workers in (1, 2):
             monkeypatch.setattr(bloch, "_workers", lambda: workers)
-            out = tmp_path / f"fluxes{fluxes}-workers{workers}"
+            out = tmp_path / f"{name}-workers{workers}"
             cli._last_solve = None
             band_solves.clear()
             assert _run("compare", str(path), out) == 0
@@ -826,10 +835,10 @@ def test_compare_beside_the_reference_writes_the_same_bytes(tmp_path,
 
 def _held_reference(monkeypatch, workers, fails=()):
     """direct.direct_spectrum recording the thread of each flux's call and
-    raising at the fluxes fails.  Beside a worker the first call on the
-    calling thread, its largest flux, waits until another flux's call has
-    started, which only the worker can make: the worker, done with the
-    Peierls side, then takes the smallest flux."""
+    raising at the fluxes fails, with bloch._workers() at workers.  The
+    first call on the calling thread, its largest flux, waits until
+    another flux's call has started, which only the worker can make: the
+    worker, done with the Peierls side, then takes the smallest flux."""
     threads, started, spectrum = {}, threading.Event(), direct.direct_spectrum
     caller = threading.get_ident()
 
@@ -837,7 +846,7 @@ def _held_reference(monkeypatch, workers, fails=()):
         threads.setdefault(disc.flux, []).append(threading.get_ident())
         if threading.get_ident() != caller:
             started.set()
-        elif workers > 1 and len(threads) == 1:
+        elif len(threads) == 1:
             assert started.wait(60)
         if disc.flux in fails:
             raise InputError(f"the reference failed at {disc.flux}")
@@ -859,7 +868,8 @@ def test_compare_band_error_wins_over_the_reference(
     # free bands touch, so band 0 fails H.7: that error is reported even
     # when the reference beside it fails too, as when the band side ran
     # first; a reference error alone is reported as it is, the first in
-    # config order, also when the worker thread solved its flux
+    # config order, also when the worker thread solved its flux.  One free
+    # core runs the same schedule as two
     threads = _held_reference(monkeypatch, workers,
                               [Fraction(flux) for flux in fails])
     before = threading.active_count()
@@ -870,15 +880,11 @@ def test_compare_band_error_wins_over_the_reference(
     err = capsys.readouterr().err
     assert "config error" in err and named in err
     assert ("the reference failed" in err) == (named != "H.7")
-    # the serial run stops at the band side; beside it each flux is solved
-    # once, the smallest on the worker
-    if workers == 1 and named == "H.7":
-        assert threads == {}
-    else:
-        assert {flux: len(ids) for flux, ids in threads.items()} == {
-            Fraction(1, 4): 1, Fraction(1, 8): 1}
-        assert (threads[Fraction(1, 4)] == [threading.get_ident()]) == (
-            workers == 1)
+    # beside the band side each flux is solved once, the smallest on the
+    # worker
+    assert {flux: len(ids) for flux, ids in threads.items()} == {
+        Fraction(1, 4): 1, Fraction(1, 8): 1}
+    assert threads[Fraction(1, 4)] != [threading.get_ident()]
     assert threading.active_count() == before
 
 
@@ -887,8 +893,8 @@ def test_compare_splits_the_reference_between_its_ends(workers, tmp_path,
                                                        monkeypatch):
     # one fiber per flux, so the work is q: the calling thread solves 1/16,
     # the largest, and the worker 1/4, the smallest, once the Peierls side
-    # is built; one free core solves every flux in the calling thread and
-    # starts no thread
+    # is built, with one free core as with two; the band solve takes one
+    # chunk, so the worker is the one thread started
     threads = _held_reference(monkeypatch, workers)
     started, start = [], threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: (
@@ -898,15 +904,14 @@ def test_compare_splits_the_reference_between_its_ends(workers, tmp_path,
     path.write_text(json.dumps(THREE_FLUX_CONFIG))
     assert _run("compare", str(path), tmp_path) == 0
     # the fluxes in the order of their first calls: the largest, then the
-    # next on this thread or the smallest on the worker
+    # smallest on the worker
     big, middle, small = Fraction(1, 16), Fraction(1, 8), Fraction(1, 4)
-    assert list(threads) == ([big, middle, small] if workers == 1
-                             else [big, small, middle])
+    assert list(threads) == [big, small, middle]
     assert all(len(ids) == 1 for ids in threads.values())
     caller = threading.get_ident()
     assert threads[big] == [caller]
-    assert (threads[small] == [caller]) == (workers == 1)
-    assert len(started) == workers - 1
+    assert threads[small] != [caller]
+    assert len(started) == 1
     assert threading.active_count() == before
 
 
@@ -983,7 +988,8 @@ def test_compare_band_side_takes_the_cores_the_reference_leaves(
         tmp_path, monkeypatch):
     # three free cores: the reference keeps one, and the band solve on the
     # worker thread splits into two chunks, its own and one in a thread it
-    # starts; no thread outlives the command
+    # starts; without a window the reference waits for the band solve,
+    # which takes all three; no thread outlives the command
     monkeypatch.setattr(bloch, "_workers", lambda: 3)
     monkeypatch.setattr(bloch, "THREAD_WORK", 1)
     threads, chunks = [], []
@@ -994,12 +1000,18 @@ def test_compare_band_side_takes_the_cores_the_reference_leaves(
     monkeypatch.setattr(bloch, "compute_bands", lambda *args, **kwargs: (
         chunks.append(kwargs["workers"]) or solve(*args, **kwargs)))
     before = threading.active_count()
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(OVERLAP_CONFIG))
-    assert _run("compare", str(path), tmp_path) == 0
-    assert chunks == [2]
-    assert len(set(threads)) == 2 and threading.get_ident() not in threads
-    assert threading.active_count() == before
+    for cfg, cores in [(OVERLAP_CONFIG, 2), (NO_WINDOW_CONFIG, 3)]:
+        cli._last_solve = None
+        threads.clear()
+        chunks.clear()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert _run("compare", str(path), tmp_path) == 0
+        assert chunks == [cores]
+        # the chunks' pool may reuse a thread whose chunk is done
+        assert 2 <= len(set(threads)) <= cores
+        assert threading.get_ident() not in threads
+        assert threading.active_count() == before
 
 
 def _edited(base, keys, value):

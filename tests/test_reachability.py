@@ -517,8 +517,8 @@ def test_one_krylov_call_with_an_explicit_stop():
 def test_one_reference_routine():
     """The package calls direct.direct_spectrum and direct.certified_below
     at one call site each, inside cli._reference, and names them nowhere
-    else: direct, and compare serial or beside its Peierls side, run the
-    one job list that it builds."""
+    else: direct, and compare beside its Peierls side, run the one job
+    list that it builds."""
     names = {"direct_spectrum", "certified_below"}
     trees = _package_trees()
     reference = next(node for node in trees["cli"].body
@@ -580,3 +580,21 @@ def test_one_line_phase_per_operator_kind():
     assert len(calls) == 2
     assert sorted(callers) == [("magnetic", "hermitian_hops"),
                                ("magnetic", "quantize_on_grid")]
+
+
+def test_one_compare_schedule():
+    """cmd_compare names cli._band_hoppings once, as the first argument of
+    pool.submit: every run builds the Peierls side's band solve on the
+    worker thread, and no second schedule calls it on the calling
+    thread."""
+    compare = next(node for node in _package_trees()["cli"].body
+                   if getattr(node, "name", None) == "cmd_compare")
+    named = [node for node in ast.walk(compare)
+             if isinstance(node, ast.Name) and node.id == "_band_hoppings"]
+    submitted = [node.args[0] for node in ast.walk(compare)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and isinstance(node.func.value, ast.Name)
+                 and (node.func.value.id, node.func.attr) == ("pool", "submit")
+                 and node.args]
+    assert len(named) == 1 and named[0] in submitted
